@@ -141,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--classifier", help="classifier, comma list, or 'all'")
     p_cv.add_argument("--k", type=int, help="number of folds")
     p_cv.add_argument("--stratified", action="store_true", default=None)
-    p_cv.add_argument("--jobs", type=int, help="parallel grid cells (1 = deterministic)")
+    p_cv.add_argument("--jobs", type=int, help="folds evaluated in parallel threads")
 
     p_curve = sub.add_parser("curve", help="learning curve on a fixed holdout")
     add_common(p_curve)
@@ -447,7 +447,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
         raise ConfigError("curve takes exactly one classifier")
     corpus = _load_corpus(cfg)
     k = int(cfg["k"])
-    holdout = len(corpus) // k if k >= 2 else 0
+    # make_splits holds out fold 0, which gets ceil(n / k) documents.
+    holdout = -(-len(corpus) // k) if k >= 2 else 0
     if holdout < 1:
         raise ConfigError(f"corpus of {len(corpus)} documents cannot hold out 1/{k}")
     sizes = _curve_sizes(cfg, len(corpus) - holdout)

@@ -5,13 +5,25 @@ statistics, weight tables, and feature scalers are fit on the training
 documents only; test documents are vectorized with those training-fold
 tables and scored.  The cross-validation headline number is the
 arithmetic mean of per-fold macro-F1 scores.
+
+Cross-validation, grids and learning curves share one engine, a "fit on
+A, score B" loop over (train, test) index pairs: the CV folds, or the
+ladder samples against the fixed holdout.  It runs fold-major.  Per
+pair it builds the corpus statistics once (when some scheme needs
+them), then for each scheme in turn its weight table, feature matrix
+and scaler, on which every classifier is trained and scored.  The
+``none`` matrix does not depend on the pair and is built once per
+embedding; otherwise one scheme's matrix is alive at a time.  Training
+is seeded from ``TrainConfig.seed`` alone, so results do not depend on
+this order.
 """
 
 from __future__ import annotations
 
 import csv
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -19,7 +31,7 @@ from .classify import TrainConfig, predict_many, train_logreg, train_svm
 from .corpus import LabeledCorpus, SplitPlan
 from .embeddings import EmbeddingModel
 from .errors import TrainingError
-from .stats import CorpusStats, build_stats
+from .stats import build_stats
 from .vectorize import CorpusVectorizer, standardize_apply, standardize_fit
 from .weighting import SCHEMES, WeightTable, build_table
 
@@ -140,23 +152,187 @@ def _check_classes(
         )
 
 
-def _fold_table(
+def _fit_and_score(
     corpus: LabeledCorpus,
-    scheme: str,
-    train_idx: np.ndarray,
+    pairs,
+    schemes,
+    vectorizers,
+    classifiers,
+    train_config: TrainConfig | None,
+    *,
     alpha: float,
     kld_raw: bool,
+    standardize: bool,
     min_count: int,
-    table_builder: Callable[[CorpusStats | None], WeightTable] | None,
-) -> WeightTable:
-    if table_builder is not None:
-        return table_builder(
-            build_stats(corpus, doc_subset=train_idx, min_count=min_count)
+    jobs: int = 1,
+) -> dict[tuple[str, int, str], list[EvalReport] | tuple[int, Exception]]:
+    """Fit on A, score B, for every (scheme, vectorizer index, classifier)
+    cell and every ``(train_idx, test_idx, what)`` pair.
+
+    Per pair, the stats are built once (when some scheme needs them),
+    then per scheme the table, then per vectorizer one feature matrix
+    and scaler on which every classifier is trained and scored.  A
+    cell's outcome is its list of per-pair reports, or ``(pair index,
+    exception)`` for the first pair it failed in; a failed cell is
+    skipped in later pairs, and a failing shared step fails exactly the
+    cells built on it.  ``jobs > 1`` runs the pairs on a thread pool.
+    """
+    cfg = train_config or TrainConfig()
+    schemes = list(dict.fromkeys(schemes))
+    classifiers = list(dict.fromkeys(classifiers))
+    labels = corpus.labels()
+    n_classes = len(corpus.categories)
+    cells = [
+        (scheme, v, classifier)
+        for v in range(len(vectorizers))
+        for scheme in schemes
+        for classifier in classifiers
+    ]
+    failures: dict[tuple[str, int, str], tuple[int, Exception]] = {}
+    for cell in cells:
+        if cell[0] not in SCHEMES:
+            failures[cell] = (
+                -1,
+                ValueError(f"unknown scheme {cell[0]!r}; valid: {', '.join(SCHEMES)}"),
+            )
+    none_table = WeightTable(scheme="none", categories=tuple(corpus.categories))
+    none_matrices: dict[int, np.ndarray] = {}  # fold-independent, built once
+    lock = threading.Lock()
+
+    def features(table: WeightTable, v: int) -> np.ndarray:
+        if table is not none_table:
+            return vectorizers[v].matrix(table)
+        with lock:
+            if v not in none_matrices:
+                none_matrices[v] = vectorizers[v].matrix(table)
+            return none_matrices[v]
+
+    def score_group(members, table, v, train_idx, test_idx, scores, errors):
+        try:
+            X = features(table, v)
+            X_train, X_test = X[train_idx], X[test_idx]
+            del X  # keep one scheme's matrix alive at a time
+            if standardize:
+                params = standardize_fit(X_train)
+                X_train = standardize_apply(params, X_train)
+                X_test = standardize_apply(params, X_test)
+        except Exception as exc:
+            errors.update((cell, exc) for cell in members)
+            return
+        y_train, y_test = labels[train_idx], labels[test_idx]
+        for cell in members:
+            try:
+                model = _train(cell[2], X_train, y_train, cfg, n_classes)
+                pred, _ = predict_many(model, X_test)
+                scores[cell] = macro_f1(pred, y_test, n_classes, corpus.categories)
+            except Exception as exc:
+                errors[cell] = exc
+
+    def run_pair(p: int) -> dict[tuple[str, int, str], EvalReport]:
+        train_idx, test_idx, what = pairs[p]
+        errors: dict[tuple[str, int, str], Exception] = {}
+        scores: dict[tuple[str, int, str], EvalReport] = {}
+        with lock:  # skip cells that failed in an earlier pair
+            todo = [cell for cell in cells if failures.get(cell, (p,))[0] >= p]
+        for classifier in classifiers:
+            try:
+                _check_classes(labels, train_idx, n_classes, classifier, what)
+            except TrainingError as exc:
+                errors.update((cell, exc) for cell in todo if cell[2] == classifier)
+        todo = [cell for cell in todo if cell not in errors]
+        stats = None
+        if any(cell[0] != "none" for cell in todo):
+            try:
+                stats = build_stats(corpus, doc_subset=train_idx, min_count=min_count)
+            except Exception as exc:
+                errors.update((cell, exc) for cell in todo if cell[0] != "none")
+        for scheme in schemes:
+            group = [cell for cell in todo if cell[0] == scheme and cell not in errors]
+            if not group:
+                continue
+            try:
+                table = (
+                    none_table
+                    if scheme == "none"
+                    else build_table(stats, scheme, alpha=alpha, kld_raw=kld_raw)
+                )
+            except Exception as exc:
+                errors.update((cell, exc) for cell in group)
+                continue
+            for v in range(len(vectorizers)):
+                members = [cell for cell in group if cell[1] == v]
+                if members:
+                    score_group(members, table, v, train_idx, test_idx, scores, errors)
+        with lock:  # keep the earliest pair's error, whatever order pairs ran in
+            for cell, exc in errors.items():
+                if failures.get(cell, (p + 1,))[0] > p:
+                    failures[cell] = (p, exc)
+        return scores
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            per_pair = list(pool.map(run_pair, range(len(pairs))))
+    else:
+        per_pair = list(map(run_pair, range(len(pairs))))
+    return {
+        cell: failures[cell]
+        if cell in failures
+        else [scores[cell] for scores in per_pair]
+        for cell in cells
+    }
+
+
+def _cv_grid(
+    corpus: LabeledCorpus,
+    plan: SplitPlan,
+    schemes,
+    vectorizers,
+    classifiers,
+    train_config: TrainConfig | None,
+    *,
+    dataset: str,
+    jobs: int = 1,
+    **options,
+) -> dict[tuple[str, str, str], EvalReport | Exception]:
+    """Cross-validated report, or the first exception, per grid cell."""
+    pairs = [
+        (plan.train_indices(fold), plan.fold_indices(fold), f"fold {fold} training split")
+        for fold in range(plan.num_folds)
+    ]
+    train_sizes = tuple(len(train_idx) for train_idx, _, _ in pairs)
+    n_classes = len(corpus.categories)
+    outcomes = _fit_and_score(
+        corpus, pairs, schemes, vectorizers, classifiers, train_config,
+        jobs=jobs, **options,
+    )
+    results: dict[tuple[str, str, str], EvalReport | Exception] = {}
+    for (scheme, v, classifier), outcome in outcomes.items():
+        origin = vectorizers[v].model.origin
+        if isinstance(outcome, tuple):
+            results[scheme, origin, classifier] = outcome[1]
+            continue
+        confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+        for fold_report in outcome:
+            confusion += fold_report.confusion
+        per_class, macro, accuracy = _metrics_from_confusion(confusion, corpus.categories)
+        results[scheme, origin, classifier] = EvalReport(
+            per_class=per_class,
+            macro_f1=macro,
+            accuracy=accuracy,
+            confusion=confusion,
+            fold_scores=tuple(r.macro_f1 for r in outcome),
+            fold_accuracies=tuple(r.accuracy for r in outcome),
+            fold_train_sizes=train_sizes,
+            fingerprint={
+                "dataset": dataset,
+                "scheme": scheme,
+                "embedding": origin,
+                "classifier": classifier,
+                "seed": plan.seed,
+                "train_size": int(np.mean(train_sizes)) if train_sizes else 0,
+            },
         )
-    if scheme == "none":
-        return WeightTable(scheme="none", categories=tuple(corpus.categories))
-    stats = build_stats(corpus, doc_subset=train_idx, min_count=min_count)
-    return build_table(stats, scheme, alpha=alpha, kld_raw=kld_raw)
+    return results
 
 
 def cross_validate(
@@ -173,66 +349,35 @@ def cross_validate(
     case_fallback: bool = False,
     min_count: int = 1,
     vectorizer: CorpusVectorizer | None = None,
-    table_builder: Callable[[CorpusStats | None], WeightTable] | None = None,
     dataset: str = "corpus",
 ) -> EvalReport:
     """k-fold cross-validation of one (scheme, embedding, classifier) cell.
 
-    Each fold fits stats, weight table, and scaler on its nine training
+    The one-cell case of ``grid_run``, except that a failure raises.
+    Each fold fits stats, weight table, and scaler on its k-1 training
     folds, trains the classifier, and scores the held-out fold.  The
     returned report pools the per-fold confusions and carries the
     per-fold macro-F1 scores; ``mean_macro_f1`` is their mean.
     """
-    if scheme not in SCHEMES and table_builder is None:
-        raise ValueError(f"unknown scheme {scheme!r}; valid: {', '.join(SCHEMES)}")
-    cfg = train_config or TrainConfig()
     vec = vectorizer or CorpusVectorizer(
         corpus.documents, embedding, case_fallback=case_fallback
     )
-    labels = corpus.labels()
-    n_classes = len(corpus.categories)
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    fold_scores = []
-    fold_accuracies = []
-    fold_train_sizes = []
-    for fold in range(plan.num_folds):
-        train_idx = plan.train_indices(fold)
-        test_idx = plan.fold_indices(fold)
-        _check_classes(labels, train_idx, n_classes, classifier, f"fold {fold} training split")
-        table = _fold_table(
-            corpus, scheme, train_idx, alpha, kld_raw, min_count, table_builder
-        )
-        X = vec.matrix(table)
-        X_train, X_test = X[train_idx], X[test_idx]
-        if standardize:
-            params = standardize_fit(X_train)
-            X_train = standardize_apply(params, X_train)
-            X_test = standardize_apply(params, X_test)
-        model = _train(classifier, X_train, labels[train_idx], cfg, n_classes)
-        pred, _ = predict_many(model, X_test)
-        fold_report = macro_f1(pred, labels[test_idx], n_classes, corpus.categories)
-        confusion += fold_report.confusion
-        fold_scores.append(fold_report.macro_f1)
-        fold_accuracies.append(fold_report.accuracy)
-        fold_train_sizes.append(len(train_idx))
-    per_class, macro, accuracy = _metrics_from_confusion(confusion, corpus.categories)
-    return EvalReport(
-        per_class=per_class,
-        macro_f1=macro,
-        accuracy=accuracy,
-        confusion=confusion,
-        fold_scores=tuple(fold_scores),
-        fold_accuracies=tuple(fold_accuracies),
-        fold_train_sizes=tuple(fold_train_sizes),
-        fingerprint={
-            "dataset": dataset,
-            "scheme": scheme,
-            "embedding": embedding.origin,
-            "classifier": classifier,
-            "seed": plan.seed,
-            "train_size": int(np.mean(fold_train_sizes)) if fold_train_sizes else 0,
-        },
-    )
+    (outcome,) = _cv_grid(
+        corpus,
+        plan,
+        [scheme],
+        [vec],
+        [classifier],
+        train_config,
+        dataset=dataset,
+        alpha=alpha,
+        kld_raw=kld_raw,
+        standardize=standardize,
+        min_count=min_count,
+    ).values()
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def learning_curve(
@@ -254,41 +399,43 @@ def learning_curve(
 
     Training samples are nested along the plan's ladder; the holdout is
     the plan's fold 0 and never enters stats, tables, or training.
-    Weights are recomputed from each sample alone.
+    Weights are recomputed from each sample alone.  The first failure,
+    in (ladder size, scheme) order, raises.
     """
-    for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise ValueError(
-                f"unknown scheme {scheme!r}; valid: {', '.join(SCHEMES)}"
-            )
-    cfg = train_config or TrainConfig()
     vec = vectorizer or CorpusVectorizer(
         corpus.documents, embedding, case_fallback=case_fallback
     )
-    labels = corpus.labels()
-    n_classes = len(corpus.categories)
     holdout = plan.holdout_indices()
-    points = []
-    for size in plan.size_ladder:
-        sample = plan.ladder_sample(size)
-        _check_classes(labels, sample, n_classes, classifier, f"size-{size} training sample")
-        scores: dict[str, float] = {}
-        for scheme in schemes:
-            table = _fold_table(
-                corpus, scheme, sample, alpha, kld_raw, min_count, None
-            )
-            X = vec.matrix(table)
-            X_train, X_test = X[sample], X[holdout]
-            if standardize:
-                params = standardize_fit(X_train)
-                X_train = standardize_apply(params, X_train)
-                X_test = standardize_apply(params, X_test)
-            model = _train(classifier, X_train, labels[sample], cfg, n_classes)
-            pred, _ = predict_many(model, X_test)
-            report = macro_f1(pred, labels[holdout], n_classes, corpus.categories)
-            scores[scheme] = report.macro_f1
-        points.append(CurvePoint(training_size=int(size), scores=scores))
-    return points
+    pairs = [
+        (plan.ladder_sample(size), holdout, f"size-{size} training sample")
+        for size in plan.size_ladder
+    ]
+    outcomes = _fit_and_score(
+        corpus,
+        pairs,
+        schemes,
+        [vec],
+        [classifier],
+        train_config,
+        alpha=alpha,
+        kld_raw=kld_raw,
+        standardize=standardize,
+        min_count=min_count,
+    )
+    failed = [
+        (outcome[0], rank, outcome[1])
+        for rank, outcome in enumerate(outcomes.values())
+        if isinstance(outcome, tuple)
+    ]
+    if failed:
+        raise min(failed, key=lambda f: f[:2])[2]
+    return [
+        CurvePoint(
+            training_size=int(size),
+            scores={s: outcomes[s, 0, classifier][p].macro_f1 for s in schemes},
+        )
+        for p, size in enumerate(plan.size_ladder)
+    ]
 
 
 def grid_run(
@@ -309,60 +456,46 @@ def grid_run(
 ) -> dict[tuple[str, str, str], EvalReport | GridFailure]:
     """Cross-validate the full scheme x embedding x classifier grid.
 
-    A failing cell is recorded as a GridFailure; the rest of the grid
-    still runs.  Cell results do not depend on execution order.
+    Runs fold-major (see the module docstring); ``jobs > 1`` runs the
+    folds on a thread pool.  A failing cell is recorded as a GridFailure
+    carrying the error of the first fold it failed in; the rest of the
+    grid still runs.  Cell results do not depend on execution order.
+    Results are keyed by ``(scheme, embedding.origin, classifier)``, so
+    embedding origins must be distinct.
     """
-    cells = [
-        (scheme, embedding, classifier)
-        for embedding in embeddings
-        for scheme in schemes
-        for classifier in classifiers
-    ]
-    vectorizers = {
-        id(embedding): CorpusVectorizer(
-            corpus.documents, embedding, case_fallback=case_fallback
+    origins = [embedding.origin for embedding in embeddings]
+    duplicates = sorted({o for o in origins if origins.count(o) > 1})
+    if duplicates:
+        raise ValueError(
+            f"duplicate embedding origins {duplicates}; grid results are keyed "
+            f"by origin, so each embedding needs a distinct one"
         )
+    vectorizers = [
+        CorpusVectorizer(corpus.documents, embedding, case_fallback=case_fallback)
         for embedding in embeddings
-    }
-
-    def run_cell(cell):
-        scheme, embedding, classifier = cell
-        try:
-            return cross_validate(
-                corpus,
-                plan,
-                scheme,
-                embedding,
-                classifier,
-                train_config,
-                alpha=alpha,
-                kld_raw=kld_raw,
-                standardize=standardize,
-                case_fallback=case_fallback,
-                min_count=min_count,
-                vectorizer=vectorizers[id(embedding)],
-                dataset=dataset,
-            )
-        except Exception as exc:  # cell isolation: record, don't abort the grid
-            return GridFailure(
-                message=f"{type(exc).__name__}: {exc}",
-                fingerprint={
-                    "scheme": scheme,
-                    "embedding": embedding.origin,
-                    "classifier": classifier,
-                },
-            )
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_cell, cells))
-    else:
-        outcomes = [run_cell(cell) for cell in cells]
+    ]
+    results = _cv_grid(
+        corpus,
+        plan,
+        schemes,
+        vectorizers,
+        classifiers,
+        train_config,
+        dataset=dataset,
+        jobs=jobs,
+        alpha=alpha,
+        kld_raw=kld_raw,
+        standardize=standardize,
+        min_count=min_count,
+    )
     return {
-        (scheme, embedding.origin, classifier): outcome
-        for (scheme, embedding, classifier), outcome in zip(cells, outcomes)
+        key: GridFailure(
+            message=f"{type(outcome).__name__}: {outcome}",
+            fingerprint={"scheme": key[0], "embedding": key[1], "classifier": key[2]},
+        )
+        if isinstance(outcome, Exception)
+        else outcome
+        for key, outcome in results.items()
     }
 
 

@@ -79,7 +79,8 @@ def _mean(weights: np.ndarray, emb_rows: np.ndarray, d: int) -> np.ndarray:
     total = weights.sum()
     if total == 0.0 or weights.size == 0:
         return np.zeros(d, dtype=np.float64)
-    return (weights @ emb_rows) / total
+    # Normalize first: tiny weights would underflow in the products.
+    return (weights / total) @ emb_rows
 
 
 def vectorize_unweighted(

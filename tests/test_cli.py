@@ -213,6 +213,24 @@ class TestCurve:
         rows = out.read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["8"]
 
+    def test_available_size_counts_the_larger_holdout(self, tmp_path, capsys):
+        # 101 docs, k=10: fold 0 holds out ceil(101/10) = 11, leaving 90,
+        # so 91 is dropped with a warning rather than failing the run.
+        corpus = separable_corpus(
+            num_docs=101, num_categories=3, keywords_per_category=4,
+            shared_vocab_size=20, doc_length=10, seed=3,
+        )
+        data = _write_dataset(
+            tmp_path / "odd.csv",
+            [(" ".join(d.tokens), corpus.categories[d.label]) for d in corpus.documents],
+        )
+        out = tmp_path / "curve.csv"
+        argv = self._argv(data, str(out), **{"--sizes": "50,91", "--k": "10"})
+        assert main(argv) == 0
+        assert "truncated" in capsys.readouterr().err
+        rows = out.read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["50"]
+
     def test_no_fitting_size_exits_2(self, train_csv, tmp_path, capsys):
         argv = self._argv(train_csv, str(tmp_path / "c.csv"), **{"--sizes": "500"})
         assert main(argv) == 2

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -29,12 +30,27 @@ from catweight import (
     write_curve_csv,
     write_results_csv,
 )
+from catweight import evaluation
 from catweight.classify import predict_many, train_logreg
 from catweight.vectorize import CorpusVectorizer
 
 from oracles import oracle_macro_f1
 
 FAST = TrainConfig(epochs=40, seed=0)
+SCHEMES = ["none", "tfidf", "kld", "tftrr", "tfcr"]
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so each call is counted; returns the counter."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def _vocab(corpus):
@@ -197,23 +213,6 @@ class TestCrossValidate:
         assert fp["embedding"] == eval_model.origin
         assert fp["seed"] == 9
 
-    def test_table_builder_hook_matches_default(self, eval_corpus, eval_model):
-        plan = make_splits(eval_corpus, k=5, seed=1)
-        default = cross_validate(
-            eval_corpus, plan, "tfcr", eval_model, "logreg", FAST
-        )
-        hooked = cross_validate(
-            eval_corpus,
-            plan,
-            "tfcr",
-            eval_model,
-            "logreg",
-            FAST,
-            table_builder=lambda stats: build_table(stats, "tfcr"),
-        )
-        assert hooked.fold_scores == default.fold_scores
-        assert np.array_equal(hooked.confusion, default.confusion)
-
     def test_unknown_scheme_and_classifier(self, eval_corpus, eval_model):
         plan = make_splits(eval_corpus, k=5, seed=1)
         with pytest.raises(ValueError, match="tfcr"):
@@ -352,6 +351,28 @@ class TestLearningCurve:
         ]
         assert [p.scores for p in runs[0]] == [p.scores for p in runs[1]]
 
+    def test_one_stats_build_per_ladder_point(self, eval_corpus, eval_model, monkeypatch):
+        plan = make_splits(eval_corpus, k=5, ladder=(20, 40, 60), seed=2)
+        for schemes in (["tfcr"], SCHEMES):
+            builds = _count_calls(monkeypatch, evaluation, "build_stats")
+            learning_curve(eval_corpus, plan, schemes, eval_model, "logreg", FAST)
+            assert len(builds) == 3
+            monkeypatch.undo()
+
+    def test_no_stats_for_none_alone(self, eval_corpus, eval_model, monkeypatch):
+        plan = make_splits(eval_corpus, k=5, ladder=(20, 40), seed=2)
+        builds = _count_calls(monkeypatch, evaluation, "build_stats")
+        learning_curve(eval_corpus, plan, ["none"], eval_model, "logreg", FAST)
+        assert builds == []
+
+    def test_first_failure_raises(self, eval_corpus, eval_model):
+        plan = make_splits(eval_corpus, k=5, ladder=(20, 40), seed=2)
+        with pytest.raises(TrainingError, match="l2 > 0"):
+            learning_curve(
+                eval_corpus, plan, ["none", "tfcr"], eval_model, "svm",
+                TrainConfig(epochs=5, l2=0.0),
+            )
+
 
 class TestGridRun:
     def test_degenerate_grid_equals_cross_validate(self, eval_corpus, eval_model):
@@ -419,6 +440,130 @@ class TestGridRun:
         )
         for key, cell in serial.items():
             assert threaded[key].fold_scores == cell.fold_scores
+
+    def test_fold_major_call_counts(self, eval_corpus, eval_model, monkeypatch):
+        # Stats once per fold; the `none` matrix once, every other
+        # scheme's matrix once per fold, shared by both classifiers.
+        plan = make_splits(eval_corpus, k=5, seed=1)
+        builds = _count_calls(monkeypatch, evaluation, "build_stats")
+        matrices = _count_calls(monkeypatch, CorpusVectorizer, "matrix")
+        grid = grid_run(
+            eval_corpus, SCHEMES, [eval_model], ["logreg", "svm"], plan, FAST,
+            standardize=True, dataset="demo",
+        )
+        assert len(builds) == 5
+        assert len(matrices) == 1 + 4 * 5
+        monkeypatch.undo()
+        assert len(grid) == 10
+        for (scheme, _, classifier), cell in grid.items():
+            alone = cross_validate(
+                eval_corpus, plan, scheme, eval_model, classifier, FAST,
+                standardize=True, dataset="demo",
+            )
+            assert cell.fold_scores == alone.fold_scores
+            assert np.array_equal(cell.confusion, alone.confusion)
+            assert cell.fingerprint == alone.fingerprint
+
+    def test_failed_cell_keeps_message_and_is_skipped(
+        self, eval_corpus, eval_model, monkeypatch
+    ):
+        plan = make_splits(eval_corpus, k=5, seed=1)
+        trained = _count_calls(monkeypatch, evaluation, "train_svm")
+        grid = grid_run(
+            eval_corpus, ["tfcr"], [eval_model], ["logreg", "svm"], plan,
+            TrainConfig(epochs=5, l2=0.0),
+        )
+        failure = grid["tfcr", eval_model.origin, "svm"]
+        assert failure.message == (
+            "TrainingError: svm training requires l2 > 0 for the Pegasos step"
+        )
+        assert len(trained) == 1  # failed in fold 0, skipped in folds 1-4
+        assert len(grid["tfcr", eval_model.origin, "logreg"].fold_scores) == 5
+
+    def test_failing_table_fails_only_its_scheme(
+        self, eval_corpus, eval_model, monkeypatch
+    ):
+        # kld's table breaks in fold 2: its cells fail with that fold's
+        # error, are not rebuilt in later folds, and nothing else changes.
+        plan = make_splits(eval_corpus, k=5, seed=1)
+        healthy = grid_run(
+            eval_corpus, ["none", "kld", "tfcr"], [eval_model],
+            ["logreg", "svm"], plan, FAST,
+        )
+        kld_calls = []
+
+        def flaky_build_table(stats, scheme, **kwargs):
+            if scheme == "kld":
+                kld_calls.append(stats)
+                if len(kld_calls) == 3:
+                    raise ValueError("kld broke in fold 2")
+            return build_table(stats, scheme, **kwargs)
+
+        monkeypatch.setattr(evaluation, "build_table", flaky_build_table)
+        grid = grid_run(
+            eval_corpus, ["none", "kld", "tfcr"], [eval_model],
+            ["logreg", "svm"], plan, FAST,
+        )
+        assert len(kld_calls) == 3
+        assert list(grid) == list(healthy)
+        for key, cell in grid.items():
+            if key[0] == "kld":
+                assert cell.message == "ValueError: kld broke in fold 2"
+            else:
+                assert cell.fold_scores == healthy[key].fold_scores
+
+    def test_failing_stats_spare_the_none_cells(
+        self, eval_corpus, eval_model, monkeypatch
+    ):
+        def broken_stats(*args, **kwargs):
+            raise MemoryError("no room for stats")
+
+        monkeypatch.setattr(evaluation, "build_stats", broken_stats)
+        plan = make_splits(eval_corpus, k=5, seed=1)
+        grid = grid_run(
+            eval_corpus, ["none", "tfcr"], [eval_model], ["logreg"], plan, FAST
+        )
+        assert isinstance(grid["none", eval_model.origin, "logreg"], EvalReport)
+        failure = grid["tfcr", eval_model.origin, "logreg"]
+        assert failure.message == "MemoryError: no room for stats"
+
+    def test_parallel_jobs_keep_first_fold_failure(
+        self, eval_corpus, eval_model, monkeypatch
+    ):
+        # More threads than cores and frequent switches: the shared `none`
+        # matrix is still built once and each failure keeps fold 0's error.
+        plan = make_splits(eval_corpus, k=8, seed=1)
+        args = (eval_corpus, ["none", "tfcr"], [eval_model], ["logreg", "svm"],
+                plan, TrainConfig(epochs=5, l2=0.0))
+        serial = grid_run(*args, jobs=1)
+        matrices = _count_calls(monkeypatch, CorpusVectorizer, "matrix")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = grid_run(*args, jobs=6)
+        finally:
+            sys.setswitchinterval(interval)
+        none_builds = [a for a in matrices if a[1].scheme == "none"]
+        assert len(none_builds) == 1
+        assert list(threaded) == list(serial)
+        for key, cell in serial.items():
+            if isinstance(cell, GridFailure):
+                assert threaded[key] == cell
+            else:
+                assert threaded[key].fold_scores == cell.fold_scores
+
+    def test_duplicate_embedding_origins_rejected(
+        self, eval_corpus, eval_model, monkeypatch
+    ):
+        twin = synthetic_model(_vocab(eval_corpus), 8, seed=3)
+        assert twin.origin == eval_model.origin
+        builds = _count_calls(monkeypatch, evaluation, "build_stats")
+        plan = make_splits(eval_corpus, k=5, seed=1)
+        with pytest.raises(ValueError, match="duplicate embedding origin"):
+            grid_run(
+                eval_corpus, ["tfcr"], [eval_model, twin], ["logreg"], plan, FAST
+            )
+        assert builds == []
 
 
 class TestResultsCsv:
