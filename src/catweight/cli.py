@@ -74,7 +74,6 @@ _DEFAULTS = {
     "stratified": False,
     "preserve_case": False,
     "case_fallback": False,
-    "kld_raw": False,
     "sample": None,
     "min_count": 1,
     "jobs": 1,
@@ -125,8 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument("--case-fallback", action="store_true", default=None)
         if learner:
-            p.add_argument("--alpha", type=float, help="TF-TRR alpha constant")
-            p.add_argument("--kld-raw", action="store_true", default=None)
+            p.add_argument("--alpha", type=float, help="TF-TRR alpha constant, >= 1")
             p.add_argument("--standardize", action="store_true", default=None)
             p.add_argument("--epochs", type=int)
             p.add_argument("--learning-rate", type=float)
@@ -157,8 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_weights = sub.add_parser("weights", help="export a weight table")
     add_common(p_weights, embedding=False, learner=False)
     p_weights.add_argument("--scheme", help="one of tfidf, kld, tftrr, tfcr")
-    p_weights.add_argument("--alpha", type=float)
-    p_weights.add_argument("--kld-raw", action="store_true", default=None)
+    p_weights.add_argument("--alpha", type=float, help="TF-TRR alpha constant, >= 1")
     p_weights.add_argument("--top-k", type=int, help="keep only the top K words per category")
     p_weights.add_argument("--output-format", choices=("json", "tsv"))
 
@@ -207,6 +204,13 @@ def _resolve(args: argparse.Namespace) -> dict:
             resolved[key] = file_cfg[key]
         else:
             resolved[key] = _DEFAULTS.get(key)
+    if "alpha" in resolved:
+        try:
+            alpha = float(resolved["alpha"])
+        except (TypeError, ValueError):
+            alpha = float("nan")
+        if not alpha >= 1.0:
+            raise ConfigError(f"--alpha must be >= 1, got {resolved['alpha']}")
     return resolved
 
 
@@ -389,7 +393,6 @@ def cmd_cv(args: argparse.Namespace) -> int:
         plan,
         _train_config(cfg),
         alpha=float(cfg["alpha"]),
-        kld_raw=bool(cfg["kld_raw"]),
         standardize=bool(cfg["standardize"]),
         case_fallback=bool(cfg["case_fallback"]),
         dataset=dataset,
@@ -464,7 +467,6 @@ def cmd_curve(args: argparse.Namespace) -> int:
         classifiers[0],
         _train_config(cfg),
         alpha=float(cfg["alpha"]),
-        kld_raw=bool(cfg["kld_raw"]),
         standardize=bool(cfg["standardize"]),
         case_fallback=bool(cfg["case_fallback"]),
         min_count=int(cfg["min_count"]),
@@ -497,9 +499,7 @@ def cmd_weights(args: argparse.Namespace) -> int:
         raise ConfigError(f"--top-k must be >= 1, got {top_k}")
     corpus = _load_corpus(cfg)
     stats = build_stats(corpus, min_count=int(cfg["min_count"]))
-    table = build_table(
-        stats, scheme, alpha=float(cfg["alpha"]), kld_raw=bool(cfg["kld_raw"])
-    )
+    table = build_table(stats, scheme, alpha=float(cfg["alpha"]))
     fmt = cfg["output_format"]
     out = Path(cfg.get("out") or f"weights.{fmt}")
     with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -513,9 +513,7 @@ def _full_corpus_table(corpus, cfg: dict, scheme: str) -> WeightTable:
     if scheme == "none":
         return WeightTable(scheme="none", categories=tuple(corpus.categories))
     stats = build_stats(corpus, min_count=int(cfg["min_count"]))
-    return build_table(
-        stats, scheme, alpha=float(cfg["alpha"]), kld_raw=bool(cfg["kld_raw"])
-    )
+    return build_table(stats, scheme, alpha=float(cfg["alpha"]))
 
 
 def cmd_vectorize(args: argparse.Namespace) -> int:

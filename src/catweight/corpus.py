@@ -241,29 +241,6 @@ def load_20ng(
     return LabeledCorpus(documents=tuple(docs), categories=tuple(categories))
 
 
-def merge_corpora(first: LabeledCorpus, second: LabeledCorpus) -> LabeledCorpus:
-    """Concatenate two corpora, aligning categories by name.
-
-    Useful for joining pre-split distributions (e.g. a train and a test
-    tree) before running cross-validation.
-    """
-    categories = list(first.categories)
-    cat_index = {c: i for i, c in enumerate(categories)}
-    docs = list(first.documents)
-    for doc in second.documents:
-        if doc.label is None:
-            docs.append(doc)
-            continue
-        name = second.categories[doc.label]
-        if name not in cat_index:
-            cat_index[name] = len(categories)
-            categories.append(name)
-        docs.append(
-            Document(tokens=doc.tokens, label=cat_index[name], source_id=doc.source_id)
-        )
-    return LabeledCorpus(documents=tuple(docs), categories=tuple(categories))
-
-
 def _sample_indices(n: int, cap: int, seed: int) -> np.ndarray:
     """Uniform sample without replacement; sorted to preserve input order."""
     rng = np.random.default_rng(seed)

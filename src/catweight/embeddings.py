@@ -1,4 +1,4 @@
-"""Word-embedding file parsing and lookup.
+"""Word-embedding file parsing.
 
 Three on-disk formats are supported:
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,6 @@ class EmbeddingModel:
     vectors: np.ndarray  # |vocab| x d, float64
     origin: str = ""
     skipped_lines: int = 0
-    _lower_ids: dict[str, int] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -283,24 +282,6 @@ def synthetic_model(vocab, d: int, seed: int) -> EmbeddingModel:
         vectors=rows,
         origin=f"synthetic:{d}:{seed}",
     )
-
-
-def lookup(
-    model: EmbeddingModel, token: str, case_fallback: bool = False
-) -> np.ndarray | None:
-    """Exact-match vector lookup; None when absent.
-
-    With ``case_fallback``, a token missing from a cased model falls
-    back to its lowercase form.
-    """
-    idx = model.word_ids.get(token)
-    if idx is None and case_fallback:
-        lowered = token.lower()
-        if lowered != token:
-            idx = model.word_ids.get(lowered)
-    if idx is None:
-        return None
-    return model.vectors[idx]
 
 
 def detect_format(path: str | Path) -> str:

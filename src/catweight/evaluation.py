@@ -161,7 +161,6 @@ def _fit_and_score(
     train_config: TrainConfig | None,
     *,
     alpha: float,
-    kld_raw: bool,
     standardize: bool,
     min_count: int,
     jobs: int = 1,
@@ -254,7 +253,7 @@ def _fit_and_score(
                 table = (
                     none_table
                     if scheme == "none"
-                    else build_table(stats, scheme, alpha=alpha, kld_raw=kld_raw)
+                    else build_table(stats, scheme, alpha=alpha)
                 )
             except Exception as exc:
                 errors.update((cell, exc) for cell in group)
@@ -344,7 +343,6 @@ def cross_validate(
     train_config: TrainConfig | None = None,
     *,
     alpha: float = 1.2,
-    kld_raw: bool = False,
     standardize: bool = False,
     case_fallback: bool = False,
     min_count: int = 1,
@@ -371,7 +369,6 @@ def cross_validate(
         train_config,
         dataset=dataset,
         alpha=alpha,
-        kld_raw=kld_raw,
         standardize=standardize,
         min_count=min_count,
     ).values()
@@ -389,7 +386,6 @@ def learning_curve(
     train_config: TrainConfig | None = None,
     *,
     alpha: float = 1.2,
-    kld_raw: bool = False,
     standardize: bool = False,
     case_fallback: bool = False,
     min_count: int = 1,
@@ -418,7 +414,6 @@ def learning_curve(
         [classifier],
         train_config,
         alpha=alpha,
-        kld_raw=kld_raw,
         standardize=standardize,
         min_count=min_count,
     )
@@ -447,7 +442,6 @@ def grid_run(
     train_config: TrainConfig | None = None,
     *,
     alpha: float = 1.2,
-    kld_raw: bool = False,
     standardize: bool = False,
     case_fallback: bool = False,
     min_count: int = 1,
@@ -484,7 +478,6 @@ def grid_run(
         dataset=dataset,
         jobs=jobs,
         alpha=alpha,
-        kld_raw=kld_raw,
         standardize=standardize,
         min_count=min_count,
     )

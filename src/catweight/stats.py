@@ -1,9 +1,11 @@
 """Count aggregates over a training partition.
 
-One pass over the selected documents yields every quantity the four
-weighting schemes consume: token-level word-by-category occurrence
-counts, per-category token totals, per-word totals, document frequency
-and the document count.  Occurrence counts are kept sparse; the
+One pass over the selected documents yields every quantity
+``weighting.build_table`` consumes: token-level word-by-category
+occurrence counts, per-category token totals, per-word totals, document
+frequency and the document count.  The category and remainder
+probabilities the kld and tftrr schemes use are derived from these
+arrays inside ``build_table``.  Occurrence counts are kept sparse; the
 vocabulary-by-categories table is mostly zeros.
 """
 
@@ -50,17 +52,6 @@ class CorpusStats:
     @property
     def total_tokens(self) -> int:
         return int(self.category_tokens.sum())
-
-    def count(self, word: str, c: int) -> int:
-        """Occurrences of ``word`` in category ``c`` (0 when unseen)."""
-        wid = self.word_ids.get(word)
-        if wid is None:
-            return 0
-        return int(self.occurrences[wid, c])
-
-    def remainder_tokens(self, c: int) -> int:
-        """Token total pooled over every category except ``c``."""
-        return self.total_tokens - int(self.category_tokens[c])
 
 
 def build_stats(
@@ -132,36 +123,6 @@ def build_stats(
         doc_freq=doc_freq,
         num_docs=len(subset),
     )
-
-
-def category_prob(stats: CorpusStats, word: str, c: int) -> float:
-    """P(w_c): the ratio of category c's tokens that are ``word``.
-
-    0 for unseen words and for empty categories.
-    """
-    wid = stats.word_ids.get(word)
-    if wid is None:
-        return 0.0
-    nc = int(stats.category_tokens[c])
-    if nc == 0:
-        return 0.0
-    wc = int(stats.occurrences[wid, c])
-    return wc / nc
-
-def remainder_prob(stats: CorpusStats, word: str, c: int) -> float:
-    """Q(w_r): the ratio of tokens outside category c that are ``word``.
-
-    Pooled over the remainder categories' tokens; 0 when the word never
-    occurs outside c.
-    """
-    wid = stats.word_ids.get(word)
-    if wid is None:
-        return 0.0
-    wc = int(stats.occurrences[wid, c])
-    rem = int(stats.word_totals[wid]) - wc
-    if rem == 0:
-        return 0.0
-    return rem / stats.remainder_tokens(c)
 
 
 def stats_summary(stats: CorpusStats) -> dict:

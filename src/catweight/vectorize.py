@@ -1,9 +1,12 @@
 """Document vectorization over word embeddings.
 
-Three representations:
+``CorpusVectorizer`` is the one document-vectorization path: it parses a
+corpus once against an embedding model, then turns each weight table
+into a documents-by-features matrix with one sparse-times-dense product
+per weight assignment.  Three representations:
 
-* unweighted: arithmetic mean of found-token embeddings (d dims);
-* tfidf: tf*idf-weighted mean over distinct found tokens (d dims);
+* ``none``: arithmetic mean of found-token embeddings (d dims);
+* ``tfidf``: tf*idf-weighted mean over distinct found tokens (d dims);
 * category schemes (kld / tfcr / tftrr): one weighted mean per
   category, concatenated in category-index order (N*d dims), for
   training and test documents alike.
@@ -25,20 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Document
-from .embeddings import EmbeddingModel, lookup
-from .weighting import WeightTable, CATEGORY_SCHEMES
-
-
-@dataclass
-class DocVector:
-    """Fixed-length feature vector for one document."""
-
-    values: np.ndarray
-    layout: str  # "plain" or "concat"
-    dimension: int
-    num_categories: int
-    known_token_count: int
+from .embeddings import EmbeddingModel
+from .weighting import WeightTable
 
 
 @dataclass
@@ -47,149 +38,6 @@ class ScalerParams:
 
     mean: np.ndarray
     scale: np.ndarray  # std, with near-constant dimensions passed through as 1
-
-
-def _found(doc: Document, model: EmbeddingModel, case_fallback: bool = False):
-    """Distinct found tokens in first-appearance order, their embedding
-    rows, document term frequencies, and the found-token total."""
-    tokens: list[str] = []
-    rows: list[int] = []
-    tf_map: dict[str, int] = {}
-    total = 0
-    for token in doc.tokens:
-        idx = model.word_ids.get(token)
-        if idx is None and case_fallback:
-            lowered = token.lower()
-            if lowered != token:
-                idx = model.word_ids.get(lowered)
-        if idx is None:
-            continue
-        total += 1
-        if token in tf_map:
-            tf_map[token] += 1
-        else:
-            tf_map[token] = 1
-            tokens.append(token)
-            rows.append(idx)
-    tf = np.array([tf_map[t] for t in tokens], dtype=np.float64)
-    return tokens, np.array(rows, dtype=np.int64), tf, total
-
-
-def _mean(weights: np.ndarray, emb_rows: np.ndarray, d: int) -> np.ndarray:
-    total = weights.sum()
-    if total == 0.0 or weights.size == 0:
-        return np.zeros(d, dtype=np.float64)
-    # Normalize first: tiny weights would underflow in the products.
-    return (weights / total) @ emb_rows
-
-
-def vectorize_unweighted(
-    doc: Document, model: EmbeddingModel, case_fallback: bool = False
-) -> DocVector:
-    """Mean of found-token embeddings, multiplicity respected."""
-    _, rows, tf, total = _found(doc, model, case_fallback)
-    values = _mean(tf, model.vectors[rows], model.dimension)
-    return DocVector(values, "plain", model.dimension, 1, total)
-
-
-def _category_token_weights(
-    tokens: list[str], tf: np.ndarray, table: WeightTable, c: int
-) -> np.ndarray:
-    """Per-distinct-token mixing weights for one category."""
-    if table.scheme == "tftrr":
-        floor = math.log(table.alpha)
-        factors = np.empty(len(tokens))
-        for i, token in enumerate(tokens):
-            wid = table.word_ids.get(token)
-            if wid is None:
-                factors[i] = 0.0
-                continue
-            stored = table.category_weights[wid, c]
-            factors[i] = stored if stored != 0.0 else floor
-        return (np.log(tf) + 1.0) * factors
-    weights = np.array(
-        [table.category_weight(t, c) for t in tokens], dtype=np.float64
-    )
-    return tf * weights
-
-
-def vectorize_weighted_category(
-    doc: Document,
-    model: EmbeddingModel,
-    table: WeightTable,
-    c: int,
-    case_fallback: bool = False,
-) -> np.ndarray:
-    """Weighted mean of found-token embeddings for category c."""
-    if table.scheme not in CATEGORY_SCHEMES:
-        raise ValueError(
-            f"scheme {table.scheme!r} is not a category-level scheme"
-        )
-    tokens, rows, tf, _ = _found(doc, model, case_fallback)
-    weights = _category_token_weights(tokens, tf, table, c)
-    return _mean(weights, model.vectors[rows], model.dimension)
-
-
-def vectorize_concat(
-    doc: Document,
-    model: EmbeddingModel,
-    table: WeightTable,
-    case_fallback: bool = False,
-) -> DocVector:
-    """Per-category weighted means concatenated in category-index order."""
-    if table.scheme not in CATEGORY_SCHEMES:
-        raise ValueError(
-            f"scheme {table.scheme!r} is not a category-level scheme"
-        )
-    tokens, rows, tf, total = _found(doc, model, case_fallback)
-    emb_rows = model.vectors[rows]
-    pieces = []
-    for c in range(table.num_categories):
-        weights = _category_token_weights(tokens, tf, table, c)
-        pieces.append(_mean(weights, emb_rows, model.dimension))
-    values = (
-        np.concatenate(pieces)
-        if pieces
-        else np.zeros(0, dtype=np.float64)
-    )
-    return DocVector(
-        values, "concat", model.dimension, table.num_categories, total
-    )
-
-
-def vectorize_tfidf(
-    doc: Document,
-    model: EmbeddingModel,
-    table: WeightTable,
-    case_fallback: bool = False,
-) -> DocVector:
-    """tf*idf-weighted mean over distinct found tokens."""
-    if table.scheme != "tfidf":
-        raise ValueError(f"expected a tfidf table, got {table.scheme!r}")
-    tokens, rows, tf, total = _found(doc, model, case_fallback)
-    idf = np.array([table.idf_value(t) for t in tokens], dtype=np.float64)
-    values = _mean(tf * idf, model.vectors[rows], model.dimension)
-    return DocVector(values, "plain", model.dimension, 1, total)
-
-
-def vectorize_document(
-    doc: Document,
-    model: EmbeddingModel,
-    table: WeightTable,
-    case_fallback: bool = False,
-) -> DocVector:
-    """Scheme-appropriate representation for one document."""
-    if table.scheme == "none":
-        return vectorize_unweighted(doc, model, case_fallback)
-    if table.scheme == "tfidf":
-        return vectorize_tfidf(doc, model, table, case_fallback)
-    return vectorize_concat(doc, model, table, case_fallback)
-
-
-def feature_dimension(model: EmbeddingModel, table: WeightTable) -> int:
-    if table.scheme in CATEGORY_SCHEMES:
-        return model.dimension * len(table.categories)
-    return model.dimension
 
 
 def standardize_fit(vectors: np.ndarray) -> ScalerParams:
@@ -216,8 +64,10 @@ class CorpusVectorizer:
 
     Token/embedding intersection is computed once; each weight table
     then turns into a documents-by-features matrix via sparse matmuls.
-    Used by the evaluation harness, where the same documents are
-    re-vectorized under many (fold, scheme) combinations.
+    With ``case_fallback``, a token missing from a cased model falls back
+    to its lowercase form.  Every command vectorizes through this class,
+    and the evaluation harness re-vectorizes the same documents under
+    many (fold, scheme) combinations.
     """
 
     def __init__(self, documents, model: EmbeddingModel, case_fallback: bool = False):
@@ -282,17 +132,19 @@ class CorpusVectorizer:
         return rows
 
     def _weighted_block(self, data: np.ndarray) -> np.ndarray:
-        """Row-normalized weighted sums for one weight assignment."""
+        """Weighted means for one assignment of weights >= 0 to positions.
+
+        Weights are divided by their document's sum before the product,
+        so tiny weights do not underflow in it.  A document whose
+        weights are all 0 gets the zero vector.
+        """
+        denom = np.bincount(self._doc_of, weights=data, minlength=self.num_docs)
+        denom[denom == 0.0] = 1.0
         mat = sp.csr_matrix(
-            (data, self._gids, self._indptr),
+            (data / denom[self._doc_of], self._gids, self._indptr),
             shape=(self.num_docs, len(self._words)),
         )
-        sums = mat @ self._E
-        denom = np.bincount(self._doc_of, weights=data, minlength=self.num_docs)
-        out = np.zeros_like(sums)
-        nz = denom != 0.0
-        out[nz] = sums[nz] / denom[nz, None]
-        return out
+        return mat @ self._E
 
     def matrix(self, table: WeightTable) -> np.ndarray:
         """Feature matrix for all documents under one table."""

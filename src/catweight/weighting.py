@@ -1,21 +1,29 @@
 """Term-weighting schemes over corpus statistics.
 
-Four schemes, all computed from training counts only:
+``build_table`` is the one implementation of every scheme.  It computes
+each scheme's weights from training counts only, vectorized over the
+nonzero (word, category) occurrence positions, into a ``WeightTable``
+that ``CorpusVectorizer`` turns into features:
 
-* ``tfidf``   per-word inverse document frequency; the weight of a token
-              in a document is tf * ln(|D| / df).
+* ``tfidf``   per-word inverse document frequency ln(|D| / df); the
+              weight of a token in a document is tf * idf.
 * ``kld``     per-(word, category) pointwise divergence
-              P(w_c) * ln(P(w_c) / Q(w_r)) against the pooled remainder.
+              P(w_c) * ln(P(w_c) / Q(w_r)) against the pooled remainder,
+              clamped at 0.
 * ``tftrr``   per-(word, category) relevance-ratio factor
-              ln(P(w|c) / P(w|r) + alpha), combined with a log-scaled
-              document term frequency at vectorization time.
+              ln(P(w|c) / P(w|r) + alpha), alpha >= 1; the vectorizer
+              multiplies it by the log-scaled document term frequency
+              ln(tf) + 1 and uses the floor ln(alpha) for a training
+              word absent from the category.
 * ``tfcr``    per-(word, category) product of within-category frequency
               and category exclusivity: |w_c|^2 / (N_c * |w|).
 
-Natural logarithms throughout.  The weighted-mean document
-representation is invariant to any uniform per-category rescaling, so
-the base choice is benign for the category-level schemes and simply
-declared for tfidf/tftrr.
+Every weight is >= 0, and words unseen in training weigh 0.  A zero
+remainder probability under a positive P is replaced by 1 / (N_r + 1),
+N_r being the pooled remainder token total.  Natural logarithms
+throughout.  The weighted-mean document representation is invariant to
+any uniform per-category rescaling, so the base choice is benign for the
+category-level schemes and simply declared for tfidf/tftrr.
 """
 
 from __future__ import annotations
@@ -26,91 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stats import CorpusStats, category_prob, remainder_prob
+from .stats import CorpusStats
 
 SCHEMES = ("none", "tfidf", "kld", "tftrr", "tfcr")
-CATEGORY_SCHEMES = ("kld", "tftrr", "tfcr")
 DEFAULT_ALPHA = 1.2
-
-
-def tfcr_weight(stats: CorpusStats, word: str, c: int) -> float:
-    """|w_c|^2 / (N_c * |w|); 0 for words absent from c or unseen."""
-    wid = stats.word_ids.get(word)
-    if wid is None:
-        return 0.0
-    wc = int(stats.occurrences[wid, c])
-    if wc == 0:
-        return 0.0
-    nc = int(stats.category_tokens[c])
-    total = int(stats.word_totals[wid])
-    return (wc * wc) / (nc * total)
-
-
-def kld_weight(stats: CorpusStats, word: str, c: int, raw: bool = False) -> float:
-    """P(w_c) * ln(P(w_c) / Q(w_r)).
-
-    0 * ln(0) is taken as 0.  A zero remainder probability under a
-    positive P is substituted with 1 / (N_r + 1) where N_r is the pooled
-    remainder token total.  Negative values are clamped to 0 unless
-    ``raw``: negative mixing weights would break the weighted-mean
-    denominator's positivity.
-    """
-    p = category_prob(stats, word, c)
-    if p == 0.0:
-        return 0.0
-    q = remainder_prob(stats, word, c)
-    if q == 0.0:
-        q = 1.0 / (stats.remainder_tokens(c) + 1)
-    value = p * math.log(p / q)
-    if raw:
-        return value
-    return value if value > 0.0 else 0.0
-
-
-def trr_factor(
-    stats: CorpusStats, word: str, c: int, alpha: float = DEFAULT_ALPHA
-) -> float:
-    """ln(P(w|c) / P(w|r) + alpha); ln(alpha) when P(w|c) = 0.
-
-    The alpha offset (default 1.2) keeps every factor strictly positive.
-    A zero remainder probability under a positive P(w|c) is substituted
-    with 1 / (N_r + 1).
-    """
-    p = category_prob(stats, word, c)
-    if p == 0.0:
-        return math.log(alpha)
-    q = remainder_prob(stats, word, c)
-    if q == 0.0:
-        q = 1.0 / (stats.remainder_tokens(c) + 1)
-    return math.log(p / q + alpha)
-
-
-def tftrr_weight(
-    stats: CorpusStats,
-    word: str,
-    c: int,
-    tf_in_doc: int,
-    alpha: float = DEFAULT_ALPHA,
-) -> float:
-    """(ln(tf) + 1) * trr_factor; tf is the word's document frequency."""
-    if tf_in_doc < 1:
-        raise ValueError(f"tf_in_doc must be >= 1, got {tf_in_doc}")
-    return (math.log(tf_in_doc) + 1.0) * trr_factor(stats, word, c, alpha)
-
-
-def idf_weight(stats: CorpusStats, word: str) -> float:
-    """ln(|D| / df); 0 for words unseen in training."""
-    wid = stats.word_ids.get(word)
-    if wid is None:
-        return 0.0
-    return math.log(stats.num_docs / int(stats.doc_freq[wid]))
-
-
-def tfidf_weight(stats: CorpusStats, word: str, tf_in_doc: int) -> float:
-    """tf * ln(|D| / df); tf is the word's document frequency."""
-    if tf_in_doc < 1:
-        raise ValueError(f"tf_in_doc must be >= 1, got {tf_in_doc}")
-    return tf_in_doc * idf_weight(stats, word)
 
 
 @dataclass
@@ -151,8 +78,9 @@ class WeightTable:
 
 
 def _log_elementwise(values: np.ndarray) -> np.ndarray:
-    """math.log per element, so table entries are bit-identical to the
-    pointwise functions above (np.log may round differently by one ulp)."""
+    """math.log per element: np.log may round differently by one ulp,
+    and the oracle tests compare table entries with their math.log
+    evaluations of the scheme definitions by exact equality."""
     return np.fromiter((math.log(v) for v in values), np.float64, count=values.size)
 
 
@@ -160,17 +88,19 @@ def build_table(
     stats: CorpusStats,
     scheme: str,
     alpha: float = DEFAULT_ALPHA,
-    kld_raw: bool = False,
 ) -> WeightTable:
     """Materialize a scheme's weights over all observed (word, category) pairs.
 
-    Entries are computed with the same elementwise operations as the
-    pointwise functions above, vectorized over the nonzero occurrence
-    positions; everything else is an implicit zero.  Deterministic:
-    rebuilding from the same stats gives identical arrays.
+    Entries are computed elementwise over the nonzero occurrence
+    positions (see the module docstring for the definitions); everything
+    else is an implicit zero.  ``alpha`` must be >= 1, which keeps every
+    tftrr factor >= 0.  Deterministic: rebuilding from the same stats
+    gives identical arrays.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; valid: {', '.join(SCHEMES)}")
+    if not alpha >= 1.0:
+        raise ValueError(f"alpha must be >= 1, got {alpha}")
     if scheme == "none":
         return WeightTable(scheme="none", categories=stats.categories, alpha=alpha)
 
@@ -207,9 +137,7 @@ def build_table(
         q[exclusive] = 1.0 / (n_rem[exclusive] + 1)
         ratio = p / q
         if scheme == "kld":
-            values = p * _log_elementwise(ratio)
-            if not kld_raw:
-                values = np.maximum(values, 0.0)
+            values = np.maximum(p * _log_elementwise(ratio), 0.0)
         else:
             values = _log_elementwise(ratio + alpha)
 
@@ -352,8 +280,3 @@ def export_weights(table: WeightTable, fh, fmt: str = "json", top: int | None = 
         fh.write("word\tcategory\tweight\n")
         for word, name, value in payload["entries"]:
             fh.write(f"{word}\t{name}\t{_format_weight(value)}\n")
-
-
-def import_weights(fh) -> WeightTable:
-    """Rebuild a WeightTable from the JSON produced by export_weights."""
-    return table_from_payload(json.load(fh))

@@ -55,15 +55,13 @@ def _p_and_q(counts, word, c):
     return p, q, n_rem
 
 
-def oracle_kld(counts, word, c, raw=False):
+def oracle_kld(counts, word, c):
     p, q, n_rem = _p_and_q(counts, word, c)
     if p == 0.0:
         return 0.0
     if q == 0.0:
         q = 1.0 / (n_rem + 1)
     value = p * math.log(p / q)
-    if raw:
-        return value
     return value if value > 0.0 else 0.0
 
 

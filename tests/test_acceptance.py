@@ -41,8 +41,6 @@ from catweight import (
     svm_objective,
     svm_subgradient,
     synthetic_model,
-    tfidf_weight,
-    tftrr_weight,
     write_curve_csv,
 )
 from catweight.classify import _logreg_objective
@@ -105,10 +103,13 @@ def test_criterion_1_scheme_oracle_equivalence(corpora, capsys):
         }
         for i, word in enumerate(stats.words):
             worst = max(worst, abs(tables["tfidf"].idf[i] - oracle_idf(counts, word)))
+            # Composed weights are formed from the tables the way
+            # CorpusVectorizer.matrix forms them: tf * idf, and
+            # (ln tf + 1) * factor for tftrr.
             tf = max(1, int(occ[i].max()))
             worst = max(
                 worst,
-                abs(tfidf_weight(stats, word, tf) - oracle_tfidf(counts, word, tf)),
+                abs(tf * tables["tfidf"].idf[i] - oracle_tfidf(counts, word, tf)),
             )
             entries += 2
             for c in range(n_cats):
@@ -118,9 +119,7 @@ def test_criterion_1_scheme_oracle_equivalence(corpora, capsys):
                 worst = max(worst, abs(kld - oracle_kld(counts, word, c)))
                 worst = max(worst, abs(tfcr - oracle_tfcr(counts, word, c)))
                 # The tftrr table materializes the log factor only for
-                # observed (word, category) pairs; the composed
-                # (ln tf + 1) form is checked through the pointwise
-                # function.
+                # observed (word, category) pairs.
                 expected_trr = (
                     oracle_trr_factor(counts, word, c) if occ[i, c] > 0 else 0.0
                 )
@@ -131,7 +130,7 @@ def test_criterion_1_scheme_oracle_equivalence(corpora, capsys):
                     worst = max(
                         worst,
                         abs(
-                            tftrr_weight(stats, word, c, tf_wc)
+                            (np.log(tf_wc) + 1.0) * trr
                             - oracle_tftrr(counts, word, c, tf_wc)
                         ),
                     )

@@ -417,6 +417,34 @@ class TestTrainPredict:
         assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["cv", "weights"])
+def test_kld_raw_flag_removed(command, toy_csv, tmp_path):
+    argv = [command, "--data", toy_csv, "--seed", "1", "--kld-raw"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["cv", "curve", "weights", "vectorize", "train"])
+def test_alpha_below_one_exits_2_before_loading(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, "--data", str(tmp_path / "absent.csv"), "--seed", "1",
+            "--alpha", "0.5", "--out", str(out)]
+    assert main(argv) == 2
+    assert "--alpha must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", [0.9, "x"])
+def test_alpha_below_one_in_config_exits_2(alpha, toy_csv, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"alpha": alpha}))
+    argv = ["weights", "--config", str(config), "--data", toy_csv, "--seed", "1",
+            "--scheme", "tftrr", "--out", str(tmp_path / "w.json")]
+    assert main(argv) == 2
+    assert f"--alpha must be >= 1, got {alpha}" in capsys.readouterr().err
+
+
 def test_version_flag_reports_name():
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])

@@ -16,7 +16,6 @@ from catweight import (
     load_csv,
     load_jsonl,
     make_splits,
-    merge_corpora,
     sample,
     tokenize,
 )
@@ -158,16 +157,6 @@ class TestLoad20ng:
         assert [d.tokens for d in from_dir.documents] == [
             d.tokens for d in from_csv.documents
         ]
-
-
-class TestMerge:
-    def test_aligns_categories_by_name(self):
-        first = from_token_lists([["a"], ["b"]], [0, 1], ["x", "y"])
-        second = from_token_lists([["c"], ["d"]], [0, 1], ["y", "z"])
-        merged = merge_corpora(first, second)
-        assert merged.categories == ("x", "y", "z")
-        labels = [d.label for d in merged.documents]
-        assert labels == [0, 1, 1, 2]
 
 
 class TestSample:

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from catweight import (
+    CorpusVectorizer,
+    Document,
     EmbeddingFormatError,
     EmbeddingModel,
+    WeightTable,
     detect_format,
     load_embeddings,
     load_glove_text,
     load_word2vec_binary,
     load_word2vec_text,
-    lookup,
     save_glove_text,
     save_word2vec_binary,
     save_word2vec_text,
@@ -242,18 +244,29 @@ class TestSynthetic:
 
 
 class TestLookup:
+    """Token lookup as CorpusVectorizer does it: exact match, then the
+    optional lowercase fallback."""
+
+    def _vectorize(self, model, tokens, case_fallback=False):
+        docs = [Document(tokens=(t,), label=None, source_id=t) for t in tokens]
+        vec = CorpusVectorizer(docs, model, case_fallback=case_fallback)
+        none = WeightTable(scheme="none", categories=("A",))
+        return vec.known_token_counts.tolist(), vec.matrix(none)
+
     def test_exact_hit_and_miss(self, tiny_model):
-        assert lookup(tiny_model, "win") is not None
-        assert lookup(tiny_model, "absent-token") is None
+        known, X = self._vectorize(tiny_model, ["win", "absent-token"])
+        assert known == [1, 0]
+        assert np.array_equal(X[0], tiny_model.vector("win"))
+        assert np.array_equal(X[1], np.zeros(tiny_model.dimension))
 
     def test_case_fallback(self):
         model = synthetic_model(["paris", "Lyon"], 4, seed=0)
-        assert lookup(model, "Paris") is None
-        fallback = lookup(model, "Paris", case_fallback=True)
-        assert fallback is not None
-        assert np.array_equal(fallback, model.vector("paris"))
+        assert self._vectorize(model, ["Paris"])[0] == [0]
+        known, X = self._vectorize(model, ["Paris", "lyon"], case_fallback=True)
+        assert known[0] == 1
+        assert np.array_equal(X[0], model.vector("paris"))
         # No upward fallback: lowercase queries never match cased entries.
-        assert lookup(model, "lyon", case_fallback=True) is None
+        assert known[1] == 0
 
 
 class TestDetectAndDispatch:

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catweight import (
+    DEFAULT_ALPHA,
     StatsError,
     build_stats,
-    category_prob,
+    build_table,
     from_token_lists,
-    remainder_prob,
     stats_summary,
 )
 from oracles import naive_counts, random_corpus
@@ -24,6 +26,12 @@ def _hand_corpus():
     )
 
 
+def _count(stats, word, c):
+    """Occurrences of ``word`` in category ``c`` (0 when unseen)."""
+    wid = stats.word_ids.get(word)
+    return 0 if wid is None else int(stats.occurrences[wid, c])
+
+
 def _draw_corpus(rng):
     token_lists, labels, num_categories = random_corpus(rng)
     corpus = from_token_lists(
@@ -35,21 +43,21 @@ def _draw_corpus(rng):
 class TestBuildStats:
     def test_hand_counts(self):
         stats = build_stats(_hand_corpus())
-        assert stats.count("x", 0) == 2
-        assert stats.count("x", 1) == 0
-        assert stats.count("y", 0) == 1
-        assert stats.count("y", 1) == 1
+        assert _count(stats, "x", 0) == 2
+        assert _count(stats, "x", 1) == 0
+        assert _count(stats, "y", 0) == 1
+        assert _count(stats, "y", 1) == 1
         assert stats.category_tokens.tolist() == [3, 2]
         assert stats.word_totals[stats.word_ids["y"]] == 2
         assert stats.doc_freq[stats.word_ids["y"]] == 2
         assert stats.doc_freq[stats.word_ids["x"]] == 1
         assert stats.num_docs == 2
-        assert stats.remainder_tokens(0) == 2
-        assert stats.remainder_tokens(1) == 3
+        assert stats.total_tokens - stats.category_tokens[0] == 2
+        assert stats.total_tokens - stats.category_tokens[1] == 3
 
     def test_unseen_word_counts_zero(self):
         stats = build_stats(_hand_corpus())
-        assert stats.count("missing", 0) == 0
+        assert _count(stats, "missing", 0) == 0
 
     def test_matches_naive_recount(self, rng):
         for _ in range(30):
@@ -130,7 +138,7 @@ class TestBuildStats:
         assert set(stats.words) == {"a", "c"}
         # b's single token is gone from the category totals too.
         assert stats.category_tokens.tolist() == [3, 3]
-        assert stats.count("b", 0) == 0
+        assert _count(stats, "b", 0) == 0
 
     def test_min_count_one_is_identity(self, rng):
         corpus = _draw_corpus(rng)[0]
@@ -155,20 +163,32 @@ class TestBuildStats:
         assert stats.total_tokens == sum(len(d) for d in docs)
 
 
+def _ratio(stats, word, c):
+    """P(w|c) / Q(w|r) as build_table computes it, read back from the
+    tftrr factor ln(P / Q + alpha)."""
+    return math.exp(build_table(stats, "tftrr").category_weight(word, c)) - DEFAULT_ALPHA
+
+
 class TestProbabilities:
+    """The category and remainder probabilities inside build_table."""
+
     def test_category_prob_hand_values(self):
         stats = build_stats(_hand_corpus())
-        assert category_prob(stats, "x", 0) == pytest.approx(2 / 3)
-        assert category_prob(stats, "y", 1) == pytest.approx(1 / 2)
-        assert category_prob(stats, "z", 0) == 0.0
-        assert category_prob(stats, "unseen", 0) == 0.0
+        # P(x|A) = 2/3 against the substituted Q = 1/(N_r + 1) = 1/3.
+        assert _ratio(stats, "x", 0) == pytest.approx((2 / 3) / (1 / 3))
+        # P(y|B) = 1/2 against Q(y|A) = 1/3.
+        assert _ratio(stats, "y", 1) == pytest.approx((1 / 2) / (1 / 3))
+        for scheme in ("kld", "tftrr", "tfcr"):
+            table = build_table(stats, scheme)
+            assert table.category_weight("z", 0) == 0.0
+            assert table.category_weight("unseen", 0) == 0.0
 
     def test_remainder_prob_hand_values(self):
         stats = build_stats(_hand_corpus())
         # y occurs once outside A; remainder of A holds 2 tokens.
-        assert remainder_prob(stats, "y", 0) == pytest.approx(1 / 2)
-        assert remainder_prob(stats, "x", 0) == 0.0
-        assert remainder_prob(stats, "x", 1) == pytest.approx(2 / 3)
+        assert _ratio(stats, "y", 0) == pytest.approx((1 / 3) / (1 / 2))
+        kld = build_table(stats, "kld")
+        assert kld.category_weight("y", 1) == pytest.approx(0.5 * math.log(1.5))
 
     def test_remainder_symmetric_categories(self):
         corpus = from_token_lists(
@@ -177,7 +197,9 @@ class TestProbabilities:
             ["A", "B"],
         )
         stats = build_stats(corpus)
-        assert remainder_prob(stats, "u", 0) == remainder_prob(stats, "u", 1)
+        for scheme in ("kld", "tftrr", "tfcr"):
+            table = build_table(stats, scheme)
+            assert table.category_weight("u", 0) == table.category_weight("u", 1)
 
     def test_category_prob_sums_to_one(self, rng):
         for _ in range(5):
@@ -185,13 +207,17 @@ class TestProbabilities:
             for c in range(stats.num_categories):
                 if stats.category_tokens[c] == 0:
                     continue
-                total = sum(category_prob(stats, w, c) for w in stats.words)
+                column = stats.occurrences[:, c].toarray().ravel()
+                total = sum(column / stats.category_tokens[c])
                 assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_category_prob_is_zero(self):
         corpus = from_token_lists([["a"]], [0], ["A", "B"])
         stats = build_stats(corpus)
-        assert category_prob(stats, "a", 1) == 0.0
+        for scheme in ("kld", "tftrr", "tfcr"):
+            weights = build_table(stats, scheme).category_weights
+            assert np.all(np.isfinite(weights))
+            assert weights[stats.word_ids["a"], 1] == 0.0
 
 
 class TestSummary:

@@ -14,16 +14,9 @@ from catweight import (
     WeightTable,
     build_stats,
     build_table,
-    feature_dimension,
-    from_token_lists,
     standardize_apply,
     standardize_fit,
     synthetic_model,
-    vectorize_concat,
-    vectorize_document,
-    vectorize_tfidf,
-    vectorize_unweighted,
-    vectorize_weighted_category,
 )
 from oracles import oracle_weighted_mean
 
@@ -58,56 +51,78 @@ def _doc(tokens):
     return Document(tokens=tuple(tokens), label=None, source_id="t")
 
 
+def _row(doc, model, table, case_fallback=False):
+    """Feature vector of one document: the row of a one-document matrix."""
+    if not isinstance(doc, Document):
+        doc = _doc(doc)
+    return CorpusVectorizer([doc], model, case_fallback).matrix(table)[0]
+
+
+def _slice(doc, model, table, c):
+    d = model.dimension
+    return _row(doc, model, table)[c * d : (c + 1) * d]
+
+
+def _known(tokens, model):
+    return CorpusVectorizer([_doc(tokens)], model).known_token_counts[0]
+
+
+def _oracle_mean(doc, model, weight_of):
+    """Oracle weighted mean over the distinct found tokens, each weighed
+    ``weight_of(token, tf)``."""
+    tf = {}
+    for t in doc.tokens:
+        if t in model.word_ids:
+            tf[t] = tf.get(t, 0) + 1
+    weights = [weight_of(t, n) for t, n in tf.items()]
+    vectors = [model.vector(t).tolist() for t in tf]
+    return oracle_weighted_mean(weights, vectors, model.dimension)
+
+
 UNIT = _emb({"a": (1.0, 0.0), "b": (0.0, 1.0)})
+NONE = WeightTable(scheme="none", categories=("A",))
 
 
 class TestUnweighted:
     def test_plain_mean(self):
-        vec = vectorize_unweighted(_doc(["a", "b"]), UNIT)
-        assert np.array_equal(vec.values, [0.5, 0.5])
-        assert vec.layout == "plain"
-        assert vec.known_token_count == 2
+        assert np.array_equal(_row(["a", "b"], UNIT, NONE), [0.5, 0.5])
+        assert _known(["a", "b"], UNIT) == 2
 
     def test_multiplicity(self):
-        vec = vectorize_unweighted(_doc(["a", "a", "b"]), UNIT)
-        assert vec.values == pytest.approx([2 / 3, 1 / 3], abs=1e-15)
-        assert vec.known_token_count == 3
+        assert _row(["a", "a", "b"], UNIT, NONE) == pytest.approx(
+            [2 / 3, 1 / 3], abs=1e-15
+        )
+        assert _known(["a", "a", "b"], UNIT) == 3
 
     def test_all_oov(self):
-        vec = vectorize_unweighted(_doc(["x", "y"]), UNIT)
-        assert np.array_equal(vec.values, [0.0, 0.0])
-        assert vec.known_token_count == 0
+        assert np.array_equal(_row(["x", "y"], UNIT, NONE), [0.0, 0.0])
+        assert _known(["x", "y"], UNIT) == 0
 
     def test_token_permutation_invariant(self):
         model = synthetic_model(["p", "q", "r"], 6, seed=4)
-        fwd = vectorize_unweighted(_doc(["p", "q", "r", "q"]), model)
-        rev = vectorize_unweighted(_doc(["q", "r", "q", "p"]), model)
-        assert fwd.values == pytest.approx(rev.values, rel=1e-12)
+        fwd = _row(["p", "q", "r", "q"], model, NONE)
+        rev = _row(["q", "r", "q", "p"], model, NONE)
+        assert fwd == pytest.approx(rev, rel=1e-12)
 
 
 class TestWeightedCategory:
     def test_hand_weights(self):
         table = _cat_table({"a": [3.0], "b": [1.0]})
-        values = vectorize_weighted_category(_doc(["a", "b"]), UNIT, table, 0)
-        assert np.array_equal(values, [0.75, 0.25])
+        assert np.array_equal(_row(["a", "b"], UNIT, table), [0.75, 0.25])
 
     def test_all_zero_weights(self):
         table = _cat_table({"a": [0.0], "b": [0.0]})
-        values = vectorize_weighted_category(_doc(["a", "b"]), UNIT, table, 0)
-        assert np.array_equal(values, [0.0, 0.0])
+        assert np.array_equal(_row(["a", "b"], UNIT, table), [0.0, 0.0])
 
     def test_word_missing_from_table_weighs_zero(self):
         table = _cat_table({"a": [2.0]})
-        values = vectorize_weighted_category(_doc(["a", "b"]), UNIT, table, 0)
-        assert np.array_equal(values, [1.0, 0.0])
+        assert np.array_equal(_row(["a", "b"], UNIT, table), [1.0, 0.0])
 
     def test_uniform_weights_match_unweighted_bitwise(self):
         model = synthetic_model(["u", "v", "w"], 8, seed=5)
         doc = _doc(["u", "v", "v", "w", "w", "w"])
         table = _cat_table({"u": [2.0], "v": [2.0], "w": [2.0]})
-        weighted = vectorize_weighted_category(doc, model, table, 0)
-        unweighted = vectorize_unweighted(doc, model)
-        assert np.array_equal(weighted, unweighted.values)
+        assert np.array_equal(_row(doc, model, table), _row(doc, model, NONE))
 
     @settings(deadline=None, max_examples=50)
     @given(k=st.floats(min_value=1e-6, max_value=1e6))
@@ -115,9 +130,9 @@ class TestWeightedCategory:
         model = synthetic_model(["u", "v", "w"], 4, seed=6)
         doc = _doc(["u", "v", "v", "w", "w", "w"])
         table = _cat_table({"u": [k], "v": [k], "w": [k]})
-        weighted = vectorize_weighted_category(doc, model, table, 0)
-        unweighted = vectorize_unweighted(doc, model)
-        np.testing.assert_allclose(weighted, unweighted.values, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            _row(doc, model, table), _row(doc, model, NONE), rtol=1e-12, atol=0
+        )
 
     @settings(deadline=None, max_examples=50)
     @given(k=st.sampled_from([0.25, 0.5, 2.0, 4.0, 8.0]), data=st.data())
@@ -135,31 +150,27 @@ class TestWeightedCategory:
         base = _cat_table(weights)
         scaled_weights = {w: [k * col[0], col[1]] for w, col in weights.items()}
         scaled = _cat_table(scaled_weights)
-        for c in (0, 1):
-            before = vectorize_weighted_category(doc, model, base, c)
-            after = vectorize_weighted_category(doc, model, scaled, c)
-            if c == 0:
-                assert np.array_equal(before, after)  # power-of-two k
-            else:
-                assert np.array_equal(before, after)
+        # Slice 0 is rescaled by a power of two, slice 1 is untouched.
+        assert np.array_equal(_row(doc, model, base), _row(doc, model, scaled))
+
+    def test_tiny_weights_do_not_underflow(self):
+        # Normal weights whose products with the embeddings are subnormal:
+        # normalizing before the product keeps the mean exact.
+        model = synthetic_model(["u", "v"], 4, seed=9)
+        tiny = _cat_table({"u": [2.0**-1020], "v": [3 * 2.0**-1020]})
+        plain = _cat_table({"u": [1.0], "v": [3.0]})
+        assert np.array_equal(_row(["u", "v"], model, tiny), _row(["u", "v"], model, plain))
 
     def test_matches_brute_force_oracle(self, toy_corpus, tiny_model):
         stats = build_stats(toy_corpus)
         for scheme in ("tfcr", "kld"):
             table = build_table(stats, scheme)
             for doc in toy_corpus.documents:
-                tf = {}
-                order = []
-                for t in doc.tokens:
-                    if t in tiny_model.word_ids:
-                        if t not in tf:
-                            order.append(t)
-                        tf[t] = tf.get(t, 0) + 1
                 for c in (0, 1):
-                    weights = [tf[t] * table.category_weight(t, c) for t in order]
-                    vectors = [tiny_model.vector(t).tolist() for t in order]
-                    expected = oracle_weighted_mean(weights, vectors, 8)
-                    got = vectorize_weighted_category(doc, tiny_model, table, c)
+                    expected = _oracle_mean(
+                        doc, tiny_model, lambda t, n: n * table.category_weight(t, c)
+                    )
+                    got = _slice(doc, tiny_model, table, c)
                     assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_tftrr_uses_floor_for_absent_category(self, toy_corpus, tiny_model):
@@ -175,21 +186,15 @@ class TestWeightedCategory:
             [tiny_model.vector("market").tolist(), tiny_model.vector("game").tolist()],
             8,
         )
-        got = vectorize_weighted_category(doc, tiny_model, table, 0)
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert _slice(doc, tiny_model, table, 0) == pytest.approx(expected, rel=1e-12)
 
     def test_tftrr_unseen_word_still_zero(self, toy_corpus):
         stats = build_stats(toy_corpus)
         table = build_table(stats, "tftrr")
         model = _emb({"a": (1.0, 0.0), "win": (0.0, 1.0)})
         # "a" is absent from training stats entirely: no floor, weight 0.
-        values = vectorize_weighted_category(_doc(["a", "win"]), model, table, 0)
+        values = _slice(["a", "win"], model, table, 0)
         assert np.array_equal(values, model.vector("win"))
-
-    def test_rejects_non_category_table(self, toy_corpus):
-        table = build_table(build_stats(toy_corpus), "tfidf")
-        with pytest.raises(ValueError):
-            vectorize_weighted_category(_doc(["a"]), UNIT, table, 0)
 
 
 class TestConcat:
@@ -197,18 +202,23 @@ class TestConcat:
         stats = build_stats(toy_corpus)
         table = build_table(stats, "tfcr")
         doc = toy_corpus.documents[0]
-        vec = vectorize_concat(doc, tiny_model, table)
-        assert vec.layout == "concat"
-        assert vec.num_categories == 2
-        assert len(vec.values) == 16
+        values = _row(doc, tiny_model, table)
+        assert len(values) == 16
+        # Slice c is the document under a one-category table of column c.
         for c in (0, 1):
-            piece = vectorize_weighted_category(doc, tiny_model, table, c)
-            assert np.array_equal(vec.values[c * 8 : (c + 1) * 8], piece)
+            alone = WeightTable(
+                scheme="tfcr",
+                categories=(table.categories[c],),
+                word_ids=table.word_ids,
+                words=table.words,
+                category_weights=table.category_weights[:, [c]],
+            )
+            piece = _row(doc, tiny_model, alone)
+            assert np.array_equal(values[c * 8 : (c + 1) * 8], piece)
 
     def test_no_known_tokens_zero_vector(self, toy_corpus, tiny_model):
         table = build_table(build_stats(toy_corpus), "tfcr")
-        vec = vectorize_concat(_doc(["zzz"]), tiny_model, table)
-        assert np.array_equal(vec.values, np.zeros(16))
+        assert np.array_equal(_row(["zzz"], tiny_model, table), np.zeros(16))
 
     def test_exclusive_word_affects_only_its_slice(self):
         model = _emb({"a": (1.0, 0.0), "b": (0.0, 1.0), "c": (1.0, 1.0)})
@@ -219,16 +229,11 @@ class TestConcat:
             {"a": [0.0, 0.0], "b": [1.0, 2.0], "c": [1.0, 1.0]}
         )
         doc = _doc(["a", "b", "c"])
-        full = vectorize_concat(doc, model, with_word).values
-        dropped = vectorize_concat(doc, model, without).values
+        full = _row(doc, model, with_word)
+        dropped = _row(doc, model, without)
         # Slice 1 never saw "a" in either table.
         assert np.array_equal(full[2:], dropped[2:])
         assert not np.array_equal(full[:2], dropped[:2])
-
-    def test_rejects_non_category_table(self, toy_corpus):
-        table = build_table(build_stats(toy_corpus), "tfidf")
-        with pytest.raises(ValueError):
-            vectorize_concat(_doc(["a"]), UNIT, table)
 
 
 class TestTfidfVectorize:
@@ -244,69 +249,50 @@ class TestTfidfVectorize:
 
     def test_zero_idf_gives_zero_vector(self):
         table = self._table({"a": 0.0})
-        vec = vectorize_tfidf(_doc(["a", "a"]), UNIT, table)
-        assert np.array_equal(vec.values, [0.0, 0.0])
+        assert np.array_equal(_row(["a", "a"], UNIT, table), [0.0, 0.0])
 
     def test_zero_weight_token_drops_out_exactly(self):
         w = 3 * math.log(5)  # 4.82831...
         table = self._table({"a": w / 3, "b": 0.0})
-        vec = vectorize_tfidf(_doc(["a", "a", "a", "b"]), UNIT, table)
-        assert np.array_equal(vec.values, UNIT.vector("a"))
+        values = _row(["a", "a", "a", "b"], UNIT, table)
+        assert np.array_equal(values, UNIT.vector("a"))
 
     def test_uniform_idf_tf_one_matches_distinct_mean(self):
         model = synthetic_model(["p", "q"], 4, seed=8)
         table = self._table({"p": 2.0, "q": 2.0})
-        vec = vectorize_tfidf(_doc(["p", "q"]), model, table)
-        plain = vectorize_unweighted(_doc(["p", "q"]), model)
-        assert np.array_equal(vec.values, plain.values)
+        assert np.array_equal(
+            _row(["p", "q"], model, table), _row(["p", "q"], model, NONE)
+        )
 
     def test_matches_oracle(self, toy_corpus, tiny_model):
         stats = build_stats(toy_corpus)
         table = build_table(stats, "tfidf")
         doc = toy_corpus.documents[1]
-        tf = {}
-        order = []
-        for t in doc.tokens:
-            if t in tiny_model.word_ids:
-                if t not in tf:
-                    order.append(t)
-                tf[t] = tf.get(t, 0) + 1
-        weights = [tf[t] * table.idf_value(t) for t in order]
-        vectors = [tiny_model.vector(t).tolist() for t in order]
-        expected = oracle_weighted_mean(weights, vectors, 8)
-        got = vectorize_tfidf(doc, tiny_model, table)
-        assert got.values == pytest.approx(expected, rel=1e-12)
+        expected = _oracle_mean(doc, tiny_model, lambda t, n: n * table.idf_value(t))
+        assert _row(doc, tiny_model, table) == pytest.approx(expected, rel=1e-12)
 
     def test_layout_plain(self, toy_corpus, tiny_model):
         table = build_table(build_stats(toy_corpus), "tfidf")
-        vec = vectorize_tfidf(toy_corpus.documents[0], tiny_model, table)
-        assert vec.layout == "plain"
-        assert len(vec.values) == 8
-
-    def test_rejects_category_table(self, toy_corpus):
-        table = build_table(build_stats(toy_corpus), "tfcr")
-        with pytest.raises(ValueError):
-            vectorize_tfidf(_doc(["a"]), UNIT, table)
+        assert len(_row(toy_corpus.documents[0], tiny_model, table)) == 8
 
 
 class TestDispatcherAndDimension:
     def test_dispatch(self, toy_corpus, tiny_model):
         stats = build_stats(toy_corpus)
         doc = toy_corpus.documents[0]
-        none_vec = vectorize_document(doc, tiny_model, build_table(stats, "none"))
-        assert none_vec.layout == "plain"
-        tfidf_vec = vectorize_document(doc, tiny_model, build_table(stats, "tfidf"))
-        assert tfidf_vec.layout == "plain"
+        none_vec = _row(doc, tiny_model, build_table(stats, "none"))
+        assert none_vec == pytest.approx(
+            _oracle_mean(doc, tiny_model, lambda t, n: n), rel=1e-12
+        )
+        assert len(_row(doc, tiny_model, build_table(stats, "tfidf"))) == 8
         for scheme in ("kld", "tfcr", "tftrr"):
-            vec = vectorize_document(doc, tiny_model, build_table(stats, scheme))
-            assert vec.layout == "concat"
-            assert len(vec.values) == 16
+            assert len(_row(doc, tiny_model, build_table(stats, scheme))) == 16
 
     def test_feature_dimension(self, toy_corpus, tiny_model):
         stats = build_stats(toy_corpus)
-        assert feature_dimension(tiny_model, build_table(stats, "none")) == 8
-        assert feature_dimension(tiny_model, build_table(stats, "tfidf")) == 8
-        assert feature_dimension(tiny_model, build_table(stats, "tfcr")) == 16
+        vectorizer = CorpusVectorizer(toy_corpus.documents, tiny_model)
+        for scheme, width in (("none", 8), ("tfidf", 8), ("tfcr", 16)):
+            assert vectorizer.matrix(build_table(stats, scheme)).shape == (2, width)
 
     def test_outputs_always_finite(self, toy_corpus, tiny_model):
         stats = build_stats(toy_corpus)
@@ -316,11 +302,10 @@ class TestDispatcherAndDimension:
             _doc(["win"]),
             toy_corpus.documents[0],
         ]
+        vectorizer = CorpusVectorizer(docs, tiny_model)
         for scheme in ("none", "tfidf", "kld", "tftrr", "tfcr"):
-            table = build_table(stats, scheme)
-            for doc in docs:
-                vec = vectorize_document(doc, tiny_model, table)
-                assert np.all(np.isfinite(vec.values))
+            X = vectorizer.matrix(build_table(stats, scheme))
+            assert np.all(np.isfinite(X))
 
 
 class TestStandardize:
@@ -363,6 +348,7 @@ class TestCorpusVectorizer:
         return docs
 
     def test_matches_single_document_path(self, toy_corpus, tiny_model, rng):
+        """Each row of a corpus matrix equals its one-document matrix."""
         stats = build_stats(toy_corpus)
         docs = self._random_docs(rng, tiny_model)
         vectorizer = CorpusVectorizer(docs, tiny_model)
@@ -370,16 +356,15 @@ class TestCorpusVectorizer:
             table = build_table(stats, scheme)
             X = vectorizer.matrix(table)
             for i, doc in enumerate(docs):
-                single = vectorize_document(doc, tiny_model, table)
                 np.testing.assert_allclose(
-                    X[i], single.values, rtol=1e-12, atol=1e-15
+                    X[i], _row(doc, tiny_model, table), rtol=1e-12, atol=1e-15
                 )
 
     def test_known_token_counts(self, tiny_model, rng):
         docs = self._random_docs(rng, tiny_model)
         vectorizer = CorpusVectorizer(docs, tiny_model)
         for i, doc in enumerate(docs):
-            expected = vectorize_unweighted(doc, tiny_model).known_token_count
+            expected = sum(t in tiny_model.word_ids for t in doc.tokens)
             assert vectorizer.known_token_counts[i] == expected
 
     def test_document_order_invariance(self, toy_corpus, tiny_model, rng):
@@ -396,18 +381,22 @@ class TestCorpusVectorizer:
         stats = build_stats(toy_corpus)
         table = build_table(stats, "tfcr")
         docs = [Document(tokens=("WIN", "Game", "win"), label=None, source_id="x")]
+        # Weighted schemes give surface-cased tokens weight 0 regardless:
+        # only "win" is weighed, in both category slices.
         X = CorpusVectorizer(docs, model, case_fallback=True).matrix(table)
-        single = vectorize_concat(docs[0], model, table, case_fallback=True)
-        np.testing.assert_allclose(X[0], single.values, rtol=1e-12)
+        np.testing.assert_allclose(
+            X[0], np.concatenate([model.vector("win")] * 2), rtol=1e-12
+        )
         # Without the fallback the cased tokens are OOV; under the
-        # unweighted scheme this changes the mean (weighted schemes give
-        # surface-cased tokens weight 0 regardless).
+        # unweighted scheme this changes the mean.
+        win, game = model.vector("win").tolist(), model.vector("game").tolist()
         none_table = build_table(stats, "none")
         with_fb = CorpusVectorizer(docs, model, case_fallback=True).matrix(none_table)
         bare = CorpusVectorizer(docs, model).matrix(none_table)
         np.testing.assert_allclose(
-            bare[0], vectorize_unweighted(docs[0], model).values, rtol=1e-12
+            with_fb[0], oracle_weighted_mean([1, 1, 1], [win, game, win], 4), rtol=1e-12
         )
+        np.testing.assert_allclose(bare[0], win, rtol=1e-12)
         assert not np.array_equal(with_fb[0], bare[0])
 
     def test_empty_corpus(self, toy_corpus, tiny_model):

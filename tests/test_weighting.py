@@ -12,29 +12,21 @@ from hypothesis import strategies as st
 from catweight import (
     DEFAULT_ALPHA,
     SCHEMES,
-    WeightTable,
+    CorpusVectorizer,
+    EmbeddingModel,
     build_stats,
     build_table,
     export_weights,
     from_token_lists,
-    idf_weight,
-    import_weights,
-    kld_weight,
     table_from_payload,
     table_payload,
-    tfcr_weight,
-    tfidf_weight,
-    tftrr_weight,
     top_k,
-    trr_factor,
 )
 from oracles import (
     naive_counts,
     oracle_idf,
     oracle_kld,
     oracle_tfcr,
-    oracle_tfidf,
-    oracle_tftrr,
     oracle_trr_factor,
     random_corpus,
 )
@@ -55,32 +47,57 @@ def _stats_from_random(rng):
     return stats, counts
 
 
+def _weight(stats, scheme, word, c):
+    return build_table(stats, scheme).category_weight(word, c)
+
+
+def _tftrr_weights(stats, tokens, c):
+    """Composed tftrr weights of one document in category slice c, as
+    ``CorpusVectorizer.matrix`` forms them, normalized to sum 1.
+
+    One-hot embeddings make the slice the weight vector itself, in
+    first-appearance order of the distinct tokens.
+    """
+    words = list(dict.fromkeys(tokens))
+    model = EmbeddingModel(
+        dimension=len(words),
+        word_ids={w: i for i, w in enumerate(words)},
+        words=tuple(words),
+        vectors=np.eye(len(words)),
+    )
+    doc = from_token_lists([tokens], [0], stats.categories).documents
+    X = CorpusVectorizer(doc, model).matrix(build_table(stats, "tftrr"))
+    d = len(words)
+    return X[0, c * d : (c + 1) * d]
+
+
 class TestTfcr:
     def test_hand_values(self, toy_corpus):
         stats = build_stats(toy_corpus)
-        assert tfcr_weight(stats, "win", 0) == pytest.approx(0.32, abs=1e-12)
-        assert tfcr_weight(stats, "win", 1) == pytest.approx(0.01, abs=1e-12)
+        assert _weight(stats, "tfcr", "win", 0) == pytest.approx(0.32, abs=1e-12)
+        assert _weight(stats, "tfcr", "win", 1) == pytest.approx(0.01, abs=1e-12)
 
     def test_absent_and_unseen_are_zero(self, toy_corpus):
         stats = build_stats(toy_corpus)
-        assert tfcr_weight(stats, "market", 0) == 0.0
-        assert tfcr_weight(stats, "never-seen", 0) == 0.0
+        assert _weight(stats, "tfcr", "market", 0) == 0.0
+        assert _weight(stats, "tfcr", "never-seen", 0) == 0.0
 
     def test_identity_case(self):
         corpus = from_token_lists([["w", "w", "w"]], [0], ["only"])
         stats = build_stats(corpus)
-        assert tfcr_weight(stats, "w", 0) == 1.0
+        assert _weight(stats, "tfcr", "w", 0) == 1.0
 
     def test_bounded_by_tf_and_cr(self, rng):
         for _ in range(10):
             stats, counts = _stats_from_random(rng)
+            table = build_table(stats, "tfcr")
             for w, wid in stats.word_ids.items():
                 total = int(stats.word_totals[wid])
                 for c in range(stats.num_categories):
                     wc = int(stats.occurrences[wid, c])
                     if wc == 0:
                         continue
-                    value = tfcr_weight(stats, w, c)
+                    value = table.category_weight(w, c)
                     tf = wc / int(stats.category_tokens[c])
                     cr = wc / total
                     assert 0.0 <= value <= min(tf, cr) + 1e-15
@@ -100,19 +117,19 @@ class TestTfcr:
     def test_duplication_invariance_exact(self, rng):
         token_lists, labels, num_categories = random_corpus(rng, max_docs=40)
         cats = [f"c{j}" for j in range(num_categories)]
-        base = build_stats(from_token_lists(token_lists, labels, cats))
-        doubled = build_stats(
-            from_token_lists(token_lists * 2, labels * 2, cats)
+        base = build_table(build_stats(from_token_lists(token_lists, labels, cats)), "tfcr")
+        doubled = build_table(
+            build_stats(from_token_lists(token_lists * 2, labels * 2, cats)), "tfcr"
         )
         for w in base.word_ids:
             for c in range(num_categories):
-                assert tfcr_weight(base, w, c) == tfcr_weight(doubled, w, c)
+                assert base.category_weight(w, c) == doubled.category_weight(w, c)
 
     def test_exclusive_word_monotone_in_frequency(self):
         def value(k):
             tokens = ["excl"] * k + ["pad"] * 10
             corpus = from_token_lists([tokens, ["other"] * 5], [0, 1], ["A", "B"])
-            return tfcr_weight(build_stats(corpus), "excl", 0)
+            return _weight(build_stats(corpus), "tfcr", "excl", 0)
 
         values = [value(k) for k in range(1, 6)]
         assert all(b > a for a, b in zip(values, values[1:]))
@@ -121,168 +138,151 @@ class TestTfcr:
 class TestKld:
     def test_hand_value(self, toy_corpus):
         stats = build_stats(toy_corpus)
-        assert kld_weight(stats, "win", 0) == pytest.approx(
+        assert _weight(stats, "kld", "win", 0) == pytest.approx(
             0.4 * math.log(8), abs=1e-12
         )
-        assert kld_weight(stats, "win", 0) == pytest.approx(0.83178, abs=1e-5)
+        assert _weight(stats, "kld", "win", 0) == pytest.approx(0.83178, abs=1e-5)
 
     def test_equal_distributions_zero(self):
         stats = build_stats(_symmetric_corpus())
-        assert kld_weight(stats, "u", 0) == 0.0
+        assert _weight(stats, "kld", "u", 0) == 0.0
 
     def test_absent_word_zero(self, toy_corpus):
         stats = build_stats(toy_corpus)
-        assert kld_weight(stats, "market", 0) == 0.0
+        assert _weight(stats, "kld", "market", 0) == 0.0
 
     def test_zero_remainder_substitution(self, toy_corpus):
         # "game" is exclusive to A: Q = 0 is replaced by 1/(N_r + 1) = 1/21.
         stats = build_stats(toy_corpus)
         expected = 0.2 * math.log(0.2 * 21)
-        assert kld_weight(stats, "game", 0) == pytest.approx(expected, abs=1e-12)
+        assert _weight(stats, "kld", "game", 0) == pytest.approx(expected, abs=1e-12)
 
-    def test_negative_clamped_raw_kept(self, toy_corpus):
+    def test_negative_clamped(self, toy_corpus):
         stats = build_stats(toy_corpus)
-        # win in B: P = 0.05 < Q = 0.4, so the raw value is negative.
-        assert kld_weight(stats, "win", 1) == 0.0
-        raw = kld_weight(stats, "win", 1, raw=True)
-        assert raw == pytest.approx(0.05 * math.log(0.125), abs=1e-12)
-        assert raw < 0.0
+        # win in B: P = 0.05 < Q = 0.4, so P ln(P / Q) = 0.05 ln(0.125) < 0.
+        assert 0.05 * math.log(0.125) < 0.0
+        assert _weight(stats, "kld", "win", 1) == 0.0
 
 
 class TestTrrFactor:
     def test_hand_value(self, toy_corpus):
         stats = build_stats(toy_corpus)
-        assert trr_factor(stats, "win", 0) == pytest.approx(math.log(9.2), abs=1e-12)
-        assert trr_factor(stats, "win", 0) == pytest.approx(2.21920, abs=1e-5)
+        assert _weight(stats, "tftrr", "win", 0) == pytest.approx(
+            math.log(9.2), abs=1e-12
+        )
+        assert _weight(stats, "tftrr", "win", 0) == pytest.approx(2.21920, abs=1e-5)
 
     def test_equal_ratio(self):
         stats = build_stats(_symmetric_corpus())
-        assert trr_factor(stats, "u", 0) == pytest.approx(math.log(2.2), abs=1e-12)
-        assert trr_factor(stats, "u", 0) == pytest.approx(0.78846, abs=1e-5)
+        assert _weight(stats, "tftrr", "u", 0) == pytest.approx(
+            math.log(2.2), abs=1e-12
+        )
+        assert _weight(stats, "tftrr", "u", 0) == pytest.approx(0.78846, abs=1e-5)
 
     def test_absent_word_floor(self, toy_corpus):
-        stats = build_stats(toy_corpus)
-        assert trr_factor(stats, "market", 0) == pytest.approx(
-            math.log(1.2), abs=1e-12
-        )
-        assert trr_factor(stats, "market", 0) == pytest.approx(0.18232, abs=1e-5)
+        # The table leaves the absent pair at 0; the vectorizer applies
+        # the floor ln(alpha) there (see TestTftrr.test_floor_composition).
+        table = build_table(build_stats(toy_corpus), "tftrr")
+        assert table.category_weight("market", 0) == 0.0
+        assert math.log(table.alpha) == pytest.approx(0.18232, abs=1e-5)
 
     def test_always_positive(self, rng):
         floor = math.log(DEFAULT_ALPHA)
         for _ in range(10):
             stats, _ = _stats_from_random(rng)
-            for w in stats.word_ids:
+            table = build_table(stats, "tftrr")
+            for w, wid in stats.word_ids.items():
                 for c in range(stats.num_categories):
-                    assert trr_factor(stats, w, c) >= floor > 0.0
+                    if stats.occurrences[wid, c] > 0:
+                        assert table.category_weight(w, c) >= floor > 0.0
 
 
 class TestTftrr:
+    """The composed weight (ln tf + 1) * factor, read from the matrix."""
+
     def test_tf_one_is_factor(self, toy_corpus):
         stats = build_stats(toy_corpus)
-        assert tftrr_weight(stats, "win", 0, 1) == trr_factor(stats, "win", 0)
+        w_win, w_game = _tftrr_weights(stats, ["win", "game"], 0)
+        assert w_win / w_game == pytest.approx(
+            _weight(stats, "tftrr", "win", 0) / _weight(stats, "tftrr", "game", 0),
+            rel=1e-12,
+        )
 
     def test_log_scaled_tf(self):
         stats = build_stats(_symmetric_corpus())
+        # v has tf 1, so its composed weight is the bare factor ln 2.2.
+        w_u, w_v = _tftrr_weights(stats, ["u", "u", "u", "v"], 0)
+        composed = w_u / w_v * _weight(stats, "tftrr", "v", 0)
         expected = (math.log(3) + 1.0) * math.log(2.2)
-        assert tftrr_weight(stats, "u", 0, 3) == pytest.approx(expected, abs=1e-12)
+        assert composed == pytest.approx(expected, abs=1e-12)
         # (ln 3 + 1) * ln 2.2 = 1.65467 to five decimals.
-        assert tftrr_weight(stats, "u", 0, 3) == pytest.approx(1.65467, abs=1e-5)
+        assert composed == pytest.approx(1.65467, abs=1e-5)
 
     def test_floor_composition(self, toy_corpus):
         stats = build_stats(toy_corpus)
-        assert tftrr_weight(stats, "market", 0, 1) == pytest.approx(
-            0.18232, abs=1e-5
-        )
-
-    def test_zero_tf_rejected(self, toy_corpus):
-        stats = build_stats(toy_corpus)
-        with pytest.raises(ValueError):
-            tftrr_weight(stats, "win", 0, 0)
+        # market never occurs in A: at tf 1 it weighs the floor ln(1.2).
+        w_market, w_game = _tftrr_weights(stats, ["market", "game"], 0)
+        composed = w_market / w_game * _weight(stats, "tftrr", "game", 0)
+        assert composed == pytest.approx(0.18232, abs=1e-5)
 
 
 class TestIdf:
     def test_hand_value(self):
         # 10 documents, "rare" in exactly two of them, tf 3.
         docs = [["rare", "pad"], ["rare"]] + [["pad"]] * 8
-        stats = build_stats(from_token_lists(docs, [0] * 10, ["only"]))
-        assert idf_weight(stats, "rare") == pytest.approx(math.log(5), abs=1e-12)
-        assert tfidf_weight(stats, "rare", 3) == pytest.approx(
-            3 * math.log(5), abs=1e-12
-        )
-        assert tfidf_weight(stats, "rare", 3) == pytest.approx(4.82831, abs=1e-5)
+        table = build_table(build_stats(from_token_lists(docs, [0] * 10, ["only"])), "tfidf")
+        assert table.idf_value("rare") == pytest.approx(math.log(5), abs=1e-12)
+        assert 3 * table.idf_value("rare") == pytest.approx(3 * math.log(5), abs=1e-12)
+        assert 3 * table.idf_value("rare") == pytest.approx(4.82831, abs=1e-5)
 
     def test_ubiquitous_word_zero(self, toy_corpus):
-        stats = build_stats(toy_corpus)
-        assert idf_weight(stats, "win") == 0.0  # df = |D| = 2
+        table = build_table(build_stats(toy_corpus), "tfidf")
+        assert table.idf_value("win") == 0.0  # df = |D| = 2
 
     def test_unseen_word_zero(self, toy_corpus):
-        stats = build_stats(toy_corpus)
-        assert idf_weight(stats, "never-seen") == 0.0
-        assert tfidf_weight(stats, "never-seen", 4) == 0.0
-
-    def test_zero_tf_rejected(self, toy_corpus):
-        with pytest.raises(ValueError):
-            tfidf_weight(build_stats(toy_corpus), "win", 0)
-
-
-class TestPointwiseAgainstOracles:
-    """Brute-force dict-based recomputation on random corpora, exactly."""
-
-    def test_all_schemes_match(self, rng):
-        for _ in range(20):
-            stats, counts = _stats_from_random(rng)
-            for w in stats.word_ids:
-                assert idf_weight(stats, w) == oracle_idf(counts, w)
-                assert tfidf_weight(stats, w, 2) == oracle_tfidf(counts, w, 2)
-                for c in range(stats.num_categories):
-                    assert tfcr_weight(stats, w, c) == oracle_tfcr(counts, w, c)
-                    assert kld_weight(stats, w, c) == oracle_kld(counts, w, c)
-                    assert kld_weight(stats, w, c, raw=True) == oracle_kld(
-                        counts, w, c, raw=True
-                    )
-                    assert trr_factor(stats, w, c) == oracle_trr_factor(counts, w, c)
-                    assert tftrr_weight(stats, w, c, 3) == oracle_tftrr(
-                        counts, w, c, 3
-                    )
+        table = build_table(build_stats(toy_corpus), "tfidf")
+        assert "never-seen" not in table.word_ids
+        assert table.idf_value("never-seen") == 0.0
 
 
 class TestBuildTable:
     def test_toy_entries_match_pointwise(self):
-        corpus = from_token_lists([["a", "b", "a"], ["b"]], [0, 1], ["A", "B"])
-        stats = build_stats(corpus)
-        table = build_table(stats, "tfcr")
+        docs, labels = [["a", "b", "a"], ["b"]], [0, 1]
+        counts = naive_counts(docs, labels, 2)
+        table = build_table(build_stats(from_token_lists(docs, labels, ["A", "B"])), "tfcr")
         for w in ("a", "b"):
             for c in (0, 1):
-                assert table.category_weight(w, c) == tfcr_weight(stats, w, c)
+                assert table.category_weight(w, c) == oracle_tfcr(counts, w, c)
 
     def test_every_entry_matches_pointwise(self, rng, toy_corpus):
-        stats_list = [build_stats(toy_corpus)]
-        for _ in range(5):
-            stats_list.append(_stats_from_random(rng)[0])
-        for stats in stats_list:
-            for scheme, pointwise in (
-                ("tfcr", tfcr_weight),
-                ("kld", kld_weight),
-                ("tftrr", trr_factor),
-            ):
-                table = build_table(stats, scheme)
-                for w, wid in stats.word_ids.items():
-                    for c in range(stats.num_categories):
-                        if scheme == "tftrr" and stats.occurrences[wid, c] == 0:
-                            # Absent pairs stay implicit zeros in the table;
-                            # the ln(alpha) floor is applied at vectorization.
-                            assert table.category_weight(w, c) == 0.0
-                            continue
-                        assert table.category_weight(w, c) == pointwise(stats, w, c)
-            table = build_table(stats, "tfidf")
-            for w in stats.word_ids:
-                assert table.idf_value(w) == idf_weight(stats, w)
+        """Every entry of all four schemes equals the pointwise oracle,
+        exactly, on the toy corpus and 20 random ones."""
+        toy_docs = [list(d.tokens) for d in toy_corpus.documents]
+        cases = [(build_stats(toy_corpus), naive_counts(toy_docs, [0, 1], 2))]
+        cases += [_stats_from_random(rng) for _ in range(20)]
+        for stats, counts in cases:
+            tables = {s: build_table(stats, s) for s in ("tfidf", "kld", "tftrr", "tfcr")}
+            for w, wid in stats.word_ids.items():
+                assert tables["tfidf"].idf_value(w) == oracle_idf(counts, w)
+                for c in range(stats.num_categories):
+                    assert tables["tfcr"].category_weight(w, c) == oracle_tfcr(counts, w, c)
+                    assert tables["kld"].category_weight(w, c) == oracle_kld(counts, w, c)
+                    # Absent pairs stay implicit zeros in the tftrr table;
+                    # the ln(alpha) floor is applied at vectorization.
+                    expected = (
+                        oracle_trr_factor(counts, w, c)
+                        if stats.occurrences[wid, c] > 0
+                        else 0.0
+                    )
+                    assert tables["tftrr"].category_weight(w, c) == expected
 
-    def test_kld_raw_table(self, toy_corpus):
+    def test_alpha_below_one_rejected(self, toy_corpus):
         stats = build_stats(toy_corpus)
-        table = build_table(stats, "kld", kld_raw=True)
-        assert table.category_weight("win", 1) == kld_weight(stats, "win", 1, raw=True)
-        assert table.category_weight("win", 1) < 0.0
+        with pytest.raises(ValueError, match="alpha"):
+            build_table(stats, "tftrr", alpha=0.5)
+        with pytest.raises(ValueError, match="alpha"):
+            build_table(stats, "tftrr", alpha=float("nan"))
+        assert build_table(stats, "tftrr", alpha=1.0).alpha == 1.0
 
     def test_rebuild_identical(self, toy_corpus):
         stats = build_stats(toy_corpus)
@@ -389,7 +389,7 @@ class TestSerialization:
             buf = io.StringIO()
             export_weights(table, buf, fmt="json")
             buf.seek(0)
-            loaded = import_weights(buf)
+            loaded = table_from_payload(json.load(buf))
             assert loaded.scheme == scheme
             assert loaded.categories == table.categories
             for w in stats.word_ids:
@@ -402,7 +402,7 @@ class TestSerialization:
         buf = io.StringIO()
         export_weights(table, buf, fmt="json")
         buf.seek(0)
-        loaded = import_weights(buf)
+        loaded = table_from_payload(json.load(buf))
         for w in stats.word_ids:
             assert loaded.idf_value(w) == table.idf_value(w)
 
