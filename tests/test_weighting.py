@@ -245,6 +245,32 @@ class TestIdf:
         assert table.idf_value("never-seen") == 0.0
 
 
+def _assert_tables_match_oracles(stats, counts):
+    """Every table entry of all four schemes equals the pointwise oracle."""
+    tables = {s: build_table(stats, s) for s in ("tfidf", "kld", "tftrr", "tfcr")}
+    for w, wid in stats.word_ids.items():
+        assert tables["tfidf"].idf_value(w) == oracle_idf(counts, w)
+        for c in range(stats.num_categories):
+            assert tables["tfcr"].category_weight(w, c) == oracle_tfcr(counts, w, c)
+            assert tables["kld"].category_weight(w, c) == oracle_kld(counts, w, c)
+            # Absent pairs stay implicit zeros in the tftrr table;
+            # the ln(alpha) floor is applied at vectorization.
+            expected = (
+                oracle_trr_factor(counts, w, c)
+                if stats.occurrences[wid, c] > 0
+                else 0.0
+            )
+            assert tables["tftrr"].category_weight(w, c) == expected
+
+
+class TestPointwiseAgainstOracles:
+    """Brute-force dict-based recomputation on random corpora, exactly."""
+
+    def test_all_schemes_match(self, rng):
+        for _ in range(20):
+            _assert_tables_match_oracles(*_stats_from_random(rng))
+
+
 class TestBuildTable:
     def test_toy_entries_match_pointwise(self):
         docs, labels = [["a", "b", "a"], ["b"]], [0, 1]
@@ -254,27 +280,13 @@ class TestBuildTable:
             for c in (0, 1):
                 assert table.category_weight(w, c) == oracle_tfcr(counts, w, c)
 
-    def test_every_entry_matches_pointwise(self, rng, toy_corpus):
+    def test_every_entry_matches_pointwise(self, toy_corpus):
         """Every entry of all four schemes equals the pointwise oracle,
-        exactly, on the toy corpus and 20 random ones."""
+        exactly, on the toy corpus."""
         toy_docs = [list(d.tokens) for d in toy_corpus.documents]
-        cases = [(build_stats(toy_corpus), naive_counts(toy_docs, [0, 1], 2))]
-        cases += [_stats_from_random(rng) for _ in range(20)]
-        for stats, counts in cases:
-            tables = {s: build_table(stats, s) for s in ("tfidf", "kld", "tftrr", "tfcr")}
-            for w, wid in stats.word_ids.items():
-                assert tables["tfidf"].idf_value(w) == oracle_idf(counts, w)
-                for c in range(stats.num_categories):
-                    assert tables["tfcr"].category_weight(w, c) == oracle_tfcr(counts, w, c)
-                    assert tables["kld"].category_weight(w, c) == oracle_kld(counts, w, c)
-                    # Absent pairs stay implicit zeros in the tftrr table;
-                    # the ln(alpha) floor is applied at vectorization.
-                    expected = (
-                        oracle_trr_factor(counts, w, c)
-                        if stats.occurrences[wid, c] > 0
-                        else 0.0
-                    )
-                    assert tables["tftrr"].category_weight(w, c) == expected
+        _assert_tables_match_oracles(
+            build_stats(toy_corpus), naive_counts(toy_docs, [0, 1], 2)
+        )
 
     def test_alpha_below_one_rejected(self, toy_corpus):
         stats = build_stats(toy_corpus)
