@@ -47,6 +47,7 @@ from .evaluation import (
 from .stats import build_stats
 from .vectorize import (
     CorpusVectorizer,
+    ScalerParams,
     standardize_apply,
     standardize_fit,
 )
@@ -181,8 +182,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _option_keys() -> set[str]:
+    """Every option of any subcommand: the keys a config file may set."""
+    parser = _build_parser()
+    return {k for name in _COMMANDS for k in vars(parser.parse_args([name])) if k != "command"}
+
+
 def _resolve(args: argparse.Namespace) -> dict:
-    """flags > config file > defaults, for every key the command knows."""
+    """flags > config file > defaults, for every key the command knows; a
+    config key of another subcommand is ignored, one of none is an error."""
     file_cfg = {}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -194,6 +202,9 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
+        unknown = sorted(set(file_cfg) - _option_keys())
+        if unknown:
+            raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
     resolved = {}
     for key, value in vars(args).items():
         if key in ("command", "config"):
@@ -304,10 +315,7 @@ def _resolve_embedding(cfg: dict, vocab) -> EmbeddingModel:
 
 
 def _corpus_vocab(corpus: LabeledCorpus) -> list[str]:
-    seen: set[str] = set()
-    for counts in corpus.token_counts():
-        seen.update(counts)
-    return sorted(seen)
+    return sorted(corpus.token_counts().terms)
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -657,9 +665,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
             f"{model.num_features}"
         )
     if manifest.get("scaler"):
-        X = (X - np.asarray(manifest["scaler"]["mean"])) / np.asarray(
-            manifest["scaler"]["scale"]
-        )
+        s = manifest["scaler"]
+        X = standardize_apply(ScalerParams(np.asarray(s["mean"]), np.asarray(s["scale"])), X)
     pred, scores = predict_many(model, X)
     out_lines = ["\t".join(["label", *categories])]
     for i in range(len(docs)):

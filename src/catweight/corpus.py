@@ -4,6 +4,9 @@ Datasets come in as CSV/TSV (RFC-4180 quoting), JSONL (one object per
 line) or a directory-per-category tree (20-Newsgroups style).  All loaders
 degrade non-UTF8 bytes to the replacement character instead of failing:
 real news corpora contain junk bytes.
+
+``count_tokens`` is the one token count: a documents-by-terms CSR matrix
+from which corpus statistics and document vectors are both derived.
 """
 
 from __future__ import annotations
@@ -11,11 +14,12 @@ from __future__ import annotations
 import csv
 import json
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import IngestionError, SplitError
 
@@ -60,6 +64,40 @@ class Document:
     source_id: str
 
 
+@dataclass(frozen=True)
+class TokenCounts:
+    """``matrix[i, t]`` counts ``terms[t]`` in document i (int64 CSR).
+
+    Terms are numbered in order of first occurrence in the corpus, and
+    each row stores its entries in order of first occurrence in the
+    document.  That order is the summation order of every weighted mean
+    built from the matrix: never sort it (``sort_indices``,
+    ``sum_duplicates``).
+    """
+
+    terms: tuple[str, ...]
+    matrix: sp.csr_matrix
+
+
+def count_tokens(documents) -> TokenCounts:
+    """Count every document's tokens in one pass (see ``TokenCounts``)."""
+    term_ids: defaultdict[str, int] = defaultdict()
+    term_ids.default_factory = term_ids.__len__  # a new term gets the next id
+    indices: list[int] = []
+    data: list[int] = []
+    indptr = [0]
+    for doc in documents:
+        counts = Counter(doc.tokens)
+        indices.extend(map(term_ids.__getitem__, counts))
+        data.extend(counts.values())
+        indptr.append(len(indices))
+    matrix = sp.csr_matrix(
+        (np.array(data, dtype=np.int64), np.array(indices), np.array(indptr)),
+        shape=(len(indptr) - 1, len(term_ids)),
+    )
+    return TokenCounts(terms=tuple(term_ids), matrix=matrix)
+
+
 @dataclass
 class LabeledCorpus:
     """An immutable collection of documents with indexed category labels.
@@ -72,7 +110,7 @@ class LabeledCorpus:
     documents: tuple[Document, ...]
     categories: tuple[str, ...]
     seed: int | None = None
-    _token_counts: tuple[Counter, ...] | None = field(
+    _token_counts: TokenCounts | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -86,11 +124,10 @@ class LabeledCorpus:
             dtype=np.int64,
         )
 
-    def token_counts(self) -> tuple[Counter, ...]:
-        """Per-document token Counter, computed once and cached."""
+    def token_counts(self) -> TokenCounts:
+        """The documents-by-terms count matrix, computed once and cached."""
         if self._token_counts is None:
-            counts = tuple(Counter(d.tokens) for d in self.documents)
-            object.__setattr__(self, "_token_counts", counts)
+            object.__setattr__(self, "_token_counts", count_tokens(self.documents))
         return self._token_counts
 
 

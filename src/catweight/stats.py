@@ -1,12 +1,13 @@
 """Count aggregates over a training partition.
 
-One pass over the selected documents yields every quantity
-``weighting.build_table`` consumes: token-level word-by-category
-occurrence counts, per-category token totals, per-word totals, document
-frequency and the document count.  The category and remainder
-probabilities the kld and tftrr schemes use are derived from these
-arrays inside ``build_table``.  Occurrence counts are kept sparse; the
-vocabulary-by-categories table is mostly zeros.
+``build_stats`` derives every quantity ``weighting.build_table`` consumes
+from the subset's rows of the corpus count matrix
+(``LabeledCorpus.token_counts``): word-by-category occurrences are those
+rows transposed times a one-hot label matrix, document frequency counts
+their non-zero entries per word, and the per-category and per-word
+totals sum the occurrences.  The kld and tftrr probabilities are derived
+from these arrays inside ``build_table``.  Occurrence counts are kept
+sparse; the vocabulary-by-categories table is mostly zeros.
 """
 
 from __future__ import annotations
@@ -72,55 +73,35 @@ def build_stats(
     if not subset:
         raise StatsError("document subset is empty")
 
-    token_counts = corpus.token_counts()
-    word_ids: dict[str, int] = {}
-    df: list[int] = []
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[int] = []
-    for i in subset:
-        doc = corpus.documents[i]
-        if doc.label is None:
-            raise StatsError(f"document {doc.source_id!r} in subset has no label")
-        c = doc.label
-        for tok, cnt in token_counts[i].items():
-            wid = word_ids.get(tok)
-            if wid is None:
-                wid = len(word_ids)
-                word_ids[tok] = wid
-                df.append(0)
-            df[wid] += 1
-            rows.append(wid)
-            cols.append(c)
-            data.append(cnt)
+    labels = corpus.labels()[subset]
+    unlabeled = np.flatnonzero(labels < 0)
+    if unlabeled.size:
+        doc = corpus.documents[subset[unlabeled[0]]]
+        raise StatsError(f"document {doc.source_id!r} in subset has no label")
 
-    vocab = len(word_ids)
-    n_cats = len(corpus.categories)
-    occurrences = sp.coo_matrix(
-        (np.asarray(data, dtype=np.int64), (rows, cols)),
-        shape=(vocab, n_cats),
-    ).tocsr()
-    doc_freq = np.asarray(df, dtype=np.int64)
-    words = tuple(word_ids)
-
-    if min_count > 1 and vocab:
-        totals = np.asarray(occurrences.sum(axis=1)).ravel()
-        keep = np.flatnonzero(totals >= min_count)
-        occurrences = occurrences[keep]
-        doc_freq = doc_freq[keep]
-        words = tuple(words[i] for i in keep)
-        word_ids = {w: i for i, w in enumerate(words)}
-
-    word_totals = np.asarray(occurrences.sum(axis=1), dtype=np.int64).ravel()
-    category_tokens = np.asarray(occurrences.sum(axis=0), dtype=np.int64).ravel()
+    counts = corpus.token_counts()
+    rows = counts.matrix[subset]
+    onehot = sp.csr_matrix(
+        (np.ones(len(subset), dtype=np.int64), (np.arange(len(subset)), labels)),
+        shape=(len(subset), len(corpus.categories)),
+    )
+    occurrences = (rows.T @ onehot).tocsr()
+    # Words in order of first occurrence in the subset; absent words and
+    # words below min_count are dropped.
+    present, first = np.unique(rows.indices, return_index=True)
+    present = present[np.argsort(first)]
+    totals = np.asarray(occurrences.sum(axis=1), dtype=np.int64).ravel()
+    keep = present[totals[present] >= min_count]
+    occurrences = occurrences[keep]
+    words = tuple(counts.terms[t] for t in keep)
     return CorpusStats(
-        word_ids=word_ids,
+        word_ids={w: i for i, w in enumerate(words)},
         words=words,
         categories=corpus.categories,
         occurrences=occurrences,
-        category_tokens=category_tokens,
-        word_totals=word_totals,
-        doc_freq=doc_freq,
+        category_tokens=np.asarray(occurrences.sum(axis=0), dtype=np.int64).ravel(),
+        word_totals=totals[keep],
+        doc_freq=np.bincount(rows.indices, minlength=len(counts.terms))[keep],
         num_docs=len(subset),
     )
 

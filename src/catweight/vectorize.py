@@ -1,7 +1,9 @@
 """Document vectorization over word embeddings.
 
-``CorpusVectorizer`` is the one document-vectorization path: it parses a
-corpus once against an embedding model, then turns each weight table
+``CorpusVectorizer`` is the one document-vectorization path.  It counts
+the documents' tokens once into a documents-by-terms matrix
+(``corpus.count_tokens``), maps each term to its embedding row and keeps
+the columns of the terms the model knows; each weight table then turns
 into a documents-by-features matrix with one sparse-times-dense product
 per weight assignment.  Three representations:
 
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .corpus import count_tokens
 from .embeddings import EmbeddingModel
 from .weighting import WeightTable
 
@@ -60,76 +63,43 @@ def standardize_apply(params: ScalerParams, vectors: np.ndarray) -> np.ndarray:
 
 
 class CorpusVectorizer:
-    """Batch vectorization with one parse of the corpus.
+    """Batch vectorization over one count matrix of the documents.
 
-    Token/embedding intersection is computed once; each weight table
-    then turns into a documents-by-features matrix via sparse matmuls.
-    With ``case_fallback``, a token missing from a cased model falls back
-    to its lowercase form.  Every command vectorizes through this class,
-    and the evaluation harness re-vectorizes the same documents under
-    many (fold, scheme) combinations.
+    Each distinct term is looked up in the embedding model once (with
+    ``case_fallback``, a term missing from a cased model falls back to
+    its lowercase form); each weight table then turns into a
+    documents-by-features matrix via sparse matmuls.  Every command and
+    every (fold, scheme) of the evaluation harness vectorizes through it.
     """
 
     def __init__(self, documents, model: EmbeddingModel, case_fallback: bool = False):
         self.model = model
         self.num_docs = len(documents)
-        vocab: dict[str, int] = {}
-        emb_rows: list[int] = []
-        gids: list[int] = []
-        counts: list[int] = []
-        indptr = np.zeros(self.num_docs + 1, dtype=np.int64)
-        known = np.zeros(self.num_docs, dtype=np.int64)
-        for i, doc in enumerate(documents):
-            seen: dict[int, int] = {}
-            order: list[int] = []
-            total = 0
-            for token in doc.tokens:
-                idx = model.word_ids.get(token)
-                if idx is None and case_fallback:
-                    lowered = token.lower()
-                    if lowered != token:
-                        idx = model.word_ids.get(lowered)
-                if idx is None:
-                    continue
-                total += 1
-                gid = vocab.get(token)
-                if gid is None:
-                    gid = len(vocab)
-                    vocab[token] = gid
-                    emb_rows.append(idx)
-                if gid in seen:
-                    seen[gid] += 1
-                else:
-                    seen[gid] = 1
-                    order.append(gid)
-            for gid in order:
-                gids.append(gid)
-                counts.append(seen[gid])
-            indptr[i + 1] = len(gids)
-            known[i] = total
-        self._vocab = vocab
-        self._words = list(vocab)
-        self._emb_rows = np.array(emb_rows, dtype=np.int64)
-        self._gids = np.array(gids, dtype=np.int64)
-        self._tf = np.array(counts, dtype=np.float64)
-        self._indptr = indptr
-        self._doc_of = np.repeat(
-            np.arange(self.num_docs, dtype=np.int64), np.diff(indptr)
+        counts = count_tokens(documents)
+        ids = model.word_ids
+        emb_rows = np.array(
+            [ids.get(t, ids.get(t.lower(), -1) if case_fallback else -1) for t in counts.terms],
+            dtype=np.int64,
         )
-        self.known_token_counts = known
-        # Embedding rows for the reduced vocabulary, in gid order.
-        self._E = model.vectors[self._emb_rows] if len(vocab) else np.zeros(
-            (0, model.dimension)
-        )
+        known = emb_rows >= 0
+        # Keep the entries of known terms, renumbered in term order; each
+        # row keeps its first-occurrence order, the summation order below.
+        M = counts.matrix
+        keep = known[M.indices]
+        self._gids = (np.cumsum(known) - 1)[M.indices[keep]]
+        self._indptr = np.concatenate(([0], np.cumsum(keep)))[M.indptr]
+        self._doc_of = np.repeat(np.arange(self.num_docs), np.diff(self._indptr))
+        self._tf = M.data[keep].astype(np.float64)
+        known_tokens = np.bincount(self._doc_of, self._tf, self.num_docs)
+        self.known_token_counts = known_tokens.astype(np.int64)
+        self._words = [counts.terms[t] for t in np.flatnonzero(known)]
+        # Embedding rows for the known terms, in column order.
+        self._E = model.vectors[emb_rows[known]]
 
     def _table_rows(self, table: WeightTable) -> np.ndarray:
         """gid -> table word row, -1 for words unseen in training."""
-        rows = np.full(len(self._words), -1, dtype=np.int64)
-        for gid, word in enumerate(self._words):
-            wid = table.word_ids.get(word)
-            if wid is not None:
-                rows[gid] = wid
-        return rows
+        word_ids = table.word_ids
+        return np.array([word_ids.get(w, -1) for w in self._words], dtype=np.int64)
 
     def _weighted_block(self, data: np.ndarray) -> np.ndarray:
         """Weighted means for one assignment of weights >= 0 to positions.

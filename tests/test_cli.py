@@ -445,6 +445,32 @@ def test_alpha_below_one_in_config_exits_2(alpha, toy_csv, tmp_path, capsys):
     assert f"--alpha must be >= 1, got {alpha}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entries, named", [
+    ({"kld_raw": True}, "kld_raw"),
+    ({"epoch": 3}, "epoch"),
+    ({"kld_raw": True, "k": 3, "epoch": 3}, "epoch, kld_raw"),  # k is a cv option
+])
+def test_unknown_config_key_exits_2(entries, named, toy_csv, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(entries))
+    out = tmp_path / "w.json"
+    argv = ["weights", "--config", str(config), "--data", toy_csv, "--seed", "1",
+            "--scheme", "kld", "--out", str(out)]
+    assert main(argv) == 2
+    assert f"unknown config keys: {named}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_shared_between_commands(toy_csv, tmp_path):
+    # k and epochs are options of cv, not of weights: weights ignores them.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"seed": 1, "scheme": "kld", "k": 3, "epochs": 4}))
+    out = tmp_path / "w.json"
+    argv = ["weights", "--config", str(config), "--data", toy_csv, "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["scheme"] == "kld"
+
+
 def test_version_flag_reports_name():
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])

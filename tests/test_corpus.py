@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from catweight import (
     sample,
     tokenize,
 )
+from catweight.corpus import count_tokens
 
 
 class TestTokenize:
@@ -157,6 +159,28 @@ class TestLoad20ng:
         assert [d.tokens for d in from_dir.documents] == [
             d.tokens for d in from_csv.documents
         ]
+
+
+class TestCountTokens:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from("abcdefg"), max_size=12), max_size=8))
+    def test_rows_are_counters_in_first_occurrence_order(self, token_lists):
+        docs = from_token_lists(token_lists, [None] * len(token_lists), []).documents
+        counts = count_tokens(docs)
+        first_seen = dict.fromkeys(t for tokens in token_lists for t in tokens)
+        assert counts.terms == tuple(first_seen)
+        M = counts.matrix
+        assert M.shape == (len(token_lists), len(first_seen))
+        assert M.dtype == np.int64
+        for i, tokens in enumerate(token_lists):
+            row = slice(M.indptr[i], M.indptr[i + 1])
+            entries = [(counts.terms[t], int(n)) for t, n in zip(M.indices[row], M.data[row])]
+            assert entries == list(Counter(tokens).items())
+
+    def test_cached_on_the_corpus(self):
+        corpus = from_token_lists([["a", "b", "a"], []], [0, 0], ["c"])
+        assert corpus.token_counts() is corpus.token_counts()
+        assert corpus.token_counts().terms == ("a", "b")
 
 
 class TestSample:

@@ -13,6 +13,7 @@ from catweight import (
     build_stats,
     build_table,
     from_token_lists,
+    make_splits,
     stats_summary,
 )
 from oracles import naive_counts, random_corpus
@@ -40,6 +41,24 @@ def _draw_corpus(rng):
     return corpus, token_lists, labels, num_categories
 
 
+def _assert_matches_oracle(stats, token_lists, labels, num_categories, min_count):
+    """``stats`` equals a naive recount of these documents, with the words
+    below ``min_count`` dropped from the oracle's totals."""
+    oracle = naive_counts(token_lists, labels, num_categories)
+    pruned = {w for w, n in oracle["word_total"].items() if n < min_count}
+    first_seen = dict.fromkeys(t for tokens in token_lists for t in tokens)
+    assert list(stats.words) == [w for w in first_seen if w not in pruned]
+    for w, wid in stats.word_ids.items():
+        assert stats.word_totals[wid] == oracle["word_total"][w]
+        assert stats.doc_freq[wid] == oracle["doc_freq"][w]
+        for c in range(num_categories):
+            assert stats.occurrences[wid, c] == oracle["word_cat"].get((w, c), 0)
+    for c in range(num_categories):
+        dropped = sum(oracle["word_cat"].get((w, c), 0) for w in pruned)
+        assert stats.category_tokens[c] == oracle["cat_tokens"][c] - dropped
+    assert stats.num_docs == oracle["num_docs"]
+
+
 class TestBuildStats:
     def test_hand_counts(self):
         stats = build_stats(_hand_corpus())
@@ -62,19 +81,25 @@ class TestBuildStats:
     def test_matches_naive_recount(self, rng):
         for _ in range(30):
             corpus, token_lists, labels, num_categories = _draw_corpus(rng)
-            stats = build_stats(corpus)
-            oracle = naive_counts(token_lists, labels, num_categories)
-            assert set(stats.words) == set(oracle["word_total"])
-            for w, wid in stats.word_ids.items():
-                assert stats.word_totals[wid] == oracle["word_total"][w]
-                assert stats.doc_freq[wid] == oracle["doc_freq"][w]
-                for c in range(num_categories):
-                    assert stats.occurrences[wid, c] == oracle["word_cat"].get(
-                        (w, c), 0
+            _assert_matches_oracle(
+                build_stats(corpus), token_lists, labels, num_categories, 1
+            )
+            # Training subsets as the harness draws them: the k-1 training
+            # folds (sorted) and a nested ladder sample (shuffled order).
+            k = int(rng.integers(2, min(5, len(corpus)) + 1))
+            plan = make_splits(corpus, k, seed=int(rng.integers(1 << 30)))
+            fold = int(rng.integers(k))
+            size = int(rng.integers(1, len(plan.ladder_order) + 1))
+            for subset in (plan.train_indices(fold), plan.ladder_sample(size)):
+                for min_count in (1, 2, 3):
+                    stats = build_stats(corpus, doc_subset=subset, min_count=min_count)
+                    _assert_matches_oracle(
+                        stats,
+                        [token_lists[i] for i in subset],
+                        [labels[i] for i in subset],
+                        num_categories,
+                        min_count,
                     )
-            for c in range(num_categories):
-                assert stats.category_tokens[c] == oracle["cat_tokens"][c]
-            assert stats.num_docs == oracle["num_docs"]
 
     def test_internal_consistency_invariants(self, rng):
         for _ in range(10):
