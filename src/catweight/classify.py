@@ -15,20 +15,27 @@ Two models with a shared interface:
 Training is seeded and single-threaded: a fixed seed reproduces the
 trajectory bit for bit.  Prediction ties break to the lowest class
 index (numpy argmax convention).
+
+``save_model``/``load_model`` own the one model file ``predict`` reads
+(format 2, an uncompressed npz loaded without pickle): the classifier,
+the scaler, the weight table as ``build_table`` made it, and the
+embedding row of every training term.  Format-1 files must be retrained.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+import zipfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .embeddings import EmbeddingModel
 from .errors import ModelFormatError, TrainingError
+from .vectorize import ScalerParams
+from .weighting import SCHEMES, WeightTable
 
-MODEL_MAGIC = b"CWLM"
-MODEL_VERSION = 1
+MODEL_FORMAT = 2
 _KIND_CODES = {"logreg": 0, "svm": 1}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
@@ -72,6 +79,20 @@ class LinearModel:
     @property
     def num_features(self) -> int:
         return self.W.shape[1]
+
+
+@dataclass
+class SavedModel:
+    """Everything ``predict`` needs, as one model file holds it: the
+    classifier, the training weight table, the embedding row of each
+    training term, the scaler (None without standardization) and the
+    tokenizer's case setting."""
+
+    model: LinearModel
+    table: WeightTable
+    embedding: EmbeddingModel
+    scaler: ScalerParams | None = None
+    preserve_case: bool = False
 
 
 def _check_training_inputs(X: np.ndarray, y: np.ndarray, num_classes: int | None):
@@ -286,35 +307,114 @@ def predict_many(model: LinearModel, vectors: np.ndarray) -> tuple[np.ndarray, n
     return np.argmax(scores, axis=1), scores
 
 
-def save_model(model: LinearModel, path: str | Path) -> None:
-    """Versioned binary: magic, version, kind, N, F, then W and b as
-    row-major little-endian float64."""
-    n, f = model.W.shape
+def save_model(saved: SavedModel, path: str | Path) -> None:
+    """Write model format 2: an uncompressed npz of plain arrays, written
+    through a file handle so ``path`` is used as given.  Identical models
+    give identical bytes (zip entries carry a fixed timestamp)."""
+    model, table, scaler = saved.model, saved.table, saved.scaler
+    empty, cw = np.zeros(0), table.category_weights
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<IBII", MODEL_VERSION, _KIND_CODES[model.kind], n, f))
-        fh.write(np.ascontiguousarray(model.W, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.b, dtype="<f8").tobytes())
-
-
-def load_model(path: str | Path) -> LinearModel:
-    data = Path(path).read_bytes()
-    if data[:4] != MODEL_MAGIC:
-        raise ModelFormatError(f"{path}: bad magic bytes {data[:4]!r}")
-    header = struct.calcsize("<IBII")
-    if len(data) < 4 + header:
-        raise ModelFormatError(f"{path}: truncated header")
-    version, kind_code, n, f = struct.unpack_from("<IBII", data, 4)
-    if version != MODEL_VERSION:
-        raise ModelFormatError(f"{path}: unsupported version {version}")
-    if kind_code not in _KIND_NAMES:
-        raise ModelFormatError(f"{path}: unknown model kind {kind_code}")
-    need = 4 + header + 8 * (n * f + n)
-    if len(data) != need:
-        raise ModelFormatError(
-            f"{path}: expected {need} bytes for a {n}x{f} model, found {len(data)}"
+        np.savez(
+            fh,
+            format=np.int64(MODEL_FORMAT),
+            kind=np.int64(_KIND_CODES[model.kind]),
+            W=model.W,
+            b=model.b,
+            scaler_mean=empty if scaler is None else scaler.mean,
+            scaler_scale=empty if scaler is None else scaler.scale,
+            categories=np.array(table.categories, dtype=str),
+            preserve_case=np.bool_(saved.preserve_case),
+            scheme=np.str_(table.scheme),
+            alpha=np.float64(table.alpha),
+            words=np.array(table.words, dtype=str),
+            category_weights=np.zeros((0, table.num_categories)) if cw is None else cw,
+            idf=empty if table.idf is None else table.idf,
+            terms=np.array(saved.embedding.words, dtype=str),
+            vectors=saved.embedding.vectors,
         )
-    offset = 4 + header
-    W = np.frombuffer(data, dtype="<f8", count=n * f, offset=offset).reshape(n, f)
-    b = np.frombuffer(data, dtype="<f8", count=n, offset=offset + 8 * n * f)
-    return LinearModel(kind=_KIND_NAMES[kind_code], W=W.copy(), b=b.copy())
+
+
+# name -> (dtype kind, ndim) of every array of a format-2 file
+_ARRAYS = {
+    "format": ("i", 0), "kind": ("i", 0), "W": ("f", 2), "b": ("f", 1),
+    "scaler_mean": ("f", 1), "scaler_scale": ("f", 1), "categories": ("U", 1),
+    "preserve_case": ("b", 0), "scheme": ("U", 0), "alpha": ("f", 0),
+    "words": ("U", 1), "category_weights": ("f", 2), "idf": ("f", 1),
+    "terms": ("U", 1), "vectors": ("f", 2),
+}
+
+
+def _read_arrays(path: str | Path) -> dict[str, np.ndarray]:
+    """Every array of the file, type-checked; pickled data is refused."""
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
+        if magic == b"CWLM":
+            raise ModelFormatError(f"{path}: a format-1 model file, no longer read; retrain it")
+        # An npz archive starts with a zip entry and ends with the end record.
+        fh.seek(max(fh.seek(0, 2) - 22, 0))
+        if magic != b"PK\x03\x04" or fh.read(4) != b"PK\x05\x06":
+            raise ModelFormatError(
+                f"{path}: not a complete npz model file (other format, truncated or extended)"
+            )
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as npz:
+                names = set(npz.files)
+                if names != set(_ARRAYS):
+                    raise ModelFormatError(
+                        f"{path}: missing arrays {sorted(set(_ARRAYS) - names)}, "
+                        f"unexpected arrays {sorted(names - set(_ARRAYS))}"
+                    )
+                arrays = {name: npz[name] for name in _ARRAYS}
+        except (OSError, EOFError, ValueError, NotImplementedError, zipfile.BadZipFile) as exc:
+            raise ModelFormatError(f"{path}: unreadable model file: {exc}") from exc
+    for name, (kind, ndim) in _ARRAYS.items():
+        arr = arrays[name]
+        if arr.dtype.kind != kind or arr.ndim != ndim:
+            raise ModelFormatError(
+                f"{path}: array {name!r} is {arr.ndim}-D {arr.dtype}, expected {ndim}-D {kind!r}"
+            )
+        if kind == "f" and not np.isfinite(arr).all():
+            raise ModelFormatError(f"{path}: array {name!r} has non-finite values")
+    return arrays
+
+
+def load_model(path: str | Path) -> SavedModel:
+    """Read a format-2 model file.  A file of another format or version,
+    or whose arrays disagree in shape, raises ``ModelFormatError``."""
+    a = _read_arrays(path)
+    version, kind, scheme = int(a["format"]), int(a["kind"]), str(a["scheme"])
+    if version != MODEL_FORMAT:
+        raise ModelFormatError(f"{path}: unsupported model format {version}")
+    if kind not in _KIND_NAMES:
+        raise ModelFormatError(f"{path}: unknown model kind {kind}")
+    if scheme not in SCHEMES:
+        raise ModelFormatError(f"{path}: unknown scheme {scheme!r}")
+    categories, words, terms = (tuple(a[n].tolist()) for n in ("categories", "words", "terms"))
+    per_category = scheme in ("kld", "tftrr", "tfcr")
+    C, d = len(categories), a["vectors"].shape[1]
+    F = C * d if per_category else d
+    V = 0 if scheme == "none" else len(words)
+    expected = {
+        "W": (C, F), "b": (C,), "words": (V,), "vectors": (len(terms), d),
+        "category_weights": (V if per_category else 0, C),
+        "idf": (V if scheme == "tfidf" else 0,),
+        "scaler_scale": a["scaler_mean"].shape,
+    }
+    wrong = [f"{n} {a[n].shape} != {shape}" for n, shape in expected.items() if a[n].shape != shape]
+    if a["scaler_mean"].shape not in ((F,), (0,)):
+        wrong.append(f"scaler_mean {a['scaler_mean'].shape} != ({F},)")
+    if C < 2 or len(set(words)) < len(words) or len(set(terms)) < len(terms):
+        wrong.append("fewer than 2 categories or a repeated word")
+    if wrong:
+        raise ModelFormatError(f"{path}: inconsistent model file: {'; '.join(wrong)}")
+    table = WeightTable(
+        scheme, categories, {w: i for i, w in enumerate(words)}, words,
+        category_weights=a["category_weights"] if per_category else None,
+        idf=a["idf"] if scheme == "tfidf" else None,
+        alpha=float(a["alpha"]),
+    )
+    embedding = EmbeddingModel(d, {t: i for i, t in enumerate(terms)}, terms, a["vectors"], str(path))
+    scaler = ScalerParams(a["scaler_mean"], a["scaler_scale"]) if a["scaler_mean"].size else None
+    model = LinearModel(kind=_KIND_NAMES[kind], W=a["W"], b=a["b"])
+    return SavedModel(model, table, embedding, scaler, bool(a["preserve_case"]))

@@ -9,7 +9,12 @@ Every run resolves its configuration as command-line flags over an
 optional JSON config file (``--config``) over built-in defaults, and
 writes a ``<out>.manifest.json`` sidecar capturing the resolved
 configuration, so reruns are reproducible byte for byte (``--jobs 1``).
-Seeds are always explicit; there is no wall-clock default.
+Seeds are always explicit; there is no wall-clock default.  Features
+are standardized unless ``--no-standardize`` is given.
+
+``train`` writes one self-contained model file (``classify.save_model``):
+``predict`` reads only that file and its input text, never the
+embedding or the manifest.
 """
 
 from __future__ import annotations
@@ -19,10 +24,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .classify import TrainConfig, load_model, predict_many, save_model, train_logreg, train_svm
+from .classify import SavedModel, TrainConfig, load_model, predict_many, save_model
+from .classify import train_logreg, train_svm
 from .corpus import (
     Document,
     LabeledCorpus,
@@ -45,21 +49,8 @@ from .evaluation import (
     write_results_csv,
 )
 from .stats import build_stats
-from .vectorize import (
-    CorpusVectorizer,
-    ScalerParams,
-    standardize_apply,
-    standardize_fit,
-)
-from .weighting import (
-    DEFAULT_ALPHA,
-    SCHEMES,
-    WeightTable,
-    build_table,
-    export_weights,
-    table_from_payload,
-    table_payload,
-)
+from .vectorize import CorpusVectorizer, standardize_apply, standardize_fit
+from .weighting import DEFAULT_ALPHA, SCHEMES, WeightTable, build_table, export_weights
 
 _DATASET_FORMATS = ("auto", "csv", "tsv", "jsonl", "20ng")
 
@@ -71,7 +62,7 @@ _DEFAULTS = {
     "k": 10,
     "seed": None,
     "alpha": DEFAULT_ALPHA,
-    "standardize": False,
+    "standardize": True,
     "stratified": False,
     "preserve_case": False,
     "case_fallback": False,
@@ -126,7 +117,12 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--case-fallback", action="store_true", default=None)
         if learner:
             p.add_argument("--alpha", type=float, help="TF-TRR alpha constant, >= 1")
-            p.add_argument("--standardize", action="store_true", default=None)
+            p.add_argument(
+                "--standardize",
+                action=argparse.BooleanOptionalAction,
+                default=None,
+                help="standardize features with training statistics (default: on)",
+            )
             p.add_argument("--epochs", type=int)
             p.add_argument("--learning-rate", type=float)
             p.add_argument("--decay", type=float)
@@ -172,11 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pred = sub.add_parser("predict", help="classify raw text lines with a saved model")
     p_pred.add_argument("--config", help="JSON config file; flags take precedence")
     p_pred.add_argument("--model", help="model file written by train")
-    p_pred.add_argument("--embedding", help="override the embedding recorded at training time")
-    p_pred.add_argument(
-        "--embedding-format",
-        choices=("auto", "glove", "word2vec-text", "word2vec-binary"),
-    )
     p_pred.add_argument("--input", help="text file with one document per line, or - for stdin")
     p_pred.add_argument("--out", help="output TSV path")
     return parser
@@ -289,25 +280,19 @@ def _load_corpus(cfg: dict) -> LabeledCorpus:
     return corpus
 
 
-def _parse_synthetic_spec(spec: str) -> tuple[int, int]:
-    parts = spec.split(":")
-    if len(parts) != 3 or parts[0] != "synthetic":
-        raise ConfigError(
-            f"bad synthetic embedding spec {spec!r}; expected synthetic:<d>:<seed>"
-        )
-    try:
-        return int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ConfigError(
-            f"bad synthetic embedding spec {spec!r}; d and seed must be integers"
-        ) from None
-
-
 def _resolve_embedding(cfg: dict, vocab) -> EmbeddingModel:
-    spec = _require(cfg, "embedding", "--embedding")
-    if str(spec).startswith("synthetic:"):
-        d, emb_seed = _parse_synthetic_spec(str(spec))
-        return synthetic_model(vocab, d, emb_seed)
+    spec = str(_require(cfg, "embedding", "--embedding"))
+    if spec.startswith("synthetic:"):
+        parts = spec.split(":")
+        try:
+            if len(parts) == 3:
+                return synthetic_model(vocab, int(parts[1]), int(parts[2]))
+        except ValueError:
+            pass
+        raise ConfigError(
+            f"bad synthetic embedding spec {spec!r}; expected synthetic:<d>:<seed> "
+            f"with integers d >= 1 and seed"
+        )
     path = Path(spec)
     if not path.is_file():
         raise ConfigError(f"embedding file not found: {path}")
@@ -330,20 +315,12 @@ def _train_config(cfg: dict) -> TrainConfig:
     )
 
 
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
 def _write_manifest(out: Path, command: str, cfg: dict, extra: dict | None = None) -> Path:
     manifest = {
         "artifact": "catweight",
         "version": __version__,
         "command": command,
-        "config": {k: _jsonable(v) for k, v in sorted(cfg.items())},
+        "config": cfg,
     }
     if extra:
         manifest.update(extra)
@@ -570,7 +547,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_fn = train_logreg if classifier == "logreg" else train_svm
     model = train_fn(X, labels, _train_config(cfg), num_classes=len(corpus.categories))
     out = Path(cfg.get("out") or "model.bin")
-    save_model(model, out)
+    saved = SavedModel(model, table, vec.known_embedding(), scaler, bool(cfg["preserve_case"]))
+    save_model(saved, out)
     _write_manifest(
         out,
         "train",
@@ -582,19 +560,6 @@ def cmd_train(args: argparse.Namespace) -> int:
                 "num_features": model.num_features,
                 "final_objective": model.training_log[-1],
             },
-            "categories": list(corpus.categories),
-            "scheme": scheme,
-            "alpha": float(cfg["alpha"]),
-            "embedding": {
-                "origin": embedding.origin,
-                "dimension": embedding.dimension,
-            },
-            "tokenizer": {"preserve_case": bool(cfg["preserve_case"])},
-            "case_fallback": bool(cfg["case_fallback"]),
-            "scaler": None
-            if scaler is None
-            else {"mean": scaler.mean.tolist(), "scale": scaler.scale.tolist()},
-            "weights": table_payload(table),
         },
     )
     print(
@@ -618,56 +583,19 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model_path = Path(_require(cfg, "model", "--model"))
     if not model_path.is_file():
         raise ConfigError(f"model file not found: {model_path}")
-    manifest_path = Path(str(model_path) + ".manifest.json")
-    if not manifest_path.is_file():
-        raise ConfigError(f"model manifest not found: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    model = load_model(model_path)
-    categories = manifest["categories"]
-    if model.num_classes != len(categories):
-        raise ConfigError(
-            f"model has {model.num_classes} classes but manifest lists "
-            f"{len(categories)} categories"
-        )
-    tokenizer = TokenizerConfig(
-        preserve_case=bool(manifest["tokenizer"]["preserve_case"])
-    )
+    saved = load_model(model_path)
+    tokenizer = TokenizerConfig(preserve_case=saved.preserve_case)
     lines = _read_predict_lines(str(cfg.get("input") or "-"))
     docs = tuple(
         Document(tokens=tokenize(line, tokenizer), label=None, source_id=f"line-{i + 1}")
         for i, line in enumerate(lines)
     )
-    trained = manifest["embedding"]
-    spec = cfg.get("embedding") or trained["origin"]
-    if str(spec).startswith("synthetic:"):
-        d, emb_seed = _parse_synthetic_spec(str(spec))
-        vocab = sorted({t for doc in docs for t in doc.tokens})
-        embedding = synthetic_model(vocab, d, emb_seed)
-    else:
-        path = Path(spec)
-        if not path.is_file():
-            raise ConfigError(
-                f"embedding file not found: {path} (recorded at training time: "
-                f"{trained['origin']}; pass --embedding to override)"
-            )
-        embedding = load_embeddings(path, cfg.get("embedding_format") or "auto")
-    if embedding.dimension != trained["dimension"]:
-        raise ConfigError(
-            f"embedding dimension {embedding.dimension} does not match the "
-            f"trained model's {trained['dimension']}"
-        )
-    table = table_from_payload(manifest["weights"], categories=tuple(categories))
-    vec = CorpusVectorizer(docs, embedding, bool(manifest.get("case_fallback")))
-    X = vec.matrix(table)
-    if X.shape[1] != model.num_features:
-        raise ConfigError(
-            f"feature length {X.shape[1]} does not match the trained model's "
-            f"{model.num_features}"
-        )
-    if manifest.get("scaler"):
-        s = manifest["scaler"]
-        X = standardize_apply(ScalerParams(np.asarray(s["mean"]), np.asarray(s["scale"])), X)
-    pred, scores = predict_many(model, X)
+    # Only training terms have embedding rows in the model file.
+    X = CorpusVectorizer(docs, saved.embedding).matrix(saved.table)
+    if saved.scaler is not None:
+        X = standardize_apply(saved.scaler, X)
+    categories = saved.table.categories
+    pred, scores = predict_many(saved.model, X)
     out_lines = ["\t".join(["label", *categories])]
     for i in range(len(docs)):
         row = "\t".join(repr(float(s)) for s in scores[i])

@@ -96,6 +96,13 @@ class CorpusVectorizer:
         # Embedding rows for the known terms, in column order.
         self._E = model.vectors[emb_rows[known]]
 
+    def known_embedding(self) -> EmbeddingModel:
+        """The embedding row each known term resolved to, keyed by the term
+        (case fallback already applied): all a saved model needs."""
+        word_ids = {w: i for i, w in enumerate(self._words)}
+        m = self.model
+        return EmbeddingModel(m.dimension, word_ids, tuple(self._words), self._E, m.origin)
+
     def _table_rows(self, table: WeightTable) -> np.ndarray:
         """gid -> table word row, -1 for words unseen in training."""
         word_ids = table.word_ids

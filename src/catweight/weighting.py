@@ -219,43 +219,6 @@ def table_payload(table: WeightTable, top: int | None = None) -> dict:
     }
 
 
-def table_from_payload(payload: dict, categories: tuple[str, ...] = ()) -> WeightTable:
-    """Inverse of table_payload; omitted zero entries stay zero."""
-    scheme = payload["scheme"]
-    if scheme == "none":
-        return WeightTable(
-            scheme="none", categories=tuple(payload.get("categories") or categories)
-        )
-    if scheme == "tfidf":
-        words = tuple(w for w, _ in payload["entries"])
-        idf = np.array([v for _, v in payload["entries"]], dtype=np.float64)
-        return WeightTable(
-            scheme="tfidf",
-            categories=tuple(payload.get("categories") or categories),
-            word_ids={w: i for i, w in enumerate(words)},
-            words=words,
-            idf=idf,
-        )
-    cats = tuple(payload["categories"])
-    cat_index = {name: i for i, name in enumerate(cats)}
-    word_ids: dict[str, int] = {}
-    triples = payload["entries"]
-    for word, _, _ in triples:
-        if word not in word_ids:
-            word_ids[word] = len(word_ids)
-    weights = np.zeros((len(word_ids), len(cats)), dtype=np.float64)
-    for word, name, value in triples:
-        weights[word_ids[word], cat_index[name]] = value
-    return WeightTable(
-        scheme=scheme,
-        categories=cats,
-        word_ids=word_ids,
-        words=tuple(word_ids),
-        category_weights=weights,
-        alpha=float(payload.get("alpha", DEFAULT_ALPHA)),
-    )
-
-
 def export_weights(table: WeightTable, fh, fmt: str = "json", top: int | None = None):
     """Write a table as (word, category, weight) triples to a text stream.
 

@@ -1,15 +1,22 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from catweight import (
+    SCHEMES,
+    CorpusVectorizer,
     LinearModel,
     ModelFormatError,
+    SavedModel,
+    ScalerParams,
     TrainConfig,
     TrainingError,
+    build_stats,
+    build_table,
     decision_scores,
     load_model,
     logreg_gradient,
@@ -296,67 +303,186 @@ class TestPredict:
             predict(model, np.zeros(4))
 
 
-class TestModelSerialization:
-    def _model(self, rng, kind="logreg"):
-        return LinearModel(
-            kind=kind,
-            W=rng.normal(size=(3, 5)),
-            b=rng.normal(size=3),
-            l2=1e-4,
-            seed=9,
-        )
+def _saved_model(corpus, embedding, scheme, kind="logreg", scaler=True, seed=0):
+    table = build_table(build_stats(corpus), scheme)
+    vec = CorpusVectorizer(corpus.documents, embedding)
+    rng = np.random.default_rng(seed)
+    n_classes, n_features = len(corpus.categories), vec.matrix(table).shape[1]
+    params = None
+    if scaler:
+        params = ScalerParams(rng.normal(size=n_features), rng.random(n_features) + 0.5)
+    model = LinearModel(kind, rng.normal(size=(n_classes, n_features)), rng.normal(size=n_classes))
+    return SavedModel(model, table, vec.known_embedding(), params, preserve_case=not scaler)
 
-    def test_round_trip_bit_exact(self, tmp_path, rng):
-        for kind in ("logreg", "svm"):
-            model = self._model(rng, kind)
+
+def _rewrite(path, **changes):
+    """Re-save a model file's arrays with some replaced; None drops one."""
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    for name, value in changes.items():
+        if value is None:
+            del arrays[name]
+        else:
+            arrays[name] = value
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+_UNPICKLED = []
+
+
+def _trip():
+    _UNPICKLED.append(True)
+    return "b"
+
+
+class _Canary:
+    def __reduce__(self):
+        return (_trip, ())
+
+
+class TestModelSerialization:
+    @pytest.fixture
+    def model_file(self, toy_corpus, tiny_model, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(_saved_model(toy_corpus, tiny_model, "tfcr"), path)
+        return path
+
+    def test_round_trip_bit_exact(self, toy_corpus, tiny_model, tmp_path):
+        cases = [(s, k, k == "logreg") for s in SCHEMES for k in ("logreg", "svm")]
+        for scheme, kind, scaler in cases:
+            saved = _saved_model(toy_corpus, tiny_model, scheme, kind, scaler)
             path = tmp_path / f"{kind}.model"
-            save_model(model, path)
+            save_model(saved, path)
             loaded = load_model(path)
-            assert loaded.kind == kind
-            assert np.array_equal(loaded.W, model.W)
-            assert np.array_equal(loaded.b, model.b)
+            assert loaded.model.kind == kind
+            assert np.array_equal(loaded.model.W, saved.model.W)
+            assert np.array_equal(loaded.model.b, saved.model.b)
+            for name in ("scheme", "categories", "words", "word_ids", "alpha"):
+                assert getattr(loaded.table, name) == getattr(saved.table, name)
+            for name in ("category_weights", "idf"):
+                expected = getattr(saved.table, name)
+                got = getattr(loaded.table, name)
+                assert got is None if expected is None else np.array_equal(got, expected)
+            assert loaded.embedding.words == saved.embedding.words
+            assert loaded.embedding.word_ids == saved.embedding.word_ids
+            assert np.array_equal(loaded.embedding.vectors, saved.embedding.vectors)
+            if scaler:
+                assert np.array_equal(loaded.scaler.mean, saved.scaler.mean)
+                assert np.array_equal(loaded.scaler.scale, saved.scaler.scale)
+            else:
+                assert loaded.scaler is None
+            assert loaded.preserve_case == saved.preserve_case
+            save_model(loaded, tmp_path / "again.model")
+            assert (tmp_path / "again.model").read_bytes() == path.read_bytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.model"
         path.write_bytes(b"XXXX" + b"\x00" * 40)
-        with pytest.raises(ModelFormatError, match="magic"):
+        with pytest.raises(ModelFormatError, match="not a complete npz"):
             load_model(path)
 
-    def test_bad_version(self, tmp_path, rng):
-        path = tmp_path / "v9.model"
-        save_model(self._model(rng), path)
-        data = bytearray(path.read_bytes())
-        data[4] = 9
-        path.write_bytes(bytes(data))
-        with pytest.raises(ModelFormatError, match="version 9"):
+    def test_format_1_file_says_retrain(self, tmp_path):
+        path = tmp_path / "v1.model"
+        path.write_bytes(b"CWLM" + struct.pack("<IBII", 1, 0, 2, 1) + b"\x00" * 24)
+        with pytest.raises(ModelFormatError, match="retrain"):
             load_model(path)
 
-    def test_bad_kind(self, tmp_path, rng):
-        path = tmp_path / "kind.model"
-        save_model(self._model(rng), path)
-        data = bytearray(path.read_bytes())
-        data[8] = 7
-        path.write_bytes(bytes(data))
+    def test_bad_version(self, model_file):
+        _rewrite(model_file, format=np.int64(9))
+        with pytest.raises(ModelFormatError, match="format 9"):
+            load_model(model_file)
+
+    def test_bad_kind(self, model_file):
+        _rewrite(model_file, kind=np.int64(7))
         with pytest.raises(ModelFormatError, match="kind 7"):
-            load_model(path)
+            load_model(model_file)
 
-    def test_truncated_payload(self, tmp_path, rng):
-        path = tmp_path / "trunc.model"
-        save_model(self._model(rng), path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(ModelFormatError, match="expected"):
-            load_model(path)
+    def test_truncated_payload(self, model_file):
+        data = model_file.read_bytes()
+        for cut in (len(data) // 3, len(data) // 2, len(data) - 8, len(data) - 1):
+            model_file.write_bytes(data[:cut])
+            with pytest.raises(ModelFormatError):
+                load_model(model_file)
 
-    def test_truncated_header(self, tmp_path):
-        path = tmp_path / "header.model"
-        path.write_bytes(b"CWLM\x01")
-        with pytest.raises(ModelFormatError, match="truncated"):
-            load_model(path)
-
-    def test_trailing_garbage_rejected(self, tmp_path, rng):
-        path = tmp_path / "extra.model"
-        save_model(self._model(rng), path)
-        path.write_bytes(path.read_bytes() + b"junk")
+    def test_truncated_header(self, model_file):
+        model_file.write_bytes(model_file.read_bytes()[:5])
         with pytest.raises(ModelFormatError):
+            load_model(model_file)
+
+    def test_trailing_garbage_rejected(self, model_file):
+        model_file.write_bytes(model_file.read_bytes() + b"junk")
+        with pytest.raises(ModelFormatError):
+            load_model(model_file)
+
+    def test_corrupt_array_data_rejected(self, model_file):
+        data = bytearray(model_file.read_bytes())
+        data[data.find(b"W.npy") + 200] ^= 0xFF  # inside W's values
+        model_file.write_bytes(bytes(data))
+        with pytest.raises(ModelFormatError, match="CRC"):
+            load_model(model_file)
+
+    def test_missing_array(self, model_file):
+        _rewrite(model_file, idf=None)
+        with pytest.raises(ModelFormatError, match=r"missing arrays \['idf'\]"):
+            load_model(model_file)
+
+    def test_unexpected_array(self, model_file):
+        _rewrite(model_file, extra=np.zeros(1))
+        with pytest.raises(ModelFormatError, match=r"unexpected arrays \['extra'\]"):
+            load_model(model_file)
+
+    def test_object_array_refused_not_unpickled(self, model_file):
+        _rewrite(model_file, categories=np.array(["A", _Canary()], dtype=object))
+        with pytest.raises(ModelFormatError, match="allow_pickle"):
+            load_model(model_file)
+        assert _UNPICKLED == []
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("W", np.zeros((2, 16), dtype=np.int64)),
+            ("scheme", np.int64(4)),
+            ("preserve_case", np.int64(0)),
+            ("b", np.zeros((2, 1))),
+            ("vectors", np.full((1, 8), np.nan)),
+        ],
+    )
+    def test_wrong_type_rejected(self, model_file, name, value):
+        _rewrite(model_file, **{name: value})
+        with pytest.raises(ModelFormatError, match=repr(name)):
+            load_model(model_file)
+
+    @pytest.mark.parametrize(
+        "scheme, name, change",
+        [
+            ("tfcr", "W", lambda a: a[:, :-1]),
+            ("tfcr", "W", lambda a: a[:-1]),
+            ("tfcr", "b", lambda a: a[:-1]),
+            ("tfcr", "scaler_mean", lambda a: a[:-1]),
+            ("tfcr", "scaler_scale", lambda a: a[:-1]),
+            ("tfcr", ("scaler_mean", "scaler_scale"), lambda a: a[:-1]),
+            ("tfcr", "categories", lambda a: a[:-1]),
+            ("tfcr", "words", lambda a: a[:-1]),
+            ("tfcr", "words", lambda a: np.concatenate([a[:-1], a[:1]])),
+            ("tfcr", "category_weights", lambda a: a[:-1]),
+            ("tfcr", "category_weights", lambda a: a[:, :-1]),
+            ("tfcr", "idf", lambda a: np.ones(1)),
+            ("tfcr", "terms", lambda a: a[:-1]),
+            ("tfcr", "vectors", lambda a: a[:, :-1]),
+            ("tfidf", "idf", lambda a: a[:-1]),
+            ("tfidf", "W", lambda a: np.zeros((2, 16))),
+            ("none", "words", lambda a: np.array(["win"])),
+        ],
+    )
+    def test_inconsistent_shapes_rejected(
+        self, scheme, name, change, toy_corpus, tiny_model, tmp_path
+    ):
+        path = tmp_path / "model.bin"
+        save_model(_saved_model(toy_corpus, tiny_model, scheme), path)
+        names = (name,) if isinstance(name, str) else name
+        with np.load(path) as npz:
+            changes = {n: change(npz[n]) for n in names}
+        _rewrite(path, **changes)
+        with pytest.raises(ModelFormatError, match="inconsistent model file"):
             load_model(path)

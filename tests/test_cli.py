@@ -9,10 +9,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from catweight import separable_corpus
+from catweight import load_model, save_glove_text, separable_corpus, synthetic_model
 from catweight.cli import main
 
 TOY_ROWS = [
@@ -348,6 +349,34 @@ def trained(train_csv, tmp_path_factory):
     return out
 
 
+@pytest.fixture
+def glove_file(train_csv, tmp_path):
+    """A GloVe file over the training vocabulary plus one word, "zebra",
+    that no training document contains."""
+    with open(train_csv, encoding="utf-8", newline="") as fh:
+        vocab = sorted({t for row in csv.DictReader(fh) for t in row["text"].split()})
+    path = tmp_path / "glove.txt"
+    save_glove_text(synthetic_model(vocab + ["zebra"], 8, seed=3), path)
+    return path
+
+
+def _train(train_csv, embedding, out, scheme="tfcr"):
+    argv = [
+        "train", "--data", train_csv, "--scheme", scheme, "--classifier", "logreg",
+        "--embedding", str(embedding), "--seed", "4", "--epochs", "20", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    return out
+
+
+def _predict(model, lines, tmp_path):
+    inputs = tmp_path / "docs.txt"
+    inputs.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "pred.tsv"
+    assert main(["predict", "--model", str(model), "--input", str(inputs), "--out", str(out)]) == 0
+    return out.read_text().splitlines()
+
+
 class TestTrainPredict:
     def test_train_writes_model_and_manifest(self, trained):
         assert trained.is_file()
@@ -355,11 +384,42 @@ class TestTrainPredict:
             (trained.parent / "model.bin.manifest.json").read_text()
         )
         assert manifest["command"] == "train"
-        assert manifest["scheme"] == "tfcr"
-        assert manifest["categories"] == ["topic0", "topic1", "topic2"]
-        assert manifest["embedding"]["dimension"] == 8
-        assert manifest["scaler"] is not None
-        assert manifest["weights"]["scheme"] == "tfcr"
+        assert "weights" not in manifest
+        saved = load_model(trained)
+        assert saved.table.scheme == "tfcr"
+        assert saved.table.categories == ("topic0", "topic1", "topic2")
+        assert saved.embedding.dimension == 8
+        assert saved.scaler is not None
+
+    def test_identical_trains_identical_bytes(self, train_csv, glove_file, tmp_path):
+        first = _train(train_csv, glove_file, tmp_path / "a.bin")
+        second = _train(train_csv, glove_file, tmp_path / "b.bin")
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_predict_reads_neither_embedding_nor_manifest(
+        self, train_csv, glove_file, tmp_path
+    ):
+        model = _train(train_csv, glove_file, tmp_path / "model.bin")
+        lines = ["cat0kw00 common001", "cat1kw02 cat1kw03", "zebra"]
+        before = _predict(model, lines, tmp_path)
+        glove_file.unlink()
+        Path(str(model) + ".manifest.json").unlink()
+        assert _predict(model, lines, tmp_path) == before
+
+    def test_none_model_ignores_words_unseen_in_training(
+        self, train_csv, glove_file, tmp_path
+    ):
+        model = _train(train_csv, glove_file, tmp_path / "none.bin", scheme="none")
+        plain, with_zebra = _predict(
+            model, ["cat0kw00 common001", "cat0kw00 zebra common001 zebra"], tmp_path
+        )[1:]
+        assert plain == with_zebra
+
+    def test_embedding_option_removed(self, trained, tmp_path):
+        argv = ["predict", "--model", str(trained), "--embedding", "synthetic:8:2"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
     def test_predict_recovers_training_labels(self, trained, train_csv, tmp_path):
         with open(train_csv, encoding="utf-8", newline="") as fh:
@@ -400,21 +460,54 @@ class TestTrainPredict:
         labels = {"topic0", "topic1", "topic2"}
         assert all(line.split("\t")[0] in labels for line in lines[1:])
 
-    def test_wrong_dimension_embedding_exits_2(self, trained, tmp_path, capsys):
-        inputs = tmp_path / "docs.txt"
-        inputs.write_text("cat0kw00\n")
-        argv = [
-            "predict", "--model", str(trained), "--embedding", "synthetic:9:2",
-            "--input", str(inputs), "--out", str(tmp_path / "p.tsv"),
-        ]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "dimension 9" in err and "8" in err
-
     def test_missing_model_exits_2(self, tmp_path, capsys):
         argv = ["predict", "--model", str(tmp_path / "nope.bin")]
         assert main(argv) == 2
         assert "not found" in capsys.readouterr().err
+
+    def test_format_1_model_exits_1(self, tmp_path, capsys):
+        model = tmp_path / "old.bin"
+        model.write_bytes(b"CWLM" + bytes(29))
+        argv = ["predict", "--model", str(model), "--input", str(model)]
+        assert main(argv) == 1
+        assert "retrain" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def separable_400(tmp_path_factory):
+    corpus = separable_corpus(num_docs=400, seed=0)
+    rows = [(" ".join(d.tokens), corpus.categories[d.label]) for d in corpus.documents]
+    return _write_dataset(tmp_path_factory.mktemp("data") / "sep400.csv", rows)
+
+
+class TestStandardizeDefault:
+    def _mean_f1(self, data, tmp_path, *extra):
+        out = tmp_path / "r.csv"
+        argv = [
+            "cv", "--data", data, "--embedding", "synthetic:16:1", "--scheme", "tfcr",
+            "--classifier", "logreg", "--k", "10", "--seed", "1", "--out", str(out), *extra,
+        ]
+        assert main(argv) == 0
+        return float(out.read_text().splitlines()[-1].split(",")[6])
+
+    def test_default_run_scores_well_above_chance(self, separable_400, tmp_path):
+        # Four balanced categories: chance is 0.25.
+        assert self._mean_f1(separable_400, tmp_path) > 0.9
+
+    def test_no_standardize_reproduces_the_old_default(self, separable_400, tmp_path):
+        plain = self._mean_f1(separable_400, tmp_path, "--no-standardize")
+        assert round(plain, 4) == 0.0926
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"standardize": False}))
+        assert self._mean_f1(separable_400, tmp_path, "--config", str(config)) == plain
+
+
+@pytest.mark.parametrize("spec", ["synthetic:0:1", "synthetic:x:1", "synthetic:4"])
+def test_bad_synthetic_spec_exits_2(spec, toy_csv, tmp_path, capsys):
+    argv = ["vectorize", "--data", toy_csv, "--scheme", "none", "--embedding", spec,
+            "--seed", "1", "--out", str(tmp_path / "v.tsv")]
+    assert main(argv) == 2
+    assert "bad synthetic embedding spec" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["cv", "weights"])
