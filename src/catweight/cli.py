@@ -157,8 +157,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_weights.add_argument("--output-format", choices=("json", "tsv"))
 
     p_vec = sub.add_parser("vectorize", help="emit document vectors as TSV")
-    add_common(p_vec)
+    add_common(p_vec, learner=False)
     p_vec.add_argument("--scheme", help="single scheme")
+    p_vec.add_argument("--alpha", type=float, help="TF-TRR alpha constant, >= 1")
 
     p_train = sub.add_parser("train", help="train and persist a model")
     add_common(p_train)
@@ -510,7 +511,9 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
     corpus = _load_corpus(cfg)
     embedding = _resolve_embedding(cfg, _corpus_vocab(corpus))
     table = _full_corpus_table(corpus, cfg, scheme)
-    vec = CorpusVectorizer(corpus.documents, embedding, bool(cfg["case_fallback"]))
+    vec = CorpusVectorizer(
+        corpus.documents, embedding, bool(cfg["case_fallback"]), counts=corpus.token_counts()
+    )
     X = vec.matrix(table)
     out = Path(cfg.get("out") or "vectors.tsv")
     with open(out, "w", encoding="utf-8") as fh:
@@ -537,7 +540,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     corpus = _load_corpus(cfg)
     embedding = _resolve_embedding(cfg, _corpus_vocab(corpus))
     table = _full_corpus_table(corpus, cfg, scheme)
-    vec = CorpusVectorizer(corpus.documents, embedding, bool(cfg["case_fallback"]))
+    vec = CorpusVectorizer(
+        corpus.documents, embedding, bool(cfg["case_fallback"]), counts=corpus.token_counts()
+    )
     X = vec.matrix(table)
     labels = corpus.labels()
     scaler = None

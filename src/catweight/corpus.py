@@ -70,9 +70,11 @@ class TokenCounts:
 
     Terms are numbered in order of first occurrence in the corpus, and
     each row stores its entries in order of first occurrence in the
-    document.  That order is the summation order of every weighted mean
-    built from the matrix: never sort it (``sort_indices``,
-    ``sum_duplicates``).
+    document.  No result depends on these orders: counts sum exactly,
+    and ``CorpusVectorizer`` sums each document's terms in (embedding
+    row, term) order, which a document's own tokens fix.  The instance
+    is shared through ``LabeledCorpus.token_counts``: treat it as
+    read-only.
     """
 
     terms: tuple[str, ...]

@@ -11,7 +11,8 @@ A, score B" loop over (train, test) index pairs: the CV folds, or the
 ladder samples against the fixed holdout.  It runs fold-major.  Per
 pair it builds the corpus statistics once (when some scheme needs
 them), then for each scheme in turn its weight table, feature matrix
-and scaler, on which every classifier is trained and scored.  The
+and scaler, on which every classifier is trained and scored.  A
+scheme's matrix holds only the pair's training and test rows.  The
 ``none`` matrix does not depend on the pair and is built once per
 embedding; otherwise one scheme's matrix is alive at a time.  Training
 is seeded from ``TrainConfig.seed`` alone, so results do not depend on
@@ -198,18 +199,18 @@ def _fit_and_score(
     none_matrices: dict[int, np.ndarray] = {}  # fold-independent, built once
     lock = threading.Lock()
 
-    def features(table: WeightTable, v: int) -> np.ndarray:
+    def features(table: WeightTable, v: int, rows: np.ndarray) -> np.ndarray:
         if table is not none_table:
-            return vectorizers[v].matrix(table)
+            return vectorizers[v].matrix(table, rows)
         with lock:
             if v not in none_matrices:
                 none_matrices[v] = vectorizers[v].matrix(table)
-            return none_matrices[v]
+            return none_matrices[v][rows]
 
     def score_group(members, table, v, train_idx, test_idx, scores, errors):
         try:
-            X = features(table, v)
-            X_train, X_test = X[train_idx], X[test_idx]
+            X = features(table, v, np.concatenate([train_idx, test_idx]))
+            X_train, X_test = X[: len(train_idx)], X[len(train_idx) :]
             del X  # keep one scheme's matrix alive at a time
             if standardize:
                 params = standardize_fit(X_train)
@@ -358,7 +359,7 @@ def cross_validate(
     per-fold macro-F1 scores; ``mean_macro_f1`` is their mean.
     """
     vec = vectorizer or CorpusVectorizer(
-        corpus.documents, embedding, case_fallback=case_fallback
+        corpus.documents, embedding, case_fallback, counts=corpus.token_counts()
     )
     (outcome,) = _cv_grid(
         corpus,
@@ -399,7 +400,7 @@ def learning_curve(
     in (ladder size, scheme) order, raises.
     """
     vec = vectorizer or CorpusVectorizer(
-        corpus.documents, embedding, case_fallback=case_fallback
+        corpus.documents, embedding, case_fallback, counts=corpus.token_counts()
     )
     holdout = plan.holdout_indices()
     pairs = [
@@ -465,7 +466,9 @@ def grid_run(
             f"by origin, so each embedding needs a distinct one"
         )
     vectorizers = [
-        CorpusVectorizer(corpus.documents, embedding, case_fallback=case_fallback)
+        CorpusVectorizer(
+            corpus.documents, embedding, case_fallback, counts=corpus.token_counts()
+        )
         for embedding in embeddings
     ]
     results = _cv_grid(

@@ -1,36 +1,41 @@
 """Document vectorization over word embeddings.
 
-``CorpusVectorizer`` is the one document-vectorization path.  It counts
-the documents' tokens once into a documents-by-terms matrix
-(``corpus.count_tokens``), maps each term to its embedding row and keeps
-the columns of the terms the model knows; each weight table then turns
-into a documents-by-features matrix with one sparse-times-dense product
-per weight assignment.  Three representations:
+``CorpusVectorizer`` is the one document-vectorization path.  It takes
+the documents-by-terms count matrix (``corpus.count_tokens``), maps each
+term to its embedding row and keeps the columns of the terms the model
+knows.  Every representation is a weighted mean of embedding
+rows, ``X = (G @ (W * E)) / (G @ W)`` per weight column, where G holds
+the documents' term frequencies (``1 + ln tf`` for tftrr), W the table's
+weights of the known terms (0 for words unseen in training) and E their
+embedding rows:
 
-* ``none``: arithmetic mean of found-token embeddings (d dims);
-* ``tfidf``: tf*idf-weighted mean over distinct found tokens (d dims);
-* category schemes (kld / tfcr / tftrr): one weighted mean per
-  category, concatenated in category-index order (N*d dims), for
-  training and test documents alike.
+* ``none``: one column of ones, the mean of found-token embeddings (d dims);
+* ``tfidf``: the idf column, tf*idf weights over distinct tokens (d dims);
+* category schemes (kld / tfcr / tftrr): one column per category,
+  concatenated in category-index order (N*d dims), for training and
+  test documents alike.
 
-Conventions, applied uniformly: tokens absent from the embedding model
-are skipped; tokens unseen in the training stats carry weight 0; a zero
-weight sum yields the zero vector.  kld and tfcr weigh token
-occurrences (multiplicity); tfidf and tftrr weigh each distinct token
-once at its document term frequency.  For tftrr, a training-known word
-absent from a category contributes the floor factor ln(alpha), per the
-scheme's definition.
+Each weight column is first scaled by an exact power of two that brings
+its maximum into [0.5, 1): the means do not change, and tiny weights
+cannot underflow in the products.  Numerators come from the nonzero
+(term, category) weights only; a document sums its terms in (embedding
+row, term) order, which depends on nothing but its own tokens, so its
+row is the same bits in any corpus and in any row subset.  Tokens absent
+from the embedding model are skipped and a zero weight sum yields the
+zero vector.  For tftrr, a training-known word absent from a category
+contributes the floor factor ln(alpha), per the scheme's definition.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import count_tokens
+from .corpus import TokenCounts, count_tokens
 from .embeddings import EmbeddingModel
 from .weighting import WeightTable
 
@@ -67,34 +72,29 @@ class CorpusVectorizer:
 
     Each distinct term is looked up in the embedding model once (with
     ``case_fallback``, a term missing from a cased model falls back to
-    its lowercase form); each weight table then turns into a
-    documents-by-features matrix via sparse matmuls.  Every command and
-    every (fold, scheme) of the evaluation harness vectorizes through it.
+    its lowercase form).  ``counts`` is the documents' ``TokenCounts``
+    when the caller already has it.  Every command and every (fold,
+    scheme) of the evaluation harness vectorizes through ``matrix``.
     """
 
-    def __init__(self, documents, model: EmbeddingModel, case_fallback: bool = False):
+    def __init__(self, documents, model: EmbeddingModel, case_fallback: bool = False,
+                 *, counts: TokenCounts | None = None):
         self.model = model
-        self.num_docs = len(documents)
-        counts = count_tokens(documents)
+        counts = count_tokens(documents) if counts is None else counts
         ids = model.word_ids
-        emb_rows = np.array(
-            [ids.get(t, ids.get(t.lower(), -1) if case_fallback else -1) for t in counts.terms],
-            dtype=np.int64,
+        known = sorted(  # (embedding row, term, count column): the summation order
+            (row, term, j)
+            for j, term in enumerate(counts.terms)
+            if (row := ids.get(term, ids.get(term.lower(), -1) if case_fallback else -1)) >= 0
         )
-        known = emb_rows >= 0
-        # Keep the entries of known terms, renumbered in term order; each
-        # row keeps its first-occurrence order, the summation order below.
-        M = counts.matrix
-        keep = known[M.indices]
-        self._gids = (np.cumsum(known) - 1)[M.indices[keep]]
-        self._indptr = np.concatenate(([0], np.cumsum(keep)))[M.indptr]
-        self._doc_of = np.repeat(np.arange(self.num_docs), np.diff(self._indptr))
-        self._tf = M.data[keep].astype(np.float64)
-        known_tokens = np.bincount(self._doc_of, self._tf, self.num_docs)
-        self.known_token_counts = known_tokens.astype(np.int64)
-        self._words = [counts.terms[t] for t in np.flatnonzero(known)]
-        # Embedding rows for the known terms, in column order.
-        self._E = model.vectors[emb_rows[known]]
+        rows, self._words, columns = (tuple(x) for x in zip(*known)) if known else ((),) * 3
+        G = counts.matrix[:, list(columns)].sorted_indices()
+        self.known_token_counts = np.asarray(G.sum(axis=1), dtype=np.int64).ravel()
+        self._G = G.astype(np.float64)
+        # 1 + ln tf by value, so that an entry's bits never depend on the corpus
+        log_tf = np.array([1.0 + math.log(tf) for tf in range(1, G.data.max(initial=0) + 1)])
+        self._G_log = sp.csr_matrix((log_tf[G.data - 1], G.indices, G.indptr), shape=G.shape)
+        self._E = model.vectors[list(rows)]
 
     def known_embedding(self) -> EmbeddingModel:
         """The embedding row each known term resolved to, keyed by the term
@@ -103,50 +103,47 @@ class CorpusVectorizer:
         m = self.model
         return EmbeddingModel(m.dimension, word_ids, tuple(self._words), self._E, m.origin)
 
-    def _table_rows(self, table: WeightTable) -> np.ndarray:
-        """gid -> table word row, -1 for words unseen in training."""
-        word_ids = table.word_ids
-        return np.array([word_ids.get(w, -1) for w in self._words], dtype=np.int64)
+    def _numerator(self, Gt, terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Per document, the sum over ``terms`` of frequency * weight * embedding
+        row, in term order (``Gt`` is the terms-by-documents matrix)."""
+        sub = Gt[terms]
+        sub.data *= np.repeat(weights, np.diff(sub.indptr))
+        return sub.T @ self._E[terms]
 
-    def _weighted_block(self, data: np.ndarray) -> np.ndarray:
-        """Weighted means for one assignment of weights >= 0 to positions.
-
-        Weights are divided by their document's sum before the product,
-        so tiny weights do not underflow in it.  A document whose
-        weights are all 0 gets the zero vector.
-        """
-        denom = np.bincount(self._doc_of, weights=data, minlength=self.num_docs)
-        denom[denom == 0.0] = 1.0
-        mat = sp.csr_matrix(
-            (data / denom[self._doc_of], self._gids, self._indptr),
-            shape=(self.num_docs, len(self._words)),
-        )
-        return mat @ self._E
-
-    def matrix(self, table: WeightTable) -> np.ndarray:
-        """Feature matrix for all documents under one table."""
-        d = self.model.dimension
+    def matrix(self, table: WeightTable, rows=None) -> np.ndarray:
+        """Feature matrix of the documents ``rows`` (default: all, in order)
+        under one table; ``matrix(t, rows)`` equals ``matrix(t)[rows]``."""
+        d, K = self.model.dimension, len(self._words)
+        per_category = table.scheme not in ("none", "tfidf")
+        floor = np.zeros(table.num_categories if per_category else 1)
         if table.scheme == "none":
-            return self._weighted_block(self._tf)
-        pos_rows = self._table_rows(table)[self._gids]  # per token position
-        safe = np.maximum(pos_rows, 0)
-        unseen = pos_rows < 0
-        if table.scheme == "tfidf":
-            idf = table.idf[safe]
-            idf[unseen] = 0.0
-            return self._weighted_block(self._tf * idf)
-        n_cat = table.num_categories
-        X = np.zeros((self.num_docs, n_cat * d), dtype=np.float64)
+            W = np.ones((K, 1))
+        else:
+            at = np.fromiter(map(table.word_ids.get, self._words, repeat(-1)), np.int64, K)
+            hit = at >= 0  # words unseen in training weigh 0
+            W = np.zeros((K, floor.size))
+            W[hit] = (table.category_weights if per_category else table.idf[:, None])[at[hit]]
         if table.scheme == "tftrr":
-            log_tf = np.log(self._tf) + 1.0
-            floor = math.log(table.alpha)
-        for c in range(n_cat):
-            col = table.category_weights[safe, c]
-            col[unseen] = 0.0
-            if table.scheme == "tftrr":
-                col[(col == 0.0) & ~unseen] = floor
-                data = log_tf * col
-            else:
-                data = self._tf * col
-            X[:, c * d : (c + 1) * d] = self._weighted_block(data)
-        return X
+            floor[:] = math.log(table.alpha)
+        # Exact powers of two, never materialized as factors (2.0**-e overflows).
+        e = np.frexp(np.maximum(W.max(axis=0, initial=0.0), floor))[1]
+        W, floor = np.ldexp(W, -e), np.ldexp(floor, -e)
+        pairs = sp.csc_matrix(W)  # the nonzero (term, category) weights
+        G = self._G_log if table.scheme == "tftrr" else self._G
+        if rows is not None:
+            G = G[rows]
+        Gt = G.T.tocsr()
+        F = 0.0
+        if floor.any():  # tftrr: floor * [training word] + nonzero deviations from it
+            in_table = np.flatnonzero(hit)
+            F = self._numerator(Gt, in_table, np.ones(in_table.size))
+            W = np.where(hit[:, None] & (W == 0.0), floor, W)
+            pairs.data -= np.repeat(floor, np.diff(pairs.indptr))
+        den = G @ W
+        den[den == 0.0] = 1.0
+        X = np.empty((G.shape[0], W.shape[1], d))
+        for c in range(W.shape[1]):
+            lo, hi = pairs.indptr[c], pairs.indptr[c + 1]
+            X[:, c] = self._numerator(Gt, pairs.indices[lo:hi], pairs.data[lo:hi]) + floor[c] * F
+        X /= den[:, :, None]
+        return X.reshape(len(X), W.shape[1] * d)

@@ -335,6 +335,44 @@ class TestVectorize:
         rows = [line.split("\t") for line in out.read_text().splitlines()]
         assert all(len(row) == 2 + 3 for row in rows)
 
+    @pytest.mark.parametrize("flags", [
+        ["--no-standardize"], ["--standardize"], ["--epochs", "3"], ["--l2", "5"],
+        ["--learning-rate", "0.1"], ["--decay", "0.1"], ["--batch-size", "4"],
+        ["--tolerance", "0.1"],
+    ])
+    def test_learner_flags_rejected(self, flags, toy_csv, tmp_path):
+        out = tmp_path / "vectors.tsv"
+        argv = ["vectorize", "--data", toy_csv, "--scheme", "none",
+                "--embedding", "synthetic:3:1", "--seed", "1", "--out", str(out), *flags]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert not out.exists()
+
+    def test_learner_keys_in_shared_config_ignored(self, toy_csv, tmp_path):
+        # epochs and l2 are options of train: vectorize ignores them, as
+        # every command ignores another command's config keys.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"epochs": 3, "l2": 5, "alpha": 1.5}))
+        out = tmp_path / "vectors.tsv"
+        argv = ["vectorize", "--config", str(config), "--data", toy_csv,
+                "--scheme", "tftrr", "--embedding", "synthetic:3:1", "--seed", "1",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.with_name("vectors.tsv.manifest.json").read_text())[
+            "config"]["alpha"] == 1.5
+
+    def test_key_of_no_command_in_config_exits_2(self, toy_csv, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"epochs": 3, "epoch": 3}))
+        out = tmp_path / "vectors.tsv"
+        argv = ["vectorize", "--config", str(config), "--data", toy_csv,
+                "--scheme", "none", "--embedding", "synthetic:3:1", "--seed", "1",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert "unknown config keys: epoch\n" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def trained(train_csv, tmp_path_factory):

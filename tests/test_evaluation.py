@@ -239,7 +239,8 @@ class TestCrossValidate:
         report = cross_validate(corpus, plan, "none", model, "svm", FAST)
         assert isinstance(report, EvalReport)
 
-    def test_test_fold_isolation(self, eval_corpus, eval_model):
+    @pytest.mark.parametrize("scheme", ["none", "tfidf", "kld", "tftrr", "tfcr"])
+    def test_test_fold_isolation(self, scheme, eval_corpus, eval_model):
         # Rewriting a test-fold document must not change the fold's
         # weight table (checksum) or the trained model: both depend on
         # the training folds alone.
@@ -253,7 +254,7 @@ class TestCrossValidate:
 
         def table_checksum(corpus):
             stats = build_stats(corpus, doc_subset=train_idx)
-            payload = table_payload(build_table(stats, "tfcr"))
+            payload = table_payload(build_table(stats, scheme))
             return hashlib.sha256(
                 json.dumps(payload, sort_keys=True).encode()
             ).hexdigest()
@@ -262,7 +263,7 @@ class TestCrossValidate:
 
         def fold_model(corpus):
             stats = build_stats(corpus, doc_subset=train_idx)
-            table = build_table(stats, "tfcr")
+            table = build_table(stats, scheme)
             vec = CorpusVectorizer(corpus.documents, eval_model)
             X = vec.matrix(table)
             return train_logreg(

@@ -14,10 +14,12 @@ from catweight import (
     WeightTable,
     build_stats,
     build_table,
+    from_token_lists,
     standardize_apply,
     standardize_fit,
     synthetic_model,
 )
+from catweight.weighting import SCHEMES
 from oracles import oracle_weighted_mean
 
 
@@ -160,6 +162,26 @@ class TestWeightedCategory:
         tiny = _cat_table({"u": [2.0**-1020], "v": [3 * 2.0**-1020]})
         plain = _cat_table({"u": [1.0], "v": [3.0]})
         assert np.array_equal(_row(["u", "v"], model, tiny), _row(["u", "v"], model, plain))
+
+    @pytest.mark.parametrize("scheme", ["tfidf", "kld", "tftrr", "tfcr"])
+    def test_subnormal_weights_match_their_normal_multiple(self, scheme):
+        # [2**-1070, 3 * 2**-1070] is [1, 3] times a power of two, with
+        # every entry subnormal.  (none has no weights to scale; a tftrr
+        # factor is >= ln(alpha), so only alpha = 1 admits subnormal ones.)
+        model = synthetic_model(["u", "v", "w"], 4, seed=12)
+        doc = _doc(["u", "v", "v", "w"])
+
+        def row(u, v):  # u, v: the category-0 weights; w weighs 0 there
+            weights = np.array([[u, 2.0], [v, 5.0], [0.0, 3.0]])
+            if scheme == "tfidf":
+                table = WeightTable("tfidf", ("A",), {"u": 0, "v": 1, "w": 2},
+                                    ("u", "v", "w"), idf=weights[:, 0])
+            else:
+                table = WeightTable(scheme, ("A", "B"), {"u": 0, "v": 1, "w": 2},
+                                    ("u", "v", "w"), category_weights=weights, alpha=1.0)
+            return _row(doc, model, table)
+
+        assert np.array_equal(row(2.0**-1070, 3 * 2.0**-1070), row(1.0, 3.0))
 
     def test_matches_brute_force_oracle(self, toy_corpus, tiny_model):
         stats = build_stats(toy_corpus)
@@ -347,18 +369,44 @@ class TestCorpusVectorizer:
         docs.append(Document(tokens=("oov1",), label=None, source_id="alloov"))
         return docs
 
-    def test_matches_single_document_path(self, toy_corpus, tiny_model, rng):
-        """Each row of a corpus matrix equals its one-document matrix."""
-        stats = build_stats(toy_corpus)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_matches_single_document_path(self, scheme, toy_corpus, tiny_model, rng):
+        """Each row of a corpus matrix is bit for bit its one-document matrix:
+        a document's sums run in an order set by its own tokens alone."""
+        table = build_table(build_stats(toy_corpus), scheme)
         docs = self._random_docs(rng, tiny_model)
-        vectorizer = CorpusVectorizer(docs, tiny_model)
-        for scheme in ("none", "tfidf", "kld", "tftrr", "tfcr"):
-            table = build_table(stats, scheme)
-            X = vectorizer.matrix(table)
-            for i, doc in enumerate(docs):
-                np.testing.assert_allclose(
-                    X[i], _row(doc, tiny_model, table), rtol=1e-12, atol=1e-15
-                )
+        X = CorpusVectorizer(docs, tiny_model).matrix(table)
+        for i, doc in enumerate(docs):
+            assert np.array_equal(X[i], _row(doc, tiny_model, table))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_row_subset_matches_full_matrix(self, scheme, toy_corpus, tiny_model, rng):
+        table = build_table(build_stats(toy_corpus), scheme)
+        vectorizer = CorpusVectorizer(self._random_docs(rng, tiny_model), tiny_model)
+        X = vectorizer.matrix(table)
+        n = X.shape[0]
+        shuffled = rng.permutation(n)[: n // 2]
+        repeated = np.array([3, 0, 3, n - 1, 3, 0])
+        empty = np.array([], dtype=np.int64)
+        mask = np.arange(n) % 3 == 1
+        for rows in (shuffled, repeated, empty, list(repeated), mask):
+            assert np.array_equal(vectorizer.matrix(table, rows=rows), X[rows])
+        assert vectorizer.matrix(table, rows=empty).shape == (0, X.shape[1])
+
+    def test_given_counts_match_and_stay_untouched(self, toy_corpus, tiny_model, rng):
+        docs = self._random_docs(rng, tiny_model)
+        corpus = from_token_lists([d.tokens for d in docs], [None] * len(docs), [])
+        counts = corpus.token_counts()
+        before = (counts.terms, counts.matrix.indices.copy(), counts.matrix.data.copy())
+        given = CorpusVectorizer(docs, tiny_model, counts=counts)
+        own = CorpusVectorizer(docs, tiny_model)
+        for scheme in SCHEMES:
+            table = build_table(build_stats(toy_corpus), scheme)
+            assert np.array_equal(given.matrix(table), own.matrix(table))
+        assert np.array_equal(given.known_token_counts, own.known_token_counts)
+        assert counts.terms == before[0]
+        assert np.array_equal(counts.matrix.indices, before[1])
+        assert np.array_equal(counts.matrix.data, before[2])
 
     def test_known_token_counts(self, tiny_model, rng):
         docs = self._random_docs(rng, tiny_model)
