@@ -60,7 +60,8 @@ def main(argv: list[str] | None = None) -> int:
         f"loaded {len(corpus)} documents in {len(corpus.categories)} categories "
         f"({time.monotonic() - start:.0f}s)"
     )
-    embedding = load_embeddings(Path(args.embedding))
+    # Parse only the rows of words the corpus uses.
+    embedding = load_embeddings(Path(args.embedding), vocab=set(corpus.token_counts().terms))
     print(f"embedding: {embedding.origin}, {len(embedding)} words, d = {embedding.dimension}")
 
     plan = make_splits(corpus, k=args.k, seed=args.seed, stratified=True)

@@ -297,7 +297,17 @@ def _resolve_embedding(cfg: dict, vocab) -> EmbeddingModel:
     path = Path(spec)
     if not path.is_file():
         raise ConfigError(f"embedding file not found: {path}")
-    return load_embeddings(path, cfg.get("embedding_format") or "auto")
+    # Parse only the rows a corpus term can look up.
+    wanted = set(vocab)
+    if cfg.get("case_fallback"):
+        wanted.update(term.lower() for term in vocab)
+    model = load_embeddings(path, cfg.get("embedding_format") or "auto", wanted)
+    if not len(model):
+        print(
+            f"warning: {spec} has no row for any of the {len(vocab)} corpus terms",
+            file=sys.stderr,
+        )
+    return model
 
 
 def _corpus_vocab(corpus: LabeledCorpus) -> list[str]:
@@ -456,6 +466,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         standardize=bool(cfg["standardize"]),
         case_fallback=bool(cfg["case_fallback"]),
         min_count=int(cfg["min_count"]),
+        record_failures=True,
     )
     out = Path(cfg.get("out") or "curve.csv")
     with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -465,10 +476,24 @@ def cmd_curve(args: argparse.Namespace) -> int:
     print("  ".join(f"{h:>10}" if i == 0 else h for i, h in enumerate(header)))
     for point in points:
         row = [f"{point.training_size:>10}"] + [
-            f"{point.scores[s]:>8.4f}" for s in schemes
+            f"{point.scores[s]:>8.4f}" if s in point.scores else f"{'failed':>8}"
+            for s in schemes
         ]
         print("  ".join(row))
     print(f"curve written to {out}")
+    for point in points:
+        by_error: dict[str, list[str]] = {}
+        for scheme, exc in point.failures.items():
+            by_error.setdefault(str(exc), []).append(scheme)
+        for message, failed in by_error.items():
+            print(
+                f"warning: size {point.training_size} failed for {', '.join(failed)}: "
+                f"{message}",
+                file=sys.stderr,
+            )
+    if all(not point.scores for point in points):
+        print("error: every curve point failed", file=sys.stderr)
+        return 1
     return 0
 
 

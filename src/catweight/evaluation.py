@@ -71,6 +71,7 @@ class EvalReport:
 class CurvePoint:
     training_size: int
     scores: dict[str, float]  # scheme -> macro-F1 on the fixed holdout
+    failures: dict[str, Exception] = field(default_factory=dict)  # scheme -> error
 
 
 @dataclass
@@ -140,16 +141,14 @@ def _train(classifier: str, X, y, config: TrainConfig, num_classes: int):
     )
 
 
-def _check_classes(
-    labels: np.ndarray, idx: np.ndarray, num_classes: int, classifier: str, what: str
-):
+def _check_classes(labels: np.ndarray, idx: np.ndarray, categories, classifier: str, what: str):
     if classifier != "logreg":
         return
-    present = np.unique(labels[idx])
-    if present.size < num_classes:
-        missing = sorted(set(range(num_classes)) - set(present.tolist()))
+    present = set(np.unique(labels[idx]).tolist())
+    missing = [name for c, name in enumerate(categories) if c not in present]
+    if missing:
         raise TrainingError(
-            f"{what} lacks categories {missing}; use stratified folds"
+            f"{what} lacks categories {', '.join(missing)}; use stratified folds"
         )
 
 
@@ -165,17 +164,19 @@ def _fit_and_score(
     standardize: bool,
     min_count: int,
     jobs: int = 1,
-) -> dict[tuple[str, int, str], list[EvalReport] | tuple[int, Exception]]:
+    skip_failed: bool = False,
+) -> dict[tuple[str, int, str], list[EvalReport | Exception | None]]:
     """Fit on A, score B, for every (scheme, vectorizer index, classifier)
     cell and every ``(train_idx, test_idx, what)`` pair.
 
     Per pair, the stats are built once (when some scheme needs them),
     then per scheme the table, then per vectorizer one feature matrix
     and scaler on which every classifier is trained and scored.  A
-    cell's outcome is its list of per-pair reports, or ``(pair index,
-    exception)`` for the first pair it failed in; a failed cell is
-    skipped in later pairs, and a failing shared step fails exactly the
-    cells built on it.  ``jobs > 1`` runs the pairs on a thread pool.
+    cell's outcome is its list of per-pair results, each a report or
+    the exception that failed it; a failing shared step fails exactly
+    the cells built on it.  With ``skip_failed``, a cell is not run (its
+    result is None) in the pairs after one it failed in.  ``jobs > 1``
+    runs the pairs on a thread pool.
     """
     cfg = train_config or TrainConfig()
     schemes = list(dict.fromkeys(schemes))
@@ -188,15 +189,14 @@ def _fit_and_score(
         for scheme in schemes
         for classifier in classifiers
     ]
-    failures: dict[tuple[str, int, str], tuple[int, Exception]] = {}
-    for cell in cells:
-        if cell[0] not in SCHEMES:
-            failures[cell] = (
-                -1,
-                ValueError(f"unknown scheme {cell[0]!r}; valid: {', '.join(SCHEMES)}"),
-            )
+    invalid = {
+        cell: ValueError(f"unknown scheme {cell[0]!r}; valid: {', '.join(SCHEMES)}")
+        for cell in cells
+        if cell[0] not in SCHEMES
+    }
     none_table = WeightTable(scheme="none", categories=tuple(corpus.categories))
     none_matrices: dict[int, np.ndarray] = {}  # fold-independent, built once
+    failed_in: dict[tuple[str, int, str], int] = {}  # cell -> earliest failed pair
     lock = threading.Lock()
 
     def features(table: WeightTable, v: int, rows: np.ndarray) -> np.ndarray:
@@ -228,18 +228,20 @@ def _fit_and_score(
             except Exception as exc:
                 errors[cell] = exc
 
-    def run_pair(p: int) -> dict[tuple[str, int, str], EvalReport]:
+    def run_pair(p: int) -> dict[tuple[str, int, str], EvalReport | Exception]:
         train_idx, test_idx, what = pairs[p]
-        errors: dict[tuple[str, int, str], Exception] = {}
+        errors: dict[tuple[str, int, str], Exception] = dict(invalid)
         scores: dict[tuple[str, int, str], EvalReport] = {}
-        with lock:  # skip cells that failed in an earlier pair
-            todo = [cell for cell in cells if failures.get(cell, (p,))[0] >= p]
+        with lock:
+            skipped = {c for c, q in failed_in.items() if q < p} if skip_failed else set()
         for classifier in classifiers:
             try:
-                _check_classes(labels, train_idx, n_classes, classifier, what)
+                _check_classes(labels, train_idx, corpus.categories, classifier, what)
             except TrainingError as exc:
-                errors.update((cell, exc) for cell in todo if cell[2] == classifier)
-        todo = [cell for cell in todo if cell not in errors]
+                for cell in cells:
+                    if cell[2] == classifier:
+                        errors.setdefault(cell, exc)
+        todo = [cell for cell in cells if cell not in errors and cell not in skipped]
         stats = None
         if any(cell[0] != "none" for cell in todo):
             try:
@@ -263,23 +265,17 @@ def _fit_and_score(
                 members = [cell for cell in group if cell[1] == v]
                 if members:
                     score_group(members, table, v, train_idx, test_idx, scores, errors)
-        with lock:  # keep the earliest pair's error, whatever order pairs ran in
-            for cell, exc in errors.items():
-                if failures.get(cell, (p + 1,))[0] > p:
-                    failures[cell] = (p, exc)
-        return scores
+        with lock:  # pairs may finish in any order; keep the earliest
+            for cell in errors:
+                failed_in[cell] = min(p, failed_in.get(cell, p))
+        return {**scores, **errors}
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             per_pair = list(pool.map(run_pair, range(len(pairs))))
     else:
         per_pair = list(map(run_pair, range(len(pairs))))
-    return {
-        cell: failures[cell]
-        if cell in failures
-        else [scores[cell] for scores in per_pair]
-        for cell in cells
-    }
+    return {cell: [outcome.get(cell) for outcome in per_pair] for cell in cells}
 
 
 def _cv_grid(
@@ -294,7 +290,7 @@ def _cv_grid(
     jobs: int = 1,
     **options,
 ) -> dict[tuple[str, str, str], EvalReport | Exception]:
-    """Cross-validated report, or the first exception, per grid cell."""
+    """Cross-validated report, or the first fold's exception, per grid cell."""
     pairs = [
         (plan.train_indices(fold), plan.fold_indices(fold), f"fold {fold} training split")
         for fold in range(plan.num_folds)
@@ -303,13 +299,14 @@ def _cv_grid(
     n_classes = len(corpus.categories)
     outcomes = _fit_and_score(
         corpus, pairs, schemes, vectorizers, classifiers, train_config,
-        jobs=jobs, **options,
+        jobs=jobs, skip_failed=True, **options,
     )
     results: dict[tuple[str, str, str], EvalReport | Exception] = {}
     for (scheme, v, classifier), outcome in outcomes.items():
         origin = vectorizers[v].model.origin
-        if isinstance(outcome, tuple):
-            results[scheme, origin, classifier] = outcome[1]
+        failure = next((o for o in outcome if isinstance(o, Exception)), None)
+        if failure is not None:
+            results[scheme, origin, classifier] = failure
             continue
         confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
         for fold_report in outcome:
@@ -391,13 +388,16 @@ def learning_curve(
     case_fallback: bool = False,
     min_count: int = 1,
     vectorizer: CorpusVectorizer | None = None,
+    record_failures: bool = False,
 ) -> list[CurvePoint]:
     """Macro-F1 on a fixed holdout as a function of training-set size.
 
     Training samples are nested along the plan's ladder; the holdout is
     the plan's fold 0 and never enters stats, tables, or training.
     Weights are recomputed from each sample alone.  The first failure,
-    in (ladder size, scheme) order, raises.
+    in (ladder size, scheme) order, raises; with ``record_failures`` a
+    failed (size, scheme) goes to its point's ``failures`` instead and
+    the other points still run.
     """
     vec = vectorizer or CorpusVectorizer(
         corpus.documents, embedding, case_fallback, counts=corpus.token_counts()
@@ -418,20 +418,19 @@ def learning_curve(
         standardize=standardize,
         min_count=min_count,
     )
-    failed = [
-        (outcome[0], rank, outcome[1])
-        for rank, outcome in enumerate(outcomes.values())
-        if isinstance(outcome, tuple)
-    ]
-    if failed:
-        raise min(failed, key=lambda f: f[:2])[2]
-    return [
-        CurvePoint(
-            training_size=int(size),
-            scores={s: outcomes[s, 0, classifier][p].macro_f1 for s in schemes},
-        )
-        for p, size in enumerate(plan.size_ladder)
-    ]
+    points = []
+    for p, size in enumerate(plan.size_ladder):
+        point = CurvePoint(training_size=int(size), scores={})
+        for s in schemes:
+            outcome = outcomes[s, 0, classifier][p]
+            if not isinstance(outcome, Exception):
+                point.scores[s] = outcome.macro_f1
+            elif record_failures:
+                point.failures[s] = outcome
+            else:
+                raise outcome
+        points.append(point)
+    return points
 
 
 def grid_run(
@@ -530,10 +529,14 @@ def write_results_csv(results, fh, dataset: str = "corpus") -> None:
 
 
 def write_curve_csv(points: list[CurvePoint], schemes, fh) -> None:
-    """`train_size,<scheme columns...>`, one row per ladder size."""
+    """`train_size,<scheme columns...>`, one row per ladder size; a failed
+    (size, scheme) gets `failed` in its cell."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["train_size", *schemes])
     for point in points:
         writer.writerow(
-            [point.training_size, *(repr(point.scores[s]) for s in schemes)]
+            [
+                point.training_size,
+                *(repr(point.scores[s]) if s in point.scores else "failed" for s in schemes),
+            ]
         )

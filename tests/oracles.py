@@ -1,13 +1,16 @@
-"""Independent brute-force oracles for the weighting schemes.
+"""Independent brute-force oracles for the weighting schemes and the
+embedding file readers.
 
 Everything here recomputes weights from raw token lists with plain
-dictionaries and math.log — no numpy, no shared code with the package —
-so agreement is evidence, not tautology.
+dictionaries and math.log, and reads embedding files line by line with
+float() and struct — no numpy, no shared code with the package — so
+agreement is evidence, not tautology.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 
 
 def naive_counts(token_lists, labels, num_categories):
@@ -136,3 +139,142 @@ def random_corpus(rng, max_docs=100, max_vocab=50, min_categories=2, max_categor
             [vocab[int(rng.integers(0, vocab_size))] for _ in range(length)]
         )
     return token_lists, labels, num_categories
+
+
+class OracleFormatError(ValueError):
+    """The file is rejected; the message is a fragment the reader's error names."""
+
+
+def _text_lines(path):
+    """The file's lines as a text-mode reader sees them: UTF-8 with
+    replacement characters, and \\r\\n or a lone \\r read as \\n."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8", errors="replace")
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _floats(fields):
+    try:
+        return [float(x) for x in fields]
+    except ValueError:
+        return None
+
+
+def _finite(rows):
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise OracleFormatError("non-finite")
+
+
+def oracle_glove(path, vocab=None):
+    """GloVe text, one line at a time: ``(words, rows, d, skipped)``.
+
+    The first line with a space fixes d and must parse.  Of the other
+    lines, only those whose first field is in ``vocab`` (every line when
+    it is None) count: a one-field, wrong-length or non-float line is
+    skipped, and so is a word already kept.
+    """
+    kept = {}
+    d = None
+    skipped = 0
+    for line in _text_lines(path):
+        fields = line.split(" ")
+        wanted = vocab is None or fields[0] in vocab
+        if len(fields) < 2:
+            if wanted and line.strip():
+                skipped += 1
+            continue
+        if d is None:
+            if _floats(fields[1:]) is None:
+                raise OracleFormatError("line 1")
+            d = len(fields) - 1
+        if not wanted:
+            continue
+        values = _floats(fields[1:]) if len(fields) - 1 == d else None
+        if values is None or fields[0] in kept:
+            skipped += 1
+            continue
+        kept[fields[0]] = values
+    if d is None:
+        raise OracleFormatError("empty")
+    _finite(kept.values())
+    return list(kept), list(kept.values()), d, skipped
+
+
+def oracle_word2vec_text(path, vocab=None):
+    """word2vec text, one line at a time: ``(words, rows, d, skipped)``.
+
+    Every non-blank line after the ``<count> <d>`` header needs d values
+    and counts toward the header's count; the values of words in
+    ``vocab`` (all, when it is None) must be floats, and a word already
+    kept is skipped.
+    """
+    lines = _text_lines(path)
+    header = lines[0].split()
+    try:
+        count, d = int(header[0]), int(header[1])
+    except (IndexError, ValueError):
+        raise OracleFormatError("header") from None
+    if len(header) != 2 or count < 0 or d < 1:
+        raise OracleFormatError("header")
+    kept = {}
+    entries = 0
+    skipped = 0
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(" ")
+        if len(fields) != d + 1:
+            raise OracleFormatError(f"line {lineno} has {len(fields) - 1} values")
+        entries += 1
+        if vocab is not None and fields[0] not in vocab:
+            continue
+        values = _floats(fields[1:])
+        if values is None:
+            raise OracleFormatError(f"line {lineno} has non-float values")
+        if fields[0] in kept:
+            skipped += 1
+        else:
+            kept[fields[0]] = values
+    if entries != count:
+        raise OracleFormatError(f"declares {count} entries, found {entries}")
+    _finite(kept.values())
+    return list(kept), list(kept.values()), d, skipped
+
+
+def oracle_word2vec_binary(path, vocab=None):
+    """word2vec binary, one entry at a time: ``(words, rows, d)``.
+
+    Each entry is a word, one space and d little-endian float32 values;
+    newlines, carriage returns and spaces before a word are padding.
+    Every entry of ``vocab`` (all, when it is None) is kept, duplicates
+    included.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head, newline, body = data.partition(b"\n")
+    if not newline:
+        raise OracleFormatError("header")
+    try:
+        count, d = (int(x) for x in head.split())
+    except ValueError:
+        raise OracleFormatError("header") from None
+    if count < 0 or d < 1:
+        raise OracleFormatError("header")
+    words, rows = [], []
+    pos = 0
+    for _ in range(count):
+        pos += len(body[pos:]) - len(body[pos:].lstrip(b"\n\r "))
+        end = body.find(b" ", pos)
+        if end < 0:
+            raise OracleFormatError("EOF in word")
+        word = body[pos:end].decode("utf-8", errors="replace")
+        pos = end + 1
+        if len(body) - pos < 4 * d:
+            raise OracleFormatError("EOF in vector")
+        values = [float(v) for v in struct.unpack_from(f"<{d}f", body, pos)]
+        pos += 4 * d
+        if vocab is None or word in vocab:
+            words.append(word)
+            rows.append(values)
+    _finite(rows)
+    return words, rows, d

@@ -11,6 +11,7 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from catweight import load_model, save_glove_text, separable_corpus, synthetic_model
@@ -244,6 +245,54 @@ class TestCurve:
         assert main(argv1) == 0
         assert main(argv2) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.fixture(scope="class")
+    def rare_category_csv(self, tmp_path_factory):
+        # 1,200 documents, 12 of them in topic2.  With seed 0 and k = 3 the
+        # size-100 ladder sample holds none of them; sizes 240 and 800 do.
+        base = separable_corpus(
+            num_docs=1800, num_categories=3, keywords_per_category=4,
+            shared_vocab_size=20, doc_length=8, seed=5,
+        )
+        docs = [d for d in base.documents if d.label != 2][:1188]
+        docs += [d for d in base.documents if d.label == 2][:12]
+        order = np.random.default_rng(0).permutation(len(docs))
+        path = tmp_path_factory.mktemp("data") / "rare.csv"
+        rows = [(" ".join(docs[i].tokens), base.categories[docs[i].label]) for i in order]
+        return _write_dataset(path, rows)
+
+    def test_failed_point_is_written_and_warned_not_fatal(
+        self, rare_category_csv, tmp_path, capsys
+    ):
+        out = tmp_path / "curve.csv"
+        argv = self._argv(
+            rare_category_csv, str(out),
+            **{"--sizes": "100,240,800", "--k": "3", "--seed": "0",
+               "--scheme": "none,tfcr", "--epochs": "2"},
+        )
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "warning: size 100 failed for none, tfcr: size-100 training sample "
+            "lacks categories topic2; use stratified folds"
+        ]
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert rows[0] == ["train_size", "none", "tfcr"]
+        assert rows[1] == ["100", "failed", "failed"]
+        for row in rows[2:]:
+            assert 0.0 <= float(row[1]) <= 1.0 and 0.0 <= float(row[2]) <= 1.0
+        assert [row[0] for row in rows[2:]] == ["240", "800"]
+        assert "failed" in captured.out.splitlines()[1]
+
+    def test_every_point_failed_exits_1(self, rare_category_csv, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        argv = self._argv(
+            rare_category_csv, str(out),
+            **{"--sizes": "100", "--k": "3", "--seed": "0", "--epochs": "2"},
+        )
+        assert main(argv) == 1
+        assert "every curve point failed" in capsys.readouterr().err
+        assert out.read_text().splitlines()[1] == "100,failed"
 
     def test_two_classifiers_rejected(self, train_csv, tmp_path, capsys):
         argv = self._argv(
@@ -606,3 +655,26 @@ def test_version_flag_reports_name():
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
+
+
+@pytest.mark.parametrize("command", ["cv", "curve", "vectorize", "train"])
+def test_embedding_covering_no_corpus_term_warns(command, train_csv, tmp_path, capsys):
+    glove = tmp_path / "glove.txt"
+    save_glove_text(synthetic_model(["zebra", "yak"], 4, seed=1), glove)
+    argv = [command, "--data", train_csv, "--embedding", str(glove), "--seed", "2",
+            "--out", str(tmp_path / "out")]
+    argv += {
+        "cv": ["--k", "3", "--epochs", "2"],
+        "curve": ["--k", "4", "--sizes", "12", "--epochs", "2"],
+        "vectorize": ["--scheme", "tfcr"],
+        "train": ["--scheme", "tfcr", "--epochs", "2"],
+    }[command]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    n_terms = len({t for line in Path(train_csv).read_text().splitlines()[1:]
+                   for t in line.split(",")[0].split()})
+    assert (
+        f"warning: {glove} has no row for any of the {n_terms} corpus terms"
+        in captured.err.splitlines()
+    )
+    assert "warning" not in captured.out

@@ -1,9 +1,21 @@
 from __future__ import annotations
 
+import csv
+import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    OracleFormatError,
+    oracle_glove,
+    oracle_word2vec_binary,
+    oracle_word2vec_text,
+)
 
 from catweight import (
     CorpusVectorizer,
@@ -19,8 +31,10 @@ from catweight import (
     save_glove_text,
     save_word2vec_binary,
     save_word2vec_text,
+    separable_corpus,
     synthetic_model,
 )
+from catweight import cli
 
 
 class TestGloveText:
@@ -304,3 +318,212 @@ class TestDetectAndDispatch:
         path.write_text("the 1.0\n")
         with pytest.raises(EmbeddingFormatError, match="glove"):
             load_embeddings(path, fmt="fasttext")
+
+
+# Random embedding files: a small word pool (so duplicates are common,
+# often after a malformed first occurrence), mostly good values and now
+# and then one that float() or numpy reads differently, or not at all.
+_WORDS = ["the", "cat", "Cat", "naïve", "x_y", "a#b", "tab\tword"]
+_GOOD = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(min_value=-10, max_value=10).map(lambda x: f"{x:.5f}"),
+)
+_BAD = st.sampled_from(
+    ["zebra", "1_0", "#1", "", "nan", "inf", "-Infinity", "1e400", "-0.0", "1e-320",
+     "1E+3", "+.5", "0x10", "\x1c1", "1\x1f", "\t2", "٣", "\xa01"]
+)
+_VALUE = st.one_of(*[_GOOD] * 9, _BAD)
+_VOCABS = st.one_of(st.none(), st.frozensets(st.sampled_from(_WORDS + ["absent"])))
+
+
+@st.composite
+def _embedding_lines(draw, d: int, rows_only: bool = False):
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kinds = ["row"] * 8 + ([] if rows_only else ["short", "long", "trailing", "word"])
+        kind = draw(st.sampled_from(kinds + ["blank", "spaces"]))
+        word = draw(st.sampled_from(_WORDS))
+        n = {"short": d - 1, "long": d + 1}.get(kind, d)
+        values = draw(st.lists(_VALUE, min_size=n, max_size=n))
+        line = {
+            "blank": "",
+            "spaces": " " * draw(st.integers(1, 3)),
+            "word": word,
+            "trailing": " ".join([word, *values]) + " ",
+        }.get(kind, " ".join([word, *values]))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    return lines
+
+
+@st.composite
+def _glove_files(draw):
+    lines = draw(_embedding_lines(draw(st.integers(1, 3))))
+    text = "".join(lines)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+@st.composite
+def _word2vec_text_files(draw):
+    d = draw(st.integers(1, 3))
+    lines = draw(_embedding_lines(d, rows_only=draw(st.integers(0, 4)) > 0))
+    entries = sum(1 for line in lines if line.strip())
+    header = draw(
+        st.one_of(
+            *[st.integers(-1, 1).map(lambda k: f"{entries + k} {d}")] * 8,
+            st.sampled_from(["x 2", "3", f"{entries} 0", ""]),
+        )
+    )
+    return header + "\n" + "".join(lines)
+
+
+@st.composite
+def _word2vec_binary_files(draw):
+    d = draw(st.integers(1, 3))
+    value = st.one_of(
+        *[st.floats(width=32, allow_nan=False, allow_infinity=False)] * 9,
+        st.sampled_from([float("nan"), float("inf")]),
+    )
+    entries = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([w for w in _WORDS if "\t" not in w]),
+                st.lists(value, min_size=d, max_size=d),
+                st.sampled_from([b"\n", b"", b"\r\n"]),
+            ),
+            max_size=8,
+        )
+    )
+    blob = f"{len(entries) + draw(st.integers(0, 1))} {d}\n".encode()
+    for word, values, end in entries:
+        blob += word.encode() + b" " + struct.pack(f"<{d}f", *values) + end
+    if draw(st.integers(0, 5)) == 0:
+        blob = blob[: draw(st.integers(0, len(blob)))]
+    return blob
+
+
+def _matches_oracle(loader, oracle, content, vocab):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vectors"
+        path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+        try:
+            expected = oracle(path, vocab)
+        except OracleFormatError as exc:
+            with pytest.raises(EmbeddingFormatError, match=re.escape(str(exc))):
+                loader(path, vocab)
+            return
+        model = loader(path, vocab)
+    words, rows, d = expected[:3]
+    assert model.words == tuple(words)
+    assert model.word_ids == {w: i for i, w in enumerate(words)}
+    assert model.dimension == d
+    # Bit for bit, -0.0 and subnormals included.
+    assert model.vectors.dtype == np.float64
+    assert model.vectors.shape == (len(words), d)
+    assert model.vectors.tobytes() == np.array(rows, dtype=np.float64).reshape(-1, d).tobytes()
+    assert model.skipped_lines == (expected[3] if len(expected) > 3 else 0)
+
+
+class TestVocabFilteredLoadsMatchOracle:
+    """Every loader, with or without a vocabulary, against an independent
+    line-by-line reader: same words, same bits, same skip count, same
+    errors."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(text=_glove_files(), vocab=_VOCABS)
+    def test_glove(self, text, vocab):
+        _matches_oracle(load_glove_text, oracle_glove, text, vocab)
+
+    @settings(deadline=None, max_examples=200)
+    @given(text=_word2vec_text_files(), vocab=_VOCABS)
+    def test_word2vec_text(self, text, vocab):
+        _matches_oracle(load_word2vec_text, oracle_word2vec_text, text, vocab)
+
+    @settings(deadline=None, max_examples=200)
+    @given(blob=_word2vec_binary_files(), vocab=_VOCABS)
+    def test_word2vec_binary(self, blob, vocab):
+        _matches_oracle(load_word2vec_binary, oracle_word2vec_binary, blob, vocab)
+
+    def test_first_line_outside_vocab_still_fixes_and_checks_d(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("other 1.0 2.0\nthe 3.0 4.0\ncat 5.0\n")
+        model = load_glove_text(path, {"the", "cat"})
+        assert model.words == ("the",)
+        assert model.skipped_lines == 1  # "cat" has one value, not two
+        path.write_text("other one two\nthe 3.0 4.0\n")
+        with pytest.raises(EmbeddingFormatError, match="line 1"):
+            load_glove_text(path, {"the"})
+
+    def test_word2vec_text_checks_every_line_but_parses_vocab_rows(self, tmp_path):
+        path = tmp_path / "model.vec"
+        path.write_text("2 2\nthe 1.0 2.0\nzzz zebra 1.0\n")
+        assert load_word2vec_text(path, {"the"}).words == ("the",)
+        with pytest.raises(EmbeddingFormatError, match="line 3 has non-float"):
+            load_word2vec_text(path)
+        path.write_text("2 2\nthe 1.0 2.0\nzzz 1.0\n")
+        with pytest.raises(EmbeddingFormatError, match="line 3 has 1 values"):
+            load_word2vec_text(path, {"the"})
+
+    def test_earlier_non_float_row_is_the_first_error(self, tmp_path):
+        path = tmp_path / "model.vec"
+        path.write_text("3 2\nthe 1.0 2.0\ncat zebra 1.0\ndog 1.0\n")
+        with pytest.raises(EmbeddingFormatError, match="line 3 has non-float"):
+            load_word2vec_text(path)
+
+    def test_load_embeddings_passes_vocab(self, tmp_path, tiny_model):
+        path = tmp_path / "model.txt"
+        save_glove_text(tiny_model, path)
+        model = load_embeddings(path, vocab={"win", "loan", "absent"})
+        assert model.words == ("win", "loan")
+
+
+def _run_cli(command, data, embedding, out, *extra):
+    argv = [command, "--data", str(data), "--embedding", str(embedding), "--seed", "3",
+            "--out", str(out), *extra]
+    if command != "vectorize":
+        argv += ["--epochs", "5"]
+    if command == "cv":
+        argv += ["--k", "3", "--scheme", "all", "--classifier", "all"]
+    elif command == "curve":
+        argv += ["--k", "3", "--scheme", "all", "--sizes", "20,40"]
+    else:
+        argv += ["--scheme", "tfcr"]
+    return cli.main(argv)
+
+
+@pytest.fixture
+def file_backed(tmp_path):
+    """A small corpus with some capitalised tokens, and a GloVe file whose
+    rows cover part of it, lowercase forms of the capitalised tokens,
+    unused words, a duplicate and a malformed row."""
+    corpus = separable_corpus(
+        num_docs=60, num_categories=3, keywords_per_category=4,
+        shared_vocab_size=20, doc_length=10, seed=4,
+    )
+    data = tmp_path / "corpus.csv"
+    with open(data, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["text", "label"])
+        for i, doc in enumerate(corpus.documents):
+            tokens = [t.capitalize() if i % 3 == 0 else t for t in doc.tokens]
+            writer.writerow([" ".join(tokens), corpus.categories[doc.label]])
+    vocab = sorted({t for doc in corpus.documents for t in doc.tokens})
+    words = [w for i, w in enumerate(vocab) if i % 4] + [f"unused{i}" for i in range(30)]
+    glove = tmp_path / "glove.txt"
+    save_glove_text(synthetic_model(words, 6, seed=9), glove)
+    with open(glove, "a", encoding="utf-8") as fh:
+        fh.write(f"{words[0]} 9 9 9 9 9 9\n{vocab[1]} 1 2\n")
+    return data, glove
+
+
+@pytest.mark.parametrize("case", [(), ("--preserve-case", "--case-fallback")])
+@pytest.mark.parametrize("command", ["cv", "curve", "train"])
+def test_cli_outputs_do_not_depend_on_the_vocab_filter(
+    command, case, file_backed, tmp_path, monkeypatch
+):
+    data, glove = file_backed
+    filtered, full = tmp_path / "filtered.out", tmp_path / "full.out"
+    assert _run_cli(command, data, glove, filtered, *case) == 0
+    load = cli.load_embeddings
+    monkeypatch.setattr(cli, "load_embeddings", lambda path, fmt, vocab: load(path, fmt))
+    assert _run_cli(command, data, glove, full, *case) == 0
+    assert filtered.read_bytes() == full.read_bytes()

@@ -40,3 +40,24 @@ def test_run_20ng_help_exits_0(capsys):
         _load("run_20ng").main(["--help"])
     assert excinfo.value.code == 0
     assert "--embedding" in capsys.readouterr().out
+
+
+def test_run_20ng_loads_only_rows_the_corpus_uses(tmp_path, capsys):
+    from catweight import save_glove_text, synthetic_model
+
+    data = tmp_path / "20ng"
+    used = set()
+    for c, category in enumerate(("alt.atheism", "sci.space")):
+        (data / category).mkdir(parents=True)
+        for i in range(6):
+            words = [f"topic{c}", f"word{i}", "shared"]
+            used.update(words)
+            (data / category / str(i)).write_text(" ".join(words) + "\n")
+    glove = tmp_path / "glove.txt"
+    covered = sorted(used)[:5]
+    save_glove_text(synthetic_model(covered + ["unused1", "unused2"], 4, seed=1), glove)
+    argv = ["--data", str(data), "--embedding", str(glove), "--out-dir", str(tmp_path / "out"),
+            "--k", "2", "--epochs", "2", "--skip-curve"]
+    assert _load("run_20ng").main(argv) == 0
+    assert f"{len(covered)} words, d = 4" in capsys.readouterr().out
+    assert _header(tmp_path / "out" / "results.csv")[0] == "dataset"
