@@ -57,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     start = time.monotonic()
     results = grid_run(
-        corpus, SCHEMES, [embedding], ["logreg"], plan, config, standardize=True,
+        corpus, SCHEMES, embedding, ["logreg"], plan, config, standardize=True,
         dataset="synthetic",
     )
     for scheme in SCHEMES:

@@ -67,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
     plan = make_splits(corpus, k=args.k, seed=args.seed, stratified=True)
     config = TrainConfig(epochs=args.epochs, seed=args.seed)
     results = grid_run(
-        corpus, list(SCHEMES), [embedding], ["logreg"], plan, config,
+        corpus, list(SCHEMES), embedding, ["logreg"], plan, config,
         standardize=True, dataset="20ng", jobs=args.jobs,
     )
     results_path = out_dir / "results.csv"

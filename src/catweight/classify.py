@@ -51,6 +51,9 @@ class TrainConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self):
+        for name in ("learning_rate", "decay", "l2", "tolerance"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0 or self.decay < 0:
@@ -68,8 +71,6 @@ class LinearModel:
     kind: str  # "logreg" or "svm"
     W: np.ndarray  # num_classes x num_features
     b: np.ndarray  # num_classes
-    l2: float = 0.0
-    seed: int = 0
     training_log: tuple[float, ...] = ()
 
     @property
@@ -198,14 +199,7 @@ def train_logreg(
             abs(previous), 1e-12
         ):
             break
-    return LinearModel(
-        kind="logreg",
-        W=W,
-        b=b,
-        l2=cfg.l2,
-        seed=cfg.seed,
-        training_log=tuple(log),
-    )
+    return LinearModel(kind="logreg", W=W, b=b, training_log=tuple(log))
 
 
 def svm_objective(
@@ -278,9 +272,7 @@ def train_svm(
             abs(previous), 1e-12
         ):
             break
-    return LinearModel(
-        kind="svm", W=W, b=b, l2=cfg.l2, seed=cfg.seed, training_log=tuple(log)
-    )
+    return LinearModel(kind="svm", W=W, b=b, training_log=tuple(log))
 
 
 def decision_scores(model: LinearModel, vectors: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -54,6 +55,9 @@ from .weighting import DEFAULT_ALPHA, SCHEMES, WeightTable, build_table, export_
 
 _DATASET_FORMATS = ("auto", "csv", "tsv", "jsonl", "20ng")
 
+# The learner options and their defaults are TrainConfig's, bar the seed.
+_LEARNER_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.name != "seed"}
+
 _DEFAULTS = {
     "format": "auto",
     "embedding_format": "auto",
@@ -69,12 +73,7 @@ _DEFAULTS = {
     "sample": None,
     "min_count": 1,
     "jobs": 1,
-    "epochs": 100,
-    "learning_rate": 0.1,
-    "decay": 1e-3,
-    "l2": 1e-4,
-    "batch_size": 64,
-    "tolerance": 1e-6,
+    **_LEARNER_DEFAULTS,
     "text_field": "text",
     "label_field": "label",
     "top_k": None,
@@ -314,16 +313,23 @@ def _corpus_vocab(corpus: LabeledCorpus) -> list[str]:
     return sorted(corpus.token_counts().terms)
 
 
+def _number(cfg: dict, key: str, kind: type = int):
+    """``cfg[key]`` as ``kind``; a value that is not one is a config error."""
+    try:
+        return kind(cfg[key])
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(
+            f"--{key.replace('_', '-')} must be {what}, got {cfg[key]!r}"
+        ) from None
+
+
 def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=int(cfg["epochs"]),
-        learning_rate=float(cfg["learning_rate"]),
-        decay=float(cfg["decay"]),
-        l2=float(cfg["l2"]),
-        batch_size=int(cfg["batch_size"]),
-        seed=int(cfg["seed"]),
-        tolerance=float(cfg["tolerance"]),
-    )
+    values = {key: _number(cfg, key, type(v)) for key, v in _LEARNER_DEFAULTS.items()}
+    try:
+        return TrainConfig(seed=int(cfg["seed"]), **values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _write_manifest(out: Path, command: str, cfg: dict, extra: dict | None = None) -> Path:
@@ -375,6 +381,10 @@ def cmd_cv(args: argparse.Namespace) -> int:
     seed = int(_require(cfg, "seed", "--seed"))
     schemes = _expand(cfg["scheme"], SCHEMES, "scheme")
     classifiers = _expand(cfg["classifier"], CLASSIFIERS, "classifier")
+    train_config = _train_config(cfg)
+    jobs = _number(cfg, "jobs")
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     corpus = _load_corpus(cfg)
     embedding = _resolve_embedding(cfg, _corpus_vocab(corpus))
     plan = make_splits(
@@ -384,15 +394,15 @@ def cmd_cv(args: argparse.Namespace) -> int:
     results = grid_run(
         corpus,
         schemes,
-        [embedding],
+        embedding,
         classifiers,
         plan,
-        _train_config(cfg),
+        train_config,
         alpha=float(cfg["alpha"]),
         standardize=bool(cfg["standardize"]),
         case_fallback=bool(cfg["case_fallback"]),
         dataset=dataset,
-        jobs=int(cfg["jobs"]),
+        jobs=jobs,
         min_count=int(cfg["min_count"]),
     )
     out = Path(cfg.get("out") or "results.csv")
@@ -444,6 +454,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     classifiers = _expand(cfg["classifier"], CLASSIFIERS, "classifier")
     if len(classifiers) != 1:
         raise ConfigError("curve takes exactly one classifier")
+    train_config = _train_config(cfg)
     corpus = _load_corpus(cfg)
     k = int(cfg["k"])
     # make_splits holds out fold 0, which gets ceil(n / k) documents.
@@ -461,7 +472,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         schemes,
         embedding,
         classifiers[0],
-        _train_config(cfg),
+        train_config,
         alpha=float(cfg["alpha"]),
         standardize=bool(cfg["standardize"]),
         case_fallback=bool(cfg["case_fallback"]),
@@ -562,6 +573,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"unknown classifier {classifier!r}; valid: {', '.join(CLASSIFIERS)}"
         )
+    train_config = _train_config(cfg)
     corpus = _load_corpus(cfg)
     embedding = _resolve_embedding(cfg, _corpus_vocab(corpus))
     table = _full_corpus_table(corpus, cfg, scheme)
@@ -575,7 +587,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         scaler = standardize_fit(X)
         X = standardize_apply(scaler, X)
     train_fn = train_logreg if classifier == "logreg" else train_svm
-    model = train_fn(X, labels, _train_config(cfg), num_classes=len(corpus.categories))
+    model = train_fn(X, labels, train_config, num_classes=len(corpus.categories))
     out = Path(cfg.get("out") or "model.bin")
     saved = SavedModel(model, table, vec.known_embedding(), scaler, bool(cfg["preserve_case"]))
     save_model(saved, out)

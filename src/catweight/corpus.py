@@ -320,7 +320,6 @@ class SplitPlan:
     size_ladder: tuple[int, ...]
     ladder_order: np.ndarray
     seed: int
-    stratified: bool = False
 
     def fold_indices(self, fold: int) -> np.ndarray:
         """Document indices held out by ``fold``."""
@@ -400,5 +399,4 @@ def make_splits(
         size_ladder=ladder,
         ladder_order=ladder_order,
         seed=seed,
-        stratified=stratified,
     )

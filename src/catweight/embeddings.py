@@ -8,14 +8,15 @@ Three on-disk formats are supported:
   word's bytes terminated by a single space followed by d little-endian
   float32 values, optionally followed by a newline.
 
-Vectors are widened to float64 on load.  A corpus uses a small share
-of a pre-trained file's rows, so every loader takes an optional
-``vocab``: a text loader then streams the file, keeps the lines whose
-word is in it and whose field count is right, and parses them in one
-bulk numpy call (row by row, with the same skip and error rules, if
-that call fails); the binary loader widens only those vectors.  Kept
-rows stay in file order, so a document's features do not depend on
-whether the load was filtered.  A deterministic synthetic
+Vectors are widened to float64 on load.  In every format a repeated
+word keeps its first vector; the later entries count as skipped.  A
+corpus uses a small share of a pre-trained file's rows, so every loader
+takes an optional ``vocab``: a text loader then streams the file, keeps
+the lines whose word is in it and whose field count is right, and
+parses them in one bulk numpy call (row by row, with the same skip and
+error rules, if that call fails); the binary loader widens only those
+vectors.  Kept rows stay in file order, so a document's features do
+not depend on whether the load was filtered.  A deterministic synthetic
 generator stands in for in-domain models during tests: each vector is
 keyed on (word, seed, d) so it does not depend on vocabulary order.
 """
@@ -239,8 +240,10 @@ def load_word2vec_text(path: str | Path, vocab=None) -> EmbeddingModel:
 def load_word2vec_binary(path: str | Path, vocab=None) -> EmbeddingModel:
     """Load a word2vec binary file; float32 payloads widen to float64.
 
-    With ``vocab`` (a set of words), only the vectors of words in it are
-    kept; every entry is still read, so truncation is an error anywhere.
+    Duplicate words keep their first vector; the others are counted as
+    skipped.  With ``vocab`` (a set of words), only the vectors of words
+    in it are kept, and only their duplicates are counted; every entry
+    is still read, so truncation is an error anywhere.
     """
     path = Path(path)
     data = Path(path).read_bytes()
@@ -248,8 +251,8 @@ def load_word2vec_binary(path: str | Path, vocab=None) -> EmbeddingModel:
     if newline < 0:
         raise EmbeddingFormatError(f"{path}: missing header line")
     count, d = _read_count_header(path, data[:newline].split())
-    words: list[str] = []
-    offsets: list[int] = []
+    offsets: dict[str, int] = {}  # word -> its first vector's offset
+    skipped = 0
     pos = newline + 1
     vec_bytes = 4 * d
     for _ in range(count):
@@ -267,13 +270,17 @@ def load_word2vec_binary(path: str | Path, vocab=None) -> EmbeddingModel:
                 f"{path}: EOF in vector at byte offset {pos}"
             )
         if vocab is None or word in vocab:
-            words.append(word)
-            offsets.append(pos)
+            if word in offsets:
+                skipped += 1
+            else:
+                offsets[word] = pos
         pos += vec_bytes
-    vectors = np.zeros((len(words), d))
-    for i, offset in enumerate(offsets):
+    vectors = np.zeros((len(offsets), d))
+    for i, offset in enumerate(offsets.values()):
         vectors[i] = np.frombuffer(data, dtype="<f4", count=d, offset=offset)
-    return _make_model(words, vectors, d, str(path))
+    if skipped:
+        log.warning("%s: %d duplicate words dropped", path, skipped)
+    return _make_model(list(offsets), vectors, d, str(path), skipped)
 
 
 def save_word2vec_text(model: EmbeddingModel, path: str | Path) -> None:

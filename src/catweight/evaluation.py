@@ -8,15 +8,17 @@ arithmetic mean of per-fold macro-F1 scores.
 
 Cross-validation, grids and learning curves share one engine, a "fit on
 A, score B" loop over (train, test) index pairs: the CV folds, or the
-ladder samples against the fixed holdout.  It runs fold-major.  Per
+ladder samples against the fixed holdout.  One call evaluates one
+embedding, whose document vectorizer the engine builds once; results
+are keyed by ``(scheme, embedding.origin, classifier)``, so grids over
+several embeddings merge by key.  The engine runs fold-major.  Per
 pair it builds the corpus statistics once (when some scheme needs
 them), then for each scheme in turn its weight table, feature matrix
 and scaler, on which every classifier is trained and scored.  A
 scheme's matrix holds only the pair's training and test rows.  The
-``none`` matrix does not depend on the pair and is built once per
-embedding; otherwise one scheme's matrix is alive at a time.  Training
-is seeded from ``TrainConfig.seed`` alone, so results do not depend on
-this order.
+``none`` matrix does not depend on the pair and is built once per run;
+otherwise one scheme's matrix is alive at a time.  Training is seeded
+from ``TrainConfig.seed`` alone, so results do not depend on this order.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .embeddings import EmbeddingModel
 from .errors import TrainingError
 from .stats import build_stats
 from .vectorize import CorpusVectorizer, standardize_apply, standardize_fit
-from .weighting import SCHEMES, WeightTable, build_table
+from .weighting import DEFAULT_ALPHA, SCHEMES, WeightTable, build_table
 
 CLASSIFIERS = ("logreg", "svm")
 
@@ -156,60 +158,59 @@ def _fit_and_score(
     corpus: LabeledCorpus,
     pairs,
     schemes,
-    vectorizers,
+    embedding: EmbeddingModel,
     classifiers,
     train_config: TrainConfig | None,
     *,
     alpha: float,
     standardize: bool,
+    case_fallback: bool,
     min_count: int,
     jobs: int = 1,
     skip_failed: bool = False,
-) -> dict[tuple[str, int, str], list[EvalReport | Exception | None]]:
-    """Fit on A, score B, for every (scheme, vectorizer index, classifier)
-    cell and every ``(train_idx, test_idx, what)`` pair.
+) -> dict[tuple[str, str], list[EvalReport | Exception | None]]:
+    """Fit on A, score B, for every (scheme, classifier) cell and every
+    ``(train_idx, test_idx, what)`` pair.
 
     Per pair, the stats are built once (when some scheme needs them),
-    then per scheme the table, then per vectorizer one feature matrix
-    and scaler on which every classifier is trained and scored.  A
-    cell's outcome is its list of per-pair results, each a report or
-    the exception that failed it; a failing shared step fails exactly
-    the cells built on it.  With ``skip_failed``, a cell is not run (its
-    result is None) in the pairs after one it failed in.  ``jobs > 1``
-    runs the pairs on a thread pool.
+    then per scheme the table, feature matrix and scaler on which every
+    classifier is trained and scored.  A cell's outcome is its list of
+    per-pair results, each a report or the exception that failed it; a
+    failing shared step fails exactly the cells built on it.  With
+    ``skip_failed``, a cell is not run (its result is None) in the pairs
+    after one it failed in.  ``jobs > 1`` runs the pairs on a thread pool.
     """
     cfg = train_config or TrainConfig()
     schemes = list(dict.fromkeys(schemes))
     classifiers = list(dict.fromkeys(classifiers))
     labels = corpus.labels()
     n_classes = len(corpus.categories)
-    cells = [
-        (scheme, v, classifier)
-        for v in range(len(vectorizers))
-        for scheme in schemes
-        for classifier in classifiers
-    ]
+    vectorizer = CorpusVectorizer(
+        corpus.documents, embedding, case_fallback, counts=corpus.token_counts()
+    )
+    cells = [(scheme, classifier) for scheme in schemes for classifier in classifiers]
     invalid = {
         cell: ValueError(f"unknown scheme {cell[0]!r}; valid: {', '.join(SCHEMES)}")
         for cell in cells
         if cell[0] not in SCHEMES
     }
     none_table = WeightTable(scheme="none", categories=tuple(corpus.categories))
-    none_matrices: dict[int, np.ndarray] = {}  # fold-independent, built once
-    failed_in: dict[tuple[str, int, str], int] = {}  # cell -> earliest failed pair
+    none_matrix = None  # fold-independent, built once
+    failed_in: dict[tuple[str, str], int] = {}  # cell -> earliest failed pair
     lock = threading.Lock()
 
-    def features(table: WeightTable, v: int, rows: np.ndarray) -> np.ndarray:
+    def features(table: WeightTable, rows: np.ndarray) -> np.ndarray:
+        nonlocal none_matrix
         if table is not none_table:
-            return vectorizers[v].matrix(table, rows)
+            return vectorizer.matrix(table, rows)
         with lock:
-            if v not in none_matrices:
-                none_matrices[v] = vectorizers[v].matrix(table)
-            return none_matrices[v][rows]
+            if none_matrix is None:
+                none_matrix = vectorizer.matrix(table)
+            return none_matrix[rows]
 
-    def score_group(members, table, v, train_idx, test_idx, scores, errors):
+    def score_group(members, table, train_idx, test_idx, scores, errors):
         try:
-            X = features(table, v, np.concatenate([train_idx, test_idx]))
+            X = features(table, np.concatenate([train_idx, test_idx]))
             X_train, X_test = X[: len(train_idx)], X[len(train_idx) :]
             del X  # keep one scheme's matrix alive at a time
             if standardize:
@@ -222,16 +223,16 @@ def _fit_and_score(
         y_train, y_test = labels[train_idx], labels[test_idx]
         for cell in members:
             try:
-                model = _train(cell[2], X_train, y_train, cfg, n_classes)
+                model = _train(cell[1], X_train, y_train, cfg, n_classes)
                 pred, _ = predict_many(model, X_test)
                 scores[cell] = macro_f1(pred, y_test, n_classes, corpus.categories)
             except Exception as exc:
                 errors[cell] = exc
 
-    def run_pair(p: int) -> dict[tuple[str, int, str], EvalReport | Exception]:
+    def run_pair(p: int) -> dict[tuple[str, str], EvalReport | Exception]:
         train_idx, test_idx, what = pairs[p]
-        errors: dict[tuple[str, int, str], Exception] = dict(invalid)
-        scores: dict[tuple[str, int, str], EvalReport] = {}
+        errors: dict[tuple[str, str], Exception] = dict(invalid)
+        scores: dict[tuple[str, str], EvalReport] = {}
         with lock:
             skipped = {c for c, q in failed_in.items() if q < p} if skip_failed else set()
         for classifier in classifiers:
@@ -239,7 +240,7 @@ def _fit_and_score(
                 _check_classes(labels, train_idx, corpus.categories, classifier, what)
             except TrainingError as exc:
                 for cell in cells:
-                    if cell[2] == classifier:
+                    if cell[1] == classifier:
                         errors.setdefault(cell, exc)
         todo = [cell for cell in cells if cell not in errors and cell not in skipped]
         stats = None
@@ -261,10 +262,7 @@ def _fit_and_score(
             except Exception as exc:
                 errors.update((cell, exc) for cell in group)
                 continue
-            for v in range(len(vectorizers)):
-                members = [cell for cell in group if cell[1] == v]
-                if members:
-                    score_group(members, table, v, train_idx, test_idx, scores, errors)
+            score_group(group, table, train_idx, test_idx, scores, errors)
         with lock:  # pairs may finish in any order; keep the earliest
             for cell in errors:
                 failed_in[cell] = min(p, failed_in.get(cell, p))
@@ -282,7 +280,7 @@ def _cv_grid(
     corpus: LabeledCorpus,
     plan: SplitPlan,
     schemes,
-    vectorizers,
+    embedding: EmbeddingModel,
     classifiers,
     train_config: TrainConfig | None,
     *,
@@ -297,13 +295,13 @@ def _cv_grid(
     ]
     train_sizes = tuple(len(train_idx) for train_idx, _, _ in pairs)
     n_classes = len(corpus.categories)
+    origin = embedding.origin
     outcomes = _fit_and_score(
-        corpus, pairs, schemes, vectorizers, classifiers, train_config,
+        corpus, pairs, schemes, embedding, classifiers, train_config,
         jobs=jobs, skip_failed=True, **options,
     )
     results: dict[tuple[str, str, str], EvalReport | Exception] = {}
-    for (scheme, v, classifier), outcome in outcomes.items():
-        origin = vectorizers[v].model.origin
+    for (scheme, classifier), outcome in outcomes.items():
         failure = next((o for o in outcome if isinstance(o, Exception)), None)
         if failure is not None:
             results[scheme, origin, classifier] = failure
@@ -340,11 +338,10 @@ def cross_validate(
     classifier: str = "logreg",
     train_config: TrainConfig | None = None,
     *,
-    alpha: float = 1.2,
+    alpha: float = DEFAULT_ALPHA,
     standardize: bool = False,
     case_fallback: bool = False,
     min_count: int = 1,
-    vectorizer: CorpusVectorizer | None = None,
     dataset: str = "corpus",
 ) -> EvalReport:
     """k-fold cross-validation of one (scheme, embedding, classifier) cell.
@@ -355,19 +352,17 @@ def cross_validate(
     returned report pools the per-fold confusions and carries the
     per-fold macro-F1 scores; ``mean_macro_f1`` is their mean.
     """
-    vec = vectorizer or CorpusVectorizer(
-        corpus.documents, embedding, case_fallback, counts=corpus.token_counts()
-    )
     (outcome,) = _cv_grid(
         corpus,
         plan,
         [scheme],
-        [vec],
+        embedding,
         [classifier],
         train_config,
         dataset=dataset,
         alpha=alpha,
         standardize=standardize,
+        case_fallback=case_fallback,
         min_count=min_count,
     ).values()
     if isinstance(outcome, Exception):
@@ -383,11 +378,10 @@ def learning_curve(
     classifier: str = "logreg",
     train_config: TrainConfig | None = None,
     *,
-    alpha: float = 1.2,
+    alpha: float = DEFAULT_ALPHA,
     standardize: bool = False,
     case_fallback: bool = False,
     min_count: int = 1,
-    vectorizer: CorpusVectorizer | None = None,
     record_failures: bool = False,
 ) -> list[CurvePoint]:
     """Macro-F1 on a fixed holdout as a function of training-set size.
@@ -399,9 +393,6 @@ def learning_curve(
     failed (size, scheme) goes to its point's ``failures`` instead and
     the other points still run.
     """
-    vec = vectorizer or CorpusVectorizer(
-        corpus.documents, embedding, case_fallback, counts=corpus.token_counts()
-    )
     holdout = plan.holdout_indices()
     pairs = [
         (plan.ladder_sample(size), holdout, f"size-{size} training sample")
@@ -411,18 +402,19 @@ def learning_curve(
         corpus,
         pairs,
         schemes,
-        [vec],
+        embedding,
         [classifier],
         train_config,
         alpha=alpha,
         standardize=standardize,
+        case_fallback=case_fallback,
         min_count=min_count,
     )
     points = []
     for p, size in enumerate(plan.size_ladder):
         point = CurvePoint(training_size=int(size), scores={})
         for s in schemes:
-            outcome = outcomes[s, 0, classifier][p]
+            outcome = outcomes[s, classifier][p]
             if not isinstance(outcome, Exception):
                 point.scores[s] = outcome.macro_f1
             elif record_failures:
@@ -436,51 +428,39 @@ def learning_curve(
 def grid_run(
     corpus: LabeledCorpus,
     schemes,
-    embeddings,
+    embedding: EmbeddingModel,
     classifiers,
     plan: SplitPlan,
     train_config: TrainConfig | None = None,
     *,
-    alpha: float = 1.2,
+    alpha: float = DEFAULT_ALPHA,
     standardize: bool = False,
     case_fallback: bool = False,
     min_count: int = 1,
     dataset: str = "corpus",
     jobs: int = 1,
 ) -> dict[tuple[str, str, str], EvalReport | GridFailure]:
-    """Cross-validate the full scheme x embedding x classifier grid.
+    """Cross-validate the full scheme x classifier grid over one embedding.
 
     Runs fold-major (see the module docstring); ``jobs > 1`` runs the
     folds on a thread pool.  A failing cell is recorded as a GridFailure
     carrying the error of the first fold it failed in; the rest of the
     grid still runs.  Cell results do not depend on execution order.
-    Results are keyed by ``(scheme, embedding.origin, classifier)``, so
-    embedding origins must be distinct.
+    Results are keyed by ``(scheme, embedding.origin, classifier)``; to
+    compare embeddings, call once per embedding and merge the dicts.
     """
-    origins = [embedding.origin for embedding in embeddings]
-    duplicates = sorted({o for o in origins if origins.count(o) > 1})
-    if duplicates:
-        raise ValueError(
-            f"duplicate embedding origins {duplicates}; grid results are keyed "
-            f"by origin, so each embedding needs a distinct one"
-        )
-    vectorizers = [
-        CorpusVectorizer(
-            corpus.documents, embedding, case_fallback, counts=corpus.token_counts()
-        )
-        for embedding in embeddings
-    ]
     results = _cv_grid(
         corpus,
         plan,
         schemes,
-        vectorizers,
+        embedding,
         classifiers,
         train_config,
         dataset=dataset,
         jobs=jobs,
         alpha=alpha,
         standardize=standardize,
+        case_fallback=case_fallback,
         min_count=min_count,
     )
     return {

@@ -242,12 +242,12 @@ def oracle_word2vec_text(path, vocab=None):
 
 
 def oracle_word2vec_binary(path, vocab=None):
-    """word2vec binary, one entry at a time: ``(words, rows, d)``.
+    """word2vec binary, one entry at a time: ``(words, rows, d, skipped)``.
 
     Each entry is a word, one space and d little-endian float32 values;
     newlines, carriage returns and spaces before a word are padding.
-    Every entry of ``vocab`` (all, when it is None) is kept, duplicates
-    included.
+    Of the entries whose word is in ``vocab`` (every entry when it is
+    None), the first of each word is kept and the others are skipped.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -260,7 +260,8 @@ def oracle_word2vec_binary(path, vocab=None):
         raise OracleFormatError("header") from None
     if count < 0 or d < 1:
         raise OracleFormatError("header")
-    words, rows = [], []
+    kept = {}
+    skipped = 0
     pos = 0
     for _ in range(count):
         pos += len(body[pos:]) - len(body[pos:].lstrip(b"\n\r "))
@@ -273,8 +274,11 @@ def oracle_word2vec_binary(path, vocab=None):
             raise OracleFormatError("EOF in vector")
         values = [float(v) for v in struct.unpack_from(f"<{d}f", body, pos)]
         pos += 4 * d
-        if vocab is None or word in vocab:
-            words.append(word)
-            rows.append(values)
-    _finite(rows)
-    return words, rows, d
+        if vocab is not None and word not in vocab:
+            continue
+        if word in kept:
+            skipped += 1
+        else:
+            kept[word] = values
+    _finite(kept.values())
+    return list(kept), list(kept.values()), d, skipped

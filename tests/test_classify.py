@@ -182,6 +182,12 @@ class TestTrainLogreg:
         with pytest.raises(ValueError):
             TrainConfig(tolerance=-1e-9)
 
+    @pytest.mark.parametrize("name", ["learning_rate", "decay", "l2", "tolerance"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_config_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TrainConfig(**{name: value})
+
 
 class TestTrainSvm:
     def test_separable_two_points(self):

@@ -615,6 +615,59 @@ def test_alpha_below_one_exits_2_before_loading(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["cv", "curve", "train"])
+@pytest.mark.parametrize("flags, message", [
+    (["--epochs", "0"], "epochs must be >= 1, got 0"),
+    (["--batch-size", "0"], "batch_size must be >= 1, got 0"),
+    (["--l2", "-1"], "l2 must be >= 0, got -1.0"),
+    (["--learning-rate", "nan"], "learning_rate must be finite, got nan"),
+])
+def test_invalid_learner_value_exits_2_before_loading(
+    command, flags, message, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    argv = [command, "--data", str(tmp_path / "absent.csv"), "--seed", "1",
+            "--scheme", "tfcr", "--out", str(out), *flags]
+    assert main(argv) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cv", "curve", "train"])
+@pytest.mark.parametrize("entries, message", [
+    ({"epochs": "ten"}, "--epochs must be an integer, got 'ten'"),
+    ({"learning_rate": [0.1]}, "--learning-rate must be a number, got [0.1]"),
+])
+def test_non_numeric_learner_value_in_config_exits_2(
+    command, entries, message, toy_csv, tmp_path, capsys
+):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(entries))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--data", toy_csv, "--seed", "1",
+            "--scheme", "tfcr", "--out", str(out)]
+    assert main(argv) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_exits_2(jobs, toy_csv, tmp_path, capsys):
+    out = tmp_path / "results.csv"
+    assert main(_cv_args(toy_csv, str(out), **{"--jobs": jobs})) == 2
+    assert f"error: --jobs must be >= 1, got {jobs}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_integer_jobs_in_config_exits_2(toy_csv, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"jobs": "two"}))
+    out = tmp_path / "results.csv"
+    assert main(["cv", "--config", str(config), *_cv_args(toy_csv, str(out))[1:]]) == 2
+    assert "error: --jobs must be an integer, got 'two'\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alpha", [0.9, "x"])
 def test_alpha_below_one_in_config_exits_2(alpha, toy_csv, tmp_path, capsys):
     config = tmp_path / "run.json"

@@ -148,6 +148,18 @@ class TestWord2vecBinary:
         model = load_word2vec_binary(path)
         assert np.array_equal(model.vector("b"), [2.0])
 
+    def test_duplicate_words_keep_first(self, tmp_path, caplog):
+        path = tmp_path / "model.bin"
+        self._write(path, [("a", (1.0,)), ("a", (2.0,))], d=1)
+        for vocab in (None, {"a"}):
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                model = load_word2vec_binary(path, vocab)
+            assert model.words == ("a",)
+            assert np.array_equal(model.vector("a"), [1.0])
+            assert model.skipped_lines == 1
+            assert any("1 duplicate words dropped" in r.getMessage() for r in caplog.records)
+
     def test_zero_count_empty_model(self, tmp_path):
         path = tmp_path / "model.bin"
         path.write_bytes(b"0 50\n")
@@ -412,7 +424,7 @@ def _matches_oracle(loader, oracle, content, vocab):
                 loader(path, vocab)
             return
         model = loader(path, vocab)
-    words, rows, d = expected[:3]
+    words, rows, d, skipped = expected
     assert model.words == tuple(words)
     assert model.word_ids == {w: i for i, w in enumerate(words)}
     assert model.dimension == d
@@ -420,7 +432,7 @@ def _matches_oracle(loader, oracle, content, vocab):
     assert model.vectors.dtype == np.float64
     assert model.vectors.shape == (len(words), d)
     assert model.vectors.tobytes() == np.array(rows, dtype=np.float64).reshape(-1, d).tobytes()
-    assert model.skipped_lines == (expected[3] if len(expected) > 3 else 0)
+    assert model.skipped_lines == skipped
 
 
 class TestVocabFilteredLoadsMatchOracle:

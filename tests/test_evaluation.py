@@ -382,7 +382,7 @@ class TestGridRun:
             eval_corpus, plan, "tfcr", eval_model, "logreg", FAST, dataset="demo"
         )
         grid = grid_run(
-            eval_corpus, ["tfcr"], [eval_model], ["logreg"], plan, FAST,
+            eval_corpus, ["tfcr"], eval_model, ["logreg"], plan, FAST,
             dataset="demo",
         )
         assert set(grid) == {("tfcr", eval_model.origin, "logreg")}
@@ -395,7 +395,7 @@ class TestGridRun:
         plan = make_splits(eval_corpus, k=5, seed=1)
         schemes = ["none", "tfidf", "kld", "tftrr", "tfcr"]
         grid = grid_run(
-            eval_corpus, schemes, [eval_model], ["logreg", "svm"], plan, FAST
+            eval_corpus, schemes, eval_model, ["logreg", "svm"], plan, FAST
         )
         assert len(grid) == 10
         assert all(isinstance(cell, EvalReport) for cell in grid.values())
@@ -403,10 +403,10 @@ class TestGridRun:
     def test_order_independence(self, eval_corpus, eval_model):
         plan = make_splits(eval_corpus, k=5, seed=1)
         forward = grid_run(
-            eval_corpus, ["none", "tfcr"], [eval_model], ["logreg"], plan, FAST
+            eval_corpus, ["none", "tfcr"], eval_model, ["logreg"], plan, FAST
         )
         backward = grid_run(
-            eval_corpus, ["tfcr", "none"], [eval_model], ["logreg"], plan, FAST
+            eval_corpus, ["tfcr", "none"], eval_model, ["logreg"], plan, FAST
         )
         for key, cell in forward.items():
             assert backward[key].fold_scores == cell.fold_scores
@@ -417,7 +417,7 @@ class TestGridRun:
         plan = make_splits(eval_corpus, k=5, seed=1)
         bad_svm = TrainConfig(epochs=10, l2=0.0)
         grid = grid_run(
-            eval_corpus, ["none", "tfcr"], [eval_model], ["logreg", "svm"],
+            eval_corpus, ["none", "tfcr"], eval_model, ["logreg", "svm"],
             plan, bad_svm,
         )
         for (scheme, _, classifier), cell in grid.items():
@@ -432,11 +432,11 @@ class TestGridRun:
     def test_parallel_jobs_match_serial(self, eval_corpus, eval_model):
         plan = make_splits(eval_corpus, k=5, seed=1)
         serial = grid_run(
-            eval_corpus, ["none", "tfcr"], [eval_model], ["logreg", "svm"],
+            eval_corpus, ["none", "tfcr"], eval_model, ["logreg", "svm"],
             plan, FAST, jobs=1,
         )
         threaded = grid_run(
-            eval_corpus, ["none", "tfcr"], [eval_model], ["logreg", "svm"],
+            eval_corpus, ["none", "tfcr"], eval_model, ["logreg", "svm"],
             plan, FAST, jobs=3,
         )
         for key, cell in serial.items():
@@ -449,7 +449,7 @@ class TestGridRun:
         builds = _count_calls(monkeypatch, evaluation, "build_stats")
         matrices = _count_calls(monkeypatch, CorpusVectorizer, "matrix")
         grid = grid_run(
-            eval_corpus, SCHEMES, [eval_model], ["logreg", "svm"], plan, FAST,
+            eval_corpus, SCHEMES, eval_model, ["logreg", "svm"], plan, FAST,
             standardize=True, dataset="demo",
         )
         assert len(builds) == 5
@@ -471,7 +471,7 @@ class TestGridRun:
         plan = make_splits(eval_corpus, k=5, seed=1)
         trained = _count_calls(monkeypatch, evaluation, "train_svm")
         grid = grid_run(
-            eval_corpus, ["tfcr"], [eval_model], ["logreg", "svm"], plan,
+            eval_corpus, ["tfcr"], eval_model, ["logreg", "svm"], plan,
             TrainConfig(epochs=5, l2=0.0),
         )
         failure = grid["tfcr", eval_model.origin, "svm"]
@@ -488,7 +488,7 @@ class TestGridRun:
         # error, are not rebuilt in later folds, and nothing else changes.
         plan = make_splits(eval_corpus, k=5, seed=1)
         healthy = grid_run(
-            eval_corpus, ["none", "kld", "tfcr"], [eval_model],
+            eval_corpus, ["none", "kld", "tfcr"], eval_model,
             ["logreg", "svm"], plan, FAST,
         )
         kld_calls = []
@@ -502,7 +502,7 @@ class TestGridRun:
 
         monkeypatch.setattr(evaluation, "build_table", flaky_build_table)
         grid = grid_run(
-            eval_corpus, ["none", "kld", "tfcr"], [eval_model],
+            eval_corpus, ["none", "kld", "tfcr"], eval_model,
             ["logreg", "svm"], plan, FAST,
         )
         assert len(kld_calls) == 3
@@ -522,7 +522,7 @@ class TestGridRun:
         monkeypatch.setattr(evaluation, "build_stats", broken_stats)
         plan = make_splits(eval_corpus, k=5, seed=1)
         grid = grid_run(
-            eval_corpus, ["none", "tfcr"], [eval_model], ["logreg"], plan, FAST
+            eval_corpus, ["none", "tfcr"], eval_model, ["logreg"], plan, FAST
         )
         assert isinstance(grid["none", eval_model.origin, "logreg"], EvalReport)
         failure = grid["tfcr", eval_model.origin, "logreg"]
@@ -534,7 +534,7 @@ class TestGridRun:
         # More threads than cores and frequent switches: the shared `none`
         # matrix is still built once and each failure keeps fold 0's error.
         plan = make_splits(eval_corpus, k=8, seed=1)
-        args = (eval_corpus, ["none", "tfcr"], [eval_model], ["logreg", "svm"],
+        args = (eval_corpus, ["none", "tfcr"], eval_model, ["logreg", "svm"],
                 plan, TrainConfig(epochs=5, l2=0.0))
         serial = grid_run(*args, jobs=1)
         matrices = _count_calls(monkeypatch, CorpusVectorizer, "matrix")
@@ -552,19 +552,6 @@ class TestGridRun:
                 assert threaded[key] == cell
             else:
                 assert threaded[key].fold_scores == cell.fold_scores
-
-    def test_duplicate_embedding_origins_rejected(
-        self, eval_corpus, eval_model, monkeypatch
-    ):
-        twin = synthetic_model(_vocab(eval_corpus), 8, seed=3)
-        assert twin.origin == eval_model.origin
-        builds = _count_calls(monkeypatch, evaluation, "build_stats")
-        plan = make_splits(eval_corpus, k=5, seed=1)
-        with pytest.raises(ValueError, match="duplicate embedding origin"):
-            grid_run(
-                eval_corpus, ["tfcr"], [eval_model, twin], ["logreg"], plan, FAST
-            )
-        assert builds == []
 
 
 class TestResultsCsv:
