@@ -57,8 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     start = time.monotonic()
     results = grid_run(
-        corpus, SCHEMES, embedding, ["logreg"], plan, config, standardize=True,
-        dataset="synthetic",
+        corpus, SCHEMES, embedding, ["logreg"], plan, config, standardize=True
     )
     for scheme in SCHEMES:
         report = results[(scheme, embedding.origin, "logreg")]

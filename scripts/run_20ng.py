@@ -68,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
     config = TrainConfig(epochs=args.epochs, seed=args.seed)
     results = grid_run(
         corpus, list(SCHEMES), embedding, ["logreg"], plan, config,
-        standardize=True, dataset="20ng", jobs=args.jobs,
+        standardize=True, jobs=args.jobs,
     )
     results_path = out_dir / "results.csv"
     with open(results_path, "w", encoding="utf-8", newline="") as fh:

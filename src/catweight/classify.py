@@ -12,6 +12,12 @@ Two models with a shared interface:
   bias is folded into the regularized weight vector for stability
   under the aggressive early steps.
 
+Both trainers run one descent loop, ``_descend``: from zero weights,
+each epoch visits the rows in a seeded permutation, one batch per step,
+logs the full objective and stops early on the tolerance.  A trainer
+adds only its input checks and its step rule.  ``train`` picks the
+trainer by kind, one of ``CLASSIFIERS``.
+
 Training is seeded and single-threaded: a fixed seed reproduces the
 trajectory bit for bit.  Prediction ties break to the lowest class
 index (numpy argmax convention).
@@ -36,7 +42,8 @@ from .vectorize import ScalerParams
 from .weighting import SCHEMES, WeightTable
 
 MODEL_FORMAT = 2
-_KIND_CODES = {"logreg": 0, "svm": 1}
+CLASSIFIERS = ("logreg", "svm")
+_KIND_CODES = {kind: code for code, kind in enumerate(CLASSIFIERS)}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 
@@ -151,6 +158,38 @@ def logreg_gradient(
     return grad_W, grad_b
 
 
+def _descend(X, y, n_classes: int, cfg: TrainConfig, objective, step):
+    """The epoch loop both trainers share; returns ``(W, b, log)``.
+
+    From W = 0 and b = 0, each epoch draws a permutation of the rows from
+    ``cfg.seed`` and calls ``step(X_batch, y_batch, t, W, b, last)`` ->
+    ``(W, b)`` for each ``cfg.batch_size`` slice of it, where ``t`` counts
+    steps from 0 and ``last`` is the logged objective.  Stops after
+    ``cfg.epochs`` or when the relative per-epoch improvement of
+    ``objective(X, y, W, b, l2)`` drops below ``cfg.tolerance``.
+    """
+    n, f = X.shape
+    W = np.zeros((n_classes, f), dtype=np.float64)
+    b = np.zeros(n_classes, dtype=np.float64)
+    rng = np.random.default_rng(cfg.seed)
+    log: list[float] = [objective(X, y, W, b, cfg.l2)]
+    t = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            W, b = step(X[batch], y[batch], t, W, b, log[-1])
+            t += 1
+        current = objective(X, y, W, b, cfg.l2)
+        previous = log[-1]
+        log.append(current)
+        if previous - current >= 0 and (previous - current) <= cfg.tolerance * max(
+            abs(previous), 1e-12
+        ):
+            break
+    return W, b, tuple(log)
+
+
 def train_logreg(
     vectors: np.ndarray,
     labels: np.ndarray,
@@ -159,47 +198,30 @@ def train_logreg(
 ) -> LinearModel:
     """Mini-batch gradient descent on the softmax cross-entropy objective.
 
-    Stops after ``config.epochs`` or when the relative per-epoch
-    objective improvement drops below ``config.tolerance``.  When the
+    The rate at step t is ``learning_rate / (1 + decay * t)``.  When the
     batch covers the whole training set, each step backtracks (halving
-    the rate) until the objective does not increase.
+    the rate, at most 60 tries, keeping the last) until the objective
+    does not increase.
     """
     cfg = config or TrainConfig()
     X, y, n_classes = _check_training_inputs(vectors, labels, num_classes)
-    n, f = X.shape
-    W = np.zeros((n_classes, f), dtype=np.float64)
-    b = np.zeros(n_classes, dtype=np.float64)
-    rng = np.random.default_rng(cfg.seed)
-    full_batch = cfg.batch_size >= n
-    log: list[float] = [_logreg_objective(X, y, W, b, cfg.l2)]
-    step = 0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            grad_W, grad_b = logreg_gradient(X[batch], y[batch], W, b, cfg.l2)
-            rate = cfg.learning_rate / (1.0 + cfg.decay * step)
-            if full_batch:
-                before = log[-1]
-                for _ in range(60):
-                    new_W = W - rate * grad_W
-                    new_b = b - rate * grad_b
-                    if _logreg_objective(X, y, new_W, new_b, cfg.l2) <= before:
-                        break
-                    rate *= 0.5
-                W, b = new_W, new_b
-            else:
-                W = W - rate * grad_W
-                b = b - rate * grad_b
-            step += 1
-        current = _logreg_objective(X, y, W, b, cfg.l2)
-        previous = log[-1]
-        log.append(current)
-        if previous - current >= 0 and (previous - current) <= cfg.tolerance * max(
-            abs(previous), 1e-12
-        ):
-            break
-    return LinearModel(kind="logreg", W=W, b=b, training_log=tuple(log))
+    full_batch = cfg.batch_size >= X.shape[0]
+
+    def step(X_batch, y_batch, t, W, b, last):
+        grad_W, grad_b = logreg_gradient(X_batch, y_batch, W, b, cfg.l2)
+        rate = cfg.learning_rate / (1.0 + cfg.decay * t)
+        if not full_batch:
+            return W - rate * grad_W, b - rate * grad_b
+        for _ in range(60):
+            new_W = W - rate * grad_W
+            new_b = b - rate * grad_b
+            if _logreg_objective(X, y, new_W, new_b, cfg.l2) <= last:
+                break
+            rate *= 0.5
+        return new_W, new_b
+
+    W, b, log = _descend(X, y, n_classes, cfg, _logreg_objective, step)
+    return LinearModel(kind="logreg", W=W, b=b, training_log=log)
 
 
 def svm_objective(
@@ -238,41 +260,44 @@ def train_svm(
 ) -> LinearModel:
     """Pegasos-style subgradient descent, one-vs-rest.
 
-    The step at update t is 1/(l2*t); after each step every class's
-    augmented (w, b) is projected onto the ball of radius 1/sqrt(l2).
+    The step at update t (counted from 1) is 1/(l2*t); after each step
+    every class's augmented (w, b) is projected onto the ball of radius
+    1/sqrt(l2).
     """
     cfg = config or TrainConfig()
     if cfg.l2 <= 0:
         raise TrainingError("svm training requires l2 > 0 for the Pegasos step")
     X, y, n_classes = _check_training_inputs(vectors, labels, num_classes)
-    n, f = X.shape
-    W = np.zeros((n_classes, f), dtype=np.float64)
-    b = np.zeros(n_classes, dtype=np.float64)
-    rng = np.random.default_rng(cfg.seed)
     radius = 1.0 / np.sqrt(cfg.l2)
-    log: list[float] = [svm_objective(X, y, W, b, cfg.l2)]
-    t = 0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            t += 1
-            rate = 1.0 / (cfg.l2 * t)
-            grad_W, grad_b = svm_subgradient(X[batch], y[batch], W, b, cfg.l2)
-            W -= rate * grad_W
-            b -= rate * grad_b
-            norms = np.sqrt(np.sum(W * W, axis=1) + b * b)
-            shrink = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
-            W *= shrink[:, None]
-            b *= shrink
-        current = svm_objective(X, y, W, b, cfg.l2)
-        previous = log[-1]
-        log.append(current)
-        if previous - current >= 0 and (previous - current) <= cfg.tolerance * max(
-            abs(previous), 1e-12
-        ):
-            break
-    return LinearModel(kind="svm", W=W, b=b, training_log=tuple(log))
+
+    def step(X_batch, y_batch, t, W, b, last):
+        rate = 1.0 / (cfg.l2 * (t + 1))
+        grad_W, grad_b = svm_subgradient(X_batch, y_batch, W, b, cfg.l2)
+        W -= rate * grad_W
+        b -= rate * grad_b
+        norms = np.sqrt(np.sum(W * W, axis=1) + b * b)
+        shrink = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
+        W *= shrink[:, None]
+        b *= shrink
+        return W, b
+
+    W, b, log = _descend(X, y, n_classes, cfg, svm_objective, step)
+    return LinearModel(kind="svm", W=W, b=b, training_log=log)
+
+
+def train(
+    kind: str,
+    vectors: np.ndarray,
+    labels: np.ndarray,
+    config: TrainConfig | None = None,
+    num_classes: int | None = None,
+) -> LinearModel:
+    """Train the classifier ``kind``, one of ``CLASSIFIERS``."""
+    if kind == "logreg":
+        return train_logreg(vectors, labels, config, num_classes)
+    if kind == "svm":
+        return train_svm(vectors, labels, config, num_classes)
+    raise ValueError(f"unknown classifier {kind!r}; valid: {', '.join(CLASSIFIERS)}")
 
 
 def decision_scores(model: LinearModel, vectors: np.ndarray) -> np.ndarray:

@@ -26,8 +26,15 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .classify import SavedModel, TrainConfig, load_model, predict_many, save_model
-from .classify import train_logreg, train_svm
+from .classify import (
+    CLASSIFIERS,
+    SavedModel,
+    TrainConfig,
+    load_model,
+    predict_many,
+    save_model,
+    train,
+)
 from .corpus import (
     Document,
     LabeledCorpus,
@@ -41,14 +48,7 @@ from .corpus import (
 )
 from .embeddings import EmbeddingModel, load_embeddings, synthetic_model
 from .errors import CatweightError, ConfigError
-from .evaluation import (
-    CLASSIFIERS,
-    GridFailure,
-    grid_run,
-    learning_curve,
-    write_curve_csv,
-    write_results_csv,
-)
+from .evaluation import grid_run, learning_curve, write_curve_csv, write_results_csv
 from .stats import build_stats
 from .vectorize import CorpusVectorizer, standardize_apply, standardize_fit
 from .weighting import DEFAULT_ALPHA, SCHEMES, WeightTable, build_table, export_weights
@@ -57,6 +57,9 @@ _DATASET_FORMATS = ("auto", "csv", "tsv", "jsonl", "20ng")
 
 # The learner options and their defaults are TrainConfig's, bar the seed.
 _LEARNER_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.name != "seed"}
+
+# The other integer options; _resolve converts each one a command has.
+_INTEGERS = ("seed", "k", "sample", "min_count", "jobs", "top_k", "min", "max", "step")
 
 _DEFAULTS = {
     "format": "auto",
@@ -213,6 +216,9 @@ def _resolve(args: argparse.Namespace) -> dict:
             alpha = float("nan")
         if not alpha >= 1.0:
             raise ConfigError(f"--alpha must be >= 1, got {resolved['alpha']}")
+    for key in _INTEGERS:
+        if resolved.get(key) is not None:
+            resolved[key] = _number(resolved, key)
     return resolved
 
 
@@ -252,6 +258,8 @@ def _detect_dataset_format(path: Path) -> str:
 
 
 def _load_corpus(cfg: dict) -> LabeledCorpus:
+    if cfg.get("sample") is not None and cfg["sample"] < 1:
+        raise ConfigError(f"--sample must be >= 1, got {cfg['sample']}")
     path = Path(_require(cfg, "data", "--data"))
     if not path.exists():
         raise ConfigError(f"dataset not found: {path}")
@@ -275,8 +283,8 @@ def _load_corpus(cfg: dict) -> LabeledCorpus:
         )
     else:
         raise ConfigError(f"unknown dataset format {fmt!r}")
-    if cfg.get("sample"):
-        corpus = sample(corpus, int(cfg["sample"]), int(_require(cfg, "seed", "--seed")))
+    if cfg.get("sample") is not None:
+        corpus = sample(corpus, cfg["sample"], _require(cfg, "seed", "--seed"))
     return corpus
 
 
@@ -327,7 +335,7 @@ def _number(cfg: dict, key: str, kind: type = int):
 def _train_config(cfg: dict) -> TrainConfig:
     values = {key: _number(cfg, key, type(v)) for key, v in _LEARNER_DEFAULTS.items()}
     try:
-        return TrainConfig(seed=int(cfg["seed"]), **values)
+        return TrainConfig(seed=cfg["seed"], **values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -356,7 +364,7 @@ def _summary_table(results, schemes, dataset: str) -> str:
         if (emb, clf) not in cells:
             cells[(emb, clf)] = {}
             rows.append((emb, clf))
-        if isinstance(report, GridFailure):
+        if isinstance(report, Exception):
             cells[(emb, clf)][scheme] = "failed"
         else:
             cells[(emb, clf)][scheme] = f"{report.mean_macro_f1:.4f}"
@@ -378,18 +386,16 @@ def _summary_table(results, schemes, dataset: str) -> str:
 
 def cmd_cv(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    seed = int(_require(cfg, "seed", "--seed"))
+    seed = _require(cfg, "seed", "--seed")
     schemes = _expand(cfg["scheme"], SCHEMES, "scheme")
     classifiers = _expand(cfg["classifier"], CLASSIFIERS, "classifier")
     train_config = _train_config(cfg)
-    jobs = _number(cfg, "jobs")
+    jobs = cfg["jobs"]
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     corpus = _load_corpus(cfg)
     embedding = _resolve_embedding(cfg, _corpus_vocab(corpus))
-    plan = make_splits(
-        corpus, int(cfg["k"]), seed=seed, stratified=bool(cfg["stratified"])
-    )
+    plan = make_splits(corpus, cfg["k"], seed=seed, stratified=bool(cfg["stratified"]))
     dataset = Path(cfg["data"]).name
     results = grid_run(
         corpus,
@@ -401,9 +407,8 @@ def cmd_cv(args: argparse.Namespace) -> int:
         alpha=float(cfg["alpha"]),
         standardize=bool(cfg["standardize"]),
         case_fallback=bool(cfg["case_fallback"]),
-        dataset=dataset,
         jobs=jobs,
-        min_count=int(cfg["min_count"]),
+        min_count=cfg["min_count"],
     )
     out = Path(cfg.get("out") or "results.csv")
     with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -411,9 +416,9 @@ def cmd_cv(args: argparse.Namespace) -> int:
     _write_manifest(out, "cv", cfg)
     print(_summary_table(results, schemes, dataset))
     print(f"results written to {out}")
-    if all(isinstance(r, GridFailure) for r in results.values()):
-        for report in results.values():
-            print(f"error: {report.message}", file=sys.stderr)
+    if all(isinstance(r, Exception) for r in results.values()):
+        for exc in results.values():
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0
 
@@ -432,7 +437,7 @@ def _curve_sizes(cfg: dict, available: int) -> list[int]:
             raise ConfigError("curve needs --sizes or all of --min/--max/--step")
         if lo < 1 or hi < lo or step < 1:
             raise ConfigError(f"bad ladder bounds min={lo} max={hi} step={step}")
-        sizes = list(range(int(lo), int(hi) + 1, int(step)))
+        sizes = list(range(lo, hi + 1, step))
     kept = [s for s in sizes if s <= available]
     if len(kept) < len(sizes):
         print(
@@ -449,14 +454,14 @@ def _curve_sizes(cfg: dict, available: int) -> list[int]:
 
 def cmd_curve(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    seed = int(_require(cfg, "seed", "--seed"))
+    seed = _require(cfg, "seed", "--seed")
     schemes = _expand(cfg["scheme"], SCHEMES, "scheme")
     classifiers = _expand(cfg["classifier"], CLASSIFIERS, "classifier")
     if len(classifiers) != 1:
         raise ConfigError("curve takes exactly one classifier")
     train_config = _train_config(cfg)
     corpus = _load_corpus(cfg)
-    k = int(cfg["k"])
+    k = cfg["k"]
     # make_splits holds out fold 0, which gets ceil(n / k) documents.
     holdout = -(-len(corpus) // k) if k >= 2 else 0
     if holdout < 1:
@@ -476,7 +481,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         alpha=float(cfg["alpha"]),
         standardize=bool(cfg["standardize"]),
         case_fallback=bool(cfg["case_fallback"]),
-        min_count=int(cfg["min_count"]),
+        min_count=cfg["min_count"],
         record_failures=True,
     )
     out = Path(cfg.get("out") or "curve.csv")
@@ -517,15 +522,15 @@ def cmd_weights(args: argparse.Namespace) -> int:
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; valid: {', '.join(SCHEMES)}")
     top_k = cfg.get("top_k")
-    if top_k is not None and int(top_k) < 1:
+    if top_k is not None and top_k < 1:
         raise ConfigError(f"--top-k must be >= 1, got {top_k}")
     corpus = _load_corpus(cfg)
-    stats = build_stats(corpus, min_count=int(cfg["min_count"]))
+    stats = build_stats(corpus, min_count=cfg["min_count"])
     table = build_table(stats, scheme, alpha=float(cfg["alpha"]))
     fmt = cfg["output_format"]
     out = Path(cfg.get("out") or f"weights.{fmt}")
     with open(out, "w", encoding="utf-8", newline="") as fh:
-        export_weights(table, fh, fmt=fmt, top=None if top_k is None else int(top_k))
+        export_weights(table, fh, fmt=fmt, top=top_k)
     _write_manifest(out, "weights", cfg)
     print(f"{scheme} weights for {len(table.words)} words written to {out}")
     return 0
@@ -534,7 +539,7 @@ def cmd_weights(args: argparse.Namespace) -> int:
 def _full_corpus_table(corpus, cfg: dict, scheme: str) -> WeightTable:
     if scheme == "none":
         return WeightTable(scheme="none", categories=tuple(corpus.categories))
-    stats = build_stats(corpus, min_count=int(cfg["min_count"]))
+    stats = build_stats(corpus, min_count=cfg["min_count"])
     return build_table(stats, scheme, alpha=float(cfg["alpha"]))
 
 
@@ -564,7 +569,7 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    seed = int(_require(cfg, "seed", "--seed"))
+    _require(cfg, "seed", "--seed")
     scheme = str(_require(cfg, "scheme", "--scheme"))
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; valid: {', '.join(SCHEMES)}")
@@ -586,8 +591,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if cfg["standardize"]:
         scaler = standardize_fit(X)
         X = standardize_apply(scaler, X)
-    train_fn = train_logreg if classifier == "logreg" else train_svm
-    model = train_fn(X, labels, train_config, num_classes=len(corpus.categories))
+    model = train(classifier, X, labels, train_config, len(corpus.categories))
     out = Path(cfg.get("out") or "model.bin")
     saved = SavedModel(model, table, vec.known_embedding(), scaler, bool(cfg["preserve_case"]))
     save_model(saved, out)

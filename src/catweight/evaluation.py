@@ -19,6 +19,11 @@ scheme's matrix holds only the pair's training and test rows.  The
 ``none`` matrix does not depend on the pair and is built once per run;
 otherwise one scheme's matrix is alive at a time.  Training is seeded
 from ``TrainConfig.seed`` alone, so results do not depend on this order.
+
+A failed cell is the exception that failed it, everywhere: in the
+engine's per-pair outcomes, in ``grid_run``'s results (the first fold's
+error) and in ``CurvePoint.failures``.  ``cross_validate`` is
+``grid_run``'s one-cell case, raising that exception.
 """
 
 from __future__ import annotations
@@ -30,15 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import TrainConfig, predict_many, train_logreg, train_svm
+from .classify import TrainConfig, predict_many, train
 from .corpus import LabeledCorpus, SplitPlan
 from .embeddings import EmbeddingModel
 from .errors import TrainingError
 from .stats import build_stats
 from .vectorize import CorpusVectorizer, standardize_apply, standardize_fit
 from .weighting import DEFAULT_ALPHA, SCHEMES, WeightTable, build_table
-
-CLASSIFIERS = ("logreg", "svm")
 
 
 @dataclass
@@ -59,7 +62,6 @@ class EvalReport:
     fold_scores: tuple[float, ...] = ()
     fold_accuracies: tuple[float, ...] = ()
     fold_train_sizes: tuple[int, ...] = ()
-    fingerprint: dict = field(default_factory=dict)
 
     @property
     def mean_macro_f1(self) -> float:
@@ -74,12 +76,6 @@ class CurvePoint:
     training_size: int
     scores: dict[str, float]  # scheme -> macro-F1 on the fixed holdout
     failures: dict[str, Exception] = field(default_factory=dict)  # scheme -> error
-
-
-@dataclass
-class GridFailure:
-    message: str
-    fingerprint: dict = field(default_factory=dict)
 
 
 def _metrics_from_confusion(confusion: np.ndarray, categories) -> tuple:
@@ -130,16 +126,6 @@ def macro_f1(
     per_class, macro, accuracy = _metrics_from_confusion(confusion, categories)
     return EvalReport(
         per_class=per_class, macro_f1=macro, accuracy=accuracy, confusion=confusion
-    )
-
-
-def _train(classifier: str, X, y, config: TrainConfig, num_classes: int):
-    if classifier == "logreg":
-        return train_logreg(X, y, config, num_classes=num_classes)
-    if classifier == "svm":
-        return train_svm(X, y, config, num_classes=num_classes)
-    raise ValueError(
-        f"unknown classifier {classifier!r}; valid: {', '.join(CLASSIFIERS)}"
     )
 
 
@@ -223,7 +209,7 @@ def _fit_and_score(
         y_train, y_test = labels[train_idx], labels[test_idx]
         for cell in members:
             try:
-                model = _train(cell[1], X_train, y_train, cfg, n_classes)
+                model = train(cell[1], X_train, y_train, cfg, n_classes)
                 pred, _ = predict_many(model, X_test)
                 scores[cell] = macro_f1(pred, y_test, n_classes, corpus.categories)
             except Exception as exc:
@@ -276,60 +262,6 @@ def _fit_and_score(
     return {cell: [outcome.get(cell) for outcome in per_pair] for cell in cells}
 
 
-def _cv_grid(
-    corpus: LabeledCorpus,
-    plan: SplitPlan,
-    schemes,
-    embedding: EmbeddingModel,
-    classifiers,
-    train_config: TrainConfig | None,
-    *,
-    dataset: str,
-    jobs: int = 1,
-    **options,
-) -> dict[tuple[str, str, str], EvalReport | Exception]:
-    """Cross-validated report, or the first fold's exception, per grid cell."""
-    pairs = [
-        (plan.train_indices(fold), plan.fold_indices(fold), f"fold {fold} training split")
-        for fold in range(plan.num_folds)
-    ]
-    train_sizes = tuple(len(train_idx) for train_idx, _, _ in pairs)
-    n_classes = len(corpus.categories)
-    origin = embedding.origin
-    outcomes = _fit_and_score(
-        corpus, pairs, schemes, embedding, classifiers, train_config,
-        jobs=jobs, skip_failed=True, **options,
-    )
-    results: dict[tuple[str, str, str], EvalReport | Exception] = {}
-    for (scheme, classifier), outcome in outcomes.items():
-        failure = next((o for o in outcome if isinstance(o, Exception)), None)
-        if failure is not None:
-            results[scheme, origin, classifier] = failure
-            continue
-        confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-        for fold_report in outcome:
-            confusion += fold_report.confusion
-        per_class, macro, accuracy = _metrics_from_confusion(confusion, corpus.categories)
-        results[scheme, origin, classifier] = EvalReport(
-            per_class=per_class,
-            macro_f1=macro,
-            accuracy=accuracy,
-            confusion=confusion,
-            fold_scores=tuple(r.macro_f1 for r in outcome),
-            fold_accuracies=tuple(r.accuracy for r in outcome),
-            fold_train_sizes=train_sizes,
-            fingerprint={
-                "dataset": dataset,
-                "scheme": scheme,
-                "embedding": origin,
-                "classifier": classifier,
-                "seed": plan.seed,
-                "train_size": int(np.mean(train_sizes)) if train_sizes else 0,
-            },
-        )
-    return results
-
-
 def cross_validate(
     corpus: LabeledCorpus,
     plan: SplitPlan,
@@ -342,7 +274,6 @@ def cross_validate(
     standardize: bool = False,
     case_fallback: bool = False,
     min_count: int = 1,
-    dataset: str = "corpus",
 ) -> EvalReport:
     """k-fold cross-validation of one (scheme, embedding, classifier) cell.
 
@@ -352,14 +283,13 @@ def cross_validate(
     returned report pools the per-fold confusions and carries the
     per-fold macro-F1 scores; ``mean_macro_f1`` is their mean.
     """
-    (outcome,) = _cv_grid(
+    (outcome,) = grid_run(
         corpus,
-        plan,
         [scheme],
         embedding,
         [classifier],
+        plan,
         train_config,
-        dataset=dataset,
         alpha=alpha,
         standardize=standardize,
         case_fallback=case_fallback,
@@ -437,55 +367,75 @@ def grid_run(
     standardize: bool = False,
     case_fallback: bool = False,
     min_count: int = 1,
-    dataset: str = "corpus",
     jobs: int = 1,
-) -> dict[tuple[str, str, str], EvalReport | GridFailure]:
+) -> dict[tuple[str, str, str], EvalReport | Exception]:
     """Cross-validate the full scheme x classifier grid over one embedding.
 
     Runs fold-major (see the module docstring); ``jobs > 1`` runs the
-    folds on a thread pool.  A failing cell is recorded as a GridFailure
-    carrying the error of the first fold it failed in; the rest of the
-    grid still runs.  Cell results do not depend on execution order.
-    Results are keyed by ``(scheme, embedding.origin, classifier)``; to
-    compare embeddings, call once per embedding and merge the dicts.
+    folds on a thread pool.  A failing cell's result is the exception
+    of the first fold it failed in; the cell is skipped in later folds
+    and the rest of the grid still runs.  Cell results do not depend on
+    execution order.  Results are keyed by ``(scheme, embedding.origin,
+    classifier)``; to compare embeddings, call once per embedding and
+    merge the dicts.
     """
-    results = _cv_grid(
+    pairs = [
+        (plan.train_indices(fold), plan.fold_indices(fold), f"fold {fold} training split")
+        for fold in range(plan.num_folds)
+    ]
+    train_sizes = tuple(len(train_idx) for train_idx, _, _ in pairs)
+    n_classes = len(corpus.categories)
+    outcomes = _fit_and_score(
         corpus,
-        plan,
+        pairs,
         schemes,
         embedding,
         classifiers,
         train_config,
-        dataset=dataset,
-        jobs=jobs,
         alpha=alpha,
         standardize=standardize,
         case_fallback=case_fallback,
         min_count=min_count,
+        jobs=jobs,
+        skip_failed=True,
     )
-    return {
-        key: GridFailure(
-            message=f"{type(outcome).__name__}: {outcome}",
-            fingerprint={"scheme": key[0], "embedding": key[1], "classifier": key[2]},
+    results: dict[tuple[str, str, str], EvalReport | Exception] = {}
+    for (scheme, classifier), outcome in outcomes.items():
+        key = (scheme, embedding.origin, classifier)
+        failure = next((o for o in outcome if isinstance(o, Exception)), None)
+        if failure is not None:
+            results[key] = failure
+            continue
+        confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+        for fold_report in outcome:
+            confusion += fold_report.confusion
+        per_class, macro, accuracy = _metrics_from_confusion(confusion, corpus.categories)
+        results[key] = EvalReport(
+            per_class=per_class,
+            macro_f1=macro,
+            accuracy=accuracy,
+            confusion=confusion,
+            fold_scores=tuple(r.macro_f1 for r in outcome),
+            fold_accuracies=tuple(r.accuracy for r in outcome),
+            fold_train_sizes=train_sizes,
         )
-        if isinstance(outcome, Exception)
-        else outcome
-        for key, outcome in results.items()
-    }
+    return results
 
 
 def write_results_csv(results, fh, dataset: str = "corpus") -> None:
     """`dataset,scheme,embedding,classifier,train_size,fold,macro_f1,accuracy`
-    with one row per fold plus a `mean` row per cell; failed cells get a
-    single `failed` row carrying the error message in the macro_f1 column."""
+    with one row per fold plus a `mean` row per cell, whose train_size is
+    the mean fold's; a failed cell (an exception) gets a single `failed`
+    row carrying ``"<type>: <message>"`` in the macro_f1 column."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(
         ["dataset", "scheme", "embedding", "classifier", "train_size", "fold", "macro_f1", "accuracy"]
     )
     for (scheme, embedding_id, classifier), report in results.items():
-        if isinstance(report, GridFailure):
+        if isinstance(report, Exception):
+            message = f"{type(report).__name__}: {report}"
             writer.writerow(
-                [dataset, scheme, embedding_id, classifier, "", "failed", report.message, ""]
+                [dataset, scheme, embedding_id, classifier, "", "failed", message, ""]
             )
             continue
         for fold, (score, acc, size) in enumerate(
@@ -500,7 +450,7 @@ def write_results_csv(results, fh, dataset: str = "corpus") -> None:
                 scheme,
                 embedding_id,
                 classifier,
-                report.fingerprint.get("train_size", ""),
+                int(np.mean(report.fold_train_sizes)),
                 "mean",
                 repr(report.mean_macro_f1),
                 repr(float(np.mean(report.fold_accuracies))),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 
@@ -28,6 +29,7 @@ from catweight import (
     train_logreg,
     train_svm,
 )
+from catweight import classify
 from catweight.classify import _logreg_objective
 
 
@@ -260,6 +262,67 @@ class TestTrainSvm:
         model = train_svm(X, y, TrainConfig(epochs=30, l2=l2, seed=6))
         norms = np.sqrt(np.sum(model.W**2, axis=1) + model.b**2)
         assert np.all(norms <= 1.0 / math.sqrt(l2) + 1e-9)
+
+
+def _trajectory_data(seed, n, f, c):
+    X = np.random.default_rng(seed).normal(size=(n, f))
+    return X, np.arange(n) % c
+
+
+def _trajectory_digest(model):
+    h = hashlib.sha256()
+    for a in (model.W, model.b, np.array(model.training_log)):
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+FULL_BATCH = TrainConfig(epochs=20, learning_rate=5.0, batch_size=64, tolerance=0.0, seed=0)
+
+
+class TestTrajectories:
+    # Digests of W, b and training_log recorded from the two trainers
+    # before they shared one descent loop (numpy 2.4, OpenBLAS 0.3.31,
+    # x86-64).  Another BLAS or SIMD path may round differently.
+    @pytest.mark.parametrize("train_fn, data, config, epochs, digest", [
+        pytest.param(
+            train_logreg, (1, 60, 5, 3), TrainConfig(epochs=15, batch_size=8, seed=1), 15,
+            "5239a784219ebf88cc44c0c2b816ed661d70779eb30ad976ac5216e8581d080b",
+            id="logreg-minibatch",
+        ),
+        pytest.param(
+            train_logreg, (6, 40, 6, 3), FULL_BATCH, 20,
+            "7ed44d9a3dfc9cb187f24856c881245597c143d7dbf3c22f6f5deab7a3ae22af",
+            id="logreg-full-batch-backtracking",
+        ),
+        pytest.param(
+            train_logreg, (2, 30, 4, 2),
+            TrainConfig(epochs=200, batch_size=16, tolerance=1e-3, seed=2), 70,
+            "242008b417629a752d3e8de2e5d0160b305d4e64404052d09fb79d8c382812a1",
+            id="logreg-tolerance-stop",
+        ),
+        pytest.param(
+            train_svm, (3, 60, 5, 3), TrainConfig(epochs=15, batch_size=8, l2=0.05, seed=3), 15,
+            "97cddba9df27c42b85cdcfac62537096c423961317144131680878d41c086a10",
+            id="svm",
+        ),
+    ])
+    def test_trajectory_is_pinned(self, train_fn, data, config, epochs, digest):
+        model = train_fn(*_trajectory_data(*data), config)
+        assert len(model.training_log) == epochs + 1
+        assert _trajectory_digest(model) == digest
+
+    def test_full_batch_case_backtracks(self, monkeypatch):
+        calls = []
+        original = classify._logreg_objective
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(classify, "_logreg_objective", counted)
+        train_logreg(*_trajectory_data(6, 40, 6, 3), FULL_BATCH)
+        # The start, one try per step plus 8 halvings, one per epoch.
+        assert len(calls) == 1 + (20 + 8) + 20
 
 
 class TestPredict:

@@ -668,6 +668,34 @@ def test_non_integer_jobs_in_config_exits_2(toy_csv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, entries, flags, message", [
+    ("cv", {"k": "three"}, [], "--k must be an integer, got 'three'"),
+    ("cv", {"seed": "abc"}, [], "--seed must be an integer, got 'abc'"),
+    ("cv", {"min_count": "x"}, [], "--min-count must be an integer, got 'x'"),
+    ("cv", {"sample": "ten"}, [], "--sample must be an integer, got 'ten'"),
+    ("cv", {}, ["--sample", "-5"], "--sample must be >= 1, got -5"),
+    ("cv", {}, ["--sample", "0"], "--sample must be >= 1, got 0"),
+    ("curve", {"min": "five", "max": 10, "step": 5}, [], "--min must be an integer, got 'five'"),
+    ("curve", {"min": 5, "max": [10], "step": 5}, [], "--max must be an integer, got [10]"),
+    # An integer given as a string is read as that integer.
+    ("curve", {"min": "5", "max": 10, "step": 5}, [], "dataset not found"),
+    ("weights", {"top_k": "x"}, [], "--top-k must be an integer, got 'x'"),
+    ("train", {"seed": "x"}, [], "--seed must be an integer, got 'x'"),
+    ("vectorize", {"min_count": "x"}, [], "--min-count must be an integer, got 'x'"),
+])
+def test_bad_integer_option_exits_2_before_loading(
+    command, entries, flags, message, tmp_path, capsys
+):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"seed": 1, **entries}))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--data", str(tmp_path / "absent.csv"),
+            "--scheme", "tfcr", "--out", str(out), *flags]
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alpha", [0.9, "x"])
 def test_alpha_below_one_in_config_exits_2(alpha, toy_csv, tmp_path, capsys):
     config = tmp_path / "run.json"

@@ -13,7 +13,6 @@ import pytest
 from catweight import (
     CurvePoint,
     EvalReport,
-    GridFailure,
     TrainConfig,
     TrainingError,
     build_stats,
@@ -30,7 +29,7 @@ from catweight import (
     write_curve_csv,
     write_results_csv,
 )
-from catweight import evaluation
+from catweight import classify, evaluation
 from catweight.classify import predict_many, train_logreg
 from catweight.vectorize import CorpusVectorizer
 
@@ -199,19 +198,7 @@ class TestCrossValidate:
         assert first.fold_scores == second.fold_scores
         assert first.fold_accuracies == second.fold_accuracies
         assert np.array_equal(first.confusion, second.confusion)
-        assert first.fingerprint == second.fingerprint
-
-    def test_fingerprint_contents(self, eval_corpus, eval_model):
-        plan = make_splits(eval_corpus, k=5, seed=9)
-        report = cross_validate(
-            eval_corpus, plan, "none", eval_model, "logreg", FAST, dataset="demo"
-        )
-        fp = report.fingerprint
-        assert fp["dataset"] == "demo"
-        assert fp["scheme"] == "none"
-        assert fp["classifier"] == "logreg"
-        assert fp["embedding"] == eval_model.origin
-        assert fp["seed"] == 9
+        assert first.fold_train_sizes == second.fold_train_sizes
 
     def test_unknown_scheme_and_classifier(self, eval_corpus, eval_model):
         plan = make_splits(eval_corpus, k=5, seed=1)
@@ -379,17 +366,16 @@ class TestGridRun:
     def test_degenerate_grid_equals_cross_validate(self, eval_corpus, eval_model):
         plan = make_splits(eval_corpus, k=5, seed=1)
         direct = cross_validate(
-            eval_corpus, plan, "tfcr", eval_model, "logreg", FAST, dataset="demo"
+            eval_corpus, plan, "tfcr", eval_model, "logreg", FAST
         )
         grid = grid_run(
-            eval_corpus, ["tfcr"], eval_model, ["logreg"], plan, FAST,
-            dataset="demo",
+            eval_corpus, ["tfcr"], eval_model, ["logreg"], plan, FAST
         )
         assert set(grid) == {("tfcr", eval_model.origin, "logreg")}
         cell = grid["tfcr", eval_model.origin, "logreg"]
         assert cell.fold_scores == direct.fold_scores
         assert np.array_equal(cell.confusion, direct.confusion)
-        assert cell.fingerprint == direct.fingerprint
+        assert cell.fold_train_sizes == direct.fold_train_sizes
 
     def test_cell_cardinality(self, eval_corpus, eval_model):
         plan = make_splits(eval_corpus, k=5, seed=1)
@@ -420,12 +406,10 @@ class TestGridRun:
             eval_corpus, ["none", "tfcr"], eval_model, ["logreg", "svm"],
             plan, bad_svm,
         )
-        for (scheme, _, classifier), cell in grid.items():
+        for (_, _, classifier), cell in grid.items():
             if classifier == "svm":
-                assert isinstance(cell, GridFailure)
-                assert "l2" in cell.message
-                assert cell.fingerprint["scheme"] == scheme
-                assert cell.fingerprint["classifier"] == "svm"
+                assert isinstance(cell, TrainingError)
+                assert "l2" in str(cell)
             else:
                 assert isinstance(cell, EvalReport)
 
@@ -450,7 +434,7 @@ class TestGridRun:
         matrices = _count_calls(monkeypatch, CorpusVectorizer, "matrix")
         grid = grid_run(
             eval_corpus, SCHEMES, eval_model, ["logreg", "svm"], plan, FAST,
-            standardize=True, dataset="demo",
+            standardize=True,
         )
         assert len(builds) == 5
         assert len(matrices) == 1 + 4 * 5
@@ -459,25 +443,24 @@ class TestGridRun:
         for (scheme, _, classifier), cell in grid.items():
             alone = cross_validate(
                 eval_corpus, plan, scheme, eval_model, classifier, FAST,
-                standardize=True, dataset="demo",
+                standardize=True,
             )
             assert cell.fold_scores == alone.fold_scores
             assert np.array_equal(cell.confusion, alone.confusion)
-            assert cell.fingerprint == alone.fingerprint
+            assert cell.fold_train_sizes == alone.fold_train_sizes
 
     def test_failed_cell_keeps_message_and_is_skipped(
         self, eval_corpus, eval_model, monkeypatch
     ):
         plan = make_splits(eval_corpus, k=5, seed=1)
-        trained = _count_calls(monkeypatch, evaluation, "train_svm")
+        trained = _count_calls(monkeypatch, classify, "train_svm")
         grid = grid_run(
             eval_corpus, ["tfcr"], eval_model, ["logreg", "svm"], plan,
             TrainConfig(epochs=5, l2=0.0),
         )
         failure = grid["tfcr", eval_model.origin, "svm"]
-        assert failure.message == (
-            "TrainingError: svm training requires l2 > 0 for the Pegasos step"
-        )
+        assert isinstance(failure, TrainingError)
+        assert str(failure) == "svm training requires l2 > 0 for the Pegasos step"
         assert len(trained) == 1  # failed in fold 0, skipped in folds 1-4
         assert len(grid["tfcr", eval_model.origin, "logreg"].fold_scores) == 5
 
@@ -509,7 +492,8 @@ class TestGridRun:
         assert list(grid) == list(healthy)
         for key, cell in grid.items():
             if key[0] == "kld":
-                assert cell.message == "ValueError: kld broke in fold 2"
+                assert isinstance(cell, ValueError)
+                assert str(cell) == "kld broke in fold 2"
             else:
                 assert cell.fold_scores == healthy[key].fold_scores
 
@@ -526,7 +510,8 @@ class TestGridRun:
         )
         assert isinstance(grid["none", eval_model.origin, "logreg"], EvalReport)
         failure = grid["tfcr", eval_model.origin, "logreg"]
-        assert failure.message == "MemoryError: no room for stats"
+        assert isinstance(failure, MemoryError)
+        assert str(failure) == "no room for stats"
 
     def test_parallel_jobs_keep_first_fold_failure(
         self, eval_corpus, eval_model, monkeypatch
@@ -548,8 +533,9 @@ class TestGridRun:
         assert len(none_builds) == 1
         assert list(threaded) == list(serial)
         for key, cell in serial.items():
-            if isinstance(cell, GridFailure):
-                assert threaded[key] == cell
+            if isinstance(cell, Exception):
+                assert type(threaded[key]) is type(cell)
+                assert threaded[key].args == cell.args
             else:
                 assert threaded[key].fold_scores == cell.fold_scores
 
@@ -564,7 +550,6 @@ class TestResultsCsv:
             fold_scores=(0.25, 0.75),
             fold_accuracies=(0.5, 0.75),
             fold_train_sizes=(8, 8),
-            fingerprint={"train_size": 8.0},
         )
 
     def test_layout_and_float_round_trip(self):
@@ -578,14 +563,14 @@ class TestResultsCsv:
         assert lines[1].split(",")[:6] == ["toy", "tfcr", "emb.txt", "logreg", "8", "0"]
         assert len(lines) == 1 + 2 + 1  # header, two folds, mean
         mean_row = lines[-1].split(",")
-        assert mean_row[5] == "mean"
+        assert mean_row[4:6] == ["8", "mean"]
         # repr() floats survive the round trip exactly.
         assert float(mean_row[6]) == 0.5
         assert float(lines[1].split(",")[6]) == 0.25
 
     def test_failed_cell_row(self):
         results = {
-            ("tfcr", "emb.txt", "svm"): GridFailure(message="TrainingError: l2"),
+            ("tfcr", "emb.txt", "svm"): TrainingError("l2"),
         }
         buffer = io.StringIO()
         write_results_csv(results, buffer)
@@ -593,12 +578,12 @@ class TestResultsCsv:
         assert len(rows) == 2
         cells = rows[1].split(",")
         assert cells[5] == "failed"
-        assert "TrainingError" in cells[6]
+        assert cells[6] == "TrainingError: l2"
 
     def test_mixed_results_keep_going(self):
         results = {
             ("none", "emb.txt", "logreg"): self._report(),
-            ("tfcr", "emb.txt", "svm"): GridFailure(message="boom"),
+            ("tfcr", "emb.txt", "svm"): RuntimeError("boom"),
         }
         buffer = io.StringIO()
         write_results_csv(results, buffer)
