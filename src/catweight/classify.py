@@ -23,25 +23,30 @@ trajectory bit for bit.  Prediction ties break to the lowest class
 index (numpy argmax convention).
 
 ``save_model``/``load_model`` own the one model file ``predict`` reads
-(format 2, an uncompressed npz loaded without pickle): the classifier,
-the scaler, the weight table as ``build_table`` made it, and the
-embedding row of every training term.  Format-1 files must be retrained.
+(format 3, an uncompressed npz loaded without pickle): the classifier,
+the scaler, one vocabulary of the training terms the embedding knew with
+their embedding rows, and the weight table over that vocabulary only
+(its nonzero (term, category) weights as CSR arrays, or its idf).
+``load_model`` rebuilds the dense in-memory ``WeightTable`` from them.
+Files of formats 1 and 2 must be retrained.
 """
 
 from __future__ import annotations
 
 import zipfile
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .embeddings import EmbeddingModel
 from .errors import ModelFormatError, TrainingError
 from .vectorize import ScalerParams
 from .weighting import SCHEMES, WeightTable
 
-MODEL_FORMAT = 2
+MODEL_FORMAT = 3
 CLASSIFIERS = ("logreg", "svm")
 _KIND_CODES = {kind: code for code, kind in enumerate(CLASSIFIERS)}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
@@ -325,11 +330,22 @@ def predict_many(model: LinearModel, vectors: np.ndarray) -> tuple[np.ndarray, n
 
 
 def save_model(saved: SavedModel, path: str | Path) -> None:
-    """Write model format 2: an uncompressed npz of plain arrays, written
+    """Write model format 3: an uncompressed npz of plain arrays, written
     through a file handle so ``path`` is used as given.  Identical models
-    give identical bytes (zip entries carry a fixed timestamp)."""
-    model, table, scaler = saved.model, saved.table, saved.scaler
-    empty, cw = np.zeros(0), table.category_weights
+    give identical bytes (zip entries carry a fixed timestamp).
+
+    ``vocab`` names the ``vectors`` rows.  ``table_rows`` lists the vocab
+    rows that are table words, in vocab order; the table keeps only
+    those, as CSR arrays of their nonzero category weights (kld, tftrr,
+    tfcr) or as their idf (tfidf).  Table words without an embedding
+    row can never weigh at predict time and are not written.
+    """
+    model, table, scaler, vocab = saved.model, saved.table, saved.scaler, saved.embedding.words
+    at = np.fromiter(map(table.word_ids.get, vocab, repeat(-1)), np.int64, len(vocab))
+    table_rows = np.flatnonzero(at >= 0)
+    at = at[table_rows]
+    empty = np.zeros(0)
+    weights = None if table.category_weights is None else sp.csr_matrix(table.category_weights[at])
     with open(path, "wb") as fh:
         np.savez(
             fh,
@@ -343,22 +359,38 @@ def save_model(saved: SavedModel, path: str | Path) -> None:
             preserve_case=np.bool_(saved.preserve_case),
             scheme=np.str_(table.scheme),
             alpha=np.float64(table.alpha),
-            words=np.array(table.words, dtype=str),
-            category_weights=np.zeros((0, table.num_categories)) if cw is None else cw,
-            idf=empty if table.idf is None else table.idf,
-            terms=np.array(saved.embedding.words, dtype=str),
+            vocab=np.array(vocab, dtype=str),
             vectors=saved.embedding.vectors,
+            table_rows=table_rows,
+            weight_indptr=np.zeros(0, np.int32) if weights is None else weights.indptr,
+            weight_categories=np.zeros(0, np.int32) if weights is None else weights.indices,
+            weight_values=empty if weights is None else weights.data,
+            idf=empty if table.idf is None else table.idf[at],
         )
 
 
-# name -> (dtype kind, ndim) of every array of a format-2 file
+# name -> (dtype kind, ndim) of every array of a format-3 file
 _ARRAYS = {
     "format": ("i", 0), "kind": ("i", 0), "W": ("f", 2), "b": ("f", 1),
     "scaler_mean": ("f", 1), "scaler_scale": ("f", 1), "categories": ("U", 1),
     "preserve_case": ("b", 0), "scheme": ("U", 0), "alpha": ("f", 0),
-    "words": ("U", 1), "category_weights": ("f", 2), "idf": ("f", 1),
-    "terms": ("U", 1), "vectors": ("f", 2),
+    "vocab": ("U", 1), "vectors": ("f", 2), "table_rows": ("i", 1),
+    "weight_indptr": ("i", 1), "weight_categories": ("i", 1), "weight_values": ("f", 1),
+    "idf": ("f", 1),
 }
+
+
+def _check_version(path, npz) -> None:
+    """Reject a file of another format before its arrays are checked."""
+    if "format" not in npz.files:
+        return
+    version = npz["format"]
+    if version.dtype.kind != "i" or version.ndim != 0 or version == MODEL_FORMAT:
+        return  # the type check reports a malformed format array
+    version = int(version)
+    if 1 <= version < MODEL_FORMAT:
+        raise ModelFormatError(f"{path}: a format-{version} model file, no longer read; retrain it")
+    raise ModelFormatError(f"{path}: unsupported model format {version}")
 
 
 def _read_arrays(path: str | Path) -> dict[str, np.ndarray]:
@@ -376,6 +408,7 @@ def _read_arrays(path: str | Path) -> dict[str, np.ndarray]:
         fh.seek(0)
         try:
             with np.load(fh, allow_pickle=False) as npz:
+                _check_version(path, npz)
                 names = set(npz.files)
                 if names != set(_ARRAYS):
                     raise ModelFormatError(
@@ -396,42 +429,75 @@ def _read_arrays(path: str | Path) -> dict[str, np.ndarray]:
     return arrays
 
 
+def _table_problems(a: dict[str, np.ndarray], vocab_size: int, num_categories: int) -> list[str]:
+    """What is wrong with the table arrays, whose shapes already agree."""
+    rows, indptr, cats = a["table_rows"], a["weight_indptr"], a["weight_categories"]
+    wrong = []
+    if rows.size and (rows[0] < 0 or rows[-1] >= vocab_size or (np.diff(rows) <= 0).any()):
+        wrong.append("table_rows are not increasing vocab rows")
+    if indptr.size and (indptr[0] != 0 or (np.diff(indptr) < 0).any()):
+        wrong.append("weight_indptr does not rise from 0")
+    elif cats.size:
+        if cats.min() < 0 or cats.max() >= num_categories:
+            wrong.append(f"a weight category outside [0, {num_categories})")
+        # Within a row, categories rise; a new row may start anywhere.
+        rising = np.diff(cats) > 0
+        starts = indptr[1:-1]
+        rising[starts[(starts > 0) & (starts < cats.size)] - 1] = True
+        if not rising.all():
+            wrong.append("weight categories not increasing within a row")
+    if (a["weight_values"] <= 0).any() or (a["idf"] < 0).any():
+        wrong.append("a negative weight or a stored zero")
+    if not a["alpha"] >= 1:
+        wrong.append(f"alpha {float(a['alpha'])} < 1")
+    return wrong
+
+
 def load_model(path: str | Path) -> SavedModel:
-    """Read a format-2 model file.  A file of another format or version,
-    or whose arrays disagree in shape, raises ``ModelFormatError``."""
+    """Read a format-3 model file.  A file of another format or version,
+    or whose arrays disagree in shape or content, raises ``ModelFormatError``."""
     a = _read_arrays(path)
-    version, kind, scheme = int(a["format"]), int(a["kind"]), str(a["scheme"])
-    if version != MODEL_FORMAT:
-        raise ModelFormatError(f"{path}: unsupported model format {version}")
+    kind, scheme = int(a["kind"]), str(a["scheme"])
     if kind not in _KIND_NAMES:
         raise ModelFormatError(f"{path}: unknown model kind {kind}")
     if scheme not in SCHEMES:
         raise ModelFormatError(f"{path}: unknown scheme {scheme!r}")
-    categories, words, terms = (tuple(a[n].tolist()) for n in ("categories", "words", "terms"))
+    categories, vocab = tuple(a["categories"].tolist()), tuple(a["vocab"].tolist())
+    word_ids = dict(zip(vocab, range(len(vocab))))
     per_category = scheme in ("kld", "tftrr", "tfcr")
     C, d = len(categories), a["vectors"].shape[1]
     F = C * d if per_category else d
-    V = 0 if scheme == "none" else len(words)
+    T = 0 if scheme == "none" else len(a["table_rows"])
+    nnz = int(a["weight_indptr"][-1]) if a["weight_indptr"].size else 0
     expected = {
-        "W": (C, F), "b": (C,), "words": (V,), "vectors": (len(terms), d),
-        "category_weights": (V if per_category else 0, C),
-        "idf": (V if scheme == "tfidf" else 0,),
+        "W": (C, F), "b": (C,), "vectors": (len(vocab), d), "table_rows": (T,),
+        "weight_indptr": (T + 1 if per_category else 0,),
+        "weight_categories": (nnz,), "weight_values": (nnz,),
+        "idf": (T if scheme == "tfidf" else 0,),
         "scaler_scale": a["scaler_mean"].shape,
     }
     wrong = [f"{n} {a[n].shape} != {shape}" for n, shape in expected.items() if a[n].shape != shape]
     if a["scaler_mean"].shape not in ((F,), (0,)):
         wrong.append(f"scaler_mean {a['scaler_mean'].shape} != ({F},)")
-    if C < 2 or len(set(words)) < len(words) or len(set(terms)) < len(terms):
-        wrong.append("fewer than 2 categories or a repeated word")
+    if C < 2 or len(word_ids) < len(vocab):
+        wrong.append("fewer than 2 categories or a repeated vocab word")
+    if not wrong:
+        wrong = _table_problems(a, len(vocab), C)
     if wrong:
         raise ModelFormatError(f"{path}: inconsistent model file: {'; '.join(wrong)}")
-    table = WeightTable(
-        scheme, categories, {w: i for i, w in enumerate(words)}, words,
-        category_weights=a["category_weights"] if per_category else None,
-        idf=a["idf"] if scheme == "tfidf" else None,
-        alpha=float(a["alpha"]),
-    )
-    embedding = EmbeddingModel(d, {t: i for i, t in enumerate(terms)}, terms, a["vectors"], str(path))
+    # Rows increase, so T == len(vocab) means the table covers the vocab.
+    if T == len(vocab):
+        words, table_ids = vocab, word_ids
+    else:
+        words = tuple(a["vocab"][a["table_rows"]].tolist())
+        table_ids = dict(zip(words, range(T)))
+    weights = None
+    if per_category:
+        csr = (a["weight_values"], a["weight_categories"], a["weight_indptr"])
+        weights = sp.csr_matrix(csr, shape=(T, C)).toarray()
+    idf = a["idf"] if scheme == "tfidf" else None
+    table = WeightTable(scheme, categories, table_ids, words, weights, idf, float(a["alpha"]))
+    embedding = EmbeddingModel(d, word_ids, vocab, a["vectors"], str(path))
     scaler = ScalerParams(a["scaler_mean"], a["scaler_scale"]) if a["scaler_mean"].size else None
     model = LinearModel(kind=_KIND_NAMES[kind], W=a["W"], b=a["b"])
     return SavedModel(model, table, embedding, scaler, bool(a["preserve_case"]))

@@ -12,9 +12,10 @@ configuration, so reruns are reproducible byte for byte (``--jobs 1``).
 Seeds are always explicit; there is no wall-clock default.  Features
 are standardized unless ``--no-standardize`` is given.
 
-``train`` writes one self-contained model file (``classify.save_model``):
-``predict`` reads only that file and its input text, never the
-embedding or the manifest.
+``train`` writes one self-contained model file (``classify.save_model``,
+model format 3): ``predict`` reads only that file and its input text,
+never the embedding or the manifest.  The file holds the weights of the
+training terms the embedding knew, the only ones ``predict`` can use.
 """
 
 from __future__ import annotations
@@ -426,10 +427,10 @@ def cmd_cv(args: argparse.Namespace) -> int:
 def _curve_sizes(cfg: dict, available: int) -> list[int]:
     if cfg.get("sizes"):
         raw = cfg["sizes"]
-        parts = raw.split(",") if isinstance(raw, str) else list(raw)
         try:
+            parts = raw.split(",") if isinstance(raw, str) else list(raw)
             sizes = sorted({int(p) for p in parts})
-        except ValueError:
+        except (TypeError, ValueError):
             raise ConfigError(f"bad --sizes value {raw!r}") from None
     else:
         lo, hi, step = cfg.get("min"), cfg.get("max"), cfg.get("step")

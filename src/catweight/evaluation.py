@@ -426,7 +426,9 @@ def write_results_csv(results, fh, dataset: str = "corpus") -> None:
     """`dataset,scheme,embedding,classifier,train_size,fold,macro_f1,accuracy`
     with one row per fold plus a `mean` row per cell, whose train_size is
     the mean fold's; a failed cell (an exception) gets a single `failed`
-    row carrying ``"<type>: <message>"`` in the macro_f1 column."""
+    row carrying ``"<type>: <message>"`` in the macro_f1 column.  A report
+    without folds (from ``macro_f1``) gets only a `mean` row with its
+    pooled scores and an empty train_size."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(
         ["dataset", "scheme", "embedding", "classifier", "train_size", "fold", "macro_f1", "accuracy"]
@@ -444,16 +446,17 @@ def write_results_csv(results, fh, dataset: str = "corpus") -> None:
             writer.writerow(
                 [dataset, scheme, embedding_id, classifier, size, fold, repr(score), repr(acc)]
             )
+        folds = bool(report.fold_scores)
         writer.writerow(
             [
                 dataset,
                 scheme,
                 embedding_id,
                 classifier,
-                int(np.mean(report.fold_train_sizes)),
+                int(np.mean(report.fold_train_sizes)) if folds else "",
                 "mean",
                 repr(report.mean_macro_f1),
-                repr(float(np.mean(report.fold_accuracies))),
+                repr(float(np.mean(report.fold_accuracies)) if folds else report.accuracy),
             ]
         )
 

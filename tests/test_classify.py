@@ -19,6 +19,7 @@ from catweight import (
     build_stats,
     build_table,
     decision_scores,
+    from_token_lists,
     load_model,
     logreg_gradient,
     predict,
@@ -26,6 +27,7 @@ from catweight import (
     save_model,
     svm_objective,
     svm_subgradient,
+    synthetic_model,
     train_logreg,
     train_svm,
 )
@@ -372,8 +374,8 @@ class TestPredict:
             predict(model, np.zeros(4))
 
 
-def _saved_model(corpus, embedding, scheme, kind="logreg", scaler=True, seed=0):
-    table = build_table(build_stats(corpus), scheme)
+def _saved_model(corpus, embedding, scheme, kind="logreg", scaler=True, seed=0, min_count=1):
+    table = build_table(build_stats(corpus, min_count=min_count), scheme)
     vec = CorpusVectorizer(corpus.documents, embedding)
     rng = np.random.default_rng(seed)
     n_classes, n_features = len(corpus.categories), vec.matrix(table).shape[1]
@@ -418,21 +420,28 @@ class TestModelSerialization:
         return path
 
     def test_round_trip_bit_exact(self, toy_corpus, tiny_model, tmp_path):
-        cases = [(s, k, k == "logreg") for s in SCHEMES for k in ("logreg", "svm")]
-        for scheme, kind, scaler in cases:
-            saved = _saved_model(toy_corpus, tiny_model, scheme, kind, scaler)
+        # The loaded table holds only the vocab terms (training terms the
+        # embedding knew), so it is compared by the features it gives.
+        docs = from_token_lists(
+            [["win", "extra", "zzz", "game"], ["stock", "win", "win", "loan"], ["extra", "zzz"],
+             ["goal", "bank", "bank", "rate", "ball"]],
+            [0, 1, 0, 1], ["A", "B"],
+        ).documents
+        cases = [(s, k, k == "logreg", 1) for s in SCHEMES for k in ("logreg", "svm")]
+        cases += [(s, "logreg", True, 2) for s in SCHEMES]
+        for scheme, kind, scaler, min_count in cases:
+            saved = _saved_model(toy_corpus, tiny_model, scheme, kind, scaler, min_count=min_count)
             path = tmp_path / f"{kind}.model"
             save_model(saved, path)
             loaded = load_model(path)
             assert loaded.model.kind == kind
             assert np.array_equal(loaded.model.W, saved.model.W)
             assert np.array_equal(loaded.model.b, saved.model.b)
-            for name in ("scheme", "categories", "words", "word_ids", "alpha"):
+            for name in ("scheme", "categories", "alpha"):
                 assert getattr(loaded.table, name) == getattr(saved.table, name)
-            for name in ("category_weights", "idf"):
-                expected = getattr(saved.table, name)
-                got = getattr(loaded.table, name)
-                assert got is None if expected is None else np.array_equal(got, expected)
+            expected = CorpusVectorizer(docs, saved.embedding).matrix(saved.table)
+            got = CorpusVectorizer(docs, loaded.embedding).matrix(loaded.table)
+            assert got.tobytes() == expected.tobytes(), (scheme, min_count)
             assert loaded.embedding.words == saved.embedding.words
             assert loaded.embedding.word_ids == saved.embedding.word_ids
             assert np.array_equal(loaded.embedding.vectors, saved.embedding.vectors)
@@ -445,6 +454,23 @@ class TestModelSerialization:
             save_model(loaded, tmp_path / "again.model")
             assert (tmp_path / "again.model").read_bytes() == path.read_bytes()
 
+    def test_table_keeps_only_vocab_terms(self, toy_corpus, tiny_model, tmp_path):
+        # "bond" has no embedding row: its weights are not written.
+        embedding = synthetic_model([w for w in tiny_model.words if w != "bond"], 8, seed=13)
+        saved = _saved_model(toy_corpus, embedding, "tftrr", min_count=2)
+        assert "bond" in saved.table.word_ids
+        save_model(saved, tmp_path / "m.bin")
+        loaded = load_model(tmp_path / "m.bin")
+        # min_count 2 keeps win, game, team, market, stock, ..., not goal or ball
+        assert set(loaded.table.words) == set(saved.table.words) - {"bond"}
+        assert "goal" in loaded.embedding.word_ids and "goal" not in loaded.table.word_ids
+        for word in loaded.table.words:
+            row = loaded.table.word_ids[word]
+            assert np.array_equal(
+                loaded.table.category_weights[row],
+                saved.table.category_weights[saved.table.word_ids[word]],
+            )
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.model"
         path.write_bytes(b"XXXX" + b"\x00" * 40)
@@ -456,6 +482,18 @@ class TestModelSerialization:
         path.write_bytes(b"CWLM" + struct.pack("<IBII", 1, 0, 2, 1) + b"\x00" * 24)
         with pytest.raises(ModelFormatError, match="retrain"):
             load_model(path)
+
+    def test_format_2_file_says_retrain(self, model_file):
+        # Format 2 held a dense table over words plus a separate term list.
+        with np.load(model_file) as npz:
+            vocab = npz["vocab"]
+        table = dict.fromkeys(("table_rows", "weight_indptr", "weight_categories", "weight_values"))
+        _rewrite(
+            model_file, format=np.int64(2), vocab=None, **table,
+            words=vocab, terms=vocab, category_weights=np.zeros((len(vocab), 2)),
+        )
+        with pytest.raises(ModelFormatError, match="format-2 model file.*retrain"):
+            load_model(model_file)
 
     def test_bad_version(self, model_file):
         _rewrite(model_file, format=np.int64(9))
@@ -515,6 +553,10 @@ class TestModelSerialization:
             ("preserve_case", np.int64(0)),
             ("b", np.zeros((2, 1))),
             ("vectors", np.full((1, 8), np.nan)),
+            ("table_rows", np.zeros(3)),
+            ("weight_indptr", np.zeros((2, 2), dtype=np.int64)),
+            ("weight_values", np.array([0.5, np.inf])),
+            ("idf", np.array([-np.inf])),
         ],
     )
     def test_wrong_type_rejected(self, model_file, name, value):
@@ -532,16 +574,31 @@ class TestModelSerialization:
             ("tfcr", "scaler_scale", lambda a: a[:-1]),
             ("tfcr", ("scaler_mean", "scaler_scale"), lambda a: a[:-1]),
             ("tfcr", "categories", lambda a: a[:-1]),
-            ("tfcr", "words", lambda a: a[:-1]),
-            ("tfcr", "words", lambda a: np.concatenate([a[:-1], a[:1]])),
-            ("tfcr", "category_weights", lambda a: a[:-1]),
-            ("tfcr", "category_weights", lambda a: a[:, :-1]),
-            ("tfcr", "idf", lambda a: np.ones(1)),
-            ("tfcr", "terms", lambda a: a[:-1]),
+            ("tfcr", "vocab", lambda a: a[:-1]),
+            ("tfcr", "vocab", lambda a: np.concatenate([a[:-1], a[:1]])),  # repeated word
             ("tfcr", "vectors", lambda a: a[:, :-1]),
+            ("tfcr", "table_rows", lambda a: a[:-1]),
+            ("tfcr", "table_rows", lambda a: a + 1),  # last row past the vocab
+            ("tfcr", "table_rows", lambda a: a - 1),  # first row negative
+            ("tfcr", "table_rows", lambda a: a[::-1]),
+            ("tfcr", "table_rows", lambda a: np.concatenate([a[:1], a[:-1]])),  # repeated row
+            ("tfcr", "weight_indptr", lambda a: a[:-1]),
+            ("tfcr", "weight_indptr", lambda a: np.concatenate([a[:1], a[-1:], a[2:]])),
+            ("tfcr", "weight_indptr", lambda a: np.concatenate([[1], a[1:]])),  # not from 0
+            ("tfcr", "weight_categories", lambda a: a + 1),  # category index == C
+            ("tfcr", "weight_categories", lambda a: a - 1),
+            ("tfcr", "weight_categories", np.zeros_like),  # repeated within a row
+            ("tfcr", "weight_categories", lambda a: a[:-1]),
+            ("tfcr", "weight_values", lambda a: -a),
+            ("tfcr", "weight_values", lambda a: 0.0 * a),
+            ("tfcr", "weight_values", lambda a: a[:-1]),
+            ("tfcr", "idf", lambda a: np.ones(1)),
+            ("tftrr", "alpha", lambda a: np.float64(0.5)),
             ("tfidf", "idf", lambda a: a[:-1]),
+            ("tfidf", "idf", lambda a: -a),
             ("tfidf", "W", lambda a: np.zeros((2, 16))),
-            ("none", "words", lambda a: np.array(["win"])),
+            ("tfidf", "weight_indptr", lambda a: np.zeros(16, dtype=np.int32)),
+            ("none", "table_rows", lambda a: np.array([0])),
         ],
     )
     def test_inconsistent_shapes_rejected(

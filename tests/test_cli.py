@@ -14,7 +14,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from catweight import load_model, save_glove_text, separable_corpus, synthetic_model
+from catweight import (
+    CorpusVectorizer,
+    build_stats,
+    build_table,
+    from_token_lists,
+    load_csv,
+    load_embeddings,
+    load_model,
+    predict_many,
+    save_glove_text,
+    separable_corpus,
+    standardize_apply,
+    synthetic_model,
+    tokenize,
+)
 from catweight.cli import main
 
 TOY_ROWS = [
@@ -232,6 +246,16 @@ class TestCurve:
         assert "truncated" in capsys.readouterr().err
         rows = out.read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["50"]
+
+    @pytest.mark.parametrize("sizes", [[[240]], 240, [None]], ids=["nested", "scalar", "null"])
+    def test_non_number_config_sizes_exit_2(self, train_csv, tmp_path, capsys, sizes):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"sizes": sizes}))
+        out = tmp_path / "c.csv"
+        argv = self._argv(train_csv, str(out), **{"--sizes": None, "--config": str(config)})
+        assert main(argv) == 2
+        assert f"error: bad --sizes value {sizes!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_fitting_size_exits_2(self, train_csv, tmp_path, capsys):
         argv = self._argv(train_csv, str(tmp_path / "c.csv"), **{"--sizes": "500"})
@@ -558,6 +582,49 @@ class TestTrainPredict:
         argv = ["predict", "--model", str(model), "--input", str(model)]
         assert main(argv) == 1
         assert "retrain" in capsys.readouterr().err
+
+    def test_format_2_model_exits_1(self, tmp_path, capsys):
+        model = tmp_path / "old.bin"
+        with open(model, "wb") as fh:
+            np.savez(fh, format=np.int64(2), words=np.array(["a"]), terms=np.array(["a"]))
+        argv = ["predict", "--model", str(model), "--input", str(model)]
+        assert main(argv) == 1
+        assert "a format-2 model file, no longer read; retrain it" in capsys.readouterr().err
+
+    def test_tftrr_min_count_2_predicts_as_in_memory(self, train_csv, tmp_path):
+        # min_count 2 drops the once-seen "solo" words from the table while
+        # their embedding rows stay: they weigh 0, and a table word absent
+        # from a category still gets the floor ln(alpha).
+        with open(train_csv, encoding="utf-8", newline="") as fh:
+            rows = [(r["text"], r["label"]) for r in csv.DictReader(fh)]
+        rows = [(f"{text} solo{i}" if i < 6 else text, label) for i, (text, label) in enumerate(rows)]
+        data = _write_dataset(tmp_path / "data.csv", rows)
+        vocab = sorted({t for text, _ in rows for t in text.split()})
+        glove = tmp_path / "glove.txt"
+        save_glove_text(synthetic_model(vocab + ["zebra"], 8, seed=3), glove)
+        model = tmp_path / "m.bin"
+        argv = [
+            "train", "--data", data, "--scheme", "tftrr", "--classifier", "logreg",
+            "--embedding", str(glove), "--seed", "4", "--epochs", "20",
+            "--min-count", "2", "--out", str(model),
+        ]
+        assert main(argv) == 0
+        saved = load_model(model)
+        assert sorted(set(saved.embedding.words) - set(saved.table.words)) == [
+            f"solo{i}" for i in range(6)
+        ]
+        lines = [text for text, _ in rows[:12]] + ["solo1 solo2", "solo0 zebra " + rows[7][0], ""]
+        got = _predict(model, lines, tmp_path)
+        corpus = load_csv(data)
+        table = build_table(build_stats(corpus, min_count=2), "tftrr")
+        docs = from_token_lists([tokenize(line) for line in lines], [0] * len(lines), ["x"]).documents
+        features = CorpusVectorizer(docs, load_embeddings(str(glove))).matrix(table)
+        labels, scores = predict_many(saved.model, standardize_apply(saved.scaler, features))
+        expected = ["\t".join(["label", *corpus.categories])] + [
+            "\t".join([corpus.categories[c], *(repr(float(v)) for v in row)])
+            for c, row in zip(labels, scores)
+        ]
+        assert got == expected
 
 
 @pytest.fixture(scope="module")

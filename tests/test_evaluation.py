@@ -568,6 +568,17 @@ class TestResultsCsv:
         assert float(mean_row[6]) == 0.5
         assert float(lines[1].split(",")[6]) == 0.25
 
+    def test_report_without_folds_writes_pooled_mean_row(self, recwarn):
+        report = macro_f1([0, 1, 1, 0], [0, 1, 0, 0], 2)
+        buffer = io.StringIO()
+        write_results_csv({("tfcr", "emb.txt", "logreg"): report}, buffer, dataset="toy")
+        rows = buffer.getvalue().splitlines()
+        assert rows[1:] == [
+            f"toy,tfcr,emb.txt,logreg,,mean,{report.macro_f1!r},{report.accuracy!r}"
+        ]
+        assert report.accuracy == 0.75
+        assert not recwarn.list
+
     def test_failed_cell_row(self):
         results = {
             ("tfcr", "emb.txt", "svm"): TrainingError("l2"),
