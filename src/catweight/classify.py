@@ -27,8 +27,9 @@ index (numpy argmax convention).
 the scaler, one vocabulary of the training terms the embedding knew with
 their embedding rows, and the weight table over that vocabulary only
 (its nonzero (term, category) weights as CSR arrays, or its idf).
-``load_model`` rebuilds the dense in-memory ``WeightTable`` from them.
-Files of formats 1 and 2 must be retrained.
+``load_model`` builds the in-memory ``WeightTable`` straight from those
+arrays, numbering its words by the vocabulary, which is the loaded
+embedding's row order.  Files of formats 1 and 2 must be retrained.
 """
 
 from __future__ import annotations
@@ -341,11 +342,15 @@ def save_model(saved: SavedModel, path: str | Path) -> None:
     row can never weigh at predict time and are not written.
     """
     model, table, scaler, vocab = saved.model, saved.table, saved.scaler, saved.embedding.words
-    at = np.fromiter(map(table.word_ids.get, vocab, repeat(-1)), np.int64, len(vocab))
+    rows = dict(zip(table.words, range(len(table.term_ids))))
+    at = np.fromiter(map(rows.get, vocab, repeat(-1)), np.int64, len(vocab))
     table_rows = np.flatnonzero(at >= 0)
     at = at[table_rows]
     empty = np.zeros(0)
-    weights = None if table.category_weights is None else sp.csr_matrix(table.category_weights[at])
+    weights = None
+    if table.weights is not None:
+        weights = table.weights[at]
+        weights.eliminate_zeros()  # kld's clamped zeros
     with open(path, "wb") as fh:
         np.savez(
             fh,
@@ -485,18 +490,12 @@ def load_model(path: str | Path) -> SavedModel:
         wrong = _table_problems(a, len(vocab), C)
     if wrong:
         raise ModelFormatError(f"{path}: inconsistent model file: {'; '.join(wrong)}")
-    # Rows increase, so T == len(vocab) means the table covers the vocab.
-    if T == len(vocab):
-        words, table_ids = vocab, word_ids
-    else:
-        words = tuple(a["vocab"][a["table_rows"]].tolist())
-        table_ids = dict(zip(words, range(T)))
     weights = None
     if per_category:
         csr = (a["weight_values"], a["weight_categories"], a["weight_indptr"])
-        weights = sp.csr_matrix(csr, shape=(T, C)).toarray()
+        weights = sp.csr_matrix(csr, shape=(T, C))
     idf = a["idf"] if scheme == "tfidf" else None
-    table = WeightTable(scheme, categories, table_ids, words, weights, idf, float(a["alpha"]))
+    table = WeightTable(scheme, categories, vocab, a["table_rows"], weights, idf, float(a["alpha"]))
     embedding = EmbeddingModel(d, word_ids, vocab, a["vectors"], str(path))
     scaler = ScalerParams(a["scaler_mean"], a["scaler_scale"]) if a["scaler_mean"].size else None
     model = LinearModel(kind=_KIND_NAMES[kind], W=a["W"], b=a["b"])

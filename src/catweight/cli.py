@@ -533,7 +533,7 @@ def cmd_weights(args: argparse.Namespace) -> int:
     with open(out, "w", encoding="utf-8", newline="") as fh:
         export_weights(table, fh, fmt=fmt, top=top_k)
     _write_manifest(out, "weights", cfg)
-    print(f"{scheme} weights for {len(table.words)} words written to {out}")
+    print(f"{scheme} weights for {len(table.term_ids)} words written to {out}")
     return 0
 
 
@@ -591,7 +591,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     scaler = None
     if cfg["standardize"]:
         scaler = standardize_fit(X)
-        X = standardize_apply(scaler, X)
+        standardize_apply(scaler, X, out=X)
     model = train(classifier, X, labels, train_config, len(corpus.categories))
     out = Path(cfg.get("out") or "model.bin")
     saved = SavedModel(model, table, vec.known_embedding(), scaler, bool(cfg["preserve_case"]))
@@ -640,7 +640,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     # Only training terms have embedding rows in the model file.
     X = CorpusVectorizer(docs, saved.embedding).matrix(saved.table)
     if saved.scaler is not None:
-        X = standardize_apply(saved.scaler, X)
+        standardize_apply(saved.scaler, X, out=X)
     categories = saved.table.categories
     pred, scores = predict_many(saved.model, X)
     out_lines = ["\t".join(["label", *categories])]

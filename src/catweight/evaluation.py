@@ -12,13 +12,17 @@ ladder samples against the fixed holdout.  One call evaluates one
 embedding, whose document vectorizer the engine builds once; results
 are keyed by ``(scheme, embedding.origin, classifier)``, so grids over
 several embeddings merge by key.  The engine runs fold-major.  Per
-pair it builds the corpus statistics once (when some scheme needs
-them), then for each scheme in turn its weight table, feature matrix
-and scaler, on which every classifier is trained and scored.  A
-scheme's matrix holds only the pair's training and test rows.  The
-``none`` matrix does not depend on the pair and is built once per run;
-otherwise one scheme's matrix is alive at a time.  Training is seeded
-from ``TrainConfig.seed`` alone, so results do not depend on this order.
+pair it takes one view of the pair's rows from the vectorizer (the
+sliced counts and the (category, column) order of the stats' pairs,
+shared by the pair's schemes) and builds the corpus statistics once
+(when some scheme needs them), then for each scheme in turn its weight
+table, feature matrix and scaler, on which every classifier is trained
+and scored.  A scheme's matrix holds only the pair's training and test
+rows and is standardized in place.  The ``none`` matrix does not depend
+on the pair and is built once per run; each pair gets a copy of its
+rows.  Otherwise one scheme's matrix is alive at a time.  Training is
+seeded from ``TrainConfig.seed`` alone, so results do not depend on this
+order.
 
 A failed cell is the exception that failed it, everywhere: in the
 engine's per-pair outcomes, in ``grid_run``'s results (the first fold's
@@ -158,11 +162,12 @@ def _fit_and_score(
     """Fit on A, score B, for every (scheme, classifier) cell and every
     ``(train_idx, test_idx, what)`` pair.
 
-    Per pair, the stats are built once (when some scheme needs them),
-    then per scheme the table, feature matrix and scaler on which every
-    classifier is trained and scored.  A cell's outcome is its list of
-    per-pair results, each a report or the exception that failed it; a
-    failing shared step fails exactly the cells built on it.  With
+    Per pair, one vectorizer view of the pair's rows and the stats (when
+    some scheme needs them) are built once, then per scheme the table,
+    feature matrix and scaler on which every classifier is trained and
+    scored.  A cell's outcome is its list of per-pair results, each a
+    report or the exception that failed it; a failing shared step fails
+    exactly the cells built on it.  With
     ``skip_failed``, a cell is not run (its result is None) in the pairs
     after one it failed in.  ``jobs > 1`` runs the pairs on a thread pool.
     """
@@ -185,28 +190,26 @@ def _fit_and_score(
     failed_in: dict[tuple[str, str], int] = {}  # cell -> earliest failed pair
     lock = threading.Lock()
 
-    def features(table: WeightTable, rows: np.ndarray) -> np.ndarray:
+    def features(table: WeightTable, view: CorpusVectorizer, rows: np.ndarray) -> np.ndarray:
+        """The pair's fresh feature matrix (the cached none matrix is copied)."""
         nonlocal none_matrix
         if table is not none_table:
-            return vectorizer.matrix(table, rows)
+            return view.matrix(table)
         with lock:
             if none_matrix is None:
                 none_matrix = vectorizer.matrix(table)
-            return none_matrix[rows]
+        return none_matrix[rows]
 
-    def score_group(members, table, train_idx, test_idx, scores, errors):
+    def score_group(members, table, view, rows, n_train, scores, errors):
         try:
-            X = features(table, np.concatenate([train_idx, test_idx]))
-            X_train, X_test = X[: len(train_idx)], X[len(train_idx) :]
-            del X  # keep one scheme's matrix alive at a time
+            X = features(table, view, rows)
+            X_train, X_test = X[:n_train], X[n_train:]
             if standardize:
-                params = standardize_fit(X_train)
-                X_train = standardize_apply(params, X_train)
-                X_test = standardize_apply(params, X_test)
+                standardize_apply(standardize_fit(X_train), X, out=X)
         except Exception as exc:
             errors.update((cell, exc) for cell in members)
             return
-        y_train, y_test = labels[train_idx], labels[test_idx]
+        y_train, y_test = labels[rows[:n_train]], labels[rows[n_train:]]
         for cell in members:
             try:
                 model = train(cell[1], X_train, y_train, cfg, n_classes)
@@ -229,6 +232,8 @@ def _fit_and_score(
                     if cell[1] == classifier:
                         errors.setdefault(cell, exc)
         todo = [cell for cell in cells if cell not in errors and cell not in skipped]
+        rows = np.concatenate([train_idx, test_idx])
+        view = vectorizer.view(rows)  # the pair's counts, shared by its schemes
         stats = None
         if any(cell[0] != "none" for cell in todo):
             try:
@@ -248,7 +253,7 @@ def _fit_and_score(
             except Exception as exc:
                 errors.update((cell, exc) for cell in group)
                 continue
-            score_group(group, table, train_idx, test_idx, scores, errors)
+            score_group(group, table, view, rows, len(train_idx), scores, errors)
         with lock:  # pairs may finish in any order; keep the earliest
             for cell in errors:
                 failed_in[cell] = min(p, failed_in.get(cell, p))

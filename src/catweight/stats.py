@@ -6,8 +6,13 @@ from the subset's rows of the corpus count matrix
 rows transposed times a one-hot label matrix, document frequency counts
 their non-zero entries per word, and the per-category and per-word
 totals sum the occurrences.  The kld and tftrr probabilities are derived
-from these arrays inside ``build_table``.  Occurrence counts are kept
-sparse; the vocabulary-by-categories table is mostly zeros.
+from these arrays inside ``build_table``.
+
+Words are kept as ids into the corpus term numbering (the columns of
+the count matrix), which the weight tables and ``CorpusVectorizer``
+share; their strings are built only when an export asks for them.
+Occurrence counts are kept sparse; the vocabulary-by-categories table
+is mostly zeros.
 """
 
 from __future__ import annotations
@@ -29,12 +34,14 @@ class CorpusStats:
     category c; ``category_tokens[c]`` the total token count of category
     c; ``word_totals[w]`` the occurrences of w across all categories;
     ``doc_freq[w]`` the number of subset documents containing w;
-    ``num_docs`` the subset size.  Words are whatever the tokenizer
-    emitted; only words that actually occur in the subset are present.
+    ``num_docs`` the subset size.  Row w stands for the word
+    ``terms[term_ids[w]]``: ``terms`` is the corpus term numbering (shared,
+    never copied) and ``term_ids`` increases.  Only words that occur in
+    the subset are present.
     """
 
-    word_ids: dict[str, int]
-    words: tuple[str, ...]
+    terms: tuple[str, ...]
+    term_ids: np.ndarray
     categories: tuple[str, ...]
     occurrences: sp.csr_matrix
     category_tokens: np.ndarray
@@ -48,7 +55,12 @@ class CorpusStats:
 
     @property
     def vocab_size(self) -> int:
-        return len(self.words)
+        return len(self.term_ids)
+
+    @property
+    def words(self) -> tuple[str, ...]:
+        """The words of the rows as strings, built on each call."""
+        return tuple(map(self.terms.__getitem__, self.term_ids.tolist()))
 
     @property
     def total_tokens(self) -> int:
@@ -86,17 +98,13 @@ def build_stats(
         shape=(len(subset), len(corpus.categories)),
     )
     occurrences = (rows.T @ onehot).tocsr()
-    # Words in order of first occurrence in the subset; absent words and
-    # words below min_count are dropped.
-    present, first = np.unique(rows.indices, return_index=True)
-    present = present[np.argsort(first)]
     totals = np.asarray(occurrences.sum(axis=1), dtype=np.int64).ravel()
-    keep = present[totals[present] >= min_count]
+    # Absent words and words below min_count are dropped.
+    keep = np.flatnonzero(totals >= max(min_count, 1))
     occurrences = occurrences[keep]
-    words = tuple(counts.terms[t] for t in keep)
     return CorpusStats(
-        word_ids={w: i for i, w in enumerate(words)},
-        words=words,
+        terms=counts.terms,
+        term_ids=keep,
         categories=corpus.categories,
         occurrences=occurrences,
         category_tokens=np.asarray(occurrences.sum(axis=0), dtype=np.int64).ravel(),

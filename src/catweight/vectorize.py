@@ -15,6 +15,16 @@ embedding rows:
   concatenated in category-index order (N*d dims), for training and
   test documents alike.
 
+A table's words reach the vectorizer's columns by one integer gather
+when the table numbers its words by the same count columns (tables
+built from this corpus's stats) or by the model's embedding rows (a
+loaded model file); a table over any other numbering is matched word by
+word.  ``view(rows)`` is the vectorizer over some documents only: it
+slices the count matrices and transposes them once, and orders a
+table's stored (word, category) pairs by (category, column) once for
+every table over the same pairs, as kld, tftrr and tfcr from one stats
+are.
+
 Each weight column is first scaled by an exact power of two that brings
 its maximum into [0.5, 1): the means do not change, and tiny weights
 cannot underflow in the products.  Numerators come from the nonzero
@@ -28,6 +38,7 @@ contributes the floor factor ln(alpha), per the scheme's definition.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -62,9 +73,17 @@ def standardize_fit(vectors: np.ndarray) -> ScalerParams:
     return ScalerParams(mean=mean, scale=scale)
 
 
-def standardize_apply(params: ScalerParams, vectors: np.ndarray) -> np.ndarray:
-    """Apply training statistics to one vector or a matrix of rows."""
-    return (np.asarray(vectors, dtype=np.float64) - params.mean) / params.scale
+def standardize_apply(params: ScalerParams, vectors: np.ndarray, out=None) -> np.ndarray:
+    """Apply training statistics to one vector or a matrix of rows.
+
+    With ``out`` (a float64 array of the same shape, ``vectors`` itself
+    allowed) the result goes there: the same ``(x - mean) / scale`` per
+    element, without a second matrix.
+    """
+    if out is None:
+        return (np.asarray(vectors, dtype=np.float64) - params.mean) / params.scale
+    np.subtract(vectors, params.mean, out=out)
+    return np.divide(out, params.scale, out=out)
 
 
 class CorpusVectorizer:
@@ -88,13 +107,38 @@ class CorpusVectorizer:
             if (row := ids.get(term, ids.get(term.lower(), -1) if case_fallback else -1)) >= 0
         )
         rows, self._words, columns = (tuple(x) for x in zip(*known)) if known else ((),) * 3
+        self._terms, self._rows = counts.terms, np.array(rows, dtype=np.int64)
+        self._exact_rows = not case_fallback  # a column's row is its own term's
+        # The column of each count column, -1 for a term the model lacks.
+        self._slot = np.full(len(counts.terms), -1, dtype=np.int64)
+        self._slot[list(columns)] = np.arange(len(columns))
         G = counts.matrix[:, list(columns)].sorted_indices()
         self.known_token_counts = np.asarray(G.sum(axis=1), dtype=np.int64).ravel()
         self._G = G.astype(np.float64)
         # 1 + ln tf by value, so that an entry's bits never depend on the corpus
         log_tf = np.array([1.0 + math.log(tf) for tf in range(1, G.data.max(initial=0) + 1)])
         self._G_log = sp.csr_matrix((log_tf[G.data - 1], G.indices, G.indptr), shape=G.shape)
-        self._E = model.vectors[list(rows)]
+        every_row = np.array_equal(self._rows, np.arange(len(model.vectors)))
+        self._E = model.vectors if every_row else model.vectors[self._rows]
+        self._selected = None  # the documents of a view; None: all
+        self._sliced: dict[bool, tuple] = {}  # log? -> (G, G transposed) of those
+        self._order = None  # the last table pattern ordered by ``_pairs``, and its order
+
+    def view(self, rows) -> CorpusVectorizer:
+        """This vectorizer over the documents ``rows`` only (any index
+        array or mask): ``view(rows).matrix(t)`` equals ``matrix(t)[rows]``.
+
+        A view slices and transposes the counts once per kind (plain and
+        ``1 + ln tf``) and keeps the (category, column) order of the last
+        table pattern it met, so one view per (train, test) pair serves
+        all the pair's tables.
+        """
+        picked = np.arange(len(self.known_token_counts))[rows]  # positions, from any index or mask
+        view = copy.copy(self)
+        view._selected = picked if self._selected is None else self._selected[picked]
+        view.known_token_counts = self.known_token_counts[picked]
+        view._sliced, view._order = {}, None
+        return view
 
     def known_embedding(self) -> EmbeddingModel:
         """The embedding row each known term resolved to, keyed by the term
@@ -102,6 +146,64 @@ class CorpusVectorizer:
         word_ids = {w: i for i, w in enumerate(self._words)}
         m = self.model
         return EmbeddingModel(m.dimension, word_ids, tuple(self._words), self._E, m.origin)
+
+    def _counts(self, log: bool) -> tuple:
+        """The documents' counts (``1 + ln tf`` when ``log``) and their
+        transpose, built on first use."""
+        if log not in self._sliced:
+            G = self._G_log if log else self._G
+            if self._selected is not None:
+                G = G[self._selected]
+            self._sliced[log] = (G, G.T.tocsr())
+        return self._sliced[log]
+
+    def _columns_of(self, table: WeightTable) -> np.ndarray:
+        """This vectorizer's column of each table word, -1 where the model
+        lacks it."""
+        if table.terms is self._terms or table.terms == self._terms:
+            slot = self._slot
+        elif table.terms is self.model.words and self._exact_rows:
+            slot = np.full(len(table.terms), -1, dtype=np.int64)
+            slot[self._rows] = np.arange(len(self._rows))
+        else:  # another numbering: match the words themselves
+            own = dict(zip(self._words, range(len(self._words))))
+            return np.fromiter(map(own.get, table.words, repeat(-1)), np.int64, len(table.term_ids))
+        return slot[table.term_ids]
+
+    def _known_rows(self, table: WeightTable) -> tuple[np.ndarray, np.ndarray]:
+        """The table rows whose word the model knows, in column order, and
+        their columns."""
+        at = self._columns_of(table)
+        rows = np.flatnonzero(at >= 0)
+        rows = rows[np.argsort(at[rows])]
+        return rows, at[rows]
+
+    def _pairs(self, table: WeightTable) -> tuple:
+        """``(indptr, columns, positions, training)`` of a category table's
+        stored (word, category) entries whose word the model knows, in
+        (category, column) order: category c's entries sit in
+        ``columns[indptr[c]:indptr[c + 1]]`` and their weights in
+        ``table.weights.data`` at the same slice of ``positions``.
+        ``training`` lists the columns of the table's words, increasing.
+        The last order is kept for the next table over the same words and
+        pairs, as the tables of one stats are."""
+        weights = table.weights
+        last = self._order
+        if (
+            last is not None
+            and last[0] is table.terms
+            and last[1] is table.term_ids
+            and np.array_equal(last[2], weights.indptr)
+            and np.array_equal(last[3], weights.indices)
+        ):
+            return last[4]
+        rows, training = self._known_rows(table)
+        positions = np.arange(weights.nnz)
+        pattern = sp.csr_matrix((positions, weights.indices, weights.indptr), shape=weights.shape)
+        pattern = pattern[rows].tocsc()
+        order = (pattern.indptr, training[pattern.indices], pattern.data, training)
+        self._order = (table.terms, table.term_ids, weights.indptr, weights.indices, order)
+        return order
 
     def _numerator(self, Gt, terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Per document, the sum over ``terms`` of frequency * weight * embedding
@@ -113,37 +215,44 @@ class CorpusVectorizer:
     def matrix(self, table: WeightTable, rows=None) -> np.ndarray:
         """Feature matrix of the documents ``rows`` (default: all, in order)
         under one table; ``matrix(t, rows)`` equals ``matrix(t)[rows]``."""
+        return (self if rows is None else self.view(rows))._matrix(table)
+
+    def _matrix(self, table: WeightTable) -> np.ndarray:
         d, K = self.model.dimension, len(self._words)
-        per_category = table.scheme not in ("none", "tfidf")
-        floor = np.zeros(table.num_categories if per_category else 1)
+        G, Gt = self._counts(table.scheme == "tftrr")
         if table.scheme == "none":
-            W = np.ones((K, 1))
+            indptr, columns, values = np.array([0, K]), np.arange(K), np.ones(K)
+        elif table.scheme == "tfidf":
+            rows, columns = self._known_rows(table)
+            indptr, values = np.array([0, rows.size]), table.idf[rows]
         else:
-            at = np.fromiter(map(table.word_ids.get, self._words, repeat(-1)), np.int64, K)
-            hit = at >= 0  # words unseen in training weigh 0
-            W = np.zeros((K, floor.size))
-            W[hit] = (table.category_weights if per_category else table.idf[:, None])[at[hit]]
-        if table.scheme == "tftrr":
-            floor[:] = math.log(table.alpha)
+            indptr, columns, positions, training = self._pairs(table)
+            values = table.weights.data[positions]
+        C = indptr.size - 1
+        per = np.diff(indptr)
+        category = np.repeat(np.arange(C), per)
+        floor = np.full(C, math.log(table.alpha) if table.scheme == "tftrr" else 0.0)
+        top = np.zeros(C)
+        full = per > 0
+        top[full] = np.maximum.reduceat(values, indptr[:-1][full])
         # Exact powers of two, never materialized as factors (2.0**-e overflows).
-        e = np.frexp(np.maximum(W.max(axis=0, initial=0.0), floor))[1]
-        W, floor = np.ldexp(W, -e), np.ldexp(floor, -e)
-        pairs = sp.csc_matrix(W)  # the nonzero (term, category) weights
-        G = self._G_log if table.scheme == "tftrr" else self._G
-        if rows is not None:
-            G = G[rows]
-        Gt = G.T.tocsr()
+        e = np.frexp(np.maximum(top, floor))[1]
+        values, floor = np.ldexp(values, -e[category]), np.ldexp(floor, -e)
+        nonzero = values != 0.0  # the nonzero (term, category) weights
+        columns, values, category = columns[nonzero], values[nonzero], category[nonzero]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(category, minlength=C))])
+        W = np.zeros((K, C))
         F = 0.0
         if floor.any():  # tftrr: floor * [training word] + nonzero deviations from it
-            in_table = np.flatnonzero(hit)
-            F = self._numerator(Gt, in_table, np.ones(in_table.size))
-            W = np.where(hit[:, None] & (W == 0.0), floor, W)
-            pairs.data -= np.repeat(floor, np.diff(pairs.indptr))
+            F = self._numerator(Gt, training, np.ones(training.size))
+            W[training] = floor
+        W[columns, category] = values
+        values = values - floor[category]
         den = G @ W
         den[den == 0.0] = 1.0
-        X = np.empty((G.shape[0], W.shape[1], d))
-        for c in range(W.shape[1]):
-            lo, hi = pairs.indptr[c], pairs.indptr[c + 1]
-            X[:, c] = self._numerator(Gt, pairs.indices[lo:hi], pairs.data[lo:hi]) + floor[c] * F
+        X = np.empty((G.shape[0], C, d))
+        for c in range(C):
+            lo, hi = indptr[c], indptr[c + 1]
+            X[:, c] = self._numerator(Gt, columns[lo:hi], values[lo:hi]) + floor[c] * F
         X /= den[:, :, None]
-        return X.reshape(len(X), W.shape[1] * d)
+        return X.reshape(len(X), C * d)

@@ -18,6 +18,11 @@ that ``CorpusVectorizer`` turns into features:
 * ``tfcr``    per-(word, category) product of within-category frequency
               and category exclusivity: |w_c|^2 / (N_c * |w|).
 
+A table names its words the way the stats do, as ids into a term
+numbering it shares (the corpus count columns, or a model file's
+vocabulary), and keeps the category weights sparse: one stored entry
+per nonzero occurrence pair, everything else an implicit zero.
+
 Every weight is >= 0, and words unseen in training weigh 0.  A zero
 remainder probability under a positive P is replaced by 1 / (N_r + 1),
 N_r being the pooled remainder token total.  Natural logarithms
@@ -33,6 +38,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .stats import CorpusStats
 
@@ -44,18 +50,21 @@ DEFAULT_ALPHA = 1.2
 class WeightTable:
     """Materialized weights for one scheme.
 
-    For the category-level schemes, ``category_weights`` holds one value
-    per (word, category) pair with a nonzero occurrence count (kld/tfcr:
-    the weight itself; tftrr: the relevance-ratio factor) and zeros
-    everywhere else.  For tfidf, ``idf`` holds one value per word.
+    Row i of the arrays weighs the training word ``terms[term_ids[i]]``:
+    ``terms`` is a term numbering shared with the stats (or the model
+    file) and never copied, and ``term_ids`` increases.  For the
+    category-level schemes, ``weights`` is a sparse (word, category)
+    matrix (kld/tfcr: the weight itself; tftrr: the relevance-ratio
+    factor) storing the stats' nonzero occurrence pairs, kld's clamped
+    zeros included.  For tfidf, ``idf`` holds one value per word.
     Scheme ``none`` carries no arrays and acts as the empty marker.
     """
 
     scheme: str
     categories: tuple[str, ...]
-    word_ids: dict[str, int] = field(default_factory=dict)
-    words: tuple[str, ...] = ()
-    category_weights: np.ndarray | None = None
+    terms: tuple[str, ...] = ()
+    term_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    weights: sp.csr_matrix | None = None
     idf: np.ndarray | None = None
     alpha: float = DEFAULT_ALPHA
 
@@ -63,25 +72,17 @@ class WeightTable:
     def num_categories(self) -> int:
         return len(self.categories)
 
-    def category_weight(self, word: str, c: int) -> float:
-        """Table lookup; 0 for words not materialized."""
-        wid = self.word_ids.get(word)
-        if wid is None or self.category_weights is None:
-            return 0.0
-        return float(self.category_weights[wid, c])
-
-    def idf_value(self, word: str) -> float:
-        wid = self.word_ids.get(word)
-        if wid is None or self.idf is None:
-            return 0.0
-        return float(self.idf[wid])
+    @property
+    def words(self) -> tuple[str, ...]:
+        """The training words of the rows as strings, built on each call."""
+        return tuple(map(self.terms.__getitem__, self.term_ids.tolist()))
 
 
 def _log_elementwise(values: np.ndarray) -> np.ndarray:
     """math.log per element: np.log may round differently by one ulp,
     and the oracle tests compare table entries with their math.log
     evaluations of the scheme definitions by exact equality."""
-    return np.fromiter((math.log(v) for v in values), np.float64, count=values.size)
+    return np.fromiter(map(math.log, values.tolist()), np.float64, count=values.size)
 
 
 def build_table(
@@ -93,9 +94,10 @@ def build_table(
 
     Entries are computed elementwise over the nonzero occurrence
     positions (see the module docstring for the definitions); everything
-    else is an implicit zero.  ``alpha`` must be >= 1, which keeps every
-    tftrr factor >= 0.  Deterministic: rebuilding from the same stats
-    gives identical arrays.
+    else is an implicit zero.  The table shares the stats' term numbering
+    and word ids.  ``alpha`` must be >= 1, which keeps every tftrr factor
+    >= 0.  Deterministic: rebuilding from the same stats gives identical
+    arrays.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; valid: {', '.join(SCHEMES)}")
@@ -108,18 +110,13 @@ def build_table(
         ratios = float(stats.num_docs) / stats.doc_freq.astype(np.float64)
         idf = _log_elementwise(ratios)
         return WeightTable(
-            scheme="tfidf",
-            categories=stats.categories,
-            word_ids=dict(stats.word_ids),
-            words=stats.words,
-            idf=idf,
-            alpha=alpha,
+            "tfidf", stats.categories, stats.terms, stats.term_ids, idf=idf, alpha=alpha
         )
 
-    coo = stats.occurrences.tocoo()
-    rows = coo.row
-    cols = coo.col
-    wc = coo.data.astype(np.float64)
+    occ = stats.occurrences
+    rows = np.repeat(np.arange(occ.shape[0]), np.diff(occ.indptr))
+    cols = occ.indices
+    wc = occ.data.astype(np.float64)
     nc = stats.category_tokens[cols].astype(np.float64)
     totals = stats.word_totals[rows].astype(np.float64)
 
@@ -141,29 +138,25 @@ def build_table(
         else:
             values = _log_elementwise(ratio + alpha)
 
-    weights = np.zeros((stats.vocab_size, stats.num_categories), dtype=np.float64)
-    weights[rows, cols] = values
+    weights = sp.csr_matrix((values, occ.indices, occ.indptr), shape=occ.shape)
     return WeightTable(
-        scheme=scheme,
-        categories=stats.categories,
-        word_ids=dict(stats.word_ids),
-        words=stats.words,
-        category_weights=weights,
-        alpha=alpha,
+        scheme, stats.categories, stats.terms, stats.term_ids, weights=weights, alpha=alpha
     )
 
 
-def _ranked_word_order(table: WeightTable, values: np.ndarray) -> np.ndarray:
-    """Indices sorted by descending value, ties broken lexicographically."""
-    words = np.asarray(table.words, dtype=object)
-    return np.lexsort((words, -values))
+def _ranked(words: np.ndarray, values: np.ndarray) -> list[tuple[str, float]]:
+    """``(word, value)`` pairs by descending value, ties broken
+    lexicographically (``words`` is an object array)."""
+    order = np.lexsort((words, -values))
+    return [(words[i], float(values[i])) for i in order.tolist()]
 
 
 def top_k(table: WeightTable, c: int, k: int) -> list[tuple[str, float]]:
     """The k highest-weight words for category c, descending.
 
-    Ties break lexicographically.  For tfidf tables the ranking is by
-    idf and independent of the category index.
+    Ties break lexicographically; words without a weight in c follow,
+    at 0.  For tfidf tables the ranking is by idf and independent of the
+    category index.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -173,13 +166,10 @@ def top_k(table: WeightTable, c: int, k: int) -> list[tuple[str, float]]:
         raise ValueError(
             f"category index {c} out of range for {table.num_categories} categories"
         )
-    values = table.idf if table.scheme == "tfidf" else table.category_weights[:, c]
-    order = _ranked_word_order(table, values)[:k]
-    return [(table.words[i], float(values[i])) for i in order]
-
-
-def _format_weight(x: float) -> str:
-    return format(x, ".17g")
+    words = np.asarray(table.words, dtype=object)
+    if table.scheme == "tfidf":
+        return _ranked(words, table.idf)[:k]
+    return _ranked(words, table.weights[:, [c]].toarray().ravel())[:k]
 
 
 def table_payload(table: WeightTable, top: int | None = None) -> dict:
@@ -191,32 +181,27 @@ def table_payload(table: WeightTable, top: int | None = None) -> dict:
     """
     if table.scheme == "none":
         return {"scheme": "none", "categories": list(table.categories)}
+    words = np.asarray(table.words, dtype=object)
     if table.scheme == "tfidf":
-        order = _ranked_word_order(table, table.idf)
-        if top is not None:
-            order = order[:top]
-        return {
-            "scheme": "tfidf",
-            "entries": [[table.words[i], float(table.idf[i])] for i in order],
-        }
+        return {"scheme": "tfidf", "entries": [list(e) for e in _ranked(words, table.idf)[:top]]}
     entries = []
+    columns = table.weights.tocsc()
     for c, name in enumerate(table.categories):
-        col = table.category_weights[:, c]
-        order = _ranked_word_order(table, col)
-        kept = 0
-        for i in order:
-            if col[i] == 0.0:
-                continue
-            entries.append([table.words[i], name, float(col[i])])
-            kept += 1
-            if top is not None and kept >= top:
-                break
+        rows = columns.indices[columns.indptr[c] : columns.indptr[c + 1]]
+        values = columns.data[columns.indptr[c] : columns.indptr[c + 1]]
+        nonzero = values != 0.0
+        ranked = _ranked(words[rows[nonzero]], values[nonzero])[:top]
+        entries.extend([word, name, value] for word, value in ranked)
     return {
         "scheme": table.scheme,
         "alpha": table.alpha,
         "categories": list(table.categories),
         "entries": entries,
     }
+
+
+def _format_weight(x: float) -> str:
+    return format(x, ".17g")
 
 
 def export_weights(table: WeightTable, fh, fmt: str = "json", top: int | None = None):

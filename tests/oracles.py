@@ -4,7 +4,8 @@ embedding file readers.
 Everything here recomputes weights from raw token lists with plain
 dictionaries and math.log, and reads embedding files line by line with
 float() and struct — no numpy, no shared code with the package — so
-agreement is evidence, not tautology.
+agreement is evidence, not tautology.  The two table readers at the end
+compute nothing: they look a word up in a table's arrays.
 """
 
 from __future__ import annotations
@@ -282,3 +283,25 @@ def oracle_word2vec_binary(path, vocab=None):
             kept[word] = values
     _finite(kept.values())
     return list(kept), list(kept.values()), d, skipped
+
+
+# -- reading a table -------------------------------------------------------
+# The tests compare a WeightTable with the oracles above entry by entry:
+# these two readers find a word's row in the table's own arrays.
+
+
+def table_weight(table, word, c):
+    """The weight ``table`` stores for (word, category c); 0.0 for a pair
+    or a word it does not store."""
+    words = table.words
+    if table.weights is None or word not in words:
+        return 0.0
+    return float(table.weights[words.index(word), c])
+
+
+def table_idf(table, word):
+    """The idf ``table`` holds for ``word``; 0.0 for a word it does not hold."""
+    words = table.words
+    if table.idf is None or word not in words:
+        return 0.0
+    return float(table.idf[words.index(word)])

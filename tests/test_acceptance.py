@@ -101,6 +101,7 @@ def test_criterion_1_scheme_oracle_equivalence(corpora, capsys):
         tables = {
             s: build_table(stats, s) for s in ("tfidf", "kld", "tftrr", "tfcr")
         }
+        dense = {s: tables[s].weights.toarray() for s in ("kld", "tftrr", "tfcr")}
         for i, word in enumerate(stats.words):
             worst = max(worst, abs(tables["tfidf"].idf[i] - oracle_idf(counts, word)))
             # Composed weights are formed from the tables the way
@@ -113,9 +114,9 @@ def test_criterion_1_scheme_oracle_equivalence(corpora, capsys):
             )
             entries += 2
             for c in range(n_cats):
-                kld = tables["kld"].category_weights[i, c]
-                tfcr = tables["tfcr"].category_weights[i, c]
-                trr = tables["tftrr"].category_weights[i, c]
+                kld = dense["kld"][i, c]
+                tfcr = dense["tfcr"][i, c]
+                trr = dense["tftrr"][i, c]
                 worst = max(worst, abs(kld - oracle_kld(counts, word, c)))
                 worst = max(worst, abs(tfcr - oracle_tfcr(counts, word, c)))
                 # The tftrr table materializes the log factor only for
@@ -158,7 +159,7 @@ def test_criterion_2_tfcr_invariants(corpora, capsys):
         categories = list(corpus.categories)
         stats = build_stats(corpus)
         occ = np.asarray(stats.occurrences.todense())
-        table = build_table(stats, "tfcr").category_weights
+        table = build_table(stats, "tfcr").weights.toarray()
         lo, hi = min(lo, float(table.min())), max(hi, float(table.max()))
         # CR(w, c) = tfcr * N_c / |w_c| wherever the word occurs.
         with np.errstate(invalid="ignore"):
@@ -169,7 +170,7 @@ def test_criterion_2_tfcr_invariants(corpora, capsys):
         doubled = from_token_lists(
             list(token_lists) * 2, list(labels) * 2, categories
         )
-        doubled_table = build_table(build_stats(doubled), "tfcr").category_weights
+        doubled_table = build_table(build_stats(doubled), "tfcr").weights.toarray()
         if not np.array_equal(table, doubled_table):
             duplication_exact = False
         # Inject a fresh word, exclusive to category 0 by construction,
@@ -181,8 +182,8 @@ def test_criterion_2_tfcr_invariants(corpora, capsys):
             grown[host].extend(["zexclusive"] * count)
             grown_stats = build_stats(from_token_lists(grown, labels, categories))
             injected_values.append(
-                build_table(grown_stats, "tfcr").category_weights[
-                    grown_stats.word_ids["zexclusive"], 0
+                build_table(grown_stats, "tfcr").weights[
+                    grown_stats.words.index("zexclusive"), 0
                 ]
             )
         if not injected_values[1] > injected_values[0]:
@@ -202,8 +203,8 @@ def test_criterion_2_tfcr_invariants(corpora, capsys):
             grown = [list(t) for t in token_lists]
             grown[next(j for j, l in enumerate(labels) if l == c)].append(word)
             grown_stats = build_stats(from_token_lists(grown, labels, categories))
-            grown_value = build_table(grown_stats, "tfcr").category_weights[
-                grown_stats.word_ids[word], c
+            grown_value = build_table(grown_stats, "tfcr").weights[
+                grown_stats.words.index(word), c
             ]
             if not grown_value > table[i, c]:
                 monotone_ok = False

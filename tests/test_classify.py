@@ -458,18 +458,17 @@ class TestModelSerialization:
         # "bond" has no embedding row: its weights are not written.
         embedding = synthetic_model([w for w in tiny_model.words if w != "bond"], 8, seed=13)
         saved = _saved_model(toy_corpus, embedding, "tftrr", min_count=2)
-        assert "bond" in saved.table.word_ids
+        assert "bond" in saved.table.words
         save_model(saved, tmp_path / "m.bin")
         loaded = load_model(tmp_path / "m.bin")
+        # The loaded table numbers its words by the vocabulary.
+        assert loaded.table.terms is loaded.embedding.words
         # min_count 2 keeps win, game, team, market, stock, ..., not goal or ball
         assert set(loaded.table.words) == set(saved.table.words) - {"bond"}
-        assert "goal" in loaded.embedding.word_ids and "goal" not in loaded.table.word_ids
-        for word in loaded.table.words:
-            row = loaded.table.word_ids[word]
-            assert np.array_equal(
-                loaded.table.category_weights[row],
-                saved.table.category_weights[saved.table.word_ids[word]],
-            )
+        assert "goal" in loaded.embedding.word_ids and "goal" not in loaded.table.words
+        loaded_rows, saved_rows = loaded.table.weights.toarray(), saved.table.weights.toarray()
+        for row, word in enumerate(loaded.table.words):
+            assert np.array_equal(loaded_rows[row], saved_rows[saved.table.words.index(word)])
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.model"

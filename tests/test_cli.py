@@ -173,7 +173,7 @@ class TestCv:
 
     def test_jobs_flag_keeps_csv_identical(self, train_csv, tmp_path):
         serial, threaded = tmp_path / "s.csv", tmp_path / "t.csv"
-        base = {"--scheme": "none,tfcr", "--classifier": "logreg,svm"}
+        base = {"--scheme": "all", "--classifier": "logreg,svm"}
         assert main(_cv_args(train_csv, str(serial), **base)) == 0
         assert main(
             _cv_args(train_csv, str(threaded), **dict(base, **{"--jobs": "3"}))

@@ -414,17 +414,22 @@ class TestGridRun:
                 assert isinstance(cell, EvalReport)
 
     def test_parallel_jobs_match_serial(self, eval_corpus, eval_model):
+        # Every scheme, standardized: each thread's pair has its own view
+        # of the counts and its own matrices, scaled in place.
         plan = make_splits(eval_corpus, k=5, seed=1)
         serial = grid_run(
-            eval_corpus, ["none", "tfcr"], eval_model, ["logreg", "svm"],
-            plan, FAST, jobs=1,
+            eval_corpus, SCHEMES, eval_model, ["logreg", "svm"],
+            plan, FAST, standardize=True, jobs=1,
         )
         threaded = grid_run(
-            eval_corpus, ["none", "tfcr"], eval_model, ["logreg", "svm"],
-            plan, FAST, jobs=3,
+            eval_corpus, SCHEMES, eval_model, ["logreg", "svm"],
+            plan, FAST, standardize=True, jobs=3,
         )
+        assert len(serial) == len(SCHEMES) * 2
         for key, cell in serial.items():
             assert threaded[key].fold_scores == cell.fold_scores
+            assert threaded[key].fold_accuracies == cell.fold_accuracies
+            assert np.array_equal(threaded[key].confusion, cell.confusion)
 
     def test_fold_major_call_counts(self, eval_corpus, eval_model, monkeypatch):
         # Stats once per fold; the `none` matrix once, every other

@@ -16,7 +16,7 @@ from catweight import (
     make_splits,
     stats_summary,
 )
-from oracles import naive_counts, random_corpus
+from oracles import naive_counts, random_corpus, table_weight
 
 
 def _hand_corpus():
@@ -29,8 +29,8 @@ def _hand_corpus():
 
 def _count(stats, word, c):
     """Occurrences of ``word`` in category ``c`` (0 when unseen)."""
-    wid = stats.word_ids.get(word)
-    return 0 if wid is None else int(stats.occurrences[wid, c])
+    words = stats.words
+    return int(stats.occurrences[words.index(word), c]) if word in words else 0
 
 
 def _draw_corpus(rng):
@@ -46,9 +46,10 @@ def _assert_matches_oracle(stats, token_lists, labels, num_categories, min_count
     below ``min_count`` dropped from the oracle's totals."""
     oracle = naive_counts(token_lists, labels, num_categories)
     pruned = {w for w, n in oracle["word_total"].items() if n < min_count}
-    first_seen = dict.fromkeys(t for tokens in token_lists for t in tokens)
-    assert list(stats.words) == [w for w in first_seen if w not in pruned]
-    for w, wid in stats.word_ids.items():
+    # Words are count-column ids, increasing; no word appears twice.
+    assert np.all(np.diff(stats.term_ids) > 0)
+    assert set(stats.words) == set(oracle["word_total"]) - pruned
+    for wid, w in enumerate(stats.words):
         assert stats.word_totals[wid] == oracle["word_total"][w]
         assert stats.doc_freq[wid] == oracle["doc_freq"][w]
         for c in range(num_categories):
@@ -67,9 +68,10 @@ class TestBuildStats:
         assert _count(stats, "y", 0) == 1
         assert _count(stats, "y", 1) == 1
         assert stats.category_tokens.tolist() == [3, 2]
-        assert stats.word_totals[stats.word_ids["y"]] == 2
-        assert stats.doc_freq[stats.word_ids["y"]] == 2
-        assert stats.doc_freq[stats.word_ids["x"]] == 1
+        y, x = stats.words.index("y"), stats.words.index("x")
+        assert stats.word_totals[y] == 2
+        assert stats.doc_freq[y] == 2
+        assert stats.doc_freq[x] == 1
         assert stats.num_docs == 2
         assert stats.total_tokens - stats.category_tokens[0] == 2
         assert stats.total_tokens - stats.category_tokens[1] == 3
@@ -119,13 +121,9 @@ class TestBuildStats:
         left = build_stats(corpus, doc_subset=range(half))
         right = build_stats(corpus, doc_subset=range(half, n))
 
-        def occ(stats, word, c):
-            wid = stats.word_ids.get(word)
-            return 0 if wid is None else int(stats.occurrences[wid, c])
-
-        for w, wid in full.word_ids.items():
+        for wid, w in enumerate(full.words):
             for c in range(full.num_categories):
-                assert full.occurrences[wid, c] == occ(left, w, c) + occ(right, w, c)
+                assert full.occurrences[wid, c] == _count(left, w, c) + _count(right, w, c)
         assert np.array_equal(
             full.category_tokens, left.category_tokens + right.category_tokens
         )
@@ -150,7 +148,7 @@ class TestBuildStats:
     def test_subset_restricts_counts(self):
         stats = build_stats(_hand_corpus(), doc_subset=[0])
         assert stats.num_docs == 1
-        assert "z" not in stats.word_ids
+        assert "z" not in stats.words
         assert stats.category_tokens.tolist() == [3, 0]
 
     def test_min_count_prunes_and_recomputes_denominators(self):
@@ -191,7 +189,7 @@ class TestBuildStats:
 def _ratio(stats, word, c):
     """P(w|c) / Q(w|r) as build_table computes it, read back from the
     tftrr factor ln(P / Q + alpha)."""
-    return math.exp(build_table(stats, "tftrr").category_weight(word, c)) - DEFAULT_ALPHA
+    return math.exp(table_weight(build_table(stats, "tftrr"), word, c)) - DEFAULT_ALPHA
 
 
 class TestProbabilities:
@@ -205,15 +203,15 @@ class TestProbabilities:
         assert _ratio(stats, "y", 1) == pytest.approx((1 / 2) / (1 / 3))
         for scheme in ("kld", "tftrr", "tfcr"):
             table = build_table(stats, scheme)
-            assert table.category_weight("z", 0) == 0.0
-            assert table.category_weight("unseen", 0) == 0.0
+            assert table_weight(table, "z", 0) == 0.0
+            assert table_weight(table, "unseen", 0) == 0.0
 
     def test_remainder_prob_hand_values(self):
         stats = build_stats(_hand_corpus())
         # y occurs once outside A; remainder of A holds 2 tokens.
         assert _ratio(stats, "y", 0) == pytest.approx((1 / 3) / (1 / 2))
         kld = build_table(stats, "kld")
-        assert kld.category_weight("y", 1) == pytest.approx(0.5 * math.log(1.5))
+        assert table_weight(kld, "y", 1) == pytest.approx(0.5 * math.log(1.5))
 
     def test_remainder_symmetric_categories(self):
         corpus = from_token_lists(
@@ -224,7 +222,7 @@ class TestProbabilities:
         stats = build_stats(corpus)
         for scheme in ("kld", "tftrr", "tfcr"):
             table = build_table(stats, scheme)
-            assert table.category_weight("u", 0) == table.category_weight("u", 1)
+            assert table_weight(table, "u", 0) == table_weight(table, "u", 1)
 
     def test_category_prob_sums_to_one(self, rng):
         for _ in range(5):
@@ -240,9 +238,9 @@ class TestProbabilities:
         corpus = from_token_lists([["a"]], [0], ["A", "B"])
         stats = build_stats(corpus)
         for scheme in ("kld", "tftrr", "tfcr"):
-            weights = build_table(stats, scheme).category_weights
+            weights = build_table(stats, scheme).weights.toarray()
             assert np.all(np.isfinite(weights))
-            assert weights[stats.word_ids["a"], 1] == 0.0
+            assert weights[stats.words.index("a"), 1] == 0.0
 
 
 class TestSummary:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from catweight import (
     synthetic_model,
 )
 from catweight.weighting import SCHEMES
-from oracles import oracle_weighted_mean
+from oracles import oracle_weighted_mean, table_idf, table_weight
 
 
 def _emb(mapping):
@@ -43,9 +44,9 @@ def _cat_table(weights, scheme="tfcr", categories=None):
     return WeightTable(
         scheme=scheme,
         categories=tuple(categories),
-        word_ids={w: i for i, w in enumerate(words)},
-        words=tuple(words),
-        category_weights=arr,
+        terms=tuple(words),
+        term_ids=np.arange(len(words)),
+        weights=sp.csr_matrix(arr),
     )
 
 
@@ -174,11 +175,11 @@ class TestWeightedCategory:
         def row(u, v):  # u, v: the category-0 weights; w weighs 0 there
             weights = np.array([[u, 2.0], [v, 5.0], [0.0, 3.0]])
             if scheme == "tfidf":
-                table = WeightTable("tfidf", ("A",), {"u": 0, "v": 1, "w": 2},
-                                    ("u", "v", "w"), idf=weights[:, 0])
+                table = WeightTable("tfidf", ("A",), ("u", "v", "w"), np.arange(3),
+                                    idf=weights[:, 0])
             else:
-                table = WeightTable(scheme, ("A", "B"), {"u": 0, "v": 1, "w": 2},
-                                    ("u", "v", "w"), category_weights=weights, alpha=1.0)
+                table = WeightTable(scheme, ("A", "B"), ("u", "v", "w"), np.arange(3),
+                                    weights=sp.csr_matrix(weights), alpha=1.0)
             return _row(doc, model, table)
 
         assert np.array_equal(row(2.0**-1070, 3 * 2.0**-1070), row(1.0, 3.0))
@@ -190,7 +191,7 @@ class TestWeightedCategory:
             for doc in toy_corpus.documents:
                 for c in (0, 1):
                     expected = _oracle_mean(
-                        doc, tiny_model, lambda t, n: n * table.category_weight(t, c)
+                        doc, tiny_model, lambda t, n: n * table_weight(table, t, c)
                     )
                     got = _slice(doc, tiny_model, table, c)
                     assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
@@ -202,7 +203,7 @@ class TestWeightedCategory:
         # In category A, "market" never occurs: factor falls back to ln(alpha).
         floor = math.log(table.alpha)
         w_market = (math.log(2) + 1.0) * floor
-        w_game = table.category_weight("game", 0)  # tf 1 -> multiplier 1
+        w_game = table_weight(table, "game", 0)  # tf 1 -> multiplier 1
         expected = oracle_weighted_mean(
             [w_market, w_game],
             [tiny_model.vector("market").tolist(), tiny_model.vector("game").tolist()],
@@ -231,9 +232,9 @@ class TestConcat:
             alone = WeightTable(
                 scheme="tfcr",
                 categories=(table.categories[c],),
-                word_ids=table.word_ids,
-                words=table.words,
-                category_weights=table.category_weights[:, [c]],
+                terms=table.terms,
+                term_ids=table.term_ids,
+                weights=table.weights[:, [c]],
             )
             piece = _row(doc, tiny_model, alone)
             assert np.array_equal(values[c * 8 : (c + 1) * 8], piece)
@@ -264,8 +265,8 @@ class TestTfidfVectorize:
         return WeightTable(
             scheme="tfidf",
             categories=("A", "B"),
-            word_ids={w: i for i, w in enumerate(words)},
-            words=tuple(words),
+            terms=tuple(words),
+            term_ids=np.arange(len(words)),
             idf=np.array([idf_map[w] for w in words], dtype=np.float64),
         )
 
@@ -290,7 +291,7 @@ class TestTfidfVectorize:
         stats = build_stats(toy_corpus)
         table = build_table(stats, "tfidf")
         doc = toy_corpus.documents[1]
-        expected = _oracle_mean(doc, tiny_model, lambda t, n: n * table.idf_value(t))
+        expected = _oracle_mean(doc, tiny_model, lambda t, n: n * table_idf(table, t))
         assert _row(doc, tiny_model, table) == pytest.approx(expected, rel=1e-12)
 
     def test_layout_plain(self, toy_corpus, tiny_model):
@@ -392,6 +393,64 @@ class TestCorpusVectorizer:
         for rows in (shuffled, repeated, empty, list(repeated), mask):
             assert np.array_equal(vectorizer.matrix(table, rows=rows), X[rows])
         assert vectorizer.matrix(table, rows=empty).shape == (0, X.shape[1])
+
+    def test_view_serves_every_table_of_a_pair(self, tiny_model, rng):
+        """A view's matrices are the rows of the full ones, in any order of
+        tables, and a view of a view picks rows of its rows."""
+        docs = self._random_docs(rng, tiny_model)
+        corpus = from_token_lists(
+            [d.tokens for d in docs], [i % 2 for i in range(len(docs))], ["A", "B"]
+        )
+        vectorizer = CorpusVectorizer(corpus.documents, tiny_model, counts=corpus.token_counts())
+        stats = build_stats(corpus, doc_subset=range(0, len(docs), 2))
+        rows = rng.permutation(len(docs))[:12]
+        view = vectorizer.view(rows)
+        for scheme in ("kld", "tftrr", "tfcr", "tfidf", "none", "tfcr", "kld"):
+            table = build_table(stats, scheme)
+            assert np.array_equal(view.matrix(table), vectorizer.matrix(table)[rows])
+        # Same words, fewer pairs: the kept (category, column) order must not serve.
+        pairs = table.weights.tolil()
+        pairs[:, 0] = 0.0
+        sparser = WeightTable("kld", table.categories, table.terms, table.term_ids,
+                              sp.csr_matrix(pairs))
+        fresh = CorpusVectorizer(corpus.documents, tiny_model, counts=corpus.token_counts())
+        assert np.array_equal(view.matrix(sparser), fresh.matrix(sparser)[rows])
+        inner = np.array([4, 0, 4, 11])
+        expected = vectorizer.matrix(table)[rows[inner]]
+        assert np.array_equal(view.view(inner).matrix(table), expected)
+        assert np.array_equal(view.view(inner).known_token_counts,
+                              vectorizer.known_token_counts[rows[inner]])
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_table_numbering_does_not_change_bits(self, scheme, tiny_model, rng):
+        """A table over the corpus count columns is gathered; the same table
+        over another numbering of its words is matched word by word.  Both
+        give the same bits."""
+        docs = self._random_docs(rng, tiny_model)
+        corpus = from_token_lists(
+            [d.tokens for d in docs], [i % 2 for i in range(len(docs))], ["A", "B"]
+        )
+        vectorizer = CorpusVectorizer(corpus.documents, tiny_model, counts=corpus.token_counts())
+        table = build_table(build_stats(corpus), scheme, alpha=1.5)
+        flip = np.arange(len(table.term_ids))[::-1]
+        renumbered = WeightTable(
+            scheme, table.categories, table.terms[::-1],
+            (len(table.terms) - 1 - table.term_ids)[flip],
+            None if table.weights is None else table.weights[flip],
+            None if table.idf is None else table.idf[flip],
+            table.alpha,
+        )
+        assert renumbered.words == table.words[::-1]
+        assert np.array_equal(vectorizer.matrix(renumbered), vectorizer.matrix(table))
+
+    def test_embedding_rows_shared_when_the_corpus_knows_them_all(self, toy_corpus, tiny_model):
+        every = from_token_lists([list(tiny_model.words)], [0], ["A"])
+        vectorizer = CorpusVectorizer(every.documents, tiny_model)
+        assert vectorizer.known_embedding().vectors is tiny_model.vectors
+        some = CorpusVectorizer(toy_corpus.documents, tiny_model).known_embedding()
+        assert len(some) < len(tiny_model)
+        rows = [tiny_model.word_ids[w] for w in some.words]
+        assert np.array_equal(some.vectors, tiny_model.vectors[rows])
 
     def test_given_counts_match_and_stay_untouched(self, toy_corpus, tiny_model, rng):
         docs = self._random_docs(rng, tiny_model)

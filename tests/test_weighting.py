@@ -28,6 +28,8 @@ from oracles import (
     oracle_tfcr,
     oracle_trr_factor,
     random_corpus,
+    table_idf,
+    table_weight,
 )
 
 
@@ -47,7 +49,7 @@ def _stats_from_random(rng):
 
 
 def _weight(stats, scheme, word, c):
-    return build_table(stats, scheme).category_weight(word, c)
+    return table_weight(build_table(stats, scheme), word, c)
 
 
 def _tftrr_weights(stats, tokens, c):
@@ -90,13 +92,13 @@ class TestTfcr:
         for _ in range(10):
             stats, counts = _stats_from_random(rng)
             table = build_table(stats, "tfcr")
-            for w, wid in stats.word_ids.items():
+            for wid, w in enumerate(stats.words):
                 total = int(stats.word_totals[wid])
                 for c in range(stats.num_categories):
                     wc = int(stats.occurrences[wid, c])
                     if wc == 0:
                         continue
-                    value = table.category_weight(w, c)
+                    value = table_weight(table, w, c)
                     tf = wc / int(stats.category_tokens[c])
                     cr = wc / total
                     assert 0.0 <= value <= min(tf, cr) + 1e-15
@@ -105,7 +107,7 @@ class TestTfcr:
     def test_category_ratios_sum_to_one(self, rng):
         for _ in range(10):
             stats, _ = _stats_from_random(rng)
-            for w, wid in stats.word_ids.items():
+            for wid, w in enumerate(stats.words):
                 total = int(stats.word_totals[wid])
                 cr_sum = sum(
                     int(stats.occurrences[wid, c]) / total
@@ -120,9 +122,9 @@ class TestTfcr:
         doubled = build_table(
             build_stats(from_token_lists(token_lists * 2, labels * 2, cats)), "tfcr"
         )
-        for w in base.word_ids:
+        for w in base.words:
             for c in range(num_categories):
-                assert base.category_weight(w, c) == doubled.category_weight(w, c)
+                assert table_weight(base, w, c) == table_weight(doubled, w, c)
 
     def test_exclusive_word_monotone_in_frequency(self):
         def value(k):
@@ -182,7 +184,7 @@ class TestTrrFactor:
         # The table leaves the absent pair at 0; the vectorizer applies
         # the floor ln(alpha) there (see TestTftrr.test_floor_composition).
         table = build_table(build_stats(toy_corpus), "tftrr")
-        assert table.category_weight("market", 0) == 0.0
+        assert table_weight(table, "market", 0) == 0.0
         assert math.log(table.alpha) == pytest.approx(0.18232, abs=1e-5)
 
     def test_always_positive(self, rng):
@@ -190,10 +192,10 @@ class TestTrrFactor:
         for _ in range(10):
             stats, _ = _stats_from_random(rng)
             table = build_table(stats, "tftrr")
-            for w, wid in stats.word_ids.items():
+            for wid, w in enumerate(stats.words):
                 for c in range(stats.num_categories):
                     if stats.occurrences[wid, c] > 0:
-                        assert table.category_weight(w, c) >= floor > 0.0
+                        assert table_weight(table, w, c) >= floor > 0.0
 
 
 class TestTftrr:
@@ -230,28 +232,28 @@ class TestIdf:
         # 10 documents, "rare" in exactly two of them, tf 3.
         docs = [["rare", "pad"], ["rare"]] + [["pad"]] * 8
         table = build_table(build_stats(from_token_lists(docs, [0] * 10, ["only"])), "tfidf")
-        assert table.idf_value("rare") == pytest.approx(math.log(5), abs=1e-12)
-        assert 3 * table.idf_value("rare") == pytest.approx(3 * math.log(5), abs=1e-12)
-        assert 3 * table.idf_value("rare") == pytest.approx(4.82831, abs=1e-5)
+        assert table_idf(table, "rare") == pytest.approx(math.log(5), abs=1e-12)
+        assert 3 * table_idf(table, "rare") == pytest.approx(3 * math.log(5), abs=1e-12)
+        assert 3 * table_idf(table, "rare") == pytest.approx(4.82831, abs=1e-5)
 
     def test_ubiquitous_word_zero(self, toy_corpus):
         table = build_table(build_stats(toy_corpus), "tfidf")
-        assert table.idf_value("win") == 0.0  # df = |D| = 2
+        assert table_idf(table, "win") == 0.0  # df = |D| = 2
 
     def test_unseen_word_zero(self, toy_corpus):
         table = build_table(build_stats(toy_corpus), "tfidf")
-        assert "never-seen" not in table.word_ids
-        assert table.idf_value("never-seen") == 0.0
+        assert "never-seen" not in table.words
+        assert table_idf(table, "never-seen") == 0.0
 
 
 def _assert_tables_match_oracles(stats, counts):
     """Every table entry of all four schemes equals the pointwise oracle."""
     tables = {s: build_table(stats, s) for s in ("tfidf", "kld", "tftrr", "tfcr")}
-    for w, wid in stats.word_ids.items():
-        assert tables["tfidf"].idf_value(w) == oracle_idf(counts, w)
+    for wid, w in enumerate(stats.words):
+        assert table_idf(tables["tfidf"], w) == oracle_idf(counts, w)
         for c in range(stats.num_categories):
-            assert tables["tfcr"].category_weight(w, c) == oracle_tfcr(counts, w, c)
-            assert tables["kld"].category_weight(w, c) == oracle_kld(counts, w, c)
+            assert table_weight(tables["tfcr"], w, c) == oracle_tfcr(counts, w, c)
+            assert table_weight(tables["kld"], w, c) == oracle_kld(counts, w, c)
             # Absent pairs stay implicit zeros in the tftrr table;
             # the ln(alpha) floor is applied at vectorization.
             expected = (
@@ -259,7 +261,7 @@ def _assert_tables_match_oracles(stats, counts):
                 if stats.occurrences[wid, c] > 0
                 else 0.0
             )
-            assert tables["tftrr"].category_weight(w, c) == expected
+            assert table_weight(tables["tftrr"], w, c) == expected
 
 
 class TestPointwiseAgainstOracles:
@@ -277,7 +279,7 @@ class TestBuildTable:
         table = build_table(build_stats(from_token_lists(docs, labels, ["A", "B"])), "tfcr")
         for w in ("a", "b"):
             for c in (0, 1):
-                assert table.category_weight(w, c) == oracle_tfcr(counts, w, c)
+                assert table_weight(table, w, c) == oracle_tfcr(counts, w, c)
 
     def test_every_entry_matches_pointwise(self, toy_corpus):
         """Every entry of all four schemes equals the pointwise oracle,
@@ -299,14 +301,14 @@ class TestBuildTable:
         stats = build_stats(toy_corpus)
         a = build_table(stats, "tfcr")
         b = build_table(stats, "tfcr")
-        assert np.array_equal(a.category_weights, b.category_weights)
+        assert np.array_equal(a.weights.toarray(), b.weights.toarray())
         assert a.words == b.words
 
     def test_none_scheme_empty_marker(self, toy_corpus):
         table = build_table(build_stats(toy_corpus), "none")
         assert table.scheme == "none"
-        assert table.category_weights is None and table.idf is None
-        assert table.category_weight("win", 0) == 0.0
+        assert table.weights is None and table.idf is None
+        assert table_weight(table, "win", 0) == 0.0
 
     def test_unknown_scheme_rejected(self, toy_corpus):
         with pytest.raises(ValueError, match="tfcr"):
@@ -314,20 +316,20 @@ class TestBuildTable:
 
     def test_unseen_word_zero_in_table(self, toy_corpus):
         table = build_table(build_stats(toy_corpus), "tfcr")
-        assert table.category_weight("never-seen", 0) == 0.0
+        assert table_weight(table, "never-seen", 0) == 0.0
         tfidf_table = build_table(build_stats(toy_corpus), "tfidf")
-        assert tfidf_table.idf_value("never-seen") == 0.0
+        assert table_idf(tfidf_table, "never-seen") == 0.0
 
     def test_invariant_ranges(self, rng):
         for _ in range(5):
             stats, _ = _stats_from_random(rng)
-            tfcr = build_table(stats, "tfcr").category_weights
+            tfcr = build_table(stats, "tfcr").weights.toarray()
             assert np.all(tfcr >= 0.0) and np.all(tfcr <= 1.0)
-            kld = build_table(stats, "kld").category_weights
+            kld = build_table(stats, "kld").weights.toarray()
             assert np.all(kld >= 0.0)
             idf = build_table(stats, "tfidf").idf
             assert np.all(idf >= 0.0)
-            trr = build_table(stats, "tftrr").category_weights
+            trr = build_table(stats, "tftrr").weights.toarray()
             materialized = trr[np.asarray(stats.occurrences.todense()) > 0]
             assert np.all(materialized >= math.log(DEFAULT_ALPHA))
 
@@ -348,9 +350,9 @@ class TestBuildTable:
         stats = build_stats(from_token_lists(docs, labels, ["p", "q"]))
         for scheme, oracle in (("tfcr", oracle_tfcr), ("kld", oracle_kld)):
             table = build_table(stats, scheme)
-            for w in stats.word_ids:
+            for w in stats.words:
                 for c in (0, 1):
-                    assert table.category_weight(w, c) == oracle(counts, w, c)
+                    assert table_weight(table, w, c) == oracle(counts, w, c)
 
 
 class TestTopK:
@@ -396,9 +398,9 @@ def _assert_triples_are_the_table(triples, table):
     """Every nonzero entry of ``table`` appears exactly once, bit for bit."""
     seen = set()
     for word, name, value in triples:
-        assert value == table.category_weight(word, table.categories.index(name))
+        assert value == table_weight(table, word, table.categories.index(name))
         seen.add((word, name))
-    assert len(seen) == len(triples) == int(np.count_nonzero(table.category_weights))
+    assert len(seen) == len(triples) == table.weights.count_nonzero()
 
 
 class TestSerialization:
@@ -421,9 +423,9 @@ class TestSerialization:
         export_weights(table, buf, fmt="json")
         buf.seek(0)
         entries = json.load(buf)["entries"]
-        assert sorted(w for w, _ in entries) == sorted(stats.word_ids)
+        assert sorted(w for w, _ in entries) == sorted(stats.words)
         for word, value in entries:
-            assert value == table.idf_value(word)
+            assert value == table_idf(table, word)
 
     def test_tsv_17_digit_round_trip(self, toy_corpus):
         stats = build_stats(toy_corpus)
@@ -436,9 +438,9 @@ class TestSerialization:
         for line in lines[1:]:
             word, cat, value = line.split("\t")
             c = table.categories.index(cat)
-            assert float(value) == table.category_weight(word, c)
+            assert float(value) == table_weight(table, word, c)
             seen += 1
-        nonzero = int(np.count_nonzero(table.category_weights))
+        nonzero = table.weights.count_nonzero()
         assert seen == nonzero
 
     def test_tsv_tfidf_has_no_category_column(self, toy_corpus):
