@@ -8,9 +8,11 @@ Two models with a shared interface:
   mode a backtracking halving step enforces a non-increasing objective;
 * one-vs-rest linear SVM minimizing per-class mean hinge loss
   + (l2/2)*||w||^2 by subgradient descent with the Pegasos step
-  1/(l2*t) and projection onto the ball of radius 1/sqrt(l2).  The
-  bias is folded into the regularized weight vector for stability
-  under the aggressive early steps.
+  1/(l2*(t + t0)) and projection onto the ball of radius 1/sqrt(l2).
+  The offset t0 = 1/(l2*learning_rate) makes the first step the
+  learning rate, as for logreg, instead of 1/l2 (Bottou, "Stochastic
+  Gradient Descent Tricks", 2012).  The bias is folded into the
+  regularized weight vector.
 
 Both trainers run one descent loop, ``_descend``: from zero weights,
 each epoch visits the rows in a seeded permutation, one batch per step,
@@ -266,9 +268,10 @@ def train_svm(
 ) -> LinearModel:
     """Pegasos-style subgradient descent, one-vs-rest.
 
-    The step at update t (counted from 1) is 1/(l2*t); after each step
-    every class's augmented (w, b) is projected onto the ball of radius
-    1/sqrt(l2).
+    The step at update t (counted from 0) is 1/(l2*t + 1/learning_rate):
+    the Pegasos step 1/(l2*(t + t0)) with t0 = 1/(l2*learning_rate), so
+    the first step is the learning rate.  After each step every class's
+    augmented (w, b) is projected onto the ball of radius 1/sqrt(l2).
     """
     cfg = config or TrainConfig()
     if cfg.l2 <= 0:
@@ -277,7 +280,7 @@ def train_svm(
     radius = 1.0 / np.sqrt(cfg.l2)
 
     def step(X_batch, y_batch, t, W, b, last):
-        rate = 1.0 / (cfg.l2 * (t + 1))
+        rate = 1.0 / (cfg.l2 * t + 1.0 / cfg.learning_rate)
         grad_W, grad_b = svm_subgradient(X_batch, y_batch, W, b, cfg.l2)
         W -= rate * grad_W
         b -= rate * grad_b

@@ -24,6 +24,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -61,6 +62,8 @@ _LEARNER_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.name !=
 
 # The other integer options; _resolve converts each one a command has.
 _INTEGERS = ("seed", "k", "sample", "min_count", "jobs", "top_k", "min", "max", "step")
+# The integer options that must be >= 1 when given.
+_POSITIVE = ("sample", "jobs", "top_k")
 
 _DEFAULTS = {
     "format": "auto",
@@ -90,6 +93,7 @@ _DEFAULTS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="catweight",
@@ -177,10 +181,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _option_keys() -> set[str]:
+@cache
+def _option_keys() -> frozenset[str]:
     """Every option of any subcommand: the keys a config file may set."""
     parser = _build_parser()
-    return {k for name in _COMMANDS for k in vars(parser.parse_args([name])) if k != "command"}
+    return frozenset(
+        k for name in _COMMANDS for k in vars(parser.parse_args([name])) if k != "command"
+    )
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -220,6 +227,9 @@ def _resolve(args: argparse.Namespace) -> dict:
     for key in _INTEGERS:
         if resolved.get(key) is not None:
             resolved[key] = _number(resolved, key)
+    for key in _POSITIVE:
+        if resolved.get(key) is not None and resolved[key] < 1:
+            raise ConfigError(f"--{key.replace('_', '-')} must be >= 1, got {resolved[key]}")
     return resolved
 
 
@@ -229,18 +239,20 @@ def _require(cfg: dict, key: str, flag: str):
     return cfg[key]
 
 
+def _choice(name: str, valid: tuple[str, ...], what: str) -> str:
+    """``name`` if it is one of ``valid``; otherwise a config error."""
+    if name not in valid:
+        raise ConfigError(f"unknown {what} {name!r}; valid: {', '.join(valid)}")
+    return name
+
+
 def _expand(value: str, valid: tuple[str, ...], what: str) -> list[str]:
     if value == "all":
         return list(valid)
     names = [v.strip() for v in str(value).split(",") if v.strip()]
     if not names:
         raise ConfigError(f"no {what} given")
-    for name in names:
-        if name not in valid:
-            raise ConfigError(
-                f"unknown {what} {name!r}; valid: {', '.join(valid)}"
-            )
-    return names
+    return [_choice(name, valid, what) for name in names]
 
 
 def _detect_dataset_format(path: Path) -> str:
@@ -259,8 +271,6 @@ def _detect_dataset_format(path: Path) -> str:
 
 
 def _load_corpus(cfg: dict) -> LabeledCorpus:
-    if cfg.get("sample") is not None and cfg["sample"] < 1:
-        raise ConfigError(f"--sample must be >= 1, got {cfg['sample']}")
     path = Path(_require(cfg, "data", "--data"))
     if not path.exists():
         raise ConfigError(f"dataset not found: {path}")
@@ -391,9 +401,6 @@ def cmd_cv(args: argparse.Namespace) -> int:
     schemes = _expand(cfg["scheme"], SCHEMES, "scheme")
     classifiers = _expand(cfg["classifier"], CLASSIFIERS, "classifier")
     train_config = _train_config(cfg)
-    jobs = cfg["jobs"]
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     corpus = _load_corpus(cfg)
     embedding = _resolve_embedding(cfg, _corpus_vocab(corpus))
     plan = make_splits(corpus, cfg["k"], seed=seed, stratified=bool(cfg["stratified"]))
@@ -408,7 +415,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
         alpha=float(cfg["alpha"]),
         standardize=bool(cfg["standardize"]),
         case_fallback=bool(cfg["case_fallback"]),
-        jobs=jobs,
+        jobs=cfg["jobs"],
         min_count=cfg["min_count"],
     )
     out = Path(cfg.get("out") or "results.csv")
@@ -517,46 +524,42 @@ def cmd_curve(args: argparse.Namespace) -> int:
 def cmd_weights(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     _require(cfg, "seed", "--seed")
-    scheme = str(_require(cfg, "scheme", "--scheme"))
+    scheme = _choice(str(_require(cfg, "scheme", "--scheme")), SCHEMES, "scheme")
     if scheme == "none":
         raise ConfigError("scheme 'none' has no weights to export")
-    if scheme not in SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}; valid: {', '.join(SCHEMES)}")
-    top_k = cfg.get("top_k")
-    if top_k is not None and top_k < 1:
-        raise ConfigError(f"--top-k must be >= 1, got {top_k}")
     corpus = _load_corpus(cfg)
     stats = build_stats(corpus, min_count=cfg["min_count"])
     table = build_table(stats, scheme, alpha=float(cfg["alpha"]))
     fmt = cfg["output_format"]
     out = Path(cfg.get("out") or f"weights.{fmt}")
     with open(out, "w", encoding="utf-8", newline="") as fh:
-        export_weights(table, fh, fmt=fmt, top=top_k)
+        export_weights(table, fh, fmt=fmt, top=cfg.get("top_k"))
     _write_manifest(out, "weights", cfg)
     print(f"{scheme} weights for {len(table.term_ids)} words written to {out}")
     return 0
 
 
-def _full_corpus_table(corpus, cfg: dict, scheme: str) -> WeightTable:
+def _full_corpus_features(cfg: dict, scheme: str) -> tuple:
+    """``(corpus, table, vectorizer, matrix)``: the corpus, its weight table
+    under ``scheme``, and its vectorizer and feature matrix."""
+    corpus = _load_corpus(cfg)
+    embedding = _resolve_embedding(cfg, _corpus_vocab(corpus))
     if scheme == "none":
-        return WeightTable(scheme="none", categories=tuple(corpus.categories))
-    stats = build_stats(corpus, min_count=cfg["min_count"])
-    return build_table(stats, scheme, alpha=float(cfg["alpha"]))
+        table = WeightTable(scheme="none", categories=tuple(corpus.categories))
+    else:
+        stats = build_stats(corpus, min_count=cfg["min_count"])
+        table = build_table(stats, scheme, alpha=float(cfg["alpha"]))
+    vec = CorpusVectorizer(
+        corpus.documents, embedding, bool(cfg["case_fallback"]), counts=corpus.token_counts()
+    )
+    return corpus, table, vec, vec.matrix(table)
 
 
 def cmd_vectorize(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     _require(cfg, "seed", "--seed")
-    scheme = str(_require(cfg, "scheme", "--scheme"))
-    if scheme not in SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}; valid: {', '.join(SCHEMES)}")
-    corpus = _load_corpus(cfg)
-    embedding = _resolve_embedding(cfg, _corpus_vocab(corpus))
-    table = _full_corpus_table(corpus, cfg, scheme)
-    vec = CorpusVectorizer(
-        corpus.documents, embedding, bool(cfg["case_fallback"]), counts=corpus.token_counts()
-    )
-    X = vec.matrix(table)
+    scheme = _choice(str(_require(cfg, "scheme", "--scheme")), SCHEMES, "scheme")
+    corpus, _, _, X = _full_corpus_features(cfg, scheme)
     out = Path(cfg.get("out") or "vectors.tsv")
     with open(out, "w", encoding="utf-8") as fh:
         for i, doc in enumerate(corpus.documents):
@@ -571,22 +574,10 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     _require(cfg, "seed", "--seed")
-    scheme = str(_require(cfg, "scheme", "--scheme"))
-    if scheme not in SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}; valid: {', '.join(SCHEMES)}")
-    classifier = str(cfg["classifier"])
-    if classifier not in CLASSIFIERS:
-        raise ConfigError(
-            f"unknown classifier {classifier!r}; valid: {', '.join(CLASSIFIERS)}"
-        )
+    scheme = _choice(str(_require(cfg, "scheme", "--scheme")), SCHEMES, "scheme")
+    classifier = _choice(str(cfg["classifier"]), CLASSIFIERS, "classifier")
     train_config = _train_config(cfg)
-    corpus = _load_corpus(cfg)
-    embedding = _resolve_embedding(cfg, _corpus_vocab(corpus))
-    table = _full_corpus_table(corpus, cfg, scheme)
-    vec = CorpusVectorizer(
-        corpus.documents, embedding, bool(cfg["case_fallback"]), counts=corpus.token_counts()
-    )
-    X = vec.matrix(table)
+    corpus, table, vec, X = _full_corpus_features(cfg, scheme)
     labels = corpus.labels()
     scaler = None
     if cfg["standardize"]:

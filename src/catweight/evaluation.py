@@ -11,18 +11,17 @@ A, score B" loop over (train, test) index pairs: the CV folds, or the
 ladder samples against the fixed holdout.  One call evaluates one
 embedding, whose document vectorizer the engine builds once; results
 are keyed by ``(scheme, embedding.origin, classifier)``, so grids over
-several embeddings merge by key.  The engine runs fold-major.  Per
-pair it takes one view of the pair's rows from the vectorizer (the
-sliced counts and the (category, column) order of the stats' pairs,
+several embeddings merge by key.  The ``none`` matrix does not depend
+on the pair, so it is built once, before any pair runs, and each pair
+copies its rows.  Then the engine runs fold-major.  Per pair it takes
+one view of the pair's rows from the vectorizer (its sliced counts,
 shared by the pair's schemes) and builds the corpus statistics once
 (when some scheme needs them), then for each scheme in turn its weight
 table, feature matrix and scaler, on which every classifier is trained
 and scored.  A scheme's matrix holds only the pair's training and test
-rows and is standardized in place.  The ``none`` matrix does not depend
-on the pair and is built once per run; each pair gets a copy of its
-rows.  Otherwise one scheme's matrix is alive at a time.  Training is
-seeded from ``TrainConfig.seed`` alone, so results do not depend on this
-order.
+rows, is standardized in place and lives only while its scheme runs,
+so one scheme's matrix is alive at a time.  Training is seeded from
+``TrainConfig.seed`` alone, so results do not depend on this order.
 
 A failed cell is the exception that failed it, everywhere: in the
 engine's per-pair outcomes, in ``grid_run``'s results (the first fold's
@@ -45,7 +44,7 @@ from .embeddings import EmbeddingModel
 from .errors import TrainingError
 from .stats import build_stats
 from .vectorize import CorpusVectorizer, standardize_apply, standardize_fit
-from .weighting import DEFAULT_ALPHA, SCHEMES, WeightTable, build_table
+from .weighting import DEFAULT_ALPHA, WeightTable, build_table
 
 
 @dataclass
@@ -167,9 +166,11 @@ def _fit_and_score(
     feature matrix and scaler on which every classifier is trained and
     scored.  A cell's outcome is its list of per-pair results, each a
     report or the exception that failed it; a failing shared step fails
-    exactly the cells built on it.  With
-    ``skip_failed``, a cell is not run (its result is None) in the pairs
-    after one it failed in.  ``jobs > 1`` runs the pairs on a thread pool.
+    exactly the cells built on it (a failed stats build every cell but
+    ``none``'s).  An unknown scheme fails its cells with
+    ``build_table``'s error.  With ``skip_failed``, a cell is not run
+    (its result is None) in the pairs after one it failed in.
+    ``jobs > 1`` runs the pairs on a thread pool.
     """
     cfg = train_config or TrainConfig()
     schemes = list(dict.fromkeys(schemes))
@@ -180,84 +181,66 @@ def _fit_and_score(
         corpus.documents, embedding, case_fallback, counts=corpus.token_counts()
     )
     cells = [(scheme, classifier) for scheme in schemes for classifier in classifiers]
-    invalid = {
-        cell: ValueError(f"unknown scheme {cell[0]!r}; valid: {', '.join(SCHEMES)}")
-        for cell in cells
-        if cell[0] not in SCHEMES
-    }
+    # The none matrix does not depend on the pair: each pair copies its rows.
     none_table = WeightTable(scheme="none", categories=tuple(corpus.categories))
-    none_matrix = None  # fold-independent, built once
+    none_matrix = vectorizer.matrix(none_table) if "none" in schemes else None
     failed_in: dict[tuple[str, str], int] = {}  # cell -> earliest failed pair
     lock = threading.Lock()
 
-    def features(table: WeightTable, view: CorpusVectorizer, rows: np.ndarray) -> np.ndarray:
-        """The pair's fresh feature matrix (the cached none matrix is copied)."""
-        nonlocal none_matrix
-        if table is not none_table:
-            return view.matrix(table)
-        with lock:
-            if none_matrix is None:
-                none_matrix = vectorizer.matrix(table)
-        return none_matrix[rows]
-
-    def score_group(members, table, view, rows, n_train, scores, errors):
+    def score_scheme(scheme, members, view, rows, n_train, stats, outcomes):
+        """Train and score the pair's cells ``members`` of one scheme.  The
+        stats failure (for any scheme but ``none``), table, matrix and scaler
+        share one failure path, which fails every member; the matrix dies
+        when this returns."""
         try:
-            X = features(table, view, rows)
-            X_train, X_test = X[:n_train], X[n_train:]
+            if scheme == "none":
+                X = none_matrix[rows]
+            elif isinstance(stats, Exception):
+                raise stats
+            else:
+                X = view.matrix(build_table(stats, scheme, alpha=alpha))
             if standardize:
-                standardize_apply(standardize_fit(X_train), X, out=X)
+                standardize_apply(standardize_fit(X[:n_train]), X, out=X)
         except Exception as exc:
-            errors.update((cell, exc) for cell in members)
+            outcomes.update(dict.fromkeys(members, exc))
             return
         y_train, y_test = labels[rows[:n_train]], labels[rows[n_train:]]
         for cell in members:
             try:
-                model = train(cell[1], X_train, y_train, cfg, n_classes)
-                pred, _ = predict_many(model, X_test)
-                scores[cell] = macro_f1(pred, y_test, n_classes, corpus.categories)
+                model = train(cell[1], X[:n_train], y_train, cfg, n_classes)
+                pred, _ = predict_many(model, X[n_train:])
+                outcomes[cell] = macro_f1(pred, y_test, n_classes, corpus.categories)
             except Exception as exc:
-                errors[cell] = exc
+                outcomes[cell] = exc
 
     def run_pair(p: int) -> dict[tuple[str, str], EvalReport | Exception]:
         train_idx, test_idx, what = pairs[p]
-        errors: dict[tuple[str, str], Exception] = dict(invalid)
-        scores: dict[tuple[str, str], EvalReport] = {}
+        outcomes: dict[tuple[str, str], EvalReport | Exception] = {}
         with lock:
             skipped = {c for c, q in failed_in.items() if q < p} if skip_failed else set()
         for classifier in classifiers:
             try:
                 _check_classes(labels, train_idx, corpus.categories, classifier, what)
             except TrainingError as exc:
-                for cell in cells:
-                    if cell[1] == classifier:
-                        errors.setdefault(cell, exc)
-        todo = [cell for cell in cells if cell not in errors and cell not in skipped]
+                outcomes.update((cell, exc) for cell in cells if cell[1] == classifier)
+        todo = [cell for cell in cells if cell not in outcomes and cell not in skipped]
         rows = np.concatenate([train_idx, test_idx])
         view = vectorizer.view(rows)  # the pair's counts, shared by its schemes
         stats = None
-        if any(cell[0] != "none" for cell in todo):
+        if any(scheme != "none" for scheme, _ in todo):
             try:
                 stats = build_stats(corpus, doc_subset=train_idx, min_count=min_count)
             except Exception as exc:
-                errors.update((cell, exc) for cell in todo if cell[0] != "none")
+                stats = exc
         for scheme in schemes:
-            group = [cell for cell in todo if cell[0] == scheme and cell not in errors]
-            if not group:
-                continue
-            try:
-                table = (
-                    none_table
-                    if scheme == "none"
-                    else build_table(stats, scheme, alpha=alpha)
-                )
-            except Exception as exc:
-                errors.update((cell, exc) for cell in group)
-                continue
-            score_group(group, table, view, rows, len(train_idx), scores, errors)
+            members = [cell for cell in todo if cell[0] == scheme]
+            if members:
+                score_scheme(scheme, members, view, rows, len(train_idx), stats, outcomes)
         with lock:  # pairs may finish in any order; keep the earliest
-            for cell in errors:
-                failed_in[cell] = min(p, failed_in.get(cell, p))
-        return {**scores, **errors}
+            for cell, outcome in outcomes.items():
+                if isinstance(outcome, Exception):
+                    failed_in[cell] = min(p, failed_in.get(cell, p))
+        return outcomes
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -19,11 +19,11 @@ A table's words reach the vectorizer's columns by one integer gather
 when the table numbers its words by the same count columns (tables
 built from this corpus's stats) or by the model's embedding rows (a
 loaded model file); a table over any other numbering is matched word by
-word.  ``view(rows)`` is the vectorizer over some documents only: it
-slices the count matrices and transposes them once, and orders a
-table's stored (word, category) pairs by (category, column) once for
-every table over the same pairs, as kld, tftrr and tfcr from one stats
-are.
+word.  ``view(rows)`` is the vectorizer over some documents only; it
+slices and transposes the counts of each kind (plain and ``1 + ln tf``)
+on first use, so one view per (train, test) pair serves all the pair's
+tables.  Each call of ``matrix`` orders its own table's stored (word,
+category) pairs by (category, column); nothing is kept across tables.
 
 Each weight column is first scaled by an exact power of two that brings
 its maximum into [0.5, 1): the means do not change, and tiny weights
@@ -122,22 +122,20 @@ class CorpusVectorizer:
         self._E = model.vectors if every_row else model.vectors[self._rows]
         self._selected = None  # the documents of a view; None: all
         self._sliced: dict[bool, tuple] = {}  # log? -> (G, G transposed) of those
-        self._order = None  # the last table pattern ordered by ``_pairs``, and its order
 
     def view(self, rows) -> CorpusVectorizer:
         """This vectorizer over the documents ``rows`` only (any index
         array or mask): ``view(rows).matrix(t)`` equals ``matrix(t)[rows]``.
 
         A view slices and transposes the counts once per kind (plain and
-        ``1 + ln tf``) and keeps the (category, column) order of the last
-        table pattern it met, so one view per (train, test) pair serves
-        all the pair's tables.
+        ``1 + ln tf``), on first use, so one view per (train, test) pair
+        serves all the pair's tables.
         """
         picked = np.arange(len(self.known_token_counts))[rows]  # positions, from any index or mask
         view = copy.copy(self)
         view._selected = picked if self._selected is None else self._selected[picked]
         view.known_token_counts = self.known_token_counts[picked]
-        view._sliced, view._order = {}, None
+        view._sliced = {}
         return view
 
     def known_embedding(self) -> EmbeddingModel:
@@ -184,26 +182,13 @@ class CorpusVectorizer:
         (category, column) order: category c's entries sit in
         ``columns[indptr[c]:indptr[c + 1]]`` and their weights in
         ``table.weights.data`` at the same slice of ``positions``.
-        ``training`` lists the columns of the table's words, increasing.
-        The last order is kept for the next table over the same words and
-        pairs, as the tables of one stats are."""
+        ``training`` lists the columns of the table's words, increasing."""
         weights = table.weights
-        last = self._order
-        if (
-            last is not None
-            and last[0] is table.terms
-            and last[1] is table.term_ids
-            and np.array_equal(last[2], weights.indptr)
-            and np.array_equal(last[3], weights.indices)
-        ):
-            return last[4]
         rows, training = self._known_rows(table)
         positions = np.arange(weights.nnz)
         pattern = sp.csr_matrix((positions, weights.indices, weights.indptr), shape=weights.shape)
         pattern = pattern[rows].tocsc()
-        order = (pattern.indptr, training[pattern.indices], pattern.data, training)
-        self._order = (table.terms, table.term_ids, weights.indptr, weights.indices, order)
-        return order
+        return pattern.indptr, training[pattern.indices], pattern.data, training
 
     def _numerator(self, Gt, terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Per document, the sum over ``terms`` of frequency * weight * embedding
@@ -212,12 +197,9 @@ class CorpusVectorizer:
         sub.data *= np.repeat(weights, np.diff(sub.indptr))
         return sub.T @ self._E[terms]
 
-    def matrix(self, table: WeightTable, rows=None) -> np.ndarray:
-        """Feature matrix of the documents ``rows`` (default: all, in order)
-        under one table; ``matrix(t, rows)`` equals ``matrix(t)[rows]``."""
-        return (self if rows is None else self.view(rows))._matrix(table)
-
-    def _matrix(self, table: WeightTable) -> np.ndarray:
+    def matrix(self, table: WeightTable) -> np.ndarray:
+        """Feature matrix of this vectorizer's documents, in order, under
+        one table; for some documents only, use ``view(rows).matrix(table)``."""
         d, K = self.model.dimension, len(self._words)
         G, Gt = self._counts(table.scheme == "tftrr")
         if table.scheme == "none":

@@ -6,6 +6,7 @@ written to disk, mirroring how the tool is used from a shell.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -662,6 +663,25 @@ def test_bad_synthetic_spec_exits_2(spec, toy_csv, tmp_path, capsys):
             "--seed", "1", "--out", str(tmp_path / "v.tsv")]
     assert main(argv) == 2
     assert "bad synthetic embedding spec" in capsys.readouterr().err
+
+
+def test_parser_built_at_most_once_per_process(toy_csv, tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "catweight":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"scheme": "kld"}))
+    argv = ["weights", "--config", str(config), "--data", toy_csv]  # no --seed: exits 2
+    assert main(argv) == 2
+    assert main(argv) == 2
+    assert "--seed is required" in capsys.readouterr().err
+    assert len(built) <= 1
 
 
 @pytest.mark.parametrize("command", ["cv", "weights"])

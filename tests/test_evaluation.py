@@ -200,6 +200,20 @@ class TestCrossValidate:
         assert np.array_equal(first.confusion, second.confusion)
         assert first.fold_train_sizes == second.fold_train_sizes
 
+    def test_svm_separates_with_the_default_step(self):
+        # The first SVM step is the learning rate; the plain Pegasos step
+        # 1/(l2*t) starts at 1/l2 and leaves tfcr/svm near 0.74 here.
+        corpus = separable_corpus(num_docs=400, seed=0)
+        model = synthetic_model(_vocab(corpus), 16, seed=1)
+        plan = make_splits(corpus, k=4, seed=0)
+        grid = grid_run(
+            corpus, ["none", "tfcr"], model, ["svm"], plan,
+            TrainConfig(epochs=10, seed=0), standardize=True,
+        )
+        tfcr = grid["tfcr", model.origin, "svm"].mean_macro_f1
+        assert tfcr >= 0.9
+        assert tfcr > grid["none", model.origin, "svm"].mean_macro_f1
+
     def test_unknown_scheme_and_classifier(self, eval_corpus, eval_model):
         plan = make_splits(eval_corpus, k=5, seed=1)
         with pytest.raises(ValueError, match="tfcr"):

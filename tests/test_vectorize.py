@@ -391,8 +391,8 @@ class TestCorpusVectorizer:
         empty = np.array([], dtype=np.int64)
         mask = np.arange(n) % 3 == 1
         for rows in (shuffled, repeated, empty, list(repeated), mask):
-            assert np.array_equal(vectorizer.matrix(table, rows=rows), X[rows])
-        assert vectorizer.matrix(table, rows=empty).shape == (0, X.shape[1])
+            assert np.array_equal(vectorizer.view(rows).matrix(table), X[rows])
+        assert vectorizer.view(empty).matrix(table).shape == (0, X.shape[1])
 
     def test_view_serves_every_table_of_a_pair(self, tiny_model, rng):
         """A view's matrices are the rows of the full ones, in any order of
@@ -408,7 +408,7 @@ class TestCorpusVectorizer:
         for scheme in ("kld", "tftrr", "tfcr", "tfidf", "none", "tfcr", "kld"):
             table = build_table(stats, scheme)
             assert np.array_equal(view.matrix(table), vectorizer.matrix(table)[rows])
-        # Same words, fewer pairs: the kept (category, column) order must not serve.
+        # Same words, fewer pairs: the view orders this table's own pairs.
         pairs = table.weights.tolil()
         pairs[:, 0] = 0.0
         sparser = WeightTable("kld", table.categories, table.terms, table.term_ids,
