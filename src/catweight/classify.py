@@ -310,13 +310,18 @@ def train(
 
 
 def decision_scores(model: LinearModel, vectors: np.ndarray) -> np.ndarray:
-    """Raw class scores: softmax probabilities (logreg) or margins (svm)."""
+    """Raw class scores: softmax probabilities (logreg) or margins (svm).
+
+    Each row is its own one-row product: the BLAS kernel of a many-row
+    product depends on the row count, so a row's bits would otherwise
+    depend on the other rows passed with it.
+    """
     X = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     if X.shape[1] != model.num_features:
         raise ValueError(
             f"feature length {X.shape[1]} does not match model ({model.num_features})"
         )
-    scores = X @ model.W.T + model.b
+    scores = (X[:, None, :] @ model.W.T)[:, 0] + model.b
     if model.kind == "logreg":
         scores = _softmax(scores)
     return scores

@@ -629,15 +629,22 @@ def cmd_predict(args: argparse.Namespace) -> int:
         for i, line in enumerate(lines)
     )
     # Only training terms have embedding rows in the model file.
-    X = CorpusVectorizer(docs, saved.embedding).matrix(saved.table)
+    vectorizer = CorpusVectorizer(docs, saved.embedding)
+    unknown = int((vectorizer.known_token_counts == 0).sum())
+    if unknown:
+        print(
+            f"warning: {unknown} of {len(docs)} input lines have no token the model "
+            f"knows; their features are the zero vector",
+            file=sys.stderr,
+        )
+    X = vectorizer.matrix(saved.table)
     if saved.scaler is not None:
         standardize_apply(saved.scaler, X, out=X)
     categories = saved.table.categories
     pred, scores = predict_many(saved.model, X)
     out_lines = ["\t".join(["label", *categories])]
-    for i in range(len(docs)):
-        row = "\t".join(repr(float(s)) for s in scores[i])
-        out_lines.append(f"{categories[pred[i]]}\t{row}")
+    for label, row in zip(pred.tolist(), scores.tolist()):
+        out_lines.append(f"{categories[label]}\t" + "\t".join(map(repr, row)))
     text = "\n".join(out_lines) + "\n"
     out = cfg.get("out")
     if out:

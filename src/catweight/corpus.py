@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,15 +38,32 @@ class TokenizerConfig:
 
 DEFAULT_TOKENIZER = TokenizerConfig()
 
-# Unicode alphanumeric runs; \w minus the underscore.
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+class _Separators(dict):
+    """``str.translate`` table that keeps alphanumeric code points and
+    maps every other one to a space; each code point is classified on
+    first sight and remembered."""
+
+    def __missing__(self, code: int) -> str:
+        char = chr(code)
+        self[code] = kept = char if char.isalnum() else " "
+        return kept
+
+
+_SEPARATORS = _Separators()
 
 
 def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> tuple[str, ...]:
-    """Split ``text`` into tokens; total function, empty input gives ()."""
+    """Split ``text`` into tokens; total function, empty input gives ().
+
+    Tokens are the maximal runs of alphanumeric characters, the matches
+    of the regex ``[^\\W_]+`` (Unicode ``\\w`` is ``str.isalnum`` plus
+    the underscore), found by one translate and one split.  Lowercasing
+    comes first, so a character whose lowercase form is several code
+    points is split as that form.
+    """
     if not config.preserve_case:
         text = text.lower()
-    return tuple(_TOKEN_RE.findall(text))
+    return tuple(text.translate(_SEPARATORS).split())
 
 
 @dataclass

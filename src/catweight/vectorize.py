@@ -100,19 +100,25 @@ class CorpusVectorizer:
                  *, counts: TokenCounts | None = None):
         self.model = model
         counts = count_tokens(documents) if counts is None else counts
-        ids = model.word_ids
-        known = sorted(  # (embedding row, term, count column): the summation order
-            (row, term, j)
-            for j, term in enumerate(counts.terms)
-            if (row := ids.get(term, ids.get(term.lower(), -1) if case_fallback else -1)) >= 0
-        )
-        rows, self._words, columns = (tuple(x) for x in zip(*known)) if known else ((),) * 3
-        self._terms, self._rows = counts.terms, np.array(rows, dtype=np.int64)
+        terms, ids = counts.terms, model.word_ids
+        rows = np.fromiter(map(ids.get, terms, repeat(-1)), np.int64, len(terms))
+        columns = np.flatnonzero(rows >= 0)
+        if case_fallback:  # a missing term takes its lowercase form's row
+            missed = np.flatnonzero(rows < 0)
+            lower = (terms[j].lower() for j in missed.tolist())
+            rows[missed] = np.fromiter(map(ids.get, lower, repeat(-1)), np.int64, missed.size)
+            known = np.flatnonzero(rows >= 0).tolist()
+            columns = np.array(sorted(known, key=terms.__getitem__), dtype=np.int64)
+        # (embedding row, term) order, the summation order: a stable sort by
+        # row keeps the terms that share a row in term order.
+        columns = columns[np.argsort(rows[columns], kind="stable")]
+        self._words = tuple(map(terms.__getitem__, columns.tolist()))
+        self._terms, self._rows = terms, rows[columns]
         self._exact_rows = not case_fallback  # a column's row is its own term's
         # The column of each count column, -1 for a term the model lacks.
-        self._slot = np.full(len(counts.terms), -1, dtype=np.int64)
-        self._slot[list(columns)] = np.arange(len(columns))
-        G = counts.matrix[:, list(columns)].sorted_indices()
+        self._slot = np.full(len(terms), -1, dtype=np.int64)
+        self._slot[columns] = np.arange(len(columns))
+        G = counts.matrix[:, columns].sorted_indices()
         self.known_token_counts = np.asarray(G.sum(axis=1), dtype=np.int64).ravel()
         self._G = G.astype(np.float64)
         # 1 + ln tf by value, so that an entry's bits never depend on the corpus

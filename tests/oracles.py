@@ -2,16 +2,27 @@
 embedding file readers.
 
 Everything here recomputes weights from raw token lists with plain
-dictionaries and math.log, and reads embedding files line by line with
-float() and struct — no numpy, no shared code with the package — so
-agreement is evidence, not tautology.  The two table readers at the end
-compute nothing: they look a word up in a table's arrays.
+dictionaries and math.log, tokenizes with the regex that defines a
+token, and reads embedding files line by line with float() and struct —
+no numpy, no shared code with the package — so agreement is evidence,
+not tautology.  The two table readers at the end compute nothing: they
+look a word up in a table's arrays.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import struct
+
+# A token is a maximal run of Unicode word characters other than "_".
+_TOKEN_RE = re.compile(r"[^\W_]+")
+
+
+def oracle_tokenize(text, preserve_case=False):
+    """The tokens of ``text``: the regex's matches, after lowercasing
+    unless ``preserve_case``."""
+    return tuple(_TOKEN_RE.findall(text if preserve_case else text.lower()))
 
 
 def naive_counts(token_lists, labels, num_categories):

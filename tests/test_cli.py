@@ -572,6 +572,32 @@ class TestTrainPredict:
         labels = {"topic0", "topic1", "topic2"}
         assert all(line.split("\t")[0] in labels for line in lines[1:])
 
+    def test_each_row_equals_its_one_line_prediction(self, trained, train_csv, tmp_path):
+        with open(train_csv, encoding="utf-8", newline="") as fh:
+            texts = [row["text"] for row in csv.DictReader(fh)]
+        lines = texts + [f"{a} {b}" for a, b in zip(texts, texts[1:])] + ["", "zebra"]
+        batch = _predict(trained, lines, tmp_path)
+        assert len(batch) == 1 + len(lines)
+        for line, row in zip(lines, batch[1:]):
+            assert _predict(trained, [line], tmp_path) == [batch[0], row]
+
+    def test_lines_without_known_tokens_are_counted_on_stderr(
+        self, trained, tmp_path, capsys, monkeypatch
+    ):
+        lines = ["cat0kw00 cat0kw01", "", "unrelated words entirely", "cat1kw02 zebra"]
+        expected = "\n".join(_predict(trained, lines, tmp_path)) + "\n"
+        assert capsys.readouterr().err == (
+            "warning: 2 of 4 input lines have no token the model knows; "
+            "their features are the zero vector\n"
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+        assert main(["predict", "--model", str(trained)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err.startswith("warning: 2 of 4 input lines")
+        _predict(trained, lines[:1] + lines[3:], tmp_path)
+        assert capsys.readouterr().err == ""
+
     def test_missing_model_exits_2(self, tmp_path, capsys):
         argv = ["predict", "--model", str(tmp_path / "nope.bin")]
         assert main(argv) == 2

@@ -21,6 +21,7 @@ from catweight import (
     tokenize,
 )
 from catweight.corpus import count_tokens
+from oracles import oracle_tokenize
 
 
 class TestTokenize:
@@ -39,6 +40,35 @@ class TestTokenize:
 
     def test_numbers_kept(self):
         assert tokenize("win 20 games") == ("win", "20", "games")
+
+    @pytest.mark.parametrize(
+        "text, lowered, cased",
+        [
+            ("a_b __c_", ("a", "b", "c"), ("a", "b", "c")),
+            # A combining mark is no alphanumeric: it ends a token.
+            ("Cafe\u0301 nai\u0308ve", ("cafe", "nai", "ve"), ("Cafe", "nai", "ve")),
+            # Arabic-Indic and Devanagari digits are alphanumeric.
+            ("x\u0661\u0662 \u0967\u0968-y", ("x\u0661\u0662", "\u0967\u0968", "y"),
+             ("x\u0661\u0662", "\u0967\u0968", "y")),
+            # "İ" lowercases to "i" plus a combining dot, which splits.
+            ("İstanbul", ("i", "stanbul"), ("İstanbul",)),
+        ],
+    )
+    def test_unicode_runs(self, text, lowered, cased):
+        assert tokenize(text) == lowered == oracle_tokenize(text)
+        cfg = TokenizerConfig(preserve_case=True)
+        assert tokenize(text, cfg) == cased == oracle_tokenize(text, preserve_case=True)
+
+    @given(
+        st.text(
+            st.one_of(st.characters(), st.sampled_from("_İ\u0307\u0301\u0661\u0967 .aZ9")),
+            max_size=80,
+        ),
+        st.booleans(),
+    )
+    def test_matches_regex_oracle(self, text, preserve_case):
+        cfg = TokenizerConfig(preserve_case=preserve_case)
+        assert tokenize(text, cfg) == oracle_tokenize(text, preserve_case)
 
     @given(st.text(max_size=80))
     def test_idempotent_on_normalized_text(self, text):

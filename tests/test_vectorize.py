@@ -20,6 +20,7 @@ from catweight import (
     standardize_fit,
     synthetic_model,
 )
+from catweight.corpus import count_tokens
 from catweight.weighting import SCHEMES
 from oracles import oracle_weighted_mean, table_idf, table_weight
 
@@ -505,6 +506,39 @@ class TestCorpusVectorizer:
         )
         np.testing.assert_allclose(bare[0], win, rtol=1e-12)
         assert not np.array_equal(with_fb[0], bare[0])
+
+    def test_case_fallback_ties_follow_the_term(self):
+        # "Apple", "APPLE" and "apple" all resolve to the one "apple" row.
+        model = _emb({"pear": (0.3, -1.7), "apple": (0.1, 0.7), "fig": (-2.9, 0.013)})
+        token_lists = [
+            ["apple", "Fig", "APPLE", "pear", "Apple", "apple"],
+            ["Apple", "fig", "APPLE", "APPLE", "Fig", "Fig", "Fig"],
+            ["APPLE", "kiwi"],
+            ["Kiwi"],
+        ]
+        docs = from_token_lists(token_lists, [None] * 4, []).documents
+        counts = count_tokens(docs)
+        # The oracle: known terms sorted by (embedding row, term, count column).
+        ids = model.word_ids
+        known = sorted(
+            (row, term, j)
+            for j, term in enumerate(counts.terms)
+            if (row := ids.get(term, ids.get(term.lower()))) is not None
+        )
+        order = [term for _, term, _ in known]
+        assert order == ["pear", "APPLE", "Apple", "apple", "Fig", "fig"]
+        vectorizer = CorpusVectorizer(docs, model, case_fallback=True)
+        assert vectorizer.known_embedding().words == tuple(order)
+        weight = {"pear": 0.5, "APPLE": 3.0, "Apple": 0.25, "apple": 1.5, "Fig": 0.75, "fig": 2.0}
+        table = _cat_table({t: (weight[t], 1.0) for t in order})
+        X = vectorizer.matrix(table)
+        for i, tokens in enumerate(token_lists):
+            tf = [tokens.count(t) for t in order]
+            vectors = [model.vectors[row].tolist() for row, _, _ in known]
+            for c, weight_of in enumerate((weight.__getitem__, lambda t: 1.0)):
+                weights = [n * weight_of(t) for n, t in zip(tf, order)]
+                expected = oracle_weighted_mean(weights, vectors, 2)
+                assert X[i, 2 * c : 2 * c + 2].tolist() == expected
 
     def test_empty_corpus(self, toy_corpus, tiny_model):
         table = build_table(build_stats(toy_corpus), "tfcr")
