@@ -634,7 +634,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if unknown:
         print(
             f"warning: {unknown} of {len(docs)} input lines have no token the model "
-            f"knows; their features are the zero vector",
+            f"knows and are scored as an empty document",
             file=sys.stderr,
         )
     X = vectorizer.matrix(saved.table)

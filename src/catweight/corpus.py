@@ -41,7 +41,14 @@ DEFAULT_TOKENIZER = TokenizerConfig()
 class _Separators(dict):
     """``str.translate`` table that keeps alphanumeric code points and
     maps every other one to a space; each code point is classified on
-    first sight and remembered."""
+    first sight and remembered.
+
+    The one table is shared by the whole process and never cleared, so
+    it grows with the distinct code points tokenized so far.  It is
+    bounded by the code-point space: after every one of the 1,112,064
+    non-surrogate code points it holds as many entries, which took
+    about 88 MB (tracemalloc, CPython 3.11, 64-bit).  A corpus in a few
+    scripts adds a few thousand entries at most."""
 
     def __missing__(self, code: int) -> str:
         char = chr(code)

@@ -13,13 +13,12 @@ word keeps its first vector; the later entries count as skipped.  A
 corpus uses a small share of a pre-trained file's rows, so every loader
 takes an optional ``vocab``: a text loader then streams the file, keeps
 the lines whose word is in it and whose field count is right, and
-parses them in bulk numpy calls (a span that fails is split in halves,
-down to single rows, which are parsed with float() under the same skip
-and error rules); the binary loader widens only those vectors.  Kept
-rows stay in file order, so a document's features do not depend on
-whether the load was filtered.  A deterministic synthetic generator
-stands in for in-domain models during tests: each vector is keyed on
-(word, seed, d) so it does not depend on vocabulary order.
+parses them in one bulk numpy call (row by row, with the same skip and
+error rules, if that call fails); the binary loader widens only those
+vectors.  Kept rows stay in file order, so a document's features do
+not depend on whether the load was filtered.  A deterministic synthetic
+generator stands in for in-domain models during tests: each vector is
+keyed on (word, seed, d) so it does not depend on vocabulary order.
 """
 
 from __future__ import annotations
@@ -108,41 +107,27 @@ def _bulk_parse(texts: list[str], d: int) -> np.ndarray | None:
     return rows if rows.shape == (len(texts), d) else None
 
 
-def _parse_span(texts, d, lo, hi, on_bad, blocks) -> None:
-    """Append ``(indices, rows)`` blocks of the rows of ``texts[lo:hi]``
-    that parse, in order: the span in one bulk call, or else each half
-    the same way, so that only a row that fails on its own is parsed
-    with float().  A row that does not parse is passed to ``on_bad``."""
-    rows = _bulk_parse(texts[lo:hi], d)
-    if rows is None and hi - lo == 1:
-        row = _parse_row(texts[lo].rstrip("\n").split(" "))
-        if row is None:
-            if on_bad is not None:
-                on_bad(lo)
-            return
-        rows = row.reshape(1, d)
-    if rows is None:
-        mid = (lo + hi) // 2
-        _parse_span(texts, d, lo, mid, on_bad, blocks)
-        _parse_span(texts, d, mid, hi, on_bad, blocks)
-    else:
-        blocks.append((range(lo, hi), rows))
-
-
 def _parse_candidates(words, texts, d, on_bad=None):
     """Parse the candidate rows and keep each word's first parsed row.
 
-    ``texts[i]`` holds the d values of ``words[i]``.  The rows are parsed
-    in bulk calls, split in halves around a row that fails (see
-    ``_parse_span``); a row that does not parse is dropped, or passed to
-    ``on_bad(i)`` (which may raise), in row order.  Returns the kept
-    words, their rows in file order, and the number of candidate rows
-    not kept (malformed or duplicate).
+    ``texts[i]`` holds the d values of ``words[i]``.  All rows are parsed
+    in one bulk call; if that fails they are parsed one by one, and a row
+    that does not parse is dropped, or passed to ``on_bad(i)`` (which
+    may raise).  Returns the kept words, their rows in file order, and
+    the number of candidate rows not kept (malformed or duplicate).
     """
-    blocks: list = []
-    _parse_span(texts, d, 0, len(texts), on_bad, blocks)
-    words = [words[i] for span, _ in blocks for i in span]
-    rows = np.concatenate([r for _, r in blocks]) if blocks else np.zeros((0, d))
+    rows = _bulk_parse(texts, d)
+    if rows is None:
+        parsed = []
+        for i, text in enumerate(texts):
+            row = _parse_row(text.rstrip("\n").split(" "))
+            if row is None:
+                if on_bad is not None:
+                    on_bad(i)
+                continue
+            parsed.append((words[i], row))
+        words = [w for w, _ in parsed]
+        rows = np.array([r for _, r in parsed]).reshape(len(parsed), d)
     first: dict[str, int] = {}
     for i, word in enumerate(words):
         first.setdefault(word, i)

@@ -585,11 +585,13 @@ class TestTrainPredict:
         self, trained, tmp_path, capsys, monkeypatch
     ):
         lines = ["cat0kw00 cat0kw01", "", "unrelated words entirely", "cat1kw02 zebra"]
-        expected = "\n".join(_predict(trained, lines, tmp_path)) + "\n"
+        rows = _predict(trained, lines, tmp_path)
+        expected = "\n".join(rows) + "\n"
         assert capsys.readouterr().err == (
-            "warning: 2 of 4 input lines have no token the model knows; "
-            "their features are the zero vector\n"
+            "warning: 2 of 4 input lines have no token the model knows "
+            "and are scored as an empty document\n"
         )
+        assert rows[3] == rows[2]  # scored as the empty line is
         monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
         assert main(["predict", "--model", str(trained)]) == 0
         captured = capsys.readouterr()
