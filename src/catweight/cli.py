@@ -299,13 +299,15 @@ def _load_corpus(cfg: dict) -> LabeledCorpus:
     return corpus
 
 
-def _resolve_embedding(cfg: dict, vocab) -> EmbeddingModel:
+def _resolve_embedding(cfg: dict, corpus: LabeledCorpus) -> EmbeddingModel:
+    """The ``--embedding`` model, with a row for each corpus term it has."""
     spec = str(_require(cfg, "embedding", "--embedding"))
+    vocab = corpus.token_counts().terms
     if spec.startswith("synthetic:"):
         parts = spec.split(":")
         try:
-            if len(parts) == 3:
-                return synthetic_model(vocab, int(parts[1]), int(parts[2]))
+            if len(parts) == 3:  # sorted: the order fixes the model's rows
+                return synthetic_model(sorted(vocab), int(parts[1]), int(parts[2]))
         except ValueError:
             pass
         raise ConfigError(
@@ -326,10 +328,6 @@ def _resolve_embedding(cfg: dict, vocab) -> EmbeddingModel:
             file=sys.stderr,
         )
     return model
-
-
-def _corpus_vocab(corpus: LabeledCorpus) -> list[str]:
-    return sorted(corpus.token_counts().terms)
 
 
 def _number(cfg: dict, key: str, kind: type = int):
@@ -402,7 +400,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     classifiers = _expand(cfg["classifier"], CLASSIFIERS, "classifier")
     train_config = _train_config(cfg)
     corpus = _load_corpus(cfg)
-    embedding = _resolve_embedding(cfg, _corpus_vocab(corpus))
+    embedding = _resolve_embedding(cfg, corpus)
     plan = make_splits(corpus, cfg["k"], seed=seed, stratified=bool(cfg["stratified"]))
     dataset = Path(cfg["data"]).name
     results = grid_run(
@@ -475,7 +473,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     if holdout < 1:
         raise ConfigError(f"corpus of {len(corpus)} documents cannot hold out 1/{k}")
     sizes = _curve_sizes(cfg, len(corpus) - holdout)
-    embedding = _resolve_embedding(cfg, _corpus_vocab(corpus))
+    embedding = _resolve_embedding(cfg, corpus)
     plan = make_splits(
         corpus, k, ladder=sizes, seed=seed, stratified=bool(cfg["stratified"])
     )
@@ -543,7 +541,7 @@ def _full_corpus_features(cfg: dict, scheme: str) -> tuple:
     """``(corpus, table, vectorizer, matrix)``: the corpus, its weight table
     under ``scheme``, and its vectorizer and feature matrix."""
     corpus = _load_corpus(cfg)
-    embedding = _resolve_embedding(cfg, _corpus_vocab(corpus))
+    embedding = _resolve_embedding(cfg, corpus)
     if scheme == "none":
         table = WeightTable(scheme="none", categories=tuple(corpus.categories))
     else:
@@ -608,12 +606,21 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _read_predict_lines(spec: str) -> list[str]:
+    """The input's lines, ended only by ``\\n``, ``\\r\\n`` or ``\\r``, from
+    a file or stdin alike (``str.splitlines`` would also end one at a form
+    feed, ``\\x85``, ``\\u2028`` and other characters).  A final line end
+    adds no line."""
     if spec == "-":
-        return sys.stdin.read().splitlines()
-    path = Path(spec)
-    if not path.is_file():
-        raise ConfigError(f"input file not found: {path}")
-    return path.read_text(encoding="utf-8", errors="replace").splitlines()
+        text = sys.stdin.read()
+    else:
+        path = Path(spec)
+        if not path.is_file():
+            raise ConfigError(f"input file not found: {path}")
+        text = path.read_text(encoding="utf-8", errors="replace")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def cmd_predict(args: argparse.Namespace) -> int:

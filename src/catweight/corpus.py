@@ -5,16 +5,18 @@ line) or a directory-per-category tree (20-Newsgroups style).  All loaders
 degrade non-UTF8 bytes to the replacement character instead of failing:
 real news corpora contain junk bytes.
 
-``count_tokens`` is the one token count: a documents-by-terms CSR matrix
-from which corpus statistics and document vectors are both derived.
+``count_tokens`` is the one token count: a documents-by-terms CSR matrix,
+each row in increasing term id, from which corpus statistics and
+document vectors are both derived.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -92,11 +94,11 @@ class TokenCounts:
     """``matrix[i, t]`` counts ``terms[t]`` in document i (int64 CSR).
 
     Terms are numbered in order of first occurrence in the corpus, and
-    each row stores its entries in order of first occurrence in the
-    document.  No result depends on these orders: counts sum exactly,
-    and ``CorpusVectorizer`` sums each document's terms in (embedding
-    row, term) order, which a document's own tokens fix.  The instance
-    is shared through ``LabeledCorpus.token_counts``: treat it as
+    each row stores its entries in increasing term id (canonical CSR).
+    No result depends on the row order: counts sum exactly, and
+    ``CorpusVectorizer`` sums each document's terms in (embedding row,
+    term) order, which a document's own tokens fix.  The instance is
+    shared through ``LabeledCorpus.token_counts``: treat it as
     read-only.
     """
 
@@ -105,20 +107,27 @@ class TokenCounts:
 
 
 def count_tokens(documents) -> TokenCounts:
-    """Count every document's tokens in one pass (see ``TokenCounts``)."""
+    """Count every document's tokens in one pass (see ``TokenCounts``).
+
+    Each token gets its term id from one dict lookup; the (document,
+    term id) pairs, as integer keys ``document * V + term``, are counted
+    by one sort, which also leaves every row in increasing term id.
+    """
+    documents = tuple(documents)
     term_ids: defaultdict[str, int] = defaultdict()
     term_ids.default_factory = term_ids.__len__  # a new term gets the next id
-    indices: list[int] = []
-    data: list[int] = []
-    indptr = [0]
-    for doc in documents:
-        counts = Counter(doc.tokens)
-        indices.extend(map(term_ids.__getitem__, counts))
-        data.extend(counts.values())
-        indptr.append(len(indices))
+    num_docs = len(documents)
+    lengths = np.fromiter((len(doc.tokens) for doc in documents), np.int64, num_docs)
+    tokens = chain.from_iterable(doc.tokens for doc in documents)
+    ids = np.fromiter(map(term_ids.__getitem__, tokens), np.int64, int(lengths.sum()))
+    num_terms = len(term_ids)
+    keys = np.repeat(np.arange(num_docs, dtype=np.int64) * num_terms, lengths) + ids
+    keys, data = np.unique(keys, return_counts=True)
+    rows, indices = np.divmod(keys, max(num_terms, 1))  # no terms: no keys either
+    indptr = np.zeros(num_docs + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_docs), out=indptr[1:])
     matrix = sp.csr_matrix(
-        (np.array(data, dtype=np.int64), np.array(indices), np.array(indptr)),
-        shape=(len(indptr) - 1, len(term_ids)),
+        (data.astype(np.int64, copy=False), indices, indptr), shape=(num_docs, num_terms)
     )
     return TokenCounts(terms=tuple(term_ids), matrix=matrix)
 

@@ -1,5 +1,5 @@
-"""Independent brute-force oracles for the weighting schemes and the
-embedding file readers.
+"""Independent brute-force oracles for the tokenizer, the token counts,
+the weighting schemes and the embedding file readers.
 
 Everything here recomputes weights from raw token lists with plain
 dictionaries and math.log, tokenizes with the regex that defines a
@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 import struct
+from collections import Counter
 
 # A token is a maximal run of Unicode word characters other than "_".
 _TOKEN_RE = re.compile(r"[^\W_]+")
@@ -23,6 +24,16 @@ def oracle_tokenize(text, preserve_case=False):
     """The tokens of ``text``: the regex's matches, after lowercasing
     unless ``preserve_case``."""
     return tuple(_TOKEN_RE.findall(text if preserve_case else text.lower()))
+
+
+def oracle_count_tokens(token_lists):
+    """The corpus's terms in order of first occurrence, and one Counter of
+    its tokens per document."""
+    terms = {}
+    for tokens in token_lists:
+        for token in tokens:
+            terms.setdefault(token, len(terms))
+    return tuple(terms), [Counter(tokens) for tokens in token_lists]
 
 
 def naive_counts(token_lists, labels, num_categories):

@@ -483,7 +483,7 @@ def _train(train_csv, embedding, out, scheme="tfcr"):
 
 def _predict(model, lines, tmp_path):
     inputs = tmp_path / "docs.txt"
-    inputs.write_text("\n".join(lines) + "\n")
+    inputs.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "pred.tsv"
     assert main(["predict", "--model", str(model), "--input", str(inputs), "--out", str(out)]) == 0
     return out.read_text().splitlines()
@@ -580,6 +580,42 @@ class TestTrainPredict:
         assert len(batch) == 1 + len(lines)
         for line, row in zip(lines, batch[1:]):
             assert _predict(trained, [line], tmp_path) == [batch[0], row]
+
+    @pytest.mark.parametrize("inner", ["\f", "\x0b", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_one_row_per_input_line(self, trained, tmp_path, capsys, inner):
+        first = f"first line{inner}still the first line"
+        [_, one_line_row] = _predict(trained, [first], tmp_path)
+        inputs = tmp_path / "two.txt"
+        inputs.write_bytes(f"{first}\nsecond line\n".encode("utf-8"))
+        out = tmp_path / "two.tsv"
+        capsys.readouterr()
+        assert main(["predict", "--model", str(trained), "--input", str(inputs),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"2 predictions written to {out}\n"
+        rows = out.read_text(encoding="utf-8").split("\n")
+        assert len(rows) == 4 and rows[3] == ""  # header, two rows, final line end
+        assert rows[1] == one_line_row
+
+    def test_lines_end_at_lf_crlf_or_cr_from_file_and_stdin(
+        self, trained, tmp_path, capsys, monkeypatch
+    ):
+        lines = ["cat0kw00 common001", "", "cat1kw02\x85cat1kw03", "zebra"]
+        expected = "\n".join(_predict(trained, lines, tmp_path)) + "\n"
+        assert expected.count("\n") == 1 + len(lines)
+        text = "cat0kw00 common001\r\n\rcat1kw02\x85cat1kw03\nzebra\r\n"
+        inputs = tmp_path / "mixed.txt"
+        inputs.write_bytes(text.encode("utf-8"))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(trained), "--input", str(inputs)]) == 0
+        assert capsys.readouterr().out == expected
+        monkeypatch.setattr("sys.stdin", io.StringIO(text, newline=""))
+        assert main(["predict", "--model", str(trained)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_empty_input_gives_no_rows(self, trained, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert main(["predict", "--model", str(trained)]) == 0
+        assert capsys.readouterr().out == "label\ttopic0\ttopic1\ttopic2\n"
 
     def test_lines_without_known_tokens_are_counted_on_stderr(
         self, trained, tmp_path, capsys, monkeypatch

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catweight import (
@@ -21,7 +21,7 @@ from catweight import (
     tokenize,
 )
 from catweight.corpus import count_tokens
-from oracles import oracle_tokenize
+from oracles import oracle_count_tokens, oracle_tokenize
 
 
 class TestTokenize:
@@ -194,7 +194,7 @@ class TestLoad20ng:
 class TestCountTokens:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.sampled_from("abcdefg"), max_size=12), max_size=8))
-    def test_rows_are_counters_in_first_occurrence_order(self, token_lists):
+    def test_rows_are_counters_in_term_id_order(self, token_lists):
         docs = from_token_lists(token_lists, [None] * len(token_lists), []).documents
         counts = count_tokens(docs)
         first_seen = dict.fromkeys(t for tokens in token_lists for t in tokens)
@@ -205,7 +205,32 @@ class TestCountTokens:
         for i, tokens in enumerate(token_lists):
             row = slice(M.indptr[i], M.indptr[i + 1])
             entries = [(counts.terms[t], int(n)) for t, n in zip(M.indices[row], M.data[row])]
-            assert entries == list(Counter(tokens).items())
+            assert entries == sorted(Counter(tokens).items(), key=lambda e: counts.terms.index(e[0]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.one_of(st.sampled_from("ab\u00e9"), st.text(max_size=3)), max_size=12),
+            max_size=8,
+        )
+    )
+    @example([])  # no documents
+    @example([[], []])  # no terms
+    @example([["only"]])
+    def test_matches_the_oracle_on_any_unicode_tokens(self, token_lists):
+        docs = from_token_lists(token_lists, [None] * len(token_lists), []).documents
+        counts = count_tokens(docs)
+        terms, rows = oracle_count_tokens(token_lists)
+        assert counts.terms == terms
+        M = counts.matrix
+        assert M.shape == (len(token_lists), len(terms))
+        assert M.dtype == np.int64
+        assert M.has_sorted_indices
+        for i, expected in enumerate(rows):
+            row = slice(M.indptr[i], M.indptr[i + 1])
+            got = {terms[t]: int(n) for t, n in zip(M.indices[row], M.data[row])}
+            assert M.indptr[i + 1] - M.indptr[i] == len(got)
+            assert got == dict(expected)
 
     def test_cached_on_the_corpus(self):
         corpus = from_token_lists([["a", "b", "a"], []], [0, 0], ["c"])
