@@ -45,7 +45,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--epochs", type=int, default=100)
     parser.add_argument("--k", type=int, default=10)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument(
+        "--jobs", type=int, help="cells trained at once (default: as catweight cv)"
+    )
     parser.add_argument(
         "--skip-curve", action="store_true", help="run only the CV grid"
     )

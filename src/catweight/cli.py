@@ -8,7 +8,8 @@ model), ``predict`` (classify raw text with a persisted model).
 Every run resolves its configuration as command-line flags over an
 optional JSON config file (``--config``) over built-in defaults, and
 writes a ``<out>.manifest.json`` sidecar capturing the resolved
-configuration, so reruns are reproducible byte for byte (``--jobs 1``).
+configuration, so reruns are reproducible byte for byte, whatever
+``--jobs`` is.
 Seeds are always explicit; there is no wall-clock default.  Features
 are standardized unless ``--no-standardize`` is given.
 
@@ -79,7 +80,7 @@ _DEFAULTS = {
     "case_fallback": False,
     "sample": None,
     "min_count": 1,
-    "jobs": 1,
+    "jobs": None,
     **_LEARNER_DEFAULTS,
     "text_field": "text",
     "label_field": "label",
@@ -143,7 +144,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--classifier", help="classifier, comma list, or 'all'")
     p_cv.add_argument("--k", type=int, help="number of folds")
     p_cv.add_argument("--stratified", action="store_true", default=None)
-    p_cv.add_argument("--jobs", type=int, help="folds evaluated in parallel threads")
+    p_cv.add_argument(
+        "--jobs",
+        type=int,
+        help="classifier cells trained at once on worker threads, while the next "
+        "scheme's features are built (default: the CPUs this process may use, "
+        "divided by the BLAS threads per call, so 1 unless OPENBLAS_NUM_THREADS, "
+        "MKL_NUM_THREADS or OMP_NUM_THREADS limits them); results do not depend on it",
+    )
 
     p_curve = sub.add_parser("curve", help="learning curve on a fixed holdout")
     add_common(p_curve)

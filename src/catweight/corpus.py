@@ -183,6 +183,12 @@ def from_token_lists(
     return LabeledCorpus(documents=docs, categories=tuple(categories), seed=seed)
 
 
+def _canonical(tokens: tuple[str, ...], canon: dict[str, str]) -> tuple[str, ...]:
+    """``tokens`` with each string replaced by the first equal one ``canon``
+    has seen, so a corpus keeps one string object per distinct token."""
+    return tuple(map(canon.setdefault, tokens, tokens))
+
+
 def _read_text(path: Path) -> str:
     return path.read_text(encoding="utf-8", errors="replace")
 
@@ -204,6 +210,7 @@ def load_csv(
     docs: list[Document] = []
     categories: list[str] = []
     cat_index: dict[str, int] = {}
+    canon: dict[str, str] = {}
     with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
         header = reader.fieldnames or []
@@ -225,7 +232,7 @@ def load_csv(
                     categories.append(label)
                 docs.append(
                     Document(
-                        tokens=tokenize(text, tokenizer),
+                        tokens=_canonical(tokenize(text, tokenizer), canon),
                         label=cat_index[label],
                         source_id=f"{path.name}:{reader.line_num}",
                     )
@@ -252,6 +259,7 @@ def load_jsonl(
     docs: list[Document] = []
     categories: list[str] = []
     cat_index: dict[str, int] = {}
+    canon: dict[str, str] = {}
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -274,7 +282,7 @@ def load_jsonl(
                 categories.append(label)
             docs.append(
                 Document(
-                    tokens=tokenize(str(obj[text_key]), tokenizer),
+                    tokens=_canonical(tokenize(str(obj[text_key]), tokenizer), canon),
                     label=cat_index[label],
                     source_id=f"{path.name}:{lineno}",
                 )
@@ -299,12 +307,13 @@ def load_20ng(
         raise IngestionError(f"{root}: no category subdirectories found")
     docs: list[Document] = []
     categories: list[str] = []
+    canon: dict[str, str] = {}
     for label, cat_dir in enumerate(cat_dirs):
         categories.append(cat_dir.name)
         for doc_path in sorted(p for p in cat_dir.iterdir() if p.is_file()):
             docs.append(
                 Document(
-                    tokens=tokenize(_read_text(doc_path), tokenizer),
+                    tokens=_canonical(tokenize(_read_text(doc_path), tokenizer), canon),
                     label=label,
                     source_id=f"{cat_dir.name}/{doc_path.name}",
                 )

@@ -19,9 +19,17 @@ shared by the pair's schemes) and builds the corpus statistics once
 (when some scheme needs them), then for each scheme in turn its weight
 table, feature matrix and scaler, on which every classifier is trained
 and scored.  A scheme's matrix holds only the pair's training and test
-rows, is standardized in place and lives only while its scheme runs,
-so one scheme's matrix is alive at a time.  Training is seeded from
-``TrainConfig.seed`` alone, so results do not depend on this order.
+rows and is standardized in place.
+
+The calling thread builds all features, in that order.  It hands each
+(pair, scheme)'s classifier cells to a pool of ``jobs`` worker threads
+(by default the CPUs this process may use, divided by the threads each
+BLAS call may start) and goes on to build the next (pair, scheme)'s
+matrix while they train, after waiting for the batch before them.  So at most two scheme matrices are alive: the one
+being trained on and the one being built.  ``jobs=1`` trains each cell
+on the calling thread as soon as its matrix is built.  Training is
+seeded from ``TrainConfig.seed`` alone, so results do not depend on
+the number of workers.
 
 A failed cell is the exception that failed it, everywhere: in the
 engine's per-pair outcomes, in ``grid_run``'s results (the first fold's
@@ -32,8 +40,8 @@ error) and in ``CurvePoint.failures``.  ``cross_validate`` is
 from __future__ import annotations
 
 import csv
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,6 +151,35 @@ def _check_classes(labels: np.ndarray, idx: np.ndarray, categories, classifier: 
         )
 
 
+# The variables that set the thread count of a BLAS call (OpenBLAS, MKL,
+# OpenMP builds); where none is set, BLAS starts one thread per CPU.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _default_jobs() -> int:
+    """Cells trained at once by default: the CPUs this process may use,
+    divided by the threads each BLAS call may start.  So with BLAS at its
+    default of one thread per CPU it is 1: training cells side by side
+    would only make their BLAS threads compete for the CPUs."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    set_counts = [
+        int(value)
+        for value in map(os.environ.get, _BLAS_THREAD_VARIABLES)
+        if value and value.strip().isdigit() and int(value) > 0
+    ]
+    return max(1, cpus // min(set_counts, default=cpus))
+
+
+def _run_now(fn, *args) -> Future:
+    """``fn(*args)`` run on this thread, as a finished future."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
 def _fit_and_score(
     corpus: LabeledCorpus,
     pairs,
@@ -155,7 +192,7 @@ def _fit_and_score(
     standardize: bool,
     case_fallback: bool,
     min_count: int,
-    jobs: int = 1,
+    jobs: int | None = None,
     skip_failed: bool = False,
 ) -> dict[tuple[str, str], list[EvalReport | Exception | None]]:
     """Fit on A, score B, for every (scheme, classifier) cell and every
@@ -170,9 +207,15 @@ def _fit_and_score(
     ``none``'s).  An unknown scheme fails its cells with
     ``build_table``'s error.  With ``skip_failed``, a cell is not run
     (its result is None) in the pairs after one it failed in.
-    ``jobs > 1`` runs the pairs on a thread pool.
+
+    ``jobs`` is the number of cells trained at once; None means
+    ``_default_jobs()``.  This thread builds every feature matrix; with
+    ``jobs > 1`` it hands the (pair, scheme)'s cells to a thread pool and
+    then waits for the batch before them, so it builds the next matrix
+    while the last one trains and never gets further ahead.
     """
     cfg = train_config or TrainConfig()
+    jobs = _default_jobs() if jobs is None else jobs
     schemes = list(dict.fromkeys(schemes))
     classifiers = list(dict.fromkeys(classifiers))
     labels = corpus.labels()
@@ -184,69 +227,95 @@ def _fit_and_score(
     # The none matrix does not depend on the pair: each pair copies its rows.
     none_table = WeightTable(scheme="none", categories=tuple(corpus.categories))
     none_matrix = vectorizer.matrix(none_table) if "none" in schemes else None
+    per_pair: list[dict[tuple[str, str], EvalReport | Exception]] = [{} for _ in pairs]
     failed_in: dict[tuple[str, str], int] = {}  # cell -> earliest failed pair
-    lock = threading.Lock()
+    pending = None  # the batch last handed out: (pair, scheme, {cell: future})
 
-    def score_scheme(scheme, members, view, rows, n_train, stats, outcomes):
-        """Train and score the pair's cells ``members`` of one scheme.  The
-        stats failure (for any scheme but ``none``), table, matrix and scaler
-        share one failure path, which fails every member; the matrix dies
-        when this returns."""
+    def record(p, cell, outcome):
+        per_pair[p][cell] = outcome
+        if isinstance(outcome, Exception):
+            failed_in[cell] = min(p, failed_in.get(cell, p))
+
+    def settle():
+        nonlocal pending
+        if pending is not None:
+            p, _, futures = pending
+            pending = None
+            for cell, future in futures.items():
+                record(p, cell, future.result())
+
+    def features(scheme, view, rows, n_train, stats):
+        """The pair's matrix for ``scheme``, standardized in place.  The
+        stats failure (for any scheme but ``none``), table, matrix and
+        scaler share this one failure path."""
+        if scheme == "none":
+            X = none_matrix[rows]
+        elif isinstance(stats, Exception):
+            raise stats
+        else:
+            X = view.matrix(build_table(stats, scheme, alpha=alpha))
+        if standardize:
+            standardize_apply(standardize_fit(X[:n_train]), X, out=X)
+        return X
+
+    def score_cell(classifier, X, n_train, y_train, y_test):
         try:
-            if scheme == "none":
-                X = none_matrix[rows]
-            elif isinstance(stats, Exception):
-                raise stats
-            else:
-                X = view.matrix(build_table(stats, scheme, alpha=alpha))
-            if standardize:
-                standardize_apply(standardize_fit(X[:n_train]), X, out=X)
+            model = train(classifier, X[:n_train], y_train, cfg, n_classes)
+            pred, _ = predict_many(model, X[n_train:])
+            return macro_f1(pred, y_test, n_classes, corpus.categories)
         except Exception as exc:
-            outcomes.update(dict.fromkeys(members, exc))
-            return
-        y_train, y_test = labels[rows[:n_train]], labels[rows[n_train:]]
-        for cell in members:
-            try:
-                model = train(cell[1], X[:n_train], y_train, cfg, n_classes)
-                pred, _ = predict_many(model, X[n_train:])
-                outcomes[cell] = macro_f1(pred, y_test, n_classes, corpus.categories)
-            except Exception as exc:
-                outcomes[cell] = exc
+            return exc
 
-    def run_pair(p: int) -> dict[tuple[str, str], EvalReport | Exception]:
-        train_idx, test_idx, what = pairs[p]
-        outcomes: dict[tuple[str, str], EvalReport | Exception] = {}
-        with lock:
-            skipped = {c for c, q in failed_in.items() if q < p} if skip_failed else set()
-        for classifier in classifiers:
-            try:
-                _check_classes(labels, train_idx, corpus.categories, classifier, what)
-            except TrainingError as exc:
-                outcomes.update((cell, exc) for cell in cells if cell[1] == classifier)
-        todo = [cell for cell in cells if cell not in outcomes and cell not in skipped]
-        rows = np.concatenate([train_idx, test_idx])
-        view = vectorizer.view(rows)  # the pair's counts, shared by its schemes
-        stats = None
-        if any(scheme != "none" for scheme, _ in todo):
-            try:
-                stats = build_stats(corpus, doc_subset=train_idx, min_count=min_count)
-            except Exception as exc:
-                stats = exc
-        for scheme in schemes:
-            members = [cell for cell in todo if cell[0] == scheme]
-            if members:
-                score_scheme(scheme, members, view, rows, len(train_idx), stats, outcomes)
-        with lock:  # pairs may finish in any order; keep the earliest
-            for cell, outcome in outcomes.items():
-                if isinstance(outcome, Exception):
-                    failed_in[cell] = min(p, failed_in.get(cell, p))
-        return outcomes
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_pair = list(pool.map(run_pair, range(len(pairs))))
-    else:
-        per_pair = list(map(run_pair, range(len(pairs))))
+    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    submit = pool.submit if pool is not None else _run_now
+    try:
+        for p, (train_idx, test_idx, what) in enumerate(pairs):
+            for classifier in classifiers:
+                try:
+                    _check_classes(labels, train_idx, corpus.categories, classifier, what)
+                except TrainingError as exc:
+                    for cell in cells:
+                        if cell[1] == classifier:
+                            record(p, cell, exc)
+            rows = np.concatenate([train_idx, test_idx])
+            n_train = len(train_idx)
+            y_train, y_test = labels[train_idx], labels[test_idx]
+            view = vectorizer.view(rows)  # the pair's counts, shared by its schemes
+            stats = None
+            for scheme in schemes:
+                if pending is not None and pending[1] == scheme:
+                    settle()  # its failures decide which of the cells run here
+                members = [
+                    cell
+                    for cell in cells
+                    if cell[0] == scheme
+                    and cell not in per_pair[p]
+                    and not (skip_failed and failed_in.get(cell, p) < p)
+                ]
+                if not members:
+                    continue
+                if scheme != "none" and stats is None:
+                    try:
+                        stats = build_stats(corpus, doc_subset=train_idx, min_count=min_count)
+                    except Exception as exc:
+                        stats = exc
+                try:
+                    X = features(scheme, view, rows, n_train, stats)
+                except Exception as exc:
+                    for cell in members:
+                        record(p, cell, exc)
+                    continue
+                batch = (p, scheme, {
+                    cell: submit(score_cell, cell[1], X, n_train, y_train, y_test)
+                    for cell in members
+                })
+                del X  # the matrix lives only as long as its batch trains
+                settle()
+                pending = batch
+        settle()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return {cell: [outcome.get(cell) for outcome in per_pair] for cell in cells}
 
 
@@ -355,15 +424,17 @@ def grid_run(
     standardize: bool = False,
     case_fallback: bool = False,
     min_count: int = 1,
-    jobs: int = 1,
+    jobs: int | None = None,
 ) -> dict[tuple[str, str, str], EvalReport | Exception]:
     """Cross-validate the full scheme x classifier grid over one embedding.
 
-    Runs fold-major (see the module docstring); ``jobs > 1`` runs the
-    folds on a thread pool.  A failing cell's result is the exception
-    of the first fold it failed in; the cell is skipped in later folds
-    and the rest of the grid still runs.  Cell results do not depend on
-    execution order.  Results are keyed by ``(scheme, embedding.origin,
+    Runs fold-major (see the module docstring), training ``jobs`` cells
+    at once; None, the default, means the CPUs this process may use
+    divided by the threads each BLAS call may start.
+    A failing cell's result is the exception of the first fold it failed
+    in; the cell is skipped in later folds and the rest of the grid
+    still runs.  Cell results do not depend on execution order or on
+    ``jobs``.  Results are keyed by ``(scheme, embedding.origin,
     classifier)``; to compare embeddings, call once per embedding and
     merge the dicts.
     """

@@ -30,6 +30,7 @@ from catweight import (
     synthetic_model,
     tokenize,
 )
+from catweight import evaluation
 from catweight.cli import main
 
 TOY_ROWS = [
@@ -180,6 +181,27 @@ class TestCv:
             _cv_args(train_csv, str(threaded), **dict(base, **{"--jobs": "3"}))
         ) == 0
         assert serial.read_bytes() == threaded.read_bytes()
+
+
+def test_cv_and_curve_bytes_do_not_depend_on_the_cpu_count(train_csv, tmp_path, monkeypatch):
+    # Criterion 8 with the default --jobs: the default worker count, here
+    # 1 (no pool) or 3, moves no output byte.
+    outputs = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(evaluation, "_default_jobs", lambda: cpus)
+        cv, curve = tmp_path / f"cv{cpus}.csv", tmp_path / f"curve{cpus}.csv"
+        cv_argv = _cv_args(train_csv, str(cv), **{"--scheme": "all", "--classifier": "all"})
+        assert main(cv_argv) == 0
+        curve_argv = [
+            "curve", "--data", train_csv, "--embedding", "synthetic:4:1",
+            "--scheme", "all", "--classifier", "logreg", "--k", "4", "--seed", "5",
+            "--epochs", "8", "--sizes", "8,16,24", "--out", str(curve),
+        ]
+        assert main(curve_argv) == 0
+        manifest = json.loads(Path(f"{cv}.manifest.json").read_text())
+        assert manifest["config"]["jobs"] is None
+        outputs.append((cv.read_bytes(), curve.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 class TestCurve:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 from collections import Counter
 
@@ -189,6 +190,44 @@ class TestLoad20ng:
         assert [d.tokens for d in from_dir.documents] == [
             d.tokens for d in from_csv.documents
         ]
+
+
+class TestOneStringPerToken:
+    """Every loader keeps one string object per distinct token."""
+
+    TEXTS = {
+        "rec.autos": ["The engine drives the ROVER", "Engine, orbit, engine!"],
+        "sci.space": ["Mars rover lands; the rover drives", "orbit around Mars"],
+    }
+
+    def _load(self, kind, tmp_path):
+        rows = [(text, label) for label, texts in self.TEXTS.items() for text in texts]
+        if kind == "csv":
+            path = tmp_path / "data.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh).writerows([("text", "label"), *rows])
+            return load_csv(path)
+        if kind == "jsonl":
+            path = tmp_path / "data.jsonl"
+            path.write_text("".join(json.dumps({"text": t, "label": lab}) + "\n" for t, lab in rows))
+            return load_jsonl(path)
+        for i, (text, label) in enumerate(rows):
+            (tmp_path / label).mkdir(exist_ok=True)
+            (tmp_path / label / str(i)).write_text(text)
+        return load_20ng(tmp_path)
+
+    @pytest.mark.parametrize("kind", ["csv", "jsonl", "20ng"])
+    def test_equal_tokens_are_one_object(self, kind, tmp_path):
+        corpus = self._load(kind, tmp_path)
+        texts = [text for texts in self.TEXTS.values() for text in texts]
+        token_lists = [tokenize(text) for text in texts]
+        assert [doc.tokens for doc in corpus.documents] == token_lists
+        assert corpus.token_counts().terms == oracle_count_tokens(token_lists)[0]
+        first: dict[str, str] = {}
+        for doc in corpus.documents:
+            for token in doc.tokens:
+                assert first.setdefault(token, token) is token
+        assert len(first) < sum(map(len, token_lists))  # tokens do repeat
 
 
 class TestCountTokens:

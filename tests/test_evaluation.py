@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -322,6 +323,19 @@ class TestLearningCurve:
         for solo, multi in zip(alone, grouped):
             assert solo.scores["none"] == multi.scores["none"]
 
+    def test_worker_count_keeps_the_scores(self, eval_corpus, eval_model, monkeypatch):
+        # learning_curve takes no jobs: it always trains _default_jobs() cells at once.
+        plan = make_splits(eval_corpus, k=5, ladder=(20, 40, 60), seed=2)
+        runs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(evaluation, "_default_jobs", lambda: cpus)
+            runs.append(learning_curve(
+                eval_corpus, plan, SCHEMES, eval_model, "svm", FAST, standardize=True
+            ))
+        serial, threaded = runs
+        assert [p.training_size for p in threaded] == [20, 40, 60]
+        assert [p.scores for p in threaded] == [p.scores for p in serial]
+
     def test_tfcr_improves_with_more_data(self):
         corpus = separable_corpus(
             num_docs=240,
@@ -445,6 +459,33 @@ class TestGridRun:
             assert threaded[key].fold_accuracies == cell.fold_accuracies
             assert np.array_equal(threaded[key].confusion, cell.confusion)
 
+    def test_at_most_two_scheme_matrices_alive(self, eval_corpus, eval_model, monkeypatch):
+        # The engine builds one matrix while the workers train on the last.
+        alive, seen = set(), []
+        build, train = CorpusVectorizer.matrix, evaluation.train
+
+        def tracked(self, table):
+            X = build(self, table)
+            alive.add(id(X))
+            weakref.finalize(X, alive.discard, id(X))
+            return X
+
+        def counted(*args, **kwargs):
+            seen.append(len(alive))
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(CorpusVectorizer, "matrix", tracked)
+        monkeypatch.setattr(evaluation, "train", counted)
+        plan = make_splits(eval_corpus, k=5, seed=1)
+        grid = grid_run(
+            eval_corpus, SCHEMES[1:], eval_model, ["logreg", "svm"], plan, FAST,
+            standardize=True, jobs=3,
+        )
+        assert all(isinstance(cell, EvalReport) for cell in grid.values())
+        assert len(seen) == 4 * 2 * 5
+        assert 1 <= min(seen) and max(seen) <= 2
+        assert not alive
+
     def test_fold_major_call_counts(self, eval_corpus, eval_model, monkeypatch):
         # Stats once per fold; the `none` matrix once, every other
         # scheme's matrix once per fold, shared by both classifiers.
@@ -557,6 +598,30 @@ class TestGridRun:
                 assert threaded[key].args == cell.args
             else:
                 assert threaded[key].fold_scores == cell.fold_scores
+
+
+class TestDefaultJobs:
+    @pytest.mark.parametrize(
+        "env, jobs",
+        [
+            ({}, 1),  # BLAS takes one thread per CPU
+            ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+            ({"OMP_NUM_THREADS": "2"}, 2),
+            ({"MKL_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 4),
+            ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+            ({"OMP_NUM_THREADS": "4,2"}, 1),  # not a thread count
+            ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+        ],
+    )
+    def test_cpus_over_blas_threads(self, env, jobs, monkeypatch):
+        monkeypatch.setattr(
+            evaluation.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False
+        )
+        for name in evaluation._BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert evaluation._default_jobs() == jobs
 
 
 class TestResultsCsv:
