@@ -47,7 +47,7 @@ import scipy.sparse as sp
 from .embeddings import EmbeddingModel
 from .errors import ModelFormatError, TrainingError
 from .vectorize import ScalerParams
-from .weighting import SCHEMES, WeightTable
+from .weighting import CATEGORY_SCHEMES, SCHEMES, WeightTable
 
 MODEL_FORMAT = 3
 CLASSIFIERS = ("logreg", "svm")
@@ -477,7 +477,7 @@ def load_model(path: str | Path) -> SavedModel:
         raise ModelFormatError(f"{path}: unknown scheme {scheme!r}")
     categories, vocab = tuple(a["categories"].tolist()), tuple(a["vocab"].tolist())
     word_ids = dict(zip(vocab, range(len(vocab))))
-    per_category = scheme in ("kld", "tftrr", "tfcr")
+    per_category = scheme in CATEGORY_SCHEMES
     C, d = len(categories), a["vectors"].shape[1]
     F = C * d if per_category else d
     T = 0 if scheme == "none" else len(a["table_rows"])

@@ -24,17 +24,33 @@ rows and is standardized in place.
 The calling thread builds all features, in that order.  It hands each
 (pair, scheme)'s classifier cells to a pool of ``jobs`` worker threads
 (by default the CPUs this process may use, divided by the threads each
-BLAS call may start) and goes on to build the next (pair, scheme)'s
-matrix while they train, after waiting for the batch before them.  So at most two scheme matrices are alive: the one
-being trained on and the one being built.  ``jobs=1`` trains each cell
-on the calling thread as soon as its matrix is built.  Training is
-seeded from ``TrainConfig.seed`` alone, so results do not depend on
-the number of workers.
+BLAS call may start) as one batch, and goes on building while they
+train.  It waits for the oldest batches handed out only where one of
+two rules says so:
+
+* before building a category scheme's matrix (kld, tftrr, tfcr: one
+  block of d columns per category), until at most one category batch
+  is pending;
+* before building any (pair, scheme), until no batch of that scheme is
+  pending, since its failures decide which of the cells run.
+
+A ``none`` copy or a ``tfidf`` matrix (d columns) is built without
+waiting.  So the next pair's view, stats, ``none`` and ``tfidf``
+matrices and its first category matrix are built while the last pair's
+category cells train, and at most two category-scheme matrices are
+alive (one training, one being built), plus at most one ``tfidf``
+matrix and one ``none`` copy.  ``jobs=1`` trains each cell on the
+calling thread as soon as its matrix is built.  Training is seeded from
+``TrainConfig.seed`` alone and results are recorded per (pair, cell),
+so they do not depend on the number of workers or on the order in
+which the cells finish.
 
 A failed cell is the exception that failed it, everywhere: in the
 engine's per-pair outcomes, in ``grid_run``'s results (the first fold's
-error) and in ``CurvePoint.failures``.  ``cross_validate`` is
-``grid_run``'s one-cell case, raising that exception.
+error) and in ``CurvePoint.failures``.  The engine records it without
+its traceback, so a failure keeps no frame alive, and with it no
+feature matrix or vectorizer.  ``cross_validate`` is ``grid_run``'s
+one-cell case, raising that exception.
 """
 
 from __future__ import annotations
@@ -52,7 +68,7 @@ from .embeddings import EmbeddingModel
 from .errors import TrainingError
 from .stats import build_stats
 from .vectorize import CorpusVectorizer, standardize_apply, standardize_fit
-from .weighting import DEFAULT_ALPHA, WeightTable, build_table
+from .weighting import CATEGORY_SCHEMES, DEFAULT_ALPHA, WeightTable, build_table
 
 
 @dataclass
@@ -210,9 +226,14 @@ def _fit_and_score(
 
     ``jobs`` is the number of cells trained at once; None means
     ``_default_jobs()``.  This thread builds every feature matrix; with
-    ``jobs > 1`` it hands the (pair, scheme)'s cells to a thread pool and
-    then waits for the batch before them, so it builds the next matrix
-    while the last one trains and never gets further ahead.
+    ``jobs > 1`` it hands each (pair, scheme)'s cells to a thread pool
+    as one batch and keeps the pending batches oldest first.  It settles
+    the oldest (records its outcomes, waiting for them) only before
+    building a category-scheme matrix while two category batches are
+    pending, and before building a scheme while a batch of that scheme
+    is pending; at the end it settles them all.  So at most two
+    category-scheme matrices, one ``tfidf`` matrix and one ``none`` copy
+    are alive at once.  Every exception is recorded without its traceback.
     """
     cfg = train_config or TrainConfig()
     jobs = _default_jobs() if jobs is None else jobs
@@ -229,20 +250,22 @@ def _fit_and_score(
     none_matrix = vectorizer.matrix(none_table) if "none" in schemes else None
     per_pair: list[dict[tuple[str, str], EvalReport | Exception]] = [{} for _ in pairs]
     failed_in: dict[tuple[str, str], int] = {}  # cell -> earliest failed pair
-    pending = None  # the batch last handed out: (pair, scheme, {cell: future})
+    pending = []  # the batches handed out, oldest first: (pair, scheme, {cell: future})
 
     def record(p, cell, outcome):
-        per_pair[p][cell] = outcome
         if isinstance(outcome, Exception):
+            outcome = outcome.with_traceback(None)  # its frames would stay alive
             failed_in[cell] = min(p, failed_in.get(cell, p))
+        per_pair[p][cell] = outcome
 
     def settle():
-        nonlocal pending
-        if pending is not None:
-            p, _, futures = pending
-            pending = None
-            for cell, future in futures.items():
-                record(p, cell, future.result())
+        """Record the oldest pending batch's outcomes, waiting for them."""
+        p, _, futures = pending.pop(0)
+        for cell, future in futures.items():
+            record(p, cell, future.result())
+
+    def count_pending(of_schemes):
+        return sum(scheme in of_schemes for _, scheme, _ in pending)
 
     def features(scheme, view, rows, n_train, stats):
         """The pair's matrix for ``scheme``, standardized in place.  The
@@ -264,7 +287,7 @@ def _fit_and_score(
             pred, _ = predict_many(model, X[n_train:])
             return macro_f1(pred, y_test, n_classes, corpus.categories)
         except Exception as exc:
-            return exc
+            return exc.with_traceback(None)  # or its frame would keep X alive
 
     pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
     submit = pool.submit if pool is not None else _run_now
@@ -283,7 +306,7 @@ def _fit_and_score(
             view = vectorizer.view(rows)  # the pair's counts, shared by its schemes
             stats = None
             for scheme in schemes:
-                if pending is not None and pending[1] == scheme:
+                while count_pending((scheme,)):
                     settle()  # its failures decide which of the cells run here
                 members = [
                     cell
@@ -299,20 +322,22 @@ def _fit_and_score(
                         stats = build_stats(corpus, doc_subset=train_idx, min_count=min_count)
                     except Exception as exc:
                         stats = exc
+                if scheme in CATEGORY_SCHEMES:
+                    while count_pending(CATEGORY_SCHEMES) > 1:
+                        settle()  # one category matrix trains, one is built
                 try:
                     X = features(scheme, view, rows, n_train, stats)
                 except Exception as exc:
                     for cell in members:
                         record(p, cell, exc)
                     continue
-                batch = (p, scheme, {
+                pending.append((p, scheme, {
                     cell: submit(score_cell, cell[1], X, n_train, y_train, y_test)
                     for cell in members
-                })
+                }))
                 del X  # the matrix lives only as long as its batch trains
-                settle()
-                pending = batch
-        settle()
+        while pending:
+            settle()
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

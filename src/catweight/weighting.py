@@ -43,6 +43,8 @@ import scipy.sparse as sp
 from .stats import CorpusStats
 
 SCHEMES = ("none", "tfidf", "kld", "tftrr", "tfcr")
+# The schemes with one weight column per category: C*d features, not d.
+CATEGORY_SCHEMES = ("kld", "tftrr", "tfcr")
 DEFAULT_ALPHA = 1.2
 
 

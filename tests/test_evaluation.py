@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import json
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -33,6 +35,7 @@ from catweight import (
 from catweight import classify, evaluation
 from catweight.classify import predict_many, train_logreg
 from catweight.vectorize import CorpusVectorizer
+from catweight.weighting import CATEGORY_SCHEMES
 
 from oracles import oracle_macro_f1
 
@@ -51,6 +54,22 @@ def _count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def _track_matrices(monkeypatch):
+    """Wrap ``CorpusVectorizer.matrix``; returns {id: scheme} of the
+    matrices it built that are still alive."""
+    alive = {}
+    build = CorpusVectorizer.matrix
+
+    def tracked(self, table):
+        X = build(self, table)
+        alive[id(X)] = table.scheme
+        weakref.finalize(X, alive.pop, id(X))
+        return X
+
+    monkeypatch.setattr(CorpusVectorizer, "matrix", tracked)
+    return alive
 
 
 def _vocab(corpus):
@@ -460,31 +479,132 @@ class TestGridRun:
             assert np.array_equal(threaded[key].confusion, cell.confusion)
 
     def test_at_most_two_scheme_matrices_alive(self, eval_corpus, eval_model, monkeypatch):
-        # The engine builds one matrix while the workers train on the last.
-        alive, seen = set(), []
+        # The engine builds the next matrices while the workers train: at
+        # most two category matrices (one training, one being built) and
+        # one tfidf matrix are alive at once.
+        alive, seen = _track_matrices(monkeypatch), []
+        train = evaluation.train
+
+        def counted(*args, **kwargs):
+            schemes = list(alive.values())
+            seen.append((sum(s in CATEGORY_SCHEMES for s in schemes), schemes.count("tfidf")))
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "train", counted)
+        plan = make_splits(eval_corpus, k=5, seed=1)
+        for jobs in (2, 3):
+            seen.clear()
+            grid = grid_run(
+                eval_corpus, SCHEMES[1:], eval_model, ["logreg", "svm"], plan, FAST,
+                standardize=True, jobs=jobs,
+            )
+            assert all(isinstance(cell, EvalReport) for cell in grid.values())
+            assert len(seen) == 4 * 2 * 5
+            assert min(category + tfidf for category, tfidf in seen) >= 1
+            assert max(category for category, _ in seen) <= 2
+            assert max(tfidf for _, tfidf in seen) <= 1
+            assert not alive
+
+    def test_next_pair_builds_while_last_category_batch_trains(
+        self, eval_corpus, eval_model, monkeypatch
+    ):
+        # Fold 0's tfcr cell trains until fold 1's kld matrix is built: the
+        # engine builds it without waiting for that cell.
+        built, order, kld_builds, tfcr_first = threading.Event(), [], [], []
         build, train = CorpusVectorizer.matrix, evaluation.train
 
         def tracked(self, table):
             X = build(self, table)
-            alive.add(id(X))
-            weakref.finalize(X, alive.discard, id(X))
+            if table.scheme == "kld":
+                kld_builds.append(table)
+                if len(kld_builds) == 2:
+                    order.append("fold 1 kld built")
+                    built.set()
+            elif table.scheme == "tfcr" and not tfcr_first:
+                tfcr_first.append(weakref.ref(X))
             return X
 
-        def counted(*args, **kwargs):
-            seen.append(len(alive))
-            return train(*args, **kwargs)
+        def held(classifier, X, *args, **kwargs):
+            first = tfcr_first[0]() if tfcr_first else None
+            if first is not None and np.shares_memory(X, first):
+                built.wait(timeout=10)
+                order.append("fold 0 tfcr trained")
+            return train(classifier, X, *args, **kwargs)
 
         monkeypatch.setattr(CorpusVectorizer, "matrix", tracked)
-        monkeypatch.setattr(evaluation, "train", counted)
+        monkeypatch.setattr(evaluation, "train", held)
         plan = make_splits(eval_corpus, k=5, seed=1)
         grid = grid_run(
-            eval_corpus, SCHEMES[1:], eval_model, ["logreg", "svm"], plan, FAST,
-            standardize=True, jobs=3,
+            eval_corpus, SCHEMES[1:], eval_model, ["logreg"], plan, FAST, jobs=2
         )
         assert all(isinstance(cell, EvalReport) for cell in grid.values())
-        assert len(seen) == 4 * 2 * 5
-        assert 1 <= min(seen) and max(seen) <= 2
-        assert not alive
+        assert order == ["fold 1 kld built", "fold 0 tfcr trained"]
+
+    def test_failed_cells_keep_no_matrix_alive(self, eval_corpus, eval_model, monkeypatch):
+        # Every svm cell fails in fold 0 (l2 = 0).  Its recorded exception
+        # must not keep the frame that held its matrix alive, even with the
+        # cycle collector off.
+        alive = _track_matrices(monkeypatch)
+        plan = make_splits(eval_corpus, k=5, seed=1)
+        gc.disable()
+        try:
+            grid = grid_run(
+                eval_corpus, ["tfidf", "kld", "tfcr"], eval_model, ["logreg", "svm"],
+                plan, TrainConfig(epochs=5, l2=0.0), jobs=2,
+            )
+            left = dict(alive)
+        finally:
+            gc.enable()
+        assert left == {}
+        for (scheme, _, classifier), cell in grid.items():
+            assert isinstance(cell, TrainingError if classifier == "svm" else EvalReport)
+
+    @pytest.mark.parametrize("step", ["stats", "table", "matrix", "scaler"])
+    def test_failed_step_keeps_no_engine_state_alive(
+        self, step, eval_corpus, eval_model, monkeypatch
+    ):
+        # A shared step fails and the engine records its exception.  That
+        # must not keep the engine's frame, and with it the vectorizer and
+        # the none matrix, alive once the grid returns, even with the cycle
+        # collector off.
+        def broken(*args, **kwargs):
+            raise ValueError(f"{step} broke")
+
+        vectorizers, init = [], CorpusVectorizer.__init__
+
+        def tracked_init(self, *args, **kwargs):
+            vectorizers.append(weakref.ref(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CorpusVectorizer, "__init__", tracked_init)
+        if step == "stats":
+            monkeypatch.setattr(evaluation, "build_stats", broken)
+        elif step == "table":
+            monkeypatch.setattr(evaluation, "build_table", broken)
+        elif step == "scaler":
+            monkeypatch.setattr(evaluation, "standardize_fit", broken)
+        alive = _track_matrices(monkeypatch)
+        if step == "matrix":
+            build = CorpusVectorizer.matrix
+            monkeypatch.setattr(
+                CorpusVectorizer, "matrix",
+                lambda self, table: broken() if table.scheme == "kld" else build(self, table),
+            )
+        plan = make_splits(eval_corpus, k=5, seed=1)
+        gc.disable()
+        try:
+            grid = grid_run(
+                eval_corpus, ["none", "kld"], eval_model, ["logreg"], plan, FAST,
+                standardize=True, jobs=2,
+            )
+            left = dict(alive), [ref() for ref in vectorizers if ref() is not None]
+        finally:
+            gc.enable()
+        assert left == ({}, [])
+        failure = grid["kld", eval_model.origin, "logreg"]
+        assert isinstance(failure, ValueError)
+        assert str(failure) == f"{step} broke"
+        assert failure.__traceback__ is None
 
     def test_fold_major_call_counts(self, eval_corpus, eval_model, monkeypatch):
         # Stats once per fold; the `none` matrix once, every other
