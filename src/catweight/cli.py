@@ -24,6 +24,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
+from contextlib import nullcontext
 from dataclasses import fields
 from functools import cache
 from pathlib import Path
@@ -613,22 +615,41 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_predict_lines(spec: str) -> list[str]:
-    """The input's lines, ended only by ``\\n``, ``\\r\\n`` or ``\\r``, from
-    a file or stdin alike (``str.splitlines`` would also end one at a form
-    feed, ``\\x85``, ``\\u2028`` and other characters).  A final line end
-    adds no line."""
+_READ_CHARS = 1 << 16  # characters per read of predict's input
+
+
+def _text_lines(stream) -> Iterator[str]:
+    """The lines of a text stream, read ``_READ_CHARS`` characters at a
+    time: a line ends only at ``\\n``, ``\\r\\n`` or ``\\r``
+    (``str.splitlines`` would also end one at a form feed, ``\\x85``,
+    ``\\u2028`` and other characters), and a final line end adds no
+    line.  Only the unended rest of the text read so far is kept."""
+    parts: list[str] = []  # read since the last line end taken
+    while block := stream.read(_READ_CHARS):
+        parts.append(block)
+        if "\n" in block or "\r" in block:
+            text = "".join(parts)
+            held = text.endswith("\r")  # may be the first half of a \r\n
+            lines = _split_lines(text[:-1] if held else text)
+            parts = [lines.pop() + "\r" * held]
+            yield from lines
+    if rest := "".join(parts):
+        yield from _split_lines(rest.removesuffix("\r"))
+
+
+def _split_lines(text: str) -> list[str]:
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _predict_input(spec: str):
+    """The text stream ``--input`` names: stdin as configured for ``-``,
+    a file decoded as UTF-8 with invalid bytes replaced."""
     if spec == "-":
-        text = sys.stdin.read()
-    else:
-        path = Path(spec)
-        if not path.is_file():
-            raise ConfigError(f"input file not found: {path}")
-        text = path.read_text(encoding="utf-8", errors="replace")
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines
+        return nullcontext(sys.stdin)
+    path = Path(spec)
+    if not path.is_file():
+        raise ConfigError(f"input file not found: {path}")
+    return open(path, encoding="utf-8", errors="replace", newline="")
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -638,17 +659,19 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ConfigError(f"model file not found: {model_path}")
     saved = load_model(model_path)
     tokenizer = TokenizerConfig(preserve_case=saved.preserve_case)
-    lines = _read_predict_lines(str(cfg.get("input") or "-"))
-    docs = tuple(
-        Document(tokens=tokenize(line, tokenizer), label=None, source_id=f"line-{i + 1}")
-        for i, line in enumerate(lines)
-    )
-    # Only training terms have embedding rows in the model file.
-    vectorizer = CorpusVectorizer(docs, saved.embedding)
+    with _predict_input(str(cfg.get("input") or "-")) as stream:
+        # One line at a time: a line's tokens are counted, then dropped.
+        docs = (
+            Document(tokens=tokenize(line, tokenizer), label=None, source_id=f"line-{i + 1}")
+            for i, line in enumerate(_text_lines(stream))
+        )
+        # Only training terms have embedding rows in the model file.
+        vectorizer = CorpusVectorizer(docs, saved.embedding)
+    num_lines = len(vectorizer.known_token_counts)
     unknown = int((vectorizer.known_token_counts == 0).sum())
     if unknown:
         print(
-            f"warning: {unknown} of {len(docs)} input lines have no token the model "
+            f"warning: {unknown} of {num_lines} input lines have no token the model "
             f"knows and are scored as an empty document",
             file=sys.stderr,
         )
@@ -665,7 +688,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if out:
         Path(out).write_text(text, encoding="utf-8")
         _write_manifest(Path(out), "predict", cfg)
-        print(f"{len(docs)} predictions written to {out}")
+        print(f"{num_lines} predictions written to {out}")
     else:
         sys.stdout.write(text)
     return 0

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import csv
 import json
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -40,21 +42,26 @@ class TokenizerConfig:
 
 DEFAULT_TOKENIZER = TokenizerConfig()
 
+_MEMO_BOUND = 0x10000  # the code points _SEPARATORS remembers: the BMP
+
+
 class _Separators(dict):
     """``str.translate`` table that keeps alphanumeric code points and
-    maps every other one to a space; each code point is classified on
-    first sight and remembered.
+    maps every other one to a space.
 
-    The one table is shared by the whole process and never cleared, so
-    it grows with the distinct code points tokenized so far.  It is
-    bounded by the code-point space: after every one of the 1,112,064
-    non-surrogate code points it holds as many entries, which took
-    about 88 MB (tracemalloc, CPython 3.11, 64-bit).  A corpus in a few
-    scripts adds a few thousand entries at most."""
+    The one table is shared by the whole process, so it remembers only
+    the Basic Multilingual Plane (code points below 0x10000), each on
+    first sight, and classifies a code point beyond it on every sight.
+    It is bounded by that plane: after every one of its 65,536 code
+    points it holds as many entries, which took about 4.7 MB
+    (tracemalloc, CPython 3.11, 64-bit), against about 88 MB for a memo
+    of every code point.  An entry maps a code point to itself (the key
+    object, so it costs no value object) or to 32, the space."""
 
-    def __missing__(self, code: int) -> str:
-        char = chr(code)
-        self[code] = kept = char if char.isalnum() else " "
+    def __missing__(self, code: int) -> int:
+        kept = code if chr(code).isalnum() else 32
+        if code < _MEMO_BOUND:
+            self[code] = kept
         return kept
 
 
@@ -91,7 +98,8 @@ class Document:
 
 @dataclass(frozen=True)
 class TokenCounts:
-    """``matrix[i, t]`` counts ``terms[t]`` in document i (int64 CSR).
+    """``matrix[i, t]`` counts ``terms[t]`` in document i (int64 CSR), the
+    i-th document ``count_tokens`` read.
 
     Terms are numbered in order of first occurrence in the corpus, and
     each row stores its entries in increasing term id (canonical CSR).
@@ -107,21 +115,24 @@ class TokenCounts:
 
 
 def count_tokens(documents) -> TokenCounts:
-    """Count every document's tokens in one pass (see ``TokenCounts``).
+    """Count every document's tokens in one pass over ``documents``, any
+    iterable of ``Document`` (see ``TokenCounts``).
 
-    Each token gets its term id from one dict lookup; the (document,
-    term id) pairs, as integer keys ``document * V + term``, are counted
-    by one sort, which also leaves every row in increasing term id.
+    Each token gets its term id from one dict lookup, and each document's
+    tokens are dropped once they have their ids, so a generator of
+    documents is counted without ever holding more than one of them.
+    The (document, term id) pairs, as integer keys ``document * V +
+    term``, are counted by one sort, which also leaves every row in
+    increasing term id.
     """
-    documents = tuple(documents)
     term_ids: defaultdict[str, int] = defaultdict()
     term_ids.default_factory = term_ids.__len__  # a new term gets the next id
-    num_docs = len(documents)
-    lengths = np.fromiter((len(doc.tokens) for doc in documents), np.int64, num_docs)
-    tokens = chain.from_iterable(doc.tokens for doc in documents)
-    ids = np.fromiter(map(term_ids.__getitem__, tokens), np.int64, int(lengths.sum()))
-    num_terms = len(term_ids)
-    keys = np.repeat(np.arange(num_docs, dtype=np.int64) * num_terms, lengths) + ids
+    lengths = array("q")
+    tokens = chain.from_iterable(_each_token_tuple(documents, lengths))
+    ids = np.fromiter(map(term_ids.__getitem__, tokens), np.int64)
+    num_docs, num_terms = len(lengths), len(term_ids)
+    offsets = np.arange(num_docs, dtype=np.int64) * num_terms
+    keys = np.repeat(offsets, np.frombuffer(lengths, np.int64)) + ids
     keys, data = np.unique(keys, return_counts=True)
     rows, indices = np.divmod(keys, max(num_terms, 1))  # no terms: no keys either
     indptr = np.zeros(num_docs + 1, dtype=np.int64)
@@ -130,6 +141,15 @@ def count_tokens(documents) -> TokenCounts:
         (data.astype(np.int64, copy=False), indices, indptr), shape=(num_docs, num_terms)
     )
     return TokenCounts(terms=tuple(term_ids), matrix=matrix)
+
+
+def _each_token_tuple(documents, lengths: array):
+    """Each document's tokens, appending their number to ``lengths``; a
+    document is no longer referenced here when the next one is pulled."""
+    for tokens in map(attrgetter("tokens"), documents):
+        lengths.append(len(tokens))
+        yield tokens
+        del tokens
 
 
 @dataclass

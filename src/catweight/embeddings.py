@@ -55,9 +55,6 @@ class EmbeddingModel:
     def __contains__(self, word: str) -> bool:
         return word in self.word_ids
 
-    def vector(self, word: str) -> np.ndarray:
-        return self.vectors[self.word_ids[word]]
-
 
 def _make_model(
     words: list[str], vectors: np.ndarray, d: int, origin: str, skipped: int = 0

@@ -89,11 +89,16 @@ def standardize_apply(params: ScalerParams, vectors: np.ndarray, out=None) -> np
 class CorpusVectorizer:
     """Batch vectorization over one count matrix of the documents.
 
-    Each distinct term is looked up in the embedding model once (with
-    ``case_fallback``, a term missing from a cased model falls back to
-    its lowercase form).  ``counts`` is the documents' ``TokenCounts``
-    when the caller already has it.  Every command and every (fold,
-    scheme) of the evaluation harness vectorizes through ``matrix``.
+    ``documents`` is any iterable of ``Document``, read once: a generator
+    is counted one document at a time and none of them is kept, only
+    their counts.  ``counts`` is the documents' ``TokenCounts`` when the
+    caller already has it.  Each distinct term is looked up in the
+    embedding model once (with ``case_fallback``, a term missing from a
+    cased model falls back to its lowercase form).  The counts of the
+    known terms are stored once, as float64; the ``1 + ln tf`` counts
+    are mapped from them, by a table of values, when a view first needs
+    them.  Every command and every (fold, scheme) of the evaluation
+    harness vectorizes through ``matrix``.
     """
 
     def __init__(self, documents, model: EmbeddingModel, case_fallback: bool = False,
@@ -122,8 +127,7 @@ class CorpusVectorizer:
         self.known_token_counts = np.asarray(G.sum(axis=1), dtype=np.int64).ravel()
         self._G = G.astype(np.float64)
         # 1 + ln tf by value, so that an entry's bits never depend on the corpus
-        log_tf = np.array([1.0 + math.log(tf) for tf in range(1, G.data.max(initial=0) + 1)])
-        self._G_log = sp.csr_matrix((log_tf[G.data - 1], G.indices, G.indptr), shape=G.shape)
+        self._log_tf = np.array([1.0 + math.log(tf) for tf in range(1, G.data.max(initial=0) + 1)])
         every_row = np.array_equal(self._rows, np.arange(len(model.vectors)))
         self._E = model.vectors if every_row else model.vectors[self._rows]
         self._selected = None  # the documents of a view; None: all
@@ -155,9 +159,10 @@ class CorpusVectorizer:
         """The documents' counts (``1 + ln tf`` when ``log``) and their
         transpose, built on first use."""
         if log not in self._sliced:
-            G = self._G_log if log else self._G
-            if self._selected is not None:
-                G = G[self._selected]
+            G = self._G if self._selected is None else self._G[self._selected]
+            if log:
+                log_tf = self._log_tf[G.data.astype(np.int64) - 1]
+                G = sp.csr_matrix((log_tf, G.indices, G.indptr), shape=G.shape)
             self._sliced[log] = (G, G.T.tocsr())
         return self._sliced[log]
 

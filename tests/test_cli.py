@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catweight import (
     CorpusVectorizer,
@@ -30,8 +33,8 @@ from catweight import (
     synthetic_model,
     tokenize,
 )
-from catweight import evaluation
-from catweight.cli import main
+from catweight import cli, evaluation
+from catweight.cli import _predict_input, _text_lines, main
 
 TOY_ROWS = [
     ("win win win win game game team team goal ball", "A"),
@@ -658,6 +661,33 @@ class TestTrainPredict:
         _predict(trained, lines[:1] + lines[3:], tmp_path)
         assert capsys.readouterr().err == ""
 
+    def test_each_line_s_tokens_are_dropped_before_the_next_line(
+        self, trained, tmp_path, monkeypatch
+    ):
+        made, dead = [], []
+
+        class Tokens(tuple):  # a tuple subclass cannot be weakly referenced
+            def __del__(self):
+                dead.append(self.number)
+
+        def tracked_tokenize(text, config):
+            assert sorted(dead) == made  # every earlier line's tokens are dead
+            tokens = Tokens(tokenize(text, config))
+            tokens.number = len(made)
+            made.append(tokens.number)
+            return tokens
+
+        lines = ["cat0kw00 common001", "", "cat1kw02 cat1kw03", "zebra cat0kw00"]
+        expected = _predict(trained, lines, tmp_path)
+        monkeypatch.setattr("catweight.cli.tokenize", tracked_tokenize)
+        gc.disable()  # deaths by reference count only
+        try:
+            assert _predict(trained, lines, tmp_path) == expected
+        finally:
+            gc.enable()
+        assert made == [0, 1, 2, 3]
+        assert sorted(dead) == made
+
     def test_missing_model_exits_2(self, tmp_path, capsys):
         argv = ["predict", "--model", str(tmp_path / "nope.bin")]
         assert main(argv) == 2
@@ -712,6 +742,65 @@ class TestTrainPredict:
             for c, row in zip(labels, scores)
         ]
         assert got == expected
+
+
+def _lines_of_whole_text(text):
+    """``predict``'s lines of ``text``, split all at once."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+class TestTextLines:
+    """``predict``'s line reader, with reads of one to three characters,
+    so that a ``\\r\\n`` falls across two reads."""
+
+    CASES = [
+        ("", []),
+        ("\n", [""]),
+        ("\r", [""]),
+        ("\r\n", [""]),
+        ("a\r\nb\r\nc", ["a", "b", "c"]),
+        ("ab\r\ncd\r\n", ["ab", "cd"]),
+        ("ab\r", ["ab"]),
+        ("ab\rcd\r", ["ab", "cd"]),
+        ("no final line end", ["no final line end"]),
+        ("x\r\r\ny\n\n\rz", ["x", "", "y", "", "", "z"]),
+        ("\x85\u2028\f\x0b", ["\x85\u2028\f\x0b"]),
+    ]
+
+    @pytest.mark.parametrize("chars", [1, 2, 3])
+    @pytest.mark.parametrize("text, lines", CASES)
+    def test_from_a_stream_and_a_file(self, text, lines, chars, tmp_path, monkeypatch):
+        assert _lines_of_whole_text(text) == lines
+        monkeypatch.setattr("catweight.cli._READ_CHARS", chars)
+        assert list(_text_lines(io.StringIO(text, newline=""))) == lines
+        path = tmp_path / "input.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with _predict_input(str(path)) as stream:
+            assert list(_text_lines(stream)) == lines
+
+    @pytest.mark.parametrize("chars", [1, 2, 3])
+    def test_file_bytes_decode_as_utf8_with_replacement(self, chars, tmp_path, monkeypatch):
+        data = "é€\r".encode("utf-8") + b"\xff\xe2\x82\n" + "z€".encode("utf-8")
+        monkeypatch.setattr("catweight.cli._READ_CHARS", chars)
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        with _predict_input(str(path)) as stream:
+            lines = list(_text_lines(stream))
+        assert lines == _lines_of_whole_text(data.decode("utf-8", errors="replace"))
+        assert lines == ["é€", "\ufffd\ufffd", "z€"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(st.sampled_from("ab\r\n\x85"), max_size=20), st.integers(1, 3))
+    def test_any_text_reads_as_split_at_once(self, text, chars):
+        default, cli._READ_CHARS = cli._READ_CHARS, chars
+        try:
+            lines = list(_text_lines(io.StringIO(text, newline="")))
+        finally:
+            cli._READ_CHARS = default
+        assert lines == _lines_of_whole_text(text)
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
+import sys
 from collections import Counter
 
 import numpy as np
@@ -21,7 +23,7 @@ from catweight import (
     sample,
     tokenize,
 )
-from catweight.corpus import count_tokens
+from catweight.corpus import _SEPARATORS, Document, count_tokens
 from oracles import oracle_count_tokens, oracle_tokenize
 
 
@@ -70,6 +72,18 @@ class TestTokenize:
     def test_matches_regex_oracle(self, text, preserve_case):
         cfg = TokenizerConfig(preserve_case=preserve_case)
         assert tokenize(text, cfg) == oracle_tokenize(text, preserve_case)
+
+    def test_every_code_point_and_a_bounded_memo(self):
+        # Tokens match the regex over every code point, while the shared
+        # translate table remembers the Basic Multilingual Plane only.
+        text = " ".join(map(chr, range(sys.maxunicode + 1)))
+        for preserve_case in (False, True):
+            cfg = TokenizerConfig(preserve_case=preserve_case)
+            assert tokenize(text, cfg) == oracle_tokenize(text, preserve_case)
+        assert 0 < len(_SEPARATORS) <= 0x10000
+        assert max(_SEPARATORS) < 0x10000
+        assert tokenize("\U0001F600x\U00010400\U0001D7D8") == ("x\U00010428\U0001D7D8",)
+        assert max(_SEPARATORS) < 0x10000
 
     @given(st.text(max_size=80))
     def test_idempotent_on_normalized_text(self, text):
@@ -270,6 +284,46 @@ class TestCountTokens:
             got = {terms[t]: int(n) for t, n in zip(M.indices[row], M.data[row])}
             assert M.indptr[i + 1] - M.indptr[i] == len(got)
             assert got == dict(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from("abcdefg"), max_size=12), max_size=8))
+    def test_one_shot_generator_counts_as_the_tuple(self, token_lists):
+        docs = from_token_lists(token_lists, [None] * len(token_lists), []).documents
+        expected = count_tokens(docs)
+        counts = count_tokens(doc for doc in docs)
+        assert counts.terms == expected.terms
+        assert counts.matrix.shape == expected.matrix.shape
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(counts.matrix, name), getattr(expected.matrix, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_each_document_is_dropped_before_the_next_is_pulled(self):
+        dead = []
+
+        class Tokens(tuple):  # a tuple subclass cannot be weakly referenced
+            def __del__(self):
+                dead.append(self.number)
+
+        def documents():
+            for i in range(5):
+                assert sorted(dead) == list(range(i))  # every earlier one is dead
+                tokens = Tokens([f"w{i}", "shared", f"w{i}"])
+                tokens.number = i
+                yield Document(tokens=tokens, label=None, source_id=f"doc{i}")
+                del tokens
+
+        gc.disable()  # deaths by reference count only
+        try:
+            counts = count_tokens(documents())
+        finally:
+            gc.enable()
+        assert sorted(dead) == list(range(5))
+        assert counts.terms == ("w0", "shared", "w1", "w2", "w3", "w4")
+        assert counts.matrix.toarray().tolist() == [
+            [2, 1, 0, 0, 0, 0], [0, 1, 2, 0, 0, 0], [0, 1, 0, 2, 0, 0],
+            [0, 1, 0, 0, 2, 0], [0, 1, 0, 0, 0, 2],
+        ]
 
     def test_cached_on_the_corpus(self):
         corpus = from_token_lists([["a", "b", "a"], []], [0, 0], ["c"])

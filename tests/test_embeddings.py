@@ -44,7 +44,7 @@ class TestGloveText:
         model = load_glove_text(path)
         assert model.dimension == 3
         assert len(model) == 2
-        assert np.array_equal(model.vector("the"), [0.1, -0.2, 0.3])
+        assert np.array_equal(model.vectors[model.word_ids["the"]], [0.1, -0.2, 0.3])
         assert model.skipped_lines == 0
 
     def test_malformed_rows_skipped_and_counted(self, tmp_path, caplog):
@@ -66,7 +66,7 @@ class TestGloveText:
         path.write_text("dup 1.0 1.0\ndup 2.0 2.0\n")
         model = load_glove_text(path)
         assert len(model) == 1
-        assert np.array_equal(model.vector("dup"), [1.0, 1.0])
+        assert np.array_equal(model.vectors[model.word_ids["dup"]], [1.0, 1.0])
         assert model.skipped_lines == 1
 
     def test_empty_file_rejected(self, tmp_path):
@@ -94,7 +94,7 @@ class TestWord2vecText:
         path.write_text("2 3\nthe 0.1 0.2 0.3\ncat 1.5 -1.5 0.0\n")
         model = load_word2vec_text(path)
         assert model.dimension == 3
-        assert np.array_equal(model.vector("cat"), [1.5, -1.5, 0.0])
+        assert np.array_equal(model.vectors[model.word_ids["cat"]], [1.5, -1.5, 0.0])
 
     def test_header_count_mismatch_names_counts(self, tmp_path):
         path = tmp_path / "model.vec"
@@ -139,14 +139,14 @@ class TestWord2vecBinary:
         model = load_word2vec_binary(path)
         assert model.dimension == 2
         # Values representable in float32 read back exactly after widening.
-        assert np.array_equal(model.vector("queen"), [1.0, 2.0])
-        assert np.array_equal(model.vector("king"), [-0.5, 4.25])
+        assert np.array_equal(model.vectors[model.word_ids["queen"]], [1.0, 2.0])
+        assert np.array_equal(model.vectors[model.word_ids["king"]], [-0.5, 4.25])
 
     def test_no_trailing_newline_variant(self, tmp_path):
         path = tmp_path / "model.bin"
         self._write(path, [("a", (1.0,)), ("b", (2.0,))], d=1, trailing=b"")
         model = load_word2vec_binary(path)
-        assert np.array_equal(model.vector("b"), [2.0])
+        assert np.array_equal(model.vectors[model.word_ids["b"]], [2.0])
 
     def test_duplicate_words_keep_first(self, tmp_path, caplog):
         path = tmp_path / "model.bin"
@@ -156,7 +156,7 @@ class TestWord2vecBinary:
             with caplog.at_level("WARNING"):
                 model = load_word2vec_binary(path, vocab)
             assert model.words == ("a",)
-            assert np.array_equal(model.vector("a"), [1.0])
+            assert np.array_equal(model.vectors[model.word_ids["a"]], [1.0])
             assert model.skipped_lines == 1
             assert any("1 duplicate words dropped" in r.getMessage() for r in caplog.records)
 
@@ -245,17 +245,19 @@ class TestSynthetic:
         a = synthetic_model(["alpha", "beta", "gamma"], 16, seed=7)
         b = synthetic_model(["gamma", "alpha", "beta", "alpha"], 16, seed=7)
         for word in ("alpha", "beta", "gamma"):
-            assert np.array_equal(a.vector(word), b.vector(word))
+            assert np.array_equal(a.vectors[a.word_ids[word]], b.vectors[b.word_ids[word]])
 
     def test_seed_changes_vectors(self):
         a = synthetic_model(["alpha"], 8, seed=1)
         b = synthetic_model(["alpha"], 8, seed=2)
-        assert not np.array_equal(a.vector("alpha"), b.vector("alpha"))
+        assert not np.array_equal(a.vectors[a.word_ids["alpha"]], b.vectors[b.word_ids["alpha"]])
 
     def test_dimension_changes_vectors(self):
         a = synthetic_model(["alpha"], 8, seed=1)
         b = synthetic_model(["alpha"], 4, seed=1)
-        assert not np.array_equal(a.vector("alpha")[:4], b.vector("alpha"))
+        assert not np.array_equal(
+            a.vectors[a.word_ids["alpha"]][:4], b.vectors[b.word_ids["alpha"]]
+        )
 
     def test_range_bound(self):
         model = synthetic_model([f"w{i}" for i in range(200)], 10, seed=3)
@@ -282,7 +284,7 @@ class TestLookup:
     def test_exact_hit_and_miss(self, tiny_model):
         known, X = self._vectorize(tiny_model, ["win", "absent-token"])
         assert known == [1, 0]
-        assert np.array_equal(X[0], tiny_model.vector("win"))
+        assert np.array_equal(X[0], tiny_model.vectors[tiny_model.word_ids["win"]])
         assert np.array_equal(X[1], np.zeros(tiny_model.dimension))
 
     def test_case_fallback(self):
@@ -290,7 +292,7 @@ class TestLookup:
         assert self._vectorize(model, ["Paris"])[0] == [0]
         known, X = self._vectorize(model, ["Paris", "lyon"], case_fallback=True)
         assert known[0] == 1
-        assert np.array_equal(X[0], model.vector("paris"))
+        assert np.array_equal(X[0], model.vectors[model.word_ids["paris"]])
         # No upward fallback: lowercase queries never match cased entries.
         assert known[1] == 0
 
@@ -323,7 +325,7 @@ class TestDetectAndDispatch:
         path.write_text("1 2\nword 1.0 2.0\n")
         model = load_embeddings(path)
         assert isinstance(model, EmbeddingModel)
-        assert np.array_equal(model.vector("word"), [1.0, 2.0])
+        assert np.array_equal(model.vectors[model.word_ids["word"]], [1.0, 2.0])
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "x.txt"

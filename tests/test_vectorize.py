@@ -79,7 +79,7 @@ def _oracle_mean(doc, model, weight_of):
         if t in model.word_ids:
             tf[t] = tf.get(t, 0) + 1
     weights = [weight_of(t, n) for t, n in tf.items()]
-    vectors = [model.vector(t).tolist() for t in tf]
+    vectors = [model.vectors[model.word_ids[t]].tolist() for t in tf]
     return oracle_weighted_mean(weights, vectors, model.dimension)
 
 
@@ -207,7 +207,10 @@ class TestWeightedCategory:
         w_game = table_weight(table, "game", 0)  # tf 1 -> multiplier 1
         expected = oracle_weighted_mean(
             [w_market, w_game],
-            [tiny_model.vector("market").tolist(), tiny_model.vector("game").tolist()],
+            [
+                tiny_model.vectors[tiny_model.word_ids["market"]].tolist(),
+                tiny_model.vectors[tiny_model.word_ids["game"]].tolist(),
+            ],
             8,
         )
         assert _slice(doc, tiny_model, table, 0) == pytest.approx(expected, rel=1e-12)
@@ -218,7 +221,7 @@ class TestWeightedCategory:
         model = _emb({"a": (1.0, 0.0), "win": (0.0, 1.0)})
         # "a" is absent from training stats entirely: no floor, weight 0.
         values = _slice(["a", "win"], model, table, 0)
-        assert np.array_equal(values, model.vector("win"))
+        assert np.array_equal(values, model.vectors[model.word_ids["win"]])
 
 
 class TestConcat:
@@ -279,7 +282,7 @@ class TestTfidfVectorize:
         w = 3 * math.log(5)  # 4.82831...
         table = self._table({"a": w / 3, "b": 0.0})
         values = _row(["a", "a", "a", "b"], UNIT, table)
-        assert np.array_equal(values, UNIT.vector("a"))
+        assert np.array_equal(values, UNIT.vectors[UNIT.word_ids["a"]])
 
     def test_uniform_idf_tf_one_matches_distinct_mean(self):
         model = synthetic_model(["p", "q"], 4, seed=8)
@@ -493,11 +496,12 @@ class TestCorpusVectorizer:
         # only "win" is weighed, in both category slices.
         X = CorpusVectorizer(docs, model, case_fallback=True).matrix(table)
         np.testing.assert_allclose(
-            X[0], np.concatenate([model.vector("win")] * 2), rtol=1e-12
+            X[0], np.concatenate([model.vectors[model.word_ids["win"]]] * 2), rtol=1e-12
         )
         # Without the fallback the cased tokens are OOV; under the
         # unweighted scheme this changes the mean.
-        win, game = model.vector("win").tolist(), model.vector("game").tolist()
+        win = model.vectors[model.word_ids["win"]].tolist()
+        game = model.vectors[model.word_ids["game"]].tolist()
         none_table = build_table(stats, "none")
         with_fb = CorpusVectorizer(docs, model, case_fallback=True).matrix(none_table)
         bare = CorpusVectorizer(docs, model).matrix(none_table)
