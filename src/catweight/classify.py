@@ -327,13 +327,9 @@ def decision_scores(model: LinearModel, vectors: np.ndarray) -> np.ndarray:
     return scores
 
 
-def predict(model: LinearModel, vector: np.ndarray) -> tuple[int, np.ndarray]:
-    """Predicted class index and score vector; ties go to the lowest index."""
-    scores = decision_scores(model, vector)[0]
-    return int(np.argmax(scores)), scores
-
-
 def predict_many(model: LinearModel, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted class index and score vector of each row; ties go to the
+    lowest index."""
     scores = decision_scores(model, vectors)
     return np.argmax(scores, axis=1), scores
 

@@ -122,8 +122,8 @@ def count_tokens(documents) -> TokenCounts:
     tokens are dropped once they have their ids, so a generator of
     documents is counted without ever holding more than one of them.
     The (document, term id) pairs, as integer keys ``document * V +
-    term``, are counted by one sort, which also leaves every row in
-    increasing term id.
+    term``, are counted by one sort in place, which also leaves every row
+    in increasing term id: a count is the length of a run of equal keys.
     """
     term_ids: defaultdict[str, int] = defaultdict()
     term_ids.default_factory = term_ids.__len__  # a new term gets the next id
@@ -132,14 +132,20 @@ def count_tokens(documents) -> TokenCounts:
     ids = np.fromiter(map(term_ids.__getitem__, tokens), np.int64)
     num_docs, num_terms = len(lengths), len(term_ids)
     offsets = np.arange(num_docs, dtype=np.int64) * num_terms
-    keys = np.repeat(offsets, np.frombuffer(lengths, np.int64)) + ids
-    keys, data = np.unique(keys, return_counts=True)
+    keys = np.repeat(offsets, np.frombuffer(lengths, np.int64))
+    keys += ids
+    del ids
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)  # the first key of each run
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    data = np.diff(starts, append=keys.size)
+    keys = keys[starts]
     rows, indices = np.divmod(keys, max(num_terms, 1))  # no terms: no keys either
     indptr = np.zeros(num_docs + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=num_docs), out=indptr[1:])
-    matrix = sp.csr_matrix(
-        (data.astype(np.int64, copy=False), indices, indptr), shape=(num_docs, num_terms)
-    )
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(num_docs, num_terms))
     return TokenCounts(terms=tuple(term_ids), matrix=matrix)
 
 

@@ -11,14 +11,17 @@ Three on-disk formats are supported:
 Vectors are widened to float64 on load.  In every format a repeated
 word keeps its first vector; the later entries count as skipped.  A
 corpus uses a small share of a pre-trained file's rows, so every loader
-takes an optional ``vocab``: a text loader then streams the file, keeps
-the lines whose word is in it and whose field count is right, and
-parses them in one bulk numpy call (row by row, with the same skip and
-error rules, if that call fails); the binary loader widens only those
-vectors.  Kept rows stay in file order, so a document's features do
-not depend on whether the load was filtered.  A deterministic synthetic
-generator stands in for in-domain models during tests: each vector is
-keyed on (word, seed, d) so it does not depend on vocabulary order.
+takes an optional ``vocab``: a text loader then streams the file and
+keeps the lines whose word is in it and whose field count is right.  It
+parses them as it reads, one bulk numpy call per chunk of
+``_CHUNK_ROWS`` lines (a chunk whose call fails goes row by row, with
+the same skip and error rules), into one array that grows in place, so
+it holds one chunk of text besides the kept rows, never the file's
+text; the binary loader widens only those vectors.  Kept rows stay in
+file order, so a document's features do not depend on whether the load
+was filtered.  A deterministic synthetic generator stands in for
+in-domain models during tests: each vector is keyed on (word, seed, d)
+so it does not depend on vocabulary order.
 """
 
 from __future__ import annotations
@@ -87,11 +90,10 @@ _NOT_FLOAT_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
 def _bulk_parse(texts: list[str], d: int) -> np.ndarray | None:
     """Rows of d space-separated floats in one call, with the values
     float() would give; None if some row does not parse that way."""
-    if not texts:
-        return np.zeros((0, d))
     joined = "".join(texts)
     if any(c in joined for c in _NOT_FLOAT_SPACE):
         return None
+    del joined
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an all-empty input warns
@@ -104,32 +106,73 @@ def _bulk_parse(texts: list[str], d: int) -> np.ndarray | None:
     return rows if rows.shape == (len(texts), d) else None
 
 
-def _parse_candidates(words, texts, d, on_bad=None):
-    """Parse the candidate rows and keep each word's first parsed row.
+_CHUNK_ROWS = 4096  # wanted rows parsed per bulk call
 
-    ``texts[i]`` holds the d values of ``words[i]``.  All rows are parsed
-    in one bulk call; if that fails they are parsed one by one, and a row
-    that does not parse is dropped, or passed to ``on_bad(i)`` (which
-    may raise).  Returns the kept words, their rows in file order, and
-    the number of candidate rows not kept (malformed or duplicate).
+
+class _RowChunks:
+    """The wanted rows of a streamed text file, parsed ``_CHUNK_ROWS`` at
+    a time into one array, so that only one chunk's text is held.
+
+    A loader appends each candidate row to the pending chunk: its word to
+    ``words``, the text of its d values to ``texts`` and, when ``on_bad``
+    needs it, its line number to ``linenos``; it calls ``flush`` once
+    ``texts`` holds ``_CHUNK_ROWS``.  A chunk is parsed in one bulk call;
+    if that fails, that chunk's rows are parsed one by one, and a row
+    that does not parse is dropped, or passed to ``on_bad(lineno)``
+    (which may raise).  Each word keeps its first parsed row, in file
+    order.  A chunk's rows are gathered only when one of its words was
+    already kept; then they are copied to the end of ``rows``, which
+    grows in place.
     """
-    rows = _bulk_parse(texts, d)
-    if rows is None:
-        parsed = []
-        for i, text in enumerate(texts):
-            row = _parse_row(text.rstrip("\n").split(" "))
-            if row is None:
-                if on_bad is not None:
-                    on_bad(i)
-                continue
-            parsed.append((words[i], row))
-        words = [w for w, _ in parsed]
-        rows = np.array([r for _, r in parsed]).reshape(len(parsed), d)
-    first: dict[str, int] = {}
-    for i, word in enumerate(words):
-        first.setdefault(word, i)
-    keep = list(first.values())
-    return list(first), rows[keep], len(texts) - len(keep)
+
+    def __init__(self, d: int, on_bad=None):
+        self.d, self.on_bad = d, on_bad
+        self.words: list[str] = []  # the pending chunk, emptied in place by flush
+        self.texts: list[str] = []
+        self.linenos: list[int] = []
+        self.kept: dict[str, None] = {}  # the kept words, in row order
+        self.rows = np.empty((0, d))  # their rows, with room to grow
+        self.candidates = 0
+
+    def flush(self) -> None:
+        """Parse the pending chunk and keep its first-seen words' rows."""
+        words, texts = self.words, self.texts
+        if not texts:
+            return
+        self.candidates += len(texts)
+        rows = _bulk_parse(texts, self.d)
+        if rows is None:
+            parsed = []
+            for i, (word, text) in enumerate(zip(words, texts)):
+                row = _parse_row(text.rstrip("\n").split(" "))
+                if row is None:
+                    if self.on_bad is not None:
+                        self.on_bad(self.linenos[i])
+                    continue
+                parsed.append((word, row))
+            words = [w for w, _ in parsed]
+            rows = np.array([r for _, r in parsed]).reshape(len(parsed), self.d)
+        texts.clear()
+        kept, keep = self.kept, []
+        for i, word in enumerate(words):
+            if word not in kept:
+                kept[word] = None
+                keep.append(i)
+        self.words.clear()
+        self.linenos.clear()
+        if len(keep) < len(rows):
+            rows = rows[keep]
+        n = len(kept)
+        if n > len(self.rows):  # grow in place by a quarter, so little room is left over
+            self.rows.resize((max(n, len(self.rows) * 5 // 4), self.d), refcheck=False)
+        self.rows[n - len(keep) : n] = rows
+
+    def result(self) -> tuple[list[str], np.ndarray, int]:
+        """The kept words, their rows in file order, and the number of
+        candidate rows not kept (malformed or duplicate)."""
+        self.flush()
+        self.rows.resize((len(self.kept), self.d), refcheck=False)
+        return list(self.kept), self.rows, self.candidates - len(self.kept)
 
 
 def load_glove_text(path: str | Path, vocab=None) -> EmbeddingModel:
@@ -142,8 +185,7 @@ def load_glove_text(path: str | Path, vocab=None) -> EmbeddingModel:
     skipped; the first line is still parsed, since it fixes d.
     """
     path = Path(path)
-    words: list[str] = []
-    texts: list[str] = []  # the values of the lines that may be kept
+    chunks = words = texts = None  # a _RowChunks and its pending lists, once d is fixed
     d = -1
     skipped = 0
     with open(path, encoding="utf-8", errors="replace") as fh:
@@ -161,6 +203,8 @@ def load_glove_text(path: str | Path, vocab=None) -> EmbeddingModel:
                         f"{path}: line 1 is not a word + float row"
                     )
                 d = len(values)
+                chunks = _RowChunks(d)
+                words, texts = chunks.words, chunks.texts
             if vocab is not None and word not in vocab:
                 continue
             if line.count(" ") != d:
@@ -168,9 +212,11 @@ def load_glove_text(path: str | Path, vocab=None) -> EmbeddingModel:
                 continue
             words.append(word)
             texts.append(line[space + 1 :])
+            if len(texts) == _CHUNK_ROWS:
+                chunks.flush()
     if d < 0:
         raise EmbeddingFormatError(f"{path}: empty embedding file")
-    words, vectors, dropped = _parse_candidates(words, texts, d)
+    words, vectors, dropped = chunks.result()
     skipped += dropped
     if skipped:
         log.warning("%s: skipped %d malformed or duplicate lines", path, skipped)
@@ -199,22 +245,20 @@ def load_word2vec_text(path: str | Path, vocab=None) -> EmbeddingModel:
     only their duplicates are counted as skipped.
     """
     path = Path(path)
-    words: list[str] = []
-    texts: list[str] = []
-    linenos: list[int] = []
+
+    def non_float(lineno: int):
+        raise EmbeddingFormatError(f"{path}: line {lineno} has non-float values")
+
     parsed = 0
-
-    def non_float(i: int):
-        raise EmbeddingFormatError(f"{path}: line {linenos[i]} has non-float values")
-
     with open(path, encoding="utf-8", errors="replace") as fh:
         count, d = _read_count_header(path, fh.readline().split())
+        chunks = _RowChunks(d, non_float)
+        words, texts, linenos = chunks.words, chunks.texts, chunks.linenos
         for lineno, line in enumerate(fh, start=2):
             if line.isspace():
                 continue
             if line.count(" ") != d:
-                # An earlier non-float row is the first error.
-                _parse_candidates(words, texts, d, non_float)
+                chunks.flush()  # an earlier non-float row is the first error
                 raise EmbeddingFormatError(
                     f"{path}: line {lineno} has {line.count(' ')} values, expected {d}"
                 )
@@ -224,7 +268,9 @@ def load_word2vec_text(path: str | Path, vocab=None) -> EmbeddingModel:
                 words.append(line[:space])
                 texts.append(line[space + 1 :])
                 linenos.append(lineno)
-    words, vectors, skipped = _parse_candidates(words, texts, d, non_float)
+                if len(texts) == _CHUNK_ROWS:
+                    chunks.flush()
+    words, vectors, skipped = chunks.result()
     if parsed != count:
         raise EmbeddingFormatError(
             f"{path}: header declares {count} entries, found {parsed}"

@@ -34,6 +34,10 @@ row is the same bits in any corpus and in any row subset.  Tokens absent
 from the embedding model are skipped and a zero weight sum yields the
 zero vector.  For tftrr, a training-known word absent from a category
 contributes the floor factor ln(alpha), per the scheme's definition.
+Each category's denominators are summed from its own nonzero weights,
+in the same term order as ``G @ W``; only tftrr, whose floor weighs
+every training word, builds the dense W.  Each category's block is
+divided straight into the output.
 """
 
 from __future__ import annotations
@@ -59,16 +63,41 @@ class ScalerParams:
     scale: np.ndarray  # std, with near-constant dimensions passed through as 1
 
 
+_SCALER_ROWS = 256  # rows per block of standardize_fit's squared deviations
+
+
 def standardize_fit(vectors: np.ndarray) -> ScalerParams:
     """Per-dimension mean/std from training vectors (population std).
 
-    Dimensions with std below 1e-12 are centered but not divided.
+    Dimensions with std below 1e-12 are centered but not divided.  The
+    result has the bits of ``X.mean(axis=0)`` and ``X.std(axis=0)``
+    without their n x m centred copy: the squared deviations are taken
+    ``_SCALER_ROWS`` rows at a time, and each block's sum starts from
+    the sum so far, so the rows are added one after another, as numpy's
+    axis-0 sum of a row-major matrix adds them.  Any other layout (and a
+    single column, which numpy sums pairwise) goes through ``X.std``.
     """
     X = np.asarray(vectors, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("standardize_fit needs at least 2 training vectors")
     mean = X.mean(axis=0)
-    std = X.std(axis=0)
+    if X.flags.c_contiguous and X.shape[1] > 1:
+        n = X.shape[0]
+        block = np.empty((min(n, _SCALER_ROWS) + 1, X.shape[1]))  # row 0: the sum so far
+        total = None
+        for lo in range(0, n, _SCALER_ROWS):
+            rows = X[lo : lo + _SCALER_ROWS]
+            part = block[1 : len(rows) + 1]
+            np.subtract(rows, mean, out=part)
+            np.square(part, out=part)
+            if total is None:
+                total = np.add.reduce(part, axis=0)
+            else:
+                block[0] = total
+                np.add.reduce(block[: len(rows) + 1], axis=0, out=total)
+        std = np.sqrt(total / n)
+    else:
+        std = X.std(axis=0)
     scale = np.where(std < 1e-12, 1.0, std)
     return ScalerParams(mean=mean, scale=scale)
 
@@ -97,8 +126,11 @@ class CorpusVectorizer:
     cased model falls back to its lowercase form).  The counts of the
     known terms are stored once, as float64; the ``1 + ln tf`` counts
     are mapped from them, by a table of values, when a view first needs
-    them.  Every command and every (fold, scheme) of the evaluation
-    harness vectorizes through ``matrix``.
+    them.  The model's embedding rows are not copied: each product of
+    ``matrix`` gathers the rows of its own terms, and ``known_embedding``
+    gathers the known terms' rows only when they are a subset.  Every
+    command and every (fold, scheme) of the evaluation harness
+    vectorizes through ``matrix``.
     """
 
     def __init__(self, documents, model: EmbeddingModel, case_fallback: bool = False,
@@ -128,8 +160,7 @@ class CorpusVectorizer:
         self._G = G.astype(np.float64)
         # 1 + ln tf by value, so that an entry's bits never depend on the corpus
         self._log_tf = np.array([1.0 + math.log(tf) for tf in range(1, G.data.max(initial=0) + 1)])
-        every_row = np.array_equal(self._rows, np.arange(len(model.vectors)))
-        self._E = model.vectors if every_row else model.vectors[self._rows]
+        self._every_row = np.array_equal(self._rows, np.arange(len(model.vectors)))
         self._selected = None  # the documents of a view; None: all
         self._sliced: dict[bool, tuple] = {}  # log? -> (G, G transposed) of those
 
@@ -153,7 +184,8 @@ class CorpusVectorizer:
         (case fallback already applied): all a saved model needs."""
         word_ids = {w: i for i, w in enumerate(self._words)}
         m = self.model
-        return EmbeddingModel(m.dimension, word_ids, tuple(self._words), self._E, m.origin)
+        vectors = m.vectors if self._every_row else m.vectors[self._rows]
+        return EmbeddingModel(m.dimension, word_ids, tuple(self._words), vectors, m.origin)
 
     def _counts(self, log: bool) -> tuple:
         """The documents' counts (``1 + ln tf`` when ``log``) and their
@@ -201,12 +233,15 @@ class CorpusVectorizer:
         pattern = pattern[rows].tocsc()
         return pattern.indptr, training[pattern.indices], pattern.data, training
 
-    def _numerator(self, Gt, terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Per document, the sum over ``terms`` of frequency * weight * embedding
-        row, in term order (``Gt`` is the terms-by-documents matrix)."""
+    def _numerator(self, Gt, terms: np.ndarray, weights: np.ndarray) -> tuple:
+        """Per document, the sum over ``terms`` of frequency * weight *
+        embedding row, in term order (``Gt`` is the terms-by-documents
+        matrix), and the weighted counts it was summed from (terms by
+        documents).  The embedding rows are gathered here, for these
+        terms only."""
         sub = Gt[terms]
         sub.data *= np.repeat(weights, np.diff(sub.indptr))
-        return sub.T @ self._E[terms]
+        return sub.T @ self.model.vectors[self._rows[terms]], sub
 
     def matrix(self, table: WeightTable) -> np.ndarray:
         """Feature matrix of this vectorizer's documents, in order, under
@@ -234,18 +269,26 @@ class CorpusVectorizer:
         nonzero = values != 0.0  # the nonzero (term, category) weights
         columns, values, category = columns[nonzero], values[nonzero], category[nonzero]
         indptr = np.concatenate([[0], np.cumsum(np.bincount(category, minlength=C))])
-        W = np.zeros((K, C))
-        F = 0.0
-        if floor.any():  # tftrr: floor * [training word] + nonzero deviations from it
-            F = self._numerator(Gt, training, np.ones(training.size))
+        if floored := floor.any():
+            # tftrr: W = floor * [training word] + nonzero deviations from it.
+            # The floor weighs every training word, so the denominators come
+            # from the dense W; the floor's numerator is one shared product.
+            W = np.zeros((K, C))
             W[training] = floor
-        W[columns, category] = values
-        values = values - floor[category]
-        den = G @ W
-        den[den == 0.0] = 1.0
+            W[columns, category] = values
+            den = G @ W
+            F = self._numerator(Gt, training, np.ones(training.size))[0]
+            values = values - floor[category]
         X = np.empty((G.shape[0], C, d))
         for c in range(C):
             lo, hi = indptr[c], indptr[c + 1]
-            X[:, c] = self._numerator(Gt, columns[lo:hi], values[lo:hi]) + floor[c] * F
-        X /= den[:, :, None]
+            num, sub = self._numerator(Gt, columns[lo:hi], values[lo:hi])
+            if floored:
+                weight = den[:, c]
+                num += np.multiply(F, floor[c], out=X[:, c])
+            else:  # each document's weighted counts, added in G @ W's order
+                weight = np.bincount(sub.indices, weights=sub.data, minlength=len(X))
+            weight[weight == 0.0] = 1.0
+            np.divide(num, weight[:, None], out=X[:, c])
+            del num, sub  # not alive beside the next category's
         return X.reshape(len(X), C * d)

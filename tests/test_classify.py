@@ -22,7 +22,6 @@ from catweight import (
     from_token_lists,
     load_model,
     logreg_gradient,
-    predict,
     predict_many,
     save_model,
     svm_objective,
@@ -113,8 +112,8 @@ class TestTrainLogreg:
         model = train_logreg(
             X, y, TrainConfig(epochs=500, tolerance=0.0, seed=0)
         )
-        _, probs = predict(model, np.zeros(3))
-        assert probs == pytest.approx([2 / 3, 1 / 3], abs=1e-3)
+        _, probs = predict_many(model, np.zeros((1, 3)))
+        assert probs[0] == pytest.approx([2 / 3, 1 / 3], abs=1e-3)
 
     def test_full_batch_objective_monotone(self, rng):
         X = rng.normal(size=(40, 5))
@@ -331,33 +330,33 @@ class TestTrajectories:
 class TestPredict:
     def test_uniform_probabilities_and_tie_rule(self):
         model = LinearModel(kind="logreg", W=np.zeros((3, 2)), b=np.zeros(3))
-        label, probs = predict(model, np.array([4.0, -1.0]))
-        assert label == 0
-        assert probs == pytest.approx([1 / 3, 1 / 3, 1 / 3], abs=1e-15)
+        labels, probs = predict_many(model, np.array([[4.0, -1.0]]))
+        assert labels[0] == 0
+        assert probs[0] == pytest.approx([1 / 3, 1 / 3, 1 / 3], abs=1e-15)
 
     def test_bias_dominates(self):
         model = LinearModel(
             kind="logreg", W=np.zeros((3, 2)), b=np.array([0.0, 5.0, 0.0])
         )
-        label, probs = predict(model, np.zeros(2))
-        assert label == 1
+        labels, probs = predict_many(model, np.zeros((1, 2)))
+        assert labels[0] == 1
         expected = math.exp(5) / (math.exp(5) + 2)
-        assert probs[1] == pytest.approx(expected, abs=1e-12)
-        assert probs[1] == pytest.approx(0.9867, abs=1e-4)
+        assert probs[0, 1] == pytest.approx(expected, abs=1e-12)
+        assert probs[0, 1] == pytest.approx(0.9867, abs=1e-4)
 
     def test_probabilities_sum_to_one(self, rng):
         model = LinearModel(
             kind="logreg", W=rng.normal(size=(4, 3)), b=rng.normal(size=4)
         )
-        _, probs = predict(model, rng.normal(size=3) * 50)
-        assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+        _, probs = predict_many(model, rng.normal(size=(1, 3)) * 50)
+        assert probs[0].sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_tie_breaks_to_lowest_index(self):
         model = LinearModel(
             kind="svm", W=np.zeros((3, 2)), b=np.array([0.7, 0.7, 0.1])
         )
-        label, _ = predict(model, np.zeros(2))
-        assert label == 0
+        labels, _ = predict_many(model, np.zeros((1, 2)))
+        assert labels[0] == 0
 
     def test_svm_margin_scaling_keeps_label(self, rng):
         model = LinearModel(
@@ -372,7 +371,7 @@ class TestPredict:
     def test_length_mismatch_rejected(self):
         model = LinearModel(kind="svm", W=np.zeros((2, 3)), b=np.zeros(2))
         with pytest.raises(ValueError, match="feature length"):
-            predict(model, np.zeros(4))
+            predict_many(model, np.zeros((1, 4)))
 
 
 def _saved_model(corpus, embedding, scheme, kind="logreg", scaler=True, seed=0, min_count=1):

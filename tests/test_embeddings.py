@@ -4,7 +4,9 @@ import csv
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from catweight import (
     synthetic_model,
 )
 from catweight import cli
+from catweight import embeddings
 
 
 class TestGloveText:
@@ -437,20 +440,29 @@ def _matches_oracle(loader, oracle, content, vocab):
     assert model.skipped_lines == skipped
 
 
+# The text loaders parse this many wanted rows per bulk call; small
+# chunks make the generated files span several of them.
+_CHUNK_SIZES = [1, 2, 3, embeddings._CHUNK_ROWS]
+
+
 class TestVocabFilteredLoadsMatchOracle:
     """Every loader, with or without a vocabulary, against an independent
     line-by-line reader: same words, same bits, same skip count, same
     errors."""
 
+    @pytest.mark.parametrize("chunk", _CHUNK_SIZES)
     @settings(deadline=None, max_examples=300)
     @given(text=_glove_files(), vocab=_VOCABS)
-    def test_glove(self, text, vocab):
-        _matches_oracle(load_glove_text, oracle_glove, text, vocab)
+    def test_glove(self, chunk, text, vocab):
+        with mock.patch.object(embeddings, "_CHUNK_ROWS", chunk):
+            _matches_oracle(load_glove_text, oracle_glove, text, vocab)
 
+    @pytest.mark.parametrize("chunk", _CHUNK_SIZES)
     @settings(deadline=None, max_examples=200)
     @given(text=_word2vec_text_files(), vocab=_VOCABS)
-    def test_word2vec_text(self, text, vocab):
-        _matches_oracle(load_word2vec_text, oracle_word2vec_text, text, vocab)
+    def test_word2vec_text(self, chunk, text, vocab):
+        with mock.patch.object(embeddings, "_CHUNK_ROWS", chunk):
+            _matches_oracle(load_word2vec_text, oracle_word2vec_text, text, vocab)
 
     @settings(deadline=None, max_examples=200)
     @given(blob=_word2vec_binary_files(), vocab=_VOCABS)
@@ -503,6 +515,64 @@ class TestVocabFilteredLoadsMatchOracle:
         path.write_text("".join(lines))
         with pytest.raises(EmbeddingFormatError, match="line 302 has non-float"):
             load_word2vec_text(path)
+
+    def test_glove_chunks_parse_apart(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "_CHUNK_ROWS", 3)
+        lines = [
+            "the 1.0 2.0", "cat zebra 1.0", "dog 3.0 4.0",  # cat's first copy is malformed
+            "emu 5.0 6.0", "cat 7.0 8.0", "fox 9.0\x1c 1.0",  # float() rejects \x1c
+            "gnu 2.5 3.5", "hen 1.5 x", "the 0.5 0.5",  # a malformed row, a repeat
+        ]
+        path = tmp_path / "vectors.txt"
+        path.write_text("".join(line + "\n" for line in lines))
+        model = load_glove_text(path, {"the", "cat", "dog", "emu", "fox", "gnu", "hen"})
+        assert model.words == ("the", "dog", "emu", "cat", "gnu")
+        assert model.vectors.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8], [2.5, 3.5]]
+        assert model.skipped_lines == 4
+        _matches_oracle(load_glove_text, oracle_glove, path.read_text(), None)
+
+    def test_word2vec_text_errors_across_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "_CHUNK_ROWS", 2)
+        path = tmp_path / "model.vec"
+        rows = ["the 1.0 2.0", "cat 3.0 4.0", "the 5.0 6.0", "dog 7.0 8.0", "emu 1.0 2.0"]
+        path.write_text("5 2\n" + "".join(row + "\n" for row in rows))
+        model = load_word2vec_text(path)
+        assert model.words == ("the", "cat", "dog", "emu")
+        assert model.vectors.tolist() == [[1, 2], [3, 4], [7, 8], [1, 2]]
+        assert model.skipped_lines == 1
+        rows[3] = "dog 7.0\x1c 8.0"  # in the second chunk
+        path.write_text("5 2\n" + "".join(row + "\n" for row in rows))
+        with pytest.raises(EmbeddingFormatError, match="line 5 has non-float"):
+            load_word2vec_text(path)
+        # A non-float row in a chunk not yet full is reported before a
+        # later row's field count.
+        rows[2:] = ["dog 7.0 x", "emu 1.0"]
+        path.write_text("4 2\n" + "".join(row + "\n" for row in rows))
+        with pytest.raises(EmbeddingFormatError, match="line 4 has non-float"):
+            load_word2vec_text(path)
+
+    def test_filtered_glove_load_holds_one_chunk_of_text(self, tmp_path, monkeypatch):
+        """Peak traced memory of a filtered load stays under twice the kept
+        vectors' bytes plus one chunk of text: the loader never holds the
+        text of every wanted row (at the parent of this bound, the peak
+        held it twice, plus a second copy of the rows)."""
+        chunk, d = 512, 100
+        monkeypatch.setattr(embeddings, "_CHUNK_ROWS", chunk)
+        rng = np.random.default_rng(7)
+        values = [" ".join(f"{x:.4f}" for x in row) for row in rng.uniform(-1, 1, (64, d))]
+        lines = [f"w{i} {values[i % 64]}\n" for i in range(16000)]
+        path = tmp_path / "vectors.txt"
+        path.write_text("".join(lines))
+        wanted = {f"w{i}" for i in range(0, 16000, 2)}
+        text_bytes = sum(map(len, lines[: 2 * chunk : 2]))  # ASCII: one byte a character
+        tracemalloc.start()
+        try:
+            model = load_glove_text(path, wanted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(model) == 8000
+        assert peak < 2 * model.vectors.nbytes + text_bytes
 
     def test_load_embeddings_passes_vocab(self, tmp_path, tiny_model):
         path = tmp_path / "model.txt"

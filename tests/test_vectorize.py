@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from catweight import (
     standardize_fit,
     synthetic_model,
 )
+from catweight import vectorize
 from catweight.corpus import count_tokens
 from catweight.weighting import SCHEMES
 from oracles import oracle_weighted_mean, table_idf, table_weight
@@ -361,8 +363,65 @@ class TestStandardize:
         with pytest.raises(ValueError):
             standardize_fit(np.ones((1, 4)))
 
+    @pytest.mark.parametrize("extra", [None, -1, 0, 1, "3b+5"])
+    def test_bits_of_numpy_mean_and_std(self, rng, extra):
+        block = vectorize._SCALER_ROWS
+        n = {None: 2, "3b+5": 3 * block + 5}.get(extra) or block + extra
+        X = rng.normal(size=(n, 9)) * 10.0 ** rng.integers(-6, 6, size=9)
+        X[:, 2] = 4.25  # constant columns: scale 1
+        X[:, 5] = 0.0
+        X[rng.random(X.shape) < 0.2] = 0.0
+        X[rng.random(X.shape) < 0.2] = -0.0
+        X[:, 7] = -0.0
+        params = standardize_fit(X)
+        std = X.std(axis=0)
+        assert params.mean.tobytes() == X.mean(axis=0).tobytes()
+        assert params.scale.tobytes() == np.where(std < 1e-12, 1.0, std).tobytes()
+        for other in (np.asfortranarray(X), X[:, :1]):  # layouts numpy sums otherwise
+            std = other.std(axis=0)
+            assert standardize_fit(other).scale.tobytes() == np.where(std < 1e-12, 1.0, std).tobytes()
+
+    def test_fit_holds_one_block_of_rows(self, rng):
+        """Peak traced memory of a fit on 2,000 x 500 rows stays under one
+        block of rows plus a few rows and numpy's 8,192-element ufunc
+        buffer: no centred copy of the matrix (the 8-MB one that ``X.std``
+        makes)."""
+        X = rng.normal(size=(2000, 500))
+        row = X[0].nbytes
+        tracemalloc.start()
+        try:
+            standardize_fit(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (vectorize._SCALER_ROWS + 8) * row + 8192 * 8
+
 
 class TestCorpusVectorizer:
+    def test_no_copy_of_the_models_rows(self, rng):
+        """Setting up over documents that use 2,000 of a model's 4,000 rows
+        allocates less than a tenth of those rows' 4 MB: the vectorizer
+        keeps no copy of the rows it uses (the parent of this bound did)."""
+        words = [f"w{i}" for i in range(4000)]
+        model = EmbeddingModel(
+            256, {w: i for i, w in enumerate(words)}, tuple(words), rng.normal(size=(4000, 256))
+        )
+        docs = [
+            Document(tokens=tuple(words[i : i + 100 : 2]), label=None, source_id=f"d{i}")
+            for i in range(0, 4000, 100)
+        ]
+        used = model.vectors[::2].nbytes
+        tracemalloc.start()
+        try:
+            vec = CorpusVectorizer(docs, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < used / 10
+        known = vec.known_embedding()  # the saved model's rows: gathered here
+        assert np.array_equal(known.vectors, model.vectors[::2])
+        assert CorpusVectorizer(docs, known).known_embedding().vectors is known.vectors
+
     def _random_docs(self, rng, model, n=25):
         words = list(model.words) + ["oov1", "oov2"]
         docs = []
