@@ -17,11 +17,11 @@ parses them as it reads, one bulk numpy call per chunk of
 ``_CHUNK_ROWS`` lines (a chunk whose call fails goes row by row, with
 the same skip and error rules), into one array that grows in place, so
 it holds one chunk of text besides the kept rows, never the file's
-text; the binary loader widens only those vectors.  Kept rows stay in
-file order, so a document's features do not depend on whether the load
-was filtered.  A deterministic synthetic generator stands in for
-in-domain models during tests: each vector is keyed on (word, seed, d)
-so it does not depend on vocabulary order.
+text; the binary loader streams the file and widens only those
+vectors.  Kept rows stay in file order, so a document's features do
+not depend on whether the load was filtered.  A deterministic synthetic
+generator stands in for in-domain models during tests: each vector is
+keyed on (word, seed, d) so it does not depend on vocabulary order.
 """
 
 from __future__ import annotations
@@ -280,50 +280,60 @@ def load_word2vec_text(path: str | Path, vocab=None) -> EmbeddingModel:
     return _make_model(words, vectors, d, str(path), skipped)
 
 
+_READ_BYTES = 1 << 20  # bytes per read of a word2vec binary file
+
+
 def load_word2vec_binary(path: str | Path, vocab=None) -> EmbeddingModel:
     """Load a word2vec binary file; float32 payloads widen to float64.
 
     Duplicate words keep their first vector; the others are counted as
     skipped.  With ``vocab`` (a set of words), only the vectors of words
     in it are kept, and only their duplicates are counted; every entry
-    is still read, so truncation is an error anywhere.
+    is still read, so truncation is an error anywhere.  The file streams
+    through a buffer of about ``_READ_BYTES``: besides it, the loader
+    holds only the kept vectors.
     """
     path = Path(path)
-    data = Path(path).read_bytes()
-    newline = data.find(b"\n")
-    if newline < 0:
-        raise EmbeddingFormatError(f"{path}: missing header line")
-    count, d = _read_count_header(path, data[:newline].split())
-    offsets: dict[str, int] = {}  # word -> its first vector's offset
-    skipped = 0
-    pos = newline + 1
-    vec_bytes = 4 * d
-    for _ in range(count):
-        while pos < len(data) and data[pos : pos + 1] in (b"\n", b"\r", b" "):
-            pos += 1
-        space = data.find(b" ", pos)
-        if space < 0:
-            raise EmbeddingFormatError(
-                f"{path}: EOF in word at byte offset {pos}"
-            )
-        word = data[pos:space].decode("utf-8", errors="replace")
-        pos = space + 1
-        if pos + vec_bytes > len(data):
-            raise EmbeddingFormatError(
-                f"{path}: EOF in vector at byte offset {pos}"
-            )
-        if vocab is None or word in vocab:
-            if word in offsets:
-                skipped += 1
-            else:
-                offsets[word] = pos
-        pos += vec_bytes
-    vectors = np.zeros((len(offsets), d))
-    for i, offset in enumerate(offsets.values()):
-        vectors[i] = np.frombuffer(data, dtype="<f4", count=d, offset=offset)
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if not header.endswith(b"\n"):
+            raise EmbeddingFormatError(f"{path}: missing header line")
+        count, d = _read_count_header(path, header.split())
+        vec_bytes = 4 * d
+        buf, pos, base = b"", 0, len(header)  # base: the file offset of buf[0]
+        kept: dict[str, None] = {}
+        payload = bytearray()  # the kept vectors' float32 bytes, in order
+        skipped = 0
+        for _ in range(count):
+            while True:  # until the buffer holds the whole entry
+                while pos < len(buf) and buf[pos] in b"\n\r ":
+                    pos += 1
+                space = buf.find(b" ", pos)
+                if 0 <= space <= len(buf) - 1 - vec_bytes:
+                    break
+                # At least the bytes held: a long entry's buffer doubles.
+                block = fh.read(max(_READ_BYTES, vec_bytes, len(buf) - pos))
+                if not block:
+                    if space < 0:
+                        raise EmbeddingFormatError(
+                            f"{path}: EOF in word at byte offset {base + pos}"
+                        )
+                    raise EmbeddingFormatError(
+                        f"{path}: EOF in vector at byte offset {base + space + 1}"
+                    )
+                buf, base, pos = buf[pos:] + block, base + pos, 0
+            word = buf[pos:space].decode("utf-8", errors="replace")
+            pos = space + 1 + vec_bytes
+            if vocab is None or word in vocab:
+                if word in kept:
+                    skipped += 1
+                else:
+                    kept[word] = None
+                    payload += buf[space + 1 : pos]
+    vectors = np.frombuffer(payload, dtype="<f4").reshape(len(kept), d)
     if skipped:
         log.warning("%s: %d duplicate words dropped", path, skipped)
-    return _make_model(list(offsets), vectors, d, str(path), skipped)
+    return _make_model(list(kept), vectors, d, str(path), skipped)
 
 
 def save_word2vec_text(model: EmbeddingModel, path: str | Path) -> None:

@@ -20,10 +20,11 @@ when the table numbers its words by the same count columns (tables
 built from this corpus's stats) or by the model's embedding rows (a
 loaded model file); a table over any other numbering is matched word by
 word.  ``view(rows)`` is the vectorizer over some documents only; it
-slices and transposes the counts of each kind (plain and ``1 + ln tf``)
-on first use, so one view per (train, test) pair serves all the pair's
-tables.  Each call of ``matrix`` orders its own table's stored (word,
-category) pairs by (category, column); nothing is kept across tables.
+slices and transposes the counts of each kind (plain and ``1 + ln tf``,
+the log taken once per distinct count) on first use, so one view per
+(train, test) pair serves all the pair's tables.  Each call of
+``matrix`` orders its own table's stored (word, category) pairs by
+(category, column); nothing is kept across tables.
 
 Each weight column is first scaled by an exact power of two that brings
 its maximum into [0.5, 1): the means do not change, and tiny weights
@@ -36,8 +37,27 @@ zero vector.  For tftrr, a training-known word absent from a category
 contributes the floor factor ln(alpha), per the scheme's definition.
 Each category's denominators are summed from its own nonzero weights,
 in the same term order as ``G @ W``; only tftrr, whose floor weighs
-every training word, builds the dense W.  Each category's block is
-divided straight into the output.
+every training word, builds the dense W.
+
+``matrix`` has two formulations of these sums, after one shared
+preparation of the table (the power-of-two scaling and the zero
+filter).  An input that needs fewer than ``_PRODUCT_GATE`` (document,
+category, term) products, such as a one-line ``predict``, takes one
+sparse product: one CSR matrix with a row per (document, category) and
+a column per term holds every frequency * weight product, in term order
+within each row, so one product with the embedding rows gives every
+numerator already in the output's (document, category, d) layout, one
+``np.bincount`` every denominator and one divide finishes it.  Any
+larger input takes one product per category, dividing each category's
+block straight into the output, so its temporaries stay one category's.
+Both add the same terms in the same order, so the bits do not depend on
+which ran.  The loop pays a fixed scipy cost per category, about 4 ms of
+a one-line matrix with 20 categories; the single product pays for
+gathering and sorting every product, and loses on large inputs.  On the
+benchmark's seed-1 tfcr, kld and tftrr models (1 to 200 holdout lines, a
+2-vCPU machine, one BLAS thread) the two cross between 38,000 and 70,000
+products, 30 to 50 lines: one line took 1.3-1.6 ms against 5.0-5.6 ms,
+200 lines 35-81 ms against 21-30 ms.  The gate sits below that crossover.
 """
 
 from __future__ import annotations
@@ -64,6 +84,7 @@ class ScalerParams:
 
 
 _SCALER_ROWS = 256  # rows per block of standardize_fit's squared deviations
+_PRODUCT_GATE = 20_000  # matrix: below this many products, one sparse product
 
 
 def standardize_fit(vectors: np.ndarray) -> ScalerParams:
@@ -158,8 +179,6 @@ class CorpusVectorizer:
         G = counts.matrix[:, columns].sorted_indices()
         self.known_token_counts = np.asarray(G.sum(axis=1), dtype=np.int64).ravel()
         self._G = G.astype(np.float64)
-        # 1 + ln tf by value, so that an entry's bits never depend on the corpus
-        self._log_tf = np.array([1.0 + math.log(tf) for tf in range(1, G.data.max(initial=0) + 1)])
         self._every_row = np.array_equal(self._rows, np.arange(len(model.vectors)))
         self._selected = None  # the documents of a view; None: all
         self._sliced: dict[bool, tuple] = {}  # log? -> (G, G transposed) of those
@@ -192,9 +211,11 @@ class CorpusVectorizer:
         transpose, built on first use."""
         if log not in self._sliced:
             G = self._G if self._selected is None else self._G[self._selected]
-            if log:
-                log_tf = self._log_tf[G.data.astype(np.int64) - 1]
-                G = sp.csr_matrix((log_tf, G.indices, G.indptr), shape=G.shape)
+            if log:  # one math.log per distinct count
+                tf = np.unique(G.data)
+                log_tf = np.array([1.0 + math.log(n) for n in tf.tolist()])
+                G = sp.csr_matrix((log_tf[np.searchsorted(tf, G.data)], G.indices, G.indptr),
+                                  shape=G.shape)
             self._sliced[log] = (G, G.T.tocsr())
         return self._sliced[log]
 
@@ -243,11 +264,43 @@ class CorpusVectorizer:
         sub.data *= np.repeat(weights, np.diff(sub.indptr))
         return sub.T @ self.model.vectors[self._rows[terms]], sub
 
+    def _products(self, G, columns: np.ndarray, category: np.ndarray, values: np.ndarray,
+                  C: int) -> tuple:
+        """Every document's C numerators, ``(n, C, d)``, from one product,
+        and the weighted counts they were summed from, ``(n, C)``.
+
+        The product's left matrix has a row per (document, category) and a
+        column per term the rows use; its entries are ``_numerator``'s
+        frequency * weight products, in term order within each row, so
+        every sum adds the same terms in the same order."""
+        n, K = G.shape
+        by_term = np.argsort(columns, kind="stable")  # (column, category) order
+        category, values = category[by_term], values[by_term]
+        start = np.zeros(K + 1, dtype=np.int64)
+        np.cumsum(np.bincount(columns, minlength=K), out=start[1:])
+        # One product per (count entry, table entry of its term).
+        per = np.diff(start)[G.indices]
+        entry = np.repeat(np.arange(G.nnz), per)
+        at = np.repeat(start[G.indices] - (np.cumsum(per) - per), per) + np.arange(entry.size)
+        row = np.repeat(np.arange(n), np.diff(G.indptr))[entry] * C + category[at]
+        order = np.argsort(row, kind="stable")  # terms stay in order within a row
+        row, entry, at = row[order], entry[order], at[order]
+        data = G.data[entry] * values[at]
+        used, column = np.unique(G.indices[entry], return_inverse=True)
+        indptr = np.zeros(n * C + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=n * C), out=indptr[1:])
+        A = sp.csr_matrix((data, column, indptr), shape=(n * C, used.size))
+        num = A @ self.model.vectors[self._rows[used]]
+        weight = np.bincount(row, weights=data, minlength=n * C)
+        return num.reshape(n, C, self.model.dimension), weight.reshape(n, C)
+
     def matrix(self, table: WeightTable) -> np.ndarray:
         """Feature matrix of this vectorizer's documents, in order, under
         one table; for some documents only, use ``view(rows).matrix(table)``."""
         d, K = self.model.dimension, len(self._words)
-        G, Gt = self._counts(table.scheme == "tftrr")
+        log = table.scheme == "tftrr"
+        G, Gt = self._counts(log)
+        n = G.shape[0]
         if table.scheme == "none":
             indptr, columns, values = np.array([0, K]), np.arange(K), np.ones(K)
         elif table.scheme == "tfidf":
@@ -259,7 +312,7 @@ class CorpusVectorizer:
         C = indptr.size - 1
         per = np.diff(indptr)
         category = np.repeat(np.arange(C), per)
-        floor = np.full(C, math.log(table.alpha) if table.scheme == "tftrr" else 0.0)
+        floor = np.full(C, math.log(table.alpha) if log else 0.0)
         top = np.zeros(C)
         full = per > 0
         top[full] = np.maximum.reduceat(values, indptr[:-1][full])
@@ -268,7 +321,6 @@ class CorpusVectorizer:
         values, floor = np.ldexp(values, -e[category]), np.ldexp(floor, -e)
         nonzero = values != 0.0  # the nonzero (term, category) weights
         columns, values, category = columns[nonzero], values[nonzero], category[nonzero]
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(category, minlength=C))])
         if floored := floor.any():
             # tftrr: W = floor * [training word] + nonzero deviations from it.
             # The floor weighs every training word, so the denominators come
@@ -277,9 +329,25 @@ class CorpusVectorizer:
             W[training] = floor
             W[columns, category] = values
             den = G @ W
-            F = self._numerator(Gt, training, np.ones(training.size))[0]
             values = values - floor[category]
-        X = np.empty((G.shape[0], C, d))
+        # The (document, category, term) products of the numerators.
+        df = np.diff(Gt.indptr)  # documents per column
+        if df[columns].sum() + (df[training].sum() if floored else 0) < _PRODUCT_GATE:
+            if floored:  # the floor's numerator rides along as category C
+                columns = np.concatenate([columns, training])
+                values = np.concatenate([values, np.ones(training.size)])
+                category = np.concatenate([category, np.full(training.size, C)])
+            num, weight = self._products(G, columns, category, values, C + floored)
+            if floored:
+                num, F = num[:, :C], num[:, C]
+                num += F[:, None] * floor[:, None]
+                weight = den
+            weight[weight == 0.0] = 1.0
+            return (num / weight[:, :, None]).reshape(n, C * d)
+        if floored:
+            F = self._numerator(Gt, training, np.ones(training.size))[0]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(category, minlength=C))])
+        X = np.empty((n, C, d))
         for c in range(C):
             lo, hi = indptr[c], indptr[c + 1]
             num, sub = self._numerator(Gt, columns[lo:hi], values[lo:hi])
@@ -287,8 +355,8 @@ class CorpusVectorizer:
                 weight = den[:, c]
                 num += np.multiply(F, floor[c], out=X[:, c])
             else:  # each document's weighted counts, added in G @ W's order
-                weight = np.bincount(sub.indices, weights=sub.data, minlength=len(X))
+                weight = np.bincount(sub.indices, weights=sub.data, minlength=n)
             weight[weight == 0.0] = 1.0
             np.divide(num, weight[:, None], out=X[:, c])
             del num, sub  # not alive beside the next category's
-        return X.reshape(len(X), C * d)
+        return X.reshape(n, C * d)

@@ -12,6 +12,7 @@ import gc
 import io
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from catweight import (
     synthetic_model,
     tokenize,
 )
-from catweight import cli, evaluation
+from catweight import cli, evaluation, vectorize
 from catweight.cli import _predict_input, _text_lines, main
 
 TOY_ROWS = [
@@ -598,13 +599,23 @@ class TestTrainPredict:
         assert all(line.split("\t")[0] in labels for line in lines[1:])
 
     def test_each_row_equals_its_one_line_prediction(self, trained, train_csv, tmp_path):
+        """With the gate set between them, the batch's features come from
+        the per-category loop and each line's from the one sparse product,
+        and the rows still have the same bytes."""
         with open(train_csv, encoding="utf-8", newline="") as fh:
             texts = [row["text"] for row in csv.DictReader(fh)]
         lines = texts + [f"{a} {b}" for a, b in zip(texts, texts[1:])] + ["", "zebra"]
-        batch = _predict(trained, lines, tmp_path)
-        assert len(batch) == 1 + len(lines)
-        for line, row in zip(lines, batch[1:]):
-            assert _predict(trained, [line], tmp_path) == [batch[0], row]
+        real = CorpusVectorizer._numerator
+        with mock.patch.object(vectorize, "_PRODUCT_GATE", 500), \
+                mock.patch.object(CorpusVectorizer, "_numerator", autospec=True,
+                                  side_effect=real) as numerator:
+            batch = _predict(trained, lines, tmp_path)
+            assert numerator.call_count > 0
+            numerator.reset_mock()
+            assert len(batch) == 1 + len(lines)
+            for line, row in zip(lines, batch[1:]):
+                assert _predict(trained, [line], tmp_path) == [batch[0], row]
+            assert numerator.call_count == 0
 
     @pytest.mark.parametrize("inner", ["\f", "\x0b", "\x1c", "\x85", "\u2028", "\u2029"])
     def test_one_row_per_input_line(self, trained, tmp_path, capsys, inner):

@@ -443,6 +443,9 @@ def _matches_oracle(loader, oracle, content, vocab):
 # The text loaders parse this many wanted rows per bulk call; small
 # chunks make the generated files span several of them.
 _CHUNK_SIZES = [1, 2, 3, embeddings._CHUNK_ROWS]
+# The binary loader reads this many bytes at a time (at least one vector's):
+# small reads put entries across buffer boundaries.
+_READ_SIZES = [1, 5, 13, embeddings._READ_BYTES]
 
 
 class TestVocabFilteredLoadsMatchOracle:
@@ -464,10 +467,12 @@ class TestVocabFilteredLoadsMatchOracle:
         with mock.patch.object(embeddings, "_CHUNK_ROWS", chunk):
             _matches_oracle(load_word2vec_text, oracle_word2vec_text, text, vocab)
 
+    @pytest.mark.parametrize("block", _READ_SIZES)
     @settings(deadline=None, max_examples=200)
     @given(blob=_word2vec_binary_files(), vocab=_VOCABS)
-    def test_word2vec_binary(self, blob, vocab):
-        _matches_oracle(load_word2vec_binary, oracle_word2vec_binary, blob, vocab)
+    def test_word2vec_binary(self, block, blob, vocab):
+        with mock.patch.object(embeddings, "_READ_BYTES", block):
+            _matches_oracle(load_word2vec_binary, oracle_word2vec_binary, blob, vocab)
 
     def test_first_line_outside_vocab_still_fixes_and_checks_d(self, tmp_path):
         path = tmp_path / "vectors.txt"
@@ -573,6 +578,31 @@ class TestVocabFilteredLoadsMatchOracle:
             tracemalloc.stop()
         assert len(model) == 8000
         assert peak < 2 * model.vectors.nbytes + text_bytes
+
+    def test_filtered_word2vec_binary_load_holds_one_buffer(self, tmp_path, monkeypatch):
+        """Peak traced memory of a filtered binary load stays under twice
+        the kept vectors' bytes plus a few read buffers: the loader never
+        holds the file (at the parent of this bound it read all 6.5 MB of
+        it at once)."""
+        block, d = 1 << 16, 100
+        monkeypatch.setattr(embeddings, "_READ_BYTES", block)
+        rng = np.random.default_rng(8)
+        rows = rng.uniform(-1, 1, (16000, d)).astype("<f4")
+        path = tmp_path / "vectors.bin"
+        with open(path, "wb") as fh:
+            fh.write(f"16000 {d}\n".encode())
+            for i, row in enumerate(rows):
+                fh.write(f"w{i} ".encode() + row.tobytes() + b"\n")
+        wanted = {f"w{i}" for i in range(0, 16000, 16)}
+        tracemalloc.start()
+        try:
+            model = load_word2vec_binary(path, wanted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.words == tuple(f"w{i}" for i in range(0, 16000, 16))
+        assert np.array_equal(model.vectors, rows[::16])
+        assert peak < 2 * model.vectors.nbytes + 4 * block
 
     def test_load_embeddings_passes_vocab(self, tmp_path, tiny_model):
         path = tmp_path / "model.txt"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from catweight import (
     synthetic_model,
 )
 from catweight import vectorize
-from catweight.corpus import count_tokens
+from catweight.corpus import TokenCounts, count_tokens
 from catweight.weighting import SCHEMES
 from oracles import oracle_weighted_mean, table_idf, table_weight
 
@@ -89,6 +90,15 @@ UNIT = _emb({"a": (1.0, 0.0), "b": (0.0, 1.0)})
 NONE = WeightTable(scheme="none", categories=("A",))
 
 
+@pytest.fixture(params=[0, 10**12], ids=["loop", "product"])
+def gate(request):
+    """Runs a test under each formulation of ``matrix``: with the gate at
+    0 every input takes the per-category loop, with a huge gate the one
+    sparse product."""
+    with mock.patch.object(vectorize, "_PRODUCT_GATE", request.param):
+        yield request.param
+
+
 class TestUnweighted:
     def test_plain_mean(self):
         assert np.array_equal(_row(["a", "b"], UNIT, NONE), [0.5, 0.5])
@@ -100,6 +110,7 @@ class TestUnweighted:
         )
         assert _known(["a", "a", "b"], UNIT) == 3
 
+    @pytest.mark.usefixtures("gate")
     def test_all_oov(self):
         assert np.array_equal(_row(["x", "y"], UNIT, NONE), [0.0, 0.0])
         assert _known(["x", "y"], UNIT) == 0
@@ -168,6 +179,7 @@ class TestWeightedCategory:
         assert np.array_equal(_row(["u", "v"], model, tiny), _row(["u", "v"], model, plain))
 
     @pytest.mark.parametrize("scheme", ["tfidf", "kld", "tftrr", "tfcr"])
+    @pytest.mark.usefixtures("gate")
     def test_subnormal_weights_match_their_normal_multiple(self, scheme):
         # [2**-1070, 3 * 2**-1070] is [1, 3] times a power of two, with
         # every entry subnormal.  (none has no weights to scale; a tftrr
@@ -187,6 +199,7 @@ class TestWeightedCategory:
 
         assert np.array_equal(row(2.0**-1070, 3 * 2.0**-1070), row(1.0, 3.0))
 
+    @pytest.mark.usefixtures("gate")
     def test_matches_brute_force_oracle(self, toy_corpus, tiny_model):
         stats = build_stats(toy_corpus)
         for scheme in ("tfcr", "kld"):
@@ -245,6 +258,7 @@ class TestConcat:
             piece = _row(doc, tiny_model, alone)
             assert np.array_equal(values[c * 8 : (c + 1) * 8], piece)
 
+    @pytest.mark.usefixtures("gate")
     def test_no_known_tokens_zero_vector(self, toy_corpus, tiny_model):
         table = build_table(build_stats(toy_corpus), "tfcr")
         assert np.array_equal(_row(["zzz"], tiny_model, table), np.zeros(16))
@@ -323,6 +337,7 @@ class TestDispatcherAndDimension:
         for scheme, width in (("none", 8), ("tfidf", 8), ("tfcr", 16)):
             assert vectorizer.matrix(build_table(stats, scheme)).shape == (2, width)
 
+    @pytest.mark.usefixtures("gate")
     def test_outputs_always_finite(self, toy_corpus, tiny_model):
         stats = build_stats(toy_corpus)
         docs = [
@@ -434,6 +449,7 @@ class TestCorpusVectorizer:
         return docs
 
     @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.usefixtures("gate")
     def test_matches_single_document_path(self, scheme, toy_corpus, tiny_model, rng):
         """Each row of a corpus matrix is bit for bit its one-document matrix:
         a document's sums run in an order set by its own tokens alone."""
@@ -444,6 +460,7 @@ class TestCorpusVectorizer:
             assert np.array_equal(X[i], _row(doc, tiny_model, table))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.usefixtures("gate")
     def test_row_subset_matches_full_matrix(self, scheme, toy_corpus, tiny_model, rng):
         table = build_table(build_stats(toy_corpus), scheme)
         vectorizer = CorpusVectorizer(self._random_docs(rng, tiny_model), tiny_model)
@@ -485,6 +502,7 @@ class TestCorpusVectorizer:
                               vectorizer.known_token_counts[rows[inner]])
 
     @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.usefixtures("gate")
     def test_table_numbering_does_not_change_bits(self, scheme, tiny_model, rng):
         """A table over the corpus count columns is gathered; the same table
         over another numbering of its words is matched word by word.  Both
@@ -546,6 +564,7 @@ class TestCorpusVectorizer:
         X_perm = CorpusVectorizer([docs[i] for i in perm], tiny_model).matrix(table)
         np.testing.assert_allclose(X_perm, X[perm], rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.usefixtures("gate")
     def test_case_fallback_parity(self, toy_corpus):
         model = synthetic_model(["win", "game"], 4, seed=11)
         stats = build_stats(toy_corpus)
@@ -570,6 +589,7 @@ class TestCorpusVectorizer:
         np.testing.assert_allclose(bare[0], win, rtol=1e-12)
         assert not np.array_equal(with_fb[0], bare[0])
 
+    @pytest.mark.usefixtures("gate")
     def test_case_fallback_ties_follow_the_term(self):
         # "Apple", "APPLE" and "apple" all resolve to the one "apple" row.
         model = _emb({"pear": (0.3, -1.7), "apple": (0.1, 0.7), "fig": (-2.9, 0.013)})
@@ -603,7 +623,80 @@ class TestCorpusVectorizer:
                 expected = oracle_weighted_mean(weights, vectors, 2)
                 assert X[i, 2 * c : 2 * c + 2].tolist() == expected
 
+    @pytest.mark.usefixtures("gate")
     def test_empty_corpus(self, toy_corpus, tiny_model):
         table = build_table(build_stats(toy_corpus), "tfcr")
         X = CorpusVectorizer([], tiny_model).matrix(table)
         assert X.shape == (0, 16)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_both_formulations_give_the_same_bits(self, scheme, tiny_model, rng):
+        """The per-category loop is the reference for the one sparse
+        product: over whole corpora and views, with repeated terms, empty
+        and all-unknown documents, the two give equal bits."""
+        docs = self._random_docs(rng, tiny_model, n=60)
+        corpus = from_token_lists(
+            [d.tokens for d in docs], [i % 3 for i in range(len(docs))], ["A", "B", "C"]
+        )
+        table = build_table(build_stats(corpus, doc_subset=range(0, len(docs), 2)), scheme,
+                            alpha=1.5)
+        vectorizer = CorpusVectorizer(corpus.documents, tiny_model, counts=corpus.token_counts())
+        for view in (vectorizer, vectorizer.view(rng.permutation(len(docs))[:7]),
+                     vectorizer.view([len(docs) - 1]), vectorizer.view([])):
+            X = {}
+            for gate in (0, 10**12):
+                with mock.patch.object(vectorize, "_PRODUCT_GATE", gate):
+                    X[gate] = view.matrix(table)
+            assert X[0].tobytes() == X[10**12].tobytes()
+
+    def test_gate_picks_the_formulation(self, toy_corpus, tiny_model):
+        """Fewer than ``_PRODUCT_GATE`` (document, category, term) products
+        take the one product and make no per-category ``_numerator`` call;
+        more take the loop, one call per category."""
+        table = build_table(build_stats(toy_corpus), "tfcr")
+        doc = toy_corpus.documents[0]  # 5 terms: 6 nonzero (term, category) weights
+        real = CorpusVectorizer._numerator
+        below = (vectorize._PRODUCT_GATE - 1) // 6
+        with mock.patch.object(CorpusVectorizer, "_numerator", autospec=True,
+                               side_effect=real) as numerator:
+            one_line = CorpusVectorizer([doc], tiny_model).matrix(table)
+            assert numerator.call_count == 0
+            many = CorpusVectorizer([doc] * below, tiny_model).matrix(table)
+            assert numerator.call_count == 0
+            above = CorpusVectorizer([doc] * (below + 1), tiny_model).matrix(table)
+            assert numerator.call_count == 2
+        assert np.array_equal(many, np.tile(one_line, (below, 1)))
+        assert np.array_equal(above, np.tile(one_line, (below + 1, 1)))
+
+    def test_log_counts_take_one_log_per_distinct_count(self, tiny_model):
+        """``1 + ln tf`` is taken once per distinct count, with
+        ``math.log``'s bits: a count of a million costs one log, not a
+        table of a million (whose build held over 30 MB at the parent of
+        this bound)."""
+        words = ("win", "game", "team")
+        counts = TokenCounts(words, sp.csr_matrix(np.array([[10**6, 3, 0], [1, 3, 7]])))
+        table = _cat_table({"win": [1.0, 2.0], "game": [0.5, 1.0], "team": [1.0, 0.0]},
+                           scheme="tftrr")
+        tracemalloc.start()
+        try:
+            vectorizer = CorpusVectorizer([], tiny_model, counts=counts)
+            X = vectorizer.matrix(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        logs = vectorizer._counts(True)[0]
+        ids = tiny_model.word_ids
+        expected = {  # document -> word -> 1 + ln tf
+            0: {"win": 1.0 + math.log(10**6), "game": 1.0 + math.log(3)},
+            1: {"win": 1.0, "game": 1.0 + math.log(3), "team": 1.0 + math.log(7)},
+        }
+        for i, row in expected.items():
+            got = {vectorizer._words[j]: v for j, v in
+                   zip(logs[i].indices.tolist(), logs[i].data.tolist())}
+            assert got == row
+            # The mean over the category-0 factors weighed by those counts.
+            weights = [row[w] * table_weight(table, w, 0) for w in row]
+            vectors = [tiny_model.vectors[ids[w]].tolist() for w in row]
+            assert X[i, :8] == pytest.approx(oracle_weighted_mean(weights, vectors, 8),
+                                             rel=1e-12)
