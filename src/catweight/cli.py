@@ -22,9 +22,9 @@ training terms the embedding knew, the only ones ``predict`` can use.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
-from collections.abc import Iterator
 from contextlib import nullcontext
 from dataclasses import fields
 from functools import cache
@@ -615,36 +615,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-_READ_CHARS = 1 << 16  # characters per read of predict's input
-
-
-def _text_lines(stream) -> Iterator[str]:
-    """The lines of a text stream, read ``_READ_CHARS`` characters at a
-    time: a line ends only at ``\\n``, ``\\r\\n`` or ``\\r``
-    (``str.splitlines`` would also end one at a form feed, ``\\x85``,
-    ``\\u2028`` and other characters), and a final line end adds no
-    line.  Only the unended rest of the text read so far is kept."""
-    parts: list[str] = []  # read since the last line end taken
-    while block := stream.read(_READ_CHARS):
-        parts.append(block)
-        if "\n" in block or "\r" in block:
-            text = "".join(parts)
-            held = text.endswith("\r")  # may be the first half of a \r\n
-            lines = _split_lines(text[:-1] if held else text)
-            parts = [lines.pop() + "\r" * held]
-            yield from lines
-    if rest := "".join(parts):
-        yield from _split_lines(rest.removesuffix("\r"))
-
-
-def _split_lines(text: str) -> list[str]:
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-
-
 def _predict_input(spec: str):
-    """The text stream ``--input`` names: stdin as configured for ``-``,
-    a file decoded as UTF-8 with invalid bytes replaced."""
+    """The text stream ``--input`` names, read with ``newline=""``: a
+    line ends only at ``\\n``, ``\\r\\n`` or ``\\r`` (not at a form feed,
+    ``\\x85`` or ``\\u2028``, as with ``str.splitlines``) and keeps its
+    line end.  For ``-`` it is stdin as configured, but a ``TextIOWrapper``
+    stdin is reconfigured, since POSIX stdin ends lines only at ``\\n``;
+    a file is decoded as UTF-8 with invalid bytes replaced."""
     if spec == "-":
+        if isinstance(sys.stdin, io.TextIOWrapper):
+            sys.stdin.reconfigure(newline="")
         return nullcontext(sys.stdin)
     path = Path(spec)
     if not path.is_file():
@@ -661,9 +641,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     tokenizer = TokenizerConfig(preserve_case=saved.preserve_case)
     with _predict_input(str(cfg.get("input") or "-")) as stream:
         # One line at a time: a line's tokens are counted, then dropped.
+        # Its line end tokenizes as a space.
         docs = (
             Document(tokens=tokenize(line, tokenizer), label=None, source_id=f"line-{i + 1}")
-            for i, line in enumerate(_text_lines(stream))
+            for i, line in enumerate(stream)
         )
         # Only training terms have embedding rows in the model file.
         vectorizer = CorpusVectorizer(docs, saved.embedding)

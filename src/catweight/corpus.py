@@ -434,23 +434,19 @@ def make_splits(
         raise SplitError(f"ladder must be sorted ascending, got {ladder}")
 
     rng = np.random.default_rng(seed)
-    fold = np.empty(n, dtype=np.int64)
     if stratified:
+        # Each category's documents in random order, then the unlabeled
+        # ones, dealt to the folds in turn.
         labels = corpus.labels()
-        counter = 0
-        for c in range(len(corpus.categories)):
-            class_idx = np.flatnonzero(labels == c)
-            class_idx = class_idx[rng.permutation(len(class_idx))]
-            for i in class_idx:
-                fold[i] = counter % k
-                counter += 1
-        unlabeled = np.flatnonzero(labels < 0)
-        for i in unlabeled:
-            fold[i] = counter % k
-            counter += 1
+        groups = [np.flatnonzero(labels == c) for c in range(len(corpus.categories))]
+        order = np.concatenate(
+            [idx[rng.permutation(len(idx))] for idx in groups]
+            + [np.flatnonzero(labels < 0)]
+        )
     else:
-        perm = rng.permutation(n)
-        fold[perm] = np.arange(n) % k
+        order = rng.permutation(n)
+    fold = np.empty(n, dtype=np.int64)
+    fold[order] = np.arange(n) % k
 
     train_idx = np.flatnonzero(fold != 0)
     ladder_order = train_idx[rng.permutation(len(train_idx))]

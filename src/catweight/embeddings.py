@@ -13,13 +13,13 @@ word keeps its first vector; the later entries count as skipped.  A
 corpus uses a small share of a pre-trained file's rows, so every loader
 takes an optional ``vocab``: a text loader then streams the file and
 keeps the lines whose word is in it and whose field count is right.  It
-parses them as it reads, one bulk numpy call per chunk of
-``_CHUNK_ROWS`` lines (a chunk whose call fails goes row by row, with
-the same skip and error rules), into one array that grows in place, so
-it holds one chunk of text besides the kept rows, never the file's
-text; the binary loader streams the file and widens only those
-vectors.  Kept rows stay in file order, so a document's features do
-not depend on whether the load was filtered.  A deterministic synthetic
+hands them to one ``np.loadtxt`` call, which parses each row as it pulls
+it, so the loader holds the kept rows and one line of text, never the
+file's text; if that call fails, the file is read again and the wanted
+rows are parsed one by one, with the same skip and error rules.  The
+binary loader streams the file and widens only those vectors.  Kept
+rows stay in file order, so a document's features do not depend on
+whether the load was filtered.  A deterministic synthetic
 generator stands in for in-domain models during tests: each vector is
 keyed on (word, seed, d) so it does not depend on vocabulary order.
 """
@@ -62,7 +62,7 @@ class EmbeddingModel:
 def _make_model(
     words: list[str], vectors: np.ndarray, d: int, origin: str, skipped: int = 0
 ) -> EmbeddingModel:
-    vectors = np.asarray(vectors, dtype=np.float64)
+    vectors = np.asarray(vectors, dtype=np.float64).reshape(len(words), d)
     if not np.all(np.isfinite(vectors)):
         raise EmbeddingFormatError(f"{origin}: non-finite vector entries")
     return EmbeddingModel(
@@ -82,97 +82,59 @@ def _parse_row(parts: list[str]) -> np.ndarray | None:
         return None
 
 
-# numpy's number parser strips these ASCII separators as whitespace;
-# float() rejects them, so text holding one is parsed row by row.
-_NOT_FLOAT_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
+def _parse_rows(path: Path, wanted_rows, strict: bool = False):
+    """Parse the rows ``wanted_rows(fh)`` yields for the open file, as
+    ``(word, text of its values, line number)``, with the values float()
+    would give.
 
+    One ``np.loadtxt`` call pulls and parses the rows as the file
+    streams.  If it fails, the file is read again and each row is parsed
+    on its own: a row that does not parse is dropped, or with ``strict``
+    is an error.  Each word keeps its first parsed row; rows are
+    gathered only when a word repeats.  Returns the kept words, their
+    rows in file order, and the number of rows not kept.
+    """
+    words: list[str] = []
 
-def _bulk_parse(texts: list[str], d: int) -> np.ndarray | None:
-    """Rows of d space-separated floats in one call, with the values
-    float() would give; None if some row does not parse that way."""
-    joined = "".join(texts)
-    if any(c in joined for c in _NOT_FLOAT_SPACE):
-        return None
-    del joined
+    def texts(fh):
+        for word, text, _ in wanted_rows(fh):
+            # loadtxt drops an empty row, and numpy's number parser strips
+            # the ASCII separators \x1c-\x1f as whitespace; float() rejects
+            # both.  (One test per separator is the fastest check.)
+            if (
+                text in ("", "\n")
+                or "\x1c" in text or "\x1d" in text or "\x1e" in text or "\x1f" in text
+            ):
+                raise ValueError("a row float() rejects")
+            words.append(word)
+            yield text
+
     try:
-        with warnings.catch_warnings():
+        with open(path, encoding="utf-8", errors="replace") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an all-empty input warns
             rows = np.loadtxt(
-                texts, dtype=np.float64, delimiter=" ", comments=None, ndmin=2
+                texts(fh), dtype=np.float64, delimiter=" ", comments=None, ndmin=2
             )
+        candidates = len(words)
     except ValueError:
-        return None
-    # loadtxt drops empty lines, which float() rejects.
-    return rows if rows.shape == (len(texts), d) else None
-
-
-_CHUNK_ROWS = 4096  # wanted rows parsed per bulk call
-
-
-class _RowChunks:
-    """The wanted rows of a streamed text file, parsed ``_CHUNK_ROWS`` at
-    a time into one array, so that only one chunk's text is held.
-
-    A loader appends each candidate row to the pending chunk: its word to
-    ``words``, the text of its d values to ``texts`` and, when ``on_bad``
-    needs it, its line number to ``linenos``; it calls ``flush`` once
-    ``texts`` holds ``_CHUNK_ROWS``.  A chunk is parsed in one bulk call;
-    if that fails, that chunk's rows are parsed one by one, and a row
-    that does not parse is dropped, or passed to ``on_bad(lineno)``
-    (which may raise).  Each word keeps its first parsed row, in file
-    order.  A chunk's rows are gathered only when one of its words was
-    already kept; then they are copied to the end of ``rows``, which
-    grows in place.
-    """
-
-    def __init__(self, d: int, on_bad=None):
-        self.d, self.on_bad = d, on_bad
-        self.words: list[str] = []  # the pending chunk, emptied in place by flush
-        self.texts: list[str] = []
-        self.linenos: list[int] = []
-        self.kept: dict[str, None] = {}  # the kept words, in row order
-        self.rows = np.empty((0, d))  # their rows, with room to grow
-        self.candidates = 0
-
-    def flush(self) -> None:
-        """Parse the pending chunk and keep its first-seen words' rows."""
-        words, texts = self.words, self.texts
-        if not texts:
-            return
-        self.candidates += len(texts)
-        rows = _bulk_parse(texts, self.d)
-        if rows is None:
-            parsed = []
-            for i, (word, text) in enumerate(zip(words, texts)):
+        words, parsed, candidates = [], [], 0
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            for word, text, lineno in wanted_rows(fh):
+                candidates += 1
                 row = _parse_row(text.rstrip("\n").split(" "))
-                if row is None:
-                    if self.on_bad is not None:
-                        self.on_bad(self.linenos[i])
-                    continue
-                parsed.append((word, row))
-            words = [w for w, _ in parsed]
-            rows = np.array([r for _, r in parsed]).reshape(len(parsed), self.d)
-        texts.clear()
-        kept, keep = self.kept, []
+                if row is not None:
+                    words.append(word)
+                    parsed.append(row)
+                elif strict:
+                    raise EmbeddingFormatError(f"{path}: line {lineno} has non-float values")
+        rows = np.array(parsed)
+    kept = dict.fromkeys(words)  # each word once, in file order
+    if len(kept) < len(words):
+        first: dict[str, int] = {}
         for i, word in enumerate(words):
-            if word not in kept:
-                kept[word] = None
-                keep.append(i)
-        self.words.clear()
-        self.linenos.clear()
-        if len(keep) < len(rows):
-            rows = rows[keep]
-        n = len(kept)
-        if n > len(self.rows):  # grow in place by a quarter, so little room is left over
-            self.rows.resize((max(n, len(self.rows) * 5 // 4), self.d), refcheck=False)
-        self.rows[n - len(keep) : n] = rows
-
-    def result(self) -> tuple[list[str], np.ndarray, int]:
-        """The kept words, their rows in file order, and the number of
-        candidate rows not kept (malformed or duplicate)."""
-        self.flush()
-        self.rows.resize((len(self.kept), self.d), refcheck=False)
-        return list(self.kept), self.rows, self.candidates - len(self.kept)
+            first.setdefault(word, i)
+        rows = rows[list(first.values())]
+    return list(kept), rows, candidates - len(kept)
 
 
 def load_glove_text(path: str | Path, vocab=None) -> EmbeddingModel:
@@ -185,11 +147,12 @@ def load_glove_text(path: str | Path, vocab=None) -> EmbeddingModel:
     skipped; the first line is still parsed, since it fixes d.
     """
     path = Path(path)
-    chunks = words = texts = None  # a _RowChunks and its pending lists, once d is fixed
-    d = -1
-    skipped = 0
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for line in fh:
+    d, skipped = -1, 0
+
+    def wanted_rows(fh):
+        nonlocal d, skipped
+        d, skipped = -1, 0  # counted afresh if a failed bulk parse reads the file again
+        for lineno, line in enumerate(fh, start=1):
             space = line.find(" ")
             if space < 0:  # fewer than two fields
                 if line.strip() and (vocab is None or line.rstrip("\n") in vocab):
@@ -203,20 +166,16 @@ def load_glove_text(path: str | Path, vocab=None) -> EmbeddingModel:
                         f"{path}: line 1 is not a word + float row"
                     )
                 d = len(values)
-                chunks = _RowChunks(d)
-                words, texts = chunks.words, chunks.texts
             if vocab is not None and word not in vocab:
                 continue
             if line.count(" ") != d:
                 skipped += 1
                 continue
-            words.append(word)
-            texts.append(line[space + 1 :])
-            if len(texts) == _CHUNK_ROWS:
-                chunks.flush()
+            yield word, line[space + 1 :], lineno
+
+    words, vectors, dropped = _parse_rows(path, wanted_rows)
     if d < 0:
         raise EmbeddingFormatError(f"{path}: empty embedding file")
-    words, vectors, dropped = chunks.result()
     skipped += dropped
     if skipped:
         log.warning("%s: skipped %d malformed or duplicate lines", path, skipped)
@@ -245,32 +204,25 @@ def load_word2vec_text(path: str | Path, vocab=None) -> EmbeddingModel:
     only their duplicates are counted as skipped.
     """
     path = Path(path)
+    count = d = parsed = 0
 
-    def non_float(lineno: int):
-        raise EmbeddingFormatError(f"{path}: line {lineno} has non-float values")
-
-    parsed = 0
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    def wanted_rows(fh):
+        nonlocal count, d, parsed
         count, d = _read_count_header(path, fh.readline().split())
-        chunks = _RowChunks(d, non_float)
-        words, texts, linenos = chunks.words, chunks.texts, chunks.linenos
+        parsed = 0  # counted afresh if a failed bulk parse reads the file again
         for lineno, line in enumerate(fh, start=2):
             if line.isspace():
                 continue
             if line.count(" ") != d:
-                chunks.flush()  # an earlier non-float row is the first error
                 raise EmbeddingFormatError(
                     f"{path}: line {lineno} has {line.count(' ')} values, expected {d}"
                 )
             parsed += 1
             space = line.find(" ")
             if vocab is None or line[:space] in vocab:
-                words.append(line[:space])
-                texts.append(line[space + 1 :])
-                linenos.append(lineno)
-                if len(texts) == _CHUNK_ROWS:
-                    chunks.flush()
-    words, vectors, skipped = chunks.result()
+                yield line[:space], line[space + 1 :], lineno
+
+    words, vectors, skipped = _parse_rows(path, wanted_rows, strict=True)
     if parsed != count:
         raise EmbeddingFormatError(
             f"{path}: header declares {count} entries, found {parsed}"
@@ -330,10 +282,16 @@ def load_word2vec_binary(path: str | Path, vocab=None) -> EmbeddingModel:
                 else:
                     kept[word] = None
                     payload += buf[space + 1 : pos]
-    vectors = np.frombuffer(payload, dtype="<f4").reshape(len(kept), d)
+    vectors = np.frombuffer(payload, dtype="<f4")
     if skipped:
         log.warning("%s: %d duplicate words dropped", path, skipped)
     return _make_model(list(kept), vectors, d, str(path), skipped)
+
+
+def _write_text_rows(model: EmbeddingModel, fh) -> None:
+    for i, word in enumerate(model.words):
+        row = " ".join(repr(float(x)) for x in model.vectors[i])
+        fh.write(f"{word} {row}\n")
 
 
 def save_word2vec_text(model: EmbeddingModel, path: str | Path) -> None:
@@ -342,21 +300,15 @@ def save_word2vec_text(model: EmbeddingModel, path: str | Path) -> None:
     Values are printed with repr precision so a re-load reproduces the
     float64 vectors exactly.
     """
-    path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(model.words)} {model.dimension}\n")
-        for i, word in enumerate(model.words):
-            row = " ".join(repr(float(x)) for x in model.vectors[i])
-            fh.write(f"{word} {row}\n")
+        _write_text_rows(model, fh)
 
 
 def save_glove_text(model: EmbeddingModel, path: str | Path) -> None:
     """Write a model in headerless GloVe text format, repr precision."""
-    path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
-        for i, word in enumerate(model.words):
-            row = " ".join(repr(float(x)) for x in model.vectors[i])
-            fh.write(f"{word} {row}\n")
+        _write_text_rows(model, fh)
 
 
 def save_word2vec_binary(model: EmbeddingModel, path: str | Path) -> None:

@@ -1,12 +1,15 @@
 """Independent brute-force oracles for the tokenizer, the token counts,
-the weighting schemes and the embedding file readers.
+the weighting schemes, the stratified fold plan and the embedding file
+readers.
 
 Everything here recomputes weights from raw token lists with plain
 dictionaries and math.log, tokenizes with the regex that defines a
-token, and reads embedding files line by line with float() and struct —
-no numpy, no shared code with the package — so agreement is evidence,
-not tautology.  The two table readers at the end compute nothing: they
-look a word up in a table's arrays.
+token, deals folds one index at a time, and reads embedding files line
+by line with float() and struct — no numpy, no shared code with the
+package — so agreement is evidence, not tautology.  The fold oracle
+draws its permutations from the random generator its caller passes.
+The two table readers at the end compute nothing: they look a word up
+in a table's arrays.
 """
 
 from __future__ import annotations
@@ -162,6 +165,32 @@ def random_corpus(rng, max_docs=100, max_vocab=50, min_categories=2, max_categor
             [vocab[int(rng.integers(0, vocab_size))] for _ in range(length)]
         )
     return token_lists, labels, num_categories
+
+
+def oracle_stratified_folds(labels, num_categories, k, rng):
+    """A stratified k-fold plan, one index at a time: ``(fold, ladder_order)``.
+
+    ``labels`` holds a category index, or -1 for an unlabeled document,
+    per document; ``rng`` is the generator the plan draws from, seeded as
+    ``make_splits`` seeds its own.  Each category's documents in a random
+    order, then the unlabeled ones in index order, are dealt to folds 0,
+    1, ..., k - 1 in turn; the documents outside fold 0, in a random
+    order, are the ladder order.
+    """
+    fold = [None] * len(labels)
+    counter = 0
+    for c in range(num_categories):
+        class_idx = [i for i, label in enumerate(labels) if label == c]
+        class_idx = [class_idx[j] for j in rng.permutation(len(class_idx))]
+        for i in class_idx:
+            fold[i] = counter % k
+            counter += 1
+    for i in [i for i, label in enumerate(labels) if label < 0]:
+        fold[i] = counter % k
+        counter += 1
+    train_idx = [i for i, f in enumerate(fold) if f != 0]
+    ladder_order = [train_idx[j] for j in rng.permutation(len(train_idx))]
+    return fold, ladder_order
 
 
 class OracleFormatError(ValueError):

@@ -34,8 +34,8 @@ from catweight import (
     synthetic_model,
     tokenize,
 )
-from catweight import cli, evaluation, vectorize
-from catweight.cli import _predict_input, _text_lines, main
+from catweight import evaluation, vectorize
+from catweight.cli import _predict_input, main
 
 TOY_ROWS = [
     ("win win win win game game team team goal ball", "A"),
@@ -648,6 +648,23 @@ class TestTrainPredict:
         assert main(["predict", "--model", str(trained)]) == 0
         assert capsys.readouterr().out == expected
 
+    def test_stdin_ending_lines_only_at_lf_is_read_as_a_file(
+        self, trained, tmp_path, capsys, monkeypatch
+    ):
+        """POSIX stdin ends lines only at \\n; predict reconfigures it, so a
+        CR-only input gives one row per line, as from a file."""
+        data = b"cat0kw00\rzebra\r"
+        inputs = tmp_path / "cr.txt"
+        inputs.write_bytes(data)
+        capsys.readouterr()
+        assert main(["predict", "--model", str(trained), "--input", str(inputs)]) == 0
+        expected = capsys.readouterr().out
+        assert expected.count("\n") == 3  # the header and two rows
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["predict", "--model", str(trained)]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_empty_input_gives_no_rows(self, trained, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         assert main(["predict", "--model", str(trained)]) == 0
@@ -763,9 +780,17 @@ def _lines_of_whole_text(text):
     return lines
 
 
+def _read_lines(stream, text):
+    """The lines ``predict`` reads from ``stream``, less their line ends;
+    with those ends they give back ``text``."""
+    lines = list(stream)
+    assert "".join(lines) == text
+    return [line.removesuffix("\n").removesuffix("\r") for line in lines]
+
+
 class TestTextLines:
-    """``predict``'s line reader, with reads of one to three characters,
-    so that a ``\\r\\n`` falls across two reads."""
+    """``predict``'s lines: its input file and a ``newline=""`` text
+    stream end a line only at ``\\n``, ``\\r\\n`` or ``\\r``."""
 
     CASES = [
         ("", []),
@@ -781,37 +806,39 @@ class TestTextLines:
         ("\x85\u2028\f\x0b", ["\x85\u2028\f\x0b"]),
     ]
 
-    @pytest.mark.parametrize("chars", [1, 2, 3])
     @pytest.mark.parametrize("text, lines", CASES)
-    def test_from_a_stream_and_a_file(self, text, lines, chars, tmp_path, monkeypatch):
+    def test_from_a_stream_and_a_file(self, text, lines, tmp_path):
         assert _lines_of_whole_text(text) == lines
-        monkeypatch.setattr("catweight.cli._READ_CHARS", chars)
-        assert list(_text_lines(io.StringIO(text, newline=""))) == lines
+        assert _read_lines(io.StringIO(text, newline=""), text) == lines
         path = tmp_path / "input.txt"
         path.write_bytes(text.encode("utf-8"))
         with _predict_input(str(path)) as stream:
-            assert list(_text_lines(stream)) == lines
+            assert _read_lines(stream, text) == lines
 
-    @pytest.mark.parametrize("chars", [1, 2, 3])
-    def test_file_bytes_decode_as_utf8_with_replacement(self, chars, tmp_path, monkeypatch):
+    def test_file_bytes_decode_as_utf8_with_replacement(self, tmp_path):
         data = "é€\r".encode("utf-8") + b"\xff\xe2\x82\n" + "z€".encode("utf-8")
-        monkeypatch.setattr("catweight.cli._READ_CHARS", chars)
         path = tmp_path / "input.txt"
         path.write_bytes(data)
+        text = data.decode("utf-8", errors="replace")
         with _predict_input(str(path)) as stream:
-            lines = list(_text_lines(stream))
-        assert lines == _lines_of_whole_text(data.decode("utf-8", errors="replace"))
+            lines = _read_lines(stream, text)
+        assert lines == _lines_of_whole_text(text)
         assert lines == ["é€", "\ufffd\ufffd", "z€"]
 
+    def test_file_crlf_across_read_buffers(self, tmp_path):
+        """A file streams through buffers of some KiB (8 in CPython); a
+        \\r\\n near their boundary still ends one line."""
+        path = tmp_path / "input.txt"
+        for size in range(8188, 8196):
+            text = "x" * size + "\r\n" + "é" * size + "\r\ry"
+            path.write_bytes(text.encode("utf-8"))
+            with _predict_input(str(path)) as stream:
+                assert _read_lines(stream, text) == ["x" * size, "é" * size, "", "y"]
+
     @settings(max_examples=200, deadline=None)
-    @given(st.text(st.sampled_from("ab\r\n\x85"), max_size=20), st.integers(1, 3))
-    def test_any_text_reads_as_split_at_once(self, text, chars):
-        default, cli._READ_CHARS = cli._READ_CHARS, chars
-        try:
-            lines = list(_text_lines(io.StringIO(text, newline="")))
-        finally:
-            cli._READ_CHARS = default
-        assert lines == _lines_of_whole_text(text)
+    @given(st.text(st.sampled_from("ab\r\n\x85"), max_size=20))
+    def test_any_text_reads_as_split_at_once(self, text):
+        assert _read_lines(io.StringIO(text, newline=""), text) == _lines_of_whole_text(text)
 
 
 @pytest.fixture(scope="module")

@@ -24,7 +24,7 @@ from catweight import (
     tokenize,
 )
 from catweight.corpus import _SEPARATORS, Document, count_tokens
-from oracles import oracle_count_tokens, oracle_tokenize
+from oracles import oracle_count_tokens, oracle_stratified_folds, oracle_tokenize
 
 
 class TestTokenize:
@@ -438,6 +438,28 @@ class TestMakeSplits:
             fold_labels = labels[plan.fold_indices(f)]
             counts = np.bincount(fold_labels, minlength=4)
             assert counts.max() - counts.min() <= 1
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        labels=st.lists(st.integers(-1, 3), min_size=2, max_size=40),
+        k=st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(labels=[0, -1, 2, -1, 0, 0], k=6, seed=0)  # k = n, unlabeled documents
+    @example(labels=[-1, -1, -1], k=2, seed=1)
+    def test_stratified_plan_matches_oracle(self, labels, k, seed):
+        k = min(k, len(labels))
+        corpus = from_token_lists(
+            [["w"]] * len(labels),
+            [None if label < 0 else label for label in labels],
+            ["c0", "c1", "c2", "c3"],
+        )
+        plan = make_splits(corpus, k, seed=seed, stratified=True)
+        fold, ladder_order = oracle_stratified_folds(
+            labels, 4, k, np.random.default_rng(seed)
+        )
+        assert plan.fold_assignments.tolist() == fold
+        assert plan.ladder_order.tolist() == ladder_order
 
     def test_k_bounds(self):
         with pytest.raises(SplitError):

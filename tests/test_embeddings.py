@@ -440,9 +440,6 @@ def _matches_oracle(loader, oracle, content, vocab):
     assert model.skipped_lines == skipped
 
 
-# The text loaders parse this many wanted rows per bulk call; small
-# chunks make the generated files span several of them.
-_CHUNK_SIZES = [1, 2, 3, embeddings._CHUNK_ROWS]
 # The binary loader reads this many bytes at a time (at least one vector's):
 # small reads put entries across buffer boundaries.
 _READ_SIZES = [1, 5, 13, embeddings._READ_BYTES]
@@ -453,19 +450,15 @@ class TestVocabFilteredLoadsMatchOracle:
     line-by-line reader: same words, same bits, same skip count, same
     errors."""
 
-    @pytest.mark.parametrize("chunk", _CHUNK_SIZES)
     @settings(deadline=None, max_examples=300)
     @given(text=_glove_files(), vocab=_VOCABS)
-    def test_glove(self, chunk, text, vocab):
-        with mock.patch.object(embeddings, "_CHUNK_ROWS", chunk):
-            _matches_oracle(load_glove_text, oracle_glove, text, vocab)
+    def test_glove(self, text, vocab):
+        _matches_oracle(load_glove_text, oracle_glove, text, vocab)
 
-    @pytest.mark.parametrize("chunk", _CHUNK_SIZES)
     @settings(deadline=None, max_examples=200)
     @given(text=_word2vec_text_files(), vocab=_VOCABS)
-    def test_word2vec_text(self, chunk, text, vocab):
-        with mock.patch.object(embeddings, "_CHUNK_ROWS", chunk):
-            _matches_oracle(load_word2vec_text, oracle_word2vec_text, text, vocab)
+    def test_word2vec_text(self, text, vocab):
+        _matches_oracle(load_word2vec_text, oracle_word2vec_text, text, vocab)
 
     @pytest.mark.parametrize("block", _READ_SIZES)
     @settings(deadline=None, max_examples=200)
@@ -521,8 +514,7 @@ class TestVocabFilteredLoadsMatchOracle:
         with pytest.raises(EmbeddingFormatError, match="line 302 has non-float"):
             load_word2vec_text(path)
 
-    def test_glove_chunks_parse_apart(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(embeddings, "_CHUNK_ROWS", 3)
+    def test_glove_malformed_and_repeated_rows_keep_first_parsed_row(self, tmp_path):
         lines = [
             "the 1.0 2.0", "cat zebra 1.0", "dog 3.0 4.0",  # cat's first copy is malformed
             "emu 5.0 6.0", "cat 7.0 8.0", "fox 9.0\x1c 1.0",  # float() rejects \x1c
@@ -536,8 +528,7 @@ class TestVocabFilteredLoadsMatchOracle:
         assert model.skipped_lines == 4
         _matches_oracle(load_glove_text, oracle_glove, path.read_text(), None)
 
-    def test_word2vec_text_errors_across_chunks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(embeddings, "_CHUNK_ROWS", 2)
+    def test_word2vec_text_non_float_row_is_reported_in_line_order(self, tmp_path):
         path = tmp_path / "model.vec"
         rows = ["the 1.0 2.0", "cat 3.0 4.0", "the 5.0 6.0", "dog 7.0 8.0", "emu 1.0 2.0"]
         path.write_text("5 2\n" + "".join(row + "\n" for row in rows))
@@ -545,24 +536,26 @@ class TestVocabFilteredLoadsMatchOracle:
         assert model.words == ("the", "cat", "dog", "emu")
         assert model.vectors.tolist() == [[1, 2], [3, 4], [7, 8], [1, 2]]
         assert model.skipped_lines == 1
-        rows[3] = "dog 7.0\x1c 8.0"  # in the second chunk
+        rows[3] = "dog 7.0\x1c 8.0"  # numpy would parse it; float() does not
         path.write_text("5 2\n" + "".join(row + "\n" for row in rows))
         with pytest.raises(EmbeddingFormatError, match="line 5 has non-float"):
             load_word2vec_text(path)
-        # A non-float row in a chunk not yet full is reported before a
-        # later row's field count.
+        # A non-float row is reported before a later row's field count.
         rows[2:] = ["dog 7.0 x", "emu 1.0"]
         path.write_text("4 2\n" + "".join(row + "\n" for row in rows))
         with pytest.raises(EmbeddingFormatError, match="line 4 has non-float"):
             load_word2vec_text(path)
+        # So is an empty value, a row numpy would drop.
+        path.write_text("2 1\nw \nx\n")
+        with pytest.raises(EmbeddingFormatError, match="line 2 has non-float"):
+            load_word2vec_text(path)
 
-    def test_filtered_glove_load_holds_one_chunk_of_text(self, tmp_path, monkeypatch):
+    def test_filtered_glove_load_holds_one_chunk_of_text(self, tmp_path):
         """Peak traced memory of a filtered load stays under twice the kept
-        vectors' bytes plus one chunk of text: the loader never holds the
-        text of every wanted row (at the parent of this bound, the peak
-        held it twice, plus a second copy of the rows)."""
+        vectors' bytes plus the text of 512 wanted rows: the loader never
+        holds the text of every wanted row (when this bound was set, a
+        loader that did held it twice, plus a second copy of the rows)."""
         chunk, d = 512, 100
-        monkeypatch.setattr(embeddings, "_CHUNK_ROWS", chunk)
         rng = np.random.default_rng(7)
         values = [" ".join(f"{x:.4f}" for x in row) for row in rng.uniform(-1, 1, (64, d))]
         lines = [f"w{i} {values[i % 64]}\n" for i in range(16000)]
