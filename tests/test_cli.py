@@ -11,6 +11,8 @@ import csv
 import gc
 import io
 import json
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -788,9 +790,38 @@ def _read_lines(stream, text):
     return [line.removesuffix("\n").removesuffix("\r") for line in lines]
 
 
+# The streams ``predict``'s lines come from: a ``newline=""`` text stream,
+# an ``--input`` file and a stdin that, like POSIX stdin, ends lines only
+# at ``\n`` until ``predict`` reconfigures it.
+_SOURCES = ["stream", "file", "stdin"]
+
+
+@contextmanager
+def _source_lines(source, text, directory):
+    """``_read_lines`` of ``text`` as ``source`` gives it; a file is
+    written under ``directory``."""
+    data = text.encode("utf-8")
+    if source == "stream":
+        yield _read_lines(io.StringIO(text, newline=""), text)
+    elif source == "file":
+        path = directory / "input.txt"
+        path.write_bytes(data)
+        with _predict_input(str(path)) as stream:
+            yield _read_lines(stream, text)
+    else:
+        default = sys.stdin
+        sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+        try:
+            with _predict_input("-") as stream:
+                yield _read_lines(stream, text)
+        finally:
+            sys.stdin = default
+
+
 class TestTextLines:
-    """``predict``'s lines: its input file and a ``newline=""`` text
-    stream end a line only at ``\\n``, ``\\r\\n`` or ``\\r``."""
+    """``predict``'s lines: its input file, a reconfigured stdin and a
+    ``newline=""`` text stream end a line only at ``\\n``, ``\\r\\n`` or
+    ``\\r``."""
 
     CASES = [
         ("", []),
@@ -806,14 +837,12 @@ class TestTextLines:
         ("\x85\u2028\f\x0b", ["\x85\u2028\f\x0b"]),
     ]
 
+    @pytest.mark.parametrize("source", _SOURCES)
     @pytest.mark.parametrize("text, lines", CASES)
-    def test_from_a_stream_and_a_file(self, text, lines, tmp_path):
+    def test_from_each_source(self, text, lines, source, tmp_path):
         assert _lines_of_whole_text(text) == lines
-        assert _read_lines(io.StringIO(text, newline=""), text) == lines
-        path = tmp_path / "input.txt"
-        path.write_bytes(text.encode("utf-8"))
-        with _predict_input(str(path)) as stream:
-            assert _read_lines(stream, text) == lines
+        with _source_lines(source, text, tmp_path) as got:
+            assert got == lines
 
     def test_file_bytes_decode_as_utf8_with_replacement(self, tmp_path):
         data = "é€\r".encode("utf-8") + b"\xff\xe2\x82\n" + "z€".encode("utf-8")
@@ -825,20 +854,25 @@ class TestTextLines:
         assert lines == _lines_of_whole_text(text)
         assert lines == ["é€", "\ufffd\ufffd", "z€"]
 
-    def test_file_crlf_across_read_buffers(self, tmp_path):
-        """A file streams through buffers of some KiB (8 in CPython); a
-        \\r\\n near their boundary still ends one line."""
-        path = tmp_path / "input.txt"
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_crlf_across_read_buffers(self, source, tmp_path):
+        """A file or stdin streams through buffers of some KiB (8 in
+        CPython); a \\r\\n near their boundary still ends one line."""
         for size in range(8188, 8196):
             text = "x" * size + "\r\n" + "é" * size + "\r\ry"
-            path.write_bytes(text.encode("utf-8"))
-            with _predict_input(str(path)) as stream:
-                assert _read_lines(stream, text) == ["x" * size, "é" * size, "", "y"]
+            with _source_lines(source, text, tmp_path) as got:
+                assert got == ["x" * size, "é" * size, "", "y"]
 
+    @pytest.fixture(scope="class")
+    def lines_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("lines")
+
+    @pytest.mark.parametrize("source", _SOURCES)
     @settings(max_examples=200, deadline=None)
     @given(st.text(st.sampled_from("ab\r\n\x85"), max_size=20))
-    def test_any_text_reads_as_split_at_once(self, text):
-        assert _read_lines(io.StringIO(text, newline=""), text) == _lines_of_whole_text(text)
+    def test_any_text_reads_as_split_at_once(self, source, lines_dir, text):
+        with _source_lines(source, text, lines_dir) as got:
+            assert got == _lines_of_whole_text(text)
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ import re
 import struct
 import tempfile
 import tracemalloc
+from contextlib import nullcontext
 from pathlib import Path
 from unittest import mock
 
@@ -440,6 +441,18 @@ def _matches_oracle(loader, oracle, content, vocab):
     assert model.skipped_lines == skipped
 
 
+# The text loaders parse the wanted rows in one streamed np.loadtxt call,
+# or, when it fails, read the file again and parse row by row; failing the
+# call sends every generated file down the second path.
+_PARSES = ["streamed", "row_by_row"]
+
+
+def _text_parse(parse):
+    if parse == "streamed":
+        return nullcontext()
+    return mock.patch.object(np, "loadtxt", side_effect=ValueError("bulk parse off"))
+
+
 # The binary loader reads this many bytes at a time (at least one vector's):
 # small reads put entries across buffer boundaries.
 _READ_SIZES = [1, 5, 13, embeddings._READ_BYTES]
@@ -450,15 +463,19 @@ class TestVocabFilteredLoadsMatchOracle:
     line-by-line reader: same words, same bits, same skip count, same
     errors."""
 
+    @pytest.mark.parametrize("parse", _PARSES)
     @settings(deadline=None, max_examples=300)
     @given(text=_glove_files(), vocab=_VOCABS)
-    def test_glove(self, text, vocab):
-        _matches_oracle(load_glove_text, oracle_glove, text, vocab)
+    def test_glove(self, parse, text, vocab):
+        with _text_parse(parse):
+            _matches_oracle(load_glove_text, oracle_glove, text, vocab)
 
+    @pytest.mark.parametrize("parse", _PARSES)
     @settings(deadline=None, max_examples=200)
     @given(text=_word2vec_text_files(), vocab=_VOCABS)
-    def test_word2vec_text(self, text, vocab):
-        _matches_oracle(load_word2vec_text, oracle_word2vec_text, text, vocab)
+    def test_word2vec_text(self, parse, text, vocab):
+        with _text_parse(parse):
+            _matches_oracle(load_word2vec_text, oracle_word2vec_text, text, vocab)
 
     @pytest.mark.parametrize("block", _READ_SIZES)
     @settings(deadline=None, max_examples=200)
