@@ -25,18 +25,29 @@ trajectory bit for bit.  Prediction ties break to the lowest class
 index (numpy argmax convention).
 
 ``save_model``/``load_model`` own the one model file ``predict`` reads
-(format 3, an uncompressed npz loaded without pickle): the classifier,
+(format 4, an uncompressed npz loaded without pickle): the classifier,
 the scaler, one vocabulary of the training terms the embedding knew with
-their embedding rows, and the weight table over that vocabulary only
-(its nonzero (term, category) weights as CSR arrays, or its idf).
-``load_model`` builds the in-memory ``WeightTable`` straight from those
-arrays, numbering its words by the vocabulary, which is the loaded
-embedding's row order.  Files of formats 1 and 2 must be retrained.
+their embedding rows and ``vocab_order``, the permutation that sorts the
+vocabulary, and the weight table over that vocabulary only (its nonzero
+(term, category) weights as CSR arrays, or its idf).  ``save_model``
+writes ``np.savez``'s bytes, member by member from each array's own
+memory, so it holds no second copy of the vectors.  ``load_model`` takes
+the member list from the zip's central directory and reads each stored
+member straight into a freshly allocated (so aligned) array, checking
+its CRC-32 over header and data before any value is used.  It checks
+that ``vocab_order`` sorts the vocabulary into distinct words and builds
+the in-memory ``WeightTable`` straight from the arrays, numbering its
+words by the vocabulary, which is the loaded embedding's row order; the
+embedding looks words up by binary search over the sorted vocabulary,
+with no per-word dict or tuple.  Files of formats 1, 2 and 3 must be
+retrained.
 """
 
 from __future__ import annotations
 
+import math
 import zipfile
+import zlib
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -44,12 +55,12 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .embeddings import EmbeddingModel
+from .embeddings import EmbeddingModel, SortedWords
 from .errors import ModelFormatError, TrainingError
 from .vectorize import ScalerParams
 from .weighting import CATEGORY_SCHEMES, SCHEMES, WeightTable
 
-MODEL_FORMAT = 3
+MODEL_FORMAT = 4
 CLASSIFIERS = ("logreg", "svm")
 _KIND_CODES = {kind: code for code, kind in enumerate(CLASSIFIERS)}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
@@ -334,16 +345,36 @@ def predict_many(model: LinearModel, vectors: np.ndarray) -> tuple[np.ndarray, n
     return np.argmax(scores, axis=1), scores
 
 
-def save_model(saved: SavedModel, path: str | Path) -> None:
-    """Write model format 3: an uncompressed npz of plain arrays, written
-    through a file handle so ``path`` is used as given.  Identical models
-    give identical bytes (zip entries carry a fixed timestamp).
+def _write_npz(fh, **arrays) -> None:
+    """Write ``arrays`` as ``np.savez`` does, to the same bytes: an
+    uncompressed zip64 member per array in argument order, each an npy
+    header and the array's bytes.  ``np.savez`` copies each array with
+    ``tobytes``; this writes the array's own memory."""
+    with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for name, value in arrays.items():
+            arr = np.asanyarray(value)
+            header = np.lib.format.header_data_from_array_1_0(arr)
+            if header["fortran_order"]:
+                arr = arr.T
+            # A member's default timestamp is fixed (1980-01-01), as in np.savez.
+            with zf.open(name + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, header)
+                member.write(memoryview(np.ascontiguousarray(arr).reshape(-1).view(np.uint8)))
 
-    ``vocab`` names the ``vectors`` rows.  ``table_rows`` lists the vocab
-    rows that are table words, in vocab order; the table keeps only
-    those, as CSR arrays of their nonzero category weights (kld, tftrr,
-    tfcr) or as their idf (tfidf).  Table words without an embedding
-    row can never weigh at predict time and are not written.
+
+def save_model(saved: SavedModel, path: str | Path) -> None:
+    """Write model format 4: an uncompressed npz of plain arrays, written
+    through a file handle so ``path`` is used as given.  Identical models
+    give identical bytes (zip entries carry a fixed timestamp), the bytes
+    ``np.savez`` writes for the same arrays.
+
+    ``vocab`` names the ``vectors`` rows, in embedding order, and
+    ``vocab_order`` is the permutation that sorts it, so a reader looks
+    words up by binary search.  ``table_rows`` lists the vocab rows that
+    are table words, in vocab order; the table keeps only those, as CSR
+    arrays of their nonzero category weights (kld, tftrr, tfcr) or as
+    their idf (tfidf).  Table words without an embedding row can never
+    weigh at predict time and are not written.
     """
     model, table, scaler, vocab = saved.model, saved.table, saved.scaler, saved.embedding.words
     rows = dict(zip(table.words, range(len(table.term_ids))))
@@ -355,8 +386,9 @@ def save_model(saved: SavedModel, path: str | Path) -> None:
     if table.weights is not None:
         weights = table.weights[at]
         weights.eliminate_zeros()  # kld's clamped zeros
+    words = np.array(vocab, dtype=str)
     with open(path, "wb") as fh:
-        np.savez(
+        _write_npz(
             fh,
             format=np.int64(MODEL_FORMAT),
             kind=np.int64(_KIND_CODES[model.kind]),
@@ -368,7 +400,8 @@ def save_model(saved: SavedModel, path: str | Path) -> None:
             preserve_case=np.bool_(saved.preserve_case),
             scheme=np.str_(table.scheme),
             alpha=np.float64(table.alpha),
-            vocab=np.array(vocab, dtype=str),
+            vocab=words,
+            vocab_order=np.argsort(words, kind="stable"),
             vectors=saved.embedding.vectors,
             table_rows=table_rows,
             weight_indptr=np.zeros(0, np.int32) if weights is None else weights.indptr,
@@ -378,22 +411,23 @@ def save_model(saved: SavedModel, path: str | Path) -> None:
         )
 
 
-# name -> (dtype kind, ndim) of every array of a format-3 file
+# name -> (dtype kind, ndim) of every array of a format-4 file
 _ARRAYS = {
     "format": ("i", 0), "kind": ("i", 0), "W": ("f", 2), "b": ("f", 1),
     "scaler_mean": ("f", 1), "scaler_scale": ("f", 1), "categories": ("U", 1),
     "preserve_case": ("b", 0), "scheme": ("U", 0), "alpha": ("f", 0),
-    "vocab": ("U", 1), "vectors": ("f", 2), "table_rows": ("i", 1),
+    "vocab": ("U", 1), "vocab_order": ("i", 1), "vectors": ("f", 2), "table_rows": ("i", 1),
     "weight_indptr": ("i", 1), "weight_categories": ("i", 1), "weight_values": ("f", 1),
     "idf": ("f", 1),
 }
+_NPY_HEADERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
 
 
-def _check_version(path, npz) -> None:
+def _check_version(path, version: np.ndarray) -> None:
     """Reject a file of another format before its arrays are checked."""
-    if "format" not in npz.files:
-        return
-    version = npz["format"]
     if version.dtype.kind != "i" or version.ndim != 0 or version == MODEL_FORMAT:
         return  # the type check reports a malformed format array
     version = int(version)
@@ -402,36 +436,79 @@ def _check_version(path, npz) -> None:
     raise ModelFormatError(f"{path}: unsupported model format {version}")
 
 
+def _read_member(fh, info: zipfile.ZipInfo, size: int) -> np.ndarray:
+    """The npy array of one stored zip member of the open file of
+    ``size`` bytes, read into a fresh array (so aligned, as numpy's
+    kernels want it) once its CRC-32 over header and data has matched.
+    A compressed member, an object dtype or a size that does not fit
+    the header raises ``ValueError``."""
+    name = info.filename
+    if info.compress_type != zipfile.ZIP_STORED:
+        raise ValueError(f"member {name!r} is compressed")
+    fh.seek(info.header_offset)
+    local = fh.read(30)
+    if len(local) < 30 or local[:4] != b"PK\x03\x04":
+        raise ValueError(f"member {name!r} has no local header")
+    start = fh.seek(info.header_offset + 30 + int.from_bytes(local[26:28], "little")
+                    + int.from_bytes(local[28:30], "little"))
+    version = np.lib.format.read_magic(fh)
+    if version not in _NPY_HEADERS:
+        raise ValueError(f"member {name!r} is npy version {version}")
+    shape, fortran_order, dtype = _NPY_HEADERS[version](fh)
+    if dtype.hasobject:
+        raise ValueError(f"member {name!r} holds objects, not read with allow_pickle=False")
+    head = fh.tell() - start
+    nbytes = math.prod(shape) * dtype.itemsize
+    if head + nbytes != info.file_size or start + info.file_size > size:
+        raise ValueError(f"member {name!r} does not hold its {shape} {dtype} array")
+    fh.seek(start)
+    crc = zlib.crc32(fh.read(head))
+    data = np.empty(nbytes, np.uint8)
+    if fh.readinto(data) != nbytes or zlib.crc32(data, crc) != info.CRC:
+        raise ValueError(f"Bad CRC-32 for member {name!r}")
+    return data.view(dtype).reshape(shape, order="F" if fortran_order else "C")
+
+
 def _read_arrays(path: str | Path) -> dict[str, np.ndarray]:
-    """Every array of the file, type-checked; pickled data is refused."""
+    """Every array of the file, type-checked; pickled data is refused.
+
+    The zip's central directory names the members; each is read
+    straight into its own array.  ``format`` is read and checked first,
+    so a file of another format says so before its member set is."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic == b"CWLM":
             raise ModelFormatError(f"{path}: a format-1 model file, no longer read; retrain it")
         # An npz archive starts with a zip entry and ends with the end record.
-        fh.seek(max(fh.seek(0, 2) - 22, 0))
+        size = fh.seek(0, 2)
+        fh.seek(max(size - 22, 0))
         if magic != b"PK\x03\x04" or fh.read(4) != b"PK\x05\x06":
             raise ModelFormatError(
                 f"{path}: not a complete npz model file (other format, truncated or extended)"
             )
-        fh.seek(0)
         try:
-            with np.load(fh, allow_pickle=False) as npz:
-                _check_version(path, npz)
-                names = set(npz.files)
-                if names != set(_ARRAYS):
-                    raise ModelFormatError(
-                        f"{path}: missing arrays {sorted(set(_ARRAYS) - names)}, "
-                        f"unexpected arrays {sorted(names - set(_ARRAYS))}"
-                    )
-                arrays = {name: npz[name] for name in _ARRAYS}
-        except (OSError, EOFError, ValueError, NotImplementedError, zipfile.BadZipFile) as exc:
+            members = {m.filename.removesuffix(".npy"): m for m in zipfile.ZipFile(fh).infolist()}
+            arrays = {}
+            if "format" in members:
+                arrays["format"] = _read_member(fh, members["format"], size)
+                _check_version(path, arrays["format"])
+            names = set(members)
+            if names != set(_ARRAYS):
+                raise ModelFormatError(
+                    f"{path}: missing arrays {sorted(set(_ARRAYS) - names)}, "
+                    f"unexpected arrays {sorted(names - set(_ARRAYS))}"
+                )
+            for name in _ARRAYS:
+                if name not in arrays:
+                    arrays[name] = _read_member(fh, members[name], size)
+        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
             raise ModelFormatError(f"{path}: unreadable model file: {exc}") from exc
     for name, (kind, ndim) in _ARRAYS.items():
         arr = arrays[name]
         if arr.dtype.kind != kind or arr.ndim != ndim:
             raise ModelFormatError(
-                f"{path}: array {name!r} is {arr.ndim}-D {arr.dtype}, expected {ndim}-D {kind!r}"
+                f"{path}: inconsistent model file: array {name!r} is {arr.ndim}-D {arr.dtype}, "
+                f"expected {ndim}-D {kind!r}"
             )
         if kind == "f" and not np.isfinite(arr).all():
             raise ModelFormatError(f"{path}: array {name!r} has non-finite values")
@@ -463,7 +540,7 @@ def _table_problems(a: dict[str, np.ndarray], vocab_size: int, num_categories: i
 
 
 def load_model(path: str | Path) -> SavedModel:
-    """Read a format-3 model file.  A file of another format or version,
+    """Read a format-4 model file.  A file of another format or version,
     or whose arrays disagree in shape or content, raises ``ModelFormatError``."""
     a = _read_arrays(path)
     kind, scheme = int(a["kind"]), str(a["scheme"])
@@ -471,15 +548,14 @@ def load_model(path: str | Path) -> SavedModel:
         raise ModelFormatError(f"{path}: unknown model kind {kind}")
     if scheme not in SCHEMES:
         raise ModelFormatError(f"{path}: unknown scheme {scheme!r}")
-    categories, vocab = tuple(a["categories"].tolist()), tuple(a["vocab"].tolist())
-    word_ids = dict(zip(vocab, range(len(vocab))))
+    categories, V = tuple(a["categories"].tolist()), len(a["vocab"])
     per_category = scheme in CATEGORY_SCHEMES
     C, d = len(categories), a["vectors"].shape[1]
     F = C * d if per_category else d
     T = 0 if scheme == "none" else len(a["table_rows"])
     nnz = int(a["weight_indptr"][-1]) if a["weight_indptr"].size else 0
     expected = {
-        "W": (C, F), "b": (C,), "vectors": (len(vocab), d), "table_rows": (T,),
+        "W": (C, F), "b": (C,), "vocab_order": (V,), "vectors": (V, d), "table_rows": (T,),
         "weight_indptr": (T + 1 if per_category else 0,),
         "weight_categories": (nnz,), "weight_values": (nnz,),
         "idf": (T if scheme == "tfidf" else 0,),
@@ -488,10 +564,17 @@ def load_model(path: str | Path) -> SavedModel:
     wrong = [f"{n} {a[n].shape} != {shape}" for n, shape in expected.items() if a[n].shape != shape]
     if a["scaler_mean"].shape not in ((F,), (0,)):
         wrong.append(f"scaler_mean {a['scaler_mean'].shape} != ({F},)")
-    if C < 2 or len(word_ids) < len(vocab):
-        wrong.append("fewer than 2 categories or a repeated vocab word")
+    if C < 2:
+        wrong.append("fewer than 2 categories")
+    order = a["vocab_order"]
+    if not wrong and V and (order.min() < 0 or order.max() >= V):
+        wrong.append("vocab_order is not a permutation of the vocab rows")
     if not wrong:
-        wrong = _table_problems(a, len(vocab), C)
+        words = SortedWords(a["vocab"], order)
+        if (words.sorted[1:] <= words.sorted[:-1]).any():
+            wrong.append("vocab_order does not sort the vocab into distinct words")
+    if not wrong:
+        wrong = _table_problems(a, V, C)
     if wrong:
         raise ModelFormatError(f"{path}: inconsistent model file: {'; '.join(wrong)}")
     weights = None
@@ -499,8 +582,8 @@ def load_model(path: str | Path) -> SavedModel:
         csr = (a["weight_values"], a["weight_categories"], a["weight_indptr"])
         weights = sp.csr_matrix(csr, shape=(T, C))
     idf = a["idf"] if scheme == "tfidf" else None
-    table = WeightTable(scheme, categories, vocab, a["table_rows"], weights, idf, float(a["alpha"]))
-    embedding = EmbeddingModel(d, word_ids, vocab, a["vectors"], str(path))
+    table = WeightTable(scheme, categories, words, a["table_rows"], weights, idf, float(a["alpha"]))
+    embedding = EmbeddingModel(d, None, words, a["vectors"], str(path))
     scaler = ScalerParams(a["scaler_mean"], a["scaler_scale"]) if a["scaler_mean"].size else None
     model = LinearModel(kind=_KIND_NAMES[kind], W=a["W"], b=a["b"])
     return SavedModel(model, table, embedding, scaler, bool(a["preserve_case"]))

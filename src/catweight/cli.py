@@ -14,9 +14,12 @@ Seeds are always explicit; there is no wall-clock default.  Features
 are standardized unless ``--no-standardize`` is given.
 
 ``train`` writes one self-contained model file (``classify.save_model``,
-model format 3): ``predict`` reads only that file and its input text,
+model format 4): ``predict`` reads only that file and its input text,
 never the embedding or the manifest.  The file holds the weights of the
-training terms the embedding knew, the only ones ``predict`` can use.
+training terms the embedding knew, the only ones ``predict`` can use,
+and the sort order of their words, so ``predict`` looks a line's words
+up by binary search instead of building a dict of the vocabulary.  A
+file of format 3 or older fails with a message to retrain it.
 """
 
 from __future__ import annotations

@@ -19,7 +19,10 @@ file's text; if that call fails, the file is read again and the wanted
 rows are parsed one by one, with the same skip and error rules.  The
 binary loader streams the file and widens only those vectors.  Kept
 rows stay in file order, so a document's features do not depend on
-whether the load was filtered.  A deterministic synthetic
+whether the load was filtered.  ``EmbeddingModel.rows_of`` is the one
+word lookup: a loaded embedding file answers it from its word dict, a
+model file's vocabulary (``SortedWords``) by binary search over its
+stored sort order.  A deterministic synthetic
 generator stands in for in-domain models during tests: each vector is
 keyed on (word, seed, d) so it does not depend on vocabulary order.
 """
@@ -29,7 +32,9 @@ from __future__ import annotations
 import hashlib
 import logging
 import warnings
-from dataclasses import dataclass
+from collections.abc import Sequence
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -41,22 +46,88 @@ log = logging.getLogger(__name__)
 EMBEDDING_FORMATS = ("glove", "word2vec-text", "word2vec-binary")
 
 
-@dataclass
-class EmbeddingModel:
-    """Immutable word → vector mapping."""
+class SortedWords(Sequence):
+    """A model file's words: a numpy str array in embedding row order
+    and the permutation ``order`` that sorts it into distinct words.
 
-    dimension: int
-    word_ids: dict[str, int]
-    words: tuple[str, ...]
-    vectors: np.ndarray  # |vocab| x d, float64
-    origin: str = ""
-    skipped_lines: int = 0
+    ``rows_of`` looks words up by one binary search over the sorted
+    copy.  The words become a tuple of ``str`` only when one is read by
+    position, iterated or compared, so a line's lookup never builds a
+    per-word object over the whole vocabulary.  Words compare as numpy's
+    str arrays compare them, by code point; a numpy str array cannot
+    hold a trailing NUL, so no word here ends in one.
+    """
+
+    def __init__(self, words: np.ndarray, order: np.ndarray):
+        self.array, self.order, self.sorted = words, order, words[order]
+
+    def __len__(self) -> int:
+        return self.array.size
+
+    @cached_property
+    def _tuple(self) -> tuple[str, ...]:
+        return tuple(self.array.tolist())
+
+    def __getitem__(self, i):
+        return self._tuple[i]
+
+    def __iter__(self):
+        return iter(self._tuple)
+
+    def __eq__(self, other) -> bool:
+        return self._tuple == (other._tuple if isinstance(other, SortedWords) else other)
+
+    def rows_of(self, terms) -> np.ndarray:
+        """The row of each of ``terms`` (a sequence of ``str``), -1 where
+        it is missing."""
+        keys = self.sorted
+        if not keys.size or not len(terms):
+            return np.full(len(terms), -1, dtype=np.int64)
+        query = np.array(terms, dtype=str)
+        # Searching in the keys' own width avoids widening a copy of them;
+        # a longer term may then land on a prefix, which the test below
+        # rejects.
+        at = np.searchsorted(keys, query.astype(keys.dtype, copy=False))
+        at[at == keys.size] = 0
+        found = keys[at] == query
+        if "\x00" in "".join(terms):  # numpy drops a trailing NUL of the query
+            found &= np.fromiter((not t.endswith("\x00") for t in terms), bool, len(terms))
+        return np.where(found, self.order[at], -1)
+
+
+class EmbeddingModel:
+    """Immutable word → vector mapping: row i of ``vectors`` is the
+    vector of ``words[i]``.
+
+    ``rows_of`` looks words up.  A model read from an embedding file
+    answers from the ``word_ids`` dict; one read from a model file holds
+    ``SortedWords`` and searches them, and builds ``word_ids`` only if
+    it is read.
+    """
+
+    def __init__(self, dimension: int, word_ids: dict[str, int] | None, words,
+                 vectors: np.ndarray, origin: str = "", skipped_lines: int = 0):
+        self.dimension, self.words, self.vectors = dimension, words, vectors
+        self.origin, self.skipped_lines = origin, skipped_lines
+        if word_ids is not None:
+            self.word_ids = word_ids
+
+    @cached_property
+    def word_ids(self) -> dict[str, int]:
+        return dict(zip(self.words, range(len(self.words))))
 
     def __len__(self) -> int:
         return len(self.words)
 
     def __contains__(self, word: str) -> bool:
-        return word in self.word_ids
+        return self.rows_of((word,))[0] >= 0
+
+    def rows_of(self, terms) -> np.ndarray:
+        """The row of each of ``terms`` (a sequence of ``str``), as int64,
+        -1 where the model lacks the word."""
+        if isinstance(self.words, SortedWords):
+            return self.words.rows_of(terms)
+        return np.fromiter(map(self.word_ids.get, terms, repeat(-1)), np.int64, len(terms))
 
 
 def _make_model(

@@ -158,13 +158,12 @@ class CorpusVectorizer:
                  *, counts: TokenCounts | None = None):
         self.model = model
         counts = count_tokens(documents) if counts is None else counts
-        terms, ids = counts.terms, model.word_ids
-        rows = np.fromiter(map(ids.get, terms, repeat(-1)), np.int64, len(terms))
+        terms = counts.terms
+        rows = model.rows_of(terms)
         columns = np.flatnonzero(rows >= 0)
         if case_fallback:  # a missing term takes its lowercase form's row
             missed = np.flatnonzero(rows < 0)
-            lower = (terms[j].lower() for j in missed.tolist())
-            rows[missed] = np.fromiter(map(ids.get, lower, repeat(-1)), np.int64, missed.size)
+            rows[missed] = model.rows_of([terms[j].lower() for j in missed.tolist()])
             known = np.flatnonzero(rows >= 0).tolist()
             columns = np.array(sorted(known, key=terms.__getitem__), dtype=np.int64)
         # (embedding row, term) order, the summation order: a stable sort by
@@ -201,10 +200,9 @@ class CorpusVectorizer:
     def known_embedding(self) -> EmbeddingModel:
         """The embedding row each known term resolved to, keyed by the term
         (case fallback already applied): all a saved model needs."""
-        word_ids = {w: i for i, w in enumerate(self._words)}
         m = self.model
         vectors = m.vectors if self._every_row else m.vectors[self._rows]
-        return EmbeddingModel(m.dimension, word_ids, tuple(self._words), vectors, m.origin)
+        return EmbeddingModel(m.dimension, None, self._words, vectors, m.origin)
 
     def _counts(self, log: bool) -> tuple:
         """The documents' counts (``1 + ln tf`` when ``log``) and their
@@ -222,11 +220,11 @@ class CorpusVectorizer:
     def _columns_of(self, table: WeightTable) -> np.ndarray:
         """This vectorizer's column of each table word, -1 where the model
         lacks it."""
-        if table.terms is self._terms or table.terms == self._terms:
-            slot = self._slot
-        elif table.terms is self.model.words and self._exact_rows:
+        if table.terms is self.model.words and self._exact_rows:
             slot = np.full(len(table.terms), -1, dtype=np.int64)
             slot[self._rows] = np.arange(len(self._rows))
+        elif table.terms is self._terms or table.terms == self._terms:
+            slot = self._slot
         else:  # another numbering: match the words themselves
             own = dict(zip(self._words, range(len(self._words))))
             return np.fromiter(map(own.get, table.words, repeat(-1)), np.int64, len(table.term_ids))
@@ -249,10 +247,17 @@ class CorpusVectorizer:
         ``training`` lists the columns of the table's words, increasing."""
         weights = table.weights
         rows, training = self._known_rows(table)
-        positions = np.arange(weights.nnz)
-        pattern = sp.csr_matrix((positions, weights.indices, weights.indptr), shape=weights.shape)
-        pattern = pattern[rows].tocsc()
-        return pattern.indptr, training[pattern.indices], pattern.data, training
+        # The known rows' entries, row after row: row i's sit at
+        # weights.indptr[rows[i]] onwards.
+        per = np.diff(weights.indptr)[rows]
+        start = weights.indptr[rows] - (np.cumsum(per) - per)
+        positions = np.repeat(start, per) + np.arange(per.sum())
+        category = weights.indices[positions]
+        order = np.argsort(category, kind="stable")  # rows stay in column order
+        indptr = np.zeros(weights.shape[1] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(category, minlength=weights.shape[1]), out=indptr[1:])
+        columns = np.repeat(training, per)[order]
+        return indptr, columns, positions[order], training
 
     def _numerator(self, Gt, terms: np.ndarray, weights: np.ndarray) -> tuple:
         """Per document, the sum over ``terms`` of frequency * weight *

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import struct
+import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catweight import (
     SCHEMES,
@@ -32,6 +36,7 @@ from catweight import (
 )
 from catweight import classify
 from catweight.classify import _logreg_objective
+from catweight.embeddings import EmbeddingModel, SortedWords
 
 
 def _finite_difference(objective, W, b, h=1e-6):
@@ -611,3 +616,127 @@ class TestModelSerialization:
         _rewrite(path, **changes)
         with pytest.raises(ModelFormatError, match="inconsistent model file"):
             load_model(path)
+
+
+def _compress(path, names):
+    """Rewrite a model file with the members ``names`` deflated."""
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    with zipfile.ZipFile(path, "w", allowZip64=True) as zf:
+        for name, value in arrays.items():
+            info = zipfile.ZipInfo(name + ".npy")
+            if name in names:
+                info.compress_type = zipfile.ZIP_DEFLATED
+            with zf.open(info, "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, value)
+
+
+class TestModelFormat4:
+    @pytest.fixture
+    def model_file(self, toy_corpus, tiny_model, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(_saved_model(toy_corpus, tiny_model, "tfcr"), path)
+        return path
+
+    def test_format_3_file_says_retrain(self, model_file):
+        # Format 3 is format 4 without vocab_order.
+        _rewrite(model_file, format=np.int64(3), vocab_order=None)
+        with pytest.raises(ModelFormatError, match="format-3 model file.*retrain"):
+            load_model(model_file)
+
+    @pytest.mark.parametrize("change", [
+        lambda o: np.where(o == o.max(), o.size, o),  # out of range
+        lambda o: np.where(o == 0, -1, o),  # negative
+        lambda o: np.concatenate([o[:1], o[:-1]]),  # repeats an index
+        lambda o: o[::-1],  # does not sort the vocab
+        lambda o: o[:-1],  # wrong length
+        lambda o: o.astype(np.float64),
+    ])
+    def test_bad_vocab_order_rejected(self, model_file, change):
+        with np.load(model_file) as npz:
+            order = npz["vocab_order"]
+        _rewrite(model_file, vocab_order=change(order))
+        with pytest.raises(ModelFormatError, match="inconsistent model file"):
+            load_model(model_file)
+
+    @pytest.mark.parametrize("names", [{"vectors"}, {"idf", "W"}])
+    def test_compressed_member_rejected(self, model_file, names):
+        _compress(model_file, names)
+        with pytest.raises(ModelFormatError, match="compressed"):
+            load_model(model_file)
+
+    def test_savez_compressed_file_rejected(self, model_file):
+        with np.load(model_file) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        with open(model_file, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+        with pytest.raises(ModelFormatError, match="compressed"):
+            load_model(model_file)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_bytes_are_np_savez_bytes(self, scheme, toy_corpus, tiny_model, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(_saved_model(toy_corpus, tiny_model, scheme, scaler=scheme != "kld"), path)
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        assert list(arrays) == list(classify._ARRAYS)
+        again = io.BytesIO()
+        np.savez(again, **arrays)
+        assert again.getvalue() == path.read_bytes()
+
+    @pytest.mark.parametrize("scheme", ["tfidf", "tfcr"])
+    def test_float_arrays_are_aligned(self, scheme, toy_corpus, tiny_model, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(_saved_model(toy_corpus, tiny_model, scheme), path)
+        loaded = load_model(path)
+        table = loaded.table
+        floats = [loaded.model.W, loaded.model.b, loaded.embedding.vectors,
+                  loaded.scaler.mean, loaded.scaler.scale,
+                  table.idf if scheme == "tfidf" else table.weights.data]
+        assert all(a.dtype == np.float64 and a.flags.aligned for a in floats)
+
+    def test_one_line_builds_no_vocab_dict_or_tuple(self, toy_corpus, tiny_model, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(_saved_model(toy_corpus, tiny_model, "tfcr"), path)
+        loaded = load_model(path)
+        line = from_token_lists([["win", "zzz", "stock", "win"]], [0], ["A", "B"]).documents
+        X = CorpusVectorizer(line, loaded.embedding).matrix(loaded.table)
+        assert X.shape == (1, 16) and X.any()
+        words = loaded.embedding.words
+        assert isinstance(words, SortedWords) and loaded.table.terms is words
+        assert "word_ids" not in vars(loaded.embedding)
+        assert "_tuple" not in vars(words)
+
+
+_WORDS = st.text(st.characters(exclude_characters="\x00"), max_size=6)
+_QUERIES = st.text(st.characters(), max_size=9)
+
+
+class TestSortedWords:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_WORDS, unique=True, max_size=30), st.lists(_QUERIES, max_size=20),
+           st.data())
+    def test_lookup_equals_dict_lookup(self, vocab, queries, data):
+        """Queries mix vocab words, their prefixes and extensions (which
+        may be longer than the vocab's str width) with random text,
+        non-ASCII and NUL characters included."""
+        if vocab:
+            picked = data.draw(st.lists(st.sampled_from(vocab), max_size=10))
+            queries += picked + [w[:-1] for w in picked] + [w + "é" for w in picked]
+            queries += [w + "\x00" for w in picked]
+        array = np.array(vocab, dtype=str)
+        words = SortedWords(array, np.argsort(array, kind="stable"))
+        ids = {w: i for i, w in enumerate(vocab)}
+        expected = [ids.get(q, -1) for q in queries]
+        assert words.rows_of(queries).tolist() == expected
+        assert words.rows_of(tuple(queries)).dtype == np.int64
+        assert words == tuple(vocab)
+        model = EmbeddingModel(1, None, words, np.zeros((len(vocab), 1)))
+        assert [q in model for q in queries] == [i >= 0 for i in expected]
+        assert model.word_ids == ids
+
+    def test_empty_query_and_empty_vocab(self):
+        words = SortedWords(np.array(["b", "a"]), np.array([1, 0]))
+        assert words.rows_of(()).tolist() == [] and words.rows_of([]).dtype == np.int64
+        empty = SortedWords(np.array([], dtype=str), np.zeros(0, dtype=np.int64))
+        assert empty.rows_of(["a", ""]).tolist() == [-1, -1]

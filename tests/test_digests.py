@@ -1,10 +1,11 @@
 """Output bits pinned by SHA-256 digest.
 
-Feature matrices, weight exports and a model file of one fixed
-generated corpus must keep their exact bytes through refactors of the
-stats, weighting and vectorize layers.  The features and the exports
-come from scipy's sparse kernels and elementwise numpy, not from BLAS;
-the model file holds trained weights, which do (see TestTrajectories).
+Feature matrices, weight exports, a model file and predict TSVs of one
+fixed generated corpus must keep their exact bytes through refactors of
+the stats, weighting, vectorize and model-file layers.  The features and
+the exports come from scipy's sparse kernels and elementwise numpy, not
+from BLAS; the model file holds trained weights and the TSVs hold
+scores, which do (see TestTrajectories).
 Digests were recorded with numpy 2.4, scipy 1.17 and OpenBLAS 0.3.31 on
 x86-64; another library version or SIMD path may round differently.
 """
@@ -119,8 +120,33 @@ class TestOutputDigests:
         argv = ["train", "--data", str(data), "--embedding", str(glove), "--seed", "1",
                 "--scheme", "tftrr", "--epochs", "5", "--min-count", "2", "--out", str(out)]
         assert main(argv) == 0
-        digest = "33906b162386ed80b8b03cb43680a13f1091b92448982be07e66c290f0125c4c"
+        digest = "d6c9934e4a060409e2c94995fe03b879ddc631e4726b6ea0736d90f1abaf41ab"
         assert _digest(out.read_bytes()) == digest
+
+    def test_predict_output_is_pinned(self, tmp_path):
+        """A model per scheme; the TSV of a batch predict over the corpus
+        lines plus lines with unknown, capitalized and no words, and the
+        TSV of each of the first lines predicted on its own."""
+        data = _write_csv(tmp_path)
+        glove = tmp_path / "glove.txt"
+        save_glove_text(_model(), glove)
+        lines = [" ".join(doc.tokens) for doc in _corpus().documents]
+        lines += ["zzz W001 w002 c1k3", "", "C2K4 c2k4 w000 w000 w000 qqq"]
+        inputs = tmp_path / "lines.txt"
+        chunks = []
+        for scheme in ("none", "tfidf", "kld", "tftrr", "tfcr"):
+            model = tmp_path / f"{scheme}.bin"
+            argv = ["train", "--data", str(data), "--embedding", str(glove), "--seed", "1",
+                    "--scheme", scheme, "--epochs", "5", "--out", str(model)]
+            assert main(argv) == 0
+            for batch in [lines, *([line] for line in lines[:8])]:
+                inputs.write_text("\n".join(batch) + "\n", encoding="utf-8")
+                out = tmp_path / "predictions.tsv"
+                argv = ["predict", "--model", str(model), "--input", str(inputs), "--out", str(out)]
+                assert main(argv) == 0
+                chunks.append(out.read_bytes())
+        digest = "def83fdf1264bfab4999540a740ecf9c72316764429dd0875b5128a595b07553"
+        assert _digest(*chunks) == digest
 
 
 def _write_csv(tmp_path):
