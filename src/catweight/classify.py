@@ -583,7 +583,7 @@ def load_model(path: str | Path) -> SavedModel:
         weights = sp.csr_matrix(csr, shape=(T, C))
     idf = a["idf"] if scheme == "tfidf" else None
     table = WeightTable(scheme, categories, words, a["table_rows"], weights, idf, float(a["alpha"]))
-    embedding = EmbeddingModel(d, None, words, a["vectors"], str(path))
+    embedding = EmbeddingModel(words, a["vectors"], str(path))
     scaler = ScalerParams(a["scaler_mean"], a["scaler_scale"]) if a["scaler_mean"].size else None
     model = LinearModel(kind=_KIND_NAMES[kind], W=a["W"], b=a["b"])
     return SavedModel(model, table, embedding, scaler, bool(a["preserve_case"]))

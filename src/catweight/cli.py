@@ -46,7 +46,6 @@ from .classify import (
 from .corpus import (
     Document,
     LabeledCorpus,
-    TokenizerConfig,
     load_20ng,
     load_csv,
     load_jsonl,
@@ -66,7 +65,9 @@ _DATASET_FORMATS = ("auto", "csv", "tsv", "jsonl", "20ng")
 # The learner options and their defaults are TrainConfig's, bar the seed.
 _LEARNER_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.name != "seed"}
 
-# The other integer options; _resolve converts each one a command has.
+# The other integer options.  _resolve converts each of these, each
+# learner option and alpha that a command has to its type, and checks
+# that each option whose default is a bool is one.
 _INTEGERS = ("seed", "k", "sample", "min_count", "jobs", "top_k", "min", "max", "step")
 # The integer options that must be >= 1 when given.
 _POSITIVE = ("sample", "jobs", "top_k")
@@ -230,16 +231,23 @@ def _resolve(args: argparse.Namespace) -> dict:
             resolved[key] = file_cfg[key]
         else:
             resolved[key] = _DEFAULTS.get(key)
+    for key, default in _DEFAULTS.items():
+        if isinstance(default, bool) and not isinstance(resolved.get(key, False), bool):
+            raise ConfigError(
+                f"--{key.replace('_', '-')} must be true or false, got {resolved[key]!r}"
+            )
     if "alpha" in resolved:
         try:
-            alpha = float(resolved["alpha"])
+            alpha = _as_number(resolved["alpha"], float)
         except (TypeError, ValueError):
             alpha = float("nan")
         if not alpha >= 1.0:
             raise ConfigError(f"--alpha must be >= 1, got {resolved['alpha']}")
-    for key in _INTEGERS:
+        resolved["alpha"] = alpha
+    kinds = {**dict.fromkeys(_INTEGERS, int), **{k: type(v) for k, v in _LEARNER_DEFAULTS.items()}}
+    for key, kind in kinds.items():
         if resolved.get(key) is not None:
-            resolved[key] = _number(resolved, key)
+            resolved[key] = _number(resolved, key, kind)
     for key in _POSITIVE:
         if resolved.get(key) is not None and resolved[key] < 1:
             raise ConfigError(f"--{key.replace('_', '-')} must be >= 1, got {resolved[key]}")
@@ -290,20 +298,20 @@ def _load_corpus(cfg: dict) -> LabeledCorpus:
     fmt = cfg["format"]
     if fmt == "auto":
         fmt = _detect_dataset_format(path)
-    tokenizer = TokenizerConfig(preserve_case=bool(cfg.get("preserve_case")))
+    preserve_case = cfg["preserve_case"]
     if fmt == "20ng":
-        corpus = load_20ng(path, tokenizer)
+        corpus = load_20ng(path, preserve_case)
     elif fmt in ("csv", "tsv"):
         corpus = load_csv(
             path,
             text_column=cfg["text_field"],
             label_column=cfg["label_field"],
             delimiter="," if fmt == "csv" else "\t",
-            tokenizer=tokenizer,
+            preserve_case=preserve_case,
         )
     elif fmt == "jsonl":
         corpus = load_jsonl(
-            path, text_key=cfg["text_field"], label_key=cfg["label_field"], tokenizer=tokenizer
+            path, cfg["text_field"], cfg["label_field"], preserve_case=preserve_case
         )
     else:
         raise ConfigError(f"unknown dataset format {fmt!r}")
@@ -343,10 +351,21 @@ def _resolve_embedding(cfg: dict, corpus: LabeledCorpus) -> EmbeddingModel:
     return model
 
 
+def _as_number(value, kind: type = int):
+    """``value``, a number or a numeric string, as ``kind`` (int or
+    float); a bool, or a float with a fraction where an int is wanted,
+    raises ValueError rather than being coerced."""
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError(value)
+    return kind(value)
+
+
 def _number(cfg: dict, key: str, kind: type = int):
     """``cfg[key]`` as ``kind``; a value that is not one is a config error."""
     try:
-        return kind(cfg[key])
+        return _as_number(cfg[key], kind)
     except (TypeError, ValueError):
         what = "an integer" if kind is int else "a number"
         raise ConfigError(
@@ -355,9 +374,8 @@ def _number(cfg: dict, key: str, kind: type = int):
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    values = {key: _number(cfg, key, type(v)) for key, v in _LEARNER_DEFAULTS.items()}
     try:
-        return TrainConfig(seed=cfg["seed"], **values)
+        return TrainConfig(seed=cfg["seed"], **{key: cfg[key] for key in _LEARNER_DEFAULTS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -414,7 +432,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     train_config = _train_config(cfg)
     corpus = _load_corpus(cfg)
     embedding = _resolve_embedding(cfg, corpus)
-    plan = make_splits(corpus, cfg["k"], seed=seed, stratified=bool(cfg["stratified"]))
+    plan = make_splits(corpus, cfg["k"], seed=seed, stratified=cfg["stratified"])
     dataset = Path(cfg["data"]).name
     results = grid_run(
         corpus,
@@ -423,9 +441,9 @@ def cmd_cv(args: argparse.Namespace) -> int:
         classifiers,
         plan,
         train_config,
-        alpha=float(cfg["alpha"]),
-        standardize=bool(cfg["standardize"]),
-        case_fallback=bool(cfg["case_fallback"]),
+        alpha=cfg["alpha"],
+        standardize=cfg["standardize"],
+        case_fallback=cfg["case_fallback"],
         jobs=cfg["jobs"],
         min_count=cfg["min_count"],
     )
@@ -442,21 +460,25 @@ def cmd_cv(args: argparse.Namespace) -> int:
     return 0
 
 
-def _curve_sizes(cfg: dict, available: int) -> list[int]:
+def _curve_sizes(cfg: dict) -> list[int]:
+    """The requested ladder, ascending, checked before the corpus loads."""
     if cfg.get("sizes"):
         raw = cfg["sizes"]
         try:
             parts = raw.split(",") if isinstance(raw, str) else list(raw)
-            sizes = sorted({int(p) for p in parts})
+            return sorted({_as_number(p) for p in parts})
         except (TypeError, ValueError):
             raise ConfigError(f"bad --sizes value {raw!r}") from None
-    else:
-        lo, hi, step = cfg.get("min"), cfg.get("max"), cfg.get("step")
-        if lo is None or hi is None or step is None:
-            raise ConfigError("curve needs --sizes or all of --min/--max/--step")
-        if lo < 1 or hi < lo or step < 1:
-            raise ConfigError(f"bad ladder bounds min={lo} max={hi} step={step}")
-        sizes = list(range(lo, hi + 1, step))
+    lo, hi, step = cfg.get("min"), cfg.get("max"), cfg.get("step")
+    if lo is None or hi is None or step is None:
+        raise ConfigError("curve needs --sizes or all of --min/--max/--step")
+    if lo < 1 or hi < lo or step < 1:
+        raise ConfigError(f"bad ladder bounds min={lo} max={hi} step={step}")
+    return list(range(lo, hi + 1, step))
+
+
+def _fitting_sizes(sizes: list[int], available: int) -> list[int]:
+    """The sizes that fit the ``available`` training documents."""
     kept = [s for s in sizes if s <= available]
     if len(kept) < len(sizes):
         print(
@@ -479,16 +501,17 @@ def cmd_curve(args: argparse.Namespace) -> int:
     if len(classifiers) != 1:
         raise ConfigError("curve takes exactly one classifier")
     train_config = _train_config(cfg)
+    sizes = _curve_sizes(cfg)
     corpus = _load_corpus(cfg)
     k = cfg["k"]
     # make_splits holds out fold 0, which gets ceil(n / k) documents.
     holdout = -(-len(corpus) // k) if k >= 2 else 0
     if holdout < 1:
         raise ConfigError(f"corpus of {len(corpus)} documents cannot hold out 1/{k}")
-    sizes = _curve_sizes(cfg, len(corpus) - holdout)
+    sizes = _fitting_sizes(sizes, len(corpus) - holdout)
     embedding = _resolve_embedding(cfg, corpus)
     plan = make_splits(
-        corpus, k, ladder=sizes, seed=seed, stratified=bool(cfg["stratified"])
+        corpus, k, ladder=sizes, seed=seed, stratified=cfg["stratified"]
     )
     points = learning_curve(
         corpus,
@@ -497,9 +520,9 @@ def cmd_curve(args: argparse.Namespace) -> int:
         embedding,
         classifiers[0],
         train_config,
-        alpha=float(cfg["alpha"]),
-        standardize=bool(cfg["standardize"]),
-        case_fallback=bool(cfg["case_fallback"]),
+        alpha=cfg["alpha"],
+        standardize=cfg["standardize"],
+        case_fallback=cfg["case_fallback"],
         min_count=cfg["min_count"],
         record_failures=True,
     )
@@ -540,7 +563,7 @@ def cmd_weights(args: argparse.Namespace) -> int:
         raise ConfigError("scheme 'none' has no weights to export")
     corpus = _load_corpus(cfg)
     stats = build_stats(corpus, min_count=cfg["min_count"])
-    table = build_table(stats, scheme, alpha=float(cfg["alpha"]))
+    table = build_table(stats, scheme, alpha=cfg["alpha"])
     fmt = cfg["output_format"]
     out = Path(cfg.get("out") or f"weights.{fmt}")
     with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -559,9 +582,9 @@ def _full_corpus_features(cfg: dict, scheme: str) -> tuple:
         table = WeightTable(scheme="none", categories=tuple(corpus.categories))
     else:
         stats = build_stats(corpus, min_count=cfg["min_count"])
-        table = build_table(stats, scheme, alpha=float(cfg["alpha"]))
+        table = build_table(stats, scheme, alpha=cfg["alpha"])
     vec = CorpusVectorizer(
-        corpus.documents, embedding, bool(cfg["case_fallback"]), counts=corpus.token_counts()
+        corpus.documents, embedding, cfg["case_fallback"], counts=corpus.token_counts()
     )
     return corpus, table, vec, vec.matrix(table)
 
@@ -596,7 +619,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         standardize_apply(scaler, X, out=X)
     model = train(classifier, X, labels, train_config, len(corpus.categories))
     out = Path(cfg.get("out") or "model.bin")
-    saved = SavedModel(model, table, vec.known_embedding(), scaler, bool(cfg["preserve_case"]))
+    saved = SavedModel(model, table, vec.known_embedding(), scaler, cfg["preserve_case"])
     save_model(saved, out)
     _write_manifest(
         out,
@@ -641,12 +664,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not model_path.is_file():
         raise ConfigError(f"model file not found: {model_path}")
     saved = load_model(model_path)
-    tokenizer = TokenizerConfig(preserve_case=saved.preserve_case)
     with _predict_input(str(cfg.get("input") or "-")) as stream:
         # One line at a time: a line's tokens are counted, then dropped.
         # Its line end tokenizes as a space.
         docs = (
-            Document(tokens=tokenize(line, tokenizer), label=None, source_id=f"line-{i + 1}")
+            Document(tokenize(line, saved.preserve_case), None, f"line-{i + 1}")
             for i, line in enumerate(stream)
         )
         # Only training terms have embedding rows in the model file.

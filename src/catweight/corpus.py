@@ -3,7 +3,11 @@
 Datasets come in as CSV/TSV (RFC-4180 quoting), JSONL (one object per
 line) or a directory-per-category tree (20-Newsgroups style).  All loaders
 degrade non-UTF8 bytes to the replacement character instead of failing:
-real news corpora contain junk bytes.
+real news corpora contain junk bytes.  A loader only parses and checks
+its format: it yields ``(text, category name, source id)`` records to
+one builder, which numbers the categories, tokenizes (lowercased unless
+``preserve_case``), keeps one string object per distinct token and
+assembles the documents.
 
 ``count_tokens`` is the one token count: a documents-by-terms CSR matrix,
 each row in increasing term id, from which corpus statistics and
@@ -26,21 +30,6 @@ import scipy.sparse as sp
 
 from .errors import IngestionError, SplitError
 
-
-@dataclass(frozen=True)
-class TokenizerConfig:
-    """Tokenization knobs.
-
-    The default pipeline lowercases and splits on maximal runs of
-    non-alphanumeric characters, which maximizes hit rate against
-    lowercase embedding vocabularies.  ``preserve_case`` keeps the
-    original casing for case-sensitive embedding models.
-    """
-
-    preserve_case: bool = False
-
-
-DEFAULT_TOKENIZER = TokenizerConfig()
 
 _MEMO_BOUND = 0x10000  # the code points _SEPARATORS remembers: the BMP
 
@@ -68,16 +57,18 @@ class _Separators(dict):
 _SEPARATORS = _Separators()
 
 
-def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> tuple[str, ...]:
+def tokenize(text: str, preserve_case: bool = False) -> tuple[str, ...]:
     """Split ``text`` into tokens; total function, empty input gives ().
 
     Tokens are the maximal runs of alphanumeric characters, the matches
     of the regex ``[^\\W_]+`` (Unicode ``\\w`` is ``str.isalnum`` plus
-    the underscore), found by one translate and one split.  Lowercasing
-    comes first, so a character whose lowercase form is several code
-    points is split as that form.
+    the underscore), found by one translate and one split.  Lowercasing,
+    unless ``preserve_case`` (for a case-sensitive embedding), comes
+    first, so a character whose lowercase form is several code points is
+    split as that form.  Lowercase tokens maximize the hit rate against
+    lowercase embedding vocabularies.
     """
-    if not config.preserve_case:
+    if not preserve_case:
         text = text.lower()
     return tuple(text.translate(_SEPARATORS).split())
 
@@ -209,14 +200,23 @@ def from_token_lists(
     return LabeledCorpus(documents=docs, categories=tuple(categories), seed=seed)
 
 
-def _canonical(tokens: tuple[str, ...], canon: dict[str, str]) -> tuple[str, ...]:
-    """``tokens`` with each string replaced by the first equal one ``canon``
-    has seen, so a corpus keeps one string object per distinct token."""
-    return tuple(map(canon.setdefault, tokens, tokens))
+def _build_corpus(records, preserve_case: bool, categories=()) -> LabeledCorpus:
+    """The corpus of ``records``, an iterable of ``(text, category name,
+    source id)``: the one place a loader's records become documents.
 
-
-def _read_text(path: Path) -> str:
-    return path.read_text(encoding="utf-8", errors="replace")
+    Categories are numbered ``categories`` first, then in order of first
+    appearance.  Each text is tokenized as it is pulled, and each token
+    replaced by the first equal string seen, so a corpus keeps one
+    string object per distinct token.
+    """
+    index = {name: i for i, name in enumerate(categories)}
+    canon: dict[str, str] = {}
+    docs = []
+    for text, category, source_id in records:
+        tokens = tokenize(text, preserve_case)
+        label = index.setdefault(category, len(index))
+        docs.append(Document(tuple(map(canon.setdefault, tokens, tokens)), label, source_id))
+    return LabeledCorpus(documents=tuple(docs), categories=tuple(index))
 
 
 def load_csv(
@@ -224,7 +224,7 @@ def load_csv(
     text_column: str = "text",
     label_column: str = "label",
     delimiter: str = ",",
-    tokenizer: TokenizerConfig = DEFAULT_TOKENIZER,
+    preserve_case: bool = False,
 ) -> LabeledCorpus:
     """Load a delimited file with a header row into a LabeledCorpus.
 
@@ -233,48 +233,37 @@ def load_csv(
     column, or the offending row number for unreadable rows.
     """
     path = Path(path)
-    docs: list[Document] = []
-    categories: list[str] = []
-    cat_index: dict[str, int] = {}
-    canon: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        header = reader.fieldnames or []
-        for col in (text_column, label_column):
-            if col not in header:
-                raise IngestionError(
-                    f"{path}: column {col!r} not found in header {header!r}"
-                )
-        try:
-            for row in reader:
-                text = row.get(text_column)
-                label = row.get(label_column)
-                if text is None or label is None:
+
+    def records():
+        with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
+            reader = csv.DictReader(fh, delimiter=delimiter)
+            header = reader.fieldnames or []
+            for col in (text_column, label_column):
+                if col not in header:
                     raise IngestionError(
-                        f"{path}: row {reader.line_num} is missing fields"
+                        f"{path}: column {col!r} not found in header {header!r}"
                     )
-                if label not in cat_index:
-                    cat_index[label] = len(categories)
-                    categories.append(label)
-                docs.append(
-                    Document(
-                        tokens=_canonical(tokenize(text, tokenizer), canon),
-                        label=cat_index[label],
-                        source_id=f"{path.name}:{reader.line_num}",
-                    )
-                )
-        except csv.Error as exc:
-            raise IngestionError(
-                f"{path}: unreadable row {reader.line_num}: {exc}"
-            ) from exc
-    return LabeledCorpus(documents=tuple(docs), categories=tuple(categories))
+            try:
+                for row in reader:
+                    text, label = row.get(text_column), row.get(label_column)
+                    if text is None or label is None:
+                        raise IngestionError(
+                            f"{path}: row {reader.line_num} is missing fields"
+                        )
+                    yield text, label, f"{path.name}:{reader.line_num}"
+            except csv.Error as exc:
+                raise IngestionError(
+                    f"{path}: unreadable row {reader.line_num}: {exc}"
+                ) from exc
+
+    return _build_corpus(records(), preserve_case)
 
 
 def load_jsonl(
     path: str | Path,
     text_key: str = "text",
     label_key: str = "label",
-    tokenizer: TokenizerConfig = DEFAULT_TOKENIZER,
+    preserve_case: bool = False,
 ) -> LabeledCorpus:
     """Load a JSON-lines file (one object per line).
 
@@ -282,48 +271,32 @@ def load_jsonl(
     lines are skipped.
     """
     path = Path(path)
-    docs: list[Document] = []
-    categories: list[str] = []
-    cat_index: dict[str, int] = {}
-    canon: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestionError(f"{path}: line {lineno}: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise IngestionError(f"{path}: line {lineno}: not a JSON object")
-            if text_key not in obj:
-                raise IngestionError(f"{path}: line {lineno}: missing key {text_key!r}")
-            if label_key not in obj:
-                raise IngestionError(
-                    f"{path}: line {lineno}: missing key {label_key!r}"
-                )
-            label = str(obj[label_key])
-            if label not in cat_index:
-                cat_index[label] = len(categories)
-                categories.append(label)
-            docs.append(
-                Document(
-                    tokens=_canonical(tokenize(str(obj[text_key]), tokenizer), canon),
-                    label=cat_index[label],
-                    source_id=f"{path.name}:{lineno}",
-                )
-            )
-    return LabeledCorpus(documents=tuple(docs), categories=tuple(categories))
+
+    def records():
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise IngestionError(f"{path}: line {lineno}: {exc}") from exc
+                if not isinstance(obj, dict):
+                    raise IngestionError(f"{path}: line {lineno}: not a JSON object")
+                for key in (text_key, label_key):
+                    if key not in obj:
+                        raise IngestionError(f"{path}: line {lineno}: missing key {key!r}")
+                yield str(obj[text_key]), str(obj[label_key]), f"{path.name}:{lineno}"
+
+    return _build_corpus(records(), preserve_case)
 
 
-def load_20ng(
-    root: str | Path, tokenizer: TokenizerConfig = DEFAULT_TOKENIZER
-) -> LabeledCorpus:
+def load_20ng(root: str | Path, preserve_case: bool = False) -> LabeledCorpus:
     """Load a directory-per-category tree: one file per document.
 
     Category names are the subdirectory names, indexed in sorted order
-    for cross-platform determinism.  Files are decoded as UTF-8 with
-    substitution of invalid bytes.
+    for cross-platform determinism, empty ones included.  Files are
+    decoded as UTF-8 with substitution of invalid bytes.
     """
     root = Path(root)
     if not root.is_dir():
@@ -331,20 +304,12 @@ def load_20ng(
     cat_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not cat_dirs:
         raise IngestionError(f"{root}: no category subdirectories found")
-    docs: list[Document] = []
-    categories: list[str] = []
-    canon: dict[str, str] = {}
-    for label, cat_dir in enumerate(cat_dirs):
-        categories.append(cat_dir.name)
-        for doc_path in sorted(p for p in cat_dir.iterdir() if p.is_file()):
-            docs.append(
-                Document(
-                    tokens=_canonical(tokenize(_read_text(doc_path), tokenizer), canon),
-                    label=label,
-                    source_id=f"{cat_dir.name}/{doc_path.name}",
-                )
-            )
-    return LabeledCorpus(documents=tuple(docs), categories=tuple(categories))
+    records = (
+        (doc.read_text(encoding="utf-8", errors="replace"), cat.name, f"{cat.name}/{doc.name}")
+        for cat in cat_dirs
+        for doc in sorted(p for p in cat.iterdir() if p.is_file())
+    )
+    return _build_corpus(records, preserve_case, [cat.name for cat in cat_dirs])
 
 
 def _sample_indices(n: int, cap: int, seed: int) -> np.ndarray:

@@ -16,15 +16,20 @@ keeps the lines whose word is in it and whose field count is right.  It
 hands them to one ``np.loadtxt`` call, which parses each row as it pulls
 it, so the loader holds the kept rows and one line of text, never the
 file's text; if that call fails, the file is read again and the wanted
-rows are parsed one by one, with the same skip and error rules.  The
-binary loader streams the file and widens only those vectors.  Kept
-rows stay in file order, so a document's features do not depend on
-whether the load was filtered.  ``EmbeddingModel.rows_of`` is the one
-word lookup: a loaded embedding file answers it from its word dict, a
-model file's vocabulary (``SortedWords``) by binary search over its
-stored sort order.  A deterministic synthetic
-generator stands in for in-domain models during tests: each vector is
-keyed on (word, seed, d) so it does not depend on vocabulary order.
+rows are parsed one by one into one growing array, with the same skip
+and error rules.  The binary loader streams the file and widens only
+those vectors.  Kept rows stay in file order, so a document's features
+do not depend on whether the load was filtered.  A deterministic
+synthetic generator stands in for in-domain models during tests: each
+vector is keyed on (word, seed, d) so it does not depend on vocabulary
+order.
+
+An ``EmbeddingModel`` is made from its words and vectors alone; its
+dimension and word dict derive from them.  The file loaders and the
+generator all build theirs through one constructor, ``_make_model``.
+``EmbeddingModel.rows_of`` is the one word lookup: a loaded embedding
+file answers it from its word dict, a model file's vocabulary
+(``SortedWords``) by binary search over its stored sort order.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import warnings
+from array import array
 from collections.abc import Sequence
 from functools import cached_property
 from itertools import repeat
@@ -96,21 +102,23 @@ class SortedWords(Sequence):
 
 
 class EmbeddingModel:
-    """Immutable word → vector mapping: row i of ``vectors`` is the
-    vector of ``words[i]``.
+    """Immutable word → vector mapping: row i of ``vectors`` (a 2-D
+    array) is the vector of ``words[i]``.
 
-    ``rows_of`` looks words up.  A model read from an embedding file
-    answers from the ``word_ids`` dict; one read from a model file holds
-    ``SortedWords`` and searches them, and builds ``word_ids`` only if
-    it is read.
+    ``dimension`` is the vectors' width and ``word_ids`` maps each word
+    to its row, built from ``words`` on first use, so neither can
+    disagree with them.  ``rows_of`` looks words up: from ``word_ids``,
+    or for a model file's ``SortedWords`` by binary search, which never
+    builds the dict.
     """
 
-    def __init__(self, dimension: int, word_ids: dict[str, int] | None, words,
-                 vectors: np.ndarray, origin: str = "", skipped_lines: int = 0):
-        self.dimension, self.words, self.vectors = dimension, words, vectors
+    def __init__(self, words, vectors: np.ndarray, origin: str = "", skipped_lines: int = 0):
+        self.words, self.vectors = words, vectors
         self.origin, self.skipped_lines = origin, skipped_lines
-        if word_ids is not None:
-            self.word_ids = word_ids
+
+    @property
+    def dimension(self) -> int:
+        return self.vectors.shape[1]
 
     @cached_property
     def word_ids(self) -> dict[str, int]:
@@ -133,22 +141,17 @@ class EmbeddingModel:
 def _make_model(
     words: list[str], vectors: np.ndarray, d: int, origin: str, skipped: int = 0
 ) -> EmbeddingModel:
+    """The model of ``words`` and their ``vectors`` (any shape holding d
+    values a word), widened to float64; a non-finite entry is an error."""
     vectors = np.asarray(vectors, dtype=np.float64).reshape(len(words), d)
     if not np.all(np.isfinite(vectors)):
         raise EmbeddingFormatError(f"{origin}: non-finite vector entries")
-    return EmbeddingModel(
-        dimension=d,
-        word_ids={w: i for i, w in enumerate(words)},
-        words=tuple(words),
-        vectors=vectors,
-        origin=origin,
-        skipped_lines=skipped,
-    )
+    return EmbeddingModel(tuple(words), vectors, origin, skipped)
 
 
-def _parse_row(parts: list[str]) -> np.ndarray | None:
+def _parse_row(parts: list[str]) -> list[float] | None:
     try:
-        return np.array([float(x) for x in parts], dtype=np.float64)
+        return [float(x) for x in parts]
     except ValueError:
         return None
 
@@ -161,9 +164,10 @@ def _parse_rows(path: Path, wanted_rows, strict: bool = False):
     One ``np.loadtxt`` call pulls and parses the rows as the file
     streams.  If it fails, the file is read again and each row is parsed
     on its own: a row that does not parse is dropped, or with ``strict``
-    is an error.  Each word keeps its first parsed row; rows are
-    gathered only when a word repeats.  Returns the kept words, their
-    rows in file order, and the number of rows not kept.
+    is an error; the parsed values go into one growing ``array("d")``,
+    so no per-row object is kept.  Each word keeps its first parsed row;
+    rows are gathered only when a word repeats.  Returns the kept words,
+    their rows in file order, and the number of rows not kept.
     """
     words: list[str] = []
 
@@ -188,17 +192,17 @@ def _parse_rows(path: Path, wanted_rows, strict: bool = False):
             )
         candidates = len(words)
     except ValueError:
-        words, parsed, candidates = [], [], 0
+        words, values, candidates = [], array("d"), 0
         with open(path, encoding="utf-8", errors="replace") as fh:
             for word, text, lineno in wanted_rows(fh):
                 candidates += 1
                 row = _parse_row(text.rstrip("\n").split(" "))
                 if row is not None:
                     words.append(word)
-                    parsed.append(row)
+                    values.extend(row)
                 elif strict:
                     raise EmbeddingFormatError(f"{path}: line {lineno} has non-float values")
-        rows = np.array(parsed)
+        rows = np.frombuffer(values).reshape(len(words), len(values) // max(len(words), 1))
     kept = dict.fromkeys(words)  # each word once, in file order
     if len(kept) < len(words):
         first: dict[str, int] = {}
@@ -406,25 +410,14 @@ def synthetic_model(vocab, d: int, seed: int) -> EmbeddingModel:
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    words: list[str] = []
-    seen: set[str] = set()
-    for word in vocab:
-        if word not in seen:
-            seen.add(word)
-            words.append(word)
+    words = list(dict.fromkeys(vocab))
     half = 0.5 / d
     rows = np.zeros((len(words), d), dtype=np.float64)
     for i, word in enumerate(words):
         key = hashlib.sha256(f"{seed}:{d}:{word}".encode("utf-8")).digest()
         rng = np.random.default_rng(int.from_bytes(key[:8], "little"))
         rows[i] = rng.uniform(-half, half, size=d)
-    return EmbeddingModel(
-        dimension=d,
-        word_ids={w: i for i, w in enumerate(words)},
-        words=tuple(words),
-        vectors=rows,
-        origin=f"synthetic:{d}:{seed}",
-    )
+    return _make_model(words, rows, d, f"synthetic:{d}:{seed}")
 
 
 def detect_format(path: str | Path) -> str:

@@ -202,7 +202,7 @@ class CorpusVectorizer:
         (case fallback already applied): all a saved model needs."""
         m = self.model
         vectors = m.vectors if self._every_row else m.vectors[self._rows]
-        return EmbeddingModel(m.dimension, None, self._words, vectors, m.origin)
+        return EmbeddingModel(self._words, vectors, m.origin)
 
     def _counts(self, log: bool) -> tuple:
         """The documents' counts (``1 + ln tf`` when ``log``) and their

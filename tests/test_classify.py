@@ -731,7 +731,7 @@ class TestSortedWords:
         assert words.rows_of(queries).tolist() == expected
         assert words.rows_of(tuple(queries)).dtype == np.int64
         assert words == tuple(vocab)
-        model = EmbeddingModel(1, None, words, np.zeros((len(vocab), 1)))
+        model = EmbeddingModel(words, np.zeros((len(vocab), 1)))
         assert [q in model for q in queries] == [i >= 0 for i in expected]
         assert model.word_ids == ids
 

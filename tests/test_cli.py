@@ -179,6 +179,21 @@ class TestCv:
         schemes = {row.split(",")[1] for row in out.read_text().splitlines()[1:]}
         assert schemes == {"kld"}
 
+    def test_manifest_records_the_values_that_ran(self, train_csv, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(
+            {"seed": "3", "k": 3.0, "epochs": 4.0, "l2": 0, "alpha": "1.5", "stratified": True}
+        ))
+        out = tmp_path / "results.csv"
+        argv = ["cv", "--config", str(config), "--data", train_csv,
+                "--embedding", "synthetic:4:1", "--scheme", "tftrr", "--out", str(out)]
+        assert main(argv) == 0
+        ran = json.loads((tmp_path / "results.csv.manifest.json").read_text())["config"]
+        assert [ran[key] for key in ("seed", "k", "epochs", "l2", "alpha", "stratified")] == [
+            3, 3, 4, 0.0, 1.5, True]
+        assert [type(ran[key]) for key in ("seed", "k", "epochs", "l2", "alpha")] == [
+            int, int, int, float, float]
+
     def test_jobs_flag_keeps_csv_identical(self, train_csv, tmp_path):
         serial, threaded = tmp_path / "s.csv", tmp_path / "t.csv"
         base = {"--scheme": "all", "--classifier": "logreg,svm"}
@@ -1016,6 +1031,20 @@ def test_non_integer_jobs_in_config_exits_2(toy_csv, tmp_path, capsys):
     ("weights", {"top_k": "x"}, [], "--top-k must be an integer, got 'x'"),
     ("train", {"seed": "x"}, [], "--seed must be an integer, got 'x'"),
     ("vectorize", {"min_count": "x"}, [], "--min-count must be an integer, got 'x'"),
+    # A bool or a float with a fraction is not read as an integer.
+    ("cv", {"seed": 7.9}, [], "--seed must be an integer, got 7.9"),
+    ("cv", {"k": 3.6}, [], "--k must be an integer, got 3.6"),
+    ("cv", {"jobs": True}, [], "--jobs must be an integer, got True"),
+    ("cv", {"epochs": 2.5}, [], "--epochs must be an integer, got 2.5"),
+    ("train", {"batch_size": False}, [], "--batch-size must be an integer, got False"),
+    ("curve", {"sizes": [240, 480.5]}, [], "bad --sizes value [240, 480.5]"),
+    ("curve", {"sizes": [True, 480]}, [], "bad --sizes value [True, 480]"),
+    # A float option, alpha included, takes no bool.
+    ("cv", {"learning_rate": True}, [], "--learning-rate must be a number, got True"),
+    ("cv", {"alpha": True}, [], "--alpha must be >= 1, got True"),
+    # A whole float or a numeric string is read as that integer.
+    ("cv", {"k": 3.0, "epochs": "5"}, [], "dataset not found"),
+    ("curve", {"sizes": [240.0, "480"]}, [], "dataset not found"),
 ])
 def test_bad_integer_option_exits_2_before_loading(
     command, entries, flags, message, tmp_path, capsys
@@ -1028,6 +1057,29 @@ def test_bad_integer_option_exits_2_before_loading(
     assert main(argv) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["standardize", "stratified", "preserve_case", "case_fallback"])
+@pytest.mark.parametrize("value", ["false", "no", 0, 1, [True]])
+def test_bad_boolean_option_exits_2_before_loading(key, value, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"seed": 1, key: value}))
+    out = tmp_path / "out"
+    argv = ["cv", "--config", str(config), "--data", str(tmp_path / "absent.csv"),
+            "--out", str(out)]
+    assert main(argv) == 2
+    flag = "--" + key.replace("_", "-")
+    assert f"error: {flag} must be true or false, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [True, False, None])
+def test_boolean_option_takes_true_false_or_null(value, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"seed": 1, "standardize": value, "case_fallback": value}))
+    argv = ["cv", "--config", str(config), "--data", str(tmp_path / "absent.csv")]
+    assert main(argv) == 2
+    assert "error: dataset not found" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("alpha", [0.9, "x"])

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from catweight import (
     IngestionError,
     SplitError,
-    TokenizerConfig,
     from_token_lists,
     load_20ng,
     load_csv,
@@ -35,8 +34,7 @@ class TestTokenize:
         assert tokenize("") == ()
 
     def test_preserve_case(self):
-        cfg = TokenizerConfig(preserve_case=True)
-        assert tokenize("Word2Vec-style TEXT", cfg) == ("Word2Vec", "style", "TEXT")
+        assert tokenize("Word2Vec-style TEXT", preserve_case=True) == ("Word2Vec", "style", "TEXT")
 
     def test_underscore_splits(self):
         assert tokenize("snake_case") == ("snake", "case")
@@ -59,8 +57,7 @@ class TestTokenize:
     )
     def test_unicode_runs(self, text, lowered, cased):
         assert tokenize(text) == lowered == oracle_tokenize(text)
-        cfg = TokenizerConfig(preserve_case=True)
-        assert tokenize(text, cfg) == cased == oracle_tokenize(text, preserve_case=True)
+        assert tokenize(text, True) == cased == oracle_tokenize(text, preserve_case=True)
 
     @given(
         st.text(
@@ -70,16 +67,14 @@ class TestTokenize:
         st.booleans(),
     )
     def test_matches_regex_oracle(self, text, preserve_case):
-        cfg = TokenizerConfig(preserve_case=preserve_case)
-        assert tokenize(text, cfg) == oracle_tokenize(text, preserve_case)
+        assert tokenize(text, preserve_case) == oracle_tokenize(text, preserve_case)
 
     def test_every_code_point_and_a_bounded_memo(self):
         # Tokens match the regex over every code point, while the shared
         # translate table remembers the Basic Multilingual Plane only.
         text = " ".join(map(chr, range(sys.maxunicode + 1)))
         for preserve_case in (False, True):
-            cfg = TokenizerConfig(preserve_case=preserve_case)
-            assert tokenize(text, cfg) == oracle_tokenize(text, preserve_case)
+            assert tokenize(text, preserve_case) == oracle_tokenize(text, preserve_case)
         assert 0 < len(_SEPARATORS) <= 0x10000
         assert max(_SEPARATORS) < 0x10000
         assert tokenize("\U0001F600x\U00010400\U0001D7D8") == ("x\U00010428\U0001D7D8",)
@@ -174,6 +169,13 @@ class TestLoad20ng:
         corpus = load_20ng(tmp_path)
         assert corpus.documents[0].tokens == ()
 
+    def test_empty_category_directory_keeps_its_sorted_place(self, tmp_path):
+        self._make_tree(tmp_path, {"c": {"1": "late"}, "b": {}, "a": {"2": "early"}})
+        corpus = load_20ng(tmp_path)
+        assert corpus.categories == ("a", "b", "c")
+        assert [d.label for d in corpus.documents] == [0, 2]
+        assert [d.source_id for d in corpus.documents] == ["a/2", "c/1"]
+
     def test_empty_root_errors(self, tmp_path):
         with pytest.raises(IngestionError):
             load_20ng(tmp_path)
@@ -207,30 +209,44 @@ class TestLoad20ng:
 
 
 class TestOneStringPerToken:
-    """Every loader keeps one string object per distinct token."""
+    """Every loader keeps one string object per distinct token, and the
+    same records in any format give the same corpus."""
 
     TEXTS = {
         "rec.autos": ["The engine drives the ROVER", "Engine, orbit, engine!"],
         "sci.space": ["Mars rover lands; the rover drives", "orbit around Mars"],
     }
+    KINDS = ["csv", "tsv", "jsonl", "20ng"]
 
-    def _load(self, kind, tmp_path):
+    def _load(self, kind, tmp_path, preserve_case=False):
         rows = [(text, label) for label, texts in self.TEXTS.items() for text in texts]
-        if kind == "csv":
-            path = tmp_path / "data.csv"
+        if kind in ("csv", "tsv"):
+            delimiter = "," if kind == "csv" else "\t"
+            path = tmp_path / f"data.{kind}"
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                csv.writer(fh).writerows([("text", "label"), *rows])
-            return load_csv(path)
+                csv.writer(fh, delimiter=delimiter).writerows([("text", "label"), *rows])
+            return load_csv(path, delimiter=delimiter, preserve_case=preserve_case)
         if kind == "jsonl":
             path = tmp_path / "data.jsonl"
             path.write_text("".join(json.dumps({"text": t, "label": lab}) + "\n" for t, lab in rows))
-            return load_jsonl(path)
+            return load_jsonl(path, preserve_case=preserve_case)
+        root = tmp_path / "tree"
         for i, (text, label) in enumerate(rows):
-            (tmp_path / label).mkdir(exist_ok=True)
-            (tmp_path / label / str(i)).write_text(text)
-        return load_20ng(tmp_path)
+            (root / label).mkdir(parents=True, exist_ok=True)
+            (root / label / str(i)).write_text(text)
+        return load_20ng(root, preserve_case=preserve_case)
 
-    @pytest.mark.parametrize("kind", ["csv", "jsonl", "20ng"])
+    @pytest.mark.parametrize("preserve_case", [False, True])
+    def test_every_format_gives_the_same_corpus(self, preserve_case, tmp_path):
+        texts = [text for texts in self.TEXTS.values() for text in texts]
+        expected_tokens = [tokenize(text, preserve_case) for text in texts]
+        for kind in self.KINDS:
+            corpus = self._load(kind, tmp_path, preserve_case)
+            assert [doc.tokens for doc in corpus.documents] == expected_tokens, kind
+            assert corpus.labels().tolist() == [0, 0, 1, 1], kind
+            assert corpus.categories == tuple(self.TEXTS), kind
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_equal_tokens_are_one_object(self, kind, tmp_path):
         corpus = self._load(kind, tmp_path)
         texts = [text for texts in self.TEXTS.values() for text in texts]

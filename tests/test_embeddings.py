@@ -221,13 +221,7 @@ class TestExportRoundTrips:
 
     def test_word2vec_binary_exact_for_float32_values(self, tmp_path):
         rows = np.array([[0.5, -0.25, 8.0], [1.5, 0.0, -2.75]])
-        model = EmbeddingModel(
-            dimension=3,
-            word_ids={"a": 0, "b": 1},
-            words=("a", "b"),
-            vectors=rows,
-            origin="fixture",
-        )
+        model = EmbeddingModel(("a", "b"), rows, origin="fixture")
         path = tmp_path / "model.bin"
         save_word2vec_binary(model, path)
         assert np.array_equal(load_word2vec_binary(path).vectors, rows)
@@ -242,6 +236,17 @@ class TestExportRoundTrips:
         assert np.allclose(
             from_binary.vectors, from_text.vectors, rtol=1e-6, atol=1e-9
         )
+
+
+class TestEmbeddingModel:
+    def test_dimension_and_word_ids_come_from_words_and_vectors(self):
+        empty = EmbeddingModel((), np.zeros((0, 7)))
+        assert empty.dimension == 7 and len(empty) == 0 and empty.word_ids == {}
+        words = ("b", "a", "c")
+        model = EmbeddingModel(words, np.zeros((3, 2)))
+        assert model.dimension == 2
+        assert model.word_ids == {w: i for i, w in enumerate(words)}
+        assert model.rows_of(["c", "x"]).tolist() == [2, -1]
 
 
 class TestSynthetic:
@@ -567,11 +572,13 @@ class TestVocabFilteredLoadsMatchOracle:
         with pytest.raises(EmbeddingFormatError, match="line 2 has non-float"):
             load_word2vec_text(path)
 
-    def test_filtered_glove_load_holds_one_chunk_of_text(self, tmp_path):
+    @pytest.mark.parametrize("parse", _PARSES)
+    def test_filtered_glove_load_holds_one_chunk_of_text(self, parse, tmp_path):
         """Peak traced memory of a filtered load stays under twice the kept
-        vectors' bytes plus the text of 512 wanted rows: the loader never
-        holds the text of every wanted row (when this bound was set, a
-        loader that did held it twice, plus a second copy of the rows)."""
+        vectors' bytes plus the text of 512 wanted rows, whichever way the
+        rows are parsed: the loader never holds the text of every wanted
+        row (when this bound was set, a loader that did held it twice,
+        plus a second copy of the rows), nor an object per parsed row."""
         chunk, d = 512, 100
         rng = np.random.default_rng(7)
         values = [" ".join(f"{x:.4f}" for x in row) for row in rng.uniform(-1, 1, (64, d))]
@@ -580,12 +587,13 @@ class TestVocabFilteredLoadsMatchOracle:
         path.write_text("".join(lines))
         wanted = {f"w{i}" for i in range(0, 16000, 2)}
         text_bytes = sum(map(len, lines[: 2 * chunk : 2]))  # ASCII: one byte a character
-        tracemalloc.start()
-        try:
-            model = load_glove_text(path, wanted)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with _text_parse(parse):
+            tracemalloc.start()
+            try:
+                model = load_glove_text(path, wanted)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert len(model) == 8000
         assert peak < 2 * model.vectors.nbytes + text_bytes
 

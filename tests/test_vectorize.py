@@ -31,13 +31,7 @@ from oracles import oracle_weighted_mean, table_idf, table_weight
 def _emb(mapping):
     words = list(mapping)
     vectors = np.array([mapping[w] for w in words], dtype=np.float64)
-    return EmbeddingModel(
-        dimension=vectors.shape[1],
-        word_ids={w: i for i, w in enumerate(words)},
-        words=tuple(words),
-        vectors=vectors,
-        origin="inline",
-    )
+    return EmbeddingModel(tuple(words), vectors, origin="inline")
 
 
 def _cat_table(weights, scheme="tfcr", categories=None):
@@ -418,9 +412,8 @@ class TestCorpusVectorizer:
         allocates less than a tenth of those rows' 4 MB: the vectorizer
         keeps no copy of the rows it uses (the parent of this bound did)."""
         words = [f"w{i}" for i in range(4000)]
-        model = EmbeddingModel(
-            256, {w: i for i, w in enumerate(words)}, tuple(words), rng.normal(size=(4000, 256))
-        )
+        model = EmbeddingModel(tuple(words), rng.normal(size=(4000, 256)))
+        assert len(model.word_ids) == 4000  # the model's own dict, built on first lookup
         docs = [
             Document(tokens=tuple(words[i : i + 100 : 2]), label=None, source_id=f"d{i}")
             for i in range(0, 4000, 100)

@@ -60,12 +60,7 @@ def _tftrr_weights(stats, tokens, c):
     first-appearance order of the distinct tokens.
     """
     words = list(dict.fromkeys(tokens))
-    model = EmbeddingModel(
-        dimension=len(words),
-        word_ids={w: i for i, w in enumerate(words)},
-        words=tuple(words),
-        vectors=np.eye(len(words)),
-    )
+    model = EmbeddingModel(tuple(words), np.eye(len(words)))
     doc = from_token_lists([tokens], [0], stats.categories).documents
     X = CorpusVectorizer(doc, model).matrix(build_table(stats, "tftrr"))
     d = len(words)
