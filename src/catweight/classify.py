@@ -420,10 +420,6 @@ _ARRAYS = {
     "weight_indptr": ("i", 1), "weight_categories": ("i", 1), "weight_values": ("f", 1),
     "idf": ("f", 1),
 }
-_NPY_HEADERS = {
-    (1, 0): np.lib.format.read_array_header_1_0,
-    (2, 0): np.lib.format.read_array_header_2_0,
-}
 
 
 def _check_version(path, version: np.ndarray) -> None:
@@ -452,9 +448,9 @@ def _read_member(fh, info: zipfile.ZipInfo, size: int) -> np.ndarray:
     start = fh.seek(info.header_offset + 30 + int.from_bytes(local[26:28], "little")
                     + int.from_bytes(local[28:30], "little"))
     version = np.lib.format.read_magic(fh)
-    if version not in _NPY_HEADERS:
+    if version != (1, 0):  # the version _write_npz writes
         raise ValueError(f"member {name!r} is npy version {version}")
-    shape, fortran_order, dtype = _NPY_HEADERS[version](fh)
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
     if dtype.hasobject:
         raise ValueError(f"member {name!r} holds objects, not read with allow_pickle=False")
     head = fh.tell() - start

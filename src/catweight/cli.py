@@ -27,9 +27,10 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from contextlib import nullcontext
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import cache
 from pathlib import Path
 
@@ -70,7 +71,7 @@ _LEARNER_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.name !=
 # that each option whose default is a bool is one.
 _INTEGERS = ("seed", "k", "sample", "min_count", "jobs", "top_k", "min", "max", "step")
 # The integer options that must be >= 1 when given.
-_POSITIVE = ("sample", "jobs", "top_k")
+_POSITIVE = ("sample", "min_count", "jobs", "top_k")
 
 _DEFAULTS = {
     "format": "auto",
@@ -243,6 +244,8 @@ def _resolve(args: argparse.Namespace) -> dict:
             alpha = float("nan")
         if not alpha >= 1.0:
             raise ConfigError(f"--alpha must be >= 1, got {resolved['alpha']}")
+        if not math.isfinite(alpha):
+            raise ConfigError(f"--alpha must be finite, got {resolved['alpha']}")
         resolved["alpha"] = alpha
     kinds = {**dict.fromkeys(_INTEGERS, int), **{k: type(v) for k, v in _LEARNER_DEFAULTS.items()}}
     for key, kind in kinds.items():
@@ -251,6 +254,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     for key in _POSITIVE:
         if resolved.get(key) is not None and resolved[key] < 1:
             raise ConfigError(f"--{key.replace('_', '-')} must be >= 1, got {resolved[key]}")
+    if resolved.get("k") is not None and resolved["k"] < 2:
+        raise ConfigError(f"--k must be >= 2, got {resolved['k']}")
     return resolved
 
 
@@ -466,9 +471,12 @@ def _curve_sizes(cfg: dict) -> list[int]:
         raw = cfg["sizes"]
         try:
             parts = raw.split(",") if isinstance(raw, str) else list(raw)
-            return sorted({_as_number(p) for p in parts})
+            sizes = sorted({_as_number(p) for p in parts})
         except (TypeError, ValueError):
             raise ConfigError(f"bad --sizes value {raw!r}") from None
+        if sizes[0] < 1:
+            raise ConfigError(f"--sizes must be >= 1, got {raw}")
+        return sizes
     lo, hi, step = cfg.get("min"), cfg.get("max"), cfg.get("step")
     if lo is None or hi is None or step is None:
         raise ConfigError("curve needs --sizes or all of --min/--max/--step")
@@ -503,16 +511,9 @@ def cmd_curve(args: argparse.Namespace) -> int:
     train_config = _train_config(cfg)
     sizes = _curve_sizes(cfg)
     corpus = _load_corpus(cfg)
-    k = cfg["k"]
-    # make_splits holds out fold 0, which gets ceil(n / k) documents.
-    holdout = -(-len(corpus) // k) if k >= 2 else 0
-    if holdout < 1:
-        raise ConfigError(f"corpus of {len(corpus)} documents cannot hold out 1/{k}")
-    sizes = _fitting_sizes(sizes, len(corpus) - holdout)
+    plan = make_splits(corpus, cfg["k"], seed=seed, stratified=cfg["stratified"])
+    plan = replace(plan, size_ladder=tuple(_fitting_sizes(sizes, len(plan.ladder_order))))
     embedding = _resolve_embedding(cfg, corpus)
-    plan = make_splits(
-        corpus, k, ladder=sizes, seed=seed, stratified=cfg["stratified"]
-    )
     points = learning_curve(
         corpus,
         plan,

@@ -41,12 +41,12 @@ category cells train, and at most two category-scheme matrices are
 alive (one training, one being built), plus at most one ``tfidf``
 matrix and one ``none`` copy.  ``jobs=1`` trains each cell on the
 calling thread as soon as its matrix is built.  Training is seeded from
-``TrainConfig.seed`` alone and results are recorded per (pair, cell),
-so they do not depend on the number of workers or on the order in
-which the cells finish.
+``TrainConfig.seed`` alone and each outcome is written once, into one
+table by (cell, pair), so results do not depend on the number of
+workers or on the order in which the cells finish.
 
 A failed cell is the exception that failed it, everywhere: in the
-engine's per-pair outcomes, in ``grid_run``'s results (the first fold's
+engine's outcome table, in ``grid_run``'s results (the first fold's
 error) and in ``CurvePoint.failures``.  The engine records it without
 its traceback, so a failure keeps no frame alive, and with it no
 feature matrix or vectorizer.  ``cross_validate`` is ``grid_run``'s
@@ -157,14 +157,15 @@ def macro_f1(
 
 
 def _check_classes(labels: np.ndarray, idx: np.ndarray, categories, classifier: str, what: str):
+    """The ``TrainingError`` of training ``classifier`` on documents ``idx``
+    that lack some category it needs, or None."""
     if classifier != "logreg":
-        return
+        return None
     present = set(np.unique(labels[idx]).tolist())
     missing = [name for c, name in enumerate(categories) if c not in present]
     if missing:
-        raise TrainingError(
-            f"{what} lacks categories {', '.join(missing)}; use stratified folds"
-        )
+        return TrainingError(f"{what} lacks categories {', '.join(missing)}; use stratified folds")
+    return None
 
 
 # The variables that set the thread count of a BLAS call (OpenBLAS, MKL,
@@ -212,28 +213,23 @@ def _fit_and_score(
     skip_failed: bool = False,
 ) -> dict[tuple[str, str], list[EvalReport | Exception | None]]:
     """Fit on A, score B, for every (scheme, classifier) cell and every
-    ``(train_idx, test_idx, what)`` pair.
+    ``(train_idx, test_idx, what)`` pair.  Returns the outcome table,
+    ``outcomes[cell][pair]``: a report, the exception that failed the
+    cell in that pair, or None where the cell did not run.
 
     Per pair, one vectorizer view of the pair's rows and the stats (when
     some scheme needs them) are built once, then per scheme the table,
     feature matrix and scaler on which every classifier is trained and
-    scored.  A cell's outcome is its list of per-pair results, each a
-    report or the exception that failed it; a failing shared step fails
-    exactly the cells built on it (a failed stats build every cell but
-    ``none``'s).  An unknown scheme fails its cells with
-    ``build_table``'s error.  With ``skip_failed``, a cell is not run
-    (its result is None) in the pairs after one it failed in.
+    scored.  A failing shared step fails exactly the cells built on it
+    (a failed stats build every cell but ``none``'s), and a logreg cell
+    fails in a pair whose training documents lack a category.  An
+    unknown scheme fails its cells with ``build_table``'s error.  With
+    ``skip_failed``, a cell does not run in the pairs after one it
+    failed in.
 
     ``jobs`` is the number of cells trained at once; None means
-    ``_default_jobs()``.  This thread builds every feature matrix; with
-    ``jobs > 1`` it hands each (pair, scheme)'s cells to a thread pool
-    as one batch and keeps the pending batches oldest first.  It settles
-    the oldest (records its outcomes, waiting for them) only before
-    building a category-scheme matrix while two category batches are
-    pending, and before building a scheme while a batch of that scheme
-    is pending; at the end it settles them all.  So at most two
-    category-scheme matrices, one ``tfidf`` matrix and one ``none`` copy
-    are alive at once.  Every exception is recorded without its traceback.
+    ``_default_jobs()``.  The module docstring gives the order in which
+    this thread builds and waits.
     """
     cfg = train_config or TrainConfig()
     jobs = _default_jobs() if jobs is None else jobs
@@ -244,25 +240,21 @@ def _fit_and_score(
     vectorizer = CorpusVectorizer(
         corpus.documents, embedding, case_fallback, counts=corpus.token_counts()
     )
-    cells = [(scheme, classifier) for scheme in schemes for classifier in classifiers]
     # The none matrix does not depend on the pair: each pair copies its rows.
     none_table = WeightTable(scheme="none", categories=tuple(corpus.categories))
     none_matrix = vectorizer.matrix(none_table) if "none" in schemes else None
-    per_pair: list[dict[tuple[str, str], EvalReport | Exception]] = [{} for _ in pairs]
-    failed_in: dict[tuple[str, str], int] = {}  # cell -> earliest failed pair
+    outcomes = {
+        (scheme, classifier): [None] * len(pairs)
+        for scheme in schemes
+        for classifier in classifiers
+    }
     pending = []  # the batches handed out, oldest first: (pair, scheme, {cell: future})
 
-    def record(p, cell, outcome):
-        if isinstance(outcome, Exception):
-            outcome = outcome.with_traceback(None)  # its frames would stay alive
-            failed_in[cell] = min(p, failed_in.get(cell, p))
-        per_pair[p][cell] = outcome
-
     def settle():
-        """Record the oldest pending batch's outcomes, waiting for them."""
+        """Write the oldest pending batch's outcomes, waiting for them."""
         p, _, futures = pending.pop(0)
         for cell, future in futures.items():
-            record(p, cell, future.result())
+            outcomes[cell][p] = future.result()
 
     def count_pending(of_schemes):
         return sum(scheme in of_schemes for _, scheme, _ in pending)
@@ -293,13 +285,10 @@ def _fit_and_score(
     submit = pool.submit if pool is not None else _run_now
     try:
         for p, (train_idx, test_idx, what) in enumerate(pairs):
-            for classifier in classifiers:
-                try:
-                    _check_classes(labels, train_idx, corpus.categories, classifier, what)
-                except TrainingError as exc:
-                    for cell in cells:
-                        if cell[1] == classifier:
-                            record(p, cell, exc)
+            lacking = {
+                classifier: _check_classes(labels, train_idx, corpus.categories, classifier, what)
+                for classifier in classifiers
+            }
             rows = np.concatenate([train_idx, test_idx])
             n_train = len(train_idx)
             y_train, y_test = labels[train_idx], labels[test_idx]
@@ -308,13 +297,15 @@ def _fit_and_score(
             for scheme in schemes:
                 while count_pending((scheme,)):
                     settle()  # its failures decide which of the cells run here
-                members = [
-                    cell
-                    for cell in cells
-                    if cell[0] == scheme
-                    and cell not in per_pair[p]
-                    and not (skip_failed and failed_in.get(cell, p) < p)
-                ]
+                members = []
+                for classifier in classifiers:
+                    cell = (scheme, classifier)
+                    if skip_failed and any(isinstance(o, Exception) for o in outcomes[cell][:p]):
+                        continue
+                    if lacking[classifier] is not None:
+                        outcomes[cell][p] = lacking[classifier]
+                    else:
+                        members.append(cell)
                 if not members:
                     continue
                 if scheme != "none" and stats is None:
@@ -328,8 +319,9 @@ def _fit_and_score(
                 try:
                     X = features(scheme, view, rows, n_train, stats)
                 except Exception as exc:
+                    exc = exc.with_traceback(None)  # its frames would stay alive
                     for cell in members:
-                        record(p, cell, exc)
+                        outcomes[cell][p] = exc
                     continue
                 pending.append((p, scheme, {
                     cell: submit(score_cell, cell[1], X, n_train, y_train, y_test)
@@ -341,7 +333,7 @@ def _fit_and_score(
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return {cell: [outcome.get(cell) for outcome in per_pair] for cell in cells}
+    return outcomes
 
 
 def cross_validate(

@@ -42,16 +42,18 @@ every training word, builds the dense W.
 ``matrix`` has two formulations of these sums, after one shared
 preparation of the table (the power-of-two scaling and the zero
 filter).  An input that needs fewer than ``_PRODUCT_GATE`` (document,
-category, term) products, such as a one-line ``predict``, takes one
-sparse product: one CSR matrix with a row per (document, category) and
-a column per term holds every frequency * weight product, in term order
-within each row, so one product with the embedding rows gives every
-numerator already in the output's (document, category, d) layout, one
-``np.bincount`` every denominator and one divide finishes it.  Any
-larger input takes one product per category, dividing each category's
-block straight into the output, so its temporaries stay one category's.
-Both add the same terms in the same order, so the bits do not depend on
-which ran.  The loop pays a fixed scipy cost per category, about 4 ms of
+category, term) products of the nonzero weights, such as a one-line
+``predict``, takes one sparse product: one CSR matrix with a row per
+(document, category) and a column per term holds every frequency *
+weight product, in term order within each row, so one product with the
+embedding rows gives every numerator already in the output's (document,
+category, d) layout and one ``np.bincount`` every denominator.  Any
+larger input takes one product per category, so its temporaries stay
+one category's.  Both feed one finishing step, which adds tftrr's floor
+share of F (the floor's numerator, one ``_numerator`` product either
+way) and divides by the weight sums straight into the output.  Both add
+the same terms in the same order, so the bits do not depend on which
+ran.  The loop pays a fixed scipy cost per category, about 4 ms of
 a one-line matrix with 20 categories; the single product pays for
 gathering and sorting every product, and loses on large inputs.  On the
 benchmark's seed-1 tfcr, kld and tftrr models (1 to 200 holdout lines, a
@@ -329,39 +331,37 @@ class CorpusVectorizer:
         if floored := floor.any():
             # tftrr: W = floor * [training word] + nonzero deviations from it.
             # The floor weighs every training word, so the denominators come
-            # from the dense W; the floor's numerator is one shared product.
+            # from the dense W, and its numerator F is one shared product.
             W = np.zeros((K, C))
             W[training] = floor
             W[columns, category] = values
             den = G @ W
             values = values - floor[category]
+            F = self._numerator(Gt, training, np.ones(training.size))[0]
+        X = np.empty((n, C, d))
+
+        def finish(at, num, weight):
+            """X's categories ``at`` from their numerators and weight sums."""
+            block = X[:, at]
+            if floored:  # the floor's share of F, made in the block itself
+                num += np.multiply(F[:, None], floor[at, None], out=block)
+            weight[weight == 0.0] = 1.0
+            np.divide(num, weight[:, :, None], out=block)
+
         # The (document, category, term) products of the numerators.
         df = np.diff(Gt.indptr)  # documents per column
-        if df[columns].sum() + (df[training].sum() if floored else 0) < _PRODUCT_GATE:
-            if floored:  # the floor's numerator rides along as category C
-                columns = np.concatenate([columns, training])
-                values = np.concatenate([values, np.ones(training.size)])
-                category = np.concatenate([category, np.full(training.size, C)])
-            num, weight = self._products(G, columns, category, values, C + floored)
-            if floored:
-                num, F = num[:, :C], num[:, C]
-                num += F[:, None] * floor[:, None]
-                weight = den
-            weight[weight == 0.0] = 1.0
-            return (num / weight[:, :, None]).reshape(n, C * d)
-        if floored:
-            F = self._numerator(Gt, training, np.ones(training.size))[0]
+        if df[columns].sum() < _PRODUCT_GATE:
+            num, weight = self._products(G, columns, category, values, C)
+            finish(slice(None), num, den if floored else weight)
+            return X.reshape(n, C * d)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(category, minlength=C))])
-        X = np.empty((n, C, d))
         for c in range(C):
             lo, hi = indptr[c], indptr[c + 1]
             num, sub = self._numerator(Gt, columns[lo:hi], values[lo:hi])
             if floored:
                 weight = den[:, c]
-                num += np.multiply(F, floor[c], out=X[:, c])
             else:  # each document's weighted counts, added in G @ W's order
                 weight = np.bincount(sub.indices, weights=sub.data, minlength=n)
-            weight[weight == 0.0] = 1.0
-            np.divide(num, weight[:, None], out=X[:, c])
+            finish(slice(c, c + 1), num[:, None], weight[:, None])
             del num, sub  # not alive beside the next category's
         return X.reshape(n, C * d)

@@ -97,14 +97,16 @@ def build_table(
     Entries are computed elementwise over the nonzero occurrence
     positions (see the module docstring for the definitions); everything
     else is an implicit zero.  The table shares the stats' term numbering
-    and word ids.  ``alpha`` must be >= 1, which keeps every tftrr factor
-    >= 0.  Deterministic: rebuilding from the same stats gives identical
+    and word ids.  ``alpha`` must be finite and >= 1, which keeps every
+    tftrr factor finite and >= 0.  Deterministic: rebuilding from the same stats gives identical
     arrays.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; valid: {', '.join(SCHEMES)}")
     if not alpha >= 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if scheme == "none":
         return WeightTable(scheme="none", categories=stats.categories, alpha=alpha)
 

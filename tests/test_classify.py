@@ -665,6 +665,19 @@ class TestModelFormat4:
         with pytest.raises(ModelFormatError, match="compressed"):
             load_model(model_file)
 
+    def test_npy_2_0_member_rejected(self, model_file):
+        # Every member is written with an npy 1.0 header, as np.savez
+        # writes these arrays; a 2.0 header, even under a correct CRC, is
+        # not a file this format writes.
+        with np.load(model_file) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        with zipfile.ZipFile(model_file, "w", allowZip64=True) as zf:
+            for name, value in arrays.items():
+                with zf.open(name + ".npy", "w", force_zip64=True) as fh:
+                    np.lib.format.write_array(fh, value, (2, 0) if name == "W" else (1, 0))
+        with pytest.raises(ModelFormatError, match=r"'W.npy' is npy version \(2, 0\)"):
+            load_model(model_file)
+
     def test_savez_compressed_file_rejected(self, model_file):
         with np.load(model_file) as npz:
             arrays = {name: npz[name] for name in npz.files}

@@ -964,6 +964,16 @@ def test_alpha_below_one_exits_2_before_loading(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["cv", "curve", "weights", "vectorize", "train"])
+def test_infinite_alpha_exits_2_before_loading(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, "--data", str(tmp_path / "absent.csv"), "--seed", "1",
+            "--alpha", "inf", "--out", str(out)]
+    assert main(argv) == 2
+    assert "error: --alpha must be finite, got inf\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["cv", "curve", "train"])
 @pytest.mark.parametrize("flags, message", [
     (["--epochs", "0"], "epochs must be >= 1, got 0"),
@@ -1039,6 +1049,13 @@ def test_non_integer_jobs_in_config_exits_2(toy_csv, tmp_path, capsys):
     ("train", {"batch_size": False}, [], "--batch-size must be an integer, got False"),
     ("curve", {"sizes": [240, 480.5]}, [], "bad --sizes value [240, 480.5]"),
     ("curve", {"sizes": [True, 480]}, [], "bad --sizes value [True, 480]"),
+    # Out of range: k below 2, a count or ladder size below 1.
+    ("cv", {}, ["--k", "1"], "--k must be >= 2, got 1"),
+    ("curve", {"k": 1, "sizes": "240"}, [], "--k must be >= 2, got 1"),
+    ("cv", {}, ["--min-count", "-3"], "--min-count must be >= 1, got -3"),
+    ("vectorize", {"min_count": 0}, [], "--min-count must be >= 1, got 0"),
+    ("curve", {}, ["--sizes", "0,240"], "--sizes must be >= 1, got 0,240"),
+    ("curve", {"sizes": [240, -1]}, [], "--sizes must be >= 1, got [240, -1]"),
     # A float option, alpha included, takes no bool.
     ("cv", {"learning_rate": True}, [], "--learning-rate must be a number, got True"),
     ("cv", {"alpha": True}, [], "--alpha must be >= 1, got True"),
@@ -1090,6 +1107,17 @@ def test_alpha_below_one_in_config_exits_2(alpha, toy_csv, tmp_path, capsys):
             "--scheme", "tftrr", "--out", str(tmp_path / "w.json")]
     assert main(argv) == 2
     assert f"--alpha must be >= 1, got {alpha}" in capsys.readouterr().err
+
+
+def test_infinite_alpha_in_config_exits_2(toy_csv, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text('{"alpha": 1e400}')  # JSON reads this as an infinite float
+    out = tmp_path / "w.json"
+    argv = ["weights", "--config", str(config), "--data", toy_csv, "--seed", "1",
+            "--scheme", "tftrr", "--out", str(out)]
+    assert main(argv) == 2
+    assert "error: --alpha must be finite, got inf\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("entries, named", [

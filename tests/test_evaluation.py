@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from catweight import (
+    DEFAULT_ALPHA,
     CurvePoint,
     EvalReport,
+    StatsError,
     TrainConfig,
     TrainingError,
     build_stats,
@@ -692,6 +694,41 @@ class TestGridRun:
         failure = grid["tfcr", eval_model.origin, "logreg"]
         assert isinstance(failure, MemoryError)
         assert str(failure) == "no room for stats"
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_class_error_and_failed_stats_in_one_pair(self, jobs, eval_corpus, eval_model):
+        # Pair 0 trains on documents that lack category 2, one of them
+        # unlabeled: the stats build fails, and logreg cannot train there
+        # either.  The logreg cells keep the class error, the svm cells
+        # but none's get the stats error, and each failed cell is then
+        # skipped in the healthy pair 1.
+        labels = [d.label for d in eval_corpus.documents]
+        labels[0] = None
+        corpus = from_token_lists([d.tokens for d in eval_corpus.documents], labels,
+                                  eval_corpus.categories)
+        y = corpus.labels()
+        test_idx = np.arange(60, 90)
+        pairs = [
+            (np.flatnonzero((y < 2) & (np.arange(len(y)) < 60)), test_idx, "pair 0"),
+            (np.arange(1, 60), test_idx, "pair 1"),
+        ]
+        assert y[pairs[0][0]].tolist().count(-1) == 1 and 2 in y[pairs[1][0]]
+        outcomes = evaluation._fit_and_score(
+            corpus, pairs, SCHEMES, eval_model, ["logreg", "svm"], FAST,
+            alpha=DEFAULT_ALPHA, standardize=True, case_fallback=False, min_count=1,
+            jobs=jobs, skip_failed=True,
+        )
+        assert list(outcomes) == [(s, c) for s in SCHEMES for c in ("logreg", "svm")]
+        for (scheme, classifier), (first, second) in outcomes.items():
+            if classifier == "logreg":
+                assert isinstance(first, TrainingError)
+                assert str(first) == "pair 0 lacks categories topic2; use stratified folds"
+            elif scheme != "none":
+                assert isinstance(first, StatsError)
+                assert "doc0" in str(first)
+            assert (second is None) == isinstance(first, Exception)
+            assert isinstance(first, Exception) or isinstance(second, EvalReport)
+            assert first is None or first.__traceback__ is None
 
     def test_parallel_jobs_keep_first_fold_failure(
         self, eval_corpus, eval_model, monkeypatch

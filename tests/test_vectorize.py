@@ -18,6 +18,7 @@ from catweight import (
     build_stats,
     build_table,
     from_token_lists,
+    separable_corpus,
     standardize_apply,
     standardize_fit,
     synthetic_model,
@@ -645,21 +646,44 @@ class TestCorpusVectorizer:
     def test_gate_picks_the_formulation(self, toy_corpus, tiny_model):
         """Fewer than ``_PRODUCT_GATE`` (document, category, term) products
         take the one product and make no per-category ``_numerator`` call;
-        more take the loop, one call per category."""
-        table = build_table(build_stats(toy_corpus), "tfcr")
+        more take the loop, one call per category.  tftrr's floor
+        numerator is one more call, whichever formulation runs."""
         doc = toy_corpus.documents[0]  # 5 terms: 6 nonzero (term, category) weights
         real = CorpusVectorizer._numerator
         below = (vectorize._PRODUCT_GATE - 1) // 6
-        with mock.patch.object(CorpusVectorizer, "_numerator", autospec=True,
-                               side_effect=real) as numerator:
-            one_line = CorpusVectorizer([doc], tiny_model).matrix(table)
-            assert numerator.call_count == 0
-            many = CorpusVectorizer([doc] * below, tiny_model).matrix(table)
-            assert numerator.call_count == 0
-            above = CorpusVectorizer([doc] * (below + 1), tiny_model).matrix(table)
-            assert numerator.call_count == 2
-        assert np.array_equal(many, np.tile(one_line, (below, 1)))
-        assert np.array_equal(above, np.tile(one_line, (below + 1, 1)))
+        for scheme, floor_calls in (("tfcr", 0), ("tftrr", 1)):
+            table = build_table(build_stats(toy_corpus), scheme)
+            X, calls = [], []
+            for copies in (1, below, below + 1):
+                with mock.patch.object(CorpusVectorizer, "_numerator", autospec=True,
+                                       side_effect=real) as numerator:
+                    X.append(CorpusVectorizer([doc] * copies, tiny_model).matrix(table))
+                calls.append(numerator.call_count)
+            assert calls == [floor_calls, floor_calls, floor_calls + 2]
+            one_line, many, above = X
+            assert np.array_equal(many, np.tile(one_line, (below, 1)))
+            assert np.array_equal(above, np.tile(one_line, (below + 1, 1)))
+
+    def test_loop_holds_one_category_of_temporaries(self):
+        """Beyond X, the per-category loop holds one category's numerator,
+        counts and embedding rows at a time, not the last category's as
+        well.  Calibrated on this corpus's tfcr matrix: 3.8 numerators'
+        bytes beyond X, against 5.8 when the loop kept the last ones alive."""
+        n, d = 600, 32
+        corpus = separable_corpus(num_docs=n, num_categories=4, keywords_per_category=20,
+                                  shared_vocab_size=300, doc_length=40, seed=1)
+        model = synthetic_model(sorted(corpus.token_counts().terms), d, seed=2)
+        table = build_table(build_stats(corpus, doc_subset=range(0, n, 3)), "tfcr")
+        vectorizer = CorpusVectorizer(corpus.documents, model, counts=corpus.token_counts())
+        vectorizer._counts(False)  # built before tracing
+        with mock.patch.object(vectorize, "_PRODUCT_GATE", 0):
+            tracemalloc.start()
+            try:
+                X = vectorizer.matrix(table)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - X.nbytes < 4.8 * n * d * 8
 
     def test_log_counts_take_one_log_per_distinct_count(self, tiny_model):
         """``1 + ln tf`` is taken once per distinct count, with

@@ -292,6 +292,11 @@ class TestBuildTable:
             build_table(stats, "tftrr", alpha=float("nan"))
         assert build_table(stats, "tftrr", alpha=1.0).alpha == 1.0
 
+    def test_infinite_alpha_rejected(self, toy_corpus):
+        stats = build_stats(toy_corpus)
+        with pytest.raises(ValueError, match="alpha must be finite, got inf"):
+            build_table(stats, "tftrr", alpha=float("inf"))
+
     def test_rebuild_identical(self, toy_corpus):
         stats = build_stats(toy_corpus)
         a = build_table(stats, "tfcr")
