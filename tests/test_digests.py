@@ -148,6 +148,37 @@ class TestOutputDigests:
         digest = "def83fdf1264bfab4999540a740ecf9c72316764429dd0875b5128a595b07553"
         assert _digest(*chunks) == digest
 
+    def test_case_fallback_outputs_are_pinned(self, tmp_path):
+        """Under --preserve-case --case-fallback, where a capitalized term
+        takes its lowercase form's row: the tftrr and tfcr model files,
+        their batch predict TSVs, and the cv CSV of every scheme, its
+        embedding column (a temporary path) dropped."""
+        data = _write_csv(tmp_path)
+        glove = tmp_path / "glove.txt"
+        save_glove_text(_model(), glove)
+        common = ["--data", str(data), "--embedding", str(glove), "--seed", "1",
+                  "--epochs", "5", "--preserve-case", "--case-fallback"]
+        lines = [" ".join(doc.tokens) for doc in _corpus().documents]
+        inputs = tmp_path / "lines.txt"
+        inputs.write_text("\n".join(lines + ["W001 w001 C2K4 Zzz", ""]) + "\n", encoding="utf-8")
+        chunks = []
+        for scheme in ("tftrr", "tfcr"):
+            model, out = tmp_path / f"{scheme}.bin", tmp_path / f"{scheme}.tsv"
+            assert main(["train", *common, "--scheme", scheme, "--out", str(model)]) == 0
+            argv = ["predict", "--model", str(model), "--input", str(inputs), "--out", str(out)]
+            assert main(argv) == 0
+            chunks += [model.read_bytes(), out.read_bytes()]
+        out = tmp_path / "cv.csv"
+        argv = ["cv", *common, "--scheme", "all", "--classifier", "logreg", "--k", "3",
+                "--out", str(out)]
+        assert main(argv) == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        drop = rows[0].index("embedding")
+        chunks += [[cell for i, cell in enumerate(row) if i != drop] for row in rows]
+        digest = "67a25637f67df1452416d4762e9c20282dd86ea4ebd8dc80759a3422ade85098"
+        assert _digest(*chunks) == digest
+
 
 def _write_csv(tmp_path):
     path = tmp_path / "corpus.csv"
