@@ -54,14 +54,25 @@ from .corpus import (
     sample,
     tokenize,
 )
-from .embeddings import EmbeddingModel, load_embeddings, synthetic_model
+from .embeddings import (
+    EMBEDDING_FORMATS,
+    EmbeddingModel,
+    for_terms,
+    load_embeddings,
+    synthetic_model,
+)
 from .errors import CatweightError, ConfigError
 from .evaluation import grid_run, learning_curve, write_curve_csv, write_results_csv
 from .stats import build_stats
 from .vectorize import CorpusVectorizer, standardize_apply, standardize_fit
 from .weighting import DEFAULT_ALPHA, SCHEMES, WeightTable, build_table, export_weights
 
-_DATASET_FORMATS = ("auto", "csv", "tsv", "jsonl", "20ng")
+# The parser's choices, and the values _resolve accepts from a config file.
+_CHOICES = {
+    "format": ("auto", "csv", "tsv", "jsonl", "20ng"),
+    "embedding_format": ("auto", *EMBEDDING_FORMATS),
+    "output_format": ("json", "tsv"),
+}
 
 # The learner options and their defaults are TrainConfig's, bar the seed.
 _LEARNER_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.name != "seed"}
@@ -117,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file path")
         if data:
             p.add_argument("--data", help="dataset path (file or directory)")
-            p.add_argument("--format", choices=_DATASET_FORMATS, help="dataset format")
+            p.add_argument("--format", choices=_CHOICES["format"], help="dataset format")
             p.add_argument("--text-field", help="text column/key for csv/jsonl")
             p.add_argument("--label-field", help="label column/key for csv/jsonl")
             p.add_argument("--preserve-case", action="store_true", default=None)
@@ -125,10 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--min-count", type=int, help="prune words below this count")
         if embedding:
             p.add_argument("--embedding", help="embedding file path or synthetic:<d>:<seed>")
-            p.add_argument(
-                "--embedding-format",
-                choices=("auto", "glove", "word2vec-text", "word2vec-binary"),
-            )
+            p.add_argument("--embedding-format", choices=_CHOICES["embedding_format"])
             p.add_argument("--case-fallback", action="store_true", default=None)
         if learner:
             p.add_argument("--alpha", type=float, help="TF-TRR alpha constant, >= 1")
@@ -176,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_weights.add_argument("--scheme", help="one of tfidf, kld, tftrr, tfcr")
     p_weights.add_argument("--alpha", type=float, help="TF-TRR alpha constant, >= 1")
     p_weights.add_argument("--top-k", type=int, help="keep only the top K words per category")
-    p_weights.add_argument("--output-format", choices=("json", "tsv"))
+    p_weights.add_argument("--output-format", choices=_CHOICES["output_format"])
 
     p_vec = sub.add_parser("vectorize", help="emit document vectors as TSV")
     add_common(p_vec, learner=False)
@@ -207,7 +215,8 @@ def _option_keys() -> frozenset[str]:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """flags > config file > defaults, for every key the command knows; a
-    config key of another subcommand is ignored, one of none is an error."""
+    config key of another subcommand is ignored, one of none is an error.
+    Every value is checked here, before any file is read or written."""
     file_cfg = {}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -232,11 +241,15 @@ def _resolve(args: argparse.Namespace) -> dict:
             resolved[key] = file_cfg[key]
         else:
             resolved[key] = _DEFAULTS.get(key)
-    for key, default in _DEFAULTS.items():
-        if isinstance(default, bool) and not isinstance(resolved.get(key, False), bool):
-            raise ConfigError(
-                f"--{key.replace('_', '-')} must be true or false, got {resolved[key]!r}"
-            )
+    strings = ("data", "out", "model", "embedding", "input", "text_field", "label_field")
+    for key, value in resolved.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(_DEFAULTS.get(key), bool) and not isinstance(value, bool):
+            raise ConfigError(f"{flag} must be true or false, got {value!r}")
+        if key in strings and not isinstance(value, (str, type(None))):
+            raise ConfigError(f"{flag} must be a string, got {value!r}")
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise ConfigError(f"{flag} must be one of {', '.join(_CHOICES[key])}, got {value!r}")
     if "alpha" in resolved:
         try:
             alpha = _as_number(resolved["alpha"], float)
@@ -256,6 +269,8 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ConfigError(f"--{key.replace('_', '-')} must be >= 1, got {resolved[key]}")
     if resolved.get("k") is not None and resolved["k"] < 2:
         raise ConfigError(f"--k must be >= 2, got {resolved['k']}")
+    if resolved.get("out") is not None and not Path(resolved["out"]).parent.is_dir():
+        raise ConfigError(f"output directory not found: {Path(resolved['out']).parent}")
     return resolved
 
 
@@ -314,20 +329,18 @@ def _load_corpus(cfg: dict) -> LabeledCorpus:
             delimiter="," if fmt == "csv" else "\t",
             preserve_case=preserve_case,
         )
-    elif fmt == "jsonl":
+    else:  # jsonl
         corpus = load_jsonl(
             path, cfg["text_field"], cfg["label_field"], preserve_case=preserve_case
         )
-    else:
-        raise ConfigError(f"unknown dataset format {fmt!r}")
     if cfg.get("sample") is not None:
         corpus = sample(corpus, cfg["sample"], _require(cfg, "seed", "--seed"))
     return corpus
 
 
 def _resolve_embedding(cfg: dict, corpus: LabeledCorpus) -> EmbeddingModel:
-    """The ``--embedding`` model, with a row for each corpus term it has."""
-    spec = str(_require(cfg, "embedding", "--embedding"))
+    """The run's embedding: ``for_terms`` of the ``--embedding`` model."""
+    spec = _require(cfg, "embedding", "--embedding")
     vocab = corpus.token_counts().terms
     if spec.startswith("synthetic:"):
         parts = spec.split(":")
@@ -343,11 +356,10 @@ def _resolve_embedding(cfg: dict, corpus: LabeledCorpus) -> EmbeddingModel:
     path = Path(spec)
     if not path.is_file():
         raise ConfigError(f"embedding file not found: {path}")
-    # Parse only the rows a corpus term can look up.
-    wanted = set(vocab)
-    if cfg.get("case_fallback"):
-        wanted.update(term.lower() for term in vocab)
-    model = load_embeddings(path, cfg.get("embedding_format") or "auto", wanted)
+    # Parse only the rows a corpus term can look up, its own or its lowercase form's.
+    wanted = set(vocab).union(map(str.lower, vocab) if cfg["case_fallback"] else ())
+    loaded = load_embeddings(path, cfg["embedding_format"], wanted)
+    model = for_terms(loaded, vocab, cfg["case_fallback"])
     if not len(model):
         print(
             f"warning: {spec} has no row for any of the {len(vocab)} corpus terms",
@@ -448,7 +460,6 @@ def cmd_cv(args: argparse.Namespace) -> int:
         train_config,
         alpha=cfg["alpha"],
         standardize=cfg["standardize"],
-        case_fallback=cfg["case_fallback"],
         jobs=cfg["jobs"],
         min_count=cfg["min_count"],
     )
@@ -523,7 +534,6 @@ def cmd_curve(args: argparse.Namespace) -> int:
         train_config,
         alpha=cfg["alpha"],
         standardize=cfg["standardize"],
-        case_fallback=cfg["case_fallback"],
         min_count=cfg["min_count"],
         record_failures=True,
     )
@@ -575,8 +585,7 @@ def cmd_weights(args: argparse.Namespace) -> int:
 
 
 def _full_corpus_features(cfg: dict, scheme: str) -> tuple:
-    """``(corpus, table, vectorizer, matrix)``: the corpus, its weight table
-    under ``scheme``, and its vectorizer and feature matrix."""
+    """``(corpus, table, embedding, features)`` of the whole corpus under ``scheme``."""
     corpus = _load_corpus(cfg)
     embedding = _resolve_embedding(cfg, corpus)
     if scheme == "none":
@@ -584,10 +593,8 @@ def _full_corpus_features(cfg: dict, scheme: str) -> tuple:
     else:
         stats = build_stats(corpus, min_count=cfg["min_count"])
         table = build_table(stats, scheme, alpha=cfg["alpha"])
-    vec = CorpusVectorizer(
-        corpus.documents, embedding, cfg["case_fallback"], counts=corpus.token_counts()
-    )
-    return corpus, table, vec, vec.matrix(table)
+    vec = CorpusVectorizer(corpus.documents, embedding, counts=corpus.token_counts())
+    return corpus, table, embedding, vec.matrix(table)
 
 
 def cmd_vectorize(args: argparse.Namespace) -> int:
@@ -612,7 +619,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     scheme = _choice(str(_require(cfg, "scheme", "--scheme")), SCHEMES, "scheme")
     classifier = _choice(str(cfg["classifier"]), CLASSIFIERS, "classifier")
     train_config = _train_config(cfg)
-    corpus, table, vec, X = _full_corpus_features(cfg, scheme)
+    corpus, table, embedding, X = _full_corpus_features(cfg, scheme)
     labels = corpus.labels()
     scaler = None
     if cfg["standardize"]:
@@ -620,7 +627,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         standardize_apply(scaler, X, out=X)
     model = train(classifier, X, labels, train_config, len(corpus.categories))
     out = Path(cfg.get("out") or "model.bin")
-    saved = SavedModel(model, table, vec.known_embedding(), scaler, cfg["preserve_case"])
+    saved = SavedModel(model, table, embedding, scaler, cfg["preserve_case"])
     save_model(saved, out)
     _write_manifest(
         out,
@@ -665,7 +672,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not model_path.is_file():
         raise ConfigError(f"model file not found: {model_path}")
     saved = load_model(model_path)
-    with _predict_input(str(cfg.get("input") or "-")) as stream:
+    with _predict_input(cfg.get("input") or "-") as stream:
         # One line at a time: a line's tokens are counted, then dropped.
         # Its line end tokenizes as a space.
         docs = (
@@ -716,12 +723,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (CatweightError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CatweightError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

@@ -30,6 +30,8 @@ generator all build theirs through one constructor, ``_make_model``.
 ``EmbeddingModel.rows_of`` is the one word lookup: a loaded embedding
 file answers it from its word dict, a model file's vocabulary
 (``SortedWords``) by binary search over its stored sort order.
+``for_terms`` is the one place where corpus terms get their rows, case
+fallback included: it makes the run's embedding from a loaded model.
 """
 
 from __future__ import annotations
@@ -440,6 +442,25 @@ def detect_format(path: str | Path) -> str:
         except ValueError:
             pass
     return "glove"
+
+
+def for_terms(model: EmbeddingModel, terms, case_fallback: bool = False) -> EmbeddingModel:
+    """The embedding of the distinct corpus ``terms``: a row for each term
+    ``model`` covers, keyed by the term; with ``case_fallback``, a term it
+    lacks takes its lowercase form's row.  Rows are in (source row, term)
+    order, the summation order.  ``model`` itself comes back, not a copy,
+    when no term was folded and it holds exactly those rows in that order."""
+    rows = model.rows_of(terms)
+    missed = np.flatnonzero(rows < 0) if case_fallback else np.zeros(0, dtype=np.int64)
+    rows[missed] = model.rows_of([terms[j].lower() for j in missed.tolist()])
+    known = np.flatnonzero(rows >= 0)
+    if folded := (rows[missed] >= 0).any():  # the stable sort by row keeps this term order
+        known = np.array(sorted(known.tolist(), key=terms.__getitem__), dtype=np.int64)
+    known = known[np.argsort(rows[known], kind="stable")]
+    if not folded and np.array_equal(rows[known], np.arange(len(model))):
+        return model
+    words = tuple(map(terms.__getitem__, known.tolist()))
+    return EmbeddingModel(words, model.vectors[rows[known]], model.origin, model.skipped_lines)
 
 
 def load_embeddings(path: str | Path, fmt: str = "auto", vocab=None) -> EmbeddingModel:

@@ -207,7 +207,6 @@ def _fit_and_score(
     *,
     alpha: float,
     standardize: bool,
-    case_fallback: bool,
     min_count: int,
     jobs: int | None = None,
     skip_failed: bool = False,
@@ -237,9 +236,7 @@ def _fit_and_score(
     classifiers = list(dict.fromkeys(classifiers))
     labels = corpus.labels()
     n_classes = len(corpus.categories)
-    vectorizer = CorpusVectorizer(
-        corpus.documents, embedding, case_fallback, counts=corpus.token_counts()
-    )
+    vectorizer = CorpusVectorizer(corpus.documents, embedding, counts=corpus.token_counts())
     # The none matrix does not depend on the pair: each pair copies its rows.
     none_table = WeightTable(scheme="none", categories=tuple(corpus.categories))
     none_matrix = vectorizer.matrix(none_table) if "none" in schemes else None
@@ -346,7 +343,6 @@ def cross_validate(
     *,
     alpha: float = DEFAULT_ALPHA,
     standardize: bool = False,
-    case_fallback: bool = False,
     min_count: int = 1,
 ) -> EvalReport:
     """k-fold cross-validation of one (scheme, embedding, classifier) cell.
@@ -366,7 +362,6 @@ def cross_validate(
         train_config,
         alpha=alpha,
         standardize=standardize,
-        case_fallback=case_fallback,
         min_count=min_count,
     ).values()
     if isinstance(outcome, Exception):
@@ -384,7 +379,6 @@ def learning_curve(
     *,
     alpha: float = DEFAULT_ALPHA,
     standardize: bool = False,
-    case_fallback: bool = False,
     min_count: int = 1,
     record_failures: bool = False,
 ) -> list[CurvePoint]:
@@ -411,7 +405,6 @@ def learning_curve(
         train_config,
         alpha=alpha,
         standardize=standardize,
-        case_fallback=case_fallback,
         min_count=min_count,
     )
     points = []
@@ -439,7 +432,6 @@ def grid_run(
     *,
     alpha: float = DEFAULT_ALPHA,
     standardize: bool = False,
-    case_fallback: bool = False,
     min_count: int = 1,
     jobs: int | None = None,
 ) -> dict[tuple[str, str, str], EvalReport | Exception]:
@@ -470,7 +462,6 @@ def grid_run(
         train_config,
         alpha=alpha,
         standardize=standardize,
-        case_fallback=case_fallback,
         min_count=min_count,
         jobs=jobs,
         skip_failed=True,

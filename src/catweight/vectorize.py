@@ -29,9 +29,9 @@ the log taken once per distinct count) on first use, so one view per
 Each weight column is first scaled by an exact power of two that brings
 its maximum into [0.5, 1): the means do not change, and tiny weights
 cannot underflow in the products.  Numerators come from the nonzero
-(term, category) weights only; a document sums its terms in (embedding
-row, term) order, which depends on nothing but its own tokens, so its
-row is the same bits in any corpus and in any row subset.  Tokens absent
+(term, category) weights only; a document sums its terms in embedding
+row order, which depends on nothing but its own tokens, so its row is
+the same bits in any corpus and in any row subset.  Tokens absent
 from the embedding model are skipped and a zero weight sum yields the
 zero vector.  For tftrr, a training-known word absent from a category
 contributes the floor factor ln(alpha), per the scheme's definition.
@@ -144,43 +144,30 @@ class CorpusVectorizer:
     ``documents`` is any iterable of ``Document``, read once: a generator
     is counted one document at a time and none of them is kept, only
     their counts.  ``counts`` is the documents' ``TokenCounts`` when the
-    caller already has it.  Each distinct term is looked up in the
-    embedding model once (with ``case_fallback``, a term missing from a
-    cased model falls back to its lowercase form).  The counts of the
-    known terms are stored once, as float64; the ``1 + ln tf`` counts
-    are mapped from them, by a table of values, when a view first needs
-    them.  The model's embedding rows are not copied: each product of
-    ``matrix`` gathers the rows of its own terms, and ``known_embedding``
-    gathers the known terms' rows only when they are a subset.  Every
-    command and every (fold, scheme) of the evaluation harness
-    vectorizes through ``matrix``.
+    caller already has it.  Each distinct term is looked up in the model
+    once, by its own string (``embeddings.for_terms`` gives a run's terms
+    their rows).  The counts of the known terms are stored once, as
+    float64; the ``1 + ln tf`` counts are mapped from them, by a table of
+    values, when a view first needs them.  The model's embedding rows are
+    not copied: each product of ``matrix`` gathers the rows of its own
+    terms.  Every command and every (fold, scheme) of the evaluation
+    harness vectorizes through ``matrix``.
     """
 
-    def __init__(self, documents, model: EmbeddingModel, case_fallback: bool = False,
-                 *, counts: TokenCounts | None = None):
+    def __init__(self, documents, model: EmbeddingModel, *, counts: TokenCounts | None = None):
         self.model = model
         counts = count_tokens(documents) if counts is None else counts
         terms = counts.terms
         rows = model.rows_of(terms)
         columns = np.flatnonzero(rows >= 0)
-        if case_fallback:  # a missing term takes its lowercase form's row
-            missed = np.flatnonzero(rows < 0)
-            rows[missed] = model.rows_of([terms[j].lower() for j in missed.tolist()])
-            known = np.flatnonzero(rows >= 0).tolist()
-            columns = np.array(sorted(known, key=terms.__getitem__), dtype=np.int64)
-        # (embedding row, term) order, the summation order: a stable sort by
-        # row keeps the terms that share a row in term order.
-        columns = columns[np.argsort(rows[columns], kind="stable")]
-        self._words = tuple(map(terms.__getitem__, columns.tolist()))
+        columns = columns[np.argsort(rows[columns])]  # embedding row order, the summation order
         self._terms, self._rows = terms, rows[columns]
-        self._exact_rows = not case_fallback  # a column's row is its own term's
         # The column of each count column, -1 for a term the model lacks.
         self._slot = np.full(len(terms), -1, dtype=np.int64)
         self._slot[columns] = np.arange(len(columns))
         G = counts.matrix[:, columns].sorted_indices()
         self.known_token_counts = np.asarray(G.sum(axis=1), dtype=np.int64).ravel()
         self._G = G.astype(np.float64)
-        self._every_row = np.array_equal(self._rows, np.arange(len(model.vectors)))
         self._selected = None  # the documents of a view; None: all
         self._sliced: dict[bool, tuple] = {}  # log? -> (G, G transposed) of those
 
@@ -199,13 +186,6 @@ class CorpusVectorizer:
         view._sliced = {}
         return view
 
-    def known_embedding(self) -> EmbeddingModel:
-        """The embedding row each known term resolved to, keyed by the term
-        (case fallback already applied): all a saved model needs."""
-        m = self.model
-        vectors = m.vectors if self._every_row else m.vectors[self._rows]
-        return EmbeddingModel(self._words, vectors, m.origin)
-
     def _counts(self, log: bool) -> tuple:
         """The documents' counts (``1 + ln tf`` when ``log``) and their
         transpose, built on first use."""
@@ -222,13 +202,13 @@ class CorpusVectorizer:
     def _columns_of(self, table: WeightTable) -> np.ndarray:
         """This vectorizer's column of each table word, -1 where the model
         lacks it."""
-        if table.terms is self.model.words and self._exact_rows:
+        if table.terms is self.model.words:
             slot = np.full(len(table.terms), -1, dtype=np.int64)
             slot[self._rows] = np.arange(len(self._rows))
         elif table.terms is self._terms or table.terms == self._terms:
             slot = self._slot
         else:  # another numbering: match the words themselves
-            own = dict(zip(self._words, range(len(self._words))))
+            own = dict(zip(self._terms, self._slot.tolist()))
             return np.fromiter(map(own.get, table.words, repeat(-1)), np.int64, len(table.term_ids))
         return slot[table.term_ids]
 
@@ -304,7 +284,7 @@ class CorpusVectorizer:
     def matrix(self, table: WeightTable) -> np.ndarray:
         """Feature matrix of this vectorizer's documents, in order, under
         one table; for some documents only, use ``view(rows).matrix(table)``."""
-        d, K = self.model.dimension, len(self._words)
+        d, K = self.model.dimension, len(self._rows)
         log = table.scheme == "tftrr"
         G, Gt = self._counts(log)
         n = G.shape[0]

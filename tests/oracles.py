@@ -1,6 +1,6 @@
 """Independent brute-force oracles for the tokenizer, the token counts,
-the weighting schemes, the stratified fold plan and the embedding file
-readers.
+the weighting schemes, the stratified fold plan, the embedding file
+readers and the mapping of corpus terms to embedding rows.
 
 Everything here recomputes weights from raw token lists with plain
 dictionaries and math.log, tokenizes with the regex that defines a
@@ -129,6 +129,21 @@ def oracle_weighted_mean(weights, vectors, dim):
     if total == 0.0:
         return [0.0] * dim
     return [a / total for a in acc]
+
+
+def oracle_for_terms(words, terms, case_fallback=False):
+    """``(row, term)`` of each of ``terms`` that has a row among the
+    distinct ``words`` (a model's words in row order), sorted: its own
+    word's row, else with ``case_fallback`` its lowercase form's."""
+    ids = {word: i for i, word in enumerate(words)}
+    known = []
+    for term in terms:
+        row = ids.get(term)
+        if row is None and case_fallback:
+            row = ids.get(term.lower())
+        if row is not None:
+            known.append((row, term))
+    return sorted(known)
 
 
 def oracle_macro_f1(predictions, gold, num_classes):

@@ -23,6 +23,7 @@ from catweight import (
     build_stats,
     build_table,
     decision_scores,
+    for_terms,
     from_token_lists,
     load_model,
     logreg_gradient,
@@ -388,7 +389,8 @@ def _saved_model(corpus, embedding, scheme, kind="logreg", scaler=True, seed=0, 
     if scaler:
         params = ScalerParams(rng.normal(size=n_features), rng.random(n_features) + 0.5)
     model = LinearModel(kind, rng.normal(size=(n_classes, n_features)), rng.normal(size=n_classes))
-    return SavedModel(model, table, vec.known_embedding(), params, preserve_case=not scaler)
+    known = for_terms(embedding, corpus.token_counts().terms)
+    return SavedModel(model, table, known, params, preserve_case=not scaler)
 
 
 def _rewrite(path, **changes):

@@ -1062,18 +1062,58 @@ def test_non_integer_jobs_in_config_exits_2(toy_csv, tmp_path, capsys):
     # A whole float or a numeric string is read as that integer.
     ("cv", {"k": 3.0, "epochs": "5"}, [], "dataset not found"),
     ("curve", {"sizes": [240.0, "480"]}, [], "dataset not found"),
+    # A path or name option takes a string, an option with choices one of them.
+    ("weights", {"out": 5}, [], "--out must be a string, got 5"),
+    ("weights", {"data": 5}, [], "--data must be a string, got 5"),
+    ("predict", {"model": 5}, [], "--model must be a string, got 5"),
+    ("predict", {"input": ["a.txt"]}, [], "--input must be a string, got ['a.txt']"),
+    ("train", {"embedding": 1.5}, [], "--embedding must be a string, got 1.5"),
+    ("cv", {"label_field": 0}, [], "--label-field must be a string, got 0"),
+    ("weights", {"output_format": "xml"}, [], "--output-format must be one of json, tsv, got 'xml'"),
+    ("vectorize", {"embedding_format": "foo"}, [],
+     "--embedding-format must be one of auto, glove, word2vec-text, word2vec-binary, got 'foo'"),
+    ("cv", {"format": ["csv"]}, [], "--format must be one of auto, csv, tsv, jsonl, 20ng, got ['csv']"),
 ])
 def test_bad_integer_option_exits_2_before_loading(
-    command, entries, flags, message, tmp_path, capsys
+    command, entries, flags, message, tmp_path, capsys, monkeypatch
 ):
+    """Every option a config file sets is checked before any file is read
+    or written (``--data`` names no file); none is written, not even the
+    default ``weights.<output format>``."""
+    monkeypatch.chdir(tmp_path)
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"seed": 1, **entries}))
-    out = tmp_path / "out"
-    argv = [command, "--config", str(config), "--data", str(tmp_path / "absent.csv"),
-            "--scheme", "tfcr", "--out", str(out), *flags]
-    assert main(argv) == 2
+    # A key of another subcommand, such as predict's data, is ignored.
+    cfg = {"seed": 1, "data": "absent.csv", "scheme": "tfcr", "out": "out", **entries}
+    config.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(config), *flags]) == 2
     assert f"error: {message}" in capsys.readouterr().err
-    assert not out.exists()
+    assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("cv", ["--data", "absent.csv", "--seed", "1"]),
+    ("curve", ["--data", "absent.csv", "--seed", "1", "--sizes", "10"]),
+    ("weights", ["--data", "absent.csv", "--seed", "1", "--scheme", "tfcr"]),
+    ("vectorize", ["--data", "absent.csv", "--seed", "1", "--scheme", "tfcr"]),
+    ("train", ["--data", "absent.csv", "--seed", "1", "--scheme", "tfcr"]),
+    ("predict", ["--model", "absent.bin"]),
+])
+def test_out_in_a_missing_directory_exits_2_before_loading(
+    command, flags, tmp_path, capsys, monkeypatch
+):
+    """Checked before the input (absent here) is looked for."""
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "missing" / "out.txt"
+    assert main([command, *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: output directory not found: {out.parent}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_unwritable_out_exits_1_with_a_message(toy_csv, tmp_path, capsys):
+    argv = ["weights", "--data", toy_csv, "--seed", "1", "--scheme", "tfcr", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno") and str(tmp_path) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("key", ["standardize", "stratified", "preserve_case", "case_fallback"])

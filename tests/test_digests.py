@@ -22,6 +22,7 @@ from catweight import (
     CorpusVectorizer,
     build_stats,
     build_table,
+    for_terms,
     from_token_lists,
     save_glove_text,
     synthetic_model,
@@ -84,9 +85,8 @@ class TestOutputDigests:
         for min_count in (1, 2):
             table = build_table(build_stats(corpus, doc_subset=train, min_count=min_count), scheme)
             for fallback in (False, True):
-                vec = CorpusVectorizer(
-                    corpus.documents, model, fallback, counts=corpus.token_counts()
-                )
+                embedding = for_terms(model, corpus.token_counts().terms, fallback)
+                vec = CorpusVectorizer(corpus.documents, embedding, counts=corpus.token_counts())
                 chunks += [vec.matrix(table).tobytes(), vec.view(subset).matrix(table).tobytes()]
         assert _digest(*chunks) == digest
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     OracleFormatError,
+    oracle_for_terms,
     oracle_glove,
     oracle_word2vec_binary,
     oracle_word2vec_text,
@@ -27,6 +28,7 @@ from catweight import (
     EmbeddingModel,
     WeightTable,
     detect_format,
+    for_terms,
     load_embeddings,
     load_glove_text,
     load_word2vec_binary,
@@ -39,6 +41,7 @@ from catweight import (
 )
 from catweight import cli
 from catweight import embeddings
+from catweight.corpus import count_tokens
 
 
 class TestGloveText:
@@ -281,12 +284,13 @@ class TestSynthetic:
 
 
 class TestLookup:
-    """Token lookup as CorpusVectorizer does it: exact match, then the
-    optional lowercase fallback."""
+    """Token lookup as a run resolves it: exact match, then the optional
+    lowercase fallback of ``for_terms``."""
 
     def _vectorize(self, model, tokens, case_fallback=False):
         docs = [Document(tokens=(t,), label=None, source_id=t) for t in tokens]
-        vec = CorpusVectorizer(docs, model, case_fallback=case_fallback)
+        embedding = for_terms(model, count_tokens(docs).terms, case_fallback)
+        vec = CorpusVectorizer(docs, embedding)
         none = WeightTable(scheme="none", categories=("A",))
         return vec.known_token_counts.tolist(), vec.matrix(none)
 
@@ -304,6 +308,48 @@ class TestLookup:
         assert np.array_equal(X[0], model.vectors[model.word_ids["paris"]])
         # No upward fallback: lowercase queries never match cased entries.
         assert known[1] == 0
+
+
+# Mixed-case words whose lowercase forms collide, one of them two code
+# points long ("İ".lower() is "i̇").
+_CASED_WORDS = st.text(alphabet="aAbBiİß", min_size=1, max_size=3)
+
+
+class TestForTerms:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        words=st.lists(_CASED_WORDS, unique=True, max_size=10),
+        terms=st.lists(_CASED_WORDS, unique=True, max_size=10),
+        case_fallback=st.booleans(),
+        sorted_words=st.booleans(),
+    )
+    def test_matches_the_oracle(self, words, terms, case_fallback, sorted_words):
+        """Rows in (source row, term) order; the model itself exactly when
+        its words are those terms, in that order."""
+        vectors = np.arange(2.0 * len(words)).reshape(len(words), 2)
+        if sorted_words:  # a model file's vocabulary
+            array = np.array(words, dtype=str)
+            words = embeddings.SortedWords(array, np.argsort(array, kind="stable"))
+        model = EmbeddingModel(words, vectors, "m")
+        known = oracle_for_terms(list(words), terms, case_fallback)
+        got = for_terms(model, terms, case_fallback)
+        assert list(got.words) == [term for _, term in known]
+        assert got.vectors.tolist() == [vectors[row].tolist() for row, _ in known]
+        assert got.dimension == 2 and got.origin == "m"
+        assert (got is model) == ([term for _, term in known] == list(words))
+
+    def test_a_folded_term_keeps_its_own_string(self):
+        model = synthetic_model(["paris"], 4, seed=0)
+        got = for_terms(model, ["Paris"], case_fallback=True)
+        assert got is not model
+        assert got.words == ("Paris",)
+        assert np.array_equal(got.vectors, model.vectors)
+
+    def test_a_model_of_exactly_the_terms_comes_back_uncopied(self):
+        model = synthetic_model(["b", "a", "c"], 4, seed=0)
+        assert for_terms(model, ["c", "a", "b"]) is model
+        assert for_terms(model, ("b", "a", "c", "d"), case_fallback=True) is model
+        assert for_terms(model, ["a", "b"]) is not model
 
 
 class TestDetectAndDispatch:

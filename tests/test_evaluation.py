@@ -715,7 +715,7 @@ class TestGridRun:
         assert y[pairs[0][0]].tolist().count(-1) == 1 and 2 in y[pairs[1][0]]
         outcomes = evaluation._fit_and_score(
             corpus, pairs, SCHEMES, eval_model, ["logreg", "svm"], FAST,
-            alpha=DEFAULT_ALPHA, standardize=True, case_fallback=False, min_count=1,
+            alpha=DEFAULT_ALPHA, standardize=True, min_count=1,
             jobs=jobs, skip_failed=True,
         )
         assert list(outcomes) == [(s, c) for s in SCHEMES for c in ("logreg", "svm")]

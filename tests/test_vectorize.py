@@ -17,6 +17,7 @@ from catweight import (
     WeightTable,
     build_stats,
     build_table,
+    for_terms,
     from_token_lists,
     separable_corpus,
     standardize_apply,
@@ -26,7 +27,7 @@ from catweight import (
 from catweight import vectorize
 from catweight.corpus import TokenCounts, count_tokens
 from catweight.weighting import SCHEMES
-from oracles import oracle_weighted_mean, table_idf, table_weight
+from oracles import oracle_for_terms, oracle_weighted_mean, table_idf, table_weight
 
 
 def _emb(mapping):
@@ -53,11 +54,11 @@ def _doc(tokens):
     return Document(tokens=tuple(tokens), label=None, source_id="t")
 
 
-def _row(doc, model, table, case_fallback=False):
+def _row(doc, model, table):
     """Feature vector of one document: the row of a one-document matrix."""
     if not isinstance(doc, Document):
         doc = _doc(doc)
-    return CorpusVectorizer([doc], model, case_fallback).matrix(table)[0]
+    return CorpusVectorizer([doc], model).matrix(table)[0]
 
 
 def _slice(doc, model, table, c):
@@ -427,9 +428,10 @@ class TestCorpusVectorizer:
         finally:
             tracemalloc.stop()
         assert peak < used / 10
-        known = vec.known_embedding()  # the saved model's rows: gathered here
+        terms = count_tokens(docs).terms
+        known = for_terms(model, terms)  # the saved model's rows: gathered here
         assert np.array_equal(known.vectors, model.vectors[::2])
-        assert CorpusVectorizer(docs, known).known_embedding().vectors is known.vectors
+        assert for_terms(known, terms) is known
 
     def _random_docs(self, rng, model, n=25):
         words = list(model.words) + ["oov1", "oov2"]
@@ -520,9 +522,8 @@ class TestCorpusVectorizer:
 
     def test_embedding_rows_shared_when_the_corpus_knows_them_all(self, toy_corpus, tiny_model):
         every = from_token_lists([list(tiny_model.words)], [0], ["A"])
-        vectorizer = CorpusVectorizer(every.documents, tiny_model)
-        assert vectorizer.known_embedding().vectors is tiny_model.vectors
-        some = CorpusVectorizer(toy_corpus.documents, tiny_model).known_embedding()
+        assert for_terms(tiny_model, every.token_counts().terms) is tiny_model
+        some = for_terms(tiny_model, toy_corpus.token_counts().terms)
         assert len(some) < len(tiny_model)
         rows = [tiny_model.word_ids[w] for w in some.words]
         assert np.array_equal(some.vectors, tiny_model.vectors[rows])
@@ -566,7 +567,8 @@ class TestCorpusVectorizer:
         docs = [Document(tokens=("WIN", "Game", "win"), label=None, source_id="x")]
         # Weighted schemes give surface-cased tokens weight 0 regardless:
         # only "win" is weighed, in both category slices.
-        X = CorpusVectorizer(docs, model, case_fallback=True).matrix(table)
+        embedding = for_terms(model, count_tokens(docs).terms, case_fallback=True)
+        X = CorpusVectorizer(docs, embedding).matrix(table)
         np.testing.assert_allclose(
             X[0], np.concatenate([model.vectors[model.word_ids["win"]]] * 2), rtol=1e-12
         )
@@ -575,7 +577,7 @@ class TestCorpusVectorizer:
         win = model.vectors[model.word_ids["win"]].tolist()
         game = model.vectors[model.word_ids["game"]].tolist()
         none_table = build_table(stats, "none")
-        with_fb = CorpusVectorizer(docs, model, case_fallback=True).matrix(none_table)
+        with_fb = CorpusVectorizer(docs, embedding).matrix(none_table)
         bare = CorpusVectorizer(docs, model).matrix(none_table)
         np.testing.assert_allclose(
             with_fb[0], oracle_weighted_mean([1, 1, 1], [win, game, win], 4), rtol=1e-12
@@ -595,23 +597,17 @@ class TestCorpusVectorizer:
         ]
         docs = from_token_lists(token_lists, [None] * 4, []).documents
         counts = count_tokens(docs)
-        # The oracle: known terms sorted by (embedding row, term, count column).
-        ids = model.word_ids
-        known = sorted(
-            (row, term, j)
-            for j, term in enumerate(counts.terms)
-            if (row := ids.get(term, ids.get(term.lower()))) is not None
-        )
-        order = [term for _, term, _ in known]
+        known = oracle_for_terms(model.words, counts.terms, case_fallback=True)
+        order = [term for _, term in known]
         assert order == ["pear", "APPLE", "Apple", "apple", "Fig", "fig"]
-        vectorizer = CorpusVectorizer(docs, model, case_fallback=True)
-        assert vectorizer.known_embedding().words == tuple(order)
+        vectorizer = CorpusVectorizer(docs, for_terms(model, counts.terms, case_fallback=True))
+        assert vectorizer.model.words == tuple(order)
         weight = {"pear": 0.5, "APPLE": 3.0, "Apple": 0.25, "apple": 1.5, "Fig": 0.75, "fig": 2.0}
         table = _cat_table({t: (weight[t], 1.0) for t in order})
         X = vectorizer.matrix(table)
         for i, tokens in enumerate(token_lists):
             tf = [tokens.count(t) for t in order]
-            vectors = [model.vectors[row].tolist() for row, _, _ in known]
+            vectors = [model.vectors[row].tolist() for row, _ in known]
             for c, weight_of in enumerate((weight.__getitem__, lambda t: 1.0)):
                 weights = [n * weight_of(t) for n, t in zip(tf, order)]
                 expected = oracle_weighted_mean(weights, vectors, 2)
@@ -709,7 +705,7 @@ class TestCorpusVectorizer:
             1: {"win": 1.0, "game": 1.0 + math.log(3), "team": 1.0 + math.log(7)},
         }
         for i, row in expected.items():
-            got = {vectorizer._words[j]: v for j, v in
+            got = {tiny_model.words[vectorizer._rows[j]]: v for j, v in
                    zip(logs[i].indices.tolist(), logs[i].data.tolist())}
             assert got == row
             # The mean over the category-0 factors weighed by those counts.
