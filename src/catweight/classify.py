@@ -34,18 +34,23 @@ writes ``np.savez``'s bytes, member by member from each array's own
 memory, so it holds no second copy of the vectors.  ``load_model`` takes
 the member list from the zip's central directory and reads each stored
 member straight into a freshly allocated (so aligned) array, checking
-its CRC-32 over header and data before any value is used.  It checks
-that ``vocab_order`` sorts the vocabulary into distinct words and builds
-the in-memory ``WeightTable`` straight from the arrays, numbering its
-words by the vocabulary, which is the loaded embedding's row order; the
-embedding looks words up by binary search over the sorted vocabulary,
-with no per-word dict or tuple.  Files of formats 1, 2 and 3 must be
-retrained.
+its CRC-32 over header and data before any value is used.  A member's
+npy header is matched, not evaluated: it must have the one layout
+``np.savez`` writes, ``{'descr': ..., 'fortran_order': ..., 'shape':
+(...), }`` padded with spaces and ended by a newline, or the file is
+refused.  It checks that ``vocab_order`` sorts the vocabulary into
+distinct words and builds the in-memory ``WeightTable`` straight from
+the arrays (its weights a ``csr.Csr`` of them, with no scipy import),
+numbering its words by the vocabulary, which is the loaded embedding's
+row order; the embedding looks words up by binary search over the
+sorted vocabulary, with no per-word dict or tuple.  Files of formats 1,
+2 and 3 must be retrained.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -53,8 +58,8 @@ from itertools import repeat
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csr import Csr
 from .embeddings import EmbeddingModel, SortedWords
 from .errors import ModelFormatError, TrainingError
 from .vectorize import ScalerParams
@@ -384,8 +389,7 @@ def save_model(saved: SavedModel, path: str | Path) -> None:
     empty = np.zeros(0)
     weights = None
     if table.weights is not None:
-        weights = table.weights[at]
-        weights.eliminate_zeros()  # kld's clamped zeros
+        weights = table.weights[at].without_zeros()  # without kld's clamped zeros
     words = np.array(vocab, dtype=str)
     with open(path, "wb") as fh:
         _write_npz(
@@ -432,12 +436,23 @@ def _check_version(path, version: np.ndarray) -> None:
     raise ModelFormatError(f"{path}: unsupported model format {version}")
 
 
+# The npy 1.0 header of every member, as _write_npz and np.savez write it:
+# the dict's repr with sorted keys and a trailing ", ", padded with spaces
+# and ended by a newline.
+_NPY_HEADER = re.compile(
+    r"\{'descr': '([^']+)', 'fortran_order': (False|True), "
+    r"'shape': \(((?:[0-9]+, )*[0-9]+,?|)\), \} *\n"
+)
+
+
 def _read_member(fh, info: zipfile.ZipInfo, size: int) -> np.ndarray:
     """The npy array of one stored zip member of the open file of
     ``size`` bytes, read into a fresh array (so aligned, as numpy's
     kernels want it) once its CRC-32 over header and data has matched.
-    A compressed member, an object dtype or a size that does not fit
-    the header raises ``ValueError``."""
+    The header is matched against the one layout ``_write_npz`` writes
+    (``_NPY_HEADER``), not evaluated.  A compressed member, another npy
+    version or header layout, an object dtype or a size that does not
+    fit the header raises ``ValueError``."""
     name = info.filename
     if info.compress_type != zipfile.ZIP_STORED:
         raise ValueError(f"member {name!r} is compressed")
@@ -447,22 +462,31 @@ def _read_member(fh, info: zipfile.ZipInfo, size: int) -> np.ndarray:
         raise ValueError(f"member {name!r} has no local header")
     start = fh.seek(info.header_offset + 30 + int.from_bytes(local[26:28], "little")
                     + int.from_bytes(local[28:30], "little"))
-    version = np.lib.format.read_magic(fh)
-    if version != (1, 0):  # the version _write_npz writes
-        raise ValueError(f"member {name!r} is npy version {version}")
-    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    preamble = fh.read(10)
+    if len(preamble) < 10 or preamble[:6] != b"\x93NUMPY":
+        raise ValueError(f"member {name!r} is not an npy array")
+    if preamble[6:8] != b"\x01\x00":  # the version _write_npz writes
+        raise ValueError(f"member {name!r} is npy version {tuple(preamble[6:8])}")
+    head = 10 + int.from_bytes(preamble[8:10], "little")
+    if head > info.file_size:
+        raise ValueError(f"member {name!r} has a header longer than the member")
+    header = fh.read(head - 10)
+    layout = _NPY_HEADER.fullmatch(header.decode("latin1"))
+    if layout is None:
+        raise ValueError(f"member {name!r} has a malformed npy header")
+    descr, fortran_order, dims = layout.groups()
+    dtype = np.dtype(descr)
     if dtype.hasobject:
         raise ValueError(f"member {name!r} holds objects, not read with allow_pickle=False")
-    head = fh.tell() - start
+    shape = tuple(map(int, dims.replace(",", " ").split()))
     nbytes = math.prod(shape) * dtype.itemsize
     if head + nbytes != info.file_size or start + info.file_size > size:
         raise ValueError(f"member {name!r} does not hold its {shape} {dtype} array")
-    fh.seek(start)
-    crc = zlib.crc32(fh.read(head))
+    crc = zlib.crc32(header, zlib.crc32(preamble))
     data = np.empty(nbytes, np.uint8)
     if fh.readinto(data) != nbytes or zlib.crc32(data, crc) != info.CRC:
         raise ValueError(f"Bad CRC-32 for member {name!r}")
-    return data.view(dtype).reshape(shape, order="F" if fortran_order else "C")
+    return data.view(dtype).reshape(shape, order="F" if fortran_order == "True" else "C")
 
 
 def _read_arrays(path: str | Path) -> dict[str, np.ndarray]:
@@ -575,8 +599,7 @@ def load_model(path: str | Path) -> SavedModel:
         raise ModelFormatError(f"{path}: inconsistent model file: {'; '.join(wrong)}")
     weights = None
     if per_category:
-        csr = (a["weight_values"], a["weight_categories"], a["weight_indptr"])
-        weights = sp.csr_matrix(csr, shape=(T, C))
+        weights = Csr(a["weight_values"], a["weight_categories"], a["weight_indptr"], (T, C))
     idf = a["idf"] if scheme == "tfidf" else None
     table = WeightTable(scheme, categories, words, a["table_rows"], weights, idf, float(a["alpha"]))
     embedding = EmbeddingModel(words, a["vectors"], str(path))

@@ -269,8 +269,12 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ConfigError(f"--{key.replace('_', '-')} must be >= 1, got {resolved[key]}")
     if resolved.get("k") is not None and resolved["k"] < 2:
         raise ConfigError(f"--k must be >= 2, got {resolved['k']}")
-    if resolved.get("out") is not None and not Path(resolved["out"]).parent.is_dir():
-        raise ConfigError(f"output directory not found: {Path(resolved['out']).parent}")
+    if resolved.get("out") is not None:
+        out = Path(resolved["out"])
+        if not out.parent.is_dir():
+            raise ConfigError(f"output directory not found: {out.parent}")
+        if out.is_dir():
+            raise ConfigError(f"--out names a directory: {out}")
     return resolved
 
 
@@ -287,13 +291,26 @@ def _choice(name: str, valid: tuple[str, ...], what: str) -> str:
     return name
 
 
-def _expand(value: str, valid: tuple[str, ...], what: str) -> list[str]:
+def _expand(value, valid: tuple[str, ...], what: str) -> list[str]:
+    """The names ``value`` gives: ``all``, a comma list, or a config
+    file's JSON list of names, each one of ``valid``."""
     if value == "all":
         return list(valid)
-    names = [v.strip() for v in str(value).split(",") if v.strip()]
+    items = value if isinstance(value, list) else str(value).split(",")
+    if not all(isinstance(item, str) for item in items):
+        raise ConfigError(f"--{what} must be a name, a comma list or a list of names, got {value!r}")
+    names = [v.strip() for v in items if v.strip()]
     if not names:
         raise ConfigError(f"no {what} given")
     return [_choice(name, valid, what) for name in names]
+
+
+def _one(value, valid: tuple[str, ...], what: str, command: str) -> str:
+    """The one name ``value`` gives (see ``_expand``)."""
+    names = _expand(value, valid, what)
+    if len(names) != 1:
+        raise ConfigError(f"{command} takes exactly one {what}")
+    return names[0]
 
 
 def _detect_dataset_format(path: Path) -> str:
@@ -516,9 +533,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     seed = _require(cfg, "seed", "--seed")
     schemes = _expand(cfg["scheme"], SCHEMES, "scheme")
-    classifiers = _expand(cfg["classifier"], CLASSIFIERS, "classifier")
-    if len(classifiers) != 1:
-        raise ConfigError("curve takes exactly one classifier")
+    classifier = _one(cfg["classifier"], CLASSIFIERS, "classifier", "curve")
     train_config = _train_config(cfg)
     sizes = _curve_sizes(cfg)
     corpus = _load_corpus(cfg)
@@ -530,7 +545,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         plan,
         schemes,
         embedding,
-        classifiers[0],
+        classifier,
         train_config,
         alpha=cfg["alpha"],
         standardize=cfg["standardize"],
@@ -569,7 +584,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
 def cmd_weights(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     _require(cfg, "seed", "--seed")
-    scheme = _choice(str(_require(cfg, "scheme", "--scheme")), SCHEMES, "scheme")
+    scheme = _one(_require(cfg, "scheme", "--scheme"), SCHEMES, "scheme", "weights")
     if scheme == "none":
         raise ConfigError("scheme 'none' has no weights to export")
     corpus = _load_corpus(cfg)
@@ -600,7 +615,7 @@ def _full_corpus_features(cfg: dict, scheme: str) -> tuple:
 def cmd_vectorize(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     _require(cfg, "seed", "--seed")
-    scheme = _choice(str(_require(cfg, "scheme", "--scheme")), SCHEMES, "scheme")
+    scheme = _one(_require(cfg, "scheme", "--scheme"), SCHEMES, "scheme", "vectorize")
     corpus, _, _, X = _full_corpus_features(cfg, scheme)
     out = Path(cfg.get("out") or "vectors.tsv")
     with open(out, "w", encoding="utf-8") as fh:
@@ -616,8 +631,8 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     _require(cfg, "seed", "--seed")
-    scheme = _choice(str(_require(cfg, "scheme", "--scheme")), SCHEMES, "scheme")
-    classifier = _choice(str(cfg["classifier"]), CLASSIFIERS, "classifier")
+    scheme = _one(_require(cfg, "scheme", "--scheme"), SCHEMES, "scheme", "train")
+    classifier = _one(cfg["classifier"], CLASSIFIERS, "classifier", "train")
     train_config = _train_config(cfg)
     corpus, table, embedding, X = _full_corpus_features(cfg, scheme)
     labels = corpus.labels()

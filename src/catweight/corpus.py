@@ -11,7 +11,8 @@ assembles the documents.
 
 ``count_tokens`` is the one token count: a documents-by-terms CSR matrix,
 each row in increasing term id, from which corpus statistics and
-document vectors are both derived.
+document vectors are both derived.  It is held as numpy arrays
+(``csr.Csr``); the scipy matrix of the same counts is built on first use.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ import json
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csr import Csr, bounds
 from .errors import IngestionError, SplitError
 
 
@@ -89,20 +91,31 @@ class Document:
 
 @dataclass(frozen=True)
 class TokenCounts:
-    """``matrix[i, t]`` counts ``terms[t]`` in document i (int64 CSR), the
-    i-th document ``count_tokens`` read.
+    """``csr`` counts ``terms[t]`` in document i at row i, column t (int64
+    CSR arrays), the i-th document ``count_tokens`` read.
 
     Terms are numbered in order of first occurrence in the corpus, and
     each row stores its entries in increasing term id (canonical CSR).
     No result depends on the row order: counts sum exactly, and
     ``CorpusVectorizer`` sums each document's terms in (embedding row,
-    term) order, which a document's own tokens fix.  The instance is
-    shared through ``LabeledCorpus.token_counts``: treat it as
+    term) order, which a document's own tokens fix.  ``matrix`` is the
+    same counts as a ``scipy.sparse.csr_matrix``, built (and scipy
+    imported) on first use, which only ``build_stats`` and the
+    per-category loop of ``CorpusVectorizer.matrix`` make.  The instance
+    is shared through ``LabeledCorpus.token_counts``: treat it as
     read-only.
     """
 
     terms: tuple[str, ...]
-    matrix: sp.csr_matrix
+    csr: Csr
+
+    @cached_property
+    def matrix(self):
+        """The counts as a ``scipy.sparse.csr_matrix``."""
+        import scipy.sparse as sp
+
+        csr = self.csr
+        return sp.csr_matrix((csr.data, csr.indices, csr.indptr), shape=csr.shape)
 
 
 def count_tokens(documents) -> TokenCounts:
@@ -134,10 +147,11 @@ def count_tokens(documents) -> TokenCounts:
     data = np.diff(starts, append=keys.size)
     keys = keys[starts]
     rows, indices = np.divmod(keys, max(num_terms, 1))  # no terms: no keys either
-    indptr = np.zeros(num_docs + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=num_docs), out=indptr[1:])
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(num_docs, num_terms))
-    return TokenCounts(terms=tuple(term_ids), matrix=matrix)
+    # scipy's index type, so that ``TokenCounts.matrix`` shares these arrays.
+    index = np.int32 if max(keys.size, num_docs, num_terms) < 2**31 else np.int64
+    indptr = bounds(np.bincount(rows, minlength=num_docs), index)
+    csr = Csr(data, indices.astype(index), indptr, (num_docs, num_terms))
+    return TokenCounts(tuple(term_ids), csr)
 
 
 def _each_token_tuple(documents, lengths: array):

@@ -12,18 +12,22 @@ Words are kept as ids into the corpus term numbering (the columns of
 the count matrix), which the weight tables and ``CorpusVectorizer``
 share; their strings are built only when an export asks for them.
 Occurrence counts are kept sparse; the vocabulary-by-categories table
-is mostly zeros.
+is mostly zeros.  The occurrences are one sparse product over the
+subset's documents, so ``build_stats`` imports scipy when it runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import LabeledCorpus
 from .errors import StatsError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass
@@ -90,6 +94,8 @@ def build_stats(
     if unlabeled.size:
         doc = corpus.documents[subset[unlabeled[0]]]
         raise StatsError(f"document {doc.source_id!r} in subset has no label")
+
+    import scipy.sparse as sp
 
     counts = corpus.token_counts()
     rows = counts.matrix[subset]

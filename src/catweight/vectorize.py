@@ -20,9 +20,10 @@ when the table numbers its words by the same count columns (tables
 built from this corpus's stats) or by the model's embedding rows (a
 loaded model file); a table over any other numbering is matched word by
 word.  ``view(rows)`` is the vectorizer over some documents only; it
-slices and transposes the counts of each kind (plain and ``1 + ln tf``,
-the log taken once per distinct count) on first use, so one view per
-(train, test) pair serves all the pair's tables.  Each call of
+gathers (and, for the per-category loop, transposes) the counts of each
+kind (plain and ``1 + ln tf``, the log taken once per distinct count) on
+first use, so one view per (train, test) pair serves all the pair's
+tables.  Each call of
 ``matrix`` orders its own table's stored (word, category) pairs by
 (category, column); nothing is kept across tables.
 
@@ -43,23 +44,28 @@ every training word, builds the dense W.
 preparation of the table (the power-of-two scaling and the zero
 filter).  An input that needs fewer than ``_PRODUCT_GATE`` (document,
 category, term) products of the nonzero weights, such as a one-line
-``predict``, takes one sparse product: one CSR matrix with a row per
+``predict``, takes one product, in numpy: one CSR matrix with a row per
 (document, category) and a column per term holds every frequency *
-weight product, in term order within each row, so one product with the
-embedding rows gives every numerator already in the output's (document,
-category, d) layout and one ``np.bincount`` every denominator.  Any
-larger input takes one product per category, so its temporaries stay
-one category's.  Both feed one finishing step, which adds tftrr's floor
-share of F (the floor's numerator, one ``_numerator`` product either
-way) and divides by the weight sums straight into the output.  Both add
-the same terms in the same order, so the bits do not depend on which
-ran.  The loop pays a fixed scipy cost per category, about 4 ms of
-a one-line matrix with 20 categories; the single product pays for
-gathering and sorting every product, and loses on large inputs.  On the
+weight product, in term order within each row, and each row's sum of
+those products times the embedding rows (``_row_sums``) is a numerator,
+already in the output's (document, category, d) layout; one
+``np.bincount`` gives every denominator.  tftrr's floor numerator F
+(each document's counts times the embedding rows of the training
+words) is one more category of that product.  Any larger input takes
+one scipy product per category (and one for F), so its temporaries
+stay one category's.  Both feed one finishing step, which adds tftrr's
+floor share of F and divides by the weight sums straight into the
+output.  Both add the same terms in the same order, each sum from zero,
+so the bits do not depend on which ran.  Only the loop imports scipy,
+so ``import catweight`` and a one-line ``predict`` run on numpy alone.
+The loop pays a fixed scipy cost per category, 2.5-3 ms of a
+one-line matrix with 20 categories; the numpy product pays a Python
+step per (document, category) row, and loses on large inputs.  On the
 benchmark's seed-1 tfcr, kld and tftrr models (1 to 200 holdout lines, a
-2-vCPU machine, one BLAS thread) the two cross between 38,000 and 70,000
-products, 30 to 50 lines: one line took 1.3-1.6 ms against 5.0-5.6 ms,
-200 lines 35-81 ms against 21-30 ms.  The gate sits below that crossover.
+2-vCPU machine, one BLAS thread) the two cross between 14,000 and 17,500
+products, about 12 to 16 lines: one line took 0.8-1.1 ms against
+2.5-3.0 ms, 200 lines 70-115 ms against 21-25 ms.  The gate sits below
+that crossover.
 """
 
 from __future__ import annotations
@@ -70,9 +76,9 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import TokenCounts, count_tokens
+from .csr import Csr, bounds, entry_positions, row_of_entries
 from .embeddings import EmbeddingModel
 from .weighting import WeightTable
 
@@ -86,7 +92,7 @@ class ScalerParams:
 
 
 _SCALER_ROWS = 256  # rows per block of standardize_fit's squared deviations
-_PRODUCT_GATE = 20_000  # matrix: below this many products, one sparse product
+_PRODUCT_GATE = 12_000  # matrix: below this many products, one sparse product
 
 
 def standardize_fit(vectors: np.ndarray) -> ScalerParams:
@@ -146,12 +152,18 @@ class CorpusVectorizer:
     their counts.  ``counts`` is the documents' ``TokenCounts`` when the
     caller already has it.  Each distinct term is looked up in the model
     once, by its own string (``embeddings.for_terms`` gives a run's terms
-    their rows).  The counts of the known terms are stored once, as
-    float64; the ``1 + ln tf`` counts are mapped from them, by a table of
-    values, when a view first needs them.  The model's embedding rows are
-    not copied: each product of ``matrix`` gathers the rows of its own
-    terms.  Every command and every (fold, scheme) of the evaluation
-    harness vectorizes through ``matrix``.
+    their rows).  The counts are shared, not copied: ``__init__`` takes
+    each document's known tokens and each column's documents (which the
+    gate counts) from them in one pass.  On first use, the one product
+    gathers the known terms' counts of its documents in numpy, and the
+    loop takes them as one scipy float64 matrix of every document,
+    shared by all views, and slices and transposes it per view; from then
+    on views read that matrix, and the token counts are no longer held.
+    The ``1 + ln tf`` counts are mapped from the counts by a table of
+    values.  The model's embedding rows are not copied: each product of
+    ``matrix`` gathers the rows of its own terms.  Every command and
+    every (fold, scheme) of the evaluation harness vectorizes through
+    ``matrix``.
     """
 
     def __init__(self, documents, model: EmbeddingModel, *, counts: TokenCounts | None = None):
@@ -165,39 +177,82 @@ class CorpusVectorizer:
         # The column of each count column, -1 for a term the model lacks.
         self._slot = np.full(len(terms), -1, dtype=np.int64)
         self._slot[columns] = np.arange(len(columns))
-        G = counts.matrix[:, columns].sorted_indices()
-        self.known_token_counts = np.asarray(G.sum(axis=1), dtype=np.int64).ravel()
-        self._G = G.astype(np.float64)
+        self._known = columns
         self._selected = None  # the documents of a view; None: all
-        self._sliced: dict[bool, tuple] = {}  # log? -> (G, G transposed) of those
+        column = self._slot[counts.csr.indices]
+        known = column >= 0
+        # Each document's known tokens: the running sum of their counts at its bounds.
+        running = np.concatenate([[0], np.cumsum(np.where(known, counts.csr.data, 0))])
+        self.known_token_counts = np.diff(running[counts.csr.indptr])
+        self._df = np.bincount(column[known], minlength=len(columns))  # documents per column
+        # Every document's counts, shared by all views: the token counts until
+        # the per-category loop first runs, then the loop's scipy matrix of
+        # the known terms' counts ("G"), which leaves the token counts free.
+        self._shared = {"counts": counts}
+        self._sliced: dict = {}  # the counts of the documents, built on first use
 
     def view(self, rows) -> CorpusVectorizer:
         """This vectorizer over the documents ``rows`` only (any index
         array or mask): ``view(rows).matrix(t)`` equals ``matrix(t)[rows]``.
 
-        A view slices and transposes the counts once per kind (plain and
-        ``1 + ln tf``), on first use, so one view per (train, test) pair
-        serves all the pair's tables.
+        A view slices (and, for the per-category loop, transposes) the
+        counts once per kind (plain and ``1 + ln tf``), on first use, so
+        one view per (train, test) pair serves all the pair's tables.
         """
         picked = np.arange(len(self.known_token_counts))[rows]  # positions, from any index or mask
         view = copy.copy(self)
         view._selected = picked if self._selected is None else self._selected[picked]
         view.known_token_counts = self.known_token_counts[picked]
+        column = view._document_counts()[1]
+        view._df = np.bincount(column[column >= 0], minlength=len(self._rows))
         view._sliced = {}
         return view
 
+    def _document_counts(self) -> tuple:
+        """These documents' count rows and the column of each of their
+        entries (-1 for a term the model lacks), from the shared counts."""
+        if "G" in self._shared:  # the known terms' counts, numbered by column
+            G = self._shared["G"]
+            counts = Csr(G.data, G.indices, G.indptr, G.shape)
+        else:
+            counts = self._shared["counts"].csr
+        if self._selected is not None:
+            counts = counts[self._selected]
+        return counts, counts.indices if "G" in self._shared else self._slot[counts.indices]
+
     def _counts(self, log: bool) -> tuple:
         """The documents' counts (``1 + ln tf`` when ``log``) and their
-        transpose, built on first use."""
+        transpose, as scipy matrices for the per-category loop, built on
+        first use."""
         if log not in self._sliced:
-            G = self._G if self._selected is None else self._G[self._selected]
-            if log:  # one math.log per distinct count
-                tf = np.unique(G.data)
-                log_tf = np.array([1.0 + math.log(n) for n in tf.tolist()])
-                G = sp.csr_matrix((log_tf[np.searchsorted(tf, G.data)], G.indices, G.indptr),
-                                  shape=G.shape)
+            import scipy.sparse as sp
+
+            if "G" not in self._shared:
+                G = self._shared.pop("counts").matrix[:, self._known].sorted_indices()
+                self._shared["G"] = G.astype(np.float64)
+            G = self._shared["G"]
+            if self._selected is not None:
+                G = G[self._selected]
+            if log:
+                G = sp.csr_matrix((_log_counts(G.data), G.indices, G.indptr), shape=G.shape)
             self._sliced[log] = (G, G.T.tocsr())
         return self._sliced[log]
+
+    def _line_counts(self, log: bool) -> Csr:
+        """The documents' counts (``1 + ln tf`` when ``log``) over this
+        vectorizer's columns, each row in column order, gathered in numpy
+        for the one product on first use."""
+        if ("line", log) not in self._sliced:
+            counts, column = self._document_counts()
+            known = column >= 0
+            doc, column = row_of_entries(counts.indptr)[known], column[known]
+            order = np.lexsort((column, doc))
+            data = counts.data[known][order].astype(np.float64)
+            n = len(self.known_token_counts)
+            G = Csr(_log_counts(data) if log else data, column[order],
+                    bounds(np.bincount(doc, minlength=n)), (n, len(self._rows)))
+            self._sliced["line", log] = G
+        return self._sliced["line", log]
 
     def _columns_of(self, table: WeightTable) -> np.ndarray:
         """This vectorizer's column of each table word, -1 where the model
@@ -229,16 +284,11 @@ class CorpusVectorizer:
         ``training`` lists the columns of the table's words, increasing."""
         weights = table.weights
         rows, training = self._known_rows(table)
-        # The known rows' entries, row after row: row i's sit at
-        # weights.indptr[rows[i]] onwards.
-        per = np.diff(weights.indptr)[rows]
-        start = weights.indptr[rows] - (np.cumsum(per) - per)
-        positions = np.repeat(start, per) + np.arange(per.sum())
+        positions = entry_positions(weights.indptr, rows)  # the known rows' entries
         category = weights.indices[positions]
         order = np.argsort(category, kind="stable")  # rows stay in column order
-        indptr = np.zeros(weights.shape[1] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(category, minlength=weights.shape[1]), out=indptr[1:])
-        columns = np.repeat(training, per)[order]
+        indptr = bounds(np.bincount(category, minlength=weights.shape[1]))
+        columns = np.repeat(training, np.diff(weights.indptr)[rows])[order]
         return indptr, columns, positions[order], training
 
     def _numerator(self, Gt, terms: np.ndarray, weights: np.ndarray) -> tuple:
@@ -251,7 +301,7 @@ class CorpusVectorizer:
         sub.data *= np.repeat(weights, np.diff(sub.indptr))
         return sub.T @ self.model.vectors[self._rows[terms]], sub
 
-    def _products(self, G, columns: np.ndarray, category: np.ndarray, values: np.ndarray,
+    def _products(self, G: Csr, columns: np.ndarray, category: np.ndarray, values: np.ndarray,
                   C: int) -> tuple:
         """Every document's C numerators, ``(n, C, d)``, from one product,
         and the weighted counts they were summed from, ``(n, C)``.
@@ -263,21 +313,18 @@ class CorpusVectorizer:
         n, K = G.shape
         by_term = np.argsort(columns, kind="stable")  # (column, category) order
         category, values = category[by_term], values[by_term]
-        start = np.zeros(K + 1, dtype=np.int64)
-        np.cumsum(np.bincount(columns, minlength=K), out=start[1:])
+        start = bounds(np.bincount(columns, minlength=K))
         # One product per (count entry, table entry of its term).
         per = np.diff(start)[G.indices]
-        entry = np.repeat(np.arange(G.nnz), per)
-        at = np.repeat(start[G.indices] - (np.cumsum(per) - per), per) + np.arange(entry.size)
-        row = np.repeat(np.arange(n), np.diff(G.indptr))[entry] * C + category[at]
+        entry = np.repeat(np.arange(G.indices.size), per)
+        at = entry_positions(start, G.indices)
+        row = row_of_entries(G.indptr)[entry] * C + category[at]
         order = np.argsort(row, kind="stable")  # terms stay in order within a row
         row, entry, at = row[order], entry[order], at[order]
         data = G.data[entry] * values[at]
-        used, column = np.unique(G.indices[entry], return_inverse=True)
-        indptr = np.zeros(n * C + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row, minlength=n * C), out=indptr[1:])
-        A = sp.csr_matrix((data, column, indptr), shape=(n * C, used.size))
-        num = A @ self.model.vectors[self._rows[used]]
+        products = self.model.vectors[self._rows[G.indices[entry]]]
+        products *= data[:, None]  # in place: a second array this size costs page faults
+        num = _row_sums(bounds(np.bincount(row, minlength=n * C)), products)
         weight = np.bincount(row, weights=data, minlength=n * C)
         return num.reshape(n, C, self.model.dimension), weight.reshape(n, C)
 
@@ -285,9 +332,8 @@ class CorpusVectorizer:
         """Feature matrix of this vectorizer's documents, in order, under
         one table; for some documents only, use ``view(rows).matrix(table)``."""
         d, K = self.model.dimension, len(self._rows)
+        n = len(self.known_token_counts)
         log = table.scheme == "tftrr"
-        G, Gt = self._counts(log)
-        n = G.shape[0]
         if table.scheme == "none":
             indptr, columns, values = np.array([0, K]), np.arange(K), np.ones(K)
         elif table.scheme == "tfidf":
@@ -308,6 +354,9 @@ class CorpusVectorizer:
         values, floor = np.ldexp(values, -e[category]), np.ldexp(floor, -e)
         nonzero = values != 0.0  # the nonzero (term, category) weights
         columns, values, category = columns[nonzero], values[nonzero], category[nonzero]
+        # The (document, category, term) products of the numerators.
+        small = self._df[columns].sum() < _PRODUCT_GATE
+        G, Gt = (self._line_counts(log), None) if small else self._counts(log)
         if floored := floor.any():
             # tftrr: W = floor * [training word] + nonzero deviations from it.
             # The floor weighs every training word, so the denominators come
@@ -315,9 +364,14 @@ class CorpusVectorizer:
             W = np.zeros((K, C))
             W[training] = floor
             W[columns, category] = values
-            den = G @ W
             values = values - floor[category]
-            F = self._numerator(Gt, training, np.ones(training.size))[0]
+            if small:  # G @ W, its sums in scipy's order
+                products = W[G.indices]
+                products *= G.data[:, None]
+                den = _row_sums(G.indptr, products)
+            else:
+                den = G @ W
+                F = self._numerator(Gt, training, np.ones(training.size))[0]
         X = np.empty((n, C, d))
 
         def finish(at, num, weight):
@@ -328,13 +382,18 @@ class CorpusVectorizer:
             weight[weight == 0.0] = 1.0
             np.divide(num, weight[:, :, None], out=block)
 
-        # The (document, category, term) products of the numerators.
-        df = np.diff(Gt.indptr)  # documents per column
-        if df[columns].sum() < _PRODUCT_GATE:
-            num, weight = self._products(G, columns, category, values, C)
+        if small:
+            if floored:  # F is one more category, in which each training word weighs 1
+                columns = np.concatenate([columns, training])
+                category = np.concatenate([category, np.full(training.size, C)])
+                values = np.concatenate([values, np.ones(training.size)])
+                num, weight = self._products(G, columns, category, values, C + 1)
+                num, F = num[:, :C], num[:, C]
+            else:
+                num, weight = self._products(G, columns, category, values, C)
             finish(slice(None), num, den if floored else weight)
             return X.reshape(n, C * d)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(category, minlength=C))])
+        indptr = bounds(np.bincount(category, minlength=C))
         for c in range(C):
             lo, hi = indptr[c], indptr[c + 1]
             num, sub = self._numerator(Gt, columns[lo:hi], values[lo:hi])
@@ -345,3 +404,31 @@ class CorpusVectorizer:
             finish(slice(c, c + 1), num[:, None], weight[:, None])
             del num, sub  # not alive beside the next category's
         return X.reshape(n, C * d)
+
+
+def _log_counts(counts: np.ndarray) -> np.ndarray:
+    """``1 + ln tf`` of each count, one ``math.log`` per distinct count."""
+    tf = np.unique(counts)
+    log_tf = np.array([1.0 + math.log(n) for n in tf.tolist()])
+    return log_tf[np.searchsorted(tf, counts)]
+
+
+def _row_sums(indptr: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """Each row's sum of its ``products`` (row r's are the rows
+    ``indptr[r]:indptr[r + 1]`` of a 2-D array), added one after another
+    starting from zero: the order in which scipy's sparse times dense
+    product adds them, so the two give the same bits.  numpy's axis-0 sum
+    of a row-major matrix adds its rows in turn, starting from the first
+    (adding zero then turns a -0.0 sum into scipy's 0.0); a single column
+    it adds pairwise, as ``np.add.reduceat`` does any, so one column is
+    summed by ``np.cumsum``."""
+    sums = np.zeros((indptr.size - 1, products.shape[1]))
+    edges = indptr.tolist()
+    for r in np.flatnonzero(np.diff(indptr)).tolist():
+        rows = products[edges[r] : edges[r + 1]]
+        if products.shape[1] > 1:
+            np.add.reduce(rows, axis=0, out=sums[r])
+        else:
+            sums[r] = np.cumsum(rows)[-1]
+    sums += 0.0
+    return sums

@@ -20,8 +20,9 @@ that ``CorpusVectorizer`` turns into features:
 
 A table names its words the way the stats do, as ids into a term
 numbering it shares (the corpus count columns, or a model file's
-vocabulary), and keeps the category weights sparse: one stored entry
-per nonzero occurrence pair, everything else an implicit zero.
+vocabulary), and keeps the category weights sparse (``csr.Csr``): one
+stored entry per nonzero occurrence pair, everything else an implicit
+zero.
 
 Every weight is >= 0, and words unseen in training weigh 0.  A zero
 remainder probability under a positive P is replaced by 1 / (N_r + 1),
@@ -38,8 +39,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csr import Csr, bounds, row_of_entries
 from .stats import CorpusStats
 
 SCHEMES = ("none", "tfidf", "kld", "tftrr", "tfcr")
@@ -66,7 +67,7 @@ class WeightTable:
     categories: tuple[str, ...]
     terms: tuple[str, ...] = ()
     term_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    weights: sp.csr_matrix | None = None
+    weights: Csr | None = None
     idf: np.ndarray | None = None
     alpha: float = DEFAULT_ALPHA
 
@@ -142,7 +143,7 @@ def build_table(
         else:
             values = _log_elementwise(ratio + alpha)
 
-    weights = sp.csr_matrix((values, occ.indices, occ.indptr), shape=occ.shape)
+    weights = Csr(values, occ.indices, occ.indptr, occ.shape)
     return WeightTable(
         scheme, stats.categories, stats.terms, stats.term_ids, weights=weights, alpha=alpha
     )
@@ -173,7 +174,7 @@ def top_k(table: WeightTable, c: int, k: int) -> list[tuple[str, float]]:
     words = np.asarray(table.words, dtype=object)
     if table.scheme == "tfidf":
         return _ranked(words, table.idf)[:k]
-    return _ranked(words, table.weights[:, [c]].toarray().ravel())[:k]
+    return _ranked(words, table.weights.toarray()[:, c])[:k]
 
 
 def table_payload(table: WeightTable, top: int | None = None) -> dict:
@@ -189,10 +190,14 @@ def table_payload(table: WeightTable, top: int | None = None) -> dict:
     if table.scheme == "tfidf":
         return {"scheme": "tfidf", "entries": [list(e) for e in _ranked(words, table.idf)[:top]]}
     entries = []
-    columns = table.weights.tocsc()
+    weights = table.weights
+    by_category = np.argsort(weights.indices, kind="stable")  # words stay in row order
+    words_at = row_of_entries(weights.indptr)[by_category]
+    values_at = weights.data[by_category]
+    indptr = bounds(np.bincount(weights.indices, minlength=table.num_categories))
     for c, name in enumerate(table.categories):
-        rows = columns.indices[columns.indptr[c] : columns.indptr[c + 1]]
-        values = columns.data[columns.indptr[c] : columns.indptr[c + 1]]
+        rows = words_at[indptr[c] : indptr[c + 1]]
+        values = values_at[indptr[c] : indptr[c + 1]]
         nonzero = values != 0.0
         ranked = _ranked(words[rows[nonzero]], values[nonzero])[:top]
         entries.extend([word, name, value] for word, value in ranked)

@@ -362,7 +362,7 @@ def table_weight(table, word, c):
     words = table.words
     if table.weights is None or word not in words:
         return 0.0
-    return float(table.weights[words.index(word), c])
+    return float(table.weights.toarray()[words.index(word), c])
 
 
 def table_idf(table, word):

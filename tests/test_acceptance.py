@@ -182,7 +182,7 @@ def test_criterion_2_tfcr_invariants(corpora, capsys):
             grown[host].extend(["zexclusive"] * count)
             grown_stats = build_stats(from_token_lists(grown, labels, categories))
             injected_values.append(
-                build_table(grown_stats, "tfcr").weights[
+                build_table(grown_stats, "tfcr").weights.toarray()[
                     grown_stats.words.index("zexclusive"), 0
                 ]
             )
@@ -203,7 +203,7 @@ def test_criterion_2_tfcr_invariants(corpora, capsys):
             grown = [list(t) for t in token_lists]
             grown[next(j for j, l in enumerate(labels) if l == c)].append(word)
             grown_stats = build_stats(from_token_lists(grown, labels, categories))
-            grown_value = build_table(grown_stats, "tfcr").weights[
+            grown_value = build_table(grown_stats, "tfcr").weights.toarray()[
                 grown_stats.words.index(word), c
             ]
             if not grown_value > table[i, c]:

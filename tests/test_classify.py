@@ -633,12 +633,63 @@ def _compress(path, names):
                 np.lib.format.write_array(fh, value)
 
 
+def _with_header(path, name, header, length=None):
+    """Rewrite a model file with the npy header of member ``name``
+    replaced by the dict text ``header``, padded as numpy pads it, under
+    a correct CRC-32; ``length`` overrides the header length field."""
+    with np.load(path) as npz:
+        arrays = {n: npz[n] for n in npz.files}
+    with zipfile.ZipFile(path, "w", allowZip64=True) as zf:
+        for n, value in arrays.items():
+            with zf.open(n + ".npy", "w", force_zip64=True) as fh:
+                if n != name:
+                    np.lib.format.write_array(fh, value)
+                    continue
+                text = header + " " * (-(len(header) + 11) % 64) + "\n"
+                size = len(text) if length is None else length
+                fh.write(b"\x93NUMPY\x01\x00" + size.to_bytes(2, "little") + text.encode("latin1"))
+                fh.write(value.tobytes())
+
+
 class TestModelFormat4:
     @pytest.fixture
     def model_file(self, toy_corpus, tiny_model, tmp_path):
         path = tmp_path / "model.bin"
         save_model(_saved_model(toy_corpus, tiny_model, "tfcr"), path)
         return path
+
+    def test_written_headers_are_read(self, model_file):
+        """The reader takes the headers np.savez writes, W's among them."""
+        _with_header(model_file, "W", "{'descr': '<f8', 'fortran_order': False, 'shape': (2, 16), }")
+        assert load_model(model_file).model.W.shape == (2, 16)
+
+    @pytest.mark.parametrize("header", [
+        "{'descr': '<f8', 'fortran_order': False, 'shape': (2, 16), 'extra': 1, }",
+        "{'descr': '<f8', 'shape': (2, 16), }",
+        "{'shape': (2, 16), 'fortran_order': False, 'descr': '<f8', }",
+        "{'descr': '<f8', 'fortran_order': False, 'shape': (-2, 16), }",
+        "{'descr': '<f8', 'fortran_order': False, 'shape': (2.0, 16), }",
+        "{'descr': '<f8', 'fortran_order': 0, 'shape': (2, 16), }",
+        "{'descr': '<f8', 'fortran_order': False, 'shape': (2, 16)}",
+    ], ids=["extra-key", "missing-key", "key-order", "negative-shape", "float-shape",
+            "int-fortran-order", "no-trailing-comma"])
+    def test_malformed_header_rejected(self, model_file, header):
+        """A header is matched against the one layout np.savez writes,
+        never evaluated."""
+        _with_header(model_file, "W", header)
+        with pytest.raises(ModelFormatError, match=r"'W.npy' has a malformed npy header"):
+            load_model(model_file)
+
+    def test_object_dtype_header_rejected(self, model_file):
+        _with_header(model_file, "W", "{'descr': '|O', 'fortran_order': False, 'shape': (2, 16), }")
+        with pytest.raises(ModelFormatError, match=r"'W.npy' holds objects"):
+            load_model(model_file)
+
+    def test_header_length_past_the_member_rejected(self, model_file):
+        _with_header(model_file, "W", "{'descr': '<f8', 'fortran_order': False, 'shape': (2, 16), }",
+                     length=60_000)
+        with pytest.raises(ModelFormatError, match=r"'W.npy' has a header longer than the member"):
+            load_model(model_file)
 
     def test_format_3_file_says_retrain(self, model_file):
         # Format 3 is format 4 without vocab_order.

@@ -11,6 +11,8 @@ import csv
 import gc
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -36,8 +38,10 @@ from catweight import (
     synthetic_model,
     tokenize,
 )
+import catweight
 from catweight import evaluation, vectorize
 from catweight.cli import _predict_input, main
+from catweight.weighting import SCHEMES
 
 TOY_ROWS = [
     ("win win win win game game team team goal ball", "A"),
@@ -138,6 +142,28 @@ class TestCv:
         err = capsys.readouterr().err
         assert "bm25" in err
         assert "none, tfidf, kld, tftrr, tfcr" in err
+
+    def test_config_lists_read_as_their_items(self, train_csv, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"scheme": ["tfcr", " kld"], "classifier": ["svm"]}))
+        out = tmp_path / "results.csv"
+        argv = _cv_args(train_csv, str(out), **{"--scheme": None, "--classifier": None,
+                                                 "--config": str(config)})
+        assert main(argv) == 0
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert {row[1] for row in rows} == {"tfcr", "kld"}
+        assert {row[3] for row in rows} == {"svm"}
+
+    @pytest.mark.parametrize("key, value", [("scheme", ["tfcr", 1]), ("classifier", [None])])
+    def test_config_list_of_non_names_exits_2(self, key, value, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value}))
+        argv = ["cv", "--config", str(config), "--data", str(tmp_path / "absent.csv"),
+                "--seed", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: --{key} must be a name, a comma list or a list of names, got {value!r}\n"
+        )
 
     def test_missing_seed_exits_2(self, train_csv, tmp_path, capsys):
         argv = _cv_args(train_csv, str(tmp_path / "r.csv"), **{"--seed": None})
@@ -388,6 +414,17 @@ class TestWeights:
         assert len(by_category["A"]) == 3
         assert len(by_category["B"]) == 3
 
+    def test_config_list_of_one_scheme_reads_as_it(self, toy_csv, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        argv = ["weights", "--config", str(config), "--data", toy_csv, "--seed", "1",
+                "--out", str(tmp_path / "weights.json")]
+        config.write_text(json.dumps({"scheme": ["tfcr"]}))
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "weights.json").read_text())["scheme"] == "tfcr"
+        config.write_text(json.dumps({"scheme": ["tfcr", "kld"]}))
+        assert main(argv) == 2
+        assert "error: weights takes exactly one scheme" in capsys.readouterr().err
+
     def test_tfidf_tsv_has_no_category_column(self, toy_csv, tmp_path):
         out = tmp_path / "weights.tsv"
         argv = [
@@ -533,6 +570,34 @@ def _predict(model, lines, tmp_path):
 
 
 class TestTrainPredict:
+    def test_one_line_path_imports_no_scipy(self, train_csv, glove_file, tmp_path):
+        """``import catweight``, ``--help`` and a one-line ``predict`` (of
+        each scheme) run on numpy alone, in a fresh process."""
+        models = [str(_train(train_csv, glove_file, tmp_path / f"{s}.bin", s)) for s in SCHEMES]
+        line = tmp_path / "line.txt"
+        line.write_text("cat0kw00 common001 cat1kw02 zebra\n", encoding="utf-8")
+        script = """if True:
+            import sys
+            import catweight
+            from catweight.cli import main
+            assert "scipy" not in sys.modules, "import catweight"
+            try:
+                main(["--help"])
+            except SystemExit:
+                pass
+            assert "scipy" not in sys.modules, "--help"
+            line, *models = sys.argv[1:]
+            for model in models:
+                assert main(["predict", "--model", model, "--input", line,
+                             "--out", line + ".tsv"]) == 0
+                assert "scipy" not in sys.modules, "predict with " + model
+        """
+        src = str(Path(catweight.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", script, str(line), *models], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+
     def test_train_writes_model_and_manifest(self, trained):
         assert trained.is_file()
         manifest = json.loads(
@@ -1090,14 +1155,18 @@ def test_bad_integer_option_exits_2_before_loading(
     assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
 
 
-@pytest.mark.parametrize("command, flags", [
+# Each command with every option it needs, and an input (absent) to read.
+_COMMANDS_WITHOUT_INPUT = [
     ("cv", ["--data", "absent.csv", "--seed", "1"]),
     ("curve", ["--data", "absent.csv", "--seed", "1", "--sizes", "10"]),
     ("weights", ["--data", "absent.csv", "--seed", "1", "--scheme", "tfcr"]),
     ("vectorize", ["--data", "absent.csv", "--seed", "1", "--scheme", "tfcr"]),
     ("train", ["--data", "absent.csv", "--seed", "1", "--scheme", "tfcr"]),
     ("predict", ["--model", "absent.bin"]),
-])
+]
+
+
+@pytest.mark.parametrize("command, flags", _COMMANDS_WITHOUT_INPUT)
 def test_out_in_a_missing_directory_exits_2_before_loading(
     command, flags, tmp_path, capsys, monkeypatch
 ):
@@ -1109,11 +1178,18 @@ def test_out_in_a_missing_directory_exits_2_before_loading(
     assert list(tmp_path.iterdir()) == []
 
 
-def test_an_unwritable_out_exits_1_with_a_message(toy_csv, tmp_path, capsys):
-    argv = ["weights", "--data", toy_csv, "--seed", "1", "--scheme", "tfcr", "--out", str(tmp_path)]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: [Errno") and str(tmp_path) in err and "Traceback" not in err
+@pytest.mark.parametrize("command, flags", _COMMANDS_WITHOUT_INPUT)
+def test_out_naming_a_directory_exits_2_before_loading(
+    command, flags, tmp_path, capsys, monkeypatch
+):
+    """Checked before the input (absent here) is looked for, so no job
+    runs only to fail on writing its result."""
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert main([command, *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out names a directory: {out}\n"
+    assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("key", ["standardize", "stratified", "preserve_case", "case_fallback"])

@@ -249,7 +249,7 @@ class TestConcat:
                 categories=(table.categories[c],),
                 terms=table.terms,
                 term_ids=table.term_ids,
-                weights=table.weights[:, [c]],
+                weights=sp.csr_matrix(table.weights.toarray()[:, [c]]),
             )
             piece = _row(doc, tiny_model, alone)
             assert np.array_equal(values[c * 8 : (c + 1) * 8], piece)
@@ -485,7 +485,7 @@ class TestCorpusVectorizer:
             table = build_table(stats, scheme)
             assert np.array_equal(view.matrix(table), vectorizer.matrix(table)[rows])
         # Same words, fewer pairs: the view orders this table's own pairs.
-        pairs = table.weights.tolil()
+        pairs = table.weights.toarray()
         pairs[:, 0] = 0.0
         sparser = WeightTable("kld", table.categories, table.terms, table.term_ids,
                               sp.csr_matrix(pairs))
@@ -639,11 +639,34 @@ class TestCorpusVectorizer:
                     X[gate] = view.matrix(table)
             assert X[0].tobytes() == X[10**12].tobytes()
 
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_one_product_adds_in_scipy_order(self, scheme, d, rng):
+        """The numpy product adds each sum's terms one after another from
+        zero, as scipy's products do: with one embedding column (which
+        numpy's own sum adds pairwise), with magnitudes that make the order
+        show and with rows of negative zeros (whose sum from zero is 0.0),
+        its bits equal the per-category loop's."""
+        words = [f"w{i}" for i in range(40)]
+        vectors = rng.normal(size=(40, d)) * 10.0 ** rng.integers(-8, 9, size=(40, 1))
+        vectors[:6] = -0.0
+        model = EmbeddingModel(tuple(words), vectors)
+        token_lists = [[words[i] for i in rng.integers(0, 40, int(rng.integers(0, 30)))]
+                       for _ in range(60)] + [words[:6] * 2]
+        corpus = from_token_lists(token_lists, [i % 3 for i in range(61)], ["A", "B", "C"])
+        table = build_table(build_stats(corpus, doc_subset=range(0, 61, 2)), scheme, alpha=1.5)
+        vectorizer = CorpusVectorizer(corpus.documents, model, counts=corpus.token_counts())
+        X = {}
+        for gate in (0, 10**12):
+            with mock.patch.object(vectorize, "_PRODUCT_GATE", gate):
+                X[gate] = vectorizer.matrix(table)
+        assert X[0].tobytes() == X[10**12].tobytes()
+
     def test_gate_picks_the_formulation(self, toy_corpus, tiny_model):
         """Fewer than ``_PRODUCT_GATE`` (document, category, term) products
-        take the one product and make no per-category ``_numerator`` call;
-        more take the loop, one call per category.  tftrr's floor
-        numerator is one more call, whichever formulation runs."""
+        take the one product and make no ``_numerator`` call; more take
+        the loop, one call per category.  tftrr's floor numerator is one
+        more category of the one product, and one more call in the loop."""
         doc = toy_corpus.documents[0]  # 5 terms: 6 nonzero (term, category) weights
         real = CorpusVectorizer._numerator
         below = (vectorize._PRODUCT_GATE - 1) // 6
@@ -655,7 +678,7 @@ class TestCorpusVectorizer:
                                        side_effect=real) as numerator:
                     X.append(CorpusVectorizer([doc] * copies, tiny_model).matrix(table))
                 calls.append(numerator.call_count)
-            assert calls == [floor_calls, floor_calls, floor_calls + 2]
+            assert calls == [0, 0, floor_calls + 2]
             one_line, many, above = X
             assert np.array_equal(many, np.tile(one_line, (below, 1)))
             assert np.array_equal(above, np.tile(one_line, (below + 1, 1)))

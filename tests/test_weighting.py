@@ -400,7 +400,7 @@ def _assert_triples_are_the_table(triples, table):
     for word, name, value in triples:
         assert value == table_weight(table, word, table.categories.index(name))
         seen.add((word, name))
-    assert len(seen) == len(triples) == table.weights.count_nonzero()
+    assert len(seen) == len(triples) == np.count_nonzero(table.weights.data)
 
 
 class TestSerialization:
@@ -440,7 +440,7 @@ class TestSerialization:
             c = table.categories.index(cat)
             assert float(value) == table_weight(table, word, c)
             seen += 1
-        nonzero = table.weights.count_nonzero()
+        nonzero = np.count_nonzero(table.weights.data)
         assert seen == nonzero
 
     def test_tsv_tfidf_has_no_category_column(self, toy_corpus):
