@@ -16,7 +16,8 @@ Two models with a shared interface:
 
 Both trainers run one descent loop, ``_descend``: from zero weights,
 each epoch visits the rows in a seeded permutation, one batch per step,
-logs the full objective and stops early on the tolerance.  A trainer
+logs the full objective and stops after its epochs or early on the
+tolerance, recording which (``LinearModel.stop_reason``).  A trainer
 adds only its input checks and its step rule.  ``train`` picks the
 trainer by kind, one of ``CLASSIFIERS``.
 
@@ -24,27 +25,38 @@ Training is seeded and single-threaded: a fixed seed reproduces the
 trajectory bit for bit.  Prediction ties break to the lowest class
 index (numpy argmax convention).
 
-``save_model``/``load_model`` own the one model file ``predict`` reads
-(format 4, an uncompressed npz loaded without pickle): the classifier,
-the scaler, one vocabulary of the training terms the embedding knew with
-their embedding rows and ``vocab_order``, the permutation that sorts the
-vocabulary, and the weight table over that vocabulary only (its nonzero
-(term, category) weights as CSR arrays, or its idf).  ``save_model``
-writes ``np.savez``'s bytes, member by member from each array's own
-memory, so it holds no second copy of the vectors.  ``load_model`` takes
-the member list from the zip's central directory and reads each stored
-member straight into a freshly allocated (so aligned) array, checking
-its CRC-32 over header and data before any value is used.  A member's
-npy header is matched, not evaluated: it must have the one layout
-``np.savez`` writes, ``{'descr': ..., 'fortran_order': ..., 'shape':
-(...), }`` padded with spaces and ended by a newline, or the file is
-refused.  It checks that ``vocab_order`` sorts the vocabulary into
-distinct words and builds the in-memory ``WeightTable`` straight from
-the arrays (its weights a ``csr.Csr`` of them, with no scipy import),
-numbering its words by the vocabulary, which is the loaded embedding's
-row order; the embedding looks words up by binary search over the
-sorted vocabulary, with no per-word dict or tuple.  Files of formats 1,
-2 and 3 must be retrained.
+``save_model`` and ``ModelFile`` own the one model file ``predict``
+reads (format 5, an uncompressed npz loaded without pickle): the
+classifier, the scaler, one vocabulary of the training terms the
+embedding knew with their embedding rows (``vectors``) and
+``vocab_order``, the permutation that sorts the vocabulary, the CRC-32
+of each block of ``_BLOCK_ROWS`` embedding rows (``vector_crcs``), and
+the weight table over that vocabulary only (its nonzero (term, category)
+weights as CSR arrays, or its idf).  ``save_model`` writes
+``np.savez``'s bytes, member by member from each array's own memory, so
+it holds no second copy of the vectors.
+
+Opening a ``ModelFile`` takes the member list from the zip's central
+directory and reads every member but the ``vectors`` data straight into
+a freshly allocated (so aligned) array, checking its CRC-32 over header
+and data before any value is used.  A member's npy header is matched,
+not evaluated: it must have the one layout ``np.savez`` writes,
+``{'descr': ..., 'fortran_order': ..., 'shape': (...), }`` padded with
+spaces and ended by a newline, or the file is refused.  It checks that
+``vocab_order`` sorts the vocabulary into distinct words and builds the
+in-memory ``WeightTable`` straight from the arrays (its weights a
+``csr.Csr`` of them, with no scipy import), numbering its words by the
+vocabulary, which is the embedding's row order; the embedding looks
+words up by binary search over the sorted vocabulary, with no per-word
+dict or tuple.  ``ModelFile.read_rows`` then reads only the blocks of
+``vectors`` that hold the rows asked for, each run of consecutive
+blocks by one read, and checks each block's CRC-32 and the finiteness
+of its rows before any value is used; the embedding it returns exposes
+those rows only (``CheckedRows``), so a row that was not read and
+checked cannot reach a product.  ``predict`` asks for the rows of its
+input's words, so a damaged block that no input word uses goes
+unnoticed there; ``load_model`` reads every block and refuses it.
+Files of formats 1 to 4 must be retrained.
 """
 
 from __future__ import annotations
@@ -53,7 +65,7 @@ import math
 import re
 import zipfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -65,7 +77,7 @@ from .errors import ModelFormatError, TrainingError
 from .vectorize import ScalerParams
 from .weighting import CATEGORY_SCHEMES, SCHEMES, WeightTable
 
-MODEL_FORMAT = 4
+MODEL_FORMAT = 5
 CLASSIFIERS = ("logreg", "svm")
 _KIND_CODES = {kind: code for code, kind in enumerate(CLASSIFIERS)}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
@@ -103,6 +115,9 @@ class LinearModel:
     W: np.ndarray  # num_classes x num_features
     b: np.ndarray  # num_classes
     training_log: tuple[float, ...] = ()
+    # Why training stopped: "epochs" (all ran) or "tolerance" (the stop
+    # test fired); None for a model read from a file.  Not saved.
+    stop_reason: str | None = None
 
     @property
     def num_classes(self) -> int:
@@ -183,14 +198,16 @@ def logreg_gradient(
 
 
 def _descend(X, y, n_classes: int, cfg: TrainConfig, objective, step):
-    """The epoch loop both trainers share; returns ``(W, b, log)``.
+    """The epoch loop both trainers share; returns ``(W, b, log,
+    stop_reason)``.
 
     From W = 0 and b = 0, each epoch draws a permutation of the rows from
     ``cfg.seed`` and calls ``step(X_batch, y_batch, t, W, b, last)`` ->
     ``(W, b)`` for each ``cfg.batch_size`` slice of it, where ``t`` counts
     steps from 0 and ``last`` is the logged objective.  Stops after
     ``cfg.epochs`` or when the relative per-epoch improvement of
-    ``objective(X, y, W, b, l2)`` drops below ``cfg.tolerance``.
+    ``objective(X, y, W, b, l2)`` drops below ``cfg.tolerance``, and
+    says which: ``"epochs"`` or ``"tolerance"``.
     """
     n, f = X.shape
     W = np.zeros((n_classes, f), dtype=np.float64)
@@ -210,8 +227,8 @@ def _descend(X, y, n_classes: int, cfg: TrainConfig, objective, step):
         if previous - current >= 0 and (previous - current) <= cfg.tolerance * max(
             abs(previous), 1e-12
         ):
-            break
-    return W, b, tuple(log)
+            return W, b, tuple(log), "tolerance"
+    return W, b, tuple(log), "epochs"
 
 
 def train_logreg(
@@ -244,8 +261,8 @@ def train_logreg(
             rate *= 0.5
         return new_W, new_b
 
-    W, b, log = _descend(X, y, n_classes, cfg, _logreg_objective, step)
-    return LinearModel(kind="logreg", W=W, b=b, training_log=log)
+    W, b, log, stop = _descend(X, y, n_classes, cfg, _logreg_objective, step)
+    return LinearModel(kind="logreg", W=W, b=b, training_log=log, stop_reason=stop)
 
 
 def svm_objective(
@@ -306,8 +323,8 @@ def train_svm(
         b *= shrink
         return W, b
 
-    W, b, log = _descend(X, y, n_classes, cfg, svm_objective, step)
-    return LinearModel(kind="svm", W=W, b=b, training_log=log)
+    W, b, log, stop = _descend(X, y, n_classes, cfg, svm_objective, step)
+    return LinearModel(kind="svm", W=W, b=b, training_log=log, stop_reason=stop)
 
 
 def train(
@@ -368,18 +385,20 @@ def _write_npz(fh, **arrays) -> None:
 
 
 def save_model(saved: SavedModel, path: str | Path) -> None:
-    """Write model format 4: an uncompressed npz of plain arrays, written
+    """Write model format 5: an uncompressed npz of plain arrays, written
     through a file handle so ``path`` is used as given.  Identical models
     give identical bytes (zip entries carry a fixed timestamp), the bytes
     ``np.savez`` writes for the same arrays.
 
     ``vocab`` names the ``vectors`` rows, in embedding order, and
     ``vocab_order`` is the permutation that sorts it, so a reader looks
-    words up by binary search.  ``table_rows`` lists the vocab rows that
-    are table words, in vocab order; the table keeps only those, as CSR
-    arrays of their nonzero category weights (kld, tftrr, tfcr) or as
-    their idf (tfidf).  Table words without an embedding row can never
-    weigh at predict time and are not written.
+    words up by binary search.  ``vector_crcs`` holds the CRC-32 of each
+    block of ``_BLOCK_ROWS`` rows of ``vectors``, so a reader checks the
+    rows it reads without reading the rest.  ``table_rows`` lists the
+    vocab rows that are table words, in vocab order; the table keeps only
+    those, as CSR arrays of their nonzero category weights (kld, tftrr,
+    tfcr) or as their idf (tfidf).  Table words without an embedding row
+    can never weigh at predict time and are not written.
     """
     model, table, scaler, vocab = saved.model, saved.table, saved.scaler, saved.embedding.words
     rows = dict(zip(table.words, range(len(table.term_ids))))
@@ -391,6 +410,7 @@ def save_model(saved: SavedModel, path: str | Path) -> None:
     if table.weights is not None:
         weights = table.weights[at].without_zeros()  # without kld's clamped zeros
     words = np.array(vocab, dtype=str)
+    vectors = np.ascontiguousarray(saved.embedding.vectors, dtype=_VECTORS_DTYPE)
     with open(path, "wb") as fh:
         _write_npz(
             fh,
@@ -406,7 +426,8 @@ def save_model(saved: SavedModel, path: str | Path) -> None:
             alpha=np.float64(table.alpha),
             vocab=words,
             vocab_order=np.argsort(words, kind="stable"),
-            vectors=saved.embedding.vectors,
+            vectors=vectors,
+            vector_crcs=_block_crcs(vectors),
             table_rows=table_rows,
             weight_indptr=np.zeros(0, np.int32) if weights is None else weights.indptr,
             weight_categories=np.zeros(0, np.int32) if weights is None else weights.indices,
@@ -415,14 +436,34 @@ def save_model(saved: SavedModel, path: str | Path) -> None:
         )
 
 
-# name -> (dtype kind, ndim) of every array of a format-4 file
+# Rows of ``vectors`` per CRC-32 block, a constant of the format.  On the
+# benchmark's seed-1 tfcr model (17,578 rows of 50 values, a 2-vCPU
+# machine), a one-line predict took about the same time at 4 to 16 rows
+# a block and more at 32 and above, where a line's rows pull in more
+# unused bytes; 16 keeps ``vector_crcs`` and a whole read's loop over the
+# blocks small.
+_BLOCK_ROWS = 16
+_VECTORS_DTYPE = np.dtype("<f8")
+
+
+def _block_crcs(vectors: np.ndarray) -> np.ndarray:
+    """The CRC-32 of the bytes of each ``_BLOCK_ROWS`` rows of the
+    row-ordered ``vectors``; the last block holds the rows left over."""
+    data = memoryview(vectors.reshape(-1).view(np.uint8))
+    step = _BLOCK_ROWS * vectors.shape[1] * vectors.itemsize
+    blocks = -(-vectors.shape[0] // _BLOCK_ROWS)
+    return np.array([zlib.crc32(data[k * step : (k + 1) * step]) for k in range(blocks)],
+                    dtype=np.uint32)
+
+
+# name -> (dtype kind, ndim) of every array of a format-5 file, in file order
 _ARRAYS = {
     "format": ("i", 0), "kind": ("i", 0), "W": ("f", 2), "b": ("f", 1),
     "scaler_mean": ("f", 1), "scaler_scale": ("f", 1), "categories": ("U", 1),
     "preserve_case": ("b", 0), "scheme": ("U", 0), "alpha": ("f", 0),
-    "vocab": ("U", 1), "vocab_order": ("i", 1), "vectors": ("f", 2), "table_rows": ("i", 1),
-    "weight_indptr": ("i", 1), "weight_categories": ("i", 1), "weight_values": ("f", 1),
-    "idf": ("f", 1),
+    "vocab": ("U", 1), "vocab_order": ("i", 1), "vectors": ("f", 2), "vector_crcs": ("u", 1),
+    "table_rows": ("i", 1), "weight_indptr": ("i", 1), "weight_categories": ("i", 1),
+    "weight_values": ("f", 1), "idf": ("f", 1),
 }
 
 
@@ -438,21 +479,23 @@ def _check_version(path, version: np.ndarray) -> None:
 
 # The npy 1.0 header of every member, as _write_npz and np.savez write it:
 # the dict's repr with sorted keys and a trailing ", ", padded with spaces
-# and ended by a newline.
+# and ended by a newline.  The descr of a plain array is a byte order, a
+# type code and a size.
 _NPY_HEADER = re.compile(
-    r"\{'descr': '([^']+)', 'fortran_order': (False|True), "
+    r"\{'descr': '([<>|=][A-Za-z][0-9]*)', 'fortran_order': (False|True), "
     r"'shape': \(((?:[0-9]+, )*[0-9]+,?|)\), \} *\n"
 )
 
 
-def _read_member(fh, info: zipfile.ZipInfo, size: int) -> np.ndarray:
-    """The npy array of one stored zip member of the open file of
-    ``size`` bytes, read into a fresh array (so aligned, as numpy's
-    kernels want it) once its CRC-32 over header and data has matched.
-    The header is matched against the one layout ``_write_npz`` writes
-    (``_NPY_HEADER``), not evaluated.  A compressed member, another npy
-    version or header layout, an object dtype or a size that does not
-    fit the header raises ``ValueError``."""
+def _member_header(fh, info: zipfile.ZipInfo, size: int) -> tuple:
+    """``(start, dtype, shape, fortran_order, crc)`` of one stored zip
+    member of the open file of ``size`` bytes: where its array's data
+    starts, its npy layout and the CRC-32 of its npy header, after which
+    the file is positioned at ``start``.  The header is matched against
+    the one layout ``_write_npz`` writes (``_NPY_HEADER``), not
+    evaluated.  A compressed member, another npy version or header
+    layout, an object dtype or a size that does not fit the header
+    raises ``ValueError``."""
     name = info.filename
     if info.compress_type != zipfile.ZIP_STORED:
         raise ValueError(f"member {name!r} is compressed")
@@ -475,56 +518,72 @@ def _read_member(fh, info: zipfile.ZipInfo, size: int) -> np.ndarray:
     if layout is None:
         raise ValueError(f"member {name!r} has a malformed npy header")
     descr, fortran_order, dims = layout.groups()
-    dtype = np.dtype(descr)
+    try:
+        dtype = np.dtype(descr)
+    except TypeError:
+        raise ValueError(f"member {name!r} has the unknown dtype {descr!r}") from None
     if dtype.hasobject:
         raise ValueError(f"member {name!r} holds objects, not read with allow_pickle=False")
     shape = tuple(map(int, dims.replace(",", " ").split()))
-    nbytes = math.prod(shape) * dtype.itemsize
-    if head + nbytes != info.file_size or start + info.file_size > size:
+    if head + math.prod(shape) * dtype.itemsize != info.file_size or start + info.file_size > size:
         raise ValueError(f"member {name!r} does not hold its {shape} {dtype} array")
     crc = zlib.crc32(header, zlib.crc32(preamble))
-    data = np.empty(nbytes, np.uint8)
-    if fh.readinto(data) != nbytes or zlib.crc32(data, crc) != info.CRC:
-        raise ValueError(f"Bad CRC-32 for member {name!r}")
-    return data.view(dtype).reshape(shape, order="F" if fortran_order == "True" else "C")
+    return start + head, dtype, shape, fortran_order == "True", crc
 
 
-def _read_arrays(path: str | Path) -> dict[str, np.ndarray]:
-    """Every array of the file, type-checked; pickled data is refused.
+def _read_member(fh, info: zipfile.ZipInfo, size: int) -> np.ndarray:
+    """The npy array of one stored zip member of the open file of
+    ``size`` bytes, read into a fresh array (so aligned, as numpy's
+    kernels want it) once its CRC-32 over header and data has matched."""
+    _, dtype, shape, fortran_order, crc = _member_header(fh, info, size)
+    data = np.empty(math.prod(shape) * dtype.itemsize, np.uint8)
+    if fh.readinto(data) != data.size or zlib.crc32(data, crc) != info.CRC:
+        raise ValueError(f"Bad CRC-32 for member {info.filename!r}")
+    return data.view(dtype).reshape(shape, order="F" if fortran_order else "C")
+
+
+def _read_arrays(fh, path) -> tuple[dict[str, np.ndarray], tuple]:
+    """Every array of the open file but ``vectors``, type-checked, and
+    ``(start, shape)`` of the ``vectors`` data; pickled data is refused.
 
     The zip's central directory names the members; each is read
     straight into its own array.  ``format`` is read and checked first,
-    so a file of another format says so before its member set is."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic == b"CWLM":
-            raise ModelFormatError(f"{path}: a format-1 model file, no longer read; retrain it")
-        # An npz archive starts with a zip entry and ends with the end record.
-        size = fh.seek(0, 2)
-        fh.seek(max(size - 22, 0))
-        if magic != b"PK\x03\x04" or fh.read(4) != b"PK\x05\x06":
+    so a file of another format says so before its member set is.  Of
+    ``vectors`` only the npy header is read here: it must describe
+    row-ordered little-endian float64, the layout the block CRC-32s of
+    ``vector_crcs`` cover, and its data is checked block by block as it
+    is read (``ModelFile.read_rows``)."""
+    magic = fh.read(4)
+    if magic == b"CWLM":
+        raise ModelFormatError(f"{path}: a format-1 model file, no longer read; retrain it")
+    # An npz archive starts with a zip entry and ends with the end record.
+    size = fh.seek(0, 2)
+    fh.seek(max(size - 22, 0))
+    if magic != b"PK\x03\x04" or fh.read(4) != b"PK\x05\x06":
+        raise ModelFormatError(
+            f"{path}: not a complete npz model file (other format, truncated or extended)"
+        )
+    try:
+        members = {m.filename.removesuffix(".npy"): m for m in zipfile.ZipFile(fh).infolist()}
+        arrays = {}
+        if "format" in members:
+            arrays["format"] = _read_member(fh, members["format"], size)
+            _check_version(path, arrays["format"])
+        names = set(members)
+        if names != set(_ARRAYS):
             raise ModelFormatError(
-                f"{path}: not a complete npz model file (other format, truncated or extended)"
+                f"{path}: missing arrays {sorted(set(_ARRAYS) - names)}, "
+                f"unexpected arrays {sorted(names - set(_ARRAYS))}"
             )
-        try:
-            members = {m.filename.removesuffix(".npy"): m for m in zipfile.ZipFile(fh).infolist()}
-            arrays = {}
-            if "format" in members:
-                arrays["format"] = _read_member(fh, members["format"], size)
-                _check_version(path, arrays["format"])
-            names = set(members)
-            if names != set(_ARRAYS):
-                raise ModelFormatError(
-                    f"{path}: missing arrays {sorted(set(_ARRAYS) - names)}, "
-                    f"unexpected arrays {sorted(names - set(_ARRAYS))}"
-                )
-            for name in _ARRAYS:
-                if name not in arrays:
-                    arrays[name] = _read_member(fh, members[name], size)
-        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
-            raise ModelFormatError(f"{path}: unreadable model file: {exc}") from exc
-    for name, (kind, ndim) in _ARRAYS.items():
-        arr = arrays[name]
+        for name in _ARRAYS:
+            if name == "vectors":
+                start, dtype, shape, fortran_order, _ = _member_header(fh, members[name], size)
+            elif name not in arrays:
+                arrays[name] = _read_member(fh, members[name], size)
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ModelFormatError(f"{path}: unreadable model file: {exc}") from exc
+    for name, arr in arrays.items():
+        kind, ndim = _ARRAYS[name]
         if arr.dtype.kind != kind or arr.ndim != ndim:
             raise ModelFormatError(
                 f"{path}: inconsistent model file: array {name!r} is {arr.ndim}-D {arr.dtype}, "
@@ -532,7 +591,12 @@ def _read_arrays(path: str | Path) -> dict[str, np.ndarray]:
             )
         if kind == "f" and not np.isfinite(arr).all():
             raise ModelFormatError(f"{path}: array {name!r} has non-finite values")
-    return arrays
+    if dtype != _VECTORS_DTYPE or fortran_order or len(shape) != 2:
+        raise ModelFormatError(
+            f"{path}: inconsistent model file: array 'vectors' is {len(shape)}-D {dtype.str} "
+            f"{'column' if fortran_order else 'row'}-ordered, expected 2-D <f8 row-ordered"
+        )
+    return arrays, (start, shape)
 
 
 def _table_problems(a: dict[str, np.ndarray], vocab_size: int, num_categories: int) -> list[str]:
@@ -559,10 +623,10 @@ def _table_problems(a: dict[str, np.ndarray], vocab_size: int, num_categories: i
     return wrong
 
 
-def load_model(path: str | Path) -> SavedModel:
-    """Read a format-4 model file.  A file of another format or version,
-    or whose arrays disagree in shape or content, raises ``ModelFormatError``."""
-    a = _read_arrays(path)
+def _model_of(path, a: dict[str, np.ndarray], vectors_shape: tuple) -> SavedModel:
+    """The model of the checked arrays ``a``, whose embedding exposes no
+    row yet; arrays that disagree in shape or content raise
+    ``ModelFormatError``."""
     kind, scheme = int(a["kind"]), str(a["scheme"])
     if kind not in _KIND_NAMES:
         raise ModelFormatError(f"{path}: unknown model kind {kind}")
@@ -570,18 +634,20 @@ def load_model(path: str | Path) -> SavedModel:
         raise ModelFormatError(f"{path}: unknown scheme {scheme!r}")
     categories, V = tuple(a["categories"].tolist()), len(a["vocab"])
     per_category = scheme in CATEGORY_SCHEMES
-    C, d = len(categories), a["vectors"].shape[1]
+    C, d = len(categories), vectors_shape[1]
     F = C * d if per_category else d
     T = 0 if scheme == "none" else len(a["table_rows"])
     nnz = int(a["weight_indptr"][-1]) if a["weight_indptr"].size else 0
     expected = {
-        "W": (C, F), "b": (C,), "vocab_order": (V,), "vectors": (V, d), "table_rows": (T,),
+        "W": (C, F), "b": (C,), "vocab_order": (V,), "vectors": (V, d),
+        "vector_crcs": (-(-V // _BLOCK_ROWS),), "table_rows": (T,),
         "weight_indptr": (T + 1 if per_category else 0,),
         "weight_categories": (nnz,), "weight_values": (nnz,),
         "idf": (T if scheme == "tfidf" else 0,),
         "scaler_scale": a["scaler_mean"].shape,
     }
-    wrong = [f"{n} {a[n].shape} != {shape}" for n, shape in expected.items() if a[n].shape != shape]
+    shapes = {name: arr.shape for name, arr in a.items()} | {"vectors": vectors_shape}
+    wrong = [f"{n} {shapes[n]} != {shape}" for n, shape in expected.items() if shapes[n] != shape]
     if a["scaler_mean"].shape not in ((F,), (0,)):
         wrong.append(f"scaler_mean {a['scaler_mean'].shape} != ({F},)")
     if C < 2:
@@ -602,7 +668,117 @@ def load_model(path: str | Path) -> SavedModel:
         weights = Csr(a["weight_values"], a["weight_categories"], a["weight_indptr"], (T, C))
     idf = a["idf"] if scheme == "tfidf" else None
     table = WeightTable(scheme, categories, words, a["table_rows"], weights, idf, float(a["alpha"]))
-    embedding = EmbeddingModel(words, a["vectors"], str(path))
+    no_rows = CheckedRows(V, np.zeros(0, np.int64), np.empty((0, d)))
+    embedding = EmbeddingModel(words, no_rows, str(path))
     scaler = ScalerParams(a["scaler_mean"], a["scaler_scale"]) if a["scaler_mean"].size else None
     model = LinearModel(kind=_KIND_NAMES[kind], W=a["W"], b=a["b"])
     return SavedModel(model, table, embedding, scaler, bool(a["preserve_case"]))
+
+
+class CheckedRows:
+    """The rows of a model file's ``vectors`` that ``ModelFile.read_rows``
+    read and checked, indexed by embedding row as the whole ``(V, d)``
+    array is: an int array of read rows gives their values, in a new
+    array and in the order asked; any other row raises ``IndexError``,
+    so no row that was not read and checked can reach a product."""
+
+    def __init__(self, num_rows: int, blocks: np.ndarray, values: np.ndarray):
+        self.shape = (num_rows, values.shape[1])
+        self._values = values
+        # Where each block's first row sits in ``values``; -1: not read.
+        self._start = np.full(-(-num_rows // _BLOCK_ROWS), -1, dtype=np.int64)
+        self._start[blocks] = np.arange(blocks.size) * _BLOCK_ROWS
+
+    def __getitem__(self, rows) -> np.ndarray:
+        rows = np.asarray(rows)
+        if rows.dtype.kind not in "iu":
+            raise IndexError("embedding rows are taken by an array of row numbers")
+        if rows.size and (rows.min() < 0 or rows.max() >= self.shape[0]):
+            raise IndexError(f"embedding rows outside [0, {self.shape[0]})")
+        block, offset = np.divmod(rows, _BLOCK_ROWS)
+        start = self._start[block]
+        if (start < 0).any():
+            raise IndexError(f"embedding row {rows[start < 0].flat[0]} was not read from the file")
+        return self._values[start + offset]
+
+
+class ModelFile:
+    """A format-5 model file, held open.  Opening it reads and checks
+    every member but the ``vectors`` data: each member's CRC-32 and npy
+    header, the array types and shapes, ``vocab_order`` and the table.
+    ``saved`` is then the model with no embedding row read, enough to
+    tokenize and look up an input, and ``read_rows`` reads the rows the
+    input uses.  A file of another format or version, or whose arrays
+    disagree in shape or content, raises ``ModelFormatError``.  Use it
+    as a context manager, which closes the file."""
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        self._fh = open(path, "rb")
+        try:
+            arrays, self._vectors = _read_arrays(self._fh, path)
+            self.saved = _model_of(path, arrays, self._vectors[1])
+        except BaseException:
+            self._fh.close()
+            raise
+        self._crcs = arrays["vector_crcs"]
+
+    def __enter__(self) -> ModelFile:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._fh.close()
+
+    def read_rows(self, rows) -> SavedModel:
+        """The model with the embedding ``rows`` (int; -1 entries are
+        skipped) read.  The blocks that hold them are read in file order,
+        each run of consecutive blocks by one ``readinto``, and each
+        block's CRC-32 and the finiteness of its rows are checked before
+        any value is used.  The embedding then exposes the rows of those
+        blocks only (``CheckedRows``), or, with every block read, the
+        plain ``(V, d)`` array."""
+        rows = np.asarray(rows, dtype=np.int64)
+        blocks = np.unique(rows[rows >= 0] // _BLOCK_ROWS)
+        try:
+            values = self._read_blocks(blocks)
+        except (OSError, ValueError) as exc:
+            raise ModelFormatError(f"{self.path}: unreadable model file: {exc}") from exc
+        if not np.isfinite(values).all():
+            raise ModelFormatError(f"{self.path}: array 'vectors' has non-finite values")
+        embedding = self.saved.embedding
+        if blocks.size < self._crcs.size:
+            values = CheckedRows(len(embedding), blocks, values)
+        return replace(self.saved, embedding=EmbeddingModel(embedding.words, values,
+                                                            embedding.origin))
+
+    def _read_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """The rows of ``blocks`` (increasing block numbers), one block
+        after another, once each block's CRC-32 has matched."""
+        start, (V, d) = self._vectors
+        expected = self._crcs[blocks].tolist()
+        width = _BLOCK_ROWS * d * _VECTORS_DTYPE.itemsize  # bytes of a whole block
+        first = blocks * _BLOCK_ROWS
+        values = np.empty((int((np.minimum(first + _BLOCK_ROWS, V) - first).sum()), d),
+                          _VECTORS_DTYPE)
+        data = values.reshape(-1).view(np.uint8)
+        runs = np.flatnonzero(np.diff(blocks, prepend=-2) != 1).tolist()
+        for lo, hi in zip(runs, runs[1:] + [blocks.size]):
+            at, end = lo * width, min(hi * width, data.size)
+            self._fh.seek(start + int(blocks[lo]) * width)
+            if self._fh.readinto(data[at:end]) != end - at:
+                raise ValueError("member 'vectors.npy' ends before its rows")
+        for k, (block, crc) in enumerate(zip(blocks.tolist(), expected)):
+            if zlib.crc32(data[k * width : (k + 1) * width]) != crc:
+                last = min((block + 1) * _BLOCK_ROWS, V) - 1
+                raise ValueError(f"Bad CRC-32 for member 'vectors.npy' in block {block} "
+                                 f"(rows {block * _BLOCK_ROWS}-{last})")
+        return values
+
+
+def load_model(path: str | Path) -> SavedModel:
+    """Read a format-5 model file whole: every member, and every block
+    of ``vectors`` through ``ModelFile.read_rows``.  A file of another
+    format or version, or whose arrays disagree in shape or content,
+    raises ``ModelFormatError``."""
+    with ModelFile(path) as model_file:
+        return model_file.read_rows(np.arange(0, len(model_file.saved.embedding), _BLOCK_ROWS))

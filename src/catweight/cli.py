@@ -14,12 +14,15 @@ Seeds are always explicit; there is no wall-clock default.  Features
 are standardized unless ``--no-standardize`` is given.
 
 ``train`` writes one self-contained model file (``classify.save_model``,
-model format 4): ``predict`` reads only that file and its input text,
+model format 5): ``predict`` reads only that file and its input text,
 never the embedding or the manifest.  The file holds the weights of the
 training terms the embedding knew, the only ones ``predict`` can use,
 and the sort order of their words, so ``predict`` looks a line's words
-up by binary search instead of building a dict of the vocabulary.  A
-file of format 3 or older fails with a message to retrain it.
+up by binary search instead of building a dict of the vocabulary.
+``predict`` checks every other member before it reads its input, then
+reads and checks only the blocks of embedding rows its input's words
+use (``classify.ModelFile``).  A file of format 4 or older fails with a
+message to retrain it.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ from pathlib import Path
 from . import __version__
 from .classify import (
     CLASSIFIERS,
+    ModelFile,
     SavedModel,
     TrainConfig,
-    load_model,
     predict_many,
     save_model,
     train,
@@ -47,6 +50,7 @@ from .classify import (
 from .corpus import (
     Document,
     LabeledCorpus,
+    count_tokens,
     load_20ng,
     load_csv,
     load_jsonl,
@@ -686,16 +690,20 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model_path = Path(_require(cfg, "model", "--model"))
     if not model_path.is_file():
         raise ConfigError(f"model file not found: {model_path}")
-    saved = load_model(model_path)
-    with _predict_input(cfg.get("input") or "-") as stream:
-        # One line at a time: a line's tokens are counted, then dropped.
-        # Its line end tokenizes as a space.
-        docs = (
-            Document(tokenize(line, saved.preserve_case), None, f"line-{i + 1}")
-            for i, line in enumerate(stream)
-        )
-        # Only training terms have embedding rows in the model file.
-        vectorizer = CorpusVectorizer(docs, saved.embedding)
+    with ModelFile(model_path) as model_file:
+        saved = model_file.saved  # every member checked, no embedding row read yet
+        with _predict_input(cfg.get("input") or "-") as stream:
+            # One line at a time: a line's tokens are counted, then dropped.
+            # Its line end tokenizes as a space.
+            counts = count_tokens(
+                Document(tokenize(line, saved.preserve_case), None, f"line-{i + 1}")
+                for i, line in enumerate(stream)
+            )
+        # Only training terms have embedding rows in the model file, and
+        # only the blocks holding the input's are read and checked.
+        rows = saved.embedding.rows_of(counts.terms)
+        saved = model_file.read_rows(rows)
+    vectorizer = CorpusVectorizer((), saved.embedding, counts=counts, rows=rows)
     num_lines = len(vectorizer.known_token_counts)
     unknown = int((vectorizer.known_token_counts == 0).sum())
     if unknown:

@@ -150,11 +150,12 @@ class CorpusVectorizer:
     ``documents`` is any iterable of ``Document``, read once: a generator
     is counted one document at a time and none of them is kept, only
     their counts.  ``counts`` is the documents' ``TokenCounts`` when the
-    caller already has it.  Each distinct term is looked up in the model
-    once, by its own string (``embeddings.for_terms`` gives a run's terms
-    their rows).  The counts are shared, not copied: ``__init__`` takes
-    each document's known tokens and each column's documents (which the
-    gate counts) from them in one pass.  On first use, the one product
+    caller already has it, and ``rows`` their terms' ``model.rows_of``.
+    Each distinct term is looked up in the model once, by its own string
+    (``embeddings.for_terms`` gives a run's terms their rows).  The
+    counts are shared, not copied: ``__init__`` takes each document's
+    known tokens and each column's documents (which the gate counts)
+    from them in one pass.  On first use, the one product
     gathers the known terms' counts of its documents in numpy, and the
     loop takes them as one scipy float64 matrix of every document,
     shared by all views, and slices and transposes it per view; from then
@@ -166,11 +167,12 @@ class CorpusVectorizer:
     ``matrix``.
     """
 
-    def __init__(self, documents, model: EmbeddingModel, *, counts: TokenCounts | None = None):
+    def __init__(self, documents, model: EmbeddingModel, *, counts: TokenCounts | None = None,
+                 rows: np.ndarray | None = None):
         self.model = model
         counts = count_tokens(documents) if counts is None else counts
         terms = counts.terms
-        rows = model.rows_of(terms)
+        rows = model.rows_of(terms) if rows is None else rows
         columns = np.flatnonzero(rows >= 0)
         columns = columns[np.argsort(rows[columns])]  # embedding row order, the summation order
         self._terms, self._rows = terms, rows[columns]

@@ -9,14 +9,19 @@ by line with float() and struct — no numpy, no shared code with the
 package — so agreement is evidence, not tautology.  The fold oracle
 draws its permutations from the random generator its caller passes.
 The two table readers at the end compute nothing: they look a word up
-in a table's arrays.
+in a table's arrays.  The model-file readers after them find the
+``vectors`` rows of a model file through ``zipfile`` and ``struct`` and
+recompute their block CRC-32s with ``zlib``.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 import struct
+import zipfile
+import zlib
 from collections import Counter
 
 # A token is a maximal run of Unicode word characters other than "_".
@@ -371,3 +376,33 @@ def table_idf(table, word):
     if table.idf is None or word not in words:
         return 0.0
     return float(table.idf[words.index(word)])
+
+
+def oracle_matrix_member(path, name="vectors"):
+    """``(offset, rows, row_bytes)`` of the data of a model file's
+    float64 matrix ``name``: where its first row starts in the file,
+    found through the zip's directory and the member's local header, and
+    the shape its npy header gives (evaluated with ``ast``)."""
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(name + ".npy")
+    with open(path, "rb") as fh:
+        fh.seek(info.header_offset)
+        name_len, extra_len = struct.unpack("<HH", fh.read(30)[26:30])
+        fh.seek(info.header_offset + 30 + name_len + extra_len)
+        header_len = struct.unpack("<H", fh.read(10)[8:10])[0]
+        header = ast.literal_eval(fh.read(header_len).decode("latin1"))
+        offset = fh.tell()
+    assert header["descr"] == "<f8" and not header["fortran_order"]
+    rows, width = header["shape"]
+    return offset, rows, 8 * width
+
+
+def oracle_block_crcs(path, rows_per_block):
+    """The CRC-32 of each ``rows_per_block`` rows of a model file's
+    ``vectors`` bytes, the last block holding the rows left over."""
+    offset, rows, row_bytes = oracle_matrix_member(path)
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        data = fh.read(rows * row_bytes)
+    step = rows_per_block * row_bytes
+    return [zlib.crc32(data[at : at + step]) for at in range(0, len(data), step)]

@@ -5,6 +5,7 @@ import io
 import math
 import struct
 import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from catweight import (
     logreg_gradient,
     predict_many,
     save_model,
+    separable_corpus,
     svm_objective,
     svm_subgradient,
     synthetic_model,
@@ -36,8 +38,9 @@ from catweight import (
     train_svm,
 )
 from catweight import classify
-from catweight.classify import _logreg_objective
+from catweight.classify import CheckedRows, ModelFile, _logreg_objective
 from catweight.embeddings import EmbeddingModel, SortedWords
+from oracles import oracle_block_crcs, oracle_matrix_member
 
 
 def _finite_difference(objective, W, b, h=1e-6):
@@ -269,6 +272,27 @@ class TestTrainSvm:
         model = train_svm(X, y, TrainConfig(epochs=30, l2=l2, seed=6))
         norms = np.sqrt(np.sum(model.W**2, axis=1) + model.b**2)
         assert np.all(norms <= 1.0 / math.sqrt(l2) + 1e-9)
+
+
+class TestStopReason:
+    @pytest.fixture(scope="class")
+    def features(self):
+        corpus = separable_corpus(num_docs=200, seed=3)
+        embedding = synthetic_model(corpus.token_counts().terms, 16, seed=4)
+        table = build_table(build_stats(corpus), "tfcr")
+        return CorpusVectorizer(corpus.documents, embedding).matrix(table), corpus.labels()
+
+    @pytest.mark.parametrize("train_fn", [train_logreg, train_svm])
+    def test_loose_tolerance_reports_tolerance(self, features, train_fn):
+        model = train_fn(*features, TrainConfig(epochs=100, tolerance=0.5))
+        assert model.stop_reason == "tolerance"
+        assert len(model.training_log) < 101
+
+    @pytest.mark.parametrize("train_fn", [train_logreg, train_svm])
+    def test_default_five_epoch_fit_reports_epochs(self, features, train_fn):
+        model = train_fn(*features, TrainConfig(epochs=5))
+        assert model.stop_reason == "epochs"
+        assert len(model.training_log) == 6
 
 
 def _trajectory_data(seed, n, f, c):
@@ -558,7 +582,9 @@ class TestModelSerialization:
             ("scheme", np.int64(4)),
             ("preserve_case", np.int64(0)),
             ("b", np.zeros((2, 1))),
-            ("vectors", np.full((1, 8), np.nan)),
+            ("vectors", np.zeros((1, 8), dtype=np.int64)),
+            ("vectors", np.zeros((1, 8), dtype=">f8")),
+            ("vector_crcs", np.zeros(1)),
             ("table_rows", np.zeros(3)),
             ("weight_indptr", np.zeros((2, 2), dtype=np.int64)),
             ("weight_values", np.array([0.5, np.inf])),
@@ -583,6 +609,8 @@ class TestModelSerialization:
             ("tfcr", "vocab", lambda a: a[:-1]),
             ("tfcr", "vocab", lambda a: np.concatenate([a[:-1], a[:1]])),  # repeated word
             ("tfcr", "vectors", lambda a: a[:, :-1]),
+            ("tfcr", "vector_crcs", lambda a: a[:-1]),
+            ("tfcr", "vector_crcs", lambda a: np.concatenate([a, a])),
             ("tfcr", "table_rows", lambda a: a[:-1]),
             ("tfcr", "table_rows", lambda a: a + 1),  # last row past the vocab
             ("tfcr", "table_rows", lambda a: a - 1),  # first row negative
@@ -651,7 +679,19 @@ def _with_header(path, name, header, length=None):
                 fh.write(value.tobytes())
 
 
-class TestModelFormat4:
+_BLOCK = classify._BLOCK_ROWS
+
+
+def _wide_model(tmp_path, num_words):
+    """A tfcr model file whose vocabulary has ``num_words`` words."""
+    words = [f"w{i:03d}" for i in range(num_words)]
+    corpus = from_token_lists([words[0::2], words[1::2]], [0, 1], ["A", "B"])
+    path = tmp_path / "wide.bin"
+    save_model(_saved_model(corpus, synthetic_model(words, 8, seed=5), "tfcr"), path)
+    return path
+
+
+class TestModelFormat5:
     @pytest.fixture
     def model_file(self, toy_corpus, tiny_model, tmp_path):
         path = tmp_path / "model.bin"
@@ -693,9 +733,111 @@ class TestModelFormat4:
 
     def test_format_3_file_says_retrain(self, model_file):
         # Format 3 is format 4 without vocab_order.
-        _rewrite(model_file, format=np.int64(3), vocab_order=None)
+        _rewrite(model_file, format=np.int64(3), vocab_order=None, vector_crcs=None)
         with pytest.raises(ModelFormatError, match="format-3 model file.*retrain"):
             load_model(model_file)
+
+    def test_format_4_file_says_retrain(self, model_file):
+        # Format 4 is format 5 without vector_crcs.
+        _rewrite(model_file, format=np.int64(4), vector_crcs=None)
+        with pytest.raises(ModelFormatError, match="format-4 model file.*retrain"):
+            load_model(model_file)
+        with pytest.raises(ModelFormatError, match="format-4 model file.*retrain"):
+            ModelFile(model_file)
+
+    def test_column_ordered_vectors_rejected(self, model_file):
+        with np.load(model_file) as npz:
+            V, d = npz["vectors"].shape
+        _with_header(model_file, "vectors",
+                     f"{{'descr': '<f8', 'fortran_order': True, 'shape': ({V}, {d}), }}")
+        with pytest.raises(ModelFormatError, match=r"'vectors' is 2-D <f8 column-ordered"):
+            ModelFile(model_file)
+
+    @pytest.mark.parametrize("name", ["vectors", "W"])
+    def test_every_flip_of_an_npy_header_is_refused_or_harmless(self, model_file, name):
+        """The ``vectors`` member's zip CRC-32 is not checked (its rows are,
+        block by block), so its npy header is matched exactly: any one bit
+        flipped in it is refused, or leaves the rows read as they were.
+        W's header is under W's CRC-32, so every flip there is refused.
+        Nothing but ``ModelFormatError`` is ever raised."""
+        rows = load_model(model_file).embedding.vectors
+        offset = oracle_matrix_member(model_file, name)[0]
+        data = model_file.read_bytes()
+        start = data.rfind(b"\x93NUMPY", 0, offset)
+        for at in range(start, offset):
+            for bit in range(8):
+                flipped = bytearray(data)
+                flipped[at] ^= 1 << bit
+                model_file.write_bytes(bytes(flipped))
+                try:
+                    loaded = load_model(model_file)
+                except ModelFormatError:
+                    continue
+                assert name == "vectors", (at, bit)
+                assert loaded.embedding.vectors.tobytes() == rows.tobytes(), (at, bit)
+
+    @pytest.mark.parametrize("num_words", [_BLOCK - 3, 2 * _BLOCK, 3 * _BLOCK + 5])
+    def test_block_crcs_are_the_zlib_crcs_of_the_rows(self, num_words, tmp_path):
+        path = _wide_model(tmp_path, num_words)
+        with np.load(path) as npz:
+            assert npz["vectors"].shape == (num_words, 8)
+            crcs = npz["vector_crcs"]
+        assert crcs.dtype == np.uint32 and len(crcs) == -(-num_words // _BLOCK)
+        assert crcs.tolist() == oracle_block_crcs(path, _BLOCK)
+
+    def test_read_rows_reads_and_checks_only_the_blocks_it_needs(self, tmp_path):
+        path = _wide_model(tmp_path, 3 * _BLOCK + 5)
+        with np.load(path) as npz:
+            full = npz["vectors"]
+        offset, _, row_bytes = oracle_matrix_member(path)
+        data = bytearray(path.read_bytes())
+        data[offset + (_BLOCK + 2) * row_bytes + 3] ^= 0x10  # block 1
+        path.write_bytes(bytes(data))
+        with ModelFile(path) as model_file:  # opening reads no row
+            saved = model_file.read_rows([3 * _BLOCK + 4, -1, 0, 2 * _BLOCK])
+            with pytest.raises(ModelFormatError,
+                               match=r"Bad CRC-32 for member 'vectors.npy' in block 1 "):
+                model_file.read_rows([_BLOCK + 7])
+        with pytest.raises(ModelFormatError, match="CRC-32 for member 'vectors.npy'"):
+            load_model(path)
+        vectors = saved.embedding.vectors
+        assert isinstance(vectors, CheckedRows) and vectors.shape == full.shape
+        rows = np.array([2 * _BLOCK + 1, 0, 3 * _BLOCK + 4, 5])
+        assert vectors[rows].tobytes() == full[rows].tobytes()
+        for unread in ([_BLOCK + 1], [0, 2 * _BLOCK - 1], [-1], [3 * _BLOCK + 5]):
+            with pytest.raises(IndexError):
+                vectors[np.array(unread)]
+        # No unread row reaches a product: a word of block 1 stops matrix.
+        word = saved.embedding.words[_BLOCK + 2]
+        docs = from_token_lists([[saved.embedding.words[0], word]], [0], ["A", "B"]).documents
+        with pytest.raises(IndexError, match="was not read"):
+            CorpusVectorizer(docs, saved.embedding).matrix(saved.table)
+
+    def test_non_finite_row_refused_under_matching_crcs(self, tmp_path):
+        path = _wide_model(tmp_path, 3 * _BLOCK + 5)
+        with np.load(path) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        vectors = arrays["vectors"]
+        vectors[_BLOCK + 2, 3] = np.nan
+        arrays["vector_crcs"] = np.array(
+            [zlib.crc32(vectors[k : k + _BLOCK].tobytes())
+             for k in range(0, len(vectors), _BLOCK)], dtype=np.uint32)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)  # and the zip's CRC-32s
+        assert arrays["vector_crcs"].tolist() == oracle_block_crcs(path, _BLOCK)
+        with ModelFile(path) as model_file:
+            model_file.read_rows([0, 2 * _BLOCK])
+            with pytest.raises(ModelFormatError, match="'vectors' has non-finite values"):
+                model_file.read_rows([_BLOCK + 2])
+        with pytest.raises(ModelFormatError, match="'vectors' has non-finite values"):
+            load_model(path)
+
+    def test_every_truncation_refused_on_opening(self, model_file):
+        data = model_file.read_bytes()
+        for cut in range(len(data)):
+            model_file.write_bytes(data[:cut])
+            with pytest.raises(ModelFormatError):
+                ModelFile(model_file)
 
     @pytest.mark.parametrize("change", [
         lambda o: np.where(o == o.max(), o.size, o),  # out of range

@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 
 from catweight import (
     CorpusVectorizer,
+    ModelFormatError,
     build_stats,
     build_table,
     from_token_lists,
@@ -39,9 +41,10 @@ from catweight import (
     tokenize,
 )
 import catweight
-from catweight import evaluation, vectorize
+from catweight import classify, evaluation, vectorize
 from catweight.cli import _predict_input, main
 from catweight.weighting import SCHEMES
+from oracles import oracle_block_crcs, oracle_matrix_member
 
 TOY_ROWS = [
     ("win win win win game game team team goal ball", "A"),
@@ -567,6 +570,82 @@ def _predict(model, lines, tmp_path):
     out = tmp_path / "pred.tsv"
     assert main(["predict", "--model", str(model), "--input", str(inputs), "--out", str(out)]) == 0
     return out.read_text().splitlines()
+
+
+def _damaged_copy(model, directory, row):
+    """A copy of the model file with one byte of embedding row ``row`` flipped."""
+    offset, _, row_bytes = oracle_matrix_member(model)
+    data = bytearray(model.read_bytes())
+    data[offset + row * row_bytes + 5] ^= 0x01
+    copy = directory / "damaged.bin"
+    copy.write_bytes(bytes(data))
+    return copy
+
+
+def _predict_bytes(model, text, tmp_path):
+    """predict's exit code and TSV bytes for the input ``text``."""
+    inputs, out = tmp_path / "input.txt", tmp_path / "out.tsv"
+    inputs.write_text(text, encoding="utf-8")
+    out.unlink(missing_ok=True)
+    code = main(["predict", "--model", str(model), "--input", str(inputs), "--out", str(out)])
+    return code, out.read_bytes() if out.exists() else None
+
+
+class TestPredictReadsBlocks:
+    """A predict reads and checks only the blocks of embedding rows that
+    its input's words use."""
+
+    BLOCK = classify._BLOCK_ROWS
+
+    @pytest.fixture
+    def words(self, trained):
+        words = load_model(trained).embedding.words
+        assert len(words) > self.BLOCK  # the model file holds at least two blocks
+        return words
+
+    def test_one_line_reads_fewer_blocks_than_the_file_holds(self, trained, words, tmp_path):
+        real = classify.ModelFile._read_blocks
+        with mock.patch.object(classify.ModelFile, "_read_blocks", autospec=True,
+                               side_effect=real) as read:
+            assert _predict_bytes(trained, f"{words[0]} zebra {words[3]}\n", tmp_path)[0] == 0
+        [(_, blocks)] = [call.args for call in read.call_args_list]
+        assert blocks.tolist() == [0] and blocks.size < -(-len(words) // self.BLOCK)
+
+    def test_damaged_block_the_line_uses_exits_1(self, trained, words, tmp_path, capsys):
+        model = _damaged_copy(trained, tmp_path, len(words) - 1)
+        code, _ = _predict_bytes(model, f"{words[0]} {words[-1]}\n", tmp_path)
+        assert code == 1
+        assert "Bad CRC-32 for member 'vectors.npy' in block" in capsys.readouterr().err
+
+    def test_damaged_block_no_word_of_the_line_uses(self, trained, words, tmp_path, capsys):
+        """Caught by ``load_model`` and by a batch that uses the block, not
+        by a one-line predict that does not."""
+        line = f"{words[0]} {words[1]} {words[0]}\n"
+        code, before = _predict_bytes(trained, line, tmp_path)
+        assert code == 0
+        model = _damaged_copy(trained, tmp_path, len(words) - 1)
+        assert _predict_bytes(model, line, tmp_path) == (0, before)
+        with pytest.raises(ModelFormatError, match="Bad CRC-32 for member 'vectors.npy'"):
+            load_model(model)
+        capsys.readouterr()
+        assert _predict_bytes(model, line + f"{words[-1]}\n", tmp_path) == (1, None)
+        assert "Bad CRC-32 for member 'vectors.npy'" in capsys.readouterr().err
+
+    def test_non_finite_row_the_line_uses_exits_1(self, trained, words, tmp_path, capsys):
+        with np.load(trained) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        vectors = arrays["vectors"]
+        vectors[-1, 0] = np.nan
+        arrays["vector_crcs"] = np.array(
+            [zlib.crc32(vectors[k : k + self.BLOCK].tobytes())
+             for k in range(0, len(vectors), self.BLOCK)], dtype=np.uint32)
+        model = tmp_path / "nan.bin"
+        with open(model, "wb") as fh:
+            np.savez(fh, **arrays)  # with the zip's CRC-32s
+        assert arrays["vector_crcs"].tolist() == oracle_block_crcs(model, self.BLOCK)
+        assert _predict_bytes(model, f"{words[0]}\n", tmp_path)[0] == 0
+        assert _predict_bytes(model, f"{words[-1]}\n", tmp_path) == (1, None)
+        assert "array 'vectors' has non-finite values" in capsys.readouterr().err
 
 
 class TestTrainPredict:

@@ -120,7 +120,7 @@ class TestOutputDigests:
         argv = ["train", "--data", str(data), "--embedding", str(glove), "--seed", "1",
                 "--scheme", "tftrr", "--epochs", "5", "--min-count", "2", "--out", str(out)]
         assert main(argv) == 0
-        digest = "d6c9934e4a060409e2c94995fe03b879ddc631e4726b6ea0736d90f1abaf41ab"
+        digest = "d26d8fde39bca42c3b46ab45797be0db6b6156243fec79e251839604bd4ed18f"
         assert _digest(out.read_bytes()) == digest
 
     def test_predict_output_is_pinned(self, tmp_path):
@@ -176,7 +176,7 @@ class TestOutputDigests:
             rows = list(csv.reader(fh))
         drop = rows[0].index("embedding")
         chunks += [[cell for i, cell in enumerate(row) if i != drop] for row in rows]
-        digest = "67a25637f67df1452416d4762e9c20282dd86ea4ebd8dc80759a3422ade85098"
+        digest = "963fddd8ac2a9afe859f7cc78532da6f8b351eef874ee7cbd9c309d749360574"
         assert _digest(*chunks) == digest
 
 
