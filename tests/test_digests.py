@@ -180,6 +180,34 @@ class TestOutputDigests:
         assert _digest(*chunks) == digest
 
 
+    def test_vectorize_output_is_pinned(self, tmp_path):
+        """The vectorize TSV of every scheme over the whole corpus."""
+        data = _write_csv(tmp_path)
+        glove = tmp_path / "glove.txt"
+        save_glove_text(_model(), glove)
+        chunks = []
+        for scheme in ("none", "tfidf", "kld", "tftrr", "tfcr"):
+            out = tmp_path / f"{scheme}.tsv"
+            argv = ["vectorize", "--data", str(data), "--embedding", str(glove), "--seed", "1",
+                    "--scheme", scheme, "--out", str(out)]
+            assert main(argv) == 0
+            chunks.append(out.read_bytes())
+        digest = "bba9e9443c0fb35cf11941dfa93b405145404cbfd9f9fa250f47f403f34cbd47"
+        assert _digest(*chunks) == digest
+
+    def test_curve_output_is_pinned(self, tmp_path):
+        """The curve CSV of every scheme, without case fallback."""
+        data = _write_csv(tmp_path)
+        glove = tmp_path / "glove.txt"
+        save_glove_text(_model(), glove)
+        out = tmp_path / "curve.csv"
+        argv = ["curve", "--data", str(data), "--embedding", str(glove), "--seed", "1",
+                "--epochs", "5", "--scheme", "all", "--classifier", "logreg", "--k", "3",
+                "--stratified", "--sizes", "15,27,40", "--out", str(out)]
+        assert main(argv) == 0
+        digest = "a5217927e11ea3ddfd8bd93b9d05a26aea3129f4a9cbd8b2e210a07691fa560c"
+        assert _digest(out.read_bytes()) == digest
+
 def _write_csv(tmp_path):
     path = tmp_path / "corpus.csv"
     corpus = _corpus()
