@@ -31,6 +31,7 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import fields, replace
@@ -66,10 +67,10 @@ from .embeddings import (
     synthetic_model,
 )
 from .errors import CatweightError, ConfigError
-from .evaluation import grid_run, learning_curve, write_curve_csv, write_results_csv
-from .stats import build_stats
-from .vectorize import CorpusVectorizer, standardize_apply, standardize_fit
-from .weighting import DEFAULT_ALPHA, SCHEMES, WeightTable, build_table, export_weights
+from .evaluation import (fit_pair, fit_table, grid_run, learning_curve, write_curve_csv,
+                         write_results_csv)
+from .vectorize import CorpusVectorizer, standardize_apply
+from .weighting import DEFAULT_ALPHA, SCHEMES, export_weights
 
 # The parser's choices, and the values _resolve accepts from a config file.
 _CHOICES = {
@@ -279,6 +280,11 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ConfigError(f"output directory not found: {out.parent}")
         if out.is_dir():
             raise ConfigError(f"--out names a directory: {out}")
+        # Checked, not opened: opening would truncate an existing result.
+        manifest = Path(f"{out}.manifest.json")
+        for path in (out.parent, *(p for p in (out, manifest) if p.exists())):
+            if not os.access(path, os.W_OK):
+                raise ConfigError(f"--out cannot be written: no write permission on {path}")
     return resolved
 
 
@@ -418,6 +424,13 @@ def _train_config(cfg: dict) -> TrainConfig:
         raise ConfigError(str(exc)) from None
 
 
+def _fitting(cfg: dict) -> dict:
+    """The pair step's options as a command gives them; a command without
+    ``--standardize`` fits no scaler."""
+    return {"alpha": cfg["alpha"], "min_count": cfg["min_count"],
+            "standardize": cfg.get("standardize", False)}
+
+
 def _write_manifest(out: Path, command: str, cfg: dict, extra: dict | None = None) -> Path:
     manifest = {
         "artifact": "catweight",
@@ -472,18 +485,8 @@ def cmd_cv(args: argparse.Namespace) -> int:
     embedding = _resolve_embedding(cfg, corpus)
     plan = make_splits(corpus, cfg["k"], seed=seed, stratified=cfg["stratified"])
     dataset = Path(cfg["data"]).name
-    results = grid_run(
-        corpus,
-        schemes,
-        embedding,
-        classifiers,
-        plan,
-        train_config,
-        alpha=cfg["alpha"],
-        standardize=cfg["standardize"],
-        jobs=cfg["jobs"],
-        min_count=cfg["min_count"],
-    )
+    results = grid_run(corpus, schemes, embedding, classifiers, plan, train_config,
+                       jobs=cfg["jobs"], **_fitting(cfg))
     out = Path(cfg.get("out") or "results.csv")
     with open(out, "w", encoding="utf-8", newline="") as fh:
         write_results_csv(results, fh, dataset)
@@ -544,18 +547,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
     plan = make_splits(corpus, cfg["k"], seed=seed, stratified=cfg["stratified"])
     plan = replace(plan, size_ladder=tuple(_fitting_sizes(sizes, len(plan.ladder_order))))
     embedding = _resolve_embedding(cfg, corpus)
-    points = learning_curve(
-        corpus,
-        plan,
-        schemes,
-        embedding,
-        classifier,
-        train_config,
-        alpha=cfg["alpha"],
-        standardize=cfg["standardize"],
-        min_count=cfg["min_count"],
-        record_failures=True,
-    )
+    points = learning_curve(corpus, plan, schemes, embedding, classifier, train_config,
+                            record_failures=True, **_fitting(cfg))
     out = Path(cfg.get("out") or "curve.csv")
     with open(out, "w", encoding="utf-8", newline="") as fh:
         write_curve_csv(points, schemes, fh)
@@ -592,8 +585,7 @@ def cmd_weights(args: argparse.Namespace) -> int:
     if scheme == "none":
         raise ConfigError("scheme 'none' has no weights to export")
     corpus = _load_corpus(cfg)
-    stats = build_stats(corpus, min_count=cfg["min_count"])
-    table = build_table(stats, scheme, alpha=cfg["alpha"])
+    table = fit_table(corpus, scheme, alpha=cfg["alpha"], min_count=cfg["min_count"])
     fmt = cfg["output_format"]
     out = Path(cfg.get("out") or f"weights.{fmt}")
     with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -603,24 +595,14 @@ def cmd_weights(args: argparse.Namespace) -> int:
     return 0
 
 
-def _full_corpus_features(cfg: dict, scheme: str) -> tuple:
-    """``(corpus, table, embedding, features)`` of the whole corpus under ``scheme``."""
-    corpus = _load_corpus(cfg)
-    embedding = _resolve_embedding(cfg, corpus)
-    if scheme == "none":
-        table = WeightTable(scheme="none", categories=tuple(corpus.categories))
-    else:
-        stats = build_stats(corpus, min_count=cfg["min_count"])
-        table = build_table(stats, scheme, alpha=cfg["alpha"])
-    vec = CorpusVectorizer(corpus.documents, embedding, counts=corpus.token_counts())
-    return corpus, table, embedding, vec.matrix(table)
-
-
 def cmd_vectorize(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     _require(cfg, "seed", "--seed")
     scheme = _one(_require(cfg, "scheme", "--scheme"), SCHEMES, "scheme", "vectorize")
-    corpus, _, _, X = _full_corpus_features(cfg, scheme)
+    corpus = _load_corpus(cfg)
+    embedding = _resolve_embedding(cfg, corpus)
+    vectorizer = CorpusVectorizer(corpus.documents, embedding, counts=corpus.token_counts())
+    _, X, _ = fit_pair(corpus, vectorizer, scheme, **_fitting(cfg))  # no --standardize here
     out = Path(cfg.get("out") or "vectors.tsv")
     with open(out, "w", encoding="utf-8") as fh:
         for i, doc in enumerate(corpus.documents):
@@ -638,13 +620,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     scheme = _one(_require(cfg, "scheme", "--scheme"), SCHEMES, "scheme", "train")
     classifier = _one(cfg["classifier"], CLASSIFIERS, "classifier", "train")
     train_config = _train_config(cfg)
-    corpus, table, embedding, X = _full_corpus_features(cfg, scheme)
-    labels = corpus.labels()
-    scaler = None
-    if cfg["standardize"]:
-        scaler = standardize_fit(X)
-        standardize_apply(scaler, X, out=X)
-    model = train(classifier, X, labels, train_config, len(corpus.categories))
+    corpus = _load_corpus(cfg)
+    embedding = _resolve_embedding(cfg, corpus)
+    vectorizer = CorpusVectorizer(corpus.documents, embedding, counts=corpus.token_counts())
+    # Every document is training data: the whole-corpus vectorizer and no subset.
+    table, X, scaler = fit_pair(corpus, vectorizer, scheme, **_fitting(cfg))
+    model = train(classifier, X, corpus.labels(), train_config, len(corpus.categories))
     out = Path(cfg.get("out") or "model.bin")
     saved = SavedModel(model, table, embedding, scaler, cfg["preserve_case"])
     save_model(saved, out)

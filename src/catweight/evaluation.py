@@ -16,10 +16,14 @@ on the pair, so it is built once, before any pair runs, and each pair
 copies its rows.  Then the engine runs fold-major.  Per pair it takes
 one view of the pair's rows from the vectorizer (its sliced counts,
 shared by the pair's schemes) and builds the corpus statistics once
-(when some scheme needs them), then for each scheme in turn its weight
-table, feature matrix and scaler, on which every classifier is trained
-and scored.  A scheme's matrix holds only the pair's training and test
-rows and is standardized in place.
+(when some scheme needs them), then for each scheme in turn calls the
+pair step, ``fit_pair``: the weight table, feature matrix and scaler,
+on which every classifier is trained and scored.  A scheme's matrix
+holds only the pair's training and test rows and is standardized in
+place.  ``fit_pair`` is the only code that fits a table, features and a
+scaler: the ``train`` and ``vectorize`` commands call it once with
+every document as training data, and ``weights`` calls its table step,
+``fit_table``.
 
 The calling thread builds all features, in that order.  It hands each
 (pair, scheme)'s classifier cells to a pool of ``jobs`` worker threads
@@ -66,7 +70,7 @@ from .classify import TrainConfig, predict_many, train
 from .corpus import LabeledCorpus, SplitPlan
 from .embeddings import EmbeddingModel
 from .errors import TrainingError
-from .stats import build_stats
+from .stats import CorpusStats, build_stats
 from .vectorize import CorpusVectorizer, standardize_apply, standardize_fit
 from .weighting import CATEGORY_SCHEMES, DEFAULT_ALPHA, WeightTable, build_table
 
@@ -197,6 +201,50 @@ def _run_now(fn, *args) -> Future:
     return future
 
 
+def _fit_stats(corpus: LabeledCorpus, train_idx, min_count: int) -> CorpusStats | Exception:
+    """The stats of the documents ``train_idx`` (every document when
+    None), or the exception that failed their build, without its
+    traceback."""
+    try:
+        return build_stats(corpus, doc_subset=train_idx, min_count=min_count)
+    except Exception as exc:
+        return exc.with_traceback(None)
+
+
+def fit_table(corpus: LabeledCorpus, scheme: str, train_idx=None, *, alpha: float = DEFAULT_ALPHA,
+              min_count: int = 1, stats=None) -> WeightTable:
+    """``scheme``'s weight table fit on the documents ``train_idx``
+    (every document when None): ``none``'s, or ``build_table`` over
+    their stats.  ``stats`` is their ``_fit_stats`` when the caller
+    built it already; a failed build raises here."""
+    if scheme == "none":
+        return WeightTable(scheme="none", categories=tuple(corpus.categories))
+    stats = _fit_stats(corpus, train_idx, min_count) if stats is None else stats
+    if isinstance(stats, Exception):
+        raise stats
+    return build_table(stats, scheme, alpha=alpha)
+
+
+def fit_pair(corpus: LabeledCorpus, vectorizer: CorpusVectorizer, scheme: str, train_idx=None, *,
+             alpha: float = DEFAULT_ALPHA, min_count: int = 1, standardize: bool = False,
+             stats=None, features: np.ndarray | None = None) -> tuple:
+    """The pair step: ``(table, X, scaler)`` of ``scheme`` fit on the
+    documents ``train_idx`` (every document when None), which are the
+    first of ``vectorizer``'s: the table (``fit_table``), the features
+    of all the vectorizer's documents (``features``, when the caller has
+    them already) and, with ``standardize``, the scaler fit on the
+    training rows and applied to every row in place (else None)."""
+    table = fit_table(corpus, scheme, train_idx, alpha=alpha, min_count=min_count, stats=stats)
+    X = vectorizer.matrix(table) if features is None else features
+    if not standardize:
+        return table, X, None
+    n_train = len(X) if train_idx is None else len(train_idx)
+    if n_train < 2:
+        raise TrainingError(f"standardizing needs at least 2 training documents, got {n_train}")
+    scaler = standardize_fit(X[:n_train])
+    return table, standardize_apply(scaler, X, out=X), scaler
+
+
 def _fit_and_score(
     corpus: LabeledCorpus,
     pairs,
@@ -217,11 +265,11 @@ def _fit_and_score(
     cell in that pair, or None where the cell did not run.
 
     Per pair, one vectorizer view of the pair's rows and the stats (when
-    some scheme needs them) are built once, then per scheme the table,
-    feature matrix and scaler on which every classifier is trained and
-    scored.  A failing shared step fails exactly the cells built on it
-    (a failed stats build every cell but ``none``'s), and a logreg cell
-    fails in a pair whose training documents lack a category.  An
+    some scheme needs them) are built once, then per scheme the pair
+    step, ``fit_pair``, whose matrix every classifier is trained and
+    scored on.  A failing shared step fails exactly the cells built on
+    it (a failed stats build every cell but ``none``'s), and a logreg
+    cell fails in a pair whose training documents lack a category.  An
     unknown scheme fails its cells with ``build_table``'s error.  With
     ``skip_failed``, a cell does not run in the pairs after one it
     failed in.
@@ -238,8 +286,9 @@ def _fit_and_score(
     n_classes = len(corpus.categories)
     vectorizer = CorpusVectorizer(corpus.documents, embedding, counts=corpus.token_counts())
     # The none matrix does not depend on the pair: each pair copies its rows.
-    none_table = WeightTable(scheme="none", categories=tuple(corpus.categories))
-    none_matrix = vectorizer.matrix(none_table) if "none" in schemes else None
+    none_matrix = None
+    if "none" in schemes:
+        none_matrix = fit_pair(corpus, vectorizer, "none")[1]
     outcomes = {
         (scheme, classifier): [None] * len(pairs)
         for scheme in schemes
@@ -255,20 +304,6 @@ def _fit_and_score(
 
     def count_pending(of_schemes):
         return sum(scheme in of_schemes for _, scheme, _ in pending)
-
-    def features(scheme, view, rows, n_train, stats):
-        """The pair's matrix for ``scheme``, standardized in place.  The
-        stats failure (for any scheme but ``none``), table, matrix and
-        scaler share this one failure path."""
-        if scheme == "none":
-            X = none_matrix[rows]
-        elif isinstance(stats, Exception):
-            raise stats
-        else:
-            X = view.matrix(build_table(stats, scheme, alpha=alpha))
-        if standardize:
-            standardize_apply(standardize_fit(X[:n_train]), X, out=X)
-        return X
 
     def score_cell(classifier, X, n_train, y_train, y_test):
         try:
@@ -306,15 +341,16 @@ def _fit_and_score(
                 if not members:
                     continue
                 if scheme != "none" and stats is None:
-                    try:
-                        stats = build_stats(corpus, doc_subset=train_idx, min_count=min_count)
-                    except Exception as exc:
-                        stats = exc
+                    stats = _fit_stats(corpus, train_idx, min_count)
                 if scheme in CATEGORY_SCHEMES:
                     while count_pending(CATEGORY_SCHEMES) > 1:
                         settle()  # one category matrix trains, one is built
-                try:
-                    X = features(scheme, view, rows, n_train, stats)
+                try:  # the stats failure, table, matrix and scaler fail alike
+                    X = fit_pair(
+                        corpus, view, scheme, train_idx, alpha=alpha, min_count=min_count,
+                        standardize=standardize, stats=stats,
+                        features=none_matrix[rows] if scheme == "none" else None,
+                    )[1]
                 except Exception as exc:
                     exc = exc.with_traceback(None)  # its frames would stay alive
                     for cell in members:
@@ -396,17 +432,8 @@ def learning_curve(
         (plan.ladder_sample(size), holdout, f"size-{size} training sample")
         for size in plan.size_ladder
     ]
-    outcomes = _fit_and_score(
-        corpus,
-        pairs,
-        schemes,
-        embedding,
-        [classifier],
-        train_config,
-        alpha=alpha,
-        standardize=standardize,
-        min_count=min_count,
-    )
+    outcomes = _fit_and_score(corpus, pairs, schemes, embedding, [classifier], train_config,
+                              alpha=alpha, standardize=standardize, min_count=min_count)
     points = []
     for p, size in enumerate(plan.size_ladder):
         point = CurvePoint(training_size=int(size), scores={})
@@ -453,19 +480,9 @@ def grid_run(
     ]
     train_sizes = tuple(len(train_idx) for train_idx, _, _ in pairs)
     n_classes = len(corpus.categories)
-    outcomes = _fit_and_score(
-        corpus,
-        pairs,
-        schemes,
-        embedding,
-        classifiers,
-        train_config,
-        alpha=alpha,
-        standardize=standardize,
-        min_count=min_count,
-        jobs=jobs,
-        skip_failed=True,
-    )
+    outcomes = _fit_and_score(corpus, pairs, schemes, embedding, classifiers, train_config,
+                              alpha=alpha, standardize=standardize, min_count=min_count,
+                              jobs=jobs, skip_failed=True)
     results: dict[tuple[str, str, str], EvalReport | Exception] = {}
     for (scheme, classifier), outcome in outcomes.items():
         key = (scheme, embedding.origin, classifier)

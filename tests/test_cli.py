@@ -932,6 +932,37 @@ class TestTrainPredict:
         ]
         assert got == expected
 
+    @pytest.mark.parametrize("flags, message", [
+        ([], "standardizing needs at least 2 training documents, got 1"),
+        (["--no-standardize"], "training needs >= 2 distinct labels, got 1"),
+    ])
+    @pytest.mark.parametrize("source", ["one-document file", "--sample 1"])
+    def test_one_document_exits_1(self, flags, message, source, train_csv, tmp_path, capsys):
+        data = train_csv
+        sample = ["--sample", "1"] if source == "--sample 1" else []
+        if not sample:
+            data = _write_dataset(tmp_path / "one.csv", TOY_ROWS[:1])
+        out = tmp_path / "m.bin"
+        argv = ["train", "--data", data, "--embedding", "synthetic:4:1", "--seed", "1",
+                *sample, *flags, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_one_document_training_fold_fails_its_cell(self, tmp_path):
+        # Each of the two folds trains on one document: the scaler's
+        # error, from the same pair step as train's, fails the svm cell.
+        data = _write_dataset(tmp_path / "two.csv", TOY_ROWS)
+        out = tmp_path / "cv.csv"
+        argv = ["cv", "--data", data, "--embedding", "synthetic:4:1", "--seed", "1",
+                "--k", "2", "--classifier", "svm", "--out", str(out)]
+        assert main(argv) == 1
+        with open(out, encoding="utf-8", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["macro_f1"] == (
+            "TrainingError: standardizing needs at least 2 training documents, got 1"
+        )
+
 
 def _lines_of_whole_text(text):
     """``predict``'s lines of ``text``, split all at once."""
@@ -1269,6 +1300,46 @@ def test_out_naming_a_directory_exits_2_before_loading(
     assert main([command, *flags, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: --out names a directory: {out}\n"
     assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flags", _COMMANDS_WITHOUT_INPUT)
+def test_out_without_write_permission_exits_2_before_loading(
+    command, flags, tmp_path, capsys, monkeypatch
+):
+    """Asked of ``os.access``, before the input (absent here) is looked
+    for; an existing result is neither opened nor truncated."""
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out.txt"
+    out.write_text("an earlier result", encoding="utf-8")
+    monkeypatch.setattr(os, "access", lambda path, mode, **kwargs: Path(path) != out)
+    assert main([command, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --out cannot be written: no write permission on {out}\n"
+    assert out.read_text(encoding="utf-8") == "an earlier result"
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root writes past mode bits"
+)
+def test_read_only_out_or_directory_exits_2_before_loading(tmp_path, capsys, monkeypatch):
+    """Real mode bits: a read-only directory, result file or manifest."""
+    monkeypatch.chdir(tmp_path)
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    out = locked / "out.txt"
+    try:
+        for target in (locked, out, Path(f"{out}.manifest.json")):
+            if target != locked:
+                target.write_text("an earlier result", encoding="utf-8")
+            target.chmod(0o555 if target == locked else 0o444)
+            for command, flags in _COMMANDS_WITHOUT_INPUT:
+                assert main([command, *flags, "--out", str(out)]) == 2
+                err = capsys.readouterr().err
+                assert err == f"error: --out cannot be written: no write permission on {target}\n"
+            target.chmod(0o755 if target == locked else 0o644)
+    finally:
+        locked.chmod(0o755)
+    assert out.read_text(encoding="utf-8") == "an earlier result"
 
 
 @pytest.mark.parametrize("key", ["standardize", "stratified", "preserve_case", "case_fallback"])

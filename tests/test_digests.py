@@ -1,8 +1,9 @@
 """Output bits pinned by SHA-256 digest.
 
-Feature matrices, weight exports, a model file and predict TSVs of one
-fixed generated corpus must keep their exact bytes through refactors of
-the stats, weighting, vectorize and model-file layers.  The features and
+Feature matrices, weight exports, vectorize TSVs, a model file, predict
+TSVs and cv and curve CSVs of one fixed generated corpus must keep their
+exact bytes through refactors of the stats, weighting, vectorize,
+evaluation and model-file layers.  The features and
 the exports come from scipy's sparse kernels and elementwise numpy, not
 from BLAS; the model file holds trained weights and the TSVs hold
 scores, which do (see TestTrajectories).

@@ -757,6 +757,25 @@ class TestGridRun:
                 assert threaded[key].fold_scores == cell.fold_scores
 
 
+class TestFitPair:
+    @pytest.mark.parametrize("scheme", ["none", "tfidf", "kld", "tftrr", "tfcr"])
+    def test_every_document_as_one_pair(self, scheme, eval_corpus, eval_model):
+        # train's call (the whole-corpus vectorizer, no subset) and the
+        # engine's call on one pair of every row, no test row, fit the
+        # same bits.
+        vectorizer = CorpusVectorizer(
+            eval_corpus.documents, eval_model, counts=eval_corpus.token_counts()
+        )
+        rows = np.arange(len(eval_corpus))
+        whole = evaluation.fit_pair(eval_corpus, vectorizer, scheme, standardize=True)
+        pair = evaluation.fit_pair(eval_corpus, vectorizer.view(rows), scheme, rows,
+                                   standardize=True)
+        assert table_payload(whole[0]) == table_payload(pair[0])
+        assert whole[1].tobytes() == pair[1].tobytes()
+        assert whole[2].mean.tobytes() == pair[2].mean.tobytes()
+        assert whole[2].scale.tobytes() == pair[2].scale.tobytes()
+
+
 class TestDefaultJobs:
     @pytest.mark.parametrize(
         "env, jobs",
