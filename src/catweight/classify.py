@@ -26,58 +26,70 @@ trajectory bit for bit.  Prediction ties break to the lowest class
 index (numpy argmax convention).
 
 ``save_model`` and ``ModelFile`` own the one model file ``predict``
-reads (format 5, an uncompressed npz loaded without pickle): the
-classifier, the scaler, one vocabulary of the training terms the
-embedding knew with their embedding rows (``vectors``) and
-``vocab_order``, the permutation that sorts the vocabulary, the CRC-32
-of each block of ``_BLOCK_ROWS`` embedding rows (``vector_crcs``), and
-the weight table over that vocabulary only (its nonzero (term, category)
-weights as CSR arrays, or its idf).  ``save_model`` writes
+reads (format 6, an uncompressed npz loaded without pickle).  Its
+members whose size does not depend on the vocabulary hold the
+classifier, the scaler, the categories, the scheme and alpha.  The
+others are read in blocks, each under its own CRC-32 (``block_crcs``):
+the vocabulary of the training terms the embedding knew, sorted
+(``words``), with the embedding row of each (``word_rows``); their
+embedding rows (``vectors``); and the weight table over that vocabulary
+only, as its nonzero entries in (row, column) order (``weight_keys``,
+``weight_values``).  Two small members, read whole, say where the
+blocks start: the first word of each block of ``_BLOCK_ROWS`` words
+(``word_fences``) and the first table entry of each block of
+``_BLOCK_ROWS`` rows (``weight_fences``).  ``save_model`` writes
 ``np.savez``'s bytes, member by member from each array's own memory, so
 it holds no second copy of the vectors.
 
 Opening a ``ModelFile`` takes the member list from the zip's central
-directory and reads every member but the ``vectors`` data straight into
-a freshly allocated (so aligned) array, checking its CRC-32 over header
-and data before any value is used.  A member's npy header is matched,
-not evaluated: it must have the one layout ``np.savez`` writes,
-``{'descr': ..., 'fortran_order': ..., 'shape': (...), }`` padded with
-spaces and ended by a newline, or the file is refused.  It checks that
-``vocab_order`` sorts the vocabulary into distinct words and builds the
-in-memory ``WeightTable`` straight from the arrays (its weights a
-``csr.Csr`` of them, with no scipy import), numbering its words by the
-vocabulary, which is the embedding's row order; the embedding looks
-words up by binary search over the sorted vocabulary, with no per-word
-dict or tuple.  ``ModelFile.read_rows`` then reads only the blocks of
-``vectors`` that hold the rows asked for, each run of consecutive
-blocks by one read, and checks each block's CRC-32 and the finiteness
-of its rows before any value is used; the embedding it returns exposes
-those rows only (``CheckedRows``), so a row that was not read and
-checked cannot reach a product.  ``predict`` asks for the rows of its
-input's words, so a damaged block that no input word uses goes
-unnoticed there; ``load_model`` reads every block and refuses it.
-Files of formats 1 to 4 must be retrained.
+directory, reads the members whose size does not depend on the
+vocabulary straight into freshly allocated (so aligned) arrays,
+checking each one's CRC-32 over header and data before any value is
+used, and of the others reads only the npy headers, whose types and
+shapes must agree with them.  A member's npy header is matched, not
+evaluated: it must have the one layout ``np.savez`` writes, ``{'descr':
+..., 'fortran_order': ..., 'shape': (...), }`` padded with spaces and
+ended by a newline, or the file is refused.  A word lookup
+(``SortedWords.rows_of``) finds each word's block by binary search over
+the fences and reads only those blocks of ``words`` and ``word_rows``;
+``ModelFile.read_rows`` reads only the blocks of ``vectors`` and of the
+table entries that hold the rows asked for.  Each block is read by one
+read at its offset and checked before any of its values is used: its
+CRC-32, then its content (words that rise and agree with the fences,
+rows in range and distinct, finite vectors, keys that rise within the
+block's rows, weights > 0 or idf >= 0, finite).  The embedding
+``read_rows`` returns exposes the rows read only (``CheckedRows``), so a
+row that was not read and checked cannot reach a product, and its
+``WeightTable`` (weights a ``csr.Csr``, with no scipy import) holds the
+table rows among them.  ``predict`` reads the blocks of its input's
+words, so its reads grow with its input, not with the vocabulary, and a
+damaged block that no input word uses goes unnoticed there;
+``load_model`` reads every block, and so checks the whole file.  Files
+of formats 1 to 5 must be retrained.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
 import zipfile
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .csr import Csr
-from .embeddings import EmbeddingModel, SortedWords
+from .csr import Csr, bounds, entry_positions
+from .embeddings import EmbeddingModel
 from .errors import ModelFormatError, TrainingError
 from .vectorize import ScalerParams
 from .weighting import CATEGORY_SCHEMES, SCHEMES, WeightTable
 
-MODEL_FORMAT = 5
+MODEL_FORMAT = 6
 CLASSIFIERS = ("logreg", "svm")
 _KIND_CODES = {kind: code for code, kind in enumerate(CLASSIFIERS)}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
@@ -385,32 +397,49 @@ def _write_npz(fh, **arrays) -> None:
 
 
 def save_model(saved: SavedModel, path: str | Path) -> None:
-    """Write model format 5: an uncompressed npz of plain arrays, written
+    """Write model format 6: an uncompressed npz of plain arrays, written
     through a file handle so ``path`` is used as given.  Identical models
     give identical bytes (zip entries carry a fixed timestamp), the bytes
     ``np.savez`` writes for the same arrays.
 
-    ``vocab`` names the ``vectors`` rows, in embedding order, and
-    ``vocab_order`` is the permutation that sorts it, so a reader looks
-    words up by binary search.  ``vector_crcs`` holds the CRC-32 of each
-    block of ``_BLOCK_ROWS`` rows of ``vectors``, so a reader checks the
-    rows it reads without reading the rest.  ``table_rows`` lists the
-    vocab rows that are table words, in vocab order; the table keeps only
-    those, as CSR arrays of their nonzero category weights (kld, tftrr,
-    tfcr) or as their idf (tfidf).  Table words without an embedding row
-    can never weigh at predict time and are not written.
+    ``words`` holds the vocabulary sorted, ``word_rows`` the embedding row
+    (the row of ``vectors``) of each word, and ``word_fences`` the first
+    word of each block of ``_BLOCK_ROWS`` words.  The table is written as
+    its entries in (embedding row, column) order: ``weight_keys`` holds
+    ``row * width + column`` of each, where the columns are the categories
+    (kld, tftrr, tfcr; width C) or the one idf column (tfidf; width 1),
+    and ``weight_values`` its weight (without kld's clamped zeros) or idf.
+    ``weight_fences`` holds where the entries of each block of
+    ``_BLOCK_ROWS`` rows start.  A vocabulary word that is no table word
+    has no entries; table words without an embedding row can never weigh
+    at predict time and are not written.  ``block_crcs`` holds the CRC-32
+    of each block of each member of ``_BLOCKED``, so a reader checks the
+    blocks it reads without reading the rest.
     """
     model, table, scaler, vocab = saved.model, saved.table, saved.scaler, saved.embedding.words
     rows = dict(zip(table.words, range(len(table.term_ids))))
     at = np.fromiter(map(rows.get, vocab, repeat(-1)), np.int64, len(vocab))
-    table_rows = np.flatnonzero(at >= 0)
-    at = at[table_rows]
-    empty = np.zeros(0)
-    weights = None
+    known = np.flatnonzero(at >= 0)  # the vocab rows that are table words
+    keys, values = np.zeros(0, np.int64), np.zeros(0)
     if table.weights is not None:
-        weights = table.weights[at].without_zeros()  # without kld's clamped zeros
+        weights = table.weights[at[known]].without_zeros()  # without kld's clamped zeros
+        keys = np.repeat(known, np.diff(weights.indptr)) * table.num_categories + weights.indices
+        values = weights.data
+    elif table.idf is not None:
+        keys, values = known, table.idf[at[known]]
     words = np.array(vocab, dtype=str)
-    vectors = np.ascontiguousarray(saved.embedding.vectors, dtype=_VECTORS_DTYPE)
+    order = np.argsort(words, kind="stable")
+    blocked = {
+        "words": words[order],
+        "word_rows": order,
+        "vectors": np.ascontiguousarray(saved.embedding.vectors, dtype=_VECTORS_DTYPE),
+        "weight_keys": keys,
+        "weight_values": values,
+    }
+    entries = np.bincount(keys // _width(table), minlength=len(vocab))  # of each row
+    starts = bounds(entries)[_row_bounds(len(vocab))]
+    edges = _block_edges(len(vocab), starts)
+    empty = np.zeros(0)
     with open(path, "wb") as fh:
         _write_npz(
             fh,
@@ -424,47 +453,77 @@ def save_model(saved: SavedModel, path: str | Path) -> None:
             preserve_case=np.bool_(saved.preserve_case),
             scheme=np.str_(table.scheme),
             alpha=np.float64(table.alpha),
-            vocab=words,
-            vocab_order=np.argsort(words, kind="stable"),
-            vectors=vectors,
-            vector_crcs=_block_crcs(vectors),
-            table_rows=table_rows,
-            weight_indptr=np.zeros(0, np.int32) if weights is None else weights.indptr,
-            weight_categories=np.zeros(0, np.int32) if weights is None else weights.indices,
-            weight_values=empty if weights is None else weights.data,
-            idf=empty if table.idf is None else table.idf[at],
+            word_fences=blocked["words"][::_BLOCK_ROWS],
+            weight_fences=starts,
+            block_crcs=np.array([_block_crcs(blocked[name], edges[name]) for name in _BLOCKED],
+                                dtype=np.uint32),
+            **blocked,
         )
 
 
-# Rows of ``vectors`` per CRC-32 block, a constant of the format.  On the
-# benchmark's seed-1 tfcr model (17,578 rows of 50 values, a 2-vCPU
-# machine), a one-line predict took about the same time at 4 to 16 rows
-# a block and more at 32 and above, where a line's rows pull in more
-# unused bytes; 16 keeps ``vector_crcs`` and a whole read's loop over the
-# blocks small.
+# Items per block, a constant of the format: words of ``words`` and
+# ``word_rows``, rows of ``vectors``.  With format 5's blocks of vectors
+# only, on the benchmark's seed-1 tfcr model (17,578 rows of 50 values, a
+# 2-vCPU machine), a one-line predict took about the same time at 4 to 16
+# rows a block and more at 32 and above, where a line's rows pull in more
+# unused bytes.  16 keeps a block of 8-letter words at 512 bytes and the
+# fences and ``block_crcs`` small.
 _BLOCK_ROWS = 16
 _VECTORS_DTYPE = np.dtype("<f8")
 
-
-def _block_crcs(vectors: np.ndarray) -> np.ndarray:
-    """The CRC-32 of the bytes of each ``_BLOCK_ROWS`` rows of the
-    row-ordered ``vectors``; the last block holds the rows left over."""
-    data = memoryview(vectors.reshape(-1).view(np.uint8))
-    step = _BLOCK_ROWS * vectors.shape[1] * vectors.itemsize
-    blocks = -(-vectors.shape[0] // _BLOCK_ROWS)
-    return np.array([zlib.crc32(data[k * step : (k + 1) * step]) for k in range(blocks)],
-                    dtype=np.uint32)
-
-
-# name -> (dtype kind, ndim) of every array of a format-5 file, in file order
+# name -> (dtype kind, ndim) of every array of a format-6 file, in file order
 _ARRAYS = {
     "format": ("i", 0), "kind": ("i", 0), "W": ("f", 2), "b": ("f", 1),
     "scaler_mean": ("f", 1), "scaler_scale": ("f", 1), "categories": ("U", 1),
     "preserve_case": ("b", 0), "scheme": ("U", 0), "alpha": ("f", 0),
-    "vocab": ("U", 1), "vocab_order": ("i", 1), "vectors": ("f", 2), "vector_crcs": ("u", 1),
-    "table_rows": ("i", 1), "weight_indptr": ("i", 1), "weight_categories": ("i", 1),
-    "weight_values": ("f", 1), "idf": ("f", 1),
+    "word_fences": ("U", 1), "weight_fences": ("i", 1), "block_crcs": ("u", 2),
+    "words": ("U", 1), "word_rows": ("i", 1), "vectors": ("f", 2),
+    "weight_keys": ("i", 1), "weight_values": ("f", 1),
 }
+# The members read whole on the first block read: the fences and the CRC-32s.
+_INDEX = ("word_fences", "weight_fences", "block_crcs")
+# The members read block by block, in the order of the rows of
+# ``block_crcs``.  Block k of ``words`` and ``word_rows`` holds the sorted
+# words 16k to 16k + 15, block k of ``vectors`` the embedding rows 16k to
+# 16k + 15, and block k of ``weight_keys`` and ``weight_values`` the
+# table entries of those rows, ``weight_fences[k]`` to
+# ``weight_fences[k + 1]``.
+_BLOCKED = ("words", "word_rows", "vectors", "weight_keys", "weight_values")
+
+
+def _width(table: WeightTable) -> int:
+    """The number of columns a table's entries are keyed by: one per
+    category, or tfidf's idf (scheme none has no entries)."""
+    return table.num_categories if table.scheme in CATEGORY_SCHEMES else 1
+
+
+def _row_bounds(num_rows: int) -> np.ndarray:
+    """Where each block of ``num_rows`` rows (or words) starts, and the end."""
+    return np.minimum(np.arange(-(-num_rows // _BLOCK_ROWS) + 1) * _BLOCK_ROWS, num_rows)
+
+
+def _block_edges(num_rows: int, starts: np.ndarray) -> dict[str, np.ndarray]:
+    """Where each block of each member of ``_BLOCKED`` starts, and the end,
+    in items (rows, if 2-D), for ``num_rows`` words and ``weight_fences``
+    ``starts``."""
+    rows = _row_bounds(num_rows)
+    return {"words": rows, "word_rows": rows, "vectors": rows,
+            "weight_keys": starts, "weight_values": starts}
+
+
+def _block_crcs(array: np.ndarray, edges: np.ndarray) -> list[int]:
+    """The CRC-32 of the bytes of each block of ``array``, block k holding
+    its items (rows, if 2-D) ``edges[k]:edges[k + 1]``."""
+    data = memoryview(np.ascontiguousarray(array).reshape(-1).view(np.uint8))
+    at = (edges * (array.itemsize * math.prod(array.shape[1:]))).tolist()
+    return [zlib.crc32(data[lo:hi]) for lo, hi in zip(at, at[1:])]
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a non-negative int array, increasing; for
+    small arrays, a fraction of ``np.unique``'s cost."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))[: values.size]]
 
 
 def _check_version(path, version: np.ndarray) -> None:
@@ -479,10 +538,10 @@ def _check_version(path, version: np.ndarray) -> None:
 
 # The npy 1.0 header of every member, as _write_npz and np.savez write it:
 # the dict's repr with sorted keys and a trailing ", ", padded with spaces
-# and ended by a newline.  The descr of a plain array is a byte order, a
-# type code and a size.
+# and ended by a newline.  The descr of a plain array is a byte order, the
+# type code numpy writes for its kind and a size.
 _NPY_HEADER = re.compile(
-    r"\{'descr': '([<>|=][A-Za-z][0-9]*)', 'fortran_order': (False|True), "
+    r"\{'descr': '([<>|=][biufcSUVO][0-9]*)', 'fortran_order': (False|True), "
     r"'shape': \(((?:[0-9]+, )*[0-9]+,?|)\), \} *\n"
 )
 
@@ -542,17 +601,19 @@ def _read_member(fh, info: zipfile.ZipInfo, size: int) -> np.ndarray:
     return data.view(dtype).reshape(shape, order="F" if fortran_order else "C")
 
 
-def _read_arrays(fh, path) -> tuple[dict[str, np.ndarray], tuple]:
-    """Every array of the open file but ``vectors``, type-checked, and
-    ``(start, shape)`` of the ``vectors`` data; pickled data is refused.
+def _read_arrays(fh, path) -> tuple[dict, dict, dict, int]:
+    """What opening the file reads: every array but those of ``_INDEX``
+    and ``_BLOCKED``, type-checked; the layout ``(start, dtype, shape)`` of
+    the data of each of those, checked against its type; the zip member of
+    each name; and the file's size.  Pickled data is refused.
 
-    The zip's central directory names the members; each is read
+    The zip's central directory names the members; each array is read
     straight into its own array.  ``format`` is read and checked first,
-    so a file of another format says so before its member set is.  Of
-    ``vectors`` only the npy header is read here: it must describe
-    row-ordered little-endian float64, the layout the block CRC-32s of
-    ``vector_crcs`` cover, and its data is checked block by block as it
-    is read (``ModelFile.read_rows``)."""
+    so a file of another format says so before its member set is.  Of the
+    other members only the npy header is read here.  A blocked member must
+    be little-endian and row-ordered (``vectors`` float64), the layout
+    ``block_crcs`` covers, since its header is not under a CRC-32 that a
+    block read checks."""
     magic = fh.read(4)
     if magic == b"CWLM":
         raise ModelFormatError(f"{path}: a format-1 model file, no longer read; retrain it")
@@ -565,7 +626,7 @@ def _read_arrays(fh, path) -> tuple[dict[str, np.ndarray], tuple]:
         )
     try:
         members = {m.filename.removesuffix(".npy"): m for m in zipfile.ZipFile(fh).infolist()}
-        arrays = {}
+        arrays, layouts = {}, {}
         if "format" in members:
             arrays["format"] = _read_member(fh, members["format"], size)
             _check_version(path, arrays["format"])
@@ -576,103 +637,156 @@ def _read_arrays(fh, path) -> tuple[dict[str, np.ndarray], tuple]:
                 f"unexpected arrays {sorted(names - set(_ARRAYS))}"
             )
         for name in _ARRAYS:
-            if name == "vectors":
+            if name in _INDEX or name in _BLOCKED:
                 start, dtype, shape, fortran_order, _ = _member_header(fh, members[name], size)
+                layouts[name] = start, dtype, shape
+                if name in _BLOCKED and (fortran_order or dtype.str[0] not in "<|"
+                                         or not dtype.itemsize):
+                    raise ModelFormatError(
+                        f"{path}: inconsistent model file: array {name!r} is {len(shape)}-D "
+                        f"{dtype.str} {'column' if fortran_order else 'row'}-ordered, "
+                        f"expected little-endian row-ordered")
             elif name not in arrays:
                 arrays[name] = _read_member(fh, members[name], size)
     except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise ModelFormatError(f"{path}: unreadable model file: {exc}") from exc
-    for name, arr in arrays.items():
-        kind, ndim = _ARRAYS[name]
-        if arr.dtype.kind != kind or arr.ndim != ndim:
+    for name, (kind, ndim) in _ARRAYS.items():
+        dtype, shape = layouts[name][1:] if name in layouts else (arrays[name].dtype,
+                                                                   arrays[name].shape)
+        want = _VECTORS_DTYPE.str if name == "vectors" else repr(kind)
+        if dtype.kind != kind or len(shape) != ndim or (name == "vectors" and want != dtype.str):
             raise ModelFormatError(
-                f"{path}: inconsistent model file: array {name!r} is {arr.ndim}-D {arr.dtype}, "
-                f"expected {ndim}-D {kind!r}"
+                f"{path}: inconsistent model file: array {name!r} is {len(shape)}-D {dtype}, "
+                f"expected {ndim}-D {want}"
             )
-        if kind == "f" and not np.isfinite(arr).all():
+        if name in arrays and kind == "f" and not np.isfinite(arrays[name]).all():
             raise ModelFormatError(f"{path}: array {name!r} has non-finite values")
-    if dtype != _VECTORS_DTYPE or fortran_order or len(shape) != 2:
-        raise ModelFormatError(
-            f"{path}: inconsistent model file: array 'vectors' is {len(shape)}-D {dtype.str} "
-            f"{'column' if fortran_order else 'row'}-ordered, expected 2-D <f8 row-ordered"
-        )
-    return arrays, (start, shape)
+    return arrays, layouts, members, size
 
 
-def _table_problems(a: dict[str, np.ndarray], vocab_size: int, num_categories: int) -> list[str]:
-    """What is wrong with the table arrays, whose shapes already agree."""
-    rows, indptr, cats = a["table_rows"], a["weight_indptr"], a["weight_categories"]
-    wrong = []
-    if rows.size and (rows[0] < 0 or rows[-1] >= vocab_size or (np.diff(rows) <= 0).any()):
-        wrong.append("table_rows are not increasing vocab rows")
-    if indptr.size and (indptr[0] != 0 or (np.diff(indptr) < 0).any()):
-        wrong.append("weight_indptr does not rise from 0")
-    elif cats.size:
-        if cats.min() < 0 or cats.max() >= num_categories:
-            wrong.append(f"a weight category outside [0, {num_categories})")
-        # Within a row, categories rise; a new row may start anywhere.
-        rising = np.diff(cats) > 0
-        starts = indptr[1:-1]
-        rising[starts[(starts > 0) & (starts < cats.size)] - 1] = True
-        if not rising.all():
-            wrong.append("weight categories not increasing within a row")
-    if (a["weight_values"] <= 0).any() or (a["idf"] < 0).any():
-        wrong.append("a negative weight or a stored zero")
-    if not a["alpha"] >= 1:
-        wrong.append(f"alpha {float(a['alpha'])} < 1")
-    return wrong
-
-
-def _model_of(path, a: dict[str, np.ndarray], vectors_shape: tuple) -> SavedModel:
-    """The model of the checked arrays ``a``, whose embedding exposes no
-    row yet; arrays that disagree in shape or content raise
-    ``ModelFormatError``."""
+def _model_of(path, a: dict[str, np.ndarray], shapes: dict[str, tuple], source) -> SavedModel:
+    """The model of the arrays ``a`` read on opening, with no word, embedding
+    row or table row read yet; ``shapes`` holds the shape of every member,
+    and ``source`` reads the word blocks (``SortedWords``).  Shapes that
+    disagree raise ``ModelFormatError``."""
     kind, scheme = int(a["kind"]), str(a["scheme"])
     if kind not in _KIND_NAMES:
         raise ModelFormatError(f"{path}: unknown model kind {kind}")
     if scheme not in SCHEMES:
         raise ModelFormatError(f"{path}: unknown scheme {scheme!r}")
-    categories, V = tuple(a["categories"].tolist()), len(a["vocab"])
+    categories, (V, d) = tuple(a["categories"].tolist()), shapes["vectors"]
     per_category = scheme in CATEGORY_SCHEMES
-    C, d = len(categories), vectors_shape[1]
+    C = len(categories)
     F = C * d if per_category else d
-    T = 0 if scheme == "none" else len(a["table_rows"])
-    nnz = int(a["weight_indptr"][-1]) if a["weight_indptr"].size else 0
+    blocks = -(-V // _BLOCK_ROWS)
+    nnz = shapes["weight_values"][0] if scheme != "none" else 0
     expected = {
-        "W": (C, F), "b": (C,), "vocab_order": (V,), "vectors": (V, d),
-        "vector_crcs": (-(-V // _BLOCK_ROWS),), "table_rows": (T,),
-        "weight_indptr": (T + 1 if per_category else 0,),
-        "weight_categories": (nnz,), "weight_values": (nnz,),
-        "idf": (T if scheme == "tfidf" else 0,),
-        "scaler_scale": a["scaler_mean"].shape,
+        "W": (C, F), "b": (C,), "scaler_scale": shapes["scaler_mean"],
+        "word_fences": (blocks,), "weight_fences": (blocks + 1,),
+        "block_crcs": (len(_BLOCKED), blocks),
+        "words": (V,), "word_rows": (V,), "weight_keys": (nnz,), "weight_values": (nnz,),
     }
-    shapes = {name: arr.shape for name, arr in a.items()} | {"vectors": vectors_shape}
     wrong = [f"{n} {shapes[n]} != {shape}" for n, shape in expected.items() if shapes[n] != shape]
-    if a["scaler_mean"].shape not in ((F,), (0,)):
-        wrong.append(f"scaler_mean {a['scaler_mean'].shape} != ({F},)")
+    if shapes["scaler_mean"] not in ((F,), (0,)):
+        wrong.append(f"scaler_mean {shapes['scaler_mean']} != ({F},)")
     if C < 2:
         wrong.append("fewer than 2 categories")
-    order = a["vocab_order"]
-    if not wrong and V and (order.min() < 0 or order.max() >= V):
-        wrong.append("vocab_order is not a permutation of the vocab rows")
-    if not wrong:
-        words = SortedWords(a["vocab"], order)
-        if (words.sorted[1:] <= words.sorted[:-1]).any():
-            wrong.append("vocab_order does not sort the vocab into distinct words")
-    if not wrong:
-        wrong = _table_problems(a, V, C)
+    if not a["alpha"] >= 1:
+        wrong.append(f"alpha {float(a['alpha'])} < 1")
     if wrong:
         raise ModelFormatError(f"{path}: inconsistent model file: {'; '.join(wrong)}")
-    weights = None
-    if per_category:
-        weights = Csr(a["weight_values"], a["weight_categories"], a["weight_indptr"], (T, C))
-    idf = a["idf"] if scheme == "tfidf" else None
-    table = WeightTable(scheme, categories, words, a["table_rows"], weights, idf, float(a["alpha"]))
+    words = SortedWords(V, source)
+    weights = Csr(np.zeros(0), np.zeros(0, np.int32), np.zeros(1, np.int64), (0, C))
+    idf = np.zeros(0) if scheme == "tfidf" else None
+    table = WeightTable(scheme, categories, words, np.zeros(0, np.int64),
+                        weights if per_category else None, idf, float(a["alpha"]))
     no_rows = CheckedRows(V, np.zeros(0, np.int64), np.empty((0, d)))
     embedding = EmbeddingModel(words, no_rows, str(path))
     scaler = ScalerParams(a["scaler_mean"], a["scaler_scale"]) if a["scaler_mean"].size else None
     model = LinearModel(kind=_KIND_NAMES[kind], W=a["W"], b=a["b"])
     return SavedModel(model, table, embedding, scaler, bool(a["preserve_case"]))
+
+
+class SortedWords(Sequence):
+    """A model file's vocabulary, looked up block by block.
+
+    The file keeps the words sorted, by code point as numpy's str arrays
+    compare them, in blocks of ``_BLOCK_ROWS`` words, each word with its
+    embedding row, and the first word of each block (``word_fences``).
+    ``rows_of`` finds the block each term would sit in by one binary search
+    over the fences, reads and checks only those blocks
+    (``source.read_words``; all of them for as many terms as blocks) and
+    finds the terms among their words by a second.  The words become a tuple, in embedding row order, only when
+    one is read by position, iterated or compared, and every block is read
+    then; so a line's lookup builds no per-word object over the whole
+    vocabulary.  A numpy str array cannot hold a trailing NUL, so no word
+    here ends in one.
+
+    ``source`` is the open ``ModelFile``, or the words of a file read whole
+    (``_WordBlocks``): it has ``word_fences`` and ``read_words(blocks)``.
+    """
+
+    def __init__(self, size: int, source):
+        self._size, self._source = size, source
+
+    def __len__(self) -> int:
+        return self._size
+
+    @cached_property
+    def _tuple(self) -> tuple[str, ...]:
+        words, rows = self._source.read_words(np.arange(len(self._source.word_fences)))
+        array = np.empty_like(words)
+        array[rows] = words
+        return tuple(array.tolist())
+
+    def __getitem__(self, i):
+        return self._tuple[i]
+
+    def __iter__(self):
+        return iter(self._tuple)
+
+    def __eq__(self, other) -> bool:
+        return self._tuple == (other._tuple if isinstance(other, SortedWords) else other)
+
+    def rows_of(self, terms) -> np.ndarray:
+        """The row of each of ``terms`` (a sequence of ``str``), -1 where
+        it is missing."""
+        missing = np.full(len(terms), -1, dtype=np.int64)
+        fences = self._source.word_fences if self._size and len(terms) else ()
+        if not len(fences):
+            return missing
+        query = np.array(terms, dtype=str)
+        # Searching in the fences' and the words' own width avoids widening
+        # a copy of them.  A longer term cut to that width still falls in
+        # its own block, and may then land on a prefix among the block's
+        # words, which the test below rejects.  With at least as many
+        # terms as blocks, most blocks hold one: all are read, unsearched.
+        blocks = np.arange(len(fences))
+        if len(terms) < len(fences):
+            block = np.searchsorted(fences, query.astype(fences.dtype, copy=False), "right") - 1
+            blocks = _distinct(block[block >= 0])
+        words, rows = self._source.read_words(blocks)
+        if not words.size:
+            return missing
+        at = np.searchsorted(words, query.astype(words.dtype, copy=False))
+        at[at == words.size] = 0
+        found = words[at] == query
+        if "\x00" in "".join(terms):  # numpy drops a trailing NUL of the query
+            found &= np.fromiter((not t.endswith("\x00") for t in terms), bool, len(terms))
+        return np.where(found, rows[at], -1)
+
+
+class _WordBlocks:
+    """The sorted words of a model file read whole and their embedding
+    rows, served block by block as an open ``ModelFile`` serves them."""
+
+    def __init__(self, words: np.ndarray, rows: np.ndarray):
+        self._words, self._rows = words, rows
+        self.word_fences = words[::_BLOCK_ROWS]
+
+    def read_words(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        at = entry_positions(_row_bounds(self._words.size), blocks)
+        return self._words[at], self._rows[at]
 
 
 class CheckedRows:
@@ -702,26 +816,46 @@ class CheckedRows:
         return self._values[start + offset]
 
 
+def _read_at(fd: int, size: int, offset: int) -> bytes:
+    """``size`` bytes of the file ``fd`` from ``offset`` on, fewer at its
+    end, as ``os.pread`` reads them where the platform has it.  It moves
+    the file position, which is safe as a ``ModelFile`` reads its blocks
+    only after its buffered reads (the index, on the first block read)."""
+    os.lseek(fd, offset, os.SEEK_SET)
+    return os.read(fd, size)
+
+
+_pread = getattr(os, "pread", _read_at)
+
+
 class ModelFile:
-    """A format-5 model file, held open.  Opening it reads and checks
-    every member but the ``vectors`` data: each member's CRC-32 and npy
-    header, the array types and shapes, ``vocab_order`` and the table.
-    ``saved`` is then the model with no embedding row read, enough to
-    tokenize and look up an input, and ``read_rows`` reads the rows the
-    input uses.  A file of another format or version, or whose arrays
-    disagree in shape or content, raises ``ModelFormatError``.  Use it
-    as a context manager, which closes the file."""
+    """A format-6 model file, held open.  Opening it reads and checks the
+    members whose size does not depend on the vocabulary (the classifier,
+    the scaler, the categories, the scheme and alpha: each one's CRC-32
+    and npy header, type and shape) and the npy header of every other
+    member, whose types and shapes must agree with them.  ``saved`` is then
+    the model with no word, embedding row or table row read, enough to
+    tokenize an input.  Its words (``SortedWords``) look the input's words
+    up by reading the blocks of ``words`` and ``word_rows`` they fall in
+    (``read_words``), and ``read_rows`` reads the blocks of embedding and
+    table rows the input uses.  The first block read reads the index
+    (``_INDEX``) whole.  Every block is checked before any of its values
+    is used: its CRC-32 in ``block_crcs``, then its content.  A file of
+    another format or version, or whose arrays disagree in shape or
+    content, raises ``ModelFormatError``.  Use it as a context manager,
+    which closes the file."""
 
     def __init__(self, path: str | Path):
         self.path = path
         self._fh = open(path, "rb")
         try:
-            arrays, self._vectors = _read_arrays(self._fh, path)
-            self.saved = _model_of(path, arrays, self._vectors[1])
+            arrays, self._layouts, self._members, self._size = _read_arrays(self._fh, path)
+            shapes = {name: arr.shape for name, arr in arrays.items()}
+            shapes |= {name: layout[2] for name, layout in self._layouts.items()}
+            self.saved = _model_of(path, arrays, shapes, self)
         except BaseException:
             self._fh.close()
             raise
-        self._crcs = arrays["vector_crcs"]
 
     def __enter__(self) -> ModelFile:
         return self
@@ -729,56 +863,168 @@ class ModelFile:
     def __exit__(self, *exc_info) -> None:
         self._fh.close()
 
-    def read_rows(self, rows) -> SavedModel:
-        """The model with the embedding ``rows`` (int; -1 entries are
-        skipped) read.  The blocks that hold them are read in file order,
-        each run of consecutive blocks by one ``readinto``, and each
-        block's CRC-32 and the finiteness of its rows are checked before
-        any value is used.  The embedding then exposes the rows of those
-        blocks only (``CheckedRows``), or, with every block read, the
-        plain ``(V, d)`` array."""
-        rows = np.asarray(rows, dtype=np.int64)
-        blocks = np.unique(rows[rows >= 0] // _BLOCK_ROWS)
+    @cached_property
+    def _index(self) -> dict:
+        """The members of ``_INDEX``, read whole and checked, and for each
+        member of ``_BLOCKED`` where each of its blocks starts (``edges``)
+        and its blocks' CRC-32s (``crcs``)."""
         try:
-            values = self._read_blocks(blocks)
+            index = {name: _read_member(self._fh, self._members[name], self._size)
+                     for name in _INDEX}
         except (OSError, ValueError) as exc:
             raise ModelFormatError(f"{self.path}: unreadable model file: {exc}") from exc
-        if not np.isfinite(values).all():
-            raise ModelFormatError(f"{self.path}: array 'vectors' has non-finite values")
-        embedding = self.saved.embedding
-        if blocks.size < self._crcs.size:
-            values = CheckedRows(len(embedding), blocks, values)
-        return replace(self.saved, embedding=EmbeddingModel(embedding.words, values,
-                                                            embedding.origin))
+        fences, starts = index["word_fences"], index["weight_fences"]
+        nnz = self._layouts["weight_values"][2][0]
+        wrong = []
+        if (fences[1:] <= fences[:-1]).any():
+            wrong.append("word_fences do not rise")
+        if starts[0] != 0 or (starts[1:] < starts[:-1]).any() or starts[-1] != nnz:
+            wrong.append(f"weight_fences do not rise from 0 to the {nnz} table entries")
+        if wrong:
+            raise ModelFormatError(f"{self.path}: inconsistent model file: {'; '.join(wrong)}")
+        index["edges"] = _block_edges(len(self.saved.embedding), starts)
+        index["crcs"] = dict(zip(_BLOCKED, index["block_crcs"]))
+        return index
 
-    def _read_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """The rows of ``blocks`` (increasing block numbers), one block
-        after another, once each block's CRC-32 has matched."""
-        start, (V, d) = self._vectors
-        expected = self._crcs[blocks].tolist()
-        width = _BLOCK_ROWS * d * _VECTORS_DTYPE.itemsize  # bytes of a whole block
-        first = blocks * _BLOCK_ROWS
-        values = np.empty((int((np.minimum(first + _BLOCK_ROWS, V) - first).sum()), d),
-                          _VECTORS_DTYPE)
-        data = values.reshape(-1).view(np.uint8)
-        runs = np.flatnonzero(np.diff(blocks, prepend=-2) != 1).tolist()
-        for lo, hi in zip(runs, runs[1:] + [blocks.size]):
-            at, end = lo * width, min(hi * width, data.size)
-            self._fh.seek(start + int(blocks[lo]) * width)
-            if self._fh.readinto(data[at:end]) != end - at:
-                raise ValueError("member 'vectors.npy' ends before its rows")
-        for k, (block, crc) in enumerate(zip(blocks.tolist(), expected)):
-            if zlib.crc32(data[k * width : (k + 1) * width]) != crc:
-                last = min((block + 1) * _BLOCK_ROWS, V) - 1
-                raise ValueError(f"Bad CRC-32 for member 'vectors.npy' in block {block} "
-                                 f"(rows {block * _BLOCK_ROWS}-{last})")
-        return values
+    @property
+    def word_fences(self) -> np.ndarray:
+        return self._index["word_fences"]
+
+    def _refuse(self, name: str, blocks: np.ndarray, problem: str) -> None:
+        """Refuse the file if ``blocks`` (blocks of member ``name`` that
+        fail a content check) names any, by the first."""
+        if blocks.size:
+            raise ModelFormatError(f"{self.path}: inconsistent model file: array {name!r} "
+                                   f"{problem} in block {int(blocks.min())}")
+
+    def _sizes(self, name: str, blocks: np.ndarray) -> np.ndarray:
+        """The number of items in each of ``blocks`` of member ``name``."""
+        edges = self._index["edges"][name]
+        return edges[blocks + 1] - edges[blocks]
+
+    def _read_blocks(self, name: str, blocks: np.ndarray) -> np.ndarray:
+        """The items (rows, if 2-D) of member ``name`` in ``blocks``
+        (increasing block numbers), one block after another, in a
+        read-only array over the bytes read, once each block's CRC-32 has
+        matched.  Each block is one
+        read at its offset, or, where that halves the reads (as when every
+        block is read), each run of blocks that lie back to back in the
+        file.  The reads and the CRC-32s run in C loops (``map``): per
+        block, the Python steps would cost more than the bytes."""
+        start, dtype, shape = self._layouts[name]
+        item = dtype.itemsize * math.prod(shape[1:])
+        edges = self._index["edges"][name] * item + start  # in the file
+        lo, hi = edges[blocks], edges[blocks + 1]
+        first = np.flatnonzero(np.concatenate(([True], lo[1:] != hi[:-1]))[: blocks.size])
+        if 2 * first.size > blocks.size:
+            first = np.arange(blocks.size)
+        last = np.append(first[1:], blocks.size)[: first.size] - 1
+        try:
+            parts = list(map(_pread, repeat(self._fh.fileno()), (hi[last] - lo[first]).tolist(),
+                             lo[first].tolist()))
+        except (OSError, ValueError) as exc:
+            raise ModelFormatError(f"{self.path}: unreadable model file: {exc}") from exc
+        data = b"".join(parts)  # no copy of a single read
+        end = np.cumsum(hi - lo)
+        if len(data) != (end[-1] if end.size else 0):
+            raise ModelFormatError(f"{self.path}: unreadable model file: "
+                                   f"member '{name}.npy' ends before its blocks")
+        if len(parts) < blocks.size:  # reads of several blocks: CRC-32 each block of them
+            view = memoryview(data)
+            parts = map(view.__getitem__, map(slice, (end - (hi - lo)).tolist(), end.tolist()))
+        crcs = self._index["crcs"][name]
+        bad = np.fromiter(map(zlib.crc32, parts), np.uint32, blocks.size) != crcs[blocks]
+        if bad.any():
+            raise ModelFormatError(f"{self.path}: unreadable model file: Bad CRC-32 for member "
+                                   f"'{name}.npy' in block {blocks[bad][0]} of {crcs.size}")
+        return np.frombuffer(data, dtype).reshape(-1, *shape[1:])
+
+    def read_words(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted words of the word blocks ``blocks`` (increasing block
+        numbers) and the embedding row of each, once each block is
+        checked: its CRC-32s, its words rising and agreeing with the fences
+        (its first word is its fence, its last below the next block's), its
+        rows in range and distinct from the other rows read."""
+        fences = self.word_fences
+        words, rows = self._read_blocks("words", blocks), self._read_blocks("word_rows", blocks)
+        sizes = self._sizes("words", blocks)
+        block = np.repeat(blocks, sizes)
+        last = np.cumsum(sizes) - 1
+        first = last + 1 - sizes
+        follows = blocks + 1 < fences.size
+        off = words[first] != fences[blocks]
+        off[follows] |= words[last[follows]] >= fences[blocks[follows] + 1]
+        self._refuse("words", blocks[off], "disagrees with word_fences")
+        # With the fences agreed, the words rise from block to block.
+        self._refuse("words", block[np.flatnonzero(words[1:] <= words[:-1])], "does not rise")
+        V, ordered = len(self.saved.embedding), np.sort(rows)
+        if ordered.size and (ordered[0] < 0 or ordered[-1] >= V):
+            self._refuse("word_rows", block[(rows < 0) | (rows >= V)],
+                         f"holds a row outside [0, {V})")
+        if (ordered[1:] == ordered[:-1]).any():
+            order = np.argsort(rows, kind="stable")
+            again = order[1:][rows[order[1:]] == rows[order[:-1]]]
+            self._refuse("word_rows", block[again], "repeats a row")
+        return words, rows
+
+    def read_rows(self, rows) -> SavedModel:
+        """The model with the embedding ``rows`` (int; -1 entries are
+        skipped) and their table rows read: every block that holds one, of
+        ``vectors``, ``weight_keys`` and ``weight_values``, read in file
+        order and checked before any value is used (its CRC-32s; finite
+        vectors; keys that rise and lie in the block's rows; weights > 0,
+        or idf >= 0, finite).  The embedding then exposes the rows of those
+        blocks only (``CheckedRows``), or, with every block read, the plain
+        ``(V, d)`` array; the table holds the table words among those
+        rows."""
+        rows = np.asarray(rows, dtype=np.int64)
+        blocks = _distinct(rows[rows >= 0] // _BLOCK_ROWS)
+        saved = self.saved
+        values = self._read_blocks("vectors", blocks)
+        if not np.isfinite(values).all():
+            block = np.repeat(blocks, self._sizes("vectors", blocks))
+            self._refuse("vectors", block[~np.isfinite(values).all(axis=1)],
+                         "has non-finite values")
+        table = saved.table
+        if table.scheme != "none":
+            width = _width(table)
+            keys = self._read_blocks("weight_keys", blocks)
+            weights = self._read_blocks("weight_values", blocks)
+            block = np.repeat(blocks, self._sizes("weight_keys", blocks))
+            row = keys // width
+            outside = (row // _BLOCK_ROWS != block) | (row >= len(saved.embedding))
+            self._refuse("weight_keys", block[outside], "holds a key outside its block's rows")
+            # Within its rows, so from block to block, the keys rise.
+            self._refuse("weight_keys", block[1:][keys[1:] <= keys[:-1]], "does not rise")
+            if table.scheme == "tfidf":
+                bad = ~(np.isfinite(weights) & (weights >= 0))
+                self._refuse("weight_values", block[bad], "holds a negative or non-finite idf")
+                table = replace(table, term_ids=row, idf=weights)
+            else:
+                bad = ~(np.isfinite(weights) & (weights > 0))
+                self._refuse("weight_values", block[bad], "holds a weight <= 0 or non-finite")
+                first = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1]))[: row.size])
+                table = replace(table, term_ids=row[first], weights=Csr(
+                    weights, keys - row * width, np.append(first, row.size), (first.size, width)))
+        if blocks.size < len(self.word_fences):
+            values = CheckedRows(len(saved.embedding), blocks, values)
+        embedding = EmbeddingModel(saved.embedding.words, values, saved.embedding.origin)
+        return replace(saved, embedding=embedding, table=table)
 
 
 def load_model(path: str | Path) -> SavedModel:
-    """Read a format-5 model file whole: every member, and every block
-    of ``vectors`` through ``ModelFile.read_rows``.  A file of another
-    format or version, or whose arrays disagree in shape or content,
-    raises ``ModelFormatError``."""
+    """Read a format-6 model file whole: every block of every member,
+    through ``ModelFile``, each with its checks.  Together they check the
+    whole file: ``word_rows`` is a permutation of the embedding rows, the
+    words rise throughout, and every row's table entries agree with
+    ``weight_fences``.  The vectors and the table's weights (or idf) are
+    read-only views of the bytes read.  A file of another format or version, or
+    whose arrays disagree in shape or content, raises
+    ``ModelFormatError``."""
     with ModelFile(path) as model_file:
-        return model_file.read_rows(np.arange(0, len(model_file.saved.embedding), _BLOCK_ROWS))
+        V = len(model_file.saved.embedding)
+        saved = model_file.read_rows(np.arange(0, V, _BLOCK_ROWS))
+        words = model_file.read_words(np.arange(len(model_file.word_fences)))
+    words = SortedWords(V, _WordBlocks(*words))
+    embedding = EmbeddingModel(words, saved.embedding.vectors, saved.embedding.origin)
+    return replace(saved, embedding=embedding, table=replace(saved.table, terms=words))

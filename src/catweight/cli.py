@@ -14,15 +14,21 @@ Seeds are always explicit; there is no wall-clock default.  Features
 are standardized unless ``--no-standardize`` is given.
 
 ``train`` writes one self-contained model file (``classify.save_model``,
-model format 5): ``predict`` reads only that file and its input text,
+model format 6): ``predict`` reads only that file and its input text,
 never the embedding or the manifest.  The file holds the weights of the
 training terms the embedding knew, the only ones ``predict`` can use,
-and the sort order of their words, so ``predict`` looks a line's words
-up by binary search instead of building a dict of the vocabulary.
-``predict`` checks every other member before it reads its input, then
-reads and checks only the blocks of embedding rows its input's words
-use (``classify.ModelFile``).  A file of format 4 or older fails with a
+and their words sorted, so ``predict`` looks a line's words up by
+binary search instead of building a dict of the vocabulary.
+``predict`` reads and checks the members whose size does not depend on
+the vocabulary before it reads its input, then reads and checks only
+the blocks of words, embedding rows and table entries its input's words
+use (``classify.ModelFile``).  A file of format 5 or older fails with a
 message to retrain it.
+
+Every output path is checked before any input is read, the default
+name of a command's output (``results.csv``, ``curve.csv``,
+``weights.<format>``, ``vectors.tsv``, ``model.bin``) as an explicit
+``--out`` is; the manifest records ``"out": null`` for a default.
 """
 
 from __future__ import annotations
@@ -88,6 +94,10 @@ _LEARNER_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.name !=
 _INTEGERS = ("seed", "k", "sample", "min_count", "jobs", "top_k", "min", "max", "step")
 # The integer options that must be >= 1 when given.
 _POSITIVE = ("sample", "min_count", "jobs", "top_k")
+
+# The file a command writes without --out; predict then writes to stdout.
+_DEFAULT_OUT = {"cv": "results.csv", "curve": "curve.csv", "weights": "weights.{output_format}",
+                "vectorize": "vectors.tsv", "train": "model.bin"}
 
 _DEFAULTS = {
     "format": "auto",
@@ -274,18 +284,28 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ConfigError(f"--{key.replace('_', '-')} must be >= 1, got {resolved[key]}")
     if resolved.get("k") is not None and resolved["k"] < 2:
         raise ConfigError(f"--k must be >= 2, got {resolved['k']}")
-    if resolved.get("out") is not None:
-        out = Path(resolved["out"])
+    out = _out(resolved, args.command)
+    if out is not None:
+        flag = "--out" if resolved.get("out") is not None else "the default --out"
         if not out.parent.is_dir():
             raise ConfigError(f"output directory not found: {out.parent}")
         if out.is_dir():
-            raise ConfigError(f"--out names a directory: {out}")
+            raise ConfigError(f"{flag} names a directory: {out}")
         # Checked, not opened: opening would truncate an existing result.
         manifest = Path(f"{out}.manifest.json")
         for path in (out.parent, *(p for p in (out, manifest) if p.exists())):
             if not os.access(path, os.W_OK):
-                raise ConfigError(f"--out cannot be written: no write permission on {path}")
+                raise ConfigError(f"{flag} cannot be written: no write permission on {path}")
     return resolved
+
+
+def _out(cfg: dict, command: str) -> Path | None:
+    """The file ``command`` writes: ``--out``, or else its default name
+    (``_DEFAULT_OUT``); None for a predict that writes to stdout."""
+    if cfg.get("out") is not None:
+        return Path(cfg["out"])
+    default = _DEFAULT_OUT.get(command)
+    return None if default is None else Path(default.format(**cfg))
 
 
 def _require(cfg: dict, key: str, flag: str):
@@ -487,7 +507,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     dataset = Path(cfg["data"]).name
     results = grid_run(corpus, schemes, embedding, classifiers, plan, train_config,
                        jobs=cfg["jobs"], **_fitting(cfg))
-    out = Path(cfg.get("out") or "results.csv")
+    out = _out(cfg, "cv")
     with open(out, "w", encoding="utf-8", newline="") as fh:
         write_results_csv(results, fh, dataset)
     _write_manifest(out, "cv", cfg)
@@ -549,7 +569,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     embedding = _resolve_embedding(cfg, corpus)
     points = learning_curve(corpus, plan, schemes, embedding, classifier, train_config,
                             record_failures=True, **_fitting(cfg))
-    out = Path(cfg.get("out") or "curve.csv")
+    out = _out(cfg, "curve")
     with open(out, "w", encoding="utf-8", newline="") as fh:
         write_curve_csv(points, schemes, fh)
     _write_manifest(out, "curve", cfg)
@@ -586,10 +606,9 @@ def cmd_weights(args: argparse.Namespace) -> int:
         raise ConfigError("scheme 'none' has no weights to export")
     corpus = _load_corpus(cfg)
     table = fit_table(corpus, scheme, alpha=cfg["alpha"], min_count=cfg["min_count"])
-    fmt = cfg["output_format"]
-    out = Path(cfg.get("out") or f"weights.{fmt}")
+    out = _out(cfg, "weights")
     with open(out, "w", encoding="utf-8", newline="") as fh:
-        export_weights(table, fh, fmt=fmt, top=cfg.get("top_k"))
+        export_weights(table, fh, fmt=cfg["output_format"], top=cfg.get("top_k"))
     _write_manifest(out, "weights", cfg)
     print(f"{scheme} weights for {len(table.term_ids)} words written to {out}")
     return 0
@@ -603,7 +622,7 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
     embedding = _resolve_embedding(cfg, corpus)
     vectorizer = CorpusVectorizer(corpus.documents, embedding, counts=corpus.token_counts())
     _, X, _ = fit_pair(corpus, vectorizer, scheme, **_fitting(cfg))  # no --standardize here
-    out = Path(cfg.get("out") or "vectors.tsv")
+    out = _out(cfg, "vectorize")
     with open(out, "w", encoding="utf-8") as fh:
         for i, doc in enumerate(corpus.documents):
             label = "" if doc.label is None else corpus.categories[doc.label]
@@ -626,7 +645,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     # Every document is training data: the whole-corpus vectorizer and no subset.
     table, X, scaler = fit_pair(corpus, vectorizer, scheme, **_fitting(cfg))
     model = train(classifier, X, corpus.labels(), train_config, len(corpus.categories))
-    out = Path(cfg.get("out") or "model.bin")
+    out = _out(cfg, "train")
     saved = SavedModel(model, table, embedding, scaler, cfg["preserve_case"])
     save_model(saved, out)
     _write_manifest(
@@ -672,7 +691,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not model_path.is_file():
         raise ConfigError(f"model file not found: {model_path}")
     with ModelFile(model_path) as model_file:
-        saved = model_file.saved  # every member checked, no embedding row read yet
+        saved = model_file.saved  # no word, embedding row or table row read yet
         with _predict_input(cfg.get("input") or "-") as stream:
             # One line at a time: a line's tokens are counted, then dropped.
             # Its line end tokenizes as a space.
@@ -680,11 +699,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 Document(tokenize(line, saved.preserve_case), None, f"line-{i + 1}")
                 for i, line in enumerate(stream)
             )
-        # Only training terms have embedding rows in the model file, and
-        # only the blocks holding the input's are read and checked.
+        # Only training terms have embedding rows in the model file.  Of
+        # the words, their embedding rows and the table, only the blocks
+        # holding the input's are read and checked.
         rows = saved.embedding.rows_of(counts.terms)
         saved = model_file.read_rows(rows)
-    vectorizer = CorpusVectorizer((), saved.embedding, counts=counts, rows=rows)
+        # Built while the file is open, which the model's words are read
+        # from if anything asks for them.
+        vectorizer = CorpusVectorizer((), saved.embedding, counts=counts, rows=rows)
     num_lines = len(vectorizer.known_token_counts)
     unknown = int((vectorizer.known_token_counts == 0).sum())
     if unknown:

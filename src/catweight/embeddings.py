@@ -29,7 +29,7 @@ dimension and word dict derive from them.  The file loaders and the
 generator all build theirs through one constructor, ``_make_model``.
 ``EmbeddingModel.rows_of`` is the one word lookup: a loaded embedding
 file answers it from its word dict, a model file's vocabulary
-(``SortedWords``) by binary search over its stored sort order.
+(``classify.SortedWords``) by binary search over its sorted blocks.
 ``for_terms`` is the one place where corpus terms get their rows, case
 fallback included: it makes the run's embedding from a loaded model.
 """
@@ -40,7 +40,6 @@ import hashlib
 import logging
 import warnings
 from array import array
-from collections.abc import Sequence
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
@@ -54,55 +53,6 @@ log = logging.getLogger(__name__)
 EMBEDDING_FORMATS = ("glove", "word2vec-text", "word2vec-binary")
 
 
-class SortedWords(Sequence):
-    """A model file's words: a numpy str array in embedding row order
-    and the permutation ``order`` that sorts it into distinct words.
-
-    ``rows_of`` looks words up by one binary search over the sorted
-    copy.  The words become a tuple of ``str`` only when one is read by
-    position, iterated or compared, so a line's lookup never builds a
-    per-word object over the whole vocabulary.  Words compare as numpy's
-    str arrays compare them, by code point; a numpy str array cannot
-    hold a trailing NUL, so no word here ends in one.
-    """
-
-    def __init__(self, words: np.ndarray, order: np.ndarray):
-        self.array, self.order, self.sorted = words, order, words[order]
-
-    def __len__(self) -> int:
-        return self.array.size
-
-    @cached_property
-    def _tuple(self) -> tuple[str, ...]:
-        return tuple(self.array.tolist())
-
-    def __getitem__(self, i):
-        return self._tuple[i]
-
-    def __iter__(self):
-        return iter(self._tuple)
-
-    def __eq__(self, other) -> bool:
-        return self._tuple == (other._tuple if isinstance(other, SortedWords) else other)
-
-    def rows_of(self, terms) -> np.ndarray:
-        """The row of each of ``terms`` (a sequence of ``str``), -1 where
-        it is missing."""
-        keys = self.sorted
-        if not keys.size or not len(terms):
-            return np.full(len(terms), -1, dtype=np.int64)
-        query = np.array(terms, dtype=str)
-        # Searching in the keys' own width avoids widening a copy of them;
-        # a longer term may then land on a prefix, which the test below
-        # rejects.
-        at = np.searchsorted(keys, query.astype(keys.dtype, copy=False))
-        at[at == keys.size] = 0
-        found = keys[at] == query
-        if "\x00" in "".join(terms):  # numpy drops a trailing NUL of the query
-            found &= np.fromiter((not t.endswith("\x00") for t in terms), bool, len(terms))
-        return np.where(found, self.order[at], -1)
-
-
 class EmbeddingModel:
     """Immutable word → vector mapping: row i of ``vectors`` (a 2-D
     array) is the vector of ``words[i]``.
@@ -110,8 +60,8 @@ class EmbeddingModel:
     ``dimension`` is the vectors' width and ``word_ids`` maps each word
     to its row, built from ``words`` on first use, so neither can
     disagree with them.  ``rows_of`` looks words up: from ``word_ids``,
-    or for a model file's ``SortedWords`` by binary search, which never
-    builds the dict.
+    or, for a model file's words (``classify.SortedWords``), by their own
+    ``rows_of``, which never builds the dict.
     """
 
     def __init__(self, words, vectors: np.ndarray, origin: str = "", skipped_lines: int = 0):
@@ -135,7 +85,7 @@ class EmbeddingModel:
     def rows_of(self, terms) -> np.ndarray:
         """The row of each of ``terms`` (a sequence of ``str``), as int64,
         -1 where the model lacks the word."""
-        if isinstance(self.words, SortedWords):
+        if hasattr(self.words, "rows_of"):  # a model file's words look themselves up
             return self.words.rows_of(terms)
         return np.fromiter(map(self.word_ids.get, terms, repeat(-1)), np.int64, len(terms))
 

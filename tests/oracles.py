@@ -9,9 +9,9 @@ by line with float() and struct — no numpy, no shared code with the
 package — so agreement is evidence, not tautology.  The fold oracle
 draws its permutations from the random generator its caller passes.
 The two table readers at the end compute nothing: they look a word up
-in a table's arrays.  The model-file readers after them find the
-``vectors`` rows of a model file through ``zipfile`` and ``struct`` and
-recompute their block CRC-32s with ``zlib``.
+in a table's arrays.  The model-file readers after them find a model
+file's members through ``zipfile``, ``struct`` and ``ast`` and recompute
+the block CRC-32s of every blocked member with ``zlib``.
 """
 
 from __future__ import annotations
@@ -378,11 +378,12 @@ def table_idf(table, word):
     return float(table.idf[words.index(word)])
 
 
-def oracle_matrix_member(path, name="vectors"):
-    """``(offset, rows, row_bytes)`` of the data of a model file's
-    float64 matrix ``name``: where its first row starts in the file,
-    found through the zip's directory and the member's local header, and
-    the shape its npy header gives (evaluated with ``ast``)."""
+def oracle_member(path, name):
+    """``(offset, items, item_bytes, descr)`` of a model file's member
+    ``name``: where its data starts in the file, found through the zip's
+    directory and the member's local header, its number of items (rows,
+    if 2-D) and its dtype, from its npy header (evaluated with ``ast``),
+    and the bytes of one item, from the member's size."""
     with zipfile.ZipFile(path) as zf:
         info = zf.getinfo(name + ".npy")
     with open(path, "rb") as fh:
@@ -392,17 +393,38 @@ def oracle_matrix_member(path, name="vectors"):
         header_len = struct.unpack("<H", fh.read(10)[8:10])[0]
         header = ast.literal_eval(fh.read(header_len).decode("latin1"))
         offset = fh.tell()
-    assert header["descr"] == "<f8" and not header["fortran_order"]
-    rows, width = header["shape"]
-    return offset, rows, 8 * width
+    assert not header["fortran_order"]
+    items = header["shape"][0] if header["shape"] else 1
+    data_bytes = info.file_size - 10 - header_len
+    return offset, items, data_bytes // items if items else 0, header["descr"]
 
 
-def oracle_block_crcs(path, rows_per_block):
-    """The CRC-32 of each ``rows_per_block`` rows of a model file's
-    ``vectors`` bytes, the last block holding the rows left over."""
-    offset, rows, row_bytes = oracle_matrix_member(path)
+def oracle_matrix_member(path, name="vectors"):
+    """``(offset, rows, row_bytes)`` of the data of a model file's
+    float64 matrix ``name``."""
+    offset, rows, row_bytes, descr = oracle_member(path, name)
+    assert descr == "<f8"
+    return offset, rows, row_bytes
+
+
+def oracle_block_crcs(path, rows_per_block, name="vectors"):
+    """The CRC-32 of each block of a model file member's bytes, as format
+    6 defines them: ``rows_per_block`` items (rows, if 2-D) of ``words``,
+    ``word_rows`` and ``vectors``, the last block holding those left
+    over; for ``weight_keys`` and ``weight_values`` the table entries of
+    each block of ``rows_per_block`` embedding rows, from one
+    ``weight_fences`` value to the next."""
+    offset, items, item_bytes, _ = oracle_member(path, name)
     with open(path, "rb") as fh:
         fh.seek(offset)
-        data = fh.read(rows * row_bytes)
-    step = rows_per_block * row_bytes
-    return [zlib.crc32(data[at : at + step]) for at in range(0, len(data), step)]
+        data = fh.read(items * item_bytes)
+        if name in ("weight_keys", "weight_values"):
+            fences_at, fences, _, descr = oracle_member(path, "weight_fences")
+            assert descr == "<i8"
+            fh.seek(fences_at)
+            edges = struct.unpack(f"<{fences}q", fh.read(8 * fences))
+        else:
+            vocab = oracle_member(path, "words")[1]
+            edges = [min(at, vocab) for at in range(0, vocab + rows_per_block, rows_per_block)]
+            edges = edges[: -(-vocab // rows_per_block) + 1]
+    return [zlib.crc32(data[lo * item_bytes : hi * item_bytes]) for lo, hi in zip(edges, edges[1:])]

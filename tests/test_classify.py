@@ -38,9 +38,15 @@ from catweight import (
     train_svm,
 )
 from catweight import classify
-from catweight.classify import CheckedRows, ModelFile, _logreg_objective
-from catweight.embeddings import EmbeddingModel, SortedWords
-from oracles import oracle_block_crcs, oracle_matrix_member
+from catweight.classify import (
+    CheckedRows,
+    ModelFile,
+    SortedWords,
+    _logreg_objective,
+    _WordBlocks,
+)
+from catweight.embeddings import EmbeddingModel
+from oracles import oracle_block_crcs, oracle_matrix_member, oracle_member
 
 
 def _finite_difference(objective, W, b, h=1e-6):
@@ -418,16 +424,36 @@ def _saved_model(corpus, embedding, scheme, kind="logreg", scaler=True, seed=0, 
 
 
 def _rewrite(path, **changes):
-    """Re-save a model file's arrays with some replaced; None drops one."""
+    """Re-save a model file's arrays with some replaced; None drops one.
+    Unless ``block_crcs`` is among the changes, it is recomputed (by the
+    oracle) wherever the new blocks still fit its shape, so a changed
+    block meets its content checks, not its CRC-32."""
     with np.load(path) as npz:
         arrays = {name: npz[name] for name in npz.files}
     for name, value in changes.items():
         if value is None:
-            del arrays[name]
+            arrays.pop(name, None)
         else:
             arrays[name] = value
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
+    if "block_crcs" in changes or "block_crcs" not in arrays:
+        return
+    try:
+        crcs = [oracle_block_crcs(path, _BLOCK, name) for name in classify._BLOCKED]
+    except (KeyError, AssertionError, ValueError, struct.error):
+        return  # a member the oracle cannot read: the reader refuses it first
+    if all(len(row) == arrays["block_crcs"].shape[1] for row in crcs):
+        arrays["block_crcs"] = np.array(crcs, dtype=np.uint32)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+
+
+def _sorted_words(vocab):
+    """The ``SortedWords`` of the words ``vocab``, in row order, held in memory."""
+    array = np.array(vocab, dtype=str)
+    order = np.argsort(array, kind="stable")
+    return SortedWords(len(vocab), _WordBlocks(array[order], order))
 
 
 _UNPICKLED = []
@@ -516,10 +542,11 @@ class TestModelSerialization:
     def test_format_2_file_says_retrain(self, model_file):
         # Format 2 held a dense table over words plus a separate term list.
         with np.load(model_file) as npz:
-            vocab = npz["vocab"]
-        table = dict.fromkeys(("table_rows", "weight_indptr", "weight_categories", "weight_values"))
+            vocab = npz["words"][np.argsort(npz["word_rows"])]
+        newer = ("word_fences", "weight_fences", "block_crcs", "word_rows", "weight_keys",
+                 "weight_values")
         _rewrite(
-            model_file, format=np.int64(2), vocab=None, **table,
+            model_file, format=np.int64(2), **dict.fromkeys(newer),
             words=vocab, terms=vocab, category_weights=np.zeros((len(vocab), 2)),
         )
         with pytest.raises(ModelFormatError, match="format-2 model file.*retrain"):
@@ -560,8 +587,8 @@ class TestModelSerialization:
             load_model(model_file)
 
     def test_missing_array(self, model_file):
-        _rewrite(model_file, idf=None)
-        with pytest.raises(ModelFormatError, match=r"missing arrays \['idf'\]"):
+        _rewrite(model_file, weight_values=None)
+        with pytest.raises(ModelFormatError, match=r"missing arrays \['weight_values'\]"):
             load_model(model_file)
 
     def test_unexpected_array(self, model_file):
@@ -584,11 +611,14 @@ class TestModelSerialization:
             ("b", np.zeros((2, 1))),
             ("vectors", np.zeros((1, 8), dtype=np.int64)),
             ("vectors", np.zeros((1, 8), dtype=">f8")),
-            ("vector_crcs", np.zeros(1)),
-            ("table_rows", np.zeros(3)),
-            ("weight_indptr", np.zeros((2, 2), dtype=np.int64)),
-            ("weight_values", np.array([0.5, np.inf])),
-            ("idf", np.array([-np.inf])),
+            ("block_crcs", np.zeros((5, 1))),
+            ("word_rows", np.zeros(3)),
+            ("weight_keys", np.zeros((2, 2), dtype=np.int64)),
+            ("weight_keys", np.zeros(2, dtype=">i8")),
+            ("words", np.array(["a"], dtype=">U1")),
+            ("word_fences", np.zeros(1)),
+            ("weight_fences", np.zeros(2, dtype=np.uint64)),
+            ("alpha", np.float64(np.inf)),
         ],
     )
     def test_wrong_type_rejected(self, model_file, name, value):
@@ -606,33 +636,40 @@ class TestModelSerialization:
             ("tfcr", "scaler_scale", lambda a: a[:-1]),
             ("tfcr", ("scaler_mean", "scaler_scale"), lambda a: a[:-1]),
             ("tfcr", "categories", lambda a: a[:-1]),
-            ("tfcr", "vocab", lambda a: a[:-1]),
-            ("tfcr", "vocab", lambda a: np.concatenate([a[:-1], a[:1]])),  # repeated word
+            ("tfcr", "words", lambda a: a[:-1]),
+            ("tfcr", "words", lambda a: np.concatenate([a[:-1], a[:1]])),  # repeated word
+            ("tfcr", "words", lambda a: a[::-1]),  # falling words
             ("tfcr", "vectors", lambda a: a[:, :-1]),
-            ("tfcr", "vector_crcs", lambda a: a[:-1]),
-            ("tfcr", "vector_crcs", lambda a: np.concatenate([a, a])),
-            ("tfcr", "table_rows", lambda a: a[:-1]),
-            ("tfcr", "table_rows", lambda a: a + 1),  # last row past the vocab
-            ("tfcr", "table_rows", lambda a: a - 1),  # first row negative
-            ("tfcr", "table_rows", lambda a: a[::-1]),
-            ("tfcr", "table_rows", lambda a: np.concatenate([a[:1], a[:-1]])),  # repeated row
-            ("tfcr", "weight_indptr", lambda a: a[:-1]),
-            ("tfcr", "weight_indptr", lambda a: np.concatenate([a[:1], a[-1:], a[2:]])),
-            ("tfcr", "weight_indptr", lambda a: np.concatenate([[1], a[1:]])),  # not from 0
-            ("tfcr", "weight_categories", lambda a: a + 1),  # category index == C
-            ("tfcr", "weight_categories", lambda a: a - 1),
-            ("tfcr", "weight_categories", np.zeros_like),  # repeated within a row
-            ("tfcr", "weight_categories", lambda a: a[:-1]),
+            ("tfcr", "vectors", lambda a: a[:-1]),
+            ("tfcr", "block_crcs", lambda a: a[:, :-1]),
+            ("tfcr", "block_crcs", lambda a: np.concatenate([a, a], axis=1)),
+            ("tfcr", "block_crcs", lambda a: a[:-1]),
+            ("tfcr", "word_fences", lambda a: a[:-1]),
+            ("tfcr", "word_fences", lambda a: np.char.add(a, "z")),
+            ("tfcr", "word_rows", lambda a: a[:-1]),
+            ("tfcr", "word_rows", lambda a: a + 1),  # last row past the vocab
+            ("tfcr", "word_rows", lambda a: a - 1),  # first row negative
+            ("tfcr", "word_rows", lambda a: np.concatenate([a[:1], a[:-1]])),  # repeated row
+            ("tfcr", "weight_fences", lambda a: a[:-1]),
+            ("tfcr", "weight_fences", lambda a: np.concatenate([[1], a[1:]])),  # not from 0
+            ("tfcr", "weight_fences", lambda a: a - 1),  # not to the entries' end
+            ("tfcr", "weight_keys", lambda a: a + a.max() + 1),  # a row past its block
+            ("tfcr", "weight_keys", lambda a: a - a.max() - 1),  # a negative row
+            ("tfcr", "weight_keys", np.zeros_like),  # repeated within a row
+            ("tfcr", "weight_keys", lambda a: a[::-1]),  # falling
+            ("tfcr", "weight_keys", lambda a: a[:-1]),
             ("tfcr", "weight_values", lambda a: -a),
             ("tfcr", "weight_values", lambda a: 0.0 * a),
+            ("tfcr", "weight_values", lambda a: np.where(a == a.max(), np.inf, a)),
             ("tfcr", "weight_values", lambda a: a[:-1]),
-            ("tfcr", "idf", lambda a: np.ones(1)),
             ("tftrr", "alpha", lambda a: np.float64(0.5)),
-            ("tfidf", "idf", lambda a: a[:-1]),
-            ("tfidf", "idf", lambda a: -a),
+            ("tfidf", "weight_values", lambda a: a[:-1]),
+            ("tfidf", "weight_values", lambda a: -a - 1.0),
+            ("tfidf", "weight_values", lambda a: a - np.inf),
             ("tfidf", "W", lambda a: np.zeros((2, 16))),
-            ("tfidf", "weight_indptr", lambda a: np.zeros(16, dtype=np.int32)),
-            ("none", "table_rows", lambda a: np.array([0])),
+            ("tfidf", "weight_keys", lambda a: 2 * a + 1),  # rows past the block
+            ("none", "weight_keys", lambda a: np.array([0])),
+            ("none", "weight_values", lambda a: np.ones(1)),
         ],
     )
     def test_inconsistent_shapes_rejected(
@@ -682,16 +719,51 @@ def _with_header(path, name, header, length=None):
 _BLOCK = classify._BLOCK_ROWS
 
 
-def _wide_model(tmp_path, num_words):
-    """A tfcr model file whose vocabulary has ``num_words`` words."""
+def _wide_model(tmp_path, num_words, scheme="tfcr"):
+    """A model file whose vocabulary has the ``num_words`` words
+    ``w000``, ``w001``, ..., in that row order."""
     words = [f"w{i:03d}" for i in range(num_words)]
     corpus = from_token_lists([words[0::2], words[1::2]], [0, 1], ["A", "B"])
-    path = tmp_path / "wide.bin"
-    save_model(_saved_model(corpus, synthetic_model(words, 8, seed=5), "tfcr"), path)
+    path = tmp_path / f"wide-{scheme}.bin"
+    save_model(_saved_model(corpus, synthetic_model(words, 8, seed=5), scheme), path)
     return path
 
 
-class TestModelFormat5:
+# The member names of a format-5 file, in file order.
+_FORMAT_5 = ("format", "kind", "W", "b", "scaler_mean", "scaler_scale", "categories",
+             "preserve_case", "scheme", "alpha", "vocab", "vocab_order", "vectors", "vector_crcs",
+             "table_rows", "weight_indptr", "weight_categories", "weight_values", "idf")
+
+
+def _format_5_arrays(path):
+    """The changes that turn a format-6 tfcr file into the format-5 file of
+    the same model: its vocabulary in row order with the permutation that
+    sorts it, one CRC-32 per block of embedding rows, and the table as CSR
+    arrays over the table rows; None drops a format-6 member."""
+    with np.load(path) as npz:
+        a = {name: npz[name] for name in npz.files}
+    width = len(a["categories"])
+    rows, table_rows = a["weight_keys"] // width, np.unique(a["weight_keys"] // width)
+    indptr = np.searchsorted(rows, np.append(table_rows, len(a["words"])), side="left")
+    changes = dict.fromkeys(set(a) - set(_FORMAT_5))
+    changes.update(
+        format=np.int64(5), vocab=a["words"][np.argsort(a["word_rows"])],
+        vocab_order=a["word_rows"], vector_crcs=a["block_crcs"][2], table_rows=table_rows,
+        weight_indptr=indptr.astype(np.int32), weight_categories=(a["weight_keys"] % width)
+        .astype(np.int32), weight_values=a["weight_values"], idf=np.zeros(0),
+    )
+    return changes
+
+
+def _model_bytes(saved):
+    """The bytes of everything a read model holds."""
+    table = saved.table
+    return [saved.model.W.tobytes(), saved.model.b.tobytes(), saved.embedding.vectors.tobytes(),
+            tuple(saved.embedding.words), table.term_ids.tobytes(), table.weights.data.tobytes(),
+            table.weights.indices.tobytes(), table.weights.indptr.tobytes()]
+
+
+class TestModelFormat6:
     @pytest.fixture
     def model_file(self, toy_corpus, tiny_model, tmp_path):
         path = tmp_path / "model.bin"
@@ -733,17 +805,28 @@ class TestModelFormat5:
 
     def test_format_3_file_says_retrain(self, model_file):
         # Format 3 is format 4 without vocab_order.
-        _rewrite(model_file, format=np.int64(3), vocab_order=None, vector_crcs=None)
+        _rewrite(model_file, **_format_5_arrays(model_file)
+                 | {"format": np.int64(3), "vocab_order": None, "vector_crcs": None})
         with pytest.raises(ModelFormatError, match="format-3 model file.*retrain"):
             load_model(model_file)
 
     def test_format_4_file_says_retrain(self, model_file):
         # Format 4 is format 5 without vector_crcs.
-        _rewrite(model_file, format=np.int64(4), vector_crcs=None)
+        _rewrite(model_file, **_format_5_arrays(model_file)
+                 | {"format": np.int64(4), "vector_crcs": None})
         with pytest.raises(ModelFormatError, match="format-4 model file.*retrain"):
             load_model(model_file)
         with pytest.raises(ModelFormatError, match="format-4 model file.*retrain"):
             ModelFile(model_file)
+
+    def test_format_5_file_says_retrain(self, model_file):
+        arrays = _format_5_arrays(model_file)
+        _rewrite(model_file, **arrays)
+        with np.load(model_file) as npz:
+            assert sorted(npz.files) == sorted(_FORMAT_5) and npz["format"] == 5
+        for read in (load_model, ModelFile):
+            with pytest.raises(ModelFormatError, match="format-5 model file.*retrain"):
+                read(model_file)
 
     def test_column_ordered_vectors_rejected(self, model_file):
         with np.load(model_file) as npz:
@@ -753,15 +836,16 @@ class TestModelFormat5:
         with pytest.raises(ModelFormatError, match=r"'vectors' is 2-D <f8 column-ordered"):
             ModelFile(model_file)
 
-    @pytest.mark.parametrize("name", ["vectors", "W"])
+    @pytest.mark.parametrize("name", [*classify._BLOCKED, *classify._INDEX, "W"])
     def test_every_flip_of_an_npy_header_is_refused_or_harmless(self, model_file, name):
-        """The ``vectors`` member's zip CRC-32 is not checked (its rows are,
-        block by block), so its npy header is matched exactly: any one bit
-        flipped in it is refused, or leaves the rows read as they were.
-        W's header is under W's CRC-32, so every flip there is refused.
-        Nothing but ``ModelFormatError`` is ever raised."""
-        rows = load_model(model_file).embedding.vectors
-        offset = oracle_matrix_member(model_file, name)[0]
+        """A blocked member's zip CRC-32 is not checked (its blocks are,
+        one by one), so its npy header is matched exactly: any one bit
+        flipped in it is refused, or leaves the model read as it was.  The
+        headers of W and of the index members are under their members'
+        CRC-32s, so every flip there is refused.  Nothing but
+        ``ModelFormatError`` is ever raised."""
+        before = _model_bytes(load_model(model_file))
+        offset = oracle_member(model_file, name)[0]
         data = model_file.read_bytes()
         start = data.rfind(b"\x93NUMPY", 0, offset)
         for at in range(start, offset):
@@ -773,17 +857,31 @@ class TestModelFormat5:
                     loaded = load_model(model_file)
                 except ModelFormatError:
                     continue
-                assert name == "vectors", (at, bit)
-                assert loaded.embedding.vectors.tobytes() == rows.tobytes(), (at, bit)
+                assert name in classify._BLOCKED, (at, bit)
+                assert _model_bytes(loaded) == before, (at, bit)
+
+    @pytest.mark.parametrize("name", classify._BLOCKED)
+    def test_every_flip_in_a_block_is_refused(self, model_file, name):
+        """Any one bit flipped in a blocked member's data fails its
+        block's CRC-32, which ``load_model`` checks with every block."""
+        offset, items, item_bytes, _ = oracle_member(model_file, name)
+        data = model_file.read_bytes()
+        for at in range(offset, offset + items * item_bytes):
+            flipped = bytearray(data)
+            flipped[at] ^= 1 << (at % 8)
+            model_file.write_bytes(bytes(flipped))
+            with pytest.raises(ModelFormatError, match=f"Bad CRC-32 for member '{name}.npy'"):
+                load_model(model_file)
 
     @pytest.mark.parametrize("num_words", [_BLOCK - 3, 2 * _BLOCK, 3 * _BLOCK + 5])
     def test_block_crcs_are_the_zlib_crcs_of_the_rows(self, num_words, tmp_path):
         path = _wide_model(tmp_path, num_words)
         with np.load(path) as npz:
             assert npz["vectors"].shape == (num_words, 8)
-            crcs = npz["vector_crcs"]
-        assert crcs.dtype == np.uint32 and len(crcs) == -(-num_words // _BLOCK)
-        assert crcs.tolist() == oracle_block_crcs(path, _BLOCK)
+            crcs = npz["block_crcs"]
+        assert crcs.dtype == np.uint32 and crcs.shape == (5, -(-num_words // _BLOCK))
+        for name, row in zip(classify._BLOCKED, crcs):
+            assert row.tolist() == oracle_block_crcs(path, _BLOCK, name), name
 
     def test_read_rows_reads_and_checks_only_the_blocks_it_needs(self, tmp_path):
         path = _wide_model(tmp_path, 3 * _BLOCK + 5)
@@ -796,7 +894,7 @@ class TestModelFormat5:
         with ModelFile(path) as model_file:  # opening reads no row
             saved = model_file.read_rows([3 * _BLOCK + 4, -1, 0, 2 * _BLOCK])
             with pytest.raises(ModelFormatError,
-                               match=r"Bad CRC-32 for member 'vectors.npy' in block 1 "):
+                               match=r"Bad CRC-32 for member 'vectors.npy' in block 1 of 4"):
                 model_file.read_rows([_BLOCK + 7])
         with pytest.raises(ModelFormatError, match="CRC-32 for member 'vectors.npy'"):
             load_model(path)
@@ -807,24 +905,24 @@ class TestModelFormat5:
         for unread in ([_BLOCK + 1], [0, 2 * _BLOCK - 1], [-1], [3 * _BLOCK + 5]):
             with pytest.raises(IndexError):
                 vectors[np.array(unread)]
-        # No unread row reaches a product: a word of block 1 stops matrix.
-        word = saved.embedding.words[_BLOCK + 2]
-        docs = from_token_lists([[saved.embedding.words[0], word]], [0], ["A", "B"]).documents
-        with pytest.raises(IndexError, match="was not read"):
-            CorpusVectorizer(docs, saved.embedding).matrix(saved.table)
+        # No unread row reaches a product: a word of block 1 stops matrix
+        # (scheme none weighs every word the embedding knows).
+        with ModelFile(_wide_model(tmp_path, 3 * _BLOCK + 5, "none")) as model_file:
+            saved = model_file.read_rows([0, 2 * _BLOCK])
+            docs = from_token_lists([["w000", f"w{_BLOCK + 2:03d}"]], [0], ["A", "B"]).documents
+            with pytest.raises(IndexError, match="was not read"):
+                CorpusVectorizer(docs, saved.embedding).matrix(saved.table)
 
     def test_non_finite_row_refused_under_matching_crcs(self, tmp_path):
         path = _wide_model(tmp_path, 3 * _BLOCK + 5)
         with np.load(path) as npz:
-            arrays = {name: npz[name] for name in npz.files}
-        vectors = arrays["vectors"]
+            vectors = npz["vectors"]
         vectors[_BLOCK + 2, 3] = np.nan
-        arrays["vector_crcs"] = np.array(
-            [zlib.crc32(vectors[k : k + _BLOCK].tobytes())
-             for k in range(0, len(vectors), _BLOCK)], dtype=np.uint32)
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)  # and the zip's CRC-32s
-        assert arrays["vector_crcs"].tolist() == oracle_block_crcs(path, _BLOCK)
+        _rewrite(path, vectors=vectors)  # with the block and zip CRC-32s
+        with np.load(path) as npz:
+            crcs = npz["block_crcs"][classify._BLOCKED.index("vectors")]
+        assert crcs.tolist() == [zlib.crc32(vectors[k : k + _BLOCK].tobytes())
+                                 for k in range(0, len(vectors), _BLOCK)]
         with ModelFile(path) as model_file:
             model_file.read_rows([0, 2 * _BLOCK])
             with pytest.raises(ModelFormatError, match="'vectors' has non-finite values"):
@@ -839,22 +937,22 @@ class TestModelFormat5:
             with pytest.raises(ModelFormatError):
                 ModelFile(model_file)
 
-    @pytest.mark.parametrize("change", [
-        lambda o: np.where(o == o.max(), o.size, o),  # out of range
-        lambda o: np.where(o == 0, -1, o),  # negative
-        lambda o: np.concatenate([o[:1], o[:-1]]),  # repeats an index
-        lambda o: o[::-1],  # does not sort the vocab
-        lambda o: o[:-1],  # wrong length
-        lambda o: o.astype(np.float64),
+    @pytest.mark.parametrize("name, change", [
+        ("word_rows", lambda o: np.where(o == o.max(), o.size, o)),  # out of range
+        ("word_rows", lambda o: np.where(o == 0, -1, o)),  # negative
+        ("word_rows", lambda o: np.concatenate([o[:1], o[:-1]])),  # repeats a row
+        ("words", lambda w: np.concatenate([w[1:2], w[:1], w[2:]])),  # does not rise
+        ("word_rows", lambda o: o[:-1]),  # wrong length
+        ("word_rows", lambda o: o.astype(np.float64)),
     ])
-    def test_bad_vocab_order_rejected(self, model_file, change):
+    def test_bad_word_lookup_rejected(self, model_file, name, change):
         with np.load(model_file) as npz:
-            order = npz["vocab_order"]
-        _rewrite(model_file, vocab_order=change(order))
+            value = npz[name]
+        _rewrite(model_file, **{name: change(value)})
         with pytest.raises(ModelFormatError, match="inconsistent model file"):
             load_model(model_file)
 
-    @pytest.mark.parametrize("names", [{"vectors"}, {"idf", "W"}])
+    @pytest.mark.parametrize("names", [{"vectors"}, {"weight_values", "W"}])
     def test_compressed_member_rejected(self, model_file, names):
         _compress(model_file, names)
         with pytest.raises(ModelFormatError, match="compressed"):
@@ -921,8 +1019,11 @@ _QUERIES = st.text(st.characters(), max_size=9)
 
 
 class TestSortedWords:
+    """The lookup over blocks of sorted words, with the blocks in memory;
+    ``TestModelFormat6`` and the CLI tests read them from model files."""
+
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(_WORDS, unique=True, max_size=30), st.lists(_QUERIES, max_size=20),
+    @given(st.lists(_WORDS, unique=True, max_size=60), st.lists(_QUERIES, max_size=20),
            st.data())
     def test_lookup_equals_dict_lookup(self, vocab, queries, data):
         """Queries mix vocab words, their prefixes and extensions (which
@@ -932,8 +1033,7 @@ class TestSortedWords:
             picked = data.draw(st.lists(st.sampled_from(vocab), max_size=10))
             queries += picked + [w[:-1] for w in picked] + [w + "é" for w in picked]
             queries += [w + "\x00" for w in picked]
-        array = np.array(vocab, dtype=str)
-        words = SortedWords(array, np.argsort(array, kind="stable"))
+        words = _sorted_words(vocab)
         ids = {w: i for i, w in enumerate(vocab)}
         expected = [ids.get(q, -1) for q in queries]
         assert words.rows_of(queries).tolist() == expected
@@ -944,7 +1044,6 @@ class TestSortedWords:
         assert model.word_ids == ids
 
     def test_empty_query_and_empty_vocab(self):
-        words = SortedWords(np.array(["b", "a"]), np.array([1, 0]))
+        words = _sorted_words(["b", "a"])
         assert words.rows_of(()).tolist() == [] and words.rows_of([]).dtype == np.int64
-        empty = SortedWords(np.array([], dtype=str), np.zeros(0, dtype=np.int64))
-        assert empty.rows_of(["a", ""]).tolist() == [-1, -1]
+        assert _sorted_words([]).rows_of(["a", ""]).tolist() == [-1, -1]

@@ -14,7 +14,6 @@ import json
 import os
 import subprocess
 import sys
-import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -44,7 +43,7 @@ import catweight
 from catweight import classify, evaluation, vectorize
 from catweight.cli import _predict_input, main
 from catweight.weighting import SCHEMES
-from oracles import oracle_block_crcs, oracle_matrix_member
+from oracles import oracle_block_crcs, oracle_member
 
 TOY_ROWS = [
     ("win win win win game game team team goal ball", "A"),
@@ -572,16 +571,6 @@ def _predict(model, lines, tmp_path):
     return out.read_text().splitlines()
 
 
-def _damaged_copy(model, directory, row):
-    """A copy of the model file with one byte of embedding row ``row`` flipped."""
-    offset, _, row_bytes = oracle_matrix_member(model)
-    data = bytearray(model.read_bytes())
-    data[offset + row * row_bytes + 5] ^= 0x01
-    copy = directory / "damaged.bin"
-    copy.write_bytes(bytes(data))
-    return copy
-
-
 def _predict_bytes(model, text, tmp_path):
     """predict's exit code and TSV bytes for the input ``text``."""
     inputs, out = tmp_path / "input.txt", tmp_path / "out.tsv"
@@ -591,61 +580,186 @@ def _predict_bytes(model, text, tmp_path):
     return code, out.read_bytes() if out.exists() else None
 
 
+_BLOCK = classify._BLOCK_ROWS
+
+
+def _blocked_model(directory, num_words, seed=None):
+    """A tfcr model file over the words ``w0000``, ``w0001``, ... of a
+    three-category corpus in which every word falls in two documents (so
+    mostly in two categories); its embedding rows are in word order, or
+    shuffled by ``seed``."""
+    words = [f"w{i:04d}" for i in range(num_words)]
+    rows = [(" ".join(words[(5 * i + j) % num_words] for j in range(10)), f"c{i % 3}")
+            for i in range(-(-2 * num_words // 10))]
+    data = _write_dataset(directory / "blocked.csv", rows)
+    order = np.arange(num_words)
+    if seed is not None:
+        order = np.random.default_rng(seed).permutation(num_words)
+    glove = directory / "blocked.txt"
+    save_glove_text(synthetic_model([words[i] for i in order], 8, seed=1), glove)
+    model = directory / "blocked.bin"
+    argv = ["train", "--data", data, "--embedding", str(glove), "--scheme", "tfcr",
+            "--classifier", "logreg", "--seed", "1", "--epochs", "5", "--out", str(model)]
+    assert main(argv) == 0
+    return model
+
+
+def _where(model, name, word):
+    """``(item, block)``: where the data of ``word`` starts in the member
+    ``name`` (its sorted position, its embedding row or its first table
+    entry) and the block that holds it."""
+    with np.load(model) as npz:
+        words, rows, keys = npz["words"], npz["word_rows"], npz["weight_keys"]
+        width = len(npz["categories"])
+    at = int(np.searchsorted(words, word))
+    row = int(rows[at])
+    if name in ("words", "word_rows"):
+        return at, at // _BLOCK
+    if name == "vectors":
+        return row, row // _BLOCK
+    return int(np.searchsorted(keys // width, row)), row // _BLOCK
+
+
+def _resave(model, path, **changes):
+    """A copy of ``model`` with arrays replaced, under matching block and
+    zip CRC-32s, so each changed block meets its content checks."""
+    with np.load(model) as npz:
+        arrays = {name: npz[name] for name in npz.files} | changes
+    for _ in range(2):  # the CRC-32s of the blocks as written, then the file again
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        arrays["block_crcs"] = np.array(
+            [oracle_block_crcs(path, _BLOCK, name) for name in classify._BLOCKED], np.uint32)
+    return path
+
+
+def _damaged(model, directory, damage, word):
+    """A copy of ``model`` with the block of ``word`` in one member
+    damaged: a flipped bit (``flip``) or, under matching CRC-32s, words
+    out of order, a repeated row, falling categories, a non-finite vector
+    or a negative weight."""
+    member, how = damage
+    at, _ = _where(model, member, word)
+    copy = directory / f"damaged-{member}-{how}.bin"
+    if how == "flip":
+        offset, _, item_bytes, _ = oracle_member(model, member)
+        data = bytearray(model.read_bytes())
+        data[offset + at * item_bytes] ^= 0x01
+        copy.write_bytes(bytes(data))
+        return copy
+    with np.load(model) as npz:
+        value = npz[member].copy()
+    if how == "unsorted":  # the word and the next one swap places
+        value[[at, at + 1]] = value[[at + 1, at]]
+    elif how == "duplicate":  # the word takes the next word's row
+        value[at] = value[at + 1]
+    elif how == "falling":  # the word's first two categories swap places
+        value[[at, at + 1]] = value[[at + 1, at]]
+    elif how == "nan":
+        value[at, 0] = np.nan
+    else:  # a negative weight
+        value[at] = -value[at]
+    return _resave(model, copy, **{member: value})
+
+
+_DAMAGES = [(name, "flip") for name in classify._BLOCKED] + [
+    ("words", "unsorted"), ("word_rows", "duplicate"), ("weight_keys", "falling"),
+    ("vectors", "nan"), ("weight_values", "negative"),
+]
+
+
 class TestPredictReadsBlocks:
-    """A predict reads and checks only the blocks of embedding rows that
-    its input's words use."""
+    """A predict reads and checks only the blocks of the words, their rows,
+    their embedding rows and their table entries that its input uses."""
 
-    BLOCK = classify._BLOCK_ROWS
+    @pytest.fixture(scope="class")
+    def model(self, tmp_path_factory):
+        return _blocked_model(tmp_path_factory.mktemp("blocked"), 6 * _BLOCK, seed=0)
 
-    @pytest.fixture
-    def words(self, trained):
-        words = load_model(trained).embedding.words
-        assert len(words) > self.BLOCK  # the model file holds at least two blocks
-        return words
+    @pytest.fixture(scope="class")
+    def words(self, model):
+        """A word ``target`` whose word and row blocks hold no word of the
+        line ``other``, and which has two table entries and a next word in
+        its word block."""
+        with np.load(model) as npz:
+            words, rows, keys = npz["words"], npz["word_rows"], npz["weight_keys"]
+            entries = np.bincount(keys // len(npz["categories"]), minlength=len(words))
+        at = [k for k in range(len(words)) if 0 < k % _BLOCK < _BLOCK - 1
+              and entries[rows[k]] >= 2][0]
+        target = str(words[at])
+        others = [str(w) for k, w in enumerate(words) if k // _BLOCK != at // _BLOCK
+                  and rows[k] // _BLOCK != rows[at] // _BLOCK]
+        return target, " ".join(others[:3])
 
-    def test_one_line_reads_fewer_blocks_than_the_file_holds(self, trained, words, tmp_path):
-        real = classify.ModelFile._read_blocks
-        with mock.patch.object(classify.ModelFile, "_read_blocks", autospec=True,
-                               side_effect=real) as read:
-            assert _predict_bytes(trained, f"{words[0]} zebra {words[3]}\n", tmp_path)[0] == 0
-        [(_, blocks)] = [call.args for call in read.call_args_list]
-        assert blocks.tolist() == [0] and blocks.size < -(-len(words) // self.BLOCK)
+    def test_one_line_reads_fewer_blocks_than_the_file_holds(self, model, words, tmp_path):
+        target, other = words
+        with _counted_blocks() as read:
+            assert _predict_bytes(model, f"{target} zebra {other}\n", tmp_path)[0] == 0
+        with np.load(model) as npz:
+            held = npz["block_crcs"].shape[1]
+        assert sorted(read) == sorted(classify._BLOCKED)
+        assert all(0 < len(blocks) < held for blocks in read.values())
+        assert read["words"] == read["word_rows"] and read["vectors"] == read["weight_keys"]
 
-    def test_damaged_block_the_line_uses_exits_1(self, trained, words, tmp_path, capsys):
-        model = _damaged_copy(trained, tmp_path, len(words) - 1)
-        code, _ = _predict_bytes(model, f"{words[0]} {words[-1]}\n", tmp_path)
-        assert code == 1
-        assert "Bad CRC-32 for member 'vectors.npy' in block" in capsys.readouterr().err
+    def test_blocks_read_do_not_grow_with_the_vocabulary(self, tmp_path):
+        """The same line, over a vocabulary ten times as large, reads as
+        many blocks of each member.  (``TestTrainPredict`` checks that the
+        one-line path imports no scipy.)"""
+        counts = []
+        for num_words in (6 * _BLOCK, 60 * _BLOCK):
+            directory = tmp_path / str(num_words)
+            directory.mkdir()
+            model = _blocked_model(directory, num_words)
+            with np.load(model) as npz:
+                assert len(npz["words"]) == num_words
+            with _counted_blocks() as read:
+                line = "w0000 w0020 w0040 w0070 zebra\n"
+                assert _predict_bytes(model, line, directory)[0] == 0
+            counts.append({name: len(blocks) for name, blocks in read.items()})
+        # The four words' word blocks and the last, where "zebra" would sit.
+        assert counts[0] == counts[1] and counts[0]["words"] == 5 and counts[0]["vectors"] == 4
 
-    def test_damaged_block_no_word_of_the_line_uses(self, trained, words, tmp_path, capsys):
-        """Caught by ``load_model`` and by a batch that uses the block, not
-        by a one-line predict that does not."""
-        line = f"{words[0]} {words[1]} {words[0]}\n"
-        code, before = _predict_bytes(trained, line, tmp_path)
+    @pytest.mark.parametrize("damage", _DAMAGES, ids="-".join)
+    def test_damaged_block_the_line_uses_exits_1(self, model, words, damage, tmp_path, capsys):
+        target, other = words
+        damaged = _damaged(model, tmp_path, damage, target)
+        assert _predict_bytes(damaged, f"{other} {target}\n", tmp_path) == (1, None)
+        err = capsys.readouterr().err
+        block = _where(model, damage[0], target)[1]
+        assert f"'{damage[0]}" in err and f" block {block}" in err, err
+
+    @pytest.mark.parametrize("damage", _DAMAGES, ids="-".join)
+    def test_damaged_block_no_word_of_the_line_uses(self, model, words, damage, tmp_path,
+                                                    capsys):
+        """Unnoticed by a one-line predict that does not use the block,
+        whose TSV stays the same bytes; refused by ``load_model`` and by a
+        batch whose lines use it."""
+        target, other = words
+        code, before = _predict_bytes(model, f"{other}\n", tmp_path)
         assert code == 0
-        model = _damaged_copy(trained, tmp_path, len(words) - 1)
-        assert _predict_bytes(model, line, tmp_path) == (0, before)
-        with pytest.raises(ModelFormatError, match="Bad CRC-32 for member 'vectors.npy'"):
-            load_model(model)
+        damaged = _damaged(model, tmp_path, damage, target)
+        assert _predict_bytes(damaged, f"{other}\n", tmp_path) == (0, before)
+        with pytest.raises(ModelFormatError, match=f"'{damage[0]}"):
+            load_model(damaged)
         capsys.readouterr()
-        assert _predict_bytes(model, line + f"{words[-1]}\n", tmp_path) == (1, None)
-        assert "Bad CRC-32 for member 'vectors.npy'" in capsys.readouterr().err
+        assert _predict_bytes(damaged, f"{other}\n{target}\n", tmp_path) == (1, None)
+        assert f"'{damage[0]}" in capsys.readouterr().err
 
-    def test_non_finite_row_the_line_uses_exits_1(self, trained, words, tmp_path, capsys):
-        with np.load(trained) as npz:
-            arrays = {name: npz[name] for name in npz.files}
-        vectors = arrays["vectors"]
-        vectors[-1, 0] = np.nan
-        arrays["vector_crcs"] = np.array(
-            [zlib.crc32(vectors[k : k + self.BLOCK].tobytes())
-             for k in range(0, len(vectors), self.BLOCK)], dtype=np.uint32)
-        model = tmp_path / "nan.bin"
-        with open(model, "wb") as fh:
-            np.savez(fh, **arrays)  # with the zip's CRC-32s
-        assert arrays["vector_crcs"].tolist() == oracle_block_crcs(model, self.BLOCK)
-        assert _predict_bytes(model, f"{words[0]}\n", tmp_path)[0] == 0
-        assert _predict_bytes(model, f"{words[-1]}\n", tmp_path) == (1, None)
-        assert "array 'vectors' has non-finite values" in capsys.readouterr().err
+
+@contextmanager
+def _counted_blocks():
+    """The blocks ``ModelFile._read_blocks`` reads, by member, while the
+    context is open; each member is read at most once."""
+    read = {}
+    real = classify.ModelFile._read_blocks
+
+    def count(self, name, blocks):
+        assert name not in read
+        read[name] = blocks.tolist()
+        return real(self, name, blocks)
+
+    with mock.patch.object(classify.ModelFile, "_read_blocks", count):
+        yield read
 
 
 class TestTrainPredict:
@@ -676,6 +790,19 @@ class TestTrainPredict:
         run = subprocess.run([sys.executable, "-c", script, str(line), *models], env=env,
                              capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
+
+    def test_vectorizer_may_read_the_model_s_words(self, trained, tmp_path, monkeypatch, capsys):
+        """predict builds its vectorizer while the model file is open, so
+        the model's words can be read there, as a profiling hook may."""
+        real, seen = vectorize.CorpusVectorizer.__init__, []
+
+        def init(self, documents, model, **kwargs):
+            seen.append(len(model.word_ids))
+            real(self, documents, model, **kwargs)
+
+        monkeypatch.setattr(vectorize.CorpusVectorizer, "__init__", init)
+        assert _predict_bytes(trained, "cat0kw00 zebra\n", tmp_path)[0] == 0
+        assert seen == [len(load_model(trained).embedding)]
 
     def test_train_writes_model_and_manifest(self, trained):
         assert trained.is_file()
@@ -1300,6 +1427,34 @@ def test_out_naming_a_directory_exits_2_before_loading(
     assert main([command, *flags, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: --out names a directory: {out}\n"
     assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flags, default", [
+    (command, flags, name) for (command, flags), name in zip(_COMMANDS_WITHOUT_INPUT, [
+        "results.csv", "curve.csv", "weights.json", "vectors.tsv", "model.bin"])
+] + [("weights", [*_COMMANDS_WITHOUT_INPUT[2][1], "--output-format", "tsv"], "weights.tsv")])
+def test_default_out_naming_a_directory_exits_2_before_loading(
+    command, flags, default, tmp_path, capsys, monkeypatch
+):
+    """A command's default output name gets the checks an explicit
+    --out gets, before the input (absent here) is looked for."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / default).mkdir()
+    assert main([command, *flags]) == 2
+    assert capsys.readouterr().err == f"error: the default --out names a directory: {default}\n"
+    assert [path.name for path in tmp_path.iterdir()] == [default]
+
+
+@pytest.mark.parametrize("command, flags", _COMMANDS_WITHOUT_INPUT[:-1])
+def test_default_out_without_write_permission_exits_2_before_loading(
+    command, flags, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "access", lambda path, mode, **kwargs: Path(path) != Path("."))
+    assert main([command, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the default --out cannot be written: no write permission on .\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, flags", _COMMANDS_WITHOUT_INPUT)

@@ -39,7 +39,7 @@ from catweight import (
     separable_corpus,
     synthetic_model,
 )
-from catweight import cli
+from catweight import classify, cli
 from catweight import embeddings
 from catweight.corpus import count_tokens
 
@@ -329,7 +329,8 @@ class TestForTerms:
         vectors = np.arange(2.0 * len(words)).reshape(len(words), 2)
         if sorted_words:  # a model file's vocabulary
             array = np.array(words, dtype=str)
-            words = embeddings.SortedWords(array, np.argsort(array, kind="stable"))
+            order = np.argsort(array, kind="stable")
+            words = classify.SortedWords(len(words), classify._WordBlocks(array[order], order))
         model = EmbeddingModel(words, vectors, "m")
         known = oracle_for_terms(list(words), terms, case_fallback)
         got = for_terms(model, terms, case_fallback)
