@@ -61,11 +61,12 @@ block's rows, weights > 0 or idf >= 0, finite).  The embedding
 ``read_rows`` returns exposes the rows read only (``CheckedRows``), so a
 row that was not read and checked cannot reach a product, and its
 ``WeightTable`` (weights a ``csr.Csr``, with no scipy import) holds the
-table rows among them.  ``predict`` reads the blocks of its input's
-words, so its reads grow with its input, not with the vocabulary, and a
-damaged block that no input word uses goes unnoticed there;
-``load_model`` reads every block, and so checks the whole file.  Files
-of formats 1 to 5 must be retrained.
+table rows among them and masks the rows read (``covered``), so a word
+whose table row was not read stops the vectorizer too.  ``predict``
+reads the blocks of its input's words, so its reads grow with its
+input, not with the vocabulary, and a damaged block that no input word
+uses goes unnoticed there; ``load_model`` reads every block, and so
+checks the whole file.  Files of formats 1 to 5 must be retrained.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csr import Csr, bounds, entry_positions
+from .csr import Csr, bounds
 from .embeddings import EmbeddingModel
 from .errors import ModelFormatError, TrainingError
 from .vectorize import ScalerParams
@@ -664,10 +665,11 @@ def _read_arrays(fh, path) -> tuple[dict, dict, dict, int]:
     return arrays, layouts, members, size
 
 
-def _model_of(path, a: dict[str, np.ndarray], shapes: dict[str, tuple], source) -> SavedModel:
+def _model_of(path, a: dict[str, np.ndarray], shapes: dict[str, tuple],
+              model_file: ModelFile) -> SavedModel:
     """The model of the arrays ``a`` read on opening, with no word, embedding
     row or table row read yet; ``shapes`` holds the shape of every member,
-    and ``source`` reads the word blocks (``SortedWords``).  Shapes that
+    and ``model_file`` reads the word blocks (``SortedWords``).  Shapes that
     disagree raise ``ModelFormatError``."""
     kind, scheme = int(a["kind"]), str(a["scheme"])
     if kind not in _KIND_NAMES:
@@ -695,7 +697,7 @@ def _model_of(path, a: dict[str, np.ndarray], shapes: dict[str, tuple], source) 
         wrong.append(f"alpha {float(a['alpha'])} < 1")
     if wrong:
         raise ModelFormatError(f"{path}: inconsistent model file: {'; '.join(wrong)}")
-    words = SortedWords(V, source)
+    words = SortedWords(V, model_file)
     weights = Csr(np.zeros(0), np.zeros(0, np.int32), np.zeros(1, np.int64), (0, C))
     idf = np.zeros(0) if scheme == "tfidf" else None
     table = WeightTable(scheme, categories, words, np.zeros(0, np.int64),
@@ -715,26 +717,35 @@ class SortedWords(Sequence):
     embedding row, and the first word of each block (``word_fences``).
     ``rows_of`` finds the block each term would sit in by one binary search
     over the fences, reads and checks only those blocks
-    (``source.read_words``; all of them for as many terms as blocks) and
-    finds the terms among their words by a second.  The words become a tuple, in embedding row order, only when
-    one is read by position, iterated or compared, and every block is read
-    then; so a line's lookup builds no per-word object over the whole
+    (``ModelFile.read_words``) and finds the terms among their words by a
+    second.  With as many terms as blocks, or when a word is read by
+    position, iterated or compared, every block is read, once: the words
+    are then held here (as they are from the start when given as
+    ``words``, sorted, and ``rows``) and the file is no longer needed.  The
+    words become a tuple, in embedding row order, only on the second kind
+    of use, so a line's lookup builds no per-word object over the whole
     vocabulary.  A numpy str array cannot hold a trailing NUL, so no word
     here ends in one.
-
-    ``source`` is the open ``ModelFile``, or the words of a file read whole
-    (``_WordBlocks``): it has ``word_fences`` and ``read_words(blocks)``.
     """
 
-    def __init__(self, size: int, source):
-        self._size, self._source = size, source
+    def __init__(self, size: int, model_file: ModelFile | None = None,
+                 words: np.ndarray | None = None, rows: np.ndarray | None = None):
+        self._size, self._file = size, model_file
+        self._all = None if words is None else (words, rows)  # every word, once read
 
     def __len__(self) -> int:
         return self._size
 
+    def _every(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every word, sorted, and the embedding row of each."""
+        if self._all is None:
+            self._all = self._file.read_words(np.arange(-(-self._size // _BLOCK_ROWS)))
+            self._file = None
+        return self._all
+
     @cached_property
     def _tuple(self) -> tuple[str, ...]:
-        words, rows = self._source.read_words(np.arange(len(self._source.word_fences)))
+        words, rows = self._every()
         array = np.empty_like(words)
         array[rows] = words
         return tuple(array.tolist())
@@ -752,8 +763,7 @@ class SortedWords(Sequence):
         """The row of each of ``terms`` (a sequence of ``str``), -1 where
         it is missing."""
         missing = np.full(len(terms), -1, dtype=np.int64)
-        fences = self._source.word_fences if self._size and len(terms) else ()
-        if not len(fences):
+        if not self._size or not len(terms):
             return missing
         query = np.array(terms, dtype=str)
         # Searching in the fences' and the words' own width avoids widening
@@ -761,32 +771,20 @@ class SortedWords(Sequence):
         # its own block, and may then land on a prefix among the block's
         # words, which the test below rejects.  With at least as many
         # terms as blocks, most blocks hold one: all are read, unsearched.
-        blocks = np.arange(len(fences))
-        if len(terms) < len(fences):
+        if self._all is None and len(terms) < -(-self._size // _BLOCK_ROWS):
+            fences = self._file.word_fences
             block = np.searchsorted(fences, query.astype(fences.dtype, copy=False), "right") - 1
-            blocks = _distinct(block[block >= 0])
-        words, rows = self._source.read_words(blocks)
-        if not words.size:
-            return missing
+            words, rows = self._file.read_words(_distinct(block[block >= 0]))
+            if not words.size:
+                return missing
+        else:
+            words, rows = self._every()
         at = np.searchsorted(words, query.astype(words.dtype, copy=False))
         at[at == words.size] = 0
         found = words[at] == query
         if "\x00" in "".join(terms):  # numpy drops a trailing NUL of the query
             found &= np.fromiter((not t.endswith("\x00") for t in terms), bool, len(terms))
         return np.where(found, rows[at], -1)
-
-
-class _WordBlocks:
-    """The sorted words of a model file read whole and their embedding
-    rows, served block by block as an open ``ModelFile`` serves them."""
-
-    def __init__(self, words: np.ndarray, rows: np.ndarray):
-        self._words, self._rows = words, rows
-        self.word_fences = words[::_BLOCK_ROWS]
-
-    def read_words(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        at = entry_positions(_row_bounds(self._words.size), blocks)
-        return self._words[at], self._rows[at]
 
 
 class CheckedRows:
@@ -816,16 +814,17 @@ class CheckedRows:
         return self._values[start + offset]
 
 
-def _read_at(fd: int, size: int, offset: int) -> bytes:
-    """``size`` bytes of the file ``fd`` from ``offset`` on, fewer at its
-    end, as ``os.pread`` reads them where the platform has it.  It moves
-    the file position, which is safe as a ``ModelFile`` reads its blocks
-    only after its buffered reads (the index, on the first block read)."""
-    os.lseek(fd, offset, os.SEEK_SET)
-    return os.read(fd, size)
+def _read_at(fh, size: int, offset: int) -> bytes:
+    """``size`` bytes of the open file ``fh`` from ``offset`` on, fewer at
+    its end, as ``os.pread`` reads them: on a platform without it, a seek
+    and a read of the buffered file, which keeps its own position."""
+    fh.seek(offset)
+    return fh.read(size)
 
 
-_pread = getattr(os, "pread", _read_at)
+# Whether blocks are read by ``os.pread`` (one C call a read, on the file
+# descriptor) or, on a platform without it, by ``_read_at``.
+_PREAD = hasattr(os, "pread")
 
 
 class ModelFile:
@@ -843,7 +842,7 @@ class ModelFile:
     is used: its CRC-32 in ``block_crcs``, then its content.  A file of
     another format or version, or whose arrays disagree in shape or
     content, raises ``ModelFormatError``.  Use it as a context manager,
-    which closes the file."""
+    which closes the file; a block read after that raises ``ValueError``."""
 
     def __init__(self, path: str | Path):
         self.path = path
@@ -863,11 +862,20 @@ class ModelFile:
     def __exit__(self, *exc_info) -> None:
         self._fh.close()
 
+    def _check_open(self) -> None:
+        """Refuse a read once the file is closed: of a model that
+        ``saved`` or ``read_rows`` gave, only the words held already
+        (``SortedWords``) and the rows read stay usable then."""
+        if self._fh.closed:
+            raise ValueError(f"{self.path}: the ModelFile is closed; read the blocks a model "
+                             f"needs while it is open, or read it whole with load_model")
+
     @cached_property
     def _index(self) -> dict:
         """The members of ``_INDEX``, read whole and checked, and for each
         member of ``_BLOCKED`` where each of its blocks starts (``edges``)
         and its blocks' CRC-32s (``crcs``)."""
+        self._check_open()
         try:
             index = {name: _read_member(self._fh, self._members[name], self._size)
                      for name in _INDEX}
@@ -911,6 +919,7 @@ class ModelFile:
         block is read), each run of blocks that lie back to back in the
         file.  The reads and the CRC-32s run in C loops (``map``): per
         block, the Python steps would cost more than the bytes."""
+        self._check_open()
         start, dtype, shape = self._layouts[name]
         item = dtype.itemsize * math.prod(shape[1:])
         edges = self._index["edges"][name] * item + start  # in the file
@@ -919,8 +928,9 @@ class ModelFile:
         if 2 * first.size > blocks.size:
             first = np.arange(blocks.size)
         last = np.append(first[1:], blocks.size)[: first.size] - 1
+        read, handle = (os.pread, self._fh.fileno()) if _PREAD else (_read_at, self._fh)
         try:
-            parts = list(map(_pread, repeat(self._fh.fileno()), (hi[last] - lo[first]).tolist(),
+            parts = list(map(read, repeat(handle), (hi[last] - lo[first]).tolist(),
                              lo[first].tolist()))
         except (OSError, ValueError) as exc:
             raise ModelFormatError(f"{self.path}: unreadable model file: {exc}") from exc
@@ -976,7 +986,9 @@ class ModelFile:
         or idf >= 0, finite).  The embedding then exposes the rows of those
         blocks only (``CheckedRows``), or, with every block read, the plain
         ``(V, d)`` array; the table holds the table words among those
-        rows."""
+        rows and masks the rows of the blocks read (``covered``), so a
+        vectorizer refuses a word of any other block rather than weigh it
+        0."""
         rows = np.asarray(rows, dtype=np.int64)
         blocks = _distinct(rows[rows >= 0] // _BLOCK_ROWS)
         saved = self.saved
@@ -1008,6 +1020,9 @@ class ModelFile:
                     weights, keys - row * width, np.append(first, row.size), (first.size, width)))
         if blocks.size < len(self.word_fences):
             values = CheckedRows(len(saved.embedding), blocks, values)
+            read = np.zeros(len(self.word_fences), bool)
+            read[blocks] = True
+            table = replace(table, covered=np.repeat(read, _BLOCK_ROWS)[: len(saved.embedding)])
         embedding = EmbeddingModel(saved.embedding.words, values, saved.embedding.origin)
         return replace(saved, embedding=embedding, table=table)
 
@@ -1025,6 +1040,6 @@ def load_model(path: str | Path) -> SavedModel:
         V = len(model_file.saved.embedding)
         saved = model_file.read_rows(np.arange(0, V, _BLOCK_ROWS))
         words = model_file.read_words(np.arange(len(model_file.word_fences)))
-    words = SortedWords(V, _WordBlocks(*words))
+    words = SortedWords(V, None, *words)
     embedding = EmbeddingModel(words, saved.embedding.vectors, saved.embedding.origin)
     return replace(saved, embedding=embedding, table=replace(saved.table, terms=words))

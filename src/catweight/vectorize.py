@@ -258,15 +258,23 @@ class CorpusVectorizer:
 
     def _columns_of(self, table: WeightTable) -> np.ndarray:
         """This vectorizer's column of each table word, -1 where the model
-        lacks it."""
+        lacks it.  A table read in part (``table.covered``) must cover
+        every term of these columns: a term it lacks raises ``IndexError``,
+        as weighing it 0 would be silently wrong."""
         if table.terms is self.model.words:
             slot = np.full(len(table.terms), -1, dtype=np.int64)
             slot[self._rows] = np.arange(len(self._rows))
+            ids = self._rows  # the term of each column
         elif table.terms is self._terms or table.terms == self._terms:
-            slot = self._slot
+            slot, ids = self._slot, self._known
         else:  # another numbering: match the words themselves
+            if table.covered is not None:
+                raise IndexError("a table read in part is matched by its own term numbering only")
             own = dict(zip(self._terms, self._slot.tolist()))
             return np.fromiter(map(own.get, table.words, repeat(-1)), np.int64, len(table.term_ids))
+        if table.covered is not None and not table.covered[ids].all():
+            term = ids[~table.covered[ids]][0]
+            raise IndexError(f"the table row of term {term} was not read from the model file")
         return slot[table.term_ids]
 
     def _known_rows(self, table: WeightTable) -> tuple[np.ndarray, np.ndarray]:

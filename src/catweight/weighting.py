@@ -61,6 +61,11 @@ class WeightTable:
     factor) storing the stats' nonzero occurrence pairs, kld's clamped
     zeros included.  For tfidf, ``idf`` holds one value per word.
     Scheme ``none`` carries no arrays and acts as the empty marker.
+
+    ``covered`` is None for a whole table.  A table read in part from a
+    model file (``classify.ModelFile.read_rows``) holds the rows of some
+    terms only, and ``covered`` masks them (a bool per term): a term
+    outside it is not known to weigh 0, so the vectorizer refuses it.
     """
 
     scheme: str
@@ -70,6 +75,7 @@ class WeightTable:
     weights: Csr | None = None
     idf: np.ndarray | None = None
     alpha: float = DEFAULT_ALPHA
+    covered: np.ndarray | None = None
 
     @property
     def num_categories(self) -> int:

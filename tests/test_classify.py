@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import os
 import struct
 import zipfile
 import zlib
@@ -43,7 +44,6 @@ from catweight.classify import (
     ModelFile,
     SortedWords,
     _logreg_objective,
-    _WordBlocks,
 )
 from catweight.embeddings import EmbeddingModel
 from oracles import oracle_block_crcs, oracle_matrix_member, oracle_member
@@ -453,7 +453,7 @@ def _sorted_words(vocab):
     """The ``SortedWords`` of the words ``vocab``, in row order, held in memory."""
     array = np.array(vocab, dtype=str)
     order = np.argsort(array, kind="stable")
-    return SortedWords(len(vocab), _WordBlocks(array[order], order))
+    return SortedWords(len(vocab), None, array[order], order)
 
 
 _UNPICKLED = []
@@ -896,6 +896,11 @@ class TestModelFormat6:
             with pytest.raises(ModelFormatError,
                                match=r"Bad CRC-32 for member 'vectors.npy' in block 1 of 4"):
                 model_file.read_rows([_BLOCK + 7])
+            # No unread row reaches a product: a word of block 1 stops matrix.
+            word = saved.embedding.words[_BLOCK + 2]
+            docs = from_token_lists([[saved.embedding.words[0], word]], [0], ["A", "B"]).documents
+            with pytest.raises(IndexError, match="was not read"):
+                CorpusVectorizer(docs, saved.embedding).matrix(saved.table)
         with pytest.raises(ModelFormatError, match="CRC-32 for member 'vectors.npy'"):
             load_model(path)
         vectors = saved.embedding.vectors
@@ -905,13 +910,52 @@ class TestModelFormat6:
         for unread in ([_BLOCK + 1], [0, 2 * _BLOCK - 1], [-1], [3 * _BLOCK + 5]):
             with pytest.raises(IndexError):
                 vectors[np.array(unread)]
-        # No unread row reaches a product: a word of block 1 stops matrix
-        # (scheme none weighs every word the embedding knows).
-        with ModelFile(_wide_model(tmp_path, 3 * _BLOCK + 5, "none")) as model_file:
-            saved = model_file.read_rows([0, 2 * _BLOCK])
-            docs = from_token_lists([["w000", f"w{_BLOCK + 2:03d}"]], [0], ["A", "B"]).documents
-            with pytest.raises(IndexError, match="was not read"):
-                CorpusVectorizer(docs, saved.embedding).matrix(saved.table)
+        # Every other scheme, scheme none (which weighs every word the
+        # embedding knows) included, stops there too.
+        for scheme in ("none", "tfidf", "kld", "tftrr"):
+            with ModelFile(_wide_model(tmp_path, 3 * _BLOCK + 5, scheme)) as model_file:
+                saved = model_file.read_rows([0, 2 * _BLOCK])
+                docs = from_token_lists([["w000", f"w{_BLOCK + 2:03d}"]], [0], ["A", "B"])
+                with pytest.raises(IndexError, match="was not read"):
+                    CorpusVectorizer(docs.documents, saved.embedding).matrix(saved.table)
+
+    def test_read_rows_result_after_the_file_closes(self, tmp_path):
+        """The rows read stay usable once the file is closed, and so do the
+        words if every word block was read while it was open; otherwise a
+        use of the words says that the file is closed, not that it is
+        damaged."""
+        path = _wide_model(tmp_path, 3 * _BLOCK + 5)
+        line = from_token_lists([["w000", f"w{2 * _BLOCK + 1:03d}"]], [0], ["A", "B"]).documents
+        loaded = load_model(path)
+        whole = CorpusVectorizer(line, loaded.embedding).matrix(loaded.table)
+        with ModelFile(path) as model_file:
+            held = model_file.read_rows([0, 2 * _BLOCK + 1])
+            assert held.embedding.words[_BLOCK] == f"w{_BLOCK:03d}"  # every word block
+        X = CorpusVectorizer(line, held.embedding).matrix(held.table)
+        assert X.tobytes() == whole.tobytes()
+        with ModelFile(path) as model_file:
+            saved = model_file.read_rows([0, 2 * _BLOCK + 1])
+        rows = np.array([1, 2 * _BLOCK])
+        assert saved.embedding.vectors[rows].tobytes() == loaded.embedding.vectors[rows].tobytes()
+        words = saved.embedding.words
+        for use in (lambda: words[0], lambda: list(words), lambda: words.rows_of(["w000"]),
+                    lambda: saved.embedding.word_ids, lambda: words == held.embedding.words):
+            with pytest.raises(ValueError, match="the ModelFile is closed") as info:
+                use()
+            assert not isinstance(info.value, ModelFormatError)
+
+    def test_blocks_read_without_pread(self, tmp_path, monkeypatch):
+        """Where the platform has no ``os.pread``, blocks are read by a seek
+        and a read of the buffered file (``classify._read_at``), with the
+        same values and the same refusals."""
+        monkeypatch.setattr(classify, "_PREAD", False)
+        monkeypatch.delattr(os, "pread")
+        for test in (self.test_read_rows_reads_and_checks_only_the_blocks_it_needs,
+                     self.test_non_finite_row_refused_under_matching_crcs,
+                     self.test_read_rows_result_after_the_file_closes):
+            directory = tmp_path / test.__name__
+            directory.mkdir()
+            test(directory)
 
     def test_non_finite_row_refused_under_matching_crcs(self, tmp_path):
         path = _wide_model(tmp_path, 3 * _BLOCK + 5)

@@ -745,6 +745,20 @@ class TestPredictReadsBlocks:
         assert _predict_bytes(damaged, f"{other}\n{target}\n", tmp_path) == (1, None)
         assert f"'{damage[0]}" in capsys.readouterr().err
 
+    def test_blocks_read_without_pread(self, model, words, tmp_path, capsys, monkeypatch):
+        """Where the platform has no ``os.pread``, blocks are read by a seek
+        and a read of the buffered file (``classify._read_at``): the same
+        blocks, the same TSV bytes and the same refusals."""
+        monkeypatch.setattr(classify, "_PREAD", False)
+        monkeypatch.delattr(os, "pread")
+        self.test_one_line_reads_fewer_blocks_than_the_file_holds(model, words, tmp_path)
+        for damage in _DAMAGES:
+            directory = tmp_path / "-".join(damage)
+            directory.mkdir()
+            self.test_damaged_block_the_line_uses_exits_1(model, words, damage, directory, capsys)
+            self.test_damaged_block_no_word_of_the_line_uses(model, words, damage, directory,
+                                                             capsys)
+
 
 @contextmanager
 def _counted_blocks():

@@ -330,7 +330,7 @@ class TestForTerms:
         if sorted_words:  # a model file's vocabulary
             array = np.array(words, dtype=str)
             order = np.argsort(array, kind="stable")
-            words = classify.SortedWords(len(words), classify._WordBlocks(array[order], order))
+            words = classify.SortedWords(len(words), None, array[order], order)
         model = EmbeddingModel(words, vectors, "m")
         known = oracle_for_terms(list(words), terms, case_fallback)
         got = for_terms(model, terms, case_fallback)
