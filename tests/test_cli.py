@@ -40,7 +40,7 @@ from catweight import (
     tokenize,
 )
 import catweight
-from catweight import classify, evaluation, vectorize
+from catweight import classify, cli, evaluation, vectorize
 from catweight.cli import _predict_input, main
 from catweight.weighting import SCHEMES
 from oracles import oracle_block_crcs, oracle_member
@@ -1585,6 +1585,128 @@ def test_version_flag_reports_name():
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
+
+
+# The command-line surface, as --help shows each option: its flags,
+# metavar or choices, and help text, whitespace collapsed.
+_HELP_COMMON = {
+    "-h, --help show this help message and exit",
+    "--config CONFIG JSON config file; flags take precedence",
+}
+_HELP_DATA = _HELP_COMMON | {
+    "--seed SEED random seed (required; no wall-clock default)",
+    "--out OUT output file path",
+    "--data DATA dataset path (file or directory)",
+    "--format {auto,csv,tsv,jsonl,20ng} dataset format",
+    "--text-field TEXT_FIELD text column/key for csv/jsonl",
+    "--label-field LABEL_FIELD label column/key for csv/jsonl",
+    "--preserve-case",
+    "--sample SAMPLE cap the corpus at N documents",
+    "--min-count MIN_COUNT prune words below this count",
+    "--alpha ALPHA TF-TRR alpha constant, >= 1",
+}
+_HELP_EMBEDDING = _HELP_DATA | {
+    "--embedding EMBEDDING embedding file path or synthetic:<d>:<seed>",
+    "--embedding-format {auto,glove,word2vec-text,word2vec-binary}",
+    "--case-fallback",
+}
+_HELP_LEARNER = _HELP_EMBEDDING | {
+    "--standardize, --no-standardize standardize features with training statistics "
+    "(default: on)",
+    "--epochs EPOCHS",
+    "--learning-rate LEARNING_RATE",
+    "--decay DECAY",
+    "--l2 L2",
+    "--batch-size BATCH_SIZE",
+    "--tolerance TOLERANCE",
+}
+_HELP = {
+    "cv": _HELP_LEARNER | {
+        "--scheme SCHEME scheme, comma list, or 'all'",
+        "--classifier CLASSIFIER classifier, comma list, or 'all'",
+        "--k K number of folds",
+        "--stratified",
+        "--jobs JOBS classifier cells trained at once on worker threads, while the next "
+        "scheme's features are built (default: the CPUs this process may use, divided by "
+        "the BLAS threads per call, so 1 unless OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or "
+        "OMP_NUM_THREADS limits them); results do not depend on it",
+    },
+    "curve": _HELP_LEARNER | {
+        "--scheme SCHEME scheme, comma list, or 'all'",
+        "--classifier CLASSIFIER single classifier",
+        "--k K holdout = 1/k of the corpus",
+        "--stratified",
+        "--sizes SIZES explicit comma-separated ladder",
+        "--min MIN smallest training size",
+        "--max MAX largest training size",
+        "--step STEP ladder step",
+    },
+    "weights": _HELP_DATA | {
+        "--scheme SCHEME one of tfidf, kld, tftrr, tfcr",
+        "--top-k TOP_K keep only the top K words per category",
+        "--output-format {json,tsv}",
+    },
+    "vectorize": _HELP_EMBEDDING | {"--scheme SCHEME single scheme"},
+    "train": _HELP_LEARNER | {
+        "--scheme SCHEME single scheme",
+        "--classifier CLASSIFIER logreg or svm",
+    },
+    "predict": _HELP_COMMON | {
+        "--model MODEL model file written by train",
+        "--input INPUT text file with one document per line, or - for stdin",
+        "--out OUT output TSV path",
+    },
+}
+
+# What each command resolves from its required flags alone: every default.
+_DATA_FLAGS = ["--data", "d.csv", "--seed", "1"]
+_EMBEDDING_FLAGS = [*_DATA_FLAGS, "--embedding", "e.txt"]
+_CONFIG_DATA = {
+    "seed": 1, "out": None, "data": "d.csv", "format": "auto", "text_field": "text",
+    "label_field": "label", "preserve_case": False, "sample": None, "min_count": 1,
+    "scheme": "tfcr", "alpha": 1.2,
+}
+_CONFIG_EMBEDDING = {
+    **_CONFIG_DATA, "embedding": "e.txt", "embedding_format": "auto", "case_fallback": False,
+}
+_CONFIG_LEARNER = {
+    **_CONFIG_EMBEDDING, "classifier": "logreg", "standardize": True, "epochs": 100,
+    "learning_rate": 0.1, "decay": 0.001, "l2": 0.0001, "batch_size": 64, "tolerance": 1e-06,
+}
+_CONFIG = {
+    "cv": (_EMBEDDING_FLAGS, {**_CONFIG_LEARNER, "k": 10, "stratified": False, "jobs": None}),
+    "curve": ([*_EMBEDDING_FLAGS, "--sizes", "10"], {
+        **_CONFIG_LEARNER, "k": 10, "stratified": False, "sizes": "10", "min": None,
+        "max": None, "step": None}),
+    "weights": (_DATA_FLAGS, {**_CONFIG_DATA, "top_k": None, "output_format": "json"}),
+    "vectorize": (_EMBEDDING_FLAGS, _CONFIG_EMBEDDING),
+    "train": (_EMBEDDING_FLAGS, _CONFIG_LEARNER),
+    "predict": (["--model", "m.bin"], {"model": "m.bin", "input": "-", "out": None}),
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP))
+def test_command_line_surface_is_pinned(command, tmp_path, capsys, monkeypatch):
+    """Each subcommand's --help entries, in any order, and the
+    configuration, types included, that its required flags alone resolve
+    to."""
+    monkeypatch.setenv("COLUMNS", "1000")  # no help line wraps
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    entries = []
+    for line in capsys.readouterr().out.split("\noptions:\n", 1)[1].splitlines():
+        if line.startswith("  -"):
+            entries.append(line)
+        elif line.strip():
+            entries[-1] += " " + line
+    assert sorted(" ".join(entry.split()) for entry in entries) == sorted(_HELP[command])
+
+    monkeypatch.chdir(tmp_path)  # the default --out is checked here
+    flags, expected = _CONFIG[command]
+    cfg = cli._resolve(cli._build_parser().parse_args([command, *flags]))
+    assert cfg == expected
+    assert {k: type(v) for k, v in cfg.items()} == {k: type(v) for k, v in expected.items()}
 
 
 @pytest.mark.parametrize("command", ["cv", "curve", "vectorize", "train"])
