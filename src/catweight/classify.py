@@ -120,6 +120,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.tolerance < 0:
             raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

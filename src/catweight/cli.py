@@ -13,6 +13,14 @@ configuration, so reruns are reproducible byte for byte, whatever
 Seeds are always explicit; there is no wall-clock default.  Features
 are standardized unless ``--no-standardize`` is given.
 
+An option's rules live in its one entry of ``_OPTIONS``: its flag and
+kind, default, choices, lower bound, the commands that take it and its
+help text.  The parser and every check ``_resolve`` makes of a flag or a
+config value are built from that table.  The learner options are
+``TrainConfig``'s fields, with its bounds; a list option (``--scheme``,
+``--classifier``, ``--sizes``) is read by its command.  ``--config`` is
+a flag only, so a config file cannot name another.
+
 ``train`` writes one self-contained model file (``classify.save_model``,
 model format 6): ``predict`` reads only that file and its input text,
 never the embedding or the manifest.  The file holds the weights of the
@@ -40,7 +48,7 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache
 from pathlib import Path
 
@@ -78,53 +86,85 @@ from .evaluation import (fit_pair, fit_table, grid_run, learning_curve, write_cu
 from .vectorize import CorpusVectorizer, standardize_apply
 from .weighting import DEFAULT_ALPHA, SCHEMES, export_weights
 
-# The parser's choices, and the values _resolve accepts from a config file.
-_CHOICES = {
-    "format": ("auto", "csv", "tsv", "jsonl", "20ng"),
-    "embedding_format": ("auto", *EMBEDDING_FORMATS),
-    "output_format": ("json", "tsv"),
-}
+# The commands that take each group of options.
+_DATA = ("cv", "curve", "weights", "vectorize", "train")
+_EMBEDDING = ("cv", "curve", "vectorize", "train")
+_LEARNER = ("cv", "curve", "train")
 
-# The learner options and their defaults are TrainConfig's, bar the seed.
-_LEARNER_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.name != "seed"}
 
-# The other integer options.  _resolve converts each of these, each
-# learner option and alpha that a command has to its type, and checks
-# that each option whose default is a bool is one.
-_INTEGERS = ("seed", "k", "sample", "min_count", "jobs", "top_k", "min", "max", "step")
-# The integer options that must be >= 1 when given.
-_POSITIVE = ("sample", "min_count", "jobs", "top_k")
+@dataclass(frozen=True)
+class _Option:
+    """One entry of ``_OPTIONS``.  ``kind`` is int, float, str, bool (a
+    switch; one that defaults to on also takes ``--no-``) or list (names
+    or sizes, which the command reads: ``_expand``, ``_one``,
+    ``_curve_sizes``).  ``help`` is one text, or one per command where
+    the commands' texts differ."""
+
+    key: str  # the config key
+    kind: type
+    commands: tuple[str, ...]
+    help: str | dict[str, str] | None = None
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    low: int | None = None  # a bounded float must also be finite
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+
+_OPTIONS = (
+    _Option("seed", int, _DATA, "random seed (required; no wall-clock default)", low=0),
+    _Option("model", str, ("predict",), "model file written by train"),
+    _Option("input", str, ("predict",), "text file with one document per line, or - for stdin",
+            default="-"),
+    _Option("out", str, (*_DATA, "predict"),
+            {**dict.fromkeys(_DATA, "output file path"), "predict": "output TSV path"}),
+    _Option("data", str, _DATA, "dataset path (file or directory)"),
+    _Option("format", str, _DATA, "dataset format", default="auto",
+            choices=("auto", "csv", "tsv", "jsonl", "20ng")),
+    _Option("text_field", str, _DATA, "text column/key for csv/jsonl", default="text"),
+    _Option("label_field", str, _DATA, "label column/key for csv/jsonl", default="label"),
+    _Option("preserve_case", bool, _DATA, default=False),
+    _Option("sample", int, _DATA, "cap the corpus at N documents", low=1),
+    _Option("min_count", int, _DATA, "prune words below this count", default=1, low=1),
+    _Option("embedding", str, _EMBEDDING, "embedding file path or synthetic:<d>:<seed>"),
+    _Option("embedding_format", str, _EMBEDDING, default="auto",
+            choices=("auto", *EMBEDDING_FORMATS)),
+    _Option("case_fallback", bool, _EMBEDDING, default=False),
+    _Option("alpha", float, _DATA, "TF-TRR alpha constant, >= 1", default=DEFAULT_ALPHA, low=1),
+    _Option("standardize", bool, _LEARNER,
+            "standardize features with training statistics (default: on)", default=True),
+    # The learner options and their bounds are TrainConfig's.
+    *(_Option(f.name, type(f.default), _LEARNER, default=f.default)
+      for f in fields(TrainConfig) if f.name != "seed"),
+    _Option("scheme", list, _DATA, {
+        "cv": "scheme, comma list, or 'all'", "curve": "scheme, comma list, or 'all'",
+        "weights": "one of tfidf, kld, tftrr, tfcr", "vectorize": "single scheme",
+        "train": "single scheme"}, default="tfcr"),
+    _Option("classifier", list, _LEARNER, {
+        "cv": "classifier, comma list, or 'all'", "curve": "single classifier",
+        "train": "logreg or svm"}, default="logreg"),
+    _Option("k", int, ("cv", "curve"),
+            {"cv": "number of folds", "curve": "holdout = 1/k of the corpus"}, default=10, low=2),
+    _Option("stratified", bool, ("cv", "curve"), default=False),
+    _Option("jobs", int, ("cv",),
+            "classifier cells trained at once on worker threads, while the next "
+            "scheme's features are built (default: the CPUs this process may use, "
+            "divided by the BLAS threads per call, so 1 unless OPENBLAS_NUM_THREADS, "
+            "MKL_NUM_THREADS or OMP_NUM_THREADS limits them); results do not depend on it",
+            low=1),
+    _Option("sizes", list, ("curve",), "explicit comma-separated ladder"),
+    _Option("min", int, ("curve",), "smallest training size"),
+    _Option("max", int, ("curve",), "largest training size"),
+    _Option("step", int, ("curve",), "ladder step"),
+    _Option("top_k", int, ("weights",), "keep only the top K words per category", low=1),
+    _Option("output_format", str, ("weights",), default="json", choices=("json", "tsv")),
+)
 
 # The file a command writes without --out; predict then writes to stdout.
 _DEFAULT_OUT = {"cv": "results.csv", "curve": "curve.csv", "weights": "weights.{output_format}",
                 "vectorize": "vectors.tsv", "train": "model.bin"}
-
-_DEFAULTS = {
-    "format": "auto",
-    "embedding_format": "auto",
-    "scheme": "tfcr",
-    "classifier": "logreg",
-    "k": 10,
-    "seed": None,
-    "alpha": DEFAULT_ALPHA,
-    "standardize": True,
-    "stratified": False,
-    "preserve_case": False,
-    "case_fallback": False,
-    "sample": None,
-    "min_count": 1,
-    "jobs": None,
-    **_LEARNER_DEFAULTS,
-    "text_field": "text",
-    "label_field": "label",
-    "top_k": None,
-    "output_format": "json",
-    "sizes": None,
-    "min": None,
-    "max": None,
-    "step": None,
-    "input": "-",
-}
 
 
 @cache
@@ -136,104 +176,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"catweight {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *, data=True, embedding=True, learner=True):
+    for command, (_, summary) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        # A flag only: the file it names sets the options.
         p.add_argument("--config", help="JSON config file; flags take precedence")
-        p.add_argument("--seed", type=int, help="random seed (required; no wall-clock default)")
-        p.add_argument("--out", help="output file path")
-        if data:
-            p.add_argument("--data", help="dataset path (file or directory)")
-            p.add_argument("--format", choices=_CHOICES["format"], help="dataset format")
-            p.add_argument("--text-field", help="text column/key for csv/jsonl")
-            p.add_argument("--label-field", help="label column/key for csv/jsonl")
-            p.add_argument("--preserve-case", action="store_true", default=None)
-            p.add_argument("--sample", type=int, help="cap the corpus at N documents")
-            p.add_argument("--min-count", type=int, help="prune words below this count")
-        if embedding:
-            p.add_argument("--embedding", help="embedding file path or synthetic:<d>:<seed>")
-            p.add_argument("--embedding-format", choices=_CHOICES["embedding_format"])
-            p.add_argument("--case-fallback", action="store_true", default=None)
-        if learner:
-            p.add_argument("--alpha", type=float, help="TF-TRR alpha constant, >= 1")
-            p.add_argument(
-                "--standardize",
-                action=argparse.BooleanOptionalAction,
-                default=None,
-                help="standardize features with training statistics (default: on)",
-            )
-            p.add_argument("--epochs", type=int)
-            p.add_argument("--learning-rate", type=float)
-            p.add_argument("--decay", type=float)
-            p.add_argument("--l2", type=float)
-            p.add_argument("--batch-size", type=int)
-            p.add_argument("--tolerance", type=float)
-
-    p_cv = sub.add_parser("cv", help="k-fold cross-validation over a scheme/classifier grid")
-    add_common(p_cv)
-    p_cv.add_argument("--scheme", help="scheme, comma list, or 'all'")
-    p_cv.add_argument("--classifier", help="classifier, comma list, or 'all'")
-    p_cv.add_argument("--k", type=int, help="number of folds")
-    p_cv.add_argument("--stratified", action="store_true", default=None)
-    p_cv.add_argument(
-        "--jobs",
-        type=int,
-        help="classifier cells trained at once on worker threads, while the next "
-        "scheme's features are built (default: the CPUs this process may use, "
-        "divided by the BLAS threads per call, so 1 unless OPENBLAS_NUM_THREADS, "
-        "MKL_NUM_THREADS or OMP_NUM_THREADS limits them); results do not depend on it",
-    )
-
-    p_curve = sub.add_parser("curve", help="learning curve on a fixed holdout")
-    add_common(p_curve)
-    p_curve.add_argument("--scheme", help="scheme, comma list, or 'all'")
-    p_curve.add_argument("--classifier", help="single classifier")
-    p_curve.add_argument("--k", type=int, help="holdout = 1/k of the corpus")
-    p_curve.add_argument("--stratified", action="store_true", default=None)
-    p_curve.add_argument("--sizes", help="explicit comma-separated ladder")
-    p_curve.add_argument("--min", type=int, help="smallest training size")
-    p_curve.add_argument("--max", type=int, help="largest training size")
-    p_curve.add_argument("--step", type=int, help="ladder step")
-
-    p_weights = sub.add_parser("weights", help="export a weight table")
-    add_common(p_weights, embedding=False, learner=False)
-    p_weights.add_argument("--scheme", help="one of tfidf, kld, tftrr, tfcr")
-    p_weights.add_argument("--alpha", type=float, help="TF-TRR alpha constant, >= 1")
-    p_weights.add_argument("--top-k", type=int, help="keep only the top K words per category")
-    p_weights.add_argument("--output-format", choices=_CHOICES["output_format"])
-
-    p_vec = sub.add_parser("vectorize", help="emit document vectors as TSV")
-    add_common(p_vec, learner=False)
-    p_vec.add_argument("--scheme", help="single scheme")
-    p_vec.add_argument("--alpha", type=float, help="TF-TRR alpha constant, >= 1")
-
-    p_train = sub.add_parser("train", help="train and persist a model")
-    add_common(p_train)
-    p_train.add_argument("--scheme", help="single scheme")
-    p_train.add_argument("--classifier", help="logreg or svm")
-
-    p_pred = sub.add_parser("predict", help="classify raw text lines with a saved model")
-    p_pred.add_argument("--config", help="JSON config file; flags take precedence")
-    p_pred.add_argument("--model", help="model file written by train")
-    p_pred.add_argument("--input", help="text file with one document per line, or - for stdin")
-    p_pred.add_argument("--out", help="output TSV path")
+        for opt in _OPTIONS:
+            if command not in opt.commands:
+                continue
+            kwargs = {"choices": opt.choices} if opt.choices else {}
+            if opt.kind is bool:
+                kwargs["default"] = None
+                kwargs["action"] = argparse.BooleanOptionalAction if opt.default else "store_true"
+            elif opt.kind in (int, float):
+                kwargs["type"] = opt.kind
+            text = opt.help.get(command) if isinstance(opt.help, dict) else opt.help
+            p.add_argument(opt.flag, help=text, **kwargs)
     return parser
 
 
-@cache
-def _option_keys() -> frozenset[str]:
-    """Every option of any subcommand: the keys a config file may set."""
-    parser = _build_parser()
-    return frozenset(
-        k for name in _COMMANDS for k in vars(parser.parse_args([name])) if k != "command"
-    )
-
-
 def _resolve(args: argparse.Namespace) -> dict:
-    """flags > config file > defaults, for every key the command knows; a
-    config key of another subcommand is ignored, one of none is an error.
+    """flags > config file > defaults, for every option the command takes;
+    a config key of another subcommand is ignored, one of none is an error.
     Every value is checked here, before any file is read or written."""
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
@@ -243,47 +209,16 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        unknown = sorted(set(file_cfg) - _option_keys())
+        unknown = sorted(set(file_cfg) - {opt.key for opt in _OPTIONS})
         if unknown:
             raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
     resolved = {}
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
-            resolved[key] = value
-        elif key in file_cfg and file_cfg[key] is not None:
-            resolved[key] = file_cfg[key]
-        else:
-            resolved[key] = _DEFAULTS.get(key)
-    strings = ("data", "out", "model", "embedding", "input", "text_field", "label_field")
-    for key, value in resolved.items():
-        flag = "--" + key.replace("_", "-")
-        if isinstance(_DEFAULTS.get(key), bool) and not isinstance(value, bool):
-            raise ConfigError(f"{flag} must be true or false, got {value!r}")
-        if key in strings and not isinstance(value, (str, type(None))):
-            raise ConfigError(f"{flag} must be a string, got {value!r}")
-        if key in _CHOICES and value not in _CHOICES[key]:
-            raise ConfigError(f"{flag} must be one of {', '.join(_CHOICES[key])}, got {value!r}")
-    if "alpha" in resolved:
-        try:
-            alpha = _as_number(resolved["alpha"], float)
-        except (TypeError, ValueError):
-            alpha = float("nan")
-        if not alpha >= 1.0:
-            raise ConfigError(f"--alpha must be >= 1, got {resolved['alpha']}")
-        if not math.isfinite(alpha):
-            raise ConfigError(f"--alpha must be finite, got {resolved['alpha']}")
-        resolved["alpha"] = alpha
-    kinds = {**dict.fromkeys(_INTEGERS, int), **{k: type(v) for k, v in _LEARNER_DEFAULTS.items()}}
-    for key, kind in kinds.items():
-        if resolved.get(key) is not None:
-            resolved[key] = _number(resolved, key, kind)
-    for key in _POSITIVE:
-        if resolved.get(key) is not None and resolved[key] < 1:
-            raise ConfigError(f"--{key.replace('_', '-')} must be >= 1, got {resolved[key]}")
-    if resolved.get("k") is not None and resolved["k"] < 2:
-        raise ConfigError(f"--k must be >= 2, got {resolved['k']}")
+    for opt in _OPTIONS:
+        if args.command in opt.commands:
+            value = getattr(args, opt.key)
+            if value is None:
+                value = file_cfg.get(opt.key)
+            resolved[opt.key] = opt.default if value is None else _checked(opt, value)
     out = _out(resolved, args.command)
     if out is not None:
         flag = "--out" if resolved.get("out") is not None else "the default --out"
@@ -297,6 +232,32 @@ def _resolve(args: argparse.Namespace) -> dict:
             if not os.access(path, os.W_OK):
                 raise ConfigError(f"{flag} cannot be written: no write permission on {path}")
     return resolved
+
+
+def _checked(opt: _Option, value):
+    """``value``, from a flag or a config file, as ``opt`` takes it; a
+    value it does not take is a config error."""
+    flag = opt.flag
+    if opt.kind is bool and not isinstance(value, bool):
+        raise ConfigError(f"{flag} must be true or false, got {value!r}")
+    if opt.choices and value not in opt.choices:
+        raise ConfigError(f"{flag} must be one of {', '.join(opt.choices)}, got {value!r}")
+    if opt.kind is str and not isinstance(value, str):
+        raise ConfigError(f"{flag} must be a string, got {value!r}")
+    if opt.kind not in (int, float):
+        return value
+    try:
+        number = _as_number(value, opt.kind)
+    except (TypeError, ValueError):
+        if opt.kind is int or opt.low is None:
+            what = "an integer" if opt.kind is int else "a number"
+            raise ConfigError(f"{flag} must be {what}, got {value!r}") from None
+        number = math.nan  # a bounded float's non-number is out of its bounds
+    if opt.low is not None and not number >= opt.low:
+        raise ConfigError(f"{flag} must be >= {opt.low}, got {value}")
+    if opt.low is not None and number == math.inf:
+        raise ConfigError(f"{flag} must be finite, got {value}")
+    return number
 
 
 def _out(cfg: dict, command: str) -> Path | None:
@@ -426,20 +387,9 @@ def _as_number(value, kind: type = int):
     return kind(value)
 
 
-def _number(cfg: dict, key: str, kind: type = int):
-    """``cfg[key]`` as ``kind``; a value that is not one is a config error."""
-    try:
-        return _as_number(cfg[key], kind)
-    except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(
-            f"--{key.replace('_', '-')} must be {what}, got {cfg[key]!r}"
-        ) from None
-
-
 def _train_config(cfg: dict) -> TrainConfig:
     try:
-        return TrainConfig(seed=cfg["seed"], **{key: cfg[key] for key in _LEARNER_DEFAULTS})
+        return TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -601,7 +551,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
 def cmd_weights(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     _require(cfg, "seed", "--seed")
-    scheme = _one(_require(cfg, "scheme", "--scheme"), SCHEMES, "scheme", "weights")
+    scheme = _one(cfg["scheme"], SCHEMES, "scheme", "weights")
     if scheme == "none":
         raise ConfigError("scheme 'none' has no weights to export")
     corpus = _load_corpus(cfg)
@@ -617,7 +567,7 @@ def cmd_weights(args: argparse.Namespace) -> int:
 def cmd_vectorize(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     _require(cfg, "seed", "--seed")
-    scheme = _one(_require(cfg, "scheme", "--scheme"), SCHEMES, "scheme", "vectorize")
+    scheme = _one(cfg["scheme"], SCHEMES, "scheme", "vectorize")
     corpus = _load_corpus(cfg)
     embedding = _resolve_embedding(cfg, corpus)
     vectorizer = CorpusVectorizer(corpus.documents, embedding, counts=corpus.token_counts())
@@ -636,7 +586,7 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     _require(cfg, "seed", "--seed")
-    scheme = _one(_require(cfg, "scheme", "--scheme"), SCHEMES, "scheme", "train")
+    scheme = _one(cfg["scheme"], SCHEMES, "scheme", "train")
     classifier = _one(cfg["classifier"], CLASSIFIERS, "classifier", "train")
     train_config = _train_config(cfg)
     corpus = _load_corpus(cfg)
@@ -734,13 +684,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each command, and its line in the top-level --help.
 _COMMANDS = {
-    "cv": cmd_cv,
-    "curve": cmd_curve,
-    "weights": cmd_weights,
-    "vectorize": cmd_vectorize,
-    "train": cmd_train,
-    "predict": cmd_predict,
+    "cv": (cmd_cv, "k-fold cross-validation over a scheme/classifier grid"),
+    "curve": (cmd_curve, "learning curve on a fixed holdout"),
+    "weights": (cmd_weights, "export a weight table"),
+    "vectorize": (cmd_vectorize, "emit document vectors as TSV"),
+    "train": (cmd_train, "train and persist a model"),
+    "predict": (cmd_predict, "classify raw text lines with a saved model"),
 }
 
 
@@ -748,7 +699,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (CatweightError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1

@@ -199,6 +199,8 @@ class TestTrainLogreg:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(tolerance=-1e-9)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
 
     @pytest.mark.parametrize("name", ["learning_rate", "decay", "l2", "tolerance"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])

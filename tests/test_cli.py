@@ -1350,6 +1350,9 @@ def test_non_integer_jobs_in_config_exits_2(toy_csv, tmp_path, capsys):
     ("cv", {"sample": "ten"}, [], "--sample must be an integer, got 'ten'"),
     ("cv", {}, ["--sample", "-5"], "--sample must be >= 1, got -5"),
     ("cv", {}, ["--sample", "0"], "--sample must be >= 1, got 0"),
+    # A seed is >= 0, from a flag or a config file, whatever the command.
+    ("cv", {}, ["--seed", "-1"], "--seed must be >= 0, got -1"),
+    ("weights", {"seed": -3}, [], "--seed must be >= 0, got -3"),
     ("curve", {"min": "five", "max": 10, "step": 5}, [], "--min must be an integer, got 'five'"),
     ("curve", {"min": 5, "max": [10], "step": 5}, [], "--max must be an integer, got [10]"),
     # An integer given as a string is read as that integer.
@@ -1559,6 +1562,7 @@ def test_infinite_alpha_in_config_exits_2(toy_csv, tmp_path, capsys):
     ({"kld_raw": True}, "kld_raw"),
     ({"epoch": 3}, "epoch"),
     ({"kld_raw": True, "k": 3, "epoch": 3}, "epoch, kld_raw"),  # k is a cv option
+    ({"config": "other.json", "seed": 1, "scheme": "tfcr"}, "config"),  # a flag only
 ])
 def test_unknown_config_key_exits_2(entries, named, toy_csv, tmp_path, capsys):
     config = tmp_path / "run.json"
